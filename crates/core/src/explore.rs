@@ -1130,7 +1130,7 @@ mod tests {
         // The group-commit bugfix litmus: under group commit an ingest
         // (or own write) is staged, not synced — the fsync happens at
         // the next externalization point. A local read that returns a
-        // value IS such a point ([`Dsm::observe_sync`]): once the
+        // value IS such a point ([`ProcNode::observe_sync`]): once the
         // program has seen x=1, a crash of the reader must not
         // un-happen it, or the surviving program would watch its own
         // history regress. The budget crashes the reader at every
@@ -1170,7 +1170,7 @@ mod tests {
     #[test]
     fn group_commit_crash_exploration_never_loses_externalized_writes() {
         // Writer-side group commit: the fsync rides the outgoing
-        // broadcast ([`Dsm::send`]'s externalization barrier), so by
+        // broadcast ([`ProcNode::send`]'s externalization barrier), so by
         // the time any peer can see a write it is durable, and a crash
         // of the *writer* at any explored step must replay every acked
         // write — same shape as the per-write-sync headline test, but

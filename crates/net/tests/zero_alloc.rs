@@ -14,10 +14,15 @@
 //!    allocation — the per-peer arenas and receive buffers recycle
 //!    their regions instead of growing the heap.
 //!
-//! Both tests read process-global counters, so they serialize on one
-//! mutex rather than trusting the harness's thread scheduling.
+//! The allocation counter only counts the thread that asked to be
+//! measured: the allocator is process-global, and the test harness and
+//! the other test's still-exiting runtime threads allocate whenever they
+//! please. The pool counters are process-global by design (the storm's
+//! work happens on runtime threads), so the tests still serialize on
+//! one mutex rather than trusting the harness's thread scheduling.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -27,14 +32,27 @@ use mc_net::NetSystem;
 use mc_proto::wire::{decode_frame, encode_frame, Frame, FRAME_HEADER};
 use mc_proto::{Mode, Msg, UpdatePayload};
 
-/// Counts allocations without changing them.
+/// Counts the measuring thread's allocations without changing them.
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Set on the thread whose allocations count. Const-initialised and
+    /// without a destructor, so reading it inside the allocator neither
+    /// allocates nor touches a torn-down slot.
+    static MEASURED: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count_if_measured() {
+    if MEASURED.with(Cell::get) {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_if_measured();
         unsafe { System.alloc(layout) }
     }
 
@@ -43,7 +61,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_if_measured();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -92,9 +110,11 @@ fn steady_state_wire_cycle_allocates_nothing() {
         cycle(&mut arena, &msg);
     }
     let before = ALLOCS.load(Ordering::Relaxed);
+    MEASURED.with(|m| m.set(true));
     for _ in 0..10_000 {
         cycle(&mut arena, &msg);
     }
+    MEASURED.with(|m| m.set(false));
     let after = ALLOCS.load(Ordering::Relaxed);
     assert_eq!(
         after - before,

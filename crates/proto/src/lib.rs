@@ -1,8 +1,10 @@
 //! # mc-proto — the DSM protocols of the mixed-consistency paper
 //!
 //! Implementations of the memory systems described (and implied) by
-//! *Agrawal, Choy, Leong, Singh, PODC '94*, as [`mc_sim::Protocol`]s over
-//! the deterministic simulator:
+//! *Agrawal, Choy, Leong, Singh, PODC '94*. The per-process protocol is
+//! one executor-independent state machine ([`node`]); [`Dsm`] drives it
+//! as an [`mc_sim::Protocol`] over the deterministic simulator, and the
+//! `mc-live` / `mc-net` executors drive the same code on threads and TCP:
 //!
 //! * [`Mode::Pram`] — pipelined RAM: FIFO update broadcast, local reads,
 //!   no vector timestamps on the wire;
@@ -31,18 +33,20 @@ pub mod dsm;
 pub mod durability;
 pub mod manager;
 pub mod msg;
+pub mod node;
 pub mod replica;
 pub mod session;
 pub mod wire;
 
 pub use config::{BatchPolicy, DsmConfig, LockPropagation, Mode, ShardConfig};
-pub use dsm::{Dsm, Req, Resp};
+pub use dsm::Dsm;
 pub use durability::{
     crc32, decode_wal, DurabilityPolicy, FileDisk, MemDisk, Snapshot, SnapshotError, WalRecord,
     WalTail,
 };
 pub use manager::Manager;
 pub use msg::{BatchEntry, GrantInfo, Msg, UpdatePayload};
+pub use node::{Blocked, ManagerNode, NodeIo, ProcNode, Req, Resp};
 pub use replica::{Replica, ShardState};
 pub use session::{LinkReceiver, LinkSender, Session, SessionConfig};
 pub use wire::{

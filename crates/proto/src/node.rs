@@ -1,0 +1,1916 @@
+//! The per-process protocol core: what one node does on each operation
+//! and each message, and in which order it logs, applies and sends.
+//!
+//! [`ProcNode`] is one process's whole protocol state — its [`Replica`],
+//! out-batches, link shadow clocks, flush waiters, lock/barrier/SC
+//! bookkeeping, recovery dedup state and session links — driven through
+//! the `Req → Poll<Resp>` machine ([`ProcNode::start`] /
+//! [`ProcNode::poll`]) plus [`ProcNode::on_message`] and
+//! [`ProcNode::on_timer`]. [`ManagerNode`] is the same for a manager
+//! shard. Neither performs I/O itself: every effect is a call on a
+//! [`NodeIo`], so the simulator (virtual time, a modeled disk) and the
+//! live executors (threads or TCP, real files) run the *same* code and
+//! differ only in the adaptor they pass in.
+//!
+//! Effects are calls, not a returned list: static dispatch keeps the
+//! live hot path allocation-free, and the order of the calls *is* the
+//! protocol's logging discipline (append before apply, fsync before the
+//! first send that could expose a write) — a recording `NodeIo` in this
+//! module's tests pins it.
+
+use std::collections::HashMap;
+use std::sync::Arc;
+
+use mc_model::{BarrierId, Loc, LockId, LockMode, ProcId, ReadLabel, VClock, Value, WriteId};
+use mc_sim::{NodeId, Poll, SimTime};
+
+use crate::config::{DsmConfig, LockPropagation, Mode};
+use crate::durability::{Snapshot, WalRecord};
+use crate::manager::Manager;
+use crate::msg::{BatchEntry, GrantInfo, Msg, UpdatePayload};
+use crate::replica::Replica;
+use crate::session::{self, LinkSender, Session, SessionConfig};
+
+/// Everything a node asks of its executor. Two production
+/// implementors: the simulator's adaptor over `mc_sim::NetCtx` and a
+/// modeled disk, and the live adaptor over a transport and real files.
+pub trait NodeIo {
+    /// Puts `msg` on the wire toward `to`. `kind` labels the message in
+    /// the executor's metrics (the inner payload's kind for session
+    /// data, `"retransmit"` for resends).
+    fn send(&mut self, to: NodeId, kind: &'static str, msg: Msg);
+
+    /// Asks for an `on_timer(token)` call `delay` from now. Timers
+    /// cannot be cancelled; a stale expiry is a no-op for the node. An
+    /// executor that polls on its own clock instead (the live
+    /// retransmit sweep and batch-age check) may ignore the request.
+    fn arm_timer(&mut self, delay: SimTime, token: u64);
+
+    /// Stages one framed write-ahead-log record (durable only after
+    /// [`NodeIo::wal_sync`]).
+    fn wal_append(&mut self, frame: &[u8]);
+
+    /// Makes every staged record durable (the fsync).
+    fn wal_sync(&mut self);
+
+    /// Atomically installs a snapshot and truncates the log. The node
+    /// has synced the log first.
+    fn install_snapshot(&mut self, bytes: Vec<u8>);
+
+    /// Whether structured tracing is on (gates annotation strings).
+    fn tracing(&self) -> bool {
+        false
+    }
+
+    /// Attaches metadata to the event the last [`NodeIo::send`] traced.
+    fn annotate(&mut self, key: &'static str, value: String) {
+        let _ = (key, value);
+    }
+
+    /// Records the backoff interval a retransmission waited.
+    fn record_rto(&mut self, waited: SimTime) {
+        let _ = waited;
+    }
+}
+
+/// Timer-token namespace bit for batch flush timers. Session link
+/// tokens pack two 32-bit node ids, so their bit 63 is always clear;
+/// flush tokens set it and carry the flushing process in the low bits.
+const FLUSH_TOKEN_BIT: u64 = 1 << 63;
+
+/// A memory or synchronization operation submitted by a process.
+#[derive(Clone, Debug)]
+pub enum Req {
+    /// Labeled read (labels are ignored in the pure modes: PRAM memory
+    /// reads PRAM, causal memory reads causal, SC reads at the server).
+    Read {
+        /// Location.
+        loc: Loc,
+        /// Consistency label (honored in [`Mode::Mixed`]).
+        label: ReadLabel,
+    },
+    /// Write.
+    Write {
+        /// Location.
+        loc: Loc,
+        /// Value stored.
+        value: Value,
+    },
+    /// Commutative increment (counter objects, Section 5.3).
+    Update {
+        /// Location.
+        loc: Loc,
+        /// Signed delta (integer or float).
+        delta: Value,
+    },
+    /// Acquire a read or write lock.
+    Lock {
+        /// Lock object.
+        lock: LockId,
+        /// Shared or exclusive.
+        mode: LockMode,
+    },
+    /// Release a lock.
+    Unlock {
+        /// Lock object.
+        lock: LockId,
+        /// Shared or exclusive.
+        mode: LockMode,
+    },
+    /// Arrive at (and pass) a barrier.
+    Barrier {
+        /// Barrier object.
+        barrier: BarrierId,
+    },
+    /// `await(loc = value)`.
+    Await {
+        /// Location.
+        loc: Loc,
+        /// Value awaited.
+        value: Value,
+    },
+}
+
+/// The response to a [`Req`].
+#[derive(Clone, Debug, PartialEq)]
+pub enum Resp {
+    /// Read result.
+    Value {
+        /// The value returned.
+        value: Value,
+        /// The write that produced it (`None` = initial value).
+        writer: Option<WriteId>,
+    },
+    /// Write/update result.
+    Wrote {
+        /// The minted write identity.
+        id: WriteId,
+    },
+    /// Lock, unlock.
+    Done,
+    /// Barrier passed.
+    BarrierPassed {
+        /// The round that completed.
+        round: u32,
+    },
+    /// Await satisfied.
+    Awaited {
+        /// The observed value.
+        value: Value,
+        /// The writes whose application produced it.
+        writers: Vec<WriteId>,
+    },
+}
+
+/// What a parked process is waiting for. Its `Debug` form is the
+/// diagnostic both executors print for a stuck operation.
+#[derive(Clone, Debug)]
+pub enum Blocked {
+    /// A read whose visibility gate is not yet met.
+    Read {
+        /// Location.
+        loc: Loc,
+        /// The effective label being waited under.
+        label: ReadLabel,
+    },
+    /// `await(loc = value)` on a value not yet applied.
+    Await {
+        /// Location.
+        loc: Loc,
+        /// Value awaited.
+        value: Value,
+    },
+    /// A lock request awaiting its grant (and, under lazy propagation,
+    /// the writes the grant demands).
+    Lock {
+        /// Lock object.
+        lock: LockId,
+        /// Shared or exclusive.
+        mode: LockMode,
+    },
+    /// An eager release awaiting every peer's flush acknowledgement.
+    UnlockFlush {
+        /// Lock object.
+        lock: LockId,
+    },
+    /// A barrier arrival awaiting the release.
+    Barrier {
+        /// Barrier object.
+        barrier: BarrierId,
+        /// The round arrived at.
+        round: u32,
+    },
+    /// Waiting for an SC server RPC response.
+    Sc,
+    /// Waiting for a dynamic shard subscription to be acknowledged by
+    /// the directory; the first-touch request retries once it is.
+    Subscribe {
+        /// The shard being joined.
+        shard: u32,
+        /// The stashed first-touch request.
+        retry: Box<Req>,
+    },
+}
+
+/// Outgoing batch entries under coalescing: same-location writes merge
+/// into the *latest* entry for the location (`Set` last-write-wins,
+/// `Add` sums), so a kind mismatch starts a new entry and application
+/// order is preserved.
+#[derive(Debug, Default)]
+struct Coalesced {
+    entries: Vec<BatchEntry>,
+    /// Latest entry index per location (coalescing target).
+    last_idx: HashMap<Loc, usize>,
+}
+
+impl Coalesced {
+    fn push(&mut self, loc: Loc, payload: UpdatePayload, id: WriteId) {
+        if let Some(&idx) = self.last_idx.get(&loc) {
+            let e = &mut self.entries[idx];
+            match (&mut e.payload, &payload) {
+                (UpdatePayload::Set(cur), UpdatePayload::Set(v)) => {
+                    *cur = *v;
+                    e.writer = id;
+                    return;
+                }
+                (UpdatePayload::Add(cur), UpdatePayload::Add(d)) => {
+                    if let Some(sum) = cur.checked_add(*d) {
+                        *cur = sum;
+                        e.adds.push(id.seq);
+                        e.writer = id;
+                        return;
+                    }
+                }
+                _ => {}
+            }
+        }
+        let adds = match &payload {
+            UpdatePayload::Add(_) => vec![id.seq],
+            UpdatePayload::Set(_) => Vec::new(),
+        };
+        self.last_idx.insert(loc, self.entries.len());
+        self.entries.push(BatchEntry { loc, payload, writer: id, adds });
+    }
+
+    /// Empties the buffer into one shared slice: every recipient's
+    /// message (and any session retransmit copy) bumps a refcount
+    /// instead of deep-cloning the entries.
+    fn take(&mut self) -> Arc<[BatchEntry]> {
+        self.last_idx.clear();
+        std::mem::take(&mut self.entries).into()
+    }
+}
+
+/// The outgoing update buffer (full replication, batching enabled).
+#[derive(Debug, Default)]
+struct OutBatch {
+    /// First own-write sequence number buffered.
+    first_seq: u32,
+    /// Last own-write sequence number buffered.
+    upto: u32,
+    buf: Coalesced,
+    /// Dependency vector of the last buffered write (vector modes).
+    deps: Option<VClock>,
+}
+
+/// The outgoing buffer for a single shard (sharding with batching).
+/// The chain link `prev` anchors the batch in the writer's per-shard
+/// FIFO chain, and dependencies are the sparse triples of the last
+/// member (per-shard clocks are monotone, so the last member's
+/// knowledge dominates every earlier member's).
+#[derive(Debug, Default)]
+struct ShardOutBatch {
+    /// The writer's own seq in the shard before the first member.
+    prev: u32,
+    /// Last own-write sequence buffered.
+    upto: u32,
+    buf: Coalesced,
+    /// Dependency triples of the last buffered write.
+    deps: Vec<(u32, ProcId, u32)>,
+}
+
+/// The in-order payloads one arriving wire message releases.
+type Accepted = std::iter::Chain<std::option::IntoIter<Msg>, std::vec::IntoIter<Msg>>;
+
+/// One node's end of the reliable-delivery session layer (a
+/// pass-through when [`DsmConfig::reliable`] is off): wraps and
+/// sequences what the node sends, unwraps and acknowledges what it
+/// receives, and retransmits on link timers.
+#[derive(Debug)]
+struct Links {
+    me: NodeId,
+    session: Option<Session>,
+}
+
+impl Links {
+    fn new(me: NodeId, reliable: bool) -> Self {
+        Links { me, session: reliable.then(|| Session::new(SessionConfig::default())) }
+    }
+
+    /// Sends one protocol message, through the session layer when it is
+    /// enabled. Sessioned payloads keep their *inner* kind in the
+    /// metrics (the header shows up in the byte counters).
+    ///
+    /// With tracing on, an update's vector timestamp is attached to the
+    /// message span just recorded — the same clocks that order causal
+    /// delivery double as trace metadata. Batch frames are annotated
+    /// with their member writes instead.
+    fn send(&mut self, to: NodeId, msg: Msg, io: &mut impl NodeIo) {
+        let annotation = if io.tracing() { trace_annotation(&msg) } else { None };
+        let kind = msg.kind();
+        match &mut self.session {
+            None => io.send(to, kind, msg),
+            Some(s) => {
+                let tx = s.sender(self.me, to);
+                let wrapped = tx.wrap(msg);
+                arm_link_timer(tx, self.me, to, io);
+                io.send(to, kind, wrapped);
+            }
+        }
+        if let Some((key, v)) = annotation {
+            io.annotate(key, v);
+        }
+    }
+
+    /// Filters one arriving wire message through the session layer:
+    /// acks are consumed, data is sequenced (answering with a
+    /// cumulative ack) and the in-order payloads are returned for
+    /// dispatch; anything else passes through. Acks travel raw (a
+    /// sessioned ack would need its own ack, ad infinitum); they are
+    /// cumulative, so losing or duplicating them is harmless.
+    fn accept(&mut self, from: NodeId, msg: Msg, io: &mut impl NodeIo) -> Accepted {
+        let (one, many) = match msg {
+            Msg::SessAck { upto, epoch } => {
+                self.on_ack(from, upto, epoch);
+                (None, Vec::new())
+            }
+            Msg::SessData { seq, epoch, inner } => {
+                let s = self.session.as_mut().expect("session data without session layer");
+                let rx = s.receiver(from, self.me);
+                let (ready, upto) = rx.on_data(seq, epoch, *inner);
+                let ack = Msg::SessAck { upto, epoch: rx.epoch() };
+                io.send(from, ack.kind(), ack);
+                (None, ready)
+            }
+            other => (Some(other), Vec::new()),
+        };
+        one.into_iter().chain(many)
+    }
+
+    /// A cumulative ack for the link toward `peer`.
+    fn on_ack(&mut self, peer: NodeId, upto: u64, epoch: u64) {
+        let s = self.session.as_mut().expect("ack without session layer");
+        let cfg = s.cfg;
+        s.sender(self.me, peer).on_ack(upto, epoch, &cfg);
+    }
+
+    /// The cumulative ack to piggyback toward `peer`, once anything
+    /// from it has been delivered.
+    fn piggyback_ack(&mut self, peer: NodeId) -> Option<(u64, u64)> {
+        let rx = self.session.as_mut()?.receiver(peer, self.me);
+        let upto = rx.delivered();
+        (upto > 0).then_some((upto, rx.epoch()))
+    }
+
+    /// The retransmission timer of the link toward `to` expired.
+    fn on_timer(&mut self, to: NodeId, io: &mut impl NodeIo) {
+        let Some(s) = &mut self.session else { return };
+        let cfg = s.cfg;
+        retransmit_link(s.sender(self.me, to), &cfg, self.me, to, io);
+    }
+
+    /// Every link's timer at once (the wall-clock sweep).
+    fn retransmit(&mut self, io: &mut impl NodeIo) {
+        let Some(s) = &mut self.session else { return };
+        let cfg = s.cfg;
+        for ((_, to), tx) in s.senders_mut() {
+            retransmit_link(tx, &cfg, self.me, to, io);
+        }
+    }
+
+    /// Resets the link toward a reborn peer into a fresh, higher epoch —
+    /// its newborn receiver would otherwise buffer forever behind
+    /// sequence numbers that died with the old incarnation. Non-update
+    /// payloads are re-wrapped and resent; update-class payloads are
+    /// dropped (their content travels in the recovery answer, with full
+    /// dependency metadata, and their deltas reference shadow clocks
+    /// the caller is about to clear).
+    fn reset_toward(&mut self, reborn: NodeId, io: &mut impl NodeIo) {
+        let Some(s) = &mut self.session else { return };
+        let wire = s.reset_sender_with(self.me, reborn, |m| {
+            !matches!(
+                m,
+                Msg::Update { .. }
+                    | Msg::UpdateBatch { .. }
+                    | Msg::RecoverResp { .. }
+                    | Msg::ShardUpdate { .. }
+                    | Msg::ShardUpdateBatch { .. }
+                    | Msg::ShardRecoverResp { .. }
+            )
+        });
+        let resend = !wire.is_empty();
+        for m in wire {
+            io.send(reborn, "retransmit", m);
+        }
+        if resend {
+            arm_link_timer(s.sender(self.me, reborn), self.me, reborn, io);
+        }
+    }
+}
+
+/// Arms the link's retransmission timer unless one is already pending.
+fn arm_link_timer(tx: &mut LinkSender, me: NodeId, to: NodeId, io: &mut impl NodeIo) {
+    if !tx.timer_armed {
+        tx.timer_armed = true;
+        io.arm_timer(tx.rto(), session::link_token(me, to));
+    }
+}
+
+/// One link's retransmission expiry: resend everything unacknowledged
+/// and re-arm with the doubled timeout, or let the timer lapse when
+/// everything was acked since it was armed.
+fn retransmit_link(
+    tx: &mut LinkSender,
+    cfg: &SessionConfig,
+    me: NodeId,
+    to: NodeId,
+    io: &mut impl NodeIo,
+) {
+    // The interval this expiry actually waited is the rto the timer was
+    // armed with — sample it *before* `on_timeout` doubles it.
+    let waited = tx.rto();
+    let rexmit = tx.on_timeout(cfg);
+    if rexmit.is_empty() {
+        tx.timer_armed = false;
+        return;
+    }
+    io.record_rto(waited);
+    io.arm_timer(tx.rto(), session::link_token(me, to));
+    let epoch = tx.epoch();
+    for (seq, inner) in rexmit {
+        io.send(to, "retransmit", Msg::SessData { seq, epoch, inner: Box::new(inner) });
+        if io.tracing() {
+            io.annotate("seq", seq.to_string());
+        }
+    }
+}
+
+fn trace_annotation(msg: &Msg) -> Option<(&'static str, String)> {
+    match msg {
+        Msg::Update { deps: Some(deps), .. } => Some(("vclock", deps.to_string())),
+        Msg::UpdateBatch { first_seq, upto, entries, delta, .. } => {
+            let members: Vec<String> = entries
+                .iter()
+                .map(|e| match e.payload {
+                    UpdatePayload::Set(_) => e.loc.to_string(),
+                    UpdatePayload::Add(_) => format!("{}+{}", e.loc, e.adds.len()),
+                })
+                .collect();
+            Some((
+                "batch",
+                format!(
+                    "w{first_seq}..={upto} [{}] Δ{}",
+                    members.join(","),
+                    delta.as_ref().map_or(0, Vec::len)
+                ),
+            ))
+        }
+        _ => None,
+    }
+}
+
+/// One manager shard as a network node: the [`Manager`] state machine
+/// behind its session links.
+#[derive(Debug)]
+pub struct ManagerNode {
+    cfg: Arc<DsmConfig>,
+    manager: Manager,
+    links: Links,
+}
+
+impl ManagerNode {
+    /// The manager shard running on `node`.
+    pub fn new(node: NodeId, cfg: Arc<DsmConfig>) -> Self {
+        ManagerNode {
+            manager: Manager::new(cfg.nprocs),
+            links: Links::new(node, cfg.reliable),
+            cfg,
+        }
+    }
+
+    /// Handles one arriving wire message: whatever the session layer
+    /// releases goes to the manager, and its outbox goes back out.
+    pub fn on_message(&mut self, from: NodeId, msg: Msg, io: &mut impl NodeIo) {
+        for m in self.links.accept(from, msg, io) {
+            for (proc, out) in self.manager.handle(m, &self.cfg) {
+                self.links.send(NodeId(proc.0), out, io);
+            }
+        }
+    }
+
+    /// A session link timer armed through [`NodeIo::arm_timer`] expired.
+    pub fn on_timer(&mut self, token: u64, io: &mut impl NodeIo) {
+        self.links.on_timer(session::token_link(token).1, io);
+    }
+
+    /// Retransmits every unacknowledged payload on every outgoing link —
+    /// for executors that sweep on wall-clock ticks instead of serving
+    /// per-link timers.
+    pub fn retransmit(&mut self, io: &mut impl NodeIo) {
+        self.links.retransmit(io);
+    }
+
+    /// The manager state (SC store, lock queues).
+    pub fn manager(&self) -> &Manager {
+        &self.manager
+    }
+
+    /// Consumes the node, returning the manager state.
+    pub fn into_manager(self) -> Manager {
+        self.manager
+    }
+
+    /// The session state (`None` unless reliable).
+    pub fn session(&self) -> Option<&Session> {
+        self.links.session.as_ref()
+    }
+}
+
+/// One process's protocol state machine. See the module docs.
+#[derive(Debug)]
+pub struct ProcNode {
+    proc: ProcId,
+    cfg: Arc<DsmConfig>,
+    replica: Replica,
+    links: Links,
+    blocked: Option<Blocked>,
+    held: HashMap<LockId, LockMode>,
+    granted: HashMap<LockId, GrantInfo>,
+    flush_acks: usize,
+    /// Flush probes whose acknowledgement awaits local applies.
+    flush_waiters: Vec<(ProcId, u32)>,
+    barrier_next: HashMap<BarrierId, u32>,
+    barrier_released: HashMap<(BarrierId, u32), VClock>,
+    sc_resp: Option<Resp>,
+    sc_pending_write: Option<WriteId>,
+    /// Outgoing update buffer (used iff [`DsmConfig::batch`]).
+    out: OutBatch,
+    /// Per-shard outgoing buffers (sharding with batching).
+    shard_out: HashMap<u32, ShardOutBatch>,
+    /// Whether a flush timer is pending, shared by every out-buffer:
+    /// one firing flushes them all. Timers cannot be cancelled, so a
+    /// timer that fires after a sync-triggered flush clears the flag
+    /// and flushes whatever (possibly nothing) is there.
+    flush_timer_armed: bool,
+    /// Sender-side shadow of the dependency clock last transmitted to
+    /// each peer (vector-clock delta compression).
+    link_clock_out: HashMap<NodeId, VClock>,
+    /// Receiver-side shadow clocks reconstructing full vectors from
+    /// per-link deltas.
+    link_clock_in: HashMap<NodeId, VClock>,
+    /// Log records appended since the last snapshot (the count-based
+    /// compaction cadence).
+    records_since_snap: u32,
+    /// Highest reborn incarnation already answered, per peer — a
+    /// duplicated raw [`Msg::RecoverReq`] must not reset the link (and
+    /// resend the delta) twice.
+    recover_seen: HashMap<ProcId, u32>,
+    /// High-water of own-write sequences already pushed back to each
+    /// answering peer — chunked recovery responses repeat `seen`, and
+    /// the push-back must not repeat with them.
+    recover_pushed: HashMap<NodeId, u32>,
+    /// Multicast routes (sharding only): `shard_routes[s]` lists the
+    /// peers this node knows to subscribe to shard `s` (self excluded).
+    /// Seeded from the static interest sets; dynamic joiners are merged
+    /// in from [`Msg::SubNotify`], [`Msg::SubAck`], and recovery
+    /// answers. Kept sorted so multicast order is deterministic.
+    shard_routes: Vec<Vec<ProcId>>,
+}
+
+impl ProcNode {
+    /// The node of process `proc`, with an empty replica.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration pairs a coherent lattice point with
+    /// durability (snapshots do not persist last-writer-wins tags).
+    pub fn new(proc: ProcId, cfg: Arc<DsmConfig>) -> Self {
+        let replica = Self::fresh_replica(proc, &cfg, None);
+        Self::with_replica(proc, cfg, replica)
+    }
+
+    fn fresh_replica(proc: ProcId, cfg: &DsmConfig, snapshot: Option<&Snapshot>) -> Replica {
+        let coherent = cfg.models.as_ref().is_some_and(|m| m.is_coherent(proc));
+        assert!(
+            !coherent || cfg.durability.is_none(),
+            "coherent lattice points cannot run with durability: \
+             snapshots do not persist last-writer-wins tags"
+        );
+        let r = match snapshot {
+            Some(snap) => Replica::from_snapshot(proc, cfg.nprocs, snap),
+            None => Replica::new(proc, cfg.nprocs),
+        };
+        let r = r.with_store_capacity(cfg.locations).with_coherent(coherent);
+        // Sharding binds to the replicated modes only: the SC
+        // substrate's central server holds the one authoritative copy,
+        // so a shard map is accepted but inert there. Sharded replicas
+        // start from the static interest set (snapshots do not capture
+        // shard state; WAL replay restores dynamic subscriptions).
+        match cfg.sharding.as_ref().filter(|_| cfg.mode.is_replicated()) {
+            Some(sc) => r.with_sharding(sc.nshards, sc.interest[proc.index()].clone()),
+            None => r,
+        }
+    }
+
+    fn with_replica(proc: ProcId, cfg: Arc<DsmConfig>, replica: Replica) -> Self {
+        let shard_routes = match cfg.sharding.as_ref().filter(|_| cfg.mode.is_replicated()) {
+            None => Vec::new(),
+            Some(sc) => (0..sc.nshards)
+                .map(|s| {
+                    (0..cfg.nprocs as u32)
+                        .map(ProcId)
+                        .filter(|&q| q != proc && sc.subscribed(q, s))
+                        .collect()
+                })
+                .collect(),
+        };
+        ProcNode {
+            proc,
+            replica,
+            links: Links::new(NodeId(proc.0), cfg.reliable),
+            blocked: None,
+            held: HashMap::new(),
+            granted: HashMap::new(),
+            flush_acks: 0,
+            flush_waiters: Vec::new(),
+            barrier_next: HashMap::new(),
+            barrier_released: HashMap::new(),
+            sc_resp: None,
+            sc_pending_write: None,
+            out: OutBatch::default(),
+            shard_out: HashMap::new(),
+            flush_timer_armed: false,
+            link_clock_out: HashMap::new(),
+            link_clock_in: HashMap::new(),
+            records_since_snap: 0,
+            recover_seen: HashMap::new(),
+            recover_pushed: HashMap::new(),
+            shard_routes,
+            cfg,
+        }
+    }
+
+    /// Rebuilds this node from its disk after a crash: decode the
+    /// snapshot, replay the log's `records` through the normal ingest
+    /// machinery, bump the incarnation and persist it (fsynced) before
+    /// any session traffic — so a second crash cannot resurrect this
+    /// epoch space — then ask every peer for the missing delta. Every
+    /// piece of volatile protocol state (session links, shadow clocks,
+    /// recovery dedup marks, out-batches — their writes are durable in
+    /// the own-write history and travel in the push-back of each
+    /// recovery answer) starts fresh.
+    ///
+    /// What the *client program* has earned is kept: when the program
+    /// outlives the crash (the simulator models the memory system's
+    /// node failing, not the client), its read gates, lock bookkeeping
+    /// and pending operation carry over, so post-crash reads still wait
+    /// for everything it already observed. A restarted OS process
+    /// recovers a [`ProcNode::new`], where there is nothing to keep.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the snapshot does not decode: compaction installs
+    /// snapshots atomically, so a corrupt one is an integrity failure.
+    pub fn recover(
+        &mut self,
+        snapshot: Option<&[u8]>,
+        records: Vec<WalRecord>,
+        io: &mut impl NodeIo,
+    ) {
+        let proc = self.proc;
+        let snap = snapshot.map(|bytes| {
+            Snapshot::decode(bytes).unwrap_or_else(|e| panic!("{proc}: snapshot is corrupt: {e}"))
+        });
+        let mut replica = Self::fresh_replica(proc, &self.cfg, snap.as_ref());
+        let replayed = records.len() as u32;
+        for rec in records {
+            replica.replay_record(rec, self.cfg.mode);
+        }
+        let old = std::mem::replace(self, Self::with_replica(proc, self.cfg.clone(), replica));
+        let r = &mut self.replica;
+        r.must_see = old.replica.must_see;
+        r.pram_wait = old.replica.pram_wait;
+        r.invalid = old.replica.invalid;
+        r.lock_watermarks = old.replica.lock_watermarks;
+        self.blocked = old.blocked;
+        self.held = old.held;
+        self.granted = old.granted;
+        self.flush_acks = old.flush_acks;
+        self.flush_waiters = old.flush_waiters;
+        self.barrier_next = old.barrier_next;
+        self.barrier_released = old.barrier_released;
+        self.sc_resp = old.sc_resp;
+        self.sc_pending_write = old.sc_pending_write;
+        let inc = r.incarnation.max(old.replica.incarnation) + 1;
+        r.incarnation = inc;
+        io.wal_append(&WalRecord::Incarnation { incarnation: inc }.encode());
+        io.wal_sync();
+        self.records_since_snap = replayed + 1;
+        if let Some(s) = &mut self.links.session {
+            s.set_base_epoch(NodeId(proc.0), inc);
+        }
+        // Fetch the missing delta: a raw (never sessioned) request to
+        // every peer replica — recovery must not ride the sessions it
+        // is re-fencing. Sharded recovery ships the per-shard applied
+        // summary instead of the global vector: peers answer only for
+        // the shards they share, so the reborn replica re-fetches
+        // exactly its subscribed state.
+        let req = match self.replica.shards() {
+            Some(st) => {
+                Msg::ShardRecoverReq { proc, incarnation: inc, applied: st.applied_summary() }
+            }
+            None => {
+                Msg::RecoverReq { proc, incarnation: inc, applied: self.replica.applied.clone() }
+            }
+        };
+        for to in self.peers() {
+            io.send(to, req.kind(), req.clone());
+        }
+    }
+
+    /// This node's process.
+    pub fn proc(&self) -> ProcId {
+        self.proc
+    }
+
+    /// The shared configuration.
+    pub fn cfg(&self) -> &DsmConfig {
+        &self.cfg
+    }
+
+    /// Read access to the replica (tests, invariant checks).
+    pub fn replica(&self) -> &Replica {
+        &self.replica
+    }
+
+    /// Consumes the node, returning the replica.
+    pub fn into_replica(self) -> Replica {
+        self.replica
+    }
+
+    /// What the pending operation is parked on, if one is.
+    pub fn blocked(&self) -> Option<&Blocked> {
+        self.blocked.as_ref()
+    }
+
+    /// The session state (`None` unless reliable).
+    pub fn session(&self) -> Option<&Session> {
+        self.links.session.as_ref()
+    }
+
+    /// Retransmits every unacknowledged payload on every outgoing link —
+    /// for executors that sweep on wall-clock ticks instead of serving
+    /// per-link timers.
+    pub fn retransmit(&mut self, io: &mut impl NodeIo) {
+        self.links.retransmit(io);
+    }
+
+    /// Whether any written update is still buffered for batching.
+    pub fn has_buffered(&self) -> bool {
+        !self.out.buf.entries.is_empty()
+            || self.shard_out.values().any(|b| !b.buf.entries.is_empty())
+    }
+
+    /// Whether the log has grown since the last snapshot.
+    pub fn snapshot_is_stale(&self) -> bool {
+        self.records_since_snap > 0
+    }
+
+    fn node(&self) -> NodeId {
+        NodeId(self.proc.0)
+    }
+
+    /// Every other replica node, in id order.
+    fn peers(&self) -> impl Iterator<Item = NodeId> {
+        let (n, me) = (self.cfg.nprocs as u32, self.proc.0);
+        (0..n).filter(move |&j| j != me).map(NodeId)
+    }
+
+    /// Whether sharded interest-based replication is active (a shard
+    /// map on a replicated mode).
+    fn sharded(&self) -> bool {
+        self.replica.is_sharded()
+    }
+
+    /// Sends one protocol message (see [`Links::send`]).
+    fn send(&mut self, to: NodeId, msg: Msg, io: &mut impl NodeIo) {
+        // Group-commit externalization barrier: no protocol message may
+        // leave a replica node while log records are still staged — a
+        // peer (or, transitively, the program) could otherwise observe
+        // a write that a crash then un-happens. Per-write policies sync
+        // at the write itself; group commit relies on this barrier (and
+        // on [`ProcNode::observe_sync`] for local reads) to amortize
+        // one fsync over every record staged since the last.
+        if self.cfg.durability.is_some_and(|d| d.group_commit) {
+            io.wal_sync();
+        }
+        self.links.send(to, msg, io);
+    }
+
+    /// Stages one write-ahead-log record (not yet durable).
+    fn wal_append(&mut self, rec: &WalRecord, io: &mut impl NodeIo) {
+        io.wal_append(&rec.encode());
+        self.records_since_snap += 1;
+    }
+
+    /// Fsync before an observation returns. Remote ingests are staged
+    /// (appended, unsynced) until some local read or await could expose
+    /// them to the program; past that point a crash must not un-happen
+    /// them, or a surviving reader would watch its own history regress.
+    fn observe_sync(&mut self, io: &mut impl NodeIo) {
+        if self.cfg.durability.is_some() {
+            io.wal_sync();
+        }
+    }
+
+    /// Compacts the log into a snapshot once the count-based cadence is
+    /// due.
+    fn maybe_snapshot(&mut self, io: &mut impl NodeIo) {
+        let Some(policy) = self.cfg.durability else { return };
+        if self.records_since_snap >= policy.snapshot_every {
+            self.snapshot(io);
+        }
+    }
+
+    /// Compacts the log into a snapshot now. The log is fsynced first
+    /// so the snapshot never covers records a crash could still drop.
+    /// Executors with a wall clock call this for
+    /// [`DurabilityPolicy::snapshot_interval_micros`](crate::DurabilityPolicy).
+    pub fn snapshot(&mut self, io: &mut impl NodeIo) {
+        // Snapshots do not capture per-shard clocks, own chains, or
+        // subscriptions: sharded replicas stay log-only, and recovery
+        // replays the full WAL.
+        if self.sharded() {
+            return;
+        }
+        io.wal_sync();
+        let (me, peers) = (self.node(), self.peers());
+        let watermarks = match &mut self.links.session {
+            None => Vec::new(),
+            Some(s) => peers.map(|j| (ProcId(j.0), s.receiver(j, me).delivered())).collect(),
+        };
+        io.install_snapshot(self.replica.to_snapshot(watermarks).encode());
+        self.records_since_snap = 0;
+    }
+
+    /// Delta compression for the link toward `to`: only the clock
+    /// components that changed since the last frame on this link go on
+    /// the wire, as absolute values. FIFO delivery (native or restored
+    /// by the session layer) keeps both shadow clocks in lockstep.
+    fn batch_delta(&mut self, to: NodeId, deps: &VClock) -> Vec<(ProcId, u32)> {
+        let nprocs = self.cfg.nprocs;
+        let prev = self.link_clock_out.entry(to).or_insert_with(|| VClock::new(nprocs));
+        let changed: Vec<(ProcId, u32)> = (0..nprocs as u32)
+            .map(ProcId)
+            .filter(|&q| deps[q] != prev[q])
+            .map(|q| (q, deps[q]))
+            .collect();
+        *prev = deps.clone();
+        changed
+    }
+
+    fn arm_flush_timer(&mut self, policy: crate::config::BatchPolicy, io: &mut impl NodeIo) {
+        if !self.flush_timer_armed {
+            self.flush_timer_armed = true;
+            let delay = SimTime::from_micros(policy.max_delay_micros);
+            io.arm_timer(delay, FLUSH_TOKEN_BIT | self.proc.0 as u64);
+        }
+    }
+
+    /// Buffers a local write into the outgoing batch, coalescing
+    /// against the latest entry for the location, arming the flush
+    /// timer on the empty→non-empty transition, and force-flushing at
+    /// the policy's size limit.
+    fn buffer_write(
+        &mut self,
+        loc: Loc,
+        payload: UpdatePayload,
+        id: WriteId,
+        deps: Option<VClock>,
+        io: &mut impl NodeIo,
+    ) {
+        let policy = self.cfg.batch.expect("batching enabled");
+        if self.out.buf.entries.is_empty() {
+            self.out.first_seq = id.seq;
+            self.arm_flush_timer(policy, io);
+        }
+        let b = &mut self.out;
+        b.upto = id.seq;
+        b.deps = deps;
+        b.buf.push(loc, payload, id);
+        if b.buf.entries.len() >= policy.max_updates {
+            self.flush_updates(io);
+        }
+    }
+
+    /// Flushes the outgoing batch (no-op when empty or when batching is
+    /// off) to every peer replica, attaching a per-link
+    /// dependency-clock delta and — when the session layer runs — a
+    /// piggybacked cumulative ack for the reverse link. Called before
+    /// every message that establishes `↦lock`/`↦bar` order, at the size
+    /// limit, on the delay timer, and by executors about to park the
+    /// process.
+    pub fn flush_updates(&mut self, io: &mut impl NodeIo) {
+        if self.cfg.batch.is_none() {
+            return;
+        }
+        if self.sharded() {
+            self.flush_shards(io);
+            return;
+        }
+        if self.out.buf.entries.is_empty() {
+            return;
+        }
+        let entries = self.out.buf.take();
+        let (first_seq, upto) = (self.out.first_seq, self.out.upto);
+        let deps = self.out.deps.take();
+        let proc = self.proc;
+        for to in self.peers() {
+            let delta = deps.as_ref().map(|d| self.batch_delta(to, d));
+            let ack = self.links.piggyback_ack(to);
+            let msg =
+                Msg::UpdateBatch { proc, first_seq, upto, entries: entries.clone(), delta, ack };
+            self.send(to, msg, io);
+        }
+    }
+
+    /// Sends `msg` to every peer *replica* node.
+    fn broadcast(&mut self, msg: Msg, io: &mut impl NodeIo) {
+        for to in self.peers() {
+            self.send(to, msg.clone(), io);
+        }
+    }
+
+    /// Multicasts a sharded message to the peers this node knows to
+    /// subscribe to `shard` — the partial-replication replacement for
+    /// [`ProcNode::broadcast`].
+    fn multicast_shard(&mut self, shard: u32, msg: Msg, io: &mut impl NodeIo) {
+        for k in 0..self.shard_routes[shard as usize].len() {
+            let q = self.shard_routes[shard as usize][k];
+            self.send(NodeId(q.0), msg.clone(), io);
+        }
+    }
+
+    /// Records that `q` subscribes to `shard` (route tables never list
+    /// the node's own process; insertion keeps them sorted for
+    /// deterministic multicast order).
+    fn add_shard_route(&mut self, shard: u32, q: ProcId) {
+        if q == self.proc {
+            return;
+        }
+        let routes = &mut self.shard_routes[shard as usize];
+        if let Err(i) = routes.binary_search(&q) {
+            routes.insert(i, q);
+        }
+    }
+
+    /// Gates a sharded access to `loc` on a subscription to its shard.
+    /// Returns `true` when the access may proceed (not sharded, or
+    /// already subscribed). A first touch outside the interest set
+    /// parks the process on a directory round-trip when the dynamic
+    /// fallback is enabled, and is a program error otherwise.
+    fn shard_gate(&mut self, loc: Loc, req: &Req, io: &mut impl NodeIo) -> bool {
+        let Some(st) = self.replica.shards() else { return true };
+        let shard = st.shard_of(loc);
+        if st.subscribed(shard) {
+            return true;
+        }
+        assert!(
+            self.cfg.sharding.as_ref().is_some_and(|sc| sc.dynamic),
+            "{} touches {loc} (shard {shard}) outside its interest set \
+             and the dynamic subscribe-on-first-touch fallback is off",
+            self.proc
+        );
+        let shard = shard as u32;
+        let mgr = self.cfg.manager_node();
+        self.send(mgr, Msg::SubReq { proc: self.proc, shard }, io);
+        self.blocked = Some(Blocked::Subscribe { shard, retry: Box::new(req.clone()) });
+        false
+    }
+
+    /// Buffers a sharded local write into the per-shard outgoing batch,
+    /// coalescing like [`ProcNode::buffer_write`] and sharing the flush
+    /// timer.
+    fn buffer_shard_write(
+        &mut self,
+        loc: Loc,
+        payload: UpdatePayload,
+        id: WriteId,
+        prev: u32,
+        deps: Vec<(u32, ProcId, u32)>,
+        io: &mut impl NodeIo,
+    ) {
+        let policy = self.cfg.batch.expect("batching enabled");
+        let shard = self.replica.shards().expect("sharded").shard_of(loc) as u32;
+        // Program order crosses shards: this write's dependency triples
+        // cover the process's own *buffered* writes in other shards, so
+        // two chains buffered concurrently could each require a member
+        // of the other and deadlock every receiver. Ship the other
+        // shards' buffers first — a chain then only references own
+        // writes already on the wire, and coalescing still collapses
+        // runs of same-shard writes (the locality case sharding is
+        // built around).
+        let mut others: Vec<u32> = self
+            .shard_out
+            .iter()
+            .filter(|&(&s, b)| s != shard && !b.buf.entries.is_empty())
+            .map(|(&s, _)| s)
+            .collect();
+        others.sort_unstable();
+        for s in others {
+            self.flush_shard(s, io);
+        }
+        self.arm_flush_timer(policy, io);
+        let b = self.shard_out.entry(shard).or_default();
+        if b.buf.entries.is_empty() {
+            b.prev = prev;
+        }
+        b.upto = id.seq;
+        b.deps = deps;
+        b.buf.push(loc, payload, id);
+        if b.buf.entries.len() >= policy.max_updates {
+            self.flush_shard(shard, io);
+        }
+    }
+
+    /// Flushes one shard's outgoing buffer to its subscribers.
+    fn flush_shard(&mut self, shard: u32, io: &mut impl NodeIo) {
+        let Some(b) = self.shard_out.get_mut(&shard) else { return };
+        if b.buf.entries.is_empty() {
+            return;
+        }
+        let msg = Msg::ShardUpdateBatch {
+            proc: self.proc,
+            shard,
+            prev: b.prev,
+            upto: b.upto,
+            entries: b.buf.take(),
+            deps: std::mem::take(&mut b.deps),
+        };
+        self.multicast_shard(shard, msg, io);
+    }
+
+    /// Flushes every non-empty per-shard buffer, in shard order
+    /// (deterministic under DPOR).
+    fn flush_shards(&mut self, io: &mut impl NodeIo) {
+        let mut shards: Vec<u32> = self
+            .shard_out
+            .iter()
+            .filter(|(_, b)| !b.buf.entries.is_empty())
+            .map(|(&s, _)| s)
+            .collect();
+        shards.sort_unstable();
+        for s in shards {
+            self.flush_shard(s, io);
+        }
+    }
+
+    fn read_ready(&mut self, loc: Loc, label: ReadLabel, io: &mut impl NodeIo) -> Option<Resp> {
+        let r = &self.replica;
+        let ok = match label {
+            ReadLabel::Causal => r.causal_ready(loc),
+            ReadLabel::Pram => r.pram_ready(loc),
+        };
+        if !ok {
+            return None;
+        }
+        let (value, writer) = (r.value(loc), r.writer_of(loc));
+        self.observe_sync(io);
+        Some(Resp::Value { value, writer })
+    }
+
+    fn await_ready(&mut self, loc: Loc, value: Value, io: &mut impl NodeIo) -> Option<Resp> {
+        if self.replica.value(loc) != value {
+            return None;
+        }
+        let writers = self.replica.await_writers(loc);
+        self.observe_sync(io);
+        Some(Resp::Awaited { value, writers })
+    }
+
+    /// Sends the release to the manager, shipping demand/lazy metadata.
+    /// Buffered updates flush first: the release establishes `↦lock`
+    /// order, so every write program-ordered before it must already be
+    /// on the wire (FIFO links then deliver them ahead of any knowledge
+    /// derived from this release).
+    fn finish_release(&mut self, lock: LockId, io: &mut impl NodeIo) {
+        self.flush_updates(io);
+        let proc = self.proc;
+        let mode = self
+            .held
+            .remove(&lock)
+            .unwrap_or_else(|| panic!("{proc} releases {lock} it does not hold"));
+        let r = &mut self.replica;
+        let dirty = if self.cfg.lock_propagation == LockPropagation::DemandDriven {
+            r.take_dirty(lock)
+        } else {
+            Vec::new()
+        };
+        let knowledge =
+            if self.cfg.mode.carries_vectors() { r.knowledge() } else { VClock::new(0) };
+        let msg = Msg::LockRel { proc, lock, mode, knowledge, own_count: r.own_count(), dirty };
+        self.send(self.cfg.lock_manager_node(lock), msg, io);
+    }
+
+    /// The knowledge vector attached to barrier arrivals.
+    fn sync_knowledge(&self) -> VClock {
+        match self.cfg.mode {
+            Mode::Causal | Mode::Mixed => self.replica.knowledge(),
+            // PRAM barriers carry the per-sender update counts (Section 6).
+            Mode::Pram => self.replica.applied.clone(),
+            Mode::Sc => VClock::new(0),
+        }
+    }
+
+    /// After local applies, acknowledge any satisfied flush probes.
+    fn drain_flush_waiters(&mut self, io: &mut impl NodeIo) {
+        if self.flush_waiters.is_empty() {
+            return;
+        }
+        let applied = &self.replica.applied;
+        let (ready, still): (Vec<_>, Vec<_>) = std::mem::take(&mut self.flush_waiters)
+            .into_iter()
+            .partition(|&(fp, upto)| applied[fp] >= upto);
+        self.flush_waiters = still;
+        for (from_proc, _) in ready {
+            self.send(NodeId(from_proc.0), Msg::FlushAck, io);
+        }
+    }
+
+    /// Submits an operation. [`Poll::Pending`] parks it: call
+    /// [`ProcNode::poll`] after subsequent messages until it completes.
+    pub fn start(&mut self, req: Req, io: &mut impl NodeIo) -> Poll<Resp> {
+        let p = self.proc;
+        match req {
+            Req::Read { loc, label } => {
+                if self.cfg.mode == Mode::Sc {
+                    self.send(self.cfg.manager_node(), Msg::ScRead { proc: p, loc }, io);
+                    self.blocked = Some(Blocked::Sc);
+                    return Poll::Pending;
+                }
+                if !self.shard_gate(loc, &req, io) {
+                    return Poll::Pending;
+                }
+                let label = self.cfg.read_policy(p, label);
+                match self.read_ready(loc, label, io) {
+                    Some(resp) => Poll::Ready(resp),
+                    None => {
+                        self.blocked = Some(Blocked::Read { loc, label });
+                        Poll::Pending
+                    }
+                }
+            }
+            Req::Write { loc, value } => self.do_write(loc, UpdatePayload::Set(value), &req, io),
+            Req::Update { loc, delta } => self.do_write(loc, UpdatePayload::Add(delta), &req, io),
+            Req::Lock { lock, mode } => {
+                assert!(!self.sharded(), "locks are not supported with sharding");
+                assert!(!self.held.contains_key(&lock), "{p} re-acquires {lock}");
+                let msg = Msg::LockReq { proc: p, lock, mode };
+                self.send(self.cfg.lock_manager_node(lock), msg, io);
+                self.blocked = Some(Blocked::Lock { lock, mode });
+                Poll::Pending
+            }
+            Req::Unlock { lock, mode } => {
+                let held = self.held.get(&lock).copied();
+                assert_eq!(held, Some(mode), "{p} unlocks {lock} with wrong mode");
+                let eager_flush = self.cfg.lock_propagation == LockPropagation::Eager
+                    && self.cfg.mode.is_replicated()
+                    && self.cfg.nprocs > 1;
+                if eager_flush {
+                    // Buffered updates must precede the flush probes on
+                    // every link, or peers could never reach `upto`.
+                    self.flush_updates(io);
+                    let upto = self.replica.own_count();
+                    self.flush_acks = 0;
+                    self.broadcast(Msg::Flush { from_proc: p, upto }, io);
+                    self.blocked = Some(Blocked::UnlockFlush { lock });
+                    Poll::Pending
+                } else {
+                    self.finish_release(lock, io);
+                    Poll::Ready(Resp::Done)
+                }
+            }
+            Req::Barrier { barrier } => {
+                assert!(!self.sharded(), "barriers are not supported with sharding");
+                let next = self.barrier_next.entry(barrier).or_insert(0);
+                let round = *next;
+                *next += 1;
+                // The arrival establishes `↦bar` order: flush first so
+                // participants released with our knowledge can apply
+                // the writes it promises.
+                self.flush_updates(io);
+                let knowledge = self.sync_knowledge();
+                let msg = Msg::BarrierArrive { proc: p, barrier, round, knowledge };
+                self.send(self.cfg.barrier_manager_node(barrier), msg, io);
+                self.blocked = Some(Blocked::Barrier { barrier, round });
+                Poll::Pending
+            }
+            Req::Await { loc, value } => {
+                if self.cfg.mode == Mode::Sc {
+                    self.send(self.cfg.manager_node(), Msg::ScAwait { proc: p, loc, value }, io);
+                    self.blocked = Some(Blocked::Sc);
+                    return Poll::Pending;
+                }
+                if !self.shard_gate(loc, &req, io) {
+                    return Poll::Pending;
+                }
+                match self.await_ready(loc, value, io) {
+                    Some(resp) => Poll::Ready(resp),
+                    None => {
+                        // Blocking on a flag others may in turn await:
+                        // don't sit on unflushed writes while parked.
+                        self.flush_updates(io);
+                        self.blocked = Some(Blocked::Await { loc, value });
+                        Poll::Pending
+                    }
+                }
+            }
+        }
+    }
+
+    fn do_write(
+        &mut self,
+        loc: Loc,
+        payload: UpdatePayload,
+        req: &Req,
+        io: &mut impl NodeIo,
+    ) -> Poll<Resp> {
+        let p = self.proc;
+        if self.cfg.mode == Mode::Sc {
+            let r = &mut self.replica;
+            r.applied.tick(p);
+            let id = WriteId::new(p, r.applied[p]);
+            self.sc_pending_write = Some(id);
+            self.send(self.cfg.manager_node(), Msg::ScWrite { writer: id, loc, payload }, io);
+            self.blocked = Some(Blocked::Sc);
+            return Poll::Pending;
+        }
+        if self.sharded() {
+            if !self.shard_gate(loc, req, io) {
+                return Poll::Pending;
+            }
+            return self.do_sharded_write(loc, payload, io);
+        }
+        let (id, deps) = self.replica.local_write(loc, payload.clone(), &self.cfg);
+        if let Some(policy) = self.cfg.durability {
+            // Append-before-ack: the write's log record is staged
+            // before `Wrote` reaches the program. Per-write policies
+            // fsync here; group commit defers to the next outgoing
+            // message ([`ProcNode::send`]) or observation
+            // ([`ProcNode::observe_sync`]), amortizing one sync over
+            // every record staged since the last.
+            let rec = WalRecord::OwnWrite { loc, payload: payload.clone(), deps: deps.clone() };
+            self.wal_append(&rec, io);
+            if !policy.group_commit {
+                io.wal_sync();
+            }
+            self.maybe_snapshot(io);
+        }
+        if self.cfg.batch.is_some() {
+            self.buffer_write(loc, payload, id, deps, io);
+        } else {
+            self.broadcast(Msg::Update { writer: id, loc, payload, deps }, io);
+        }
+        // The local apply may satisfy pending flush probes.
+        self.drain_flush_waiters(io);
+        Poll::Ready(Resp::Wrote { id })
+    }
+
+    /// The sharded write path: mint through the per-shard chain, log,
+    /// and multicast (or buffer) to the shard's subscribers only.
+    fn do_sharded_write(
+        &mut self,
+        loc: Loc,
+        payload: UpdatePayload,
+        io: &mut impl NodeIo,
+    ) -> Poll<Resp> {
+        let (id, prev, deps) = self.replica.sharded_write(loc, payload.clone(), &self.cfg);
+        if let Some(policy) = self.cfg.durability {
+            let rec =
+                WalRecord::OwnWriteSharded { loc, payload: payload.clone(), deps: deps.clone() };
+            self.wal_append(&rec, io);
+            if !policy.group_commit {
+                io.wal_sync();
+            }
+        }
+        if self.cfg.batch.is_some() {
+            self.buffer_shard_write(loc, payload, id, prev, deps, io);
+        } else {
+            let shard = self.replica.shards().expect("sharded").shard_of(loc) as u32;
+            let msg = Msg::ShardUpdate { writer: id, loc, payload, prev, deps };
+            self.multicast_shard(shard, msg, io);
+        }
+        Poll::Ready(Resp::Wrote { id })
+    }
+
+    /// Re-examines the parked operation after an event. `Some`
+    /// completes it.
+    pub fn poll(&mut self, io: &mut impl NodeIo) -> Option<Resp> {
+        let resp = match self.blocked.clone()? {
+            Blocked::Read { loc, label } => self.read_ready(loc, label, io),
+            Blocked::Await { loc, value } => self.await_ready(loc, value, io),
+            Blocked::Sc => self.sc_resp.take(),
+            Blocked::Lock { lock, mode } => {
+                let grant_ready = match self.granted.get(&lock) {
+                    None => false,
+                    // In SC mode the data lives at the server; grants
+                    // never gate on replica state.
+                    Some(_) if !self.cfg.mode.is_replicated() => true,
+                    Some(g) => match self.cfg.lock_propagation {
+                        LockPropagation::Eager | LockPropagation::DemandDriven => true,
+                        LockPropagation::Lazy => {
+                            let r = &self.replica;
+                            if g.knowledge.is_empty() {
+                                g.preds.iter().all(|&(q, c)| r.applied[q] >= c)
+                            } else {
+                                r.applied.dominates(&g.knowledge)
+                            }
+                        }
+                    },
+                };
+                if !grant_ready {
+                    return None;
+                }
+                let g = self.granted.remove(&lock).expect("checked");
+                if self.cfg.lock_propagation == LockPropagation::DemandDriven {
+                    self.replica.absorb_demand(&g.demand);
+                } else {
+                    self.replica.absorb_sync(&g.knowledge, &g.preds);
+                }
+                self.held.insert(lock, mode);
+                Some(Resp::Done)
+            }
+            Blocked::UnlockFlush { lock } => {
+                if self.flush_acks != self.cfg.nprocs - 1 {
+                    return None;
+                }
+                self.flush_acks = 0;
+                self.finish_release(lock, io);
+                Some(Resp::Done)
+            }
+            Blocked::Barrier { barrier, round } => {
+                let k = self.barrier_released.remove(&(barrier, round))?;
+                if !k.is_empty() {
+                    if self.cfg.mode.carries_vectors() {
+                        self.replica.must_see.merge(&k);
+                    }
+                    self.replica.pram_wait.merge(&k);
+                }
+                Some(Resp::BarrierPassed { round })
+            }
+            Blocked::Subscribe { shard, retry } => {
+                if !self.replica.shards().is_some_and(|st| st.subscribed(shard as usize)) {
+                    return None;
+                }
+                // Subscribed: resubmit the stashed first-touch request.
+                // It may park again on its own account (an await, a
+                // not-yet-ready read) — it cannot re-enter the
+                // subscribe gate for this shard.
+                self.blocked = None;
+                return match self.start(*retry, io) {
+                    Poll::Ready(r) => Some(r),
+                    Poll::Pending => None,
+                };
+            }
+        };
+        if resp.is_some() {
+            self.blocked = None;
+        }
+        resp
+    }
+
+    /// A timer armed through [`NodeIo::arm_timer`] expired.
+    pub fn on_timer(&mut self, token: u64, io: &mut impl NodeIo) {
+        if token & FLUSH_TOKEN_BIT != 0 {
+            self.flush_timer_armed = false;
+            self.flush_updates(io);
+        } else {
+            self.links.on_timer(session::token_link(token).1, io);
+        }
+    }
+
+    /// Handles one arriving wire message: the session layer sequences
+    /// it, and every payload it releases is applied in order.
+    pub fn on_message(&mut self, from: NodeId, msg: Msg, io: &mut impl NodeIo) {
+        for m in self.links.accept(from, msg, io) {
+            self.dispatch(from, m, io);
+        }
+    }
+
+    /// Logs (durability on) and applies one full-replication batch.
+    #[allow(clippy::too_many_arguments)]
+    fn ingest_batch(
+        &mut self,
+        proc: ProcId,
+        first_seq: u32,
+        upto: u32,
+        entries: Arc<[BatchEntry]>,
+        deps: Option<VClock>,
+        io: &mut impl NodeIo,
+    ) {
+        if self.cfg.durability.is_some() {
+            let rec = WalRecord::IngestBatch {
+                proc,
+                first_seq,
+                upto,
+                entries: entries.to_vec(),
+                deps: deps.clone(),
+            };
+            self.wal_append(&rec, io);
+            self.maybe_snapshot(io);
+        }
+        if self.replica.ingest_batch(proc, first_seq, upto, entries, deps, self.cfg.mode) {
+            self.drain_flush_waiters(io);
+        }
+    }
+
+    /// Re-ships own writes one [`Msg::ShardUpdate`] each — recovery
+    /// answers, push-backs and join backfills alike. Never one atomic
+    /// chain per shard: two chains with mutual cross-shard dependency
+    /// triples would park against each other forever at a receiver
+    /// that lost both; single writes interleaved in global sequence
+    /// order always drain.
+    fn push_shard_updates(&mut self, to: NodeId, wants: &[(u32, u32)], io: &mut impl NodeIo) {
+        for (writer, loc, payload, prev, deps) in self.replica.shard_updates_after(wants) {
+            self.send(to, Msg::ShardUpdate { writer, loc, payload, prev, deps }, io);
+        }
+    }
+
+    /// The first request of a reborn peer's new incarnation? Dedups:
+    /// the request travels raw (a sessioned request would need the very
+    /// link state the crash destroyed), so the network may duplicate
+    /// it. On a fresh one, everything toward the peer is reset.
+    fn reborn_peer(
+        &mut self,
+        reborn: ProcId,
+        incarnation: u32,
+        from: NodeId,
+        io: &mut impl NodeIo,
+    ) -> bool {
+        debug_assert_eq!(NodeId(reborn.0), from, "requests come from the reborn");
+        let handled = self.recover_seen.entry(reborn).or_insert(0);
+        if incarnation <= *handled {
+            return false;
+        }
+        *handled = incarnation;
+        // Writes still coalescing in the out-batches are already in our
+        // durable history; flush so the recovery delta and the shadow
+        // clocks agree on what has been sent.
+        self.flush_updates(io);
+        self.links.reset_toward(from, io);
+        self.link_clock_out.remove(&from);
+        self.link_clock_in.remove(&from);
+        self.recover_pushed.remove(&from);
+        true
+    }
+
+    /// Applies one unwrapped protocol message.
+    fn dispatch(&mut self, from: NodeId, msg: Msg, io: &mut impl NodeIo) {
+        let p = self.proc;
+        let durable = self.cfg.durability.is_some();
+        match msg {
+            Msg::Update { writer, loc, payload, deps } => {
+                // Recovery can re-deliver an update the disk already
+                // holds (an in-flight pre-crash copy racing the fresh
+                // epoch): drop it by sequence. Without durability,
+                // duplicate chaos stays visible to the checkers.
+                if durable && writer.seq <= self.replica.applied[writer.proc] {
+                    return;
+                }
+                if durable {
+                    let rec = WalRecord::Ingest {
+                        writer,
+                        loc,
+                        payload: payload.clone(),
+                        deps: deps.clone(),
+                    };
+                    self.wal_append(&rec, io);
+                    self.maybe_snapshot(io);
+                }
+                if self.replica.ingest(writer, loc, payload, deps, self.cfg.mode) {
+                    self.drain_flush_waiters(io);
+                }
+            }
+            Msg::UpdateBatch { proc, first_seq, upto, entries, delta, ack } => {
+                // A piggybacked ack covers the reverse link, sparing a
+                // standalone SessAck's information (the standalone still
+                // travels; cumulative acks are idempotent). The epoch tag
+                // keeps a pre-crash ack from advancing a reborn sender.
+                if let Some((upto, epoch)) = ack.filter(|_| self.links.session.is_some()) {
+                    self.links.on_ack(from, upto, epoch);
+                }
+                // Reconstruct the full dependency clock from the
+                // per-link delta against this link's shadow copy. This
+                // happens before the recovery-ghost check: any batch
+                // that reaches dispatch belongs to the link's current
+                // epoch chain (stale-epoch traffic dies in the session
+                // receiver, pre-crash in-flight dies with the crash), so
+                // even a ghost's delta must advance the shadow to keep
+                // it in lock-step with the sender's.
+                let nprocs = self.cfg.nprocs;
+                let deps = delta.map(|dv| {
+                    let prev =
+                        self.link_clock_in.entry(from).or_insert_with(|| VClock::new(nprocs));
+                    for (q, c) in dv {
+                        prev.set(q, c);
+                    }
+                    prev.clone()
+                });
+                // Recovery ghost: the batch's content is already on disk
+                // (or covered by a RecoverResp) — the replica must not
+                // re-apply it and the WAL must not re-log it. Batch
+                // windows from one writer never partially overlap, so a
+                // whole-batch skip is exact.
+                if durable && upto <= self.replica.applied[proc] {
+                    return;
+                }
+                self.ingest_batch(proc, first_seq, upto, entries, deps, io);
+            }
+            Msg::RecoverReq { proc: reborn, incarnation, applied } => {
+                if !self.reborn_peer(reborn, incarnation, from, io) {
+                    return;
+                }
+                // Answer with the suffix of our own writes the reborn
+                // replica is missing — full dependency vectors, no link
+                // delta — plus how much of *its* history we hold, so it
+                // can push back its own suffix.
+                let after = applied[p];
+                let seen = self.replica.applied[reborn];
+                // One response per dependency-homogeneous chunk: a
+                // single batch gated on its last member's vector
+                // deadlocks when two survivors' deltas cross-reference
+                // each other's writes (see `Replica::delta_chunks`).
+                let mut chunks = self.replica.delta_chunks(after);
+                if chunks.is_empty() {
+                    chunks.push((after + 1, after, Vec::new(), None));
+                }
+                for (first_seq, upto, entries, deps) in chunks {
+                    let resp = Msg::RecoverResp { proc: p, first_seq, upto, entries, deps, seen };
+                    self.send(from, resp, io);
+                }
+            }
+            Msg::RecoverResp { proc, first_seq, upto, entries, deps, seen } => {
+                // Continuity guard: a duplicated response (or one raced
+                // by an in-flight pre-crash copy) re-covers applied
+                // prefix — skip it rather than double-ingest.
+                if upto >= first_seq && first_seq > self.replica.applied[proc] {
+                    self.ingest_batch(proc, first_seq, upto, entries.into(), deps, io);
+                }
+                // Push back our own suffix the responder has not seen,
+                // as plain batches chunked at dependency boundaries: the
+                // shadow clocks for this link were cleared on both
+                // sides, so the first delta degenerates to the full
+                // vector. High-watered — one RecoverResp arrives per
+                // chunk and each repeats `seen`, so the suffix must be
+                // pushed exactly once.
+                let pushed = self.recover_pushed.get(&from).copied().unwrap_or(0);
+                let chunks = self.replica.delta_chunks(seen.max(pushed));
+                if let Some(&(_, last_upto, _, _)) = chunks.last() {
+                    self.recover_pushed.insert(from, last_upto);
+                }
+                for (first_seq, upto, entries, d) in chunks {
+                    let delta = d.as_ref().map(|deps| self.batch_delta(from, deps));
+                    let msg = Msg::UpdateBatch {
+                        proc: p,
+                        first_seq,
+                        upto,
+                        entries: entries.into(),
+                        delta,
+                        ack: None,
+                    };
+                    self.send(from, msg, io);
+                }
+            }
+            Msg::Flush { from_proc, upto } => {
+                if self.replica.applied[from_proc] >= upto {
+                    self.send(NodeId(from_proc.0), Msg::FlushAck, io);
+                } else {
+                    self.flush_waiters.push((from_proc, upto));
+                }
+            }
+            Msg::FlushAck => self.flush_acks += 1,
+            Msg::LockGrant { lock, grant } => {
+                self.granted.insert(lock, grant);
+            }
+            Msg::BarrierRelease { barrier, round, knowledge } => {
+                self.barrier_released.insert((barrier, round), knowledge);
+            }
+            Msg::ScReadResp { value, writer } => {
+                self.sc_resp = Some(Resp::Value { value, writer });
+            }
+            Msg::ScWriteAck => {
+                let id = self.sc_pending_write.take().expect("pending SC write");
+                self.sc_resp = Some(Resp::Wrote { id });
+            }
+            Msg::ScAwaitResp { value, writers } => {
+                self.sc_resp = Some(Resp::Awaited { value, writers });
+            }
+            Msg::ShardUpdate { writer, loc, payload, prev, deps } => {
+                if durable {
+                    // Recovery ghost: content already on disk (or covered
+                    // by a ShardRecoverResp) — skip the re-log and
+                    // re-apply.
+                    let st = self.replica.shards().expect("sharded");
+                    if writer.seq <= st.applied(st.shard_of(loc)).get(writer.proc) {
+                        return;
+                    }
+                    let rec = WalRecord::IngestSharded {
+                        writer,
+                        loc,
+                        payload: payload.clone(),
+                        prev,
+                        deps: deps.clone(),
+                    };
+                    self.wal_append(&rec, io);
+                }
+                self.replica.ingest_sharded(writer, loc, payload, prev, deps, self.cfg.mode);
+            }
+            Msg::ShardUpdateBatch { proc, shard, prev, upto, entries, deps } => {
+                if durable {
+                    let st = self.replica.shards().expect("sharded");
+                    if upto <= st.applied(shard as usize).get(proc) {
+                        return;
+                    }
+                    let rec = WalRecord::IngestShardChain {
+                        proc,
+                        shard,
+                        prev,
+                        upto,
+                        entries: entries.to_vec(),
+                        deps: deps.clone(),
+                        trim: false,
+                    };
+                    self.wal_append(&rec, io);
+                }
+                let mode = self.cfg.mode;
+                self.replica
+                    .ingest_shard_chain(proc, shard, prev, upto, entries, deps, mode, false);
+            }
+            Msg::SubAck { shard, subs } => {
+                // Persist the subscription before any access can depend
+                // on it: replay must filter dependency triples with the
+                // same interest set the replica had live.
+                if self.replica.shard_subscribe(shard as usize) && durable {
+                    self.wal_append(&WalRecord::Subscribe { shard }, io);
+                    io.wal_sync();
+                }
+                for q in subs {
+                    self.add_shard_route(shard, q);
+                }
+                // The first-touch request retries via `poll`.
+            }
+            Msg::SubNotify { shard, proc } => {
+                // A new subscriber joined: route future updates to it
+                // and push our own write suffix for the shard directly,
+                // so the join window closes without third-party state.
+                self.add_shard_route(shard, proc);
+                self.push_shard_updates(NodeId(proc.0), &[(shard, 0)], io);
+            }
+            Msg::ShardRecoverReq { proc: reborn, incarnation, applied } => {
+                if !self.reborn_peer(reborn, incarnation, from, io) {
+                    return;
+                }
+                // Answer once per shard we share. The triples' shard ids
+                // double as the reborn's subscription set (zeros kept),
+                // so this also re-learns a dynamic subscriber's routes.
+                // Each answer carries only the watermark metadata (the
+                // push-back trigger); the write suffix itself follows as
+                // individual updates.
+                let mut shards: Vec<u32> = applied.iter().map(|&(s, _, _)| s).collect();
+                shards.dedup();
+                let mut wants = Vec::new();
+                for s in shards {
+                    let st = self.replica.shards().expect("sharded");
+                    if !st.subscribed(s as usize) {
+                        continue;
+                    }
+                    let seen = st.applied(s as usize).get(reborn);
+                    self.add_shard_route(s, reborn);
+                    let after = applied
+                        .iter()
+                        .find(|&&(ds, q, _)| ds == s && q == p)
+                        .map_or(0, |&(_, _, c)| c);
+                    let msg = Msg::ShardRecoverResp {
+                        proc: p,
+                        shard: s,
+                        prev: after,
+                        upto: after,
+                        entries: Vec::new(),
+                        deps: Vec::new(),
+                        seen,
+                    };
+                    self.send(from, msg, io);
+                    wants.push((s, after));
+                }
+                self.push_shard_updates(from, &wants, io);
+            }
+            Msg::ShardRecoverResp { proc, shard, prev, upto, entries, deps, seen } => {
+                // The responder subscribes to the shard, or it would not
+                // answer for it — merge the route (recovery re-learning,
+                // and the join-backfill path where it is already known).
+                self.add_shard_route(shard, proc);
+                let st = self.replica.shards().expect("sharded");
+                if upto > st.applied(shard as usize).get(proc) {
+                    if durable {
+                        let rec = WalRecord::IngestShardChain {
+                            proc,
+                            shard,
+                            prev,
+                            upto,
+                            entries: entries.clone(),
+                            deps: deps.clone(),
+                            trim: true,
+                        };
+                        self.wal_append(&rec, io);
+                    }
+                    let (entries, mode) = (entries.into(), self.cfg.mode);
+                    self.replica
+                        .ingest_shard_chain(proc, shard, prev, upto, entries, deps, mode, true);
+                }
+                // Push back our own suffix the responder has not seen.
+                self.push_shard_updates(NodeId(proc.0), &[(shard, seen)], io);
+            }
+            other => panic!("replica received unexpected {other:?}"),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! The order of a node's effects, observed on a recording
+    //! [`NodeIo`]: the logging discipline the crash explorations rely
+    //! on, checked at the one place that decides it.
+
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    use super::*;
+    use crate::config::{BatchPolicy, ShardConfig};
+    use crate::durability::DurabilityPolicy;
+
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Effect {
+        Send(&'static str),
+        ArmTimer,
+        WalAppend,
+        WalSync,
+    }
+    use Effect::{ArmTimer, Send, WalAppend, WalSync};
+
+    /// Records every effect in call order and keeps what was sent.
+    #[derive(Default)]
+    struct Recorder {
+        log: Vec<Effect>,
+        sent: Vec<Msg>,
+        /// Simulates power loss at the next append: the call panics
+        /// before the record is staged.
+        crash_at_append: bool,
+    }
+
+    impl NodeIo for Recorder {
+        fn send(&mut self, _to: NodeId, kind: &'static str, msg: Msg) {
+            self.log.push(Send(kind));
+            self.sent.push(msg);
+        }
+
+        fn arm_timer(&mut self, _delay: SimTime, _token: u64) {
+            self.log.push(ArmTimer);
+        }
+
+        fn wal_append(&mut self, _frame: &[u8]) {
+            assert!(!self.crash_at_append, "power loss at the append");
+            self.log.push(WalAppend);
+        }
+
+        fn wal_sync(&mut self) {
+            self.log.push(WalSync);
+        }
+
+        fn install_snapshot(&mut self, _bytes: Vec<u8>) {}
+    }
+
+    const X: Loc = Loc(0);
+
+    fn durable(cfg: DsmConfig, group_commit: bool) -> Arc<DsmConfig> {
+        let policy = DurabilityPolicy::default().with_group_commit(group_commit);
+        Arc::new(cfg.with_durability(Some(policy)))
+    }
+
+    fn write(node: &mut ProcNode, io: &mut Recorder, loc: Loc, v: i64) {
+        match node.start(Req::Write { loc, value: Value::Int(v) }, io) {
+            Poll::Ready(Resp::Wrote { .. }) => {}
+            other => panic!("{other:?}"),
+        }
+    }
+
+    /// The messages `writer` puts on the wire for one write of `X`.
+    fn written_by(writer: &mut ProcNode) -> Vec<Msg> {
+        let mut io = Recorder::default();
+        write(writer, &mut io, X, 7);
+        writer.flush_updates(&mut io);
+        io.sent
+    }
+
+    #[test]
+    fn per_write_fsync_makes_the_record_durable_before_the_first_send() {
+        let cfg = durable(DsmConfig::new(3, Mode::Causal), false);
+        let (mut node, mut io) = (ProcNode::new(ProcId(0), cfg), Recorder::default());
+        write(&mut node, &mut io, X, 1);
+        assert_eq!(io.log, [WalAppend, WalSync, Send("update"), Send("update")]);
+    }
+
+    #[test]
+    fn group_commit_stages_the_record_and_syncs_at_the_first_externalization() {
+        let cfg = DsmConfig::new(2, Mode::Causal).with_batching(Some(BatchPolicy::default()));
+        let cfg = durable(cfg, true);
+        let (mut node, mut io) = (ProcNode::new(ProcId(0), cfg.clone()), Recorder::default());
+        write(&mut node, &mut io, X, 1);
+        assert_eq!(io.log, [WalAppend, ArmTimer], "staged: nothing synced, nothing sent");
+        node.flush_updates(&mut io);
+        assert_eq!(io.log[2..], [WalSync, Send("update_batch")]);
+
+        // A local observation is an externalization point too: the value
+        // a read or await returns must already be durable.
+        for req in [
+            Req::Read { loc: X, label: ReadLabel::Causal },
+            Req::Await { loc: X, value: Value::Int(1) },
+        ] {
+            let (mut node, mut io) = (ProcNode::new(ProcId(0), cfg.clone()), Recorder::default());
+            write(&mut node, &mut io, X, 1);
+            let resp = node.start(req, &mut io);
+            assert!(
+                matches!(resp, Poll::Ready(Resp::Value { .. } | Resp::Awaited { .. })),
+                "{resp:?}"
+            );
+            assert_eq!(io.log, [WalAppend, ArmTimer, WalSync], "synced before the answer");
+        }
+    }
+
+    #[test]
+    fn remote_updates_are_logged_before_they_are_applied() {
+        let sharded = |cfg: DsmConfig| cfg.with_sharding(Some(ShardConfig::full(2, 2)));
+        let batched = |cfg: DsmConfig| cfg.with_batching(Some(BatchPolicy::default()));
+        let base = || DsmConfig::new(2, Mode::Causal);
+        for (cfg, kind) in [
+            (base(), "update"),
+            (batched(base()), "update_batch"),
+            (sharded(base()), "shard_update"),
+        ] {
+            let cfg = durable(cfg, false);
+            let msg = written_by(&mut ProcNode::new(ProcId(0), cfg.clone())).remove(0);
+            assert_eq!(msg.kind(), kind);
+
+            // Power fails at the append: the update must not be in the
+            // replica yet, or a reader could have seen a value the log
+            // never held.
+            let mut node = ProcNode::new(ProcId(1), cfg.clone());
+            let mut io = Recorder { crash_at_append: true, ..Recorder::default() };
+            let crashed = catch_unwind(AssertUnwindSafe(|| {
+                node.on_message(NodeId(0), msg.clone(), &mut io);
+            }));
+            assert!(crashed.is_err(), "{kind}: the ingest reached the log");
+            assert_eq!(node.replica().peek(X), Value::INITIAL, "{kind}: applied before logged");
+
+            // The same delivery on a healthy disk: logged, then applied.
+            let (mut node, mut io) = (ProcNode::new(ProcId(1), cfg), Recorder::default());
+            node.on_message(NodeId(0), msg, &mut io);
+            assert_eq!(io.log, [WalAppend], "{kind}");
+            assert_eq!(node.replica().peek(X), Value::Int(7), "{kind}");
+        }
+    }
+
+    #[test]
+    fn ghost_batch_advances_the_shadow_clock_without_logging() {
+        let cfg = DsmConfig::new(2, Mode::Causal).with_batching(Some(BatchPolicy::default()));
+        let cfg = durable(cfg, false);
+        let mut writer = ProcNode::new(ProcId(0), cfg.clone());
+        let first = written_by(&mut writer).remove(0);
+        let (mut node, mut io) = (ProcNode::new(ProcId(1), cfg), Recorder::default());
+        node.on_message(NodeId(0), first.clone(), &mut io);
+        assert_eq!(io.log, [WalAppend]);
+
+        // The same window again, as recovery re-delivers it, but carrying
+        // a delta the link's shadow clock has not seen.
+        let Msg::UpdateBatch { proc, first_seq, upto, entries, .. } = first else {
+            panic!("batching sends update batches")
+        };
+        let delta = Some(vec![(ProcId(0), 1), (ProcId(1), 9)]);
+        let ghost = Msg::UpdateBatch { proc, first_seq, upto, entries, delta, ack: None };
+        node.on_message(NodeId(0), ghost, &mut io);
+        assert_eq!(io.log, [WalAppend], "a ghost is neither re-logged nor re-applied");
+        assert_eq!(
+            node.link_clock_in[&NodeId(0)][ProcId(1)],
+            9,
+            "its delta still advanced the link"
+        );
+    }
+}

@@ -18,11 +18,12 @@
 //!   [`SessionConfig::max_rto`].
 //!
 //! The state machines here are *pure* (no I/O): [`LinkSender`] and
-//! [`LinkReceiver`] compute what to transmit and what to deliver, and the
-//! glue in [`Dsm`](crate::Dsm) (simulator timers) or the live executor
-//! (wall-clock ticks) performs the sends. The memory protocols above the
-//! session — [`Replica`](crate::Replica), [`Manager`](crate::Manager) —
-//! are unchanged: they see exactly the FIFO channels the paper assumed.
+//! [`LinkReceiver`] compute what to transmit and what to deliver, and
+//! each node's link glue in [`crate::node`] performs the sends through
+//! its executor (simulator timers, or wall-clock ticks in the live
+//! executors). The memory protocols above the session —
+//! [`Replica`](crate::Replica), [`Manager`](crate::Manager) — are
+//! unchanged: they see exactly the FIFO channels the paper assumed.
 //!
 //! [`FaultPlan`]: mc_sim::FaultPlan
 
