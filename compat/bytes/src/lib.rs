@@ -355,8 +355,17 @@ impl std::fmt::Debug for BytesMut {
 mod tests {
     use super::*;
 
+    /// `pool_stats` counts process-wide, so a test that pins its deltas
+    /// must not run beside one that allocates: each test holds this.
+    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     #[test]
     fn append_freeze_slice_roundtrip() {
+        let _serial = serial();
         let mut b = BytesMut::with_capacity(64);
         b.put_slice(b"hello ");
         b.put_slice(b"world");
@@ -372,6 +381,7 @@ mod tests {
 
     #[test]
     fn bytes_split_to_advances_view() {
+        let _serial = serial();
         let mut b = Bytes::copy_from_slice(b"abcdef");
         let head = b.split_to(2);
         assert_eq!(&head[..], b"ab");
@@ -380,6 +390,7 @@ mod tests {
 
     #[test]
     fn reserve_reclaims_when_views_are_dropped() {
+        let _serial = serial();
         let mut b = BytesMut::with_capacity(16);
         let (allocs0, reuses0) = pool_stats();
         for _ in 0..100 {
@@ -397,6 +408,7 @@ mod tests {
 
     #[test]
     fn reserve_migrates_when_views_are_alive() {
+        let _serial = serial();
         let mut b = BytesMut::with_capacity(16);
         b.put_slice(&[1u8; 8]);
         let frame = b.split_to(8);
@@ -412,6 +424,7 @@ mod tests {
 
     #[test]
     fn socket_read_pattern() {
+        let _serial = serial();
         let mut b = BytesMut::with_capacity(32);
         let n = {
             let spare = b.spare_mut();
@@ -424,6 +437,7 @@ mod tests {
 
     #[test]
     fn little_endian_put_helpers() {
+        let _serial = serial();
         let mut b = BytesMut::with_capacity(32);
         b.put_u8(0xab);
         b.put_u16_le(0x1234);

@@ -1,649 +1,279 @@
-//! Vendored offline subset of the `tokio` runtime API: a multi-threaded
-//! task executor, timer-driven socket readiness, async TCP, bounded
-//! mpsc channels, and sleeps — just enough to run `mc-net`'s transport
-//! tasks without registry access.
+//! Vendored offline subset of the `tokio` API surface that `mc-net` and
+//! `mcbench` name — `Runtime`/`Handle`, TCP, a bounded mpsc channel and
+//! `sleep` — over plain OS threads and blocking std calls.
 //!
-//! Differences from upstream (deliberate, to keep the subset small):
+//! Differences from upstream (deliberate: a shim, not a scheduler):
 //!
-//! - Socket readiness is retry-driven, not epoll-driven: an I/O future
-//!   that hits `WouldBlock` re-arms itself on the timer wheel a few
-//!   tens of microseconds out. Loopback throughput is unaffected (each
-//!   retry drains everything available); only the idle-to-busy wakeup
-//!   pays the retry granularity.
-//! - `TcpStream` exposes inherent `async fn read`/`write_all` methods
-//!   instead of the `AsyncRead`/`AsyncWrite` traits.
-//! - No I/O driver shutdown: the timer thread is a process-wide
-//!   singleton that parks when idle.
-
-pub use task::{spawn, spawn_blocking, JoinError, JoinHandle};
-
-mod exec {
-    use std::collections::VecDeque;
-    use std::future::Future;
-    use std::pin::Pin;
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::{Arc, Condvar, Mutex, Weak};
-    use std::task::{Context, Poll, Wake, Waker};
-
-    type BoxFuture = Pin<Box<dyn Future<Output = ()> + Send + 'static>>;
-
-    pub(crate) struct ExecShared {
-        queue: Mutex<VecDeque<Arc<Task>>>,
-        cv: Condvar,
-        shutdown: AtomicBool,
-    }
-
-    pub(crate) struct Task {
-        exec: Weak<ExecShared>,
-        /// `Some` while the task is live; polled under the lock, so a
-        /// concurrent wake enqueues a re-poll rather than racing.
-        fut: Mutex<Option<BoxFuture>>,
-    }
-
-    impl Wake for Task {
-        fn wake(self: Arc<Self>) {
-            if let Some(exec) = self.exec.upgrade() {
-                exec.push(self);
-            }
-        }
-    }
-
-    impl ExecShared {
-        pub(crate) fn new() -> Arc<ExecShared> {
-            Arc::new(ExecShared {
-                queue: Mutex::new(VecDeque::new()),
-                cv: Condvar::new(),
-                shutdown: AtomicBool::new(false),
-            })
-        }
-
-        fn push(&self, task: Arc<Task>) {
-            let mut q = self.queue.lock().expect("executor queue healthy");
-            q.push_back(task);
-            self.cv.notify_one();
-        }
-
-        pub(crate) fn spawn_task(self: &Arc<Self>, fut: BoxFuture) {
-            let task = Arc::new(Task { exec: Arc::downgrade(self), fut: Mutex::new(Some(fut)) });
-            self.push(task);
-        }
-
-        pub(crate) fn worker_loop(self: Arc<Self>) {
-            loop {
-                let task = {
-                    let mut q = self.queue.lock().expect("executor queue healthy");
-                    loop {
-                        if self.shutdown.load(Ordering::SeqCst) {
-                            return;
-                        }
-                        if let Some(t) = q.pop_front() {
-                            break t;
-                        }
-                        q = self.cv.wait(q).expect("executor queue healthy");
-                    }
-                };
-                let waker = Waker::from(task.clone());
-                let mut cx = Context::from_waker(&waker);
-                let mut slot = task.fut.lock().expect("task slot healthy");
-                if let Some(fut) = slot.as_mut() {
-                    if fut.as_mut().poll(&mut cx).is_ready() {
-                        *slot = None;
-                    }
-                }
-            }
-        }
-
-        pub(crate) fn begin_shutdown(&self) {
-            self.shutdown.store(true, Ordering::SeqCst);
-            self.cv.notify_all();
-            // Drop queued tasks so their resources (sockets, channels)
-            // release promptly.
-            self.queue.lock().expect("executor queue healthy").clear();
-        }
-    }
-
-    /// Parks the calling thread until its waker fires — the `block_on`
-    /// root waker.
-    pub(crate) struct Parker {
-        woken: Mutex<bool>,
-        cv: Condvar,
-    }
-
-    impl Parker {
-        pub(crate) fn new() -> Arc<Parker> {
-            Arc::new(Parker { woken: Mutex::new(false), cv: Condvar::new() })
-        }
-
-        pub(crate) fn park(&self) {
-            let mut woken = self.woken.lock().expect("parker healthy");
-            while !*woken {
-                woken = self.cv.wait(woken).expect("parker healthy");
-            }
-            *woken = false;
-        }
-    }
-
-    impl Wake for Parker {
-        fn wake(self: Arc<Self>) {
-            *self.woken.lock().expect("parker healthy") = true;
-            self.cv.notify_one();
-        }
-    }
-
-    pub(crate) fn poll_once<F: Future>(fut: Pin<&mut F>, waker: &Waker) -> Poll<F::Output> {
-        let mut cx = Context::from_waker(waker);
-        fut.poll(&mut cx)
-    }
-}
-
-mod timer {
-    //! The process-wide timer wheel: wakes registered wakers at (or just
-    //! after) their deadline. Doubles as the socket-readiness retry
-    //! driver.
-
-    use std::sync::{Condvar, Mutex, OnceLock};
-    use std::task::Waker;
-    use std::time::{Duration, Instant};
-
-    struct TimerShared {
-        entries: Mutex<Vec<(Instant, Waker)>>,
-        cv: Condvar,
-    }
-
-    static TIMER: OnceLock<&'static TimerShared> = OnceLock::new();
-
-    fn shared() -> &'static TimerShared {
-        TIMER.get_or_init(|| {
-            let shared: &'static TimerShared = Box::leak(Box::new(TimerShared {
-                entries: Mutex::new(Vec::new()),
-                cv: Condvar::new(),
-            }));
-            std::thread::Builder::new()
-                .name("tokio-compat-timer".into())
-                .spawn(move || timer_loop(shared))
-                .expect("spawn timer thread");
-            shared
-        })
-    }
-
-    fn timer_loop(shared: &'static TimerShared) {
-        let mut entries = shared.entries.lock().expect("timer healthy");
-        loop {
-            let now = Instant::now();
-            let mut due = Vec::new();
-            entries.retain(|(t, w)| {
-                if *t <= now {
-                    due.push(w.clone());
-                    false
-                } else {
-                    true
-                }
-            });
-            let next = entries.iter().map(|(t, _)| *t).min();
-            if !due.is_empty() {
-                drop(entries);
-                for w in due {
-                    w.wake();
-                }
-                entries = shared.entries.lock().expect("timer healthy");
-                continue;
-            }
-            entries = match next {
-                Some(t) => {
-                    let wait = t.saturating_duration_since(now);
-                    shared.cv.wait_timeout(entries, wait).expect("timer healthy").0
-                }
-                None => shared.cv.wait(entries).expect("timer healthy"),
-            };
-        }
-    }
-
-    /// Arranges for `waker` to fire once `delay` has elapsed.
-    pub(crate) fn wake_after(delay: Duration, waker: Waker) {
-        let shared = shared();
-        let mut entries = shared.entries.lock().expect("timer healthy");
-        entries.push((Instant::now() + delay, waker));
-        shared.cv.notify_one();
-    }
-
-    /// The readiness-retry interval for I/O futures that hit
-    /// `WouldBlock`.
-    pub(crate) const IO_RETRY: Duration = Duration::from_micros(40);
-}
+//! - **One thread per task.** `Handle::spawn` starts an OS thread that
+//!   polls its future with a no-op waker. No task queue, no worker pool,
+//!   no timer thread; `with_workers(n)` ignores `n`.
+//! - **Blocking leaves.** `accept`, `connect`, `read`, `write_all`, `recv`
+//!   and `sleep` make the blocking std call inside their first poll and
+//!   return `Ready`: a task waits in the kernel on its own thread. Nothing
+//!   is `Pending` while the runtime lives, so nothing needs waking.
+//! - **Why that fits.** The traffic served is O(n²) long-lived loops —
+//!   one accept loop per node, one writer and one reader per directed
+//!   link — never many short tasks. A thread parked in `read` costs
+//!   nothing while its link is idle and the kernel wakes it the moment
+//!   bytes arrive, which a readiness poll on a timer only approximates.
+//! - **Teardown is the one thing the runtime owns.** Dropping it raises a
+//!   stop flag, wakes every parked task (sockets shut down for reading,
+//!   listeners dialled once, channels closed from the send side) and
+//!   joins every thread. A writer first drains what is already queued;
+//!   `connect` and `accept` on a stopping runtime return `Pending`, which
+//!   ends the task. No thread and no listening port outlives the runtime.
+//! - `TcpStream` has inherent `async fn read`/`write_all` instead of the
+//!   `AsyncRead`/`AsyncWrite` traits.
 
 pub mod runtime {
-    //! The multi-threaded runtime: worker threads draining a shared
-    //! task queue, plus `block_on` on the caller's thread.
+    //! The thread-per-task runtime and its teardown registry.
 
+    use std::cell::RefCell;
     use std::future::Future;
-    use std::sync::Arc;
-    use std::task::{Poll, Waker};
+    use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
+    use std::task::{Context, Poll, Waker};
 
-    use crate::exec::{poll_once, ExecShared, Parker};
+    /// Stack of a task thread. The transport's futures keep their buffers
+    /// on the heap; a small explicit stack keeps a full link mesh cheap.
+    const TASK_STACK: usize = 256 * 1024;
 
     std::thread_local! {
-        static CURRENT: std::cell::RefCell<Option<Handle>> = const { std::cell::RefCell::new(None) };
+        /// The runtime driving this thread's task, if any.
+        static CURRENT: RefCell<Option<Arc<Shared>>> = const { RefCell::new(None) };
     }
 
-    /// A cloneable handle to a runtime's task queue.
-    #[derive(Clone)]
-    pub struct Handle {
-        pub(crate) shared: Arc<ExecShared>,
+    /// Something a task parks on, and how teardown wakes that task.
+    pub(crate) trait Stop: Send + Sync {
+        fn stop(&self);
     }
+
+    #[derive(Default)]
+    struct State {
+        stopping: bool,
+        /// Weak, so a closed socket or dropped channel just falls out.
+        parked_on: Vec<Weak<dyn Stop>>,
+        threads: Vec<std::thread::JoinHandle<()>>,
+    }
+
+    #[derive(Default)]
+    pub(crate) struct Shared(Mutex<State>);
+
+    impl Shared {
+        /// Every critical section is a few field updates that cannot
+        /// panic half-way, so a poisoned lock still guards valid state.
+        fn lock(&self) -> MutexGuard<'_, State> {
+            self.0.lock().unwrap_or_else(PoisonError::into_inner)
+        }
+
+        fn stopping(&self) -> bool {
+            self.lock().stopping
+        }
+    }
+
+    /// On a task: has its runtime's teardown call `target.stop()` — at
+    /// once if teardown has begun, so nothing misses its wake-up.
+    pub(crate) fn wake_on_stop<S: Stop + 'static>(target: &Arc<S>) {
+        let Some(rt) = CURRENT.with_borrow(Clone::clone) else { return };
+        let mut state = rt.lock();
+        if state.stopping {
+            target.stop();
+        } else {
+            state.parked_on.retain(|t| t.strong_count() > 0);
+            state.parked_on.push(Arc::downgrade(target) as Weak<dyn Stop>);
+        }
+    }
+
+    /// Resolves at once unless this thread's runtime is stopping; then
+    /// never — the task ends at this await.
+    pub(crate) async fn unless_stopping() {
+        if CURRENT.with_borrow(|rt| rt.as_ref().is_some_and(|rt| rt.stopping())) {
+            std::future::pending::<()>().await;
+        }
+    }
+
+    /// Polls `fut` on this thread until it resolves, or — `None` — until
+    /// it is `Pending` on a stopping runtime.
+    fn drive<F: Future>(shared: &Arc<Shared>, fut: F) -> Option<F::Output> {
+        let prev = CURRENT.replace(Some(shared.clone()));
+        let mut fut = std::pin::pin!(fut);
+        let mut cx = Context::from_waker(Waker::noop());
+        let out = loop {
+            match fut.as_mut().poll(&mut cx) {
+                Poll::Ready(v) => break Some(v),
+                Poll::Pending if shared.stopping() => break None,
+                // No leaf of this crate gets here; a foreign future that
+                // yields is polled again.
+                Poll::Pending => std::thread::yield_now(),
+            }
+        };
+        CURRENT.set(prev);
+        out
+    }
+
+    /// A cloneable handle for spawning onto a runtime.
+    #[derive(Clone)]
+    pub struct Handle(Arc<Shared>);
 
     impl Handle {
-        /// The handle of the runtime driving the current thread.
-        ///
-        /// # Panics
-        ///
-        /// Panics outside a runtime context.
-        pub fn current() -> Handle {
-            CURRENT.with(|c| c.borrow().clone()).expect("not inside a tokio runtime context")
-        }
-
-        /// Spawns a future onto this runtime.
-        pub fn spawn<F>(&self, fut: F) -> crate::task::JoinHandle<F::Output>
-        where
-            F: Future + Send + 'static,
-            F::Output: Send + 'static,
-        {
-            crate::task::spawn_on(self, fut)
-        }
-
-        /// Runs `fut` to completion on the calling thread, with this
-        /// runtime's workers driving any spawned tasks.
-        pub fn block_on<F: Future>(&self, fut: F) -> F::Output {
-            let prev = CURRENT.with(|c| c.borrow_mut().replace(self.clone()));
-            let parker = Parker::new();
-            let waker = Waker::from(parker.clone());
-            let mut fut = std::pin::pin!(fut);
-            let out = loop {
-                match poll_once(fut.as_mut(), &waker) {
-                    Poll::Ready(v) => break v,
-                    Poll::Pending => parker.park(),
-                }
-            };
-            CURRENT.with(|c| *c.borrow_mut() = prev);
-            out
+        /// Runs `fut` to completion on a thread of its own. A runtime
+        /// that is already stopping drops it unpolled.
+        pub fn spawn<F: Future + Send + 'static>(&self, fut: F) {
+            let mut state = self.0.lock();
+            if state.stopping {
+                return;
+            }
+            state.threads.retain(|t| !t.is_finished());
+            let shared = self.0.clone();
+            let thread = std::thread::Builder::new()
+                .name("tokio-compat-task".into())
+                .stack_size(TASK_STACK)
+                .spawn(move || drop(drive(&shared, fut)))
+                .expect("spawn task thread");
+            state.threads.push(thread);
         }
     }
 
-    /// A running runtime: worker threads live as long as this value.
-    pub struct Runtime {
-        handle: Handle,
-        workers: Vec<std::thread::JoinHandle<()>>,
-    }
+    /// The runtime: owns every task thread and knows how to wake each.
+    pub struct Runtime(Handle);
 
     impl Runtime {
-        /// A runtime with a small default worker pool.
-        ///
-        /// # Errors
-        ///
-        /// Infallible in this subset; `Result` keeps upstream's
-        /// signature.
-        pub fn new() -> std::io::Result<Runtime> {
-            let workers = std::thread::available_parallelism().map_or(2, |n| n.get().min(4));
-            Ok(Runtime::with_workers(workers))
-        }
-
-        /// A runtime with exactly `workers` worker threads.
-        pub fn with_workers(workers: usize) -> Runtime {
-            let shared = ExecShared::new();
-            let handle = Handle { shared: shared.clone() };
-            let workers = (0..workers.max(1))
-                .map(|i| {
-                    let shared = shared.clone();
-                    let handle = handle.clone();
-                    std::thread::Builder::new()
-                        .name(format!("tokio-compat-worker-{i}"))
-                        .spawn(move || {
-                            CURRENT.with(|c| *c.borrow_mut() = Some(handle));
-                            shared.worker_loop();
-                        })
-                        .expect("spawn runtime worker")
-                })
-                .collect();
-            Runtime { handle, workers }
+        /// A runtime. `workers` is unused — every task gets its own
+        /// thread — and kept so callers that size a pool still compile.
+        pub fn with_workers(_workers: usize) -> Runtime {
+            Runtime(Handle(Arc::default()))
         }
 
         pub fn handle(&self) -> &Handle {
-            &self.handle
+            &self.0
         }
 
         /// Runs `fut` to completion on the calling thread.
         pub fn block_on<F: Future>(&self, fut: F) -> F::Output {
-            self.handle.block_on(fut)
+            drive(&self.0 .0, fut).expect("a borrowed runtime is not stopping")
         }
     }
 
     impl Drop for Runtime {
+        /// Drain, then join: parked tasks are woken and end, writers
+        /// finish their queues, and every thread is joined.
         fn drop(&mut self) {
-            self.handle.shared.begin_shutdown();
-            for w in self.workers.drain(..) {
-                let _ = w.join();
+            let mut state = self.0 .0.lock();
+            state.stopping = true;
+            let (parked_on, threads) =
+                (std::mem::take(&mut state.parked_on), std::mem::take(&mut state.threads));
+            drop(state);
+            parked_on.iter().filter_map(Weak::upgrade).for_each(|target| target.stop());
+            for t in threads {
+                let _ = t.join();
             }
         }
-    }
-}
-
-pub mod task {
-    //! Task spawning and join handles.
-
-    use std::future::Future;
-    use std::pin::Pin;
-    use std::sync::{Arc, Mutex};
-    use std::task::{Context, Poll, Waker};
-
-    use crate::runtime::Handle;
-
-    /// The spawned task panicked or was abandoned by a shut-down
-    /// runtime.
-    #[derive(Debug)]
-    pub struct JoinError;
-
-    impl std::fmt::Display for JoinError {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            write!(f, "task failed or was abandoned")
-        }
-    }
-
-    impl std::error::Error for JoinError {}
-
-    struct JoinState<T> {
-        value: Option<T>,
-        done: bool,
-        waker: Option<Waker>,
-    }
-
-    /// Awaitable handle to a spawned task's output.
-    pub struct JoinHandle<T> {
-        state: Arc<Mutex<JoinState<T>>>,
-    }
-
-    struct Completer<T> {
-        state: Arc<Mutex<JoinState<T>>>,
-    }
-
-    impl<T> Completer<T> {
-        fn complete(&self, value: Option<T>) {
-            let mut st = self.state.lock().expect("join state healthy");
-            st.value = value;
-            st.done = true;
-            if let Some(w) = st.waker.take() {
-                drop(st);
-                w.wake();
-            }
-        }
-    }
-
-    impl<T> Drop for Completer<T> {
-        fn drop(&mut self) {
-            let mut st = self.state.lock().expect("join state healthy");
-            if !st.done {
-                // Future dropped without completing (runtime shutdown or
-                // panic inside poll): surface as JoinError.
-                st.done = true;
-                if let Some(w) = st.waker.take() {
-                    drop(st);
-                    w.wake();
-                }
-            }
-        }
-    }
-
-    impl<T> Future for JoinHandle<T> {
-        type Output = Result<T, JoinError>;
-
-        fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-            let mut st = self.state.lock().expect("join state healthy");
-            if st.done {
-                return Poll::Ready(st.value.take().ok_or(JoinError));
-            }
-            st.waker = Some(cx.waker().clone());
-            Poll::Pending
-        }
-    }
-
-    fn new_join<T>() -> (JoinHandle<T>, Completer<T>) {
-        let state = Arc::new(Mutex::new(JoinState { value: None, done: false, waker: None }));
-        (JoinHandle { state: state.clone() }, Completer { state })
-    }
-
-    pub(crate) fn spawn_on<F>(handle: &Handle, fut: F) -> JoinHandle<F::Output>
-    where
-        F: Future + Send + 'static,
-        F::Output: Send + 'static,
-    {
-        let (join, completer) = new_join();
-        handle.shared.spawn_task(Box::pin(async move {
-            let out = fut.await;
-            completer.complete(Some(out));
-        }));
-        join
-    }
-
-    /// Spawns a future onto the current runtime.
-    ///
-    /// # Panics
-    ///
-    /// Panics outside a runtime context.
-    pub fn spawn<F>(fut: F) -> JoinHandle<F::Output>
-    where
-        F: Future + Send + 'static,
-        F::Output: Send + 'static,
-    {
-        spawn_on(&Handle::current(), fut)
-    }
-
-    /// Runs a blocking closure on a dedicated thread, awaitable from
-    /// async context.
-    pub fn spawn_blocking<F, T>(f: F) -> JoinHandle<T>
-    where
-        F: FnOnce() -> T + Send + 'static,
-        T: Send + 'static,
-    {
-        let (join, completer) = new_join();
-        std::thread::Builder::new()
-            .name("tokio-compat-blocking".into())
-            .spawn(move || {
-                let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
-                completer.complete(out.ok());
-            })
-            .expect("spawn blocking thread");
-        join
     }
 }
 
 pub mod time {
-    //! Timer futures.
+    //! Sleeping.
 
-    use std::future::Future;
-    use std::pin::Pin;
-    use std::task::{Context, Poll};
-    use std::time::{Duration, Instant};
-
-    /// Future returned by [`sleep`].
-    pub struct Sleep {
-        deadline: Instant,
-    }
-
-    impl Future for Sleep {
-        type Output = ();
-
-        fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-            let now = Instant::now();
-            if now >= self.deadline {
-                return Poll::Ready(());
-            }
-            crate::timer::wake_after(self.deadline - now, cx.waker().clone());
-            Poll::Pending
-        }
-    }
-
-    /// Completes once `dur` has elapsed.
-    pub fn sleep(dur: Duration) -> Sleep {
-        Sleep { deadline: Instant::now() + dur }
+    /// Completes once `dur` has elapsed (the task's thread sleeps).
+    pub async fn sleep(dur: std::time::Duration) {
+        std::thread::sleep(dur);
     }
 }
 
 pub mod net {
-    //! Async TCP over nonblocking std sockets, with timer-driven
-    //! readiness retries (see the crate docs).
+    //! TCP over blocking std sockets.
 
-    use std::future::poll_fn;
     use std::io::{self, Read, Write};
-    use std::net::SocketAddr;
-    use std::task::Poll;
+    use std::net::{Shutdown, SocketAddr};
+    use std::sync::Arc;
+    use std::time::Duration;
 
-    use crate::timer::{wake_after, IO_RETRY};
+    use crate::runtime::{unless_stopping, wake_on_stop, Stop};
 
-    /// A listening TCP socket.
-    pub struct TcpListener {
-        inner: std::net::TcpListener,
+    #[cfg(test)]
+    std::thread_local! {
+        /// Read system calls this thread has completed.
+        pub(crate) static READS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
     }
 
+    /// A thread parked in `accept` wakes only for a connection, so
+    /// teardown dials one.
+    impl Stop for std::net::TcpListener {
+        fn stop(&self) {
+            if let Ok(addr) = self.local_addr() {
+                let _ = std::net::TcpStream::connect_timeout(&addr, Duration::from_secs(1));
+            }
+        }
+    }
+
+    /// Shutting down the read half wakes a parked `read` with EOF and
+    /// leaves a write already under way alone.
+    impl Stop for std::net::TcpStream {
+        fn stop(&self) {
+            let _ = self.shutdown(Shutdown::Read);
+        }
+    }
+
+    /// A listening TCP socket.
+    pub struct TcpListener(Arc<std::net::TcpListener>);
+
     impl TcpListener {
-        /// Binds to `addr` (synchronous under the hood; `async` keeps
-        /// upstream's signature).
-        ///
-        /// # Errors
-        ///
-        /// Propagates the bind error.
-        pub async fn bind(addr: SocketAddr) -> io::Result<TcpListener> {
-            let inner = std::net::TcpListener::bind(addr)?;
-            inner.set_nonblocking(true)?;
-            Ok(TcpListener { inner })
-        }
-
-        /// Wraps an already-bound std listener.
-        ///
-        /// # Errors
-        ///
-        /// Propagates the `set_nonblocking` error.
+        /// Wraps an already-bound std listener (infallible here; the
+        /// `Result` is upstream's signature).
         pub fn from_std(inner: std::net::TcpListener) -> io::Result<TcpListener> {
-            inner.set_nonblocking(true)?;
-            Ok(TcpListener { inner })
+            let inner = Arc::new(inner);
+            wake_on_stop(&inner);
+            Ok(TcpListener(inner))
         }
 
-        /// # Errors
-        ///
-        /// Propagates the underlying `local_addr` error.
-        pub fn local_addr(&self) -> io::Result<SocketAddr> {
-            self.inner.local_addr()
-        }
-
-        /// Accepts the next inbound connection.
-        ///
-        /// # Errors
-        ///
-        /// Propagates fatal accept errors (`WouldBlock` retries).
+        /// Accepts the next inbound connection; propagates accept errors.
         pub async fn accept(&self) -> io::Result<(TcpStream, SocketAddr)> {
-            poll_fn(|cx| match self.inner.accept() {
-                Ok((stream, addr)) => match TcpStream::from_std(stream) {
-                    Ok(s) => Poll::Ready(Ok((s, addr))),
-                    Err(e) => Poll::Ready(Err(e)),
-                },
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    wake_after(IO_RETRY, cx.waker().clone());
-                    Poll::Pending
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {
-                    cx.waker().wake_by_ref();
-                    Poll::Pending
-                }
-                Err(e) => Poll::Ready(Err(e)),
-            })
-            .await
+            let (stream, addr) = self.0.accept()?;
+            // The connection may be teardown's wake-up dial, not a peer.
+            unless_stopping().await;
+            Ok((TcpStream::adopt(stream), addr))
         }
     }
 
     /// A connected TCP socket.
-    pub struct TcpStream {
-        inner: std::net::TcpStream,
-    }
+    pub struct TcpStream(Arc<std::net::TcpStream>);
 
     impl TcpStream {
-        /// Connects to `addr`. The blocking connect runs on a dedicated
-        /// thread so runtime workers stay free.
-        ///
-        /// # Errors
-        ///
-        /// Propagates the connect error.
+        fn adopt(inner: std::net::TcpStream) -> TcpStream {
+            let inner = Arc::new(inner);
+            wake_on_stop(&inner);
+            TcpStream(inner)
+        }
+
+        /// Connects to `addr`; propagates the connect error. A stopping
+        /// runtime dials nobody: a redial loop ends here.
         pub async fn connect(addr: SocketAddr) -> io::Result<TcpStream> {
-            let stream = crate::task::spawn_blocking(move || std::net::TcpStream::connect(addr))
-                .await
-                .map_err(|_| io::Error::other("connect task failed"))??;
-            TcpStream::from_std(stream)
+            unless_stopping().await;
+            Ok(TcpStream::adopt(std::net::TcpStream::connect(addr)?))
         }
 
-        /// Wraps an already-connected std stream.
-        ///
-        /// # Errors
-        ///
-        /// Propagates the `set_nonblocking` error.
-        pub fn from_std(inner: std::net::TcpStream) -> io::Result<TcpStream> {
-            inner.set_nonblocking(true)?;
-            Ok(TcpStream { inner })
-        }
-
-        /// # Errors
-        ///
         /// Propagates the underlying setsockopt error.
         pub fn set_nodelay(&self, nodelay: bool) -> io::Result<()> {
-            self.inner.set_nodelay(nodelay)
+            self.0.set_nodelay(nodelay)
         }
 
         /// Reads into `buf`, resolving with the number of bytes read
-        /// (0 = EOF).
-        ///
-        /// # Errors
-        ///
-        /// Propagates fatal read errors (`WouldBlock` retries).
+        /// (0 = EOF, which is also how teardown ends a reader).
         pub async fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-            poll_fn(|cx| match (&self.inner).read(buf) {
-                Ok(n) => Poll::Ready(Ok(n)),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    wake_after(IO_RETRY, cx.waker().clone());
-                    Poll::Pending
+            loop {
+                let res = (&*self.0).read(buf);
+                #[cfg(test)]
+                READS.set(READS.get() + 1);
+                match res {
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                    res => return res,
                 }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {
-                    cx.waker().wake_by_ref();
-                    Poll::Pending
-                }
-                Err(e) => Poll::Ready(Err(e)),
-            })
-            .await
+            }
         }
 
-        /// Writes all of `buf`.
-        ///
-        /// # Errors
-        ///
-        /// Propagates fatal write errors; a closed peer surfaces as
-        /// `WriteZero` or a broken pipe.
+        /// Writes all of `buf`; a closed peer surfaces as `WriteZero` or
+        /// a broken pipe.
         pub async fn write_all(&mut self, buf: &[u8]) -> io::Result<()> {
-            let mut written = 0usize;
-            poll_fn(|cx| {
-                while written < buf.len() {
-                    match (&self.inner).write(&buf[written..]) {
-                        Ok(0) => {
-                            return Poll::Ready(Err(io::Error::new(
-                                io::ErrorKind::WriteZero,
-                                "peer closed",
-                            )))
-                        }
-                        Ok(n) => written += n,
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            wake_after(IO_RETRY, cx.waker().clone());
-                            return Poll::Pending;
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                        Err(e) => return Poll::Ready(Err(e)),
-                    }
-                }
-                Poll::Ready(Ok(()))
-            })
-            .await
+            (&*self.0).write_all(buf)
         }
     }
 }
@@ -652,155 +282,90 @@ pub mod sync {
     //! Synchronisation primitives.
 
     pub mod mpsc {
-        //! A bounded multi-producer single-consumer channel with both
-        //! async and blocking endpoints — the bridge between synchronous
-        //! protocol threads and async transport tasks.
+        //! A bounded channel with a blocking send side — the bridge
+        //! between protocol threads and the writer task of a link — over
+        //! `std::sync::mpsc::sync_channel`.
 
-        use std::collections::VecDeque;
-        use std::future::poll_fn;
-        use std::sync::{Arc, Condvar, Mutex};
-        use std::task::{Poll, Waker};
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::mpsc::{sync_channel, SyncSender};
+        use std::sync::{Arc, Mutex, Weak};
 
-        struct Chan<T> {
-            queue: VecDeque<T>,
-            cap: usize,
-            senders: usize,
-            rx_alive: bool,
-            rx_waker: Option<Waker>,
+        pub use std::sync::mpsc::SendError;
+
+        use crate::runtime::{wake_on_stop, Stop};
+
+        /// The send side, which teardown can close: the receiving task
+        /// then drains what is queued, sees the channel closed and ends,
+        /// and later sends fail as they do once the receiver is gone.
+        struct Gate<T>(Mutex<Option<SyncSender<T>>>);
+
+        impl<T: Send> Stop for Gate<T> {
+            fn stop(&self) {
+                self.0.lock().expect("gate healthy").take();
+            }
         }
 
-        struct Shared<T> {
-            chan: Mutex<Chan<T>>,
-            /// Blocked senders wait here for space (or receiver death).
-            space: Condvar,
-        }
-
-        /// Sending endpoint (cloneable).
+        /// Sending endpoint.
         pub struct Sender<T> {
-            shared: Arc<Shared<T>>,
+            gate: Arc<Gate<T>>,
+            /// Values sent (or being sent) and not yet received.
+            queued: Arc<AtomicUsize>,
+            cap: usize,
         }
 
         /// Receiving endpoint.
         pub struct Receiver<T> {
-            shared: Arc<Shared<T>>,
-        }
-
-        /// The receiver was dropped; the value comes back.
-        #[derive(Debug)]
-        pub struct SendError<T>(pub T);
-
-        impl<T> std::fmt::Display for SendError<T> {
-            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-                write!(f, "channel closed")
-            }
+            rx: std::sync::mpsc::Receiver<T>,
+            /// Until the first `recv` has told the runtime about it.
+            gate: Weak<Gate<T>>,
+            queued: Arc<AtomicUsize>,
         }
 
         /// A bounded channel of capacity `cap`.
-        ///
-        /// # Panics
-        ///
-        /// Panics if `cap` is zero.
         pub fn channel<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
-            assert!(cap > 0, "mpsc channel capacity must be positive");
-            let shared = Arc::new(Shared {
-                chan: Mutex::new(Chan {
-                    queue: VecDeque::with_capacity(cap),
-                    cap,
-                    senders: 1,
-                    rx_alive: true,
-                    rx_waker: None,
-                }),
-                space: Condvar::new(),
-            });
-            (Sender { shared: shared.clone() }, Receiver { shared })
+            let (tx, rx) = sync_channel(cap);
+            let gate = Arc::new(Gate(Mutex::new(Some(tx))));
+            let queued = Arc::new(AtomicUsize::new(0));
+            let receiver = Receiver { rx, gate: Arc::downgrade(&gate), queued: queued.clone() };
+            (Sender { gate, queued, cap }, receiver)
         }
 
         impl<T> Sender<T> {
-            /// Blocks the calling (non-async) thread until there is
-            /// space, then enqueues — the transport's backpressure
-            /// point.
-            ///
-            /// # Errors
-            ///
-            /// Returns the value if the receiver is gone.
+            /// Blocks the calling thread until there is space, then
+            /// enqueues — the transport's backpressure point. Returns the
+            /// value if the receiving task is gone or its runtime stopped.
             pub fn blocking_send(&self, value: T) -> Result<(), SendError<T>> {
-                let mut chan = self.shared.chan.lock().expect("channel healthy");
-                while chan.rx_alive && chan.queue.len() >= chan.cap {
-                    chan = self.shared.space.wait(chan).expect("channel healthy");
-                }
-                if !chan.rx_alive {
-                    return Err(SendError(value));
-                }
-                chan.queue.push_back(value);
-                let waker = chan.rx_waker.take();
-                drop(chan);
-                if let Some(w) = waker {
-                    w.wake();
-                }
-                Ok(())
+                // Cloned out, so a send blocked on a full queue does not
+                // hold the gate shut against teardown.
+                let tx = self.gate.0.lock().expect("gate healthy").clone();
+                let Some(tx) = tx else { return Err(SendError(value)) };
+                self.queued.fetch_add(1, Ordering::Relaxed);
+                tx.send(value).inspect_err(|_| {
+                    self.queued.fetch_sub(1, Ordering::Relaxed);
+                })
             }
 
-            /// Slots currently free in the channel — `max_capacity`
-            /// when the queue is drained.
+            /// Slots currently free — `max_capacity` when drained.
             pub fn capacity(&self) -> usize {
-                let chan = self.shared.chan.lock().expect("channel healthy");
-                chan.cap - chan.queue.len()
+                self.cap.saturating_sub(self.queued.load(Ordering::Relaxed))
             }
 
             /// The capacity the channel was created with.
             pub fn max_capacity(&self) -> usize {
-                self.shared.chan.lock().expect("channel healthy").cap
+                self.cap
             }
         }
 
-        impl<T> Clone for Sender<T> {
-            fn clone(&self) -> Sender<T> {
-                self.shared.chan.lock().expect("channel healthy").senders += 1;
-                Sender { shared: self.shared.clone() }
-            }
-        }
-
-        impl<T> Drop for Sender<T> {
-            fn drop(&mut self) {
-                let mut chan = self.shared.chan.lock().expect("channel healthy");
-                chan.senders -= 1;
-                if chan.senders == 0 {
-                    let waker = chan.rx_waker.take();
-                    drop(chan);
-                    if let Some(w) = waker {
-                        w.wake();
-                    }
-                }
-            }
-        }
-
-        impl<T> Receiver<T> {
-            /// Receives the next value; `None` once every sender is
-            /// gone and the queue is drained.
+        impl<T: Send + 'static> Receiver<T> {
+            /// Receives the next value; `None` once the queue is drained
+            /// and the sender is gone or the runtime is stopping.
             pub async fn recv(&mut self) -> Option<T> {
-                poll_fn(|cx| {
-                    let mut chan = self.shared.chan.lock().expect("channel healthy");
-                    if let Some(v) = chan.queue.pop_front() {
-                        // Space opened up: release one blocked sender.
-                        self.shared.space.notify_one();
-                        return Poll::Ready(Some(v));
-                    }
-                    if chan.senders == 0 {
-                        return Poll::Ready(None);
-                    }
-                    chan.rx_waker = Some(cx.waker().clone());
-                    Poll::Pending
-                })
-                .await
-            }
-        }
-
-        impl<T> Drop for Receiver<T> {
-            fn drop(&mut self) {
-                let mut chan = self.shared.chan.lock().expect("channel healthy");
-                chan.rx_alive = false;
-                chan.queue.clear();
-                self.shared.space.notify_all();
+                if let Some(gate) = std::mem::take(&mut self.gate).upgrade() {
+                    wake_on_stop(&gate);
+                }
+                let value = self.rx.recv().ok()?;
+                self.queued.fetch_sub(1, Ordering::Relaxed);
+                Some(value)
             }
         }
     }
@@ -812,7 +377,14 @@ mod tests {
     use std::sync::Arc;
     use std::time::{Duration, Instant};
 
+    use crate::net::{TcpListener, TcpStream, READS};
     use crate::runtime::Runtime;
+
+    fn bound() -> (std::net::TcpListener, std::net::SocketAddr) {
+        let listener = std::net::TcpListener::bind(("127.0.0.1", 0)).expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        (listener, addr)
+    }
 
     #[test]
     fn block_on_plain_future() {
@@ -821,21 +393,17 @@ mod tests {
     }
 
     #[test]
-    fn spawned_tasks_run_on_workers() {
+    fn spawned_tasks_run_and_are_joined_by_drop() {
         let rt = Runtime::with_workers(2);
         let counter = Arc::new(AtomicUsize::new(0));
-        rt.block_on(async {
-            let mut joins = Vec::new();
-            for _ in 0..16 {
-                let counter = counter.clone();
-                joins.push(crate::spawn(async move {
-                    counter.fetch_add(1, Ordering::SeqCst);
-                }));
-            }
-            for j in joins {
-                j.await.expect("task completes");
-            }
-        });
+        for _ in 0..16 {
+            let counter = counter.clone();
+            rt.handle().spawn(async move {
+                crate::time::sleep(Duration::from_millis(1)).await;
+                counter.fetch_add(1, Ordering::SeqCst);
+            });
+        }
+        drop(rt);
         assert_eq!(counter.load(Ordering::SeqCst), 16);
     }
 
@@ -848,55 +416,63 @@ mod tests {
     }
 
     #[test]
-    fn spawn_blocking_roundtrip() {
-        let rt = Runtime::with_workers(1);
-        let out = rt.block_on(async { crate::spawn_blocking(|| 7 * 6).await.expect("runs") });
-        assert_eq!(out, 42);
-    }
-
-    #[test]
     fn mpsc_bridges_sync_and_async() {
         let rt = Runtime::with_workers(2);
         let (tx, mut rx) = crate::sync::mpsc::channel::<u32>(4);
-        let producer = std::thread::spawn(move || {
-            for i in 0..100 {
-                tx.blocking_send(i).expect("receiver alive");
-            }
-        });
-        let sum = rt.block_on(async move {
+        assert_eq!((tx.capacity(), tx.max_capacity()), (4, 4));
+        let (sum_tx, sum_rx) = std::sync::mpsc::channel();
+        rt.handle().spawn(async move {
             let mut sum = 0u32;
-            while let Some(v) = rx.recv().await {
-                sum += v;
+            for _ in 0..100 {
+                sum += rx.recv().await.expect("sender alive");
             }
-            sum
+            sum_tx.send(sum).expect("test alive");
+            // Sender dropped, queue drained: the channel reports closed.
+            assert_eq!(rx.recv().await, None);
         });
-        producer.join().expect("producer exits");
-        assert_eq!(sum, (0..100).sum());
+        for i in 0..100 {
+            tx.blocking_send(i).expect("receiver alive");
+        }
+        assert_eq!(sum_rx.recv().expect("consumer finishes"), (0..100).sum());
+        assert_eq!(tx.capacity(), tx.max_capacity(), "drained queue is all free slots");
+        drop(tx);
+        drop(rt);
+    }
+
+    #[test]
+    fn send_fails_once_the_receiving_task_is_gone() {
+        let rt = Runtime::with_workers(1);
+        let (tx, mut rx) = crate::sync::mpsc::channel::<u32>(1);
+        rt.handle().spawn(async move { while rx.recv().await.is_some() {} });
+        tx.blocking_send(1).expect("receiver alive");
+        // The sender is still alive, so only teardown can end the task.
+        drop(rt);
+        assert!(tx.blocking_send(2).is_err());
     }
 
     #[test]
     fn tcp_echo_over_loopback() {
         let rt = Runtime::with_workers(2);
-        rt.block_on(async {
-            let listener = crate::net::TcpListener::bind("127.0.0.1:0".parse().expect("addr"))
-                .await
-                .expect("bind");
-            let addr = listener.local_addr().expect("addr");
-            let server = crate::spawn(async move {
-                let (mut conn, _) = listener.accept().await.expect("accept");
-                let mut buf = [0u8; 64];
-                let mut got = Vec::new();
-                loop {
-                    let n = conn.read(&mut buf).await.expect("read");
-                    if n == 0 {
-                        break;
-                    }
-                    got.extend_from_slice(&buf[..n]);
-                    conn.write_all(&buf[..n]).await.expect("write");
+        let (listener, addr) = bound();
+        let (got_tx, got_rx) = std::sync::mpsc::channel();
+        rt.handle().spawn(async move {
+            let listener = TcpListener::from_std(listener).expect("wrap");
+            let (mut conn, _) = listener.accept().await.expect("accept");
+            let mut buf = [0u8; 64];
+            let mut got = Vec::new();
+            loop {
+                let n = conn.read(&mut buf).await.expect("read");
+                if n == 0 {
+                    break;
                 }
-                got
-            });
-            let mut client = crate::net::TcpStream::connect(addr).await.expect("connect");
+                got.extend_from_slice(&buf[..n]);
+                conn.write_all(&buf[..n]).await.expect("write");
+            }
+            got_tx.send(got).expect("test alive");
+        });
+        rt.block_on(async {
+            let mut client = TcpStream::connect(addr).await.expect("connect");
+            client.set_nodelay(true).expect("nodelay");
             client.write_all(b"ping pong").await.expect("write");
             let mut echo = vec![0u8; 9];
             let mut read = 0;
@@ -905,9 +481,68 @@ mod tests {
                 assert!(n > 0, "server closed early");
                 read += n;
             }
-            drop(client);
             assert_eq!(&echo, b"ping pong");
-            assert_eq!(server.await.expect("server task"), b"ping pong");
         });
+        assert_eq!(got_rx.recv().expect("server saw EOF"), b"ping pong");
+    }
+
+    /// A silent link performs no reads; each arriving burst costs one.
+    #[test]
+    fn idle_link_costs_nothing() {
+        let rt = Runtime::with_workers(2);
+        let (listener, addr) = bound();
+        let (seen_tx, seen_rx) = std::sync::mpsc::channel();
+        rt.handle().spawn(async move {
+            let listener = TcpListener::from_std(listener).expect("wrap");
+            let (mut conn, _) = listener.accept().await.expect("accept");
+            let mut buf = [0u8; 256];
+            while let Ok(n @ 1..) = conn.read(&mut buf).await {
+                seen_tx.send((n, READS.get())).expect("test alive");
+            }
+        });
+        let mut client = std::net::TcpStream::connect(addr).expect("connect");
+        client.set_nodelay(true).expect("nodelay");
+        std::thread::sleep(Duration::from_millis(50));
+        assert!(seen_rx.try_recv().is_err(), "nothing was sent yet");
+        for burst in 1..=5 {
+            std::io::Write::write_all(&mut client, &[7u8; 100]).expect("write");
+            // Waiting for the reader's report keeps bursts from merging.
+            let seen = seen_rx.recv_timeout(Duration::from_secs(10)).expect("burst arrives");
+            assert_eq!(seen, (100, burst), "one completed read per burst, none while idle");
+        }
+    }
+
+    /// Every kind of parked task — accept, read, recv with a live
+    /// sender, a redial loop — ends at teardown, and the port is free.
+    #[test]
+    fn drop_wakes_every_parked_task_and_frees_the_port() {
+        let rt = Runtime::with_workers(1);
+        let (listener, addr) = bound();
+        let (dead, dead_addr) = bound();
+        drop(dead);
+        let (up_tx, up_rx) = std::sync::mpsc::channel();
+        let handle = rt.handle().clone();
+        rt.handle().spawn(async move {
+            let listener = TcpListener::from_std(listener).expect("wrap");
+            loop {
+                let (mut conn, _) = listener.accept().await.expect("accept");
+                up_tx.send(()).expect("test alive");
+                handle.spawn(async move { while let Ok(1..) = conn.read(&mut [0u8; 8]).await {} });
+            }
+        });
+        let (tx, mut rx) = crate::sync::mpsc::channel::<u8>(4);
+        rt.handle().spawn(async move {
+            let _conn = TcpStream::connect(addr).await.expect("connect");
+            rx.recv().await;
+        });
+        rt.handle().spawn(async move {
+            while TcpStream::connect(dead_addr).await.is_err() {
+                crate::time::sleep(Duration::from_millis(1)).await;
+            }
+        });
+        up_rx.recv_timeout(Duration::from_secs(10)).expect("link comes up");
+        drop(rt);
+        std::net::TcpListener::bind(addr).expect("the listening port is free again");
+        drop(tx);
     }
 }

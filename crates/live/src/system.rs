@@ -307,37 +307,6 @@ pub struct LiveOutcome {
 }
 
 impl LiveOutcome {
-    /// Assembles an outcome from externally-run nodes. The TCP runtime
-    /// (`mc-net`) drives the same [`run_proc_node`]/[`run_manager_node`]
-    /// mains on its own threads and collects the identical parts; the
-    /// lossy-shim (`lost`) and closed-inbox (`dropped_sends`) counters
-    /// are in-process notions and read zero there.
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_parts(
-        history: Option<History>,
-        wal: DurabilityStats,
-        messages: u64,
-        bytes: u64,
-        wall: Duration,
-        replicas: Vec<Replica>,
-        server: Manager,
-        mode: Mode,
-    ) -> LiveOutcome {
-        LiveOutcome {
-            history,
-            wal,
-            messages,
-            bytes,
-            lost: 0,
-            dropped_sends: 0,
-            wall,
-            trace: None,
-            replicas,
-            server,
-            mode,
-        }
-    }
-
     /// The final value of `loc`: from `proc`'s replica in the replicated
     /// modes (all in-flight updates are drained before shutdown), from
     /// the server in SC mode.
@@ -367,254 +336,106 @@ impl LiveOutcome {
     }
 }
 
-/// Builder for a live (threaded) mixed-consistency system. Mirrors the
-/// simulator-backed `mixed_consistency::System` API.
-pub struct LiveSystem {
-    cfg: DsmConfig,
-    record: bool,
-    trace: bool,
-    timeout: Duration,
-    loss: f64,
-    seed: u64,
-    durability_dir: Option<PathBuf>,
-    #[allow(clippy::type_complexity)]
-    procs: Vec<Box<dyn FnOnce(&mut LiveCtx) + Send + 'static>>,
+/// One process's program.
+type ProcMain = Box<dyn FnOnce(&mut LiveCtx) + Send + 'static>;
+
+/// What a cluster is before it has a transport: the protocol
+/// configuration and the process programs. [`Cluster::run`] is the one
+/// assembly of node threads every executor shares — [`LiveSystem`] hands
+/// it channels, `mc-net` hands it TCP links.
+pub struct Cluster {
+    /// The shared protocol configuration.
+    pub cfg: DsmConfig,
+    /// Whether to record a history.
+    pub record: bool,
+    /// Blocked-operation timeout.
+    pub timeout: Duration,
+    /// Durability root, when [`DsmConfig::durability`] is on.
+    pub durability_dir: Option<PathBuf>,
+    procs: Vec<ProcMain>,
 }
 
-impl fmt::Debug for LiveSystem {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("LiveSystem")
-            .field("cfg", &self.cfg)
-            .field("nprocs", &self.procs.len())
-            .finish()
-    }
-}
-
-impl LiveSystem {
-    /// Creates a live system of `nprocs` processes on memory `mode`.
-    pub fn new(nprocs: usize, mode: Mode) -> Self {
-        LiveSystem {
+impl Cluster {
+    /// A cluster of `nprocs` processes on memory `mode`, nothing spawned.
+    pub fn new(nprocs: usize, mode: Mode) -> Cluster {
+        Cluster {
             cfg: DsmConfig::new(nprocs, mode),
             record: false,
-            trace: false,
             timeout: Duration::from_secs(10),
-            loss: 0.0,
-            seed: 0,
             durability_dir: None,
             procs: Vec::new(),
         }
     }
 
-    /// Enables durable replicas: each process appends to a write-ahead
-    /// log under `dir/replica-{i}` (own writes fsynced before the write
-    /// returns — the append-before-ack discipline), compacts into a
-    /// snapshot on the policy's cadence, and **recovers from existing
-    /// state at startup**: snapshot plus the valid WAL prefix are
-    /// replayed (a torn tail from a `kill -9` is truncated, a corrupt
-    /// frame mid-log panics with a diagnostic), the incarnation number
-    /// is bumped and persisted, and peers are asked for the missing
-    /// update delta. Pair with [`LiveSystem::reliable`].
-    pub fn durability(mut self, policy: DurabilityPolicy, dir: impl Into<PathBuf>) -> Self {
-        self.cfg.durability = Some(policy);
-        self.durability_dir = Some(dir.into());
-        self
-    }
-
-    /// Installs the lossy-channel shim: every message is independently
-    /// dropped with probability `loss` (rolls are derived from `seed`, so
-    /// the drop pattern over send order is reproducible). Pair with
-    /// [`LiveSystem::reliable`] — raw protocols over lossy channels block
-    /// forever and surface as per-operation timeouts.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0.0 <= loss < 1.0`.
-    pub fn lossy(mut self, loss: f64, seed: u64) -> Self {
-        assert!((0.0..1.0).contains(&loss), "loss probability must be in [0, 1)");
-        self.loss = loss;
-        self.seed = seed;
-        self
-    }
-
-    /// Enables the reliable-delivery session layer
-    /// ([`mc_proto::session`]) on every node: per-link sequence numbers,
-    /// cumulative acks, and tick-driven retransmission — the same state
-    /// machines the simulator exercises, glued to wall-clock time.
-    pub fn reliable(mut self, reliable: bool) -> Self {
-        self.cfg.reliable = reliable;
-        self
-    }
-
-    /// Enables (or disables) batched update propagation. Buffered writes
-    /// are flushed before every synchronization send, at the size limit,
-    /// and once the wall-clock [`BatchPolicy::max_delay_micros`] window
-    /// elapses (checked on operation entry and whenever a process is
-    /// about to block).
-    pub fn batching(mut self, batch: Option<BatchPolicy>) -> Self {
-        self.cfg.batch = batch;
-        self
-    }
-
-    /// Partitions the address space into shards with interest-based
-    /// partial replication (see the simulator's `System::sharding`):
-    /// each process subscribes to the shards in its interest set,
-    /// updates multicast only to subscribers, and a first touch outside
-    /// the set either performs a directory round-trip
-    /// ([`ShardConfig::dynamic`]) or is a program error.
-    ///
-    /// # Panics
-    ///
-    /// [`LiveSystem::run`] panics if the interest table's length does
-    /// not match the process count, or if the program uses locks or
-    /// barriers (unsupported with sharding).
-    pub fn sharding(mut self, sharding: Option<ShardConfig>) -> Self {
-        self.cfg = self.cfg.with_sharding(sharding);
-        self
-    }
-
-    /// Presizes every replica's store for `locations` locations.
-    pub fn locations(mut self, locations: usize) -> Self {
-        self.cfg.locations = locations;
-        self
-    }
-
-    /// Assigns one consistency-lattice point per process. The substrate
-    /// mode is re-derived from the assignment and each process's reads
-    /// follow its own point's policy (see the simulator's
-    /// `System::models`).
-    pub fn models(mut self, models: mc_model::ModelAssignment) -> Self {
-        self.cfg = self.cfg.with_models(models);
-        self
-    }
-
-    /// Selects the lock-propagation variant.
-    pub fn lock_propagation(mut self, p: LockPropagation) -> Self {
-        self.cfg.lock_propagation = p;
-        self
-    }
-
-    /// Enables history recording.
-    pub fn record(mut self, record: bool) -> Self {
-        self.record = record;
-        self
-    }
-
-    /// Enables structured event tracing: every message send (and lossy
-    /// drop) is recorded on a shared tracer, keyed by wall-clock time
-    /// since the run started, and returned on
-    /// [`LiveOutcome::trace`].
-    pub fn trace(mut self, trace: bool) -> Self {
-        self.trace = trace;
-        self
-    }
-
-    /// Distributes managers over `shards` nodes.
-    pub fn manager_shards(mut self, shards: usize) -> Self {
-        self.cfg = self.cfg.with_manager_shards(shards);
-        self
-    }
-
-    /// Restricts a barrier to a process subset.
-    pub fn barrier_group(mut self, barrier: BarrierId, group: Vec<ProcId>) -> Self {
-        self.cfg = self.cfg.with_barrier_group(barrier, group);
-        self
-    }
-
-    /// Sets the blocked-operation timeout (default 10 s); a process that
-    /// waits longer panics with a diagnostic, surfacing as
-    /// [`LiveError::ProcPanicked`].
-    pub fn timeout(mut self, timeout: Duration) -> Self {
-        self.timeout = timeout;
-        self
-    }
-
     /// Adds the next process.
-    pub fn spawn<F>(&mut self, f: F) -> ProcId
-    where
-        F: FnOnce(&mut LiveCtx) + Send + 'static,
-    {
+    pub fn spawn(&mut self, f: impl FnOnce(&mut LiveCtx) + Send + 'static) -> ProcId {
         let id = ProcId(self.procs.len() as u32);
         self.procs.push(Box::new(f));
         id
     }
 
-    /// Runs all processes to completion on real threads.
+    /// Runs every node main on a thread of its own — manager shards on the
+    /// last nodes, processes on the first — over `net`, node `i` reading
+    /// `inboxes[i]`; waits for every program to finish, lets `quiesce`
+    /// hold the shutdown until the transport has nothing in flight, shuts
+    /// the nodes down and collects the outcome. `start` is when the run
+    /// began for [`LiveOutcome::wall`].
     ///
     /// # Errors
     ///
-    /// Returns [`LiveError::ProcPanicked`] if any process panicked
-    /// (including blocked-operation timeouts) and
-    /// [`LiveError::Malformed`] if the recorded history fails validation.
+    /// [`LiveError::ProcPanicked`] if any process panicked (including
+    /// blocked-operation timeouts); [`LiveError::Malformed`] if the
+    /// recorded history fails validation.
     ///
     /// # Panics
     ///
-    /// Panics if more processes were spawned than configured.
-    pub fn run(mut self) -> Result<LiveOutcome, LiveError> {
+    /// Panics if the spawned-process count does not match the
+    /// configuration, or if a send found its inbox closed before shutdown
+    /// began.
+    pub fn run(
+        self,
+        start: Instant,
+        net: Net,
+        mut inboxes: Vec<Receiver<Wire>>,
+        quiesce: impl FnOnce(&Net),
+    ) -> Result<LiveOutcome, LiveError> {
+        let Cluster { cfg, record, timeout, durability_dir, procs } = self;
         assert_eq!(
-            self.procs.len(),
-            self.cfg.nprocs,
+            procs.len(),
+            cfg.nprocs,
             "spawned {} processes but configured {}",
-            self.procs.len(),
-            self.cfg.nprocs
+            procs.len(),
+            cfg.nprocs
         );
-        let cfg = self.cfg.clone();
         let nnodes = cfg.nnodes();
-        let start = Instant::now();
-
-        let mut senders = Vec::with_capacity(nnodes);
-        let mut receivers = Vec::with_capacity(nnodes);
-        for _ in 0..nnodes {
-            let (tx, rx) = unbounded();
-            senders.push(tx);
-            receivers.push(rx);
-        }
-        let net = Net {
-            transport: Arc::new(ChannelTransport::new(senders)),
-            messages: Arc::new(AtomicU64::new(0)),
-            bytes: Arc::new(AtomicU64::new(0)),
-            loss: self.loss,
-            seed: self.seed,
-            rolls: Arc::new(AtomicU64::new(0)),
-            lost: Arc::new(AtomicU64::new(0)),
-            closed_dropped: Arc::new(AtomicU64::new(0)),
-            shutting_down: Arc::new(AtomicBool::new(false)),
-            tracer: self.trace.then(|| Arc::new(Mutex::new(Tracer::new()))),
-            epoch: start,
-        };
-        let recorder = self.record.then(|| Arc::new(Mutex::new(HistoryBuilder::new(cfg.nprocs))));
+        assert_eq!(inboxes.len(), nnodes, "one inbox per node");
+        let recorder = record.then(|| Arc::new(Mutex::new(HistoryBuilder::new(cfg.nprocs))));
         let walc = Arc::new(WalCounters::default());
 
-        // Manager shard threads (the last `manager_shards` nodes).
+        // Manager shard threads (the last `manager_shards` nodes), then
+        // process threads.
         let mut manager_handles = Vec::new();
-        let mut receivers_iter = receivers.into_iter();
-        let mut proc_rx: Vec<Receiver<Wire>> = Vec::new();
-        for _ in 0..cfg.nprocs {
-            proc_rx.push(receivers_iter.next().expect("receiver per node"));
-        }
-        for (shard, rx) in receivers_iter.enumerate() {
+        for (shard, rx) in inboxes.split_off(cfg.nprocs).into_iter().enumerate() {
             let net = net.clone();
             let cfg = cfg.clone();
             let node = cfg.nprocs + shard;
             manager_handles.push(std::thread::spawn(move || run_manager_node(rx, net, cfg, node)));
         }
-
-        // Process threads.
         let (done_tx, done_rx) = unbounded::<u32>();
         let mut proc_handles = Vec::new();
-        for (i, f) in self.procs.drain(..).enumerate() {
-            let rx = proc_rx.remove(0);
+        for (i, (f, rx)) in procs.into_iter().zip(inboxes).enumerate() {
             let opts = NodeConfig {
                 proc: ProcId(i as u32),
                 cfg: cfg.clone(),
-                timeout: self.timeout,
-                durability_dir: self.durability_dir.clone(),
+                timeout,
+                durability_dir: durability_dir.clone(),
             };
-            let ctx_net = net.clone();
+            let net = net.clone();
             let recorder = recorder.clone();
             let done_tx = done_tx.clone();
             let walc = walc.clone();
             proc_handles.push(std::thread::spawn(move || {
-                run_proc_node(opts, rx, ctx_net, walc, recorder, f, move || {
+                run_proc_node(opts, rx, net, walc, recorder, f, move || {
                     let _ = done_tx.send(i as u32);
                 })
             }));
@@ -631,6 +452,7 @@ impl LiveSystem {
                 Err(_) => break, // all senders gone: every thread exited
             }
         }
+        quiesce(&net);
         // From here on, sends may legitimately race closing inboxes
         // (e.g. a retransmission of an already-consumed grant whose ack
         // was lost), so stop treating them as silent losses.
@@ -665,18 +487,17 @@ impl LiveSystem {
                 Some(builder.build().map_err(LiveError::Malformed)?)
             }
         };
-        let dropped_sends = net.closed_dropped.load(Ordering::SeqCst);
+        let dropped_sends = net.dropped_sends();
         assert_eq!(
             dropped_sends, 0,
             "messages were silently lost on closed inboxes before shutdown"
         );
         let trace = net.tracer.as_ref().map(|tr| tr.lock().expect("tracer healthy").clone());
-        let wal = walc.stats();
         Ok(LiveOutcome {
             history,
-            wal,
-            messages: net.messages.load(Ordering::Relaxed),
-            bytes: net.bytes.load(Ordering::Relaxed),
+            wal: walc.stats(),
+            messages: net.messages(),
+            bytes: net.bytes(),
             lost: net.lost.load(Ordering::Relaxed),
             dropped_sends,
             wall: start.elapsed(),
@@ -685,6 +506,188 @@ impl LiveSystem {
             server: managers.remove(0),
             mode: cfg.mode,
         })
+    }
+}
+
+/// Builder for a live (threaded) mixed-consistency system. Mirrors the
+/// simulator-backed `mixed_consistency::System` API.
+pub struct LiveSystem {
+    cluster: Cluster,
+    trace: bool,
+    loss: f64,
+    seed: u64,
+}
+
+impl fmt::Debug for LiveSystem {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("LiveSystem")
+            .field("cfg", &self.cluster.cfg)
+            .field("nprocs", &self.cluster.procs.len())
+            .finish()
+    }
+}
+
+impl LiveSystem {
+    /// Creates a live system of `nprocs` processes on memory `mode`.
+    pub fn new(nprocs: usize, mode: Mode) -> Self {
+        LiveSystem { cluster: Cluster::new(nprocs, mode), trace: false, loss: 0.0, seed: 0 }
+    }
+
+    /// Enables durable replicas: each process appends to a write-ahead
+    /// log under `dir/replica-{i}` (own writes fsynced before the write
+    /// returns — the append-before-ack discipline), compacts into a
+    /// snapshot on the policy's cadence, and **recovers from existing
+    /// state at startup**: snapshot plus the valid WAL prefix are
+    /// replayed (a torn tail from a `kill -9` is truncated, a corrupt
+    /// frame mid-log panics with a diagnostic), the incarnation number
+    /// is bumped and persisted, and peers are asked for the missing
+    /// update delta. Pair with [`LiveSystem::reliable`].
+    pub fn durability(mut self, policy: DurabilityPolicy, dir: impl Into<PathBuf>) -> Self {
+        self.cluster.cfg.durability = Some(policy);
+        self.cluster.durability_dir = Some(dir.into());
+        self
+    }
+
+    /// Installs the lossy-channel shim: every message is independently
+    /// dropped with probability `loss` (rolls are derived from `seed`, so
+    /// the drop pattern over send order is reproducible). Pair with
+    /// [`LiveSystem::reliable`] — raw protocols over lossy channels block
+    /// forever and surface as per-operation timeouts.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `0.0 <= loss < 1.0`.
+    pub fn lossy(mut self, loss: f64, seed: u64) -> Self {
+        assert!((0.0..1.0).contains(&loss), "loss probability must be in [0, 1)");
+        self.loss = loss;
+        self.seed = seed;
+        self
+    }
+
+    /// Enables the reliable-delivery session layer
+    /// ([`mc_proto::session`]) on every node: per-link sequence numbers,
+    /// cumulative acks, and tick-driven retransmission — the same state
+    /// machines the simulator exercises, glued to wall-clock time.
+    pub fn reliable(mut self, reliable: bool) -> Self {
+        self.cluster.cfg.reliable = reliable;
+        self
+    }
+
+    /// Enables (or disables) batched update propagation. Buffered writes
+    /// are flushed before every synchronization send, at the size limit,
+    /// and once the wall-clock [`BatchPolicy::max_delay_micros`] window
+    /// elapses (checked on operation entry and whenever a process is
+    /// about to block).
+    pub fn batching(mut self, batch: Option<BatchPolicy>) -> Self {
+        self.cluster.cfg.batch = batch;
+        self
+    }
+
+    /// Partitions the address space into shards with interest-based
+    /// partial replication (see the simulator's `System::sharding`):
+    /// each process subscribes to the shards in its interest set,
+    /// updates multicast only to subscribers, and a first touch outside
+    /// the set either performs a directory round-trip
+    /// ([`ShardConfig::dynamic`]) or is a program error.
+    ///
+    /// # Panics
+    ///
+    /// [`LiveSystem::run`] panics if the interest table's length does
+    /// not match the process count, or if the program uses locks or
+    /// barriers (unsupported with sharding).
+    pub fn sharding(mut self, sharding: Option<ShardConfig>) -> Self {
+        self.cluster.cfg = self.cluster.cfg.with_sharding(sharding);
+        self
+    }
+
+    /// Presizes every replica's store for `locations` locations.
+    pub fn locations(mut self, locations: usize) -> Self {
+        self.cluster.cfg.locations = locations;
+        self
+    }
+
+    /// Assigns one consistency-lattice point per process. The substrate
+    /// mode is re-derived from the assignment and each process's reads
+    /// follow its own point's policy (see the simulator's
+    /// `System::models`).
+    pub fn models(mut self, models: mc_model::ModelAssignment) -> Self {
+        self.cluster.cfg = self.cluster.cfg.with_models(models);
+        self
+    }
+
+    /// Selects the lock-propagation variant.
+    pub fn lock_propagation(mut self, p: LockPropagation) -> Self {
+        self.cluster.cfg.lock_propagation = p;
+        self
+    }
+
+    /// Enables history recording.
+    pub fn record(mut self, record: bool) -> Self {
+        self.cluster.record = record;
+        self
+    }
+
+    /// Enables structured event tracing: every message send (and lossy
+    /// drop) is recorded on a shared tracer, keyed by wall-clock time
+    /// since the run started, and returned on
+    /// [`LiveOutcome::trace`].
+    pub fn trace(mut self, trace: bool) -> Self {
+        self.trace = trace;
+        self
+    }
+
+    /// Distributes managers over `shards` nodes.
+    pub fn manager_shards(mut self, shards: usize) -> Self {
+        self.cluster.cfg = self.cluster.cfg.with_manager_shards(shards);
+        self
+    }
+
+    /// Restricts a barrier to a process subset.
+    pub fn barrier_group(mut self, barrier: BarrierId, group: Vec<ProcId>) -> Self {
+        self.cluster.cfg = self.cluster.cfg.with_barrier_group(barrier, group);
+        self
+    }
+
+    /// Sets the blocked-operation timeout (default 10 s); a process that
+    /// waits longer panics with a diagnostic, surfacing as
+    /// [`LiveError::ProcPanicked`].
+    pub fn timeout(mut self, timeout: Duration) -> Self {
+        self.cluster.timeout = timeout;
+        self
+    }
+
+    /// Adds the next process.
+    pub fn spawn<F>(&mut self, f: F) -> ProcId
+    where
+        F: FnOnce(&mut LiveCtx) + Send + 'static,
+    {
+        self.cluster.spawn(f)
+    }
+
+    /// Runs all processes to completion on real threads.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LiveError::ProcPanicked`] if any process panicked
+    /// (including blocked-operation timeouts) and
+    /// [`LiveError::Malformed`] if the recorded history fails validation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if more processes were spawned than configured.
+    pub fn run(self) -> Result<LiveOutcome, LiveError> {
+        let start = Instant::now();
+        let (senders, inboxes) = (0..self.cluster.cfg.nnodes()).map(|_| unbounded()).unzip();
+        let net = Net {
+            loss: self.loss,
+            seed: self.seed,
+            tracer: self.trace.then(|| Arc::new(Mutex::new(Tracer::new()))),
+            epoch: start,
+            ..Net::new(Arc::new(ChannelTransport::new(senders)))
+        };
+        // In-process channels need no quiesce: the shutdown enqueues
+        // strictly after every message already sent.
+        self.cluster.run(start, net, inboxes, |_| {})
     }
 }
 

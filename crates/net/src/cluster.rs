@@ -17,20 +17,21 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::unbounded;
 use mc_live::{
-    run_manager_node, run_proc_node, LiveCtx, LiveError, LiveOutcome, Net, NodeConfig, Wire,
+    run_manager_node, run_proc_node, Cluster, LiveCtx, LiveError, LiveOutcome, Net, NodeConfig,
+    WalCounters, Wire,
 };
-use mc_model::{HistoryBuilder, ProcId};
+use mc_model::ProcId;
 use mc_proto::wire::Control;
 use mc_proto::{BatchPolicy, DsmConfig, DurabilityPolicy, Manager, Mode, Replica, ShardConfig};
 use tokio::runtime::{Handle, Runtime};
 
+use crate::placement::Placement;
 use crate::transport::{spawn_listener, Inbound, TcpTransportBuilder};
-use mc_live::WalCounters;
 
 /// How long a settled in-process cluster may take to drain its last
 /// in-flight frames before shutdown proceeds anyway.
@@ -45,87 +46,74 @@ const SHUTDOWN_GRACE: Duration = Duration::from_millis(50);
 /// [`LiveOutcome`], so everything downstream (history checking, final
 /// values, counters) is interchangeable between the two executors.
 pub struct NetSystem {
-    cfg: DsmConfig,
-    record: bool,
-    timeout: Duration,
-    durability_dir: Option<PathBuf>,
-    workers: usize,
-    #[allow(clippy::type_complexity)]
-    procs: Vec<Box<dyn FnOnce(&mut LiveCtx) + Send + 'static>>,
+    cluster: Cluster,
 }
 
 impl NetSystem {
     /// A cluster of `nprocs` processes on memory `mode`.
     pub fn new(nprocs: usize, mode: Mode) -> NetSystem {
-        NetSystem {
-            cfg: DsmConfig::new(nprocs, mode),
-            record: false,
-            timeout: Duration::from_secs(10),
-            durability_dir: None,
-            workers: 4,
-            procs: Vec::new(),
-        }
+        NetSystem { cluster: Cluster::new(nprocs, mode) }
     }
 
     /// Enables the reliable-delivery session layer on every node.
     pub fn reliable(mut self, reliable: bool) -> Self {
-        self.cfg.reliable = reliable;
+        self.cluster.cfg.reliable = reliable;
         self
     }
 
     /// Enables (or disables) batched update propagation.
     pub fn batching(mut self, batch: Option<BatchPolicy>) -> Self {
-        self.cfg.batch = batch;
+        self.cluster.cfg.batch = batch;
         self
     }
 
     /// Interest-based sharding, as in `LiveSystem::sharding`.
     pub fn sharding(mut self, sharding: Option<ShardConfig>) -> Self {
-        self.cfg = self.cfg.with_sharding(sharding);
+        self.cluster.cfg = self.cluster.cfg.with_sharding(sharding);
         self
     }
 
     /// Presizes every replica's store.
     pub fn locations(mut self, locations: usize) -> Self {
-        self.cfg.locations = locations;
+        self.cluster.cfg.locations = locations;
         self
     }
 
     /// Assigns one consistency-lattice point per process.
     pub fn models(mut self, models: mc_model::ModelAssignment) -> Self {
-        self.cfg = self.cfg.with_models(models);
+        self.cluster.cfg = self.cluster.cfg.with_models(models);
         self
     }
 
     /// Distributes managers over `shards` nodes.
     pub fn manager_shards(mut self, shards: usize) -> Self {
-        self.cfg = self.cfg.with_manager_shards(shards);
+        self.cluster.cfg = self.cluster.cfg.with_manager_shards(shards);
         self
     }
 
     /// Enables durable replicas under `dir` (see
     /// `LiveSystem::durability`).
     pub fn durability(mut self, policy: DurabilityPolicy, dir: impl Into<PathBuf>) -> Self {
-        self.cfg.durability = Some(policy);
-        self.durability_dir = Some(dir.into());
+        self.cluster.cfg.durability = Some(policy);
+        self.cluster.durability_dir = Some(dir.into());
         self
     }
 
     /// Enables history recording.
     pub fn record(mut self, record: bool) -> Self {
-        self.record = record;
+        self.cluster.record = record;
         self
     }
 
     /// Sets the blocked-operation timeout.
     pub fn timeout(mut self, timeout: Duration) -> Self {
-        self.timeout = timeout;
+        self.cluster.timeout = timeout;
         self
     }
 
-    /// Sizes the async runtime's worker pool (default 4).
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
+    /// Unused: every link task runs on a thread of its own, so there is
+    /// no pool to size. Kept for callers that still pass a count.
+    pub fn workers(self, _workers: usize) -> Self {
         self
     }
 
@@ -134,9 +122,7 @@ impl NetSystem {
     where
         F: FnOnce(&mut LiveCtx) + Send + 'static,
     {
-        let id = ProcId(self.procs.len() as u32);
-        self.procs.push(Box::new(f));
-        id
+        self.cluster.spawn(f)
     }
 
     /// Runs all processes to completion, every message over loopback
@@ -152,158 +138,70 @@ impl NetSystem {
     ///
     /// Panics if the spawned-process count does not match the
     /// configuration, or if loopback sockets cannot be bound.
-    pub fn run(mut self) -> Result<LiveOutcome, LiveError> {
-        assert_eq!(
-            self.procs.len(),
-            self.cfg.nprocs,
-            "spawned {} processes but configured {}",
-            self.procs.len(),
-            self.cfg.nprocs
-        );
-        let cfg = self.cfg.clone();
-        let nnodes = cfg.nnodes();
+    pub fn run(self) -> Result<LiveOutcome, LiveError> {
         let start = Instant::now();
-        let rt = Runtime::with_workers(self.workers);
-        let handle = rt.handle().clone();
+        let nnodes = self.cluster.cfg.nnodes();
+        let rt = Runtime::with_workers(0);
+        let handle = rt.handle();
+        // Threads started from here on are link threads and share one
+        // CPU; from `nodes()` on they are node threads and keep off it,
+        // so that a hop costs the same wake-ups in every run.
+        let placement = Placement::begin();
+        placement.links();
 
-        // One inbox and one port-0 loopback listener per node.
-        let mut inbox_tx: Vec<Sender<Wire>> = Vec::with_capacity(nnodes);
-        let mut inbox_rx: Vec<Receiver<Wire>> = Vec::with_capacity(nnodes);
-        for _ in 0..nnodes {
-            let (tx, rx) = unbounded();
-            inbox_tx.push(tx);
-            inbox_rx.push(rx);
-        }
+        // One inbox and one port-0 loopback listener per node, then the
+        // full mesh: every ordered pair is its own dialled connection.
         let delivered = Arc::new(AtomicU64::new(0));
         // Done travels on a local channel in-process; the listeners
         // still need an events sink for protocol completeness.
         let (ev_tx, _ev_rx) = unbounded::<Control>();
+        let mut b = TcpTransportBuilder::new(nnodes);
+        let mut inboxes = Vec::with_capacity(nnodes);
         let mut addrs = Vec::with_capacity(nnodes);
-        for tx in &inbox_tx {
+        for node in 0..nnodes {
+            let (tx, rx) = unbounded();
             let listener =
                 std::net::TcpListener::bind(("127.0.0.1", 0)).expect("bind loopback listener");
             addrs.push(listener.local_addr().expect("listener address"));
             let inbound =
                 Inbound { inbox: tx.clone(), events: ev_tx.clone(), delivered: delivered.clone() };
-            spawn_listener(listener, inbound, &handle);
+            spawn_listener(listener, inbound, handle);
+            b.local(node, tx);
+            inboxes.push(rx);
         }
-
-        // Full mesh: every ordered pair is its own dialled connection.
-        let mut b = TcpTransportBuilder::new(nnodes);
-        for (from, tx) in inbox_tx.iter().enumerate() {
+        for from in 0..nnodes {
             for (to, addr) in addrs.iter().enumerate() {
                 if from != to {
-                    b.link(from, to, *addr, &handle);
+                    b.link(from, to, *addr, handle);
                 }
             }
-            b.local(from, tx.clone());
         }
         let net = Net::new(Arc::new(b.build()));
-        let recorder = self.record.then(|| Arc::new(Mutex::new(HistoryBuilder::new(cfg.nprocs))));
-        let walc = Arc::new(WalCounters::default());
+        placement.nodes();
 
-        // Manager shard threads (the last nodes), then process threads —
-        // the exact mains the threaded executor runs.
-        let mut manager_handles = Vec::new();
-        let mut rx_iter = inbox_rx.into_iter();
-        let mut proc_rx: Vec<Receiver<Wire>> = Vec::new();
-        for _ in 0..cfg.nprocs {
-            proc_rx.push(rx_iter.next().expect("inbox per node"));
-        }
-        for (shard, rx) in rx_iter.enumerate() {
-            let net = net.clone();
-            let cfg = cfg.clone();
-            let node = cfg.nprocs + shard;
-            manager_handles.push(std::thread::spawn(move || run_manager_node(rx, net, cfg, node)));
-        }
-        let (done_tx, done_rx) = unbounded::<u32>();
-        let mut proc_handles = Vec::new();
-        for (i, f) in self.procs.drain(..).enumerate() {
-            let rx = proc_rx.remove(0);
-            let opts = NodeConfig {
-                proc: ProcId(i as u32),
-                cfg: cfg.clone(),
-                timeout: self.timeout,
-                durability_dir: self.durability_dir.clone(),
-            };
-            let net = net.clone();
-            let recorder = recorder.clone();
-            let done_tx = done_tx.clone();
-            let walc = walc.clone();
-            proc_handles.push(std::thread::spawn(move || {
-                run_proc_node(opts, rx, net, walc, recorder, f, move || {
-                    let _ = done_tx.send(i as u32);
-                })
-            }));
-        }
-        drop(done_tx);
-
-        let mut finished = 0usize;
-        while finished < proc_handles.len() {
-            match done_rx.recv() {
-                Ok(_) => finished += 1,
-                Err(_) => break,
-            }
-        }
         // Unlike the in-process channels (where the coordinator's
         // Shutdown enqueues strictly after all data), the direct-inbox
         // shutdown could overtake frames still inside the TCP stack —
         // wait for every sent frame to reach its destination inbox
         // first. Acks generated while draining keep both counters
         // moving; they settle together.
-        let quiesce_deadline = Instant::now() + QUIESCE_LIMIT;
-        loop {
-            let sent = net.messages();
-            if delivered.load(Ordering::SeqCst) >= sent && net.messages() == sent {
-                break;
-            }
-            if Instant::now() > quiesce_deadline {
-                break; // proceed; any real loss surfaces in the checks
-            }
-            std::thread::sleep(Duration::from_micros(200));
-        }
-        net.begin_shutdown(nnodes);
-
-        let mut replicas = Vec::new();
-        for (i, h) in proc_handles.into_iter().enumerate() {
-            match h.join() {
-                Ok(replica) => replicas.push(replica),
-                Err(payload) => {
-                    let message = payload
-                        .downcast_ref::<&str>()
-                        .map(|s| s.to_string())
-                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "non-string panic payload".into());
-                    return Err(LiveError::ProcPanicked { proc: ProcId(i as u32), message });
+        let outcome = self.cluster.run(start, net, inboxes, |net| {
+            let quiesce_deadline = Instant::now() + QUIESCE_LIMIT;
+            loop {
+                let sent = net.messages();
+                if delivered.load(Ordering::SeqCst) >= sent && net.messages() == sent {
+                    break;
                 }
+                if Instant::now() > quiesce_deadline {
+                    break; // proceed; any real loss surfaces in the checks
+                }
+                std::thread::sleep(Duration::from_micros(200));
             }
-        }
-        let mut managers: Vec<Manager> = manager_handles
-            .into_iter()
-            .map(|h| h.join().expect("manager threads do not panic"))
-            .collect();
-        let history = match recorder {
-            None => None,
-            Some(rec) => {
-                let builder = Arc::try_unwrap(rec)
-                    .expect("all recorder handles dropped")
-                    .into_inner()
-                    .expect("recorder healthy");
-                Some(builder.build().map_err(LiveError::Malformed)?)
-            }
-        };
-        let outcome = LiveOutcome::from_parts(
-            history,
-            walc.stats(),
-            net.messages(),
-            net.bytes(),
-            start.elapsed(),
-            replicas,
-            managers.remove(0),
-            cfg.mode,
-        );
+        });
+        // `net` — every sender into the link queues — went with the node
+        // threads; the runtime's drop joins the link threads.
         drop(rt);
-        Ok(outcome)
+        outcome
     }
 }
 
@@ -334,7 +232,7 @@ pub struct NodeOutcome {
 }
 
 /// Runs one node of a multi-process cluster to completion on the
-/// calling thread (plus the async I/O runtime and, on node 0, the
+/// calling thread (plus one thread per link and, on node 0, the
 /// coordinator).
 ///
 /// Node 0 is the coordinator: every process node reports a
@@ -349,8 +247,16 @@ pub fn run_cluster_node(
     let NodeOpts { node, cfg, base_port, timeout, durability_dir } = opts;
     let nnodes = cfg.nnodes();
     assert!(node < nnodes, "node {node} out of range for {nnodes} nodes");
+    // Declared first, so dropped last: by then the transport — every
+    // sender into a link queue — is gone, each writer drains its queue to
+    // its socket and exits, and the runtime's drop joins them. No frame
+    // (the coordinator's `Shutdown` broadcast above all) is left behind;
+    // a writer still redialling a dead peer gives up on the stop flag.
     let rt = Runtime::with_workers(2);
     let handle: Handle = rt.handle().clone();
+    // As in `NetSystem::run`: link threads on one CPU, the node off it.
+    let placement = Placement::begin();
+    placement.links();
 
     let (inbox_tx, inbox_rx) = unbounded::<Wire>();
     let (ev_tx, ev_rx) = unbounded::<Control>();
@@ -374,19 +280,18 @@ pub fn run_cluster_node(
     b.local(node, inbox_tx.clone());
     let transport = Arc::new(b.build());
     let net = Net::new(transport.clone());
+    placement.nodes();
     let walc = Arc::new(WalCounters::default());
 
     if node >= cfg.nprocs {
         // Manager shard: serve until the coordinator's Shutdown frame.
         let manager = run_manager_node(inbox_rx, net.clone(), cfg, node);
-        let out = NodeOutcome {
+        return NodeOutcome {
             replica: None,
             manager: Some(manager),
             messages: net.messages(),
             bytes: net.bytes(),
         };
-        drop(rt);
-        return out;
     }
 
     let opts = NodeConfig { proc: ProcId(node as u32), cfg: cfg.clone(), timeout, durability_dir };
@@ -422,15 +327,6 @@ pub fn run_cluster_node(
             transport.send_control(0, to, Control::Shutdown);
         }
         let _ = inbox_tx.send(Wire::Shutdown);
-        // The runtime is dropped on return, which abandons queued
-        // frames — hold the teardown until the writer tasks have
-        // drained the Shutdown broadcast to the sockets, or every
-        // other node waits forever for a frame that never left.
-        let drain_deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while !transport.outbound_quiesced(0) && std::time::Instant::now() < drain_deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        std::thread::sleep(SHUTDOWN_GRACE);
         match proc_handle.join() {
             Ok(r) => r,
             Err(payload) => std::panic::resume_unwind(payload),
@@ -442,12 +338,10 @@ pub fn run_cluster_node(
             done_transport.send_control(me, 0, Control::Done { proc: me as u32 });
         })
     };
-    let out = NodeOutcome {
+    NodeOutcome {
         replica: Some(replica),
         manager: None,
         messages: net.messages(),
         bytes: net.bytes(),
-    };
-    drop(rt);
-    out
+    }
 }

@@ -2,7 +2,8 @@
 //!
 //! The third executor of the reproduction, completing the ladder:
 //! deterministic simulation (`mc-sim`), real threads over channels
-//! (`mc-live`), and — here — real processes over an async TCP runtime.
+//! (`mc-live`), and — here — real processes over TCP, a blocking writer
+//! and a blocking reader thread per directed link.
 //! **The protocol state machines and the node mains are the same
 //! code**: `mc-net` plugs a [`TcpTransport`] into `mc-live`'s
 //! [`Transport`](mc_live::Transport) seam and feeds decoded frames into
@@ -38,6 +39,7 @@
 #![warn(missing_docs)]
 
 pub mod cluster;
+mod placement;
 pub mod transport;
 pub mod workload;
 

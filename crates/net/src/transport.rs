@@ -1,5 +1,7 @@
-//! The TCP transport: async writer/reader tasks beneath the
-//! transport-agnostic node mains of `mc-live`.
+//! The TCP transport: one writer and one reader thread per directed
+//! link beneath the transport-agnostic node mains of `mc-live` (written
+//! as `async fn`s over the `compat/tokio` shim, which runs each on a
+//! thread of its own with blocking socket calls).
 //!
 //! # Topology
 //!
@@ -40,7 +42,9 @@ use std::time::Duration;
 use bytes::{Bytes, BytesMut};
 use crossbeam::channel::Sender;
 use mc_live::{NodeId, Transport, Wire};
-use mc_proto::wire::{decode_frame, encode_control, encode_frame, next_frame, Control, Frame};
+use mc_proto::wire::{
+    decode_frame, encode_control, encode_frame, next_frame, oversized_prefix, Control, Frame,
+};
 use mc_proto::Msg;
 use tokio::net::{TcpListener, TcpStream};
 use tokio::runtime::Handle;
@@ -148,18 +152,6 @@ impl TcpTransport {
             Some(l) => l.push(|b| encode_control(b, &ctrl)),
             None => false,
         }
-    }
-
-    /// `true` once every outbound queue from `from` has been fully
-    /// drained by its writer task. Dropping the runtime before this
-    /// holds can discard queued frames — a coordinator that broadcasts
-    /// `Shutdown` and immediately tears down strands its peers waiting
-    /// for a frame that never reached a socket.
-    pub fn outbound_quiesced(&self, from: NodeId) -> bool {
-        (0..self.nnodes).all(|to| match self.link(from, to) {
-            Some(l) => l.tx.capacity() == l.tx.max_capacity(),
-            None => true,
-        })
     }
 }
 
@@ -320,6 +312,12 @@ async fn read_link(mut stream: TcpStream, inbound: Inbound) {
                     return;
                 }
             }
+        }
+        if oversized_prefix(&buf) {
+            // No encoder writes such a header; buffering toward it would
+            // let one hostile peer claim gigabytes.
+            eprintln!("mc-net: dropping connection on a frame header over MAX_FRAME");
+            return;
         }
     }
 }

@@ -42,6 +42,11 @@ use crate::msg::{BatchEntry, GrantInfo, Msg, UpdatePayload};
 /// Bytes of the frame length prefix.
 pub const FRAME_HEADER: usize = 4;
 
+/// Largest frame body any encoder writes ([`encode_frame`] asserts it).
+/// A length prefix above it is hostile or corrupt, and a reader drops
+/// the connection instead of buffering toward it ([`oversized_prefix`]).
+pub const MAX_FRAME: usize = 16 << 20;
+
 /// First tag value reserved for [`Control`] frames.
 pub const CONTROL_TAG_BASE: u8 = 200;
 
@@ -119,6 +124,12 @@ pub enum WireError {
     BadKind(u8),
     /// The body had bytes left over after the message (framing bug).
     TrailingBytes,
+    /// A `SessData` wrapped inside a `SessData`: the session layer never
+    /// nests, and unbounded nesting would be unbounded decoder recursion.
+    NestedSession,
+    /// Bytes that decode but that no encoder writes (non-zero padding, a
+    /// stray flag bit, a boolean other than 0 or 1): a corrupted frame.
+    NonCanonical,
 }
 
 impl std::fmt::Display for WireError {
@@ -128,6 +139,8 @@ impl std::fmt::Display for WireError {
             WireError::BadTag(t) => write!(f, "unknown message tag {t}"),
             WireError::BadKind(k) => write!(f, "unknown value kind {k}"),
             WireError::TrailingBytes => write!(f, "trailing bytes after message"),
+            WireError::NestedSession => write!(f, "session frame nested in a session frame"),
+            WireError::NonCanonical => write!(f, "non-canonical encoding"),
         }
     }
 }
@@ -488,7 +501,8 @@ fn encode_body(buf: &mut BytesMut, msg: &Msg) {
 /// can never drift from the physical frames.
 pub fn encode_frame(buf: &mut BytesMut, msg: &Msg) {
     let want = msg.wire_bytes();
-    buf.put_u32_le(u32::try_from(want).expect("frame fits u32 length"));
+    assert!(want <= MAX_FRAME as u64, "{} frame of {want} bytes exceeds MAX_FRAME", msg.kind());
+    buf.put_u32_le(want as u32);
     let before = buf.len();
     encode_body(buf, msg);
     debug_assert_eq!(
@@ -560,8 +574,21 @@ impl<'a> Cursor<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
     }
 
+    /// Consumes `n` bytes of padding, which every encoder writes as zeros.
     fn skip(&mut self, n: usize) -> Result<(), WireError> {
-        self.take(n).map(|_| ())
+        if self.take(n)?.iter().any(|&b| b != 0) {
+            return Err(WireError::NonCanonical);
+        }
+        Ok(())
+    }
+
+    /// A one-byte boolean: 0 or 1.
+    fn flag(&mut self) -> Result<bool, WireError> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(WireError::NonCanonical),
+        }
     }
 
     fn value_from(&mut self, kind: u8) -> Result<Value, WireError> {
@@ -569,7 +596,8 @@ impl<'a> Cursor<'a> {
         match kind {
             0 => Ok(Value::Int(operand as i64)),
             1 => Ok(Value::F64(f64::from_bits(operand))),
-            2 => Ok(Value::Bool(operand != 0)),
+            2 if operand <= 1 => Ok(Value::Bool(operand == 1)),
+            2 => Err(WireError::NonCanonical),
             k => Err(WireError::BadKind(k)),
         }
     }
@@ -641,10 +669,20 @@ impl<'a> Cursor<'a> {
     }
 }
 
-fn decode_body(cur: &mut Cursor<'_>) -> Result<Msg, WireError> {
+/// `nested` is set while decoding the message a `SessData` wraps.
+fn decode_body(cur: &mut Cursor<'_>, nested: bool) -> Result<Msg, WireError> {
     let tag = cur.u8()?;
     let flags = tag & 0xE0;
-    let msg = match if tag >= CONTROL_TAG_BASE { tag } else { tag & 0x1F } {
+    let variant = if tag >= CONTROL_TAG_BASE { tag } else { tag & 0x1F };
+    let known_flags = match variant {
+        TAG_UPDATE_BATCH => FLAG_A | FLAG_B,
+        TAG_SC_READ_RESP => FLAG_A,
+        _ => 0,
+    };
+    if tag < CONTROL_TAG_BASE && flags & !known_flags != 0 {
+        return Err(WireError::NonCanonical);
+    }
+    let msg = match variant {
         TAG_UPDATE => {
             let writer = WriteId { proc: ProcId(cur.u32()?), seq: cur.u32()? };
             let loc = Loc(cur.u32()?);
@@ -660,14 +698,17 @@ fn decode_body(cur: &mut Cursor<'_>) -> Result<Msg, WireError> {
             let nd = cur.u16()? as usize;
             cur.skip(1)?;
             let ack = if flags & FLAG_B != 0 { Some((cur.u64()?, cur.u64()?)) } else { None };
-            let delta = if flags & FLAG_A != 0 {
+            let delta = if flags & FLAG_A == 0 {
+                if nd != 0 {
+                    return Err(WireError::NonCanonical);
+                }
+                None
+            } else {
                 let mut d = Vec::with_capacity(nd);
                 for _ in 0..nd {
                     d.push((ProcId(cur.u32()?), cur.u32()?));
                 }
                 Some(d)
-            } else {
-                None
             };
             let entries = cur.entries(proc, ne)?;
             Msg::UpdateBatch { proc, first_seq, upto, entries: entries.into(), delta, ack }
@@ -684,7 +725,7 @@ fn decode_body(cur: &mut Cursor<'_>) -> Result<Msg, WireError> {
         TAG_LOCK_REQ => {
             let proc = ProcId(cur.u32()?);
             let lock = LockId(cur.u32()?);
-            let mode = if cur.u8()? != 0 { LockMode::Write } else { LockMode::Read };
+            let mode = if cur.flag()? { LockMode::Write } else { LockMode::Read };
             cur.skip(3)?;
             Msg::LockReq { proc, lock, mode }
         }
@@ -708,7 +749,7 @@ fn decode_body(cur: &mut Cursor<'_>) -> Result<Msg, WireError> {
         TAG_LOCK_REL => {
             let proc = ProcId(cur.u32()?);
             let lock = LockId(cur.u32()?);
-            let mode = if cur.u8()? != 0 { LockMode::Write } else { LockMode::Read };
+            let mode = if cur.flag()? { LockMode::Write } else { LockMode::Read };
             let own_count = cur.u32()?;
             let nk = cur.u8()? as usize;
             let nd = cur.u16()? as usize;
@@ -787,7 +828,10 @@ fn decode_body(cur: &mut Cursor<'_>) -> Result<Msg, WireError> {
             seq_bytes[..7].copy_from_slice(cur.take(7)?);
             let seq = u64::from_le_bytes(seq_bytes);
             let epoch = cur.u64()?;
-            let inner = decode_body(cur)?;
+            if nested {
+                return Err(WireError::NestedSession);
+            }
+            let inner = decode_body(cur, true)?;
             Msg::SessData { seq, epoch, inner: Box::new(inner) }
         }
         TAG_SESS_ACK => {
@@ -902,7 +946,7 @@ pub fn decode_frame(body: &[u8]) -> Result<Frame, WireError> {
             };
             Frame::Control(ctrl)
         }
-        _ => Frame::Msg(decode_body(&mut cur)?),
+        _ => Frame::Msg(decode_body(&mut cur, false)?),
     };
     if cur.pos != body.len() {
         return Err(WireError::TrailingBytes);
@@ -916,15 +960,25 @@ pub fn decode_frame(body: &[u8]) -> Result<Frame, WireError> {
 /// it shares the underlying allocation, which the buffer's `reserve`
 /// reclaims once all outstanding bodies are dropped.
 pub fn next_frame(buf: &mut BytesMut) -> Option<Bytes> {
-    if buf.len() < FRAME_HEADER {
-        return None;
-    }
-    let len = u32::from_le_bytes(buf[..FRAME_HEADER].try_into().expect("4 bytes")) as usize;
-    if buf.len() < FRAME_HEADER + len {
+    let len = prefix(buf)?;
+    if buf.len() - FRAME_HEADER < len {
         return None;
     }
     let frame = buf.split_to(FRAME_HEADER + len);
     Some(frame.slice(FRAME_HEADER..frame.len()))
+}
+
+/// The body length the buffered bytes open with, once all four are in.
+fn prefix(buf: &[u8]) -> Option<usize> {
+    let header = buf.get(..FRAME_HEADER)?;
+    Some(u32::from_le_bytes(header.try_into().expect("4 bytes")) as usize)
+}
+
+/// `true` if what [`next_frame`] is waiting on is a frame longer than
+/// [`MAX_FRAME`]: the connection is hostile or corrupt and must be
+/// dropped, not buffered.
+pub fn oversized_prefix(buf: &[u8]) -> bool {
+    prefix(buf).is_some_and(|len| len > MAX_FRAME)
 }
 
 #[cfg(test)]
@@ -1045,5 +1099,45 @@ mod tests {
         let mut body = next_frame(&mut buf).expect("frame").to_vec();
         body.push(0);
         assert!(matches!(decode_frame(&body), Err(WireError::TrailingBytes)));
+    }
+
+    /// Bytes that would decode to a message but that no encoder writes.
+    #[test]
+    fn non_canonical_encodings_are_rejected() {
+        let body_of = |msg: &Msg| {
+            let mut buf = BytesMut::with_capacity(64);
+            encode_frame(&mut buf, msg);
+            next_frame(&mut buf).expect("frame").to_vec()
+        };
+        let rejected = |body: &[u8]| decode_frame(body).err() == Some(WireError::NonCanonical);
+
+        let mut padded = body_of(&Msg::FlushAck);
+        *padded.last_mut().expect("padding") = 1;
+        assert!(rejected(&padded), "non-zero padding");
+
+        let mut flagged = body_of(&Msg::FlushAck);
+        flagged[0] |= FLAG_A;
+        assert!(rejected(&flagged), "a flag the variant does not define");
+
+        let lock_req = Msg::LockReq { proc: ProcId(1), lock: LockId(2), mode: LockMode::Write };
+        let mut moded = body_of(&lock_req);
+        moded[9] = 2;
+        assert!(rejected(&moded), "a lock mode other than 0 or 1");
+
+        let mut truthy =
+            body_of(&Msg::ScAwait { proc: ProcId(1), loc: Loc(2), value: Value::Bool(true) });
+        truthy[10] = 2;
+        assert!(rejected(&truthy), "a boolean operand other than 0 or 1");
+
+        let mut counted = body_of(&Msg::UpdateBatch {
+            proc: ProcId(1),
+            first_seq: 1,
+            upto: 1,
+            entries: Vec::new().into(),
+            delta: None,
+            ack: None,
+        });
+        counted[13] = 1;
+        assert!(rejected(&counted), "a delta count without the delta flag");
     }
 }

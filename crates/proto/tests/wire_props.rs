@@ -2,6 +2,13 @@
 //! the identity, and the encoded body length equals the modeled
 //! [`Msg::wire_bytes`] byte for byte. The pinned-size test in `msg.rs`
 //! keeps the *model* stable; this suite keeps the *codec* welded to it.
+//!
+//! And decoder robustness: whatever bytes arrive — arbitrary, or valid
+//! frames with a bit flipped or a length changed — the reader's pair
+//! `next_frame` + `decode_frame` never panics, never recurses past a
+//! session wrapper and its payload, never waits on a frame longer than
+//! `MAX_FRAME`, and accepts only canonical encodings (every `Ok`
+//! re-encodes to the bytes it came from).
 
 use std::sync::Arc;
 
@@ -9,7 +16,10 @@ use proptest::prelude::*;
 
 use bytes::BytesMut;
 use mc_model::{BarrierId, Loc, LockId, LockMode, ProcId, VClock, Value, WriteId};
-use mc_proto::wire::{decode_frame, encode_frame, next_frame, Frame, FRAME_HEADER};
+use mc_proto::wire::{
+    decode_frame, encode_control, encode_frame, next_frame, oversized_prefix, Control, Frame,
+    WireError, FRAME_HEADER, MAX_FRAME,
+};
 use mc_proto::{BatchEntry, GrantInfo, Msg, UpdatePayload};
 
 fn roundtrip(msg: &Msg) {
@@ -280,6 +290,196 @@ proptest! {
             seen,
         });
     }
+}
+
+/// One valid frame (prefix included) of every `Msg` variant and every
+/// control frame, with field values drawn from `seed`.
+fn sample_frames(seed: u32) -> Vec<Vec<u8>> {
+    let rng = &mut proptest::test_rng(seed);
+    let proc = ProcId(seed % 8);
+    let (writer, payload, value) =
+        (arb_writer().generate(rng), arb_payload().generate(rng), arb_value().generate(rng));
+    let (clock, triples) = (arb_vclock().generate(rng), arb_triples().generate(rng));
+    let entries = arb_entries(proc.0).generate(rng);
+    let (loc, lock, n) = (Loc(seed % 64), LockId(seed % 16), seed.wrapping_mul(2654435761));
+    let flush = Msg::Flush { from_proc: proc, upto: n };
+    let grant = GrantInfo {
+        knowledge: clock.clone(),
+        preds: vec![(proc, n)],
+        demand: vec![(loc, proc, n)],
+    };
+    let msgs = vec![
+        Msg::Update { writer, loc, payload: payload.clone(), deps: Some(clock.clone()) },
+        Msg::UpdateBatch {
+            proc,
+            first_seq: 1,
+            upto: n,
+            entries: entries.clone(),
+            delta: arb_delta().generate(rng),
+            ack: Some((u64::from(n), 7)),
+        },
+        flush.clone(),
+        Msg::FlushAck,
+        Msg::LockReq { proc, lock, mode: LockMode::Write },
+        Msg::LockGrant { lock, grant },
+        Msg::LockRel {
+            proc,
+            lock,
+            mode: LockMode::Read,
+            knowledge: clock.clone(),
+            own_count: n,
+            dirty: vec![(loc, n)],
+        },
+        Msg::BarrierArrive { proc, barrier: BarrierId(1), round: n, knowledge: clock.clone() },
+        Msg::BarrierRelease { barrier: BarrierId(1), round: n, knowledge: clock.clone() },
+        Msg::ScRead { proc, loc },
+        Msg::ScReadResp { value, writer: Some(writer) },
+        Msg::ScWrite { writer, loc, payload: payload.clone() },
+        Msg::ScWriteAck,
+        Msg::ScAwait { proc, loc, value },
+        Msg::ScAwaitResp { value, writers: vec![writer] },
+        Msg::SessData { seq: u64::from(n), epoch: 1 << 32, inner: Box::new(flush) },
+        Msg::SessAck { upto: u64::from(n), epoch: 1 << 32 },
+        Msg::RecoverReq { proc, incarnation: n, applied: clock.clone() },
+        Msg::RecoverResp {
+            proc,
+            first_seq: 1,
+            upto: n,
+            entries: entries.to_vec(),
+            deps: Some(clock),
+            seen: n,
+        },
+        Msg::ShardUpdate { writer, loc, payload, prev: n, deps: triples.clone() },
+        Msg::ShardUpdateBatch {
+            proc,
+            shard: 3,
+            prev: 1,
+            upto: n,
+            entries: entries.clone(),
+            deps: triples.clone(),
+        },
+        Msg::SubReq { proc, shard: 3 },
+        Msg::SubAck { shard: 3, subs: vec![proc] },
+        Msg::SubNotify { shard: 3, proc },
+        Msg::ShardRecoverReq { proc, incarnation: n, applied: triples.clone() },
+        Msg::ShardRecoverResp {
+            proc,
+            shard: 3,
+            prev: 1,
+            upto: n,
+            entries: entries.to_vec(),
+            deps: triples,
+            seen: n,
+        },
+    ];
+    assert_eq!(msgs.len(), 26, "one sample per Msg variant");
+    let mut frames: Vec<Vec<u8>> = msgs
+        .iter()
+        .map(|m| {
+            let mut buf = BytesMut::with_capacity(256);
+            encode_frame(&mut buf, m);
+            buf.to_vec()
+        })
+        .collect();
+    for ctrl in [Control::Hello { node: seed }, Control::Shutdown, Control::Done { proc: seed }] {
+        let mut buf = BytesMut::with_capacity(16);
+        encode_control(&mut buf, &ctrl);
+        frames.push(buf.to_vec());
+    }
+    frames
+}
+
+/// What `read_link` does with bytes off a socket, plus the properties:
+/// returns how many frames decoded.
+fn read_like_the_transport(bytes: &[u8]) -> usize {
+    let mut buf = BytesMut::with_capacity(bytes.len().max(1));
+    buf.put_slice(bytes);
+    let mut decoded = 0;
+    while let Some(body) = next_frame(&mut buf) {
+        prop_assert!(body.len() <= MAX_FRAME);
+        let Ok(frame) = decode_frame(&body) else { continue };
+        decoded += 1;
+        let mut again = BytesMut::with_capacity(body.len() + FRAME_HEADER);
+        match &frame {
+            Frame::Msg(msg) => {
+                if let Msg::SessData { inner, .. } = msg {
+                    prop_assert!(!matches!(**inner, Msg::SessData { .. }), "decoder depth over 2");
+                }
+                encode_frame(&mut again, msg);
+            }
+            Frame::Control(ctrl) => encode_control(&mut again, ctrl),
+        }
+        prop_assert_eq!(&again[FRAME_HEADER..], &body[..], "an accepted frame is canonical");
+    }
+    // What is left is at most one incomplete frame. Either the reader
+    // drops the connection over its header, or the wait is bounded.
+    prop_assert!(oversized_prefix(&buf) || buf.len() < FRAME_HEADER + MAX_FRAME);
+    decoded
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    #[test]
+    fn arbitrary_bytes_never_panic_the_reader(
+        bytes in proptest::collection::vec(any::<u8>(), 0..192),
+        len in 0u32..160,
+    ) {
+        read_like_the_transport(&bytes);
+        // The same noise behind a plausible header gets past `next_frame`.
+        let mut framed = len.to_le_bytes().to_vec();
+        framed.extend_from_slice(&bytes);
+        read_like_the_transport(&framed);
+    }
+
+    #[test]
+    fn mutated_frames_never_panic_the_reader(
+        seed in any::<u32>(),
+        pick in any::<usize>(),
+        (op, at, bit, len) in (0u32..4, any::<usize>(), 0u32..8, any::<u32>()),
+    ) {
+        let frames = sample_frames(seed);
+        let mut frame = frames[pick % frames.len()].clone();
+        prop_assert_eq!(read_like_the_transport(&frame), 1, "the sample itself is valid");
+        let at = at % frame.len();
+        match op {
+            0 => frame[at] ^= 1 << bit,
+            1 => frame.truncate(at),
+            2 => frame.extend_from_slice(&len.to_le_bytes()),
+            _ => frame[..FRAME_HEADER].copy_from_slice(&len.to_le_bytes()),
+        }
+        // Followed by an intact frame, as on a live connection.
+        frame.extend_from_slice(&frames[0]);
+        read_like_the_transport(&frame);
+    }
+}
+
+/// A frame of back-to-back session headers used to recurse once per
+/// header: a megabyte of them overflowed the reader's stack.
+#[test]
+fn nested_session_headers_are_an_error_not_a_stack_overflow() {
+    let inner = Msg::Flush { from_proc: ProcId(0), upto: 1 };
+    let mut one = BytesMut::with_capacity(64);
+    encode_frame(&mut one, &Msg::SessData { seq: 1, epoch: 0, inner: Box::new(inner) });
+    let header = one[FRAME_HEADER..FRAME_HEADER + 16].to_vec();
+    let mut body = Vec::new();
+    for _ in 0..(MAX_FRAME / 16) {
+        body.extend_from_slice(&header);
+    }
+    assert_eq!(decode_frame(&body).err(), Some(WireError::NestedSession));
+}
+
+/// One hostile header must not make a reader buffer toward 4 GiB.
+#[test]
+fn an_oversized_prefix_is_flagged_before_any_body_arrives() {
+    let mut buf = BytesMut::with_capacity(16);
+    buf.put_slice(&u32::MAX.to_le_bytes());
+    assert!(next_frame(&mut buf).is_none());
+    assert!(oversized_prefix(&buf));
+    let mut ok = BytesMut::with_capacity(16);
+    ok.put_slice(&(MAX_FRAME as u32).to_le_bytes());
+    assert!(!oversized_prefix(&ok), "MAX_FRAME itself is allowed");
+    assert!(!oversized_prefix(&[0xFF; 3]), "an incomplete header is not judged");
 }
 
 /// Every `Msg` variant must appear in exactly one roundtrip test above —
