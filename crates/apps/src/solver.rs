@@ -17,8 +17,8 @@
 
 use mc_model::History;
 use mixed_consistency::{
-    Loc, Metrics, Mode, ProcId, ReadLabel, RunError, SimTime, System, Value, VarArray, VarMatrix,
-    VarSpace,
+    Driver, Loc, MemCtx, Metrics, Mode, ProcId, ReadLabel, RunError, SimTime, System, Value,
+    VarArray, VarMatrix, VarSpace,
 };
 
 use crate::dense::{diff_inf, residual_inf, DenseMatrix};
@@ -84,7 +84,7 @@ pub struct SolverRun {
 
 /// Shared-variable layout common to the solver variants.
 #[derive(Clone, Copy, Debug)]
-struct Layout {
+pub struct Layout {
     a: VarMatrix,
     b: VarArray,
     x: VarArray,
@@ -95,17 +95,25 @@ struct Layout {
     updated: VarArray,
 }
 
-fn layout(n: usize, workers: usize) -> Layout {
-    let mut vars = VarSpace::new();
-    Layout {
-        a: vars.matrix(n, n),
-        b: vars.array(n),
-        x: vars.array(n),
-        temp: vars.array(n),
-        done: vars.scalar(),
-        init: vars.scalar(),
-        computed: vars.array(workers),
-        updated: vars.array(workers),
+impl Layout {
+    /// The layout for `n` unknowns and `workers` worker processes.
+    pub fn new(n: usize, workers: usize) -> Layout {
+        let mut vars = VarSpace::new();
+        Layout {
+            a: vars.matrix(n, n),
+            b: vars.array(n),
+            x: vars.array(n),
+            temp: vars.array(n),
+            done: vars.scalar(),
+            init: vars.scalar(),
+            computed: vars.array(workers),
+            updated: vars.array(workers),
+        }
+    }
+
+    /// Where the solution estimate `x[i]` lives.
+    pub fn x(&self, i: usize) -> Loc {
+        self.x.at(i)
     }
 }
 
@@ -118,7 +126,7 @@ fn row_range(n: usize, workers: usize, w: usize) -> std::ops::Range<usize> {
 }
 
 /// Writes the input system into shared memory (done by the coordinator).
-fn write_inputs(ctx: &mut mixed_consistency::Ctx<'_>, lay: &Layout, a: &DenseMatrix, b: &[f64]) {
+fn write_inputs(ctx: &mut MemCtx<impl Driver>, lay: &Layout, a: &DenseMatrix, b: &[f64]) {
     let n = a.n();
     for (i, &bi) in b.iter().enumerate().take(n) {
         for j in 0..n {
@@ -131,7 +139,7 @@ fn write_inputs(ctx: &mut mixed_consistency::Ctx<'_>, lay: &Layout, a: &DenseMat
 
 /// One worker Jacobi step over its rows: returns the new block values.
 fn jacobi_rows(
-    ctx: &mut mixed_consistency::Ctx<'_>,
+    ctx: &mut MemCtx<impl Driver>,
     lay: &Layout,
     label: ReadLabel,
     n: usize,
@@ -155,6 +163,72 @@ fn jacobi_rows(
     out
 }
 
+/// Figure 2's read label: the program is PRAM-consistent (Corollary 2).
+const BARRIER_LABEL: ReadLabel = ReadLabel::Pram;
+
+/// **Figure 2, coordinator** (process 0): publishes the inputs, then per
+/// iteration checks convergence in the compute phase and publishes the
+/// verdict in the install phase.
+pub fn barrier_coordinator(
+    ctx: &mut MemCtx<impl Driver>,
+    cfg: &SolverConfig,
+    lay: &Layout,
+    a: &DenseMatrix,
+    b: &[f64],
+) {
+    let (n, label) = (cfg.n, BARRIER_LABEL);
+    write_inputs(ctx, lay, a, b);
+    ctx.barrier(); // inputs visible (phase 0 ends)
+    let mut prev = vec![0.0f64; n];
+    let mut iter = 0usize;
+    loop {
+        // Compute phase (odd): check convergence of the estimate
+        // installed in the previous install phase.
+        let x: Vec<f64> = (0..n).map(|j| ctx.read(lay.x.at(j), label).expect_f64()).collect();
+        iter += 1;
+        let delta = diff_inf(&x, &prev);
+        prev = x;
+        let stop = (iter > 1 && delta < cfg.tol) || iter >= cfg.max_iters;
+        ctx.barrier();
+        // Install phase (even): publish the verdict. `done` is
+        // written exactly once per even phase and read only in the
+        // following odd phase — the PRAM-consistent discipline of
+        // Corollary 2.
+        ctx.write(lay.done, if stop { 1i64 } else { 0 });
+        ctx.barrier();
+        if stop {
+            break;
+        }
+    }
+}
+
+/// **Figure 2, worker** `w` (process `w + 1`): new estimates into `temp`
+/// in the compute phase, `temp` into `x` in the install phase.
+pub fn barrier_worker(ctx: &mut MemCtx<impl Driver>, cfg: &SolverConfig, lay: &Layout, w: usize) {
+    let (n, label) = (cfg.n, BARRIER_LABEL);
+    ctx.barrier(); // wait for inputs
+    let rows = row_range(n, cfg.workers, w);
+    loop {
+        // Compute phase (odd): new estimates into temp.
+        let vals = jacobi_rows(ctx, lay, label, n, rows.clone(), cfg.flop_ns);
+        for (off, v) in vals.iter().enumerate() {
+            ctx.write(lay.temp.at(rows.start + off), *v);
+        }
+        ctx.barrier();
+        // Install phase (even): move temp into x.
+        for i in rows.clone() {
+            let t = ctx.read(lay.temp.at(i), label);
+            ctx.write(lay.x.at(i), t);
+        }
+        ctx.barrier();
+        // Loop test (next odd phase): reads the previous even
+        // phase's done verdict.
+        if ctx.read(lay.done, label) == Value::Int(1) {
+            break;
+        }
+    }
+}
+
 /// **Figure 2**: the synchronous iterative solver with barriers, PRAM
 /// reads throughout (legal by Corollary 2).
 ///
@@ -166,78 +240,93 @@ pub fn run_barrier_solver(
     a: &DenseMatrix,
     b: &[f64],
 ) -> Result<SolverRun, RunError> {
-    let n = cfg.n;
-    assert!(cfg.workers >= 1, "need at least one worker");
-    assert_eq!(a.n(), n, "matrix size must match config");
-    let lay = layout(n, cfg.workers);
-    let label = ReadLabel::Pram;
-
-    let mut sys = System::new(cfg.workers + 1, cfg.mode).seed(cfg.seed).record(cfg.record);
-    if let Some(lat) = cfg.latency {
-        sys = sys.latency(lat);
-    }
-
-    // Coordinator (process 0).
+    let (mut sys, lay) = system(cfg, a);
     {
-        let cfg = cfg.clone();
-        let a = a.clone();
-        let b = b.to_vec();
-        sys.spawn(move |ctx| {
-            write_inputs(ctx, &lay, &a, &b);
-            ctx.barrier(); // inputs visible (phase 0 ends)
-            let mut prev = vec![0.0f64; n];
-            let mut iter = 0usize;
-            loop {
-                // Compute phase (odd): check convergence of the estimate
-                // installed in the previous install phase.
-                let x: Vec<f64> =
-                    (0..n).map(|j| ctx.read(lay.x.at(j), label).expect_f64()).collect();
-                iter += 1;
-                let delta = diff_inf(&x, &prev);
-                prev = x;
-                let stop = (iter > 1 && delta < cfg.tol) || iter >= cfg.max_iters;
-                ctx.barrier();
-                // Install phase (even): publish the verdict. `done` is
-                // written exactly once per even phase and read only in the
-                // following odd phase — the PRAM-consistent discipline of
-                // Corollary 2.
-                ctx.write(lay.done, if stop { 1i64 } else { 0 });
-                ctx.barrier();
-                if stop {
-                    break;
-                }
-            }
-        });
+        let (cfg, a, b) = (cfg.clone(), a.clone(), b.to_vec());
+        sys.spawn(move |ctx| barrier_coordinator(ctx, &cfg, &lay, &a, &b));
     }
-    // Workers.
     for w in 0..cfg.workers {
         let cfg = cfg.clone();
-        sys.spawn(move |ctx| {
-            ctx.barrier(); // wait for inputs
-            let rows = row_range(n, cfg.workers, w);
-            loop {
-                // Compute phase (odd): new estimates into temp.
-                let vals = jacobi_rows(ctx, &lay, label, n, rows.clone(), cfg.flop_ns);
-                for (off, v) in vals.iter().enumerate() {
-                    ctx.write(lay.temp.at(rows.start + off), *v);
-                }
-                ctx.barrier();
-                // Install phase (even): move temp into x.
-                for i in rows.clone() {
-                    let t = ctx.read(lay.temp.at(i), label);
-                    ctx.write(lay.x.at(i), t);
-                }
-                ctx.barrier();
-                // Loop test (next odd phase): reads the previous even
-                // phase's done verdict.
-                if ctx.read(lay.done, label) == Value::Int(1) {
-                    break;
-                }
-            }
-        });
+        sys.spawn(move |ctx| barrier_worker(ctx, &cfg, &lay, w));
     }
-
     finish(cfg, a, b, lay, sys)
+}
+
+/// **Figure 3, coordinator** (process 0): publishes the inputs, then per
+/// phase collects every worker's `computed` and `updated` flags through
+/// awaits and answers each with its negation.
+pub fn handshake_coordinator(
+    ctx: &mut MemCtx<impl Driver>,
+    cfg: &SolverConfig,
+    lay: &Layout,
+    a: &DenseMatrix,
+    b: &[f64],
+    label: ReadLabel,
+) {
+    let n = cfg.n;
+    write_inputs(ctx, lay, a, b);
+    ctx.write(lay.init, 1i64);
+    let mut prev = vec![0.0f64; n];
+    let mut phase: i64 = 0;
+    loop {
+        phase += 1;
+        for i in 0..cfg.workers {
+            ctx.await_eq(lay.computed.at(i), phase);
+        }
+        for i in 0..cfg.workers {
+            ctx.write(lay.computed.at(i), -phase);
+        }
+        for i in 0..cfg.workers {
+            ctx.await_eq(lay.updated.at(i), phase);
+        }
+        let x: Vec<f64> = (0..n).map(|j| ctx.read(lay.x.at(j), label).expect_f64()).collect();
+        let delta = diff_inf(&x, &prev);
+        prev = x;
+        let done = (phase > 1 && delta < cfg.tol) || phase as usize >= cfg.max_iters;
+        if done {
+            ctx.write(lay.done, 1i64);
+        }
+        for i in 0..cfg.workers {
+            ctx.write(lay.updated.at(i), -phase);
+        }
+        if done {
+            break;
+        }
+    }
+}
+
+/// **Figure 3, worker** `w` (process `w + 1`): the same two steps as
+/// Figure 2's worker, each closed by a flag write and an await of the
+/// coordinator's answer instead of a barrier.
+pub fn handshake_worker(
+    ctx: &mut MemCtx<impl Driver>,
+    cfg: &SolverConfig,
+    lay: &Layout,
+    w: usize,
+    label: ReadLabel,
+) {
+    let n = cfg.n;
+    ctx.await_eq(lay.init, 1i64);
+    let rows = row_range(n, cfg.workers, w);
+    let mut phase: i64 = 0;
+    loop {
+        if ctx.read(lay.done, label) == Value::Int(1) {
+            break;
+        }
+        phase += 1;
+        let vals = jacobi_rows(ctx, lay, label, n, rows.clone(), cfg.flop_ns);
+        for (off, v) in vals.iter().enumerate() {
+            ctx.write(lay.temp.at(rows.start + off), *v);
+        }
+        ctx.write(lay.computed.at(w), phase);
+        ctx.await_eq(lay.computed.at(w), -phase);
+        for i in rows.clone() {
+            let t = ctx.read(lay.temp.at(i), label);
+            ctx.write(lay.x.at(i), t);
+        }
+        ctx.write(lay.updated.at(w), phase);
+        ctx.await_eq(lay.updated.at(w), -phase);
+    }
 }
 
 /// **Figure 3**: the solver with coordinator handshaking through awaits —
@@ -253,82 +342,15 @@ pub fn run_handshake_solver(
     b: &[f64],
     label: ReadLabel,
 ) -> Result<SolverRun, RunError> {
-    let n = cfg.n;
-    assert!(cfg.workers >= 1, "need at least one worker");
-    assert_eq!(a.n(), n, "matrix size must match config");
-    let lay = layout(n, cfg.workers);
-
-    let mut sys = System::new(cfg.workers + 1, cfg.mode).seed(cfg.seed).record(cfg.record);
-    if let Some(lat) = cfg.latency {
-        sys = sys.latency(lat);
-    }
-
-    // Coordinator p0.
+    let (mut sys, lay) = system(cfg, a);
     {
-        let cfg = cfg.clone();
-        let a = a.clone();
-        let b = b.to_vec();
-        sys.spawn(move |ctx| {
-            write_inputs(ctx, &lay, &a, &b);
-            ctx.write(lay.init, 1i64);
-            let mut prev = vec![0.0f64; n];
-            let mut phase: i64 = 0;
-            loop {
-                phase += 1;
-                for i in 0..cfg.workers {
-                    ctx.await_eq(lay.computed.at(i), phase);
-                }
-                for i in 0..cfg.workers {
-                    ctx.write(lay.computed.at(i), -phase);
-                }
-                for i in 0..cfg.workers {
-                    ctx.await_eq(lay.updated.at(i), phase);
-                }
-                let x: Vec<f64> =
-                    (0..n).map(|j| ctx.read(lay.x.at(j), label).expect_f64()).collect();
-                let delta = diff_inf(&x, &prev);
-                prev = x;
-                let done = (phase > 1 && delta < cfg.tol) || phase as usize >= cfg.max_iters;
-                if done {
-                    ctx.write(lay.done, 1i64);
-                }
-                for i in 0..cfg.workers {
-                    ctx.write(lay.updated.at(i), -phase);
-                }
-                if done {
-                    break;
-                }
-            }
-        });
+        let (cfg, a, b) = (cfg.clone(), a.clone(), b.to_vec());
+        sys.spawn(move |ctx| handshake_coordinator(ctx, &cfg, &lay, &a, &b, label));
     }
-    // Workers.
     for w in 0..cfg.workers {
         let cfg = cfg.clone();
-        sys.spawn(move |ctx| {
-            ctx.await_eq(lay.init, 1i64);
-            let rows = row_range(n, cfg.workers, w);
-            let mut phase: i64 = 0;
-            loop {
-                if ctx.read(lay.done, label) == Value::Int(1) {
-                    break;
-                }
-                phase += 1;
-                let vals = jacobi_rows(ctx, &lay, label, n, rows.clone(), cfg.flop_ns);
-                for (off, v) in vals.iter().enumerate() {
-                    ctx.write(lay.temp.at(rows.start + off), *v);
-                }
-                ctx.write(lay.computed.at(w), phase);
-                ctx.await_eq(lay.computed.at(w), -phase);
-                for i in rows.clone() {
-                    let t = ctx.read(lay.temp.at(i), label);
-                    ctx.write(lay.x.at(i), t);
-                }
-                ctx.write(lay.updated.at(w), phase);
-                ctx.await_eq(lay.updated.at(w), -phase);
-            }
-        });
+        sys.spawn(move |ctx| handshake_worker(ctx, &cfg, &lay, w, label));
     }
-
     finish(cfg, a, b, lay, sys)
 }
 
@@ -347,16 +369,8 @@ pub fn run_async_relaxation(
     sweeps: usize,
 ) -> Result<SolverRun, RunError> {
     let n = cfg.n;
-    assert!(cfg.workers >= 1, "need at least one worker");
-    assert_eq!(a.n(), n, "matrix size must match config");
-    let lay = layout(n, cfg.workers);
     let label = ReadLabel::Pram;
-
-    let mut sys = System::new(cfg.workers + 1, cfg.mode).seed(cfg.seed).record(cfg.record);
-    if let Some(lat) = cfg.latency {
-        sys = sys.latency(lat);
-    }
-
+    let (mut sys, lay) = system(cfg, a);
     {
         let a = a.clone();
         let b = b.to_vec();
@@ -397,6 +411,18 @@ pub fn run_async_relaxation(
     run.iterations = sweeps;
     run.converged = run.residual < cfg.tol.max(1e-6);
     Ok(run)
+}
+
+/// The simulated system every variant runs on (a coordinator plus
+/// `cfg.workers` workers) and its variable layout.
+fn system(cfg: &SolverConfig, a: &DenseMatrix) -> (System, Layout) {
+    assert!(cfg.workers >= 1, "need at least one worker");
+    assert_eq!(a.n(), cfg.n, "matrix size must match config");
+    let mut sys = System::new(cfg.workers + 1, cfg.mode).seed(cfg.seed).record(cfg.record);
+    if let Some(lat) = cfg.latency {
+        sys = sys.latency(lat);
+    }
+    (sys, Layout::new(cfg.n, cfg.workers))
 }
 
 /// Runs the system, extracts the solution and packages the result.

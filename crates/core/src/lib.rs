@@ -47,9 +47,9 @@
 //!
 //! # Choosing read labels
 //!
-//! * [`Ctx::read_causal`] — observes everything causally before it
+//! * [`MemCtx::read_causal`] — observes everything causally before it
 //!   (program order ∪ reads-from ∪ synchronization order, transitively);
-//! * [`Ctx::read_pram`] — cheaper: observes per-writer FIFO order and
+//! * [`MemCtx::read_pram`] — cheaper: observes per-writer FIFO order and
 //!   *direct* synchronization predecessors only.
 //!
 //! Corollary 1 (entry-consistent programs + causal reads) and Corollary 2
@@ -67,7 +67,7 @@ mod vars;
 
 pub use progspec::{ProgSpec, SpecOp};
 pub use repro::Repro;
-pub use system::{Ctx, Outcome, RunError, System, VerifyError};
+pub use system::{Ctx, Outcome, RunError, SimDriver, System, VerifyError};
 pub use vars::{VarArray, VarMatrix, VarSpace};
 
 /// The formal model (histories, causality, checkers), re-exported.
@@ -78,8 +78,8 @@ pub use mc_model::{
     ModelAssignment, ModelSpec, OpKind, ProcId, ProcModel, ReadLabel, Value, WriteId,
 };
 pub use mc_proto::{
-    BatchPolicy, DsmConfig, DurabilityPolicy, LockPropagation, MemDisk, Mode, SessionConfig,
-    ShardConfig,
+    BatchPolicy, Driver, DsmConfig, DurabilityPolicy, LockPropagation, MemCtx, MemDisk, Mode,
+    SessionConfig, ShardConfig,
 };
 pub use mc_sim::{
     ActionId, Crash, DecisionTrace, DurabilityStats, FaultBudget, FaultPlan, FaultStats, Histogram,

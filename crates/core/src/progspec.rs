@@ -9,10 +9,10 @@
 
 use std::fmt::Write as _;
 
-use mc_proto::{LockPropagation, Mode};
+use mc_proto::{Driver, LockPropagation, MemCtx, Mode};
 
 use crate::explore::racing_config;
-use crate::system::{Ctx, System};
+use crate::system::System;
 use crate::{BarrierId, Loc, LockId, LockMode, ReadLabel};
 
 /// One operation of a [`ProgSpec`] process.
@@ -396,7 +396,9 @@ fn footprint(ops: &[SpecOp], nshards: usize) -> Vec<usize> {
     shards
 }
 
-fn run_ops(ctx: &mut Ctx<'_>, ops: &[SpecOp]) {
+/// Runs one process's operations against any executor's context — the
+/// one `SpecOp` interpreter.
+pub fn run_ops<D: Driver>(ctx: &mut MemCtx<D>, ops: &[SpecOp]) {
     for op in ops {
         match *op {
             SpecOp::Write { loc, value } => {

@@ -4,11 +4,8 @@
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
-use mc_model::{
-    BarrierId, History, HistoryBuilder, Loc, LockId, LockMode, MalformedHistory, OpKind, ProcId,
-    ReadLabel, Value, WriteId,
-};
-use mc_proto::{Dsm, DsmConfig, LockPropagation, Mode, Req, Resp};
+use mc_model::{BarrierId, History, HistoryBuilder, Loc, MalformedHistory, ProcId, Value};
+use mc_proto::{Driver, Dsm, DsmConfig, LockPropagation, MemCtx, Mode, Req, Resp};
 use mc_sim::{
     FaultPlan, Kernel, LatencyModel, Metrics, NodeId, ProcCtx, SimConfig, SimError, SimTime,
 };
@@ -447,7 +444,7 @@ impl System {
         for (i, f) in procs.into_iter().enumerate() {
             let recorder = recorder.clone();
             kernel.spawn(NodeId(i as u32), move |pctx| {
-                let mut ctx = Ctx { proc: ProcId(i as u32), inner: pctx, recorder };
+                let mut ctx = Ctx::new(SimDriver { proc: ProcId(i as u32), inner: pctx }, recorder);
                 f(&mut ctx);
             });
         }
@@ -466,149 +463,36 @@ impl System {
     }
 }
 
-/// The per-process handle: the memory and synchronization operations of
-/// the mixed-consistency model.
+/// The simulator's [`Driver`]: an operation is a kernel request, local
+/// work advances the process's virtual clock.
 #[derive(Debug)]
-pub struct Ctx<'a> {
+pub struct SimDriver<'a> {
     proc: ProcId,
     inner: &'a mut ProcCtx<Dsm>,
-    recorder: Option<Arc<Mutex<HistoryBuilder>>>,
 }
 
-impl Ctx<'_> {
-    /// This process's id.
-    pub fn proc(&self) -> ProcId {
+impl Driver for SimDriver<'_> {
+    fn proc(&self) -> ProcId {
         self.proc
     }
 
-    fn push(&mut self, kind: OpKind) {
-        if let Some(rec) = &self.recorder {
-            rec.lock().expect("recorder healthy").push(self.proc, kind);
-        }
+    fn op(&mut self, req: Req) -> Resp {
+        self.inner.request(req)
     }
 
-    /// Writes `value` to `loc` (non-blocking) and returns the write id.
-    pub fn write(&mut self, loc: Loc, value: impl Into<Value>) -> WriteId {
-        let value = value.into();
-        let Resp::Wrote { id } = self.inner.request(Req::Write { loc, value }) else {
-            unreachable!("write answered with non-write response")
-        };
-        self.push(OpKind::Write { loc, value, id });
-        id
-    }
-
-    /// Applies a commutative increment to the counter at `loc`
-    /// (Section 5.3's abstract objects). Integer deltas apply to integer
-    /// counters, float deltas to float cells (the Cholesky optimization).
-    pub fn add(&mut self, loc: Loc, delta: impl Into<Value>) -> WriteId {
-        let delta = delta.into();
-        let Resp::Wrote { id } = self.inner.request(Req::Update { loc, delta }) else {
-            unreachable!("update answered with non-write response")
-        };
-        self.push(OpKind::Update { loc, delta, id });
-        id
-    }
-
-    /// Reads `loc` with an explicit consistency label.
-    pub fn read(&mut self, loc: Loc, label: ReadLabel) -> Value {
-        let Resp::Value { value, writer } = self.inner.request(Req::Read { loc, label }) else {
-            unreachable!("read answered with non-value response")
-        };
-        let recorded_writer = Some(writer.unwrap_or(WriteId::initial(loc)));
-        self.push(OpKind::Read { loc, label, value, writer: recorded_writer });
-        value
-    }
-
-    /// Reads `loc` as a causal read (Definition 2).
-    pub fn read_causal(&mut self, loc: Loc) -> Value {
-        self.read(loc, ReadLabel::Causal)
-    }
-
-    /// Reads `loc` as a PRAM read (Definition 3).
-    pub fn read_pram(&mut self, loc: Loc) -> Value {
-        self.read(loc, ReadLabel::Pram)
-    }
-
-    /// Acquires a lock.
-    pub fn lock(&mut self, lock: LockId, mode: LockMode) {
-        let resp = self.inner.request(Req::Lock { lock, mode });
-        debug_assert_eq!(resp, Resp::Done);
-        self.push(OpKind::Lock { lock, mode });
-    }
-
-    /// Releases a lock.
-    pub fn unlock(&mut self, lock: LockId, mode: LockMode) {
-        let resp = self.inner.request(Req::Unlock { lock, mode });
-        debug_assert_eq!(resp, Resp::Done);
-        self.push(OpKind::Unlock { lock, mode });
-    }
-
-    /// Acquires `lock` in write mode (`wl`).
-    pub fn write_lock(&mut self, lock: LockId) {
-        self.lock(lock, LockMode::Write);
-    }
-
-    /// Releases `lock` from write mode (`wu`).
-    pub fn write_unlock(&mut self, lock: LockId) {
-        self.unlock(lock, LockMode::Write);
-    }
-
-    /// Acquires `lock` in read mode (`rl`).
-    pub fn read_lock(&mut self, lock: LockId) {
-        self.lock(lock, LockMode::Read);
-    }
-
-    /// Releases `lock` from read mode (`ru`).
-    pub fn read_unlock(&mut self, lock: LockId) {
-        self.unlock(lock, LockMode::Read);
-    }
-
-    /// Runs `f` inside a write critical section of `lock`.
-    pub fn with_write_lock<R>(&mut self, lock: LockId, f: impl FnOnce(&mut Self) -> R) -> R {
-        self.write_lock(lock);
-        let r = f(self);
-        self.write_unlock(lock);
-        r
-    }
-
-    /// Arrives at (and passes) the default barrier object.
-    pub fn barrier(&mut self) {
-        self.barrier_on(BarrierId(0));
-    }
-
-    /// Arrives at (and passes) a specific barrier object.
-    pub fn barrier_on(&mut self, barrier: BarrierId) {
-        let Resp::BarrierPassed { round } = self.inner.request(Req::Barrier { barrier }) else {
-            unreachable!("barrier answered with non-barrier response")
-        };
-        self.push(OpKind::Barrier { barrier, round: mc_model::BarrierRound(round) });
-    }
-
-    /// Blocks until `loc = value` (`await`, Section 3.1.3) and returns the
-    /// observed value.
-    pub fn await_eq(&mut self, loc: Loc, value: impl Into<Value>) -> Value {
-        let value = value.into();
-        let Resp::Awaited { value: observed, writers } =
-            self.inner.request(Req::Await { loc, value })
-        else {
-            unreachable!("await answered with non-await response")
-        };
-        let writers = if writers.is_empty() { vec![WriteId::initial(loc)] } else { writers };
-        self.push(OpKind::Await { loc, value: observed, writers });
-        observed
-    }
-
-    /// Charges `cost` of virtual compute time (models local work between
-    /// memory operations).
-    pub fn compute(&mut self, cost: SimTime) {
+    fn compute(&mut self, cost: SimTime) {
         self.inner.advance(cost);
     }
 }
 
+/// The per-process handle of a simulated run: [`MemCtx`]'s operations,
+/// driven through the kernel.
+pub type Ctx<'a> = MemCtx<SimDriver<'a>>;
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mc_model::check;
+    use mc_model::{check, LockId};
 
     #[test]
     fn quick_producer_consumer_records_history() {

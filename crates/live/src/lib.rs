@@ -44,6 +44,6 @@
 mod system;
 
 pub use system::{
-    run_manager_node, run_proc_node, ChannelTransport, Cluster, LiveCtx, LiveError, LiveOutcome,
-    LiveSystem, Net, NodeConfig, NodeId, Transport, WalCounters, Wire,
+    run_manager_node, run_proc_node, ChannelTransport, Cluster, LiveCtx, LiveDriver, LiveError,
+    LiveOutcome, LiveSystem, Net, NodeConfig, NodeId, Transport, WalCounters, Wire,
 };

@@ -9,13 +9,11 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 
-use mc_model::{
-    BarrierId, BarrierRound, History, HistoryBuilder, Loc, LockId, LockMode, MalformedHistory,
-    OpKind, ProcId, ReadLabel, VClock, Value, WriteId,
-};
+use mc_model::{BarrierId, History, HistoryBuilder, Loc, MalformedHistory, ProcId, VClock, Value};
 use mc_proto::{
-    decode_wal, BatchPolicy, DsmConfig, DurabilityPolicy, FileDisk, LockPropagation, Manager,
-    ManagerNode, Mode, Msg, NodeIo, ProcNode, Replica, Req, Resp, ShardConfig, WalTail,
+    decode_wal, BatchPolicy, Driver, DsmConfig, DurabilityPolicy, FileDisk, LockPropagation,
+    Manager, ManagerNode, MemCtx, Mode, Msg, NodeIo, ProcNode, Replica, Req, Resp, ShardConfig,
+    WalTail,
 };
 use mc_sim::{DurabilityStats, Poll, SimTime, TraceEvent, Tracer};
 
@@ -693,7 +691,7 @@ impl LiveSystem {
 
 /// The live [`NodeIo`]: sends go to the shared [`Net`], the log is a real
 /// file. Timers are served by polling instead — the node mains sweep
-/// retransmissions every [`RETX_TICK`] and [`LiveCtx`] checks the batch
+/// retransmissions every [`RETX_TICK`] and [`LiveDriver`] checks the batch
 /// window's age on its own clock — so arming one is a no-op here.
 struct LiveIo {
     me: NodeId,
@@ -848,17 +846,19 @@ pub fn run_proc_node(
     // disk never made durable; responses arrive during (or after) the
     // program and unblock its read gates.
     let (node, io) = open_node(proc, Arc::new(cfg), durability_dir.as_deref(), &walc, net);
-    let mut ctx = LiveCtx { node, io, inbox: rx, recorder, timeout, buffered_since: None };
+    let driver = LiveDriver { node, io, inbox: rx, timeout, buffered_since: None };
+    let mut ctx = LiveCtx::new(driver, recorder);
     // The done signal must fire even on panic (op timeouts panic by
     // design): the coordinator waits for exactly one signal per process,
     // with no wall-clock limit of its own — long-running programs are
     // fine.
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&mut ctx)));
+    let mut driver = ctx.into_driver();
     // Push out any still-buffered writes before signalling done: the
     // coordinator broadcasts shutdown once every done signal is in, and
     // sends racing that broadcast may land after a peer's ingest loop
     // has exited.
-    ctx.node.flush_updates(&mut ctx.io);
+    driver.flush();
     done();
     if let Err(payload) = result {
         std::panic::resume_unwind(payload);
@@ -867,18 +867,18 @@ pub fn run_proc_node(
     // nodes' sends never hit a closed channel. With the session layer
     // on, keep retransmitting too: a peer may still be blocked on a
     // payload the network ate.
-    let reliable = ctx.node.cfg().reliable;
+    let reliable = driver.node.cfg().reliable;
     loop {
-        match next_wire(&ctx.inbox, reliable) {
-            Inbox::Wire(Wire::Proto { from, msg }) => ctx.receive(from, msg),
-            Inbox::Tick => ctx.node.retransmit(&mut ctx.io),
+        match next_wire(&driver.inbox, reliable) {
+            Inbox::Wire(Wire::Proto { from, msg }) => driver.receive(from, msg),
+            Inbox::Tick => driver.node.retransmit(&mut driver.io),
             Inbox::Wire(Wire::Shutdown) | Inbox::Closed => break,
         }
     }
     // Final fsync: a clean shutdown leaves no staged records behind
     // (only a kill can lose appended work).
-    ctx.io.wal_sync();
-    ctx.node.into_replica()
+    driver.io.wal_sync();
+    driver.node.into_replica()
 }
 
 /// One manager shard: feed every arriving message to the shared
@@ -898,39 +898,23 @@ pub fn run_manager_node(rx: Receiver<Wire>, net: Net, cfg: DsmConfig, node: Node
     }
 }
 
-/// The per-process handle of the live executor: the same operation
-/// vocabulary as the simulator-backed `Ctx`, driving the same
-/// [`ProcNode`] state machine — each operation is `start(Req)`, then
-/// receive-and-`poll` until it completes.
-pub struct LiveCtx {
+/// The per-process handle of the live executor: [`MemCtx`]'s operations,
+/// driven against this thread's own [`ProcNode`].
+pub type LiveCtx = MemCtx<LiveDriver>;
+
+/// The live [`Driver`]: one [`ProcNode`] plus an inbox. Each operation
+/// is `start(Req)`, then receive-and-`poll` until it completes.
+pub struct LiveDriver {
     node: ProcNode,
     io: LiveIo,
     inbox: Receiver<Wire>,
-    recorder: Option<Arc<Mutex<HistoryBuilder>>>,
     timeout: Duration,
     /// When the out-batches last became non-empty (the wall-clock flush
     /// window starts here).
     buffered_since: Option<Instant>,
 }
 
-impl fmt::Debug for LiveCtx {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("LiveCtx").field("proc", &self.proc()).finish()
-    }
-}
-
-impl LiveCtx {
-    /// This process's id.
-    pub fn proc(&self) -> ProcId {
-        self.node.proc()
-    }
-
-    fn push(&mut self, kind: OpKind) {
-        if let Some(rec) = &self.recorder {
-            rec.lock().expect("recorder healthy").push(self.node.proc(), kind);
-        }
-    }
-
+impl LiveDriver {
     /// Feeds one arriving wire message to the node, then compacts the
     /// log if its wall-clock cadence came due.
     fn receive(&mut self, from: NodeId, msg: Msg) {
@@ -1023,10 +1007,16 @@ impl LiveCtx {
             }
         }
     }
+}
+
+impl Driver for LiveDriver {
+    fn proc(&self) -> ProcId {
+        self.node.proc()
+    }
 
     /// Runs one operation to completion: submit it, then receive and
     /// re-poll until the node answers.
-    fn run(&mut self, req: Req) -> Resp {
+    fn op(&mut self, req: Req) -> Resp {
         self.drain();
         let mut poll = self.node.start(req, &mut self.io);
         let resp = loop {
@@ -1045,122 +1035,5 @@ impl LiveCtx {
             None
         };
         resp
-    }
-
-    fn run_write(&mut self, req: Req) -> WriteId {
-        match self.run(req) {
-            Resp::Wrote { id } => id,
-            other => unreachable!("write answered with {other:?}"),
-        }
-    }
-
-    /// Writes `value` to `loc` and returns the write identity.
-    pub fn write(&mut self, loc: Loc, value: impl Into<Value>) -> WriteId {
-        let value = value.into();
-        let id = self.run_write(Req::Write { loc, value });
-        self.push(OpKind::Write { loc, value, id });
-        id
-    }
-
-    /// Applies a commutative increment (counter objects).
-    pub fn add(&mut self, loc: Loc, delta: impl Into<Value>) -> WriteId {
-        let delta = delta.into();
-        let id = self.run_write(Req::Update { loc, delta });
-        self.push(OpKind::Update { loc, delta, id });
-        id
-    }
-
-    /// Reads `loc` with an explicit label.
-    pub fn read(&mut self, loc: Loc, label: ReadLabel) -> Value {
-        match self.run(Req::Read { loc, label }) {
-            Resp::Value { value, writer } => {
-                let writer = Some(writer.unwrap_or(WriteId::initial(loc)));
-                self.push(OpKind::Read { loc, label, value, writer });
-                value
-            }
-            other => unreachable!("read answered with {other:?}"),
-        }
-    }
-
-    /// A causal read (Definition 2).
-    pub fn read_causal(&mut self, loc: Loc) -> Value {
-        self.read(loc, ReadLabel::Causal)
-    }
-
-    /// A PRAM read (Definition 3).
-    pub fn read_pram(&mut self, loc: Loc) -> Value {
-        self.read(loc, ReadLabel::Pram)
-    }
-
-    /// Acquires a lock.
-    pub fn lock(&mut self, lock: LockId, mode: LockMode) {
-        self.run(Req::Lock { lock, mode });
-        self.push(OpKind::Lock { lock, mode });
-    }
-
-    /// Releases a lock.
-    pub fn unlock(&mut self, lock: LockId, mode: LockMode) {
-        // Record before the release message leaves: the next holder's
-        // grant (and its own record) is causally after this push, keeping
-        // the recorder's epoch order valid.
-        self.push(OpKind::Unlock { lock, mode });
-        self.run(Req::Unlock { lock, mode });
-    }
-
-    /// Write-locks (`wl`).
-    pub fn write_lock(&mut self, lock: LockId) {
-        self.lock(lock, LockMode::Write);
-    }
-
-    /// Write-unlocks (`wu`).
-    pub fn write_unlock(&mut self, lock: LockId) {
-        self.unlock(lock, LockMode::Write);
-    }
-
-    /// Read-locks (`rl`).
-    pub fn read_lock(&mut self, lock: LockId) {
-        self.lock(lock, LockMode::Read);
-    }
-
-    /// Read-unlocks (`ru`).
-    pub fn read_unlock(&mut self, lock: LockId) {
-        self.unlock(lock, LockMode::Read);
-    }
-
-    /// Runs `f` under a write lock.
-    pub fn with_write_lock<R>(&mut self, lock: LockId, f: impl FnOnce(&mut Self) -> R) -> R {
-        self.write_lock(lock);
-        let r = f(self);
-        self.write_unlock(lock);
-        r
-    }
-
-    /// Arrives at (and passes) the default barrier.
-    pub fn barrier(&mut self) {
-        self.barrier_on(BarrierId(0));
-    }
-
-    /// Arrives at (and passes) a barrier object.
-    pub fn barrier_on(&mut self, barrier: BarrierId) {
-        match self.run(Req::Barrier { barrier }) {
-            Resp::BarrierPassed { round } => {
-                self.push(OpKind::Barrier { barrier, round: BarrierRound(round) });
-            }
-            other => unreachable!("barrier answered with {other:?}"),
-        }
-    }
-
-    /// Blocks until `loc = value` (`await`).
-    pub fn await_eq(&mut self, loc: Loc, value: impl Into<Value>) -> Value {
-        match self.run(Req::Await { loc, value: value.into() }) {
-            Resp::Awaited { value, mut writers } => {
-                if writers.is_empty() {
-                    writers.push(WriteId::initial(loc));
-                }
-                self.push(OpKind::Await { loc, value, writers });
-                value
-            }
-            other => unreachable!("await answered with {other:?}"),
-        }
     }
 }

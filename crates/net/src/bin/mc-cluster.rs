@@ -16,17 +16,17 @@
 //! Workloads come either from `--workload ring:N|storm:N` or from
 //! `--spec FILE` — a `ProgSpec` text file (the same format `mc-check
 //! --replay` consumes), whose per-process operation lists are run
-//! against the live context. Exit code 0 means every node ran to
+//! through the one `SpecOp` interpreter. Exit code 0 means every node ran to
 //! completion and shut down cleanly.
 
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
 use std::time::Duration;
 
-use mc_live::LiveCtx;
 use mc_net::{run_cluster_node, NodeOpts, Workload};
 use mc_proto::{DsmConfig, DurabilityPolicy, Mode};
-use mixed_consistency::{ProgSpec, SpecOp};
+use mixed_consistency::progspec::run_ops;
+use mixed_consistency::ProgSpec;
 
 /// Everything both parent and children need to agree on, parsed from
 /// the shared command line.
@@ -125,30 +125,6 @@ fn load_spec(o: &Opts) -> Option<ProgSpec> {
     Some(spec)
 }
 
-/// Runs one `ProgSpec` process against the live context (the live twin
-/// of the exploration runner's op dispatch).
-fn run_spec_ops(ctx: &mut LiveCtx, ops: &[SpecOp]) {
-    for op in ops {
-        match *op {
-            SpecOp::Write { loc, value } => {
-                ctx.write(loc, value);
-            }
-            SpecOp::Add { loc, delta } => {
-                ctx.add(loc, delta);
-            }
-            SpecOp::Read { loc, label } => {
-                let _ = ctx.read(loc, label);
-            }
-            SpecOp::Lock { lock, mode } => ctx.lock(lock, mode),
-            SpecOp::Unlock { lock, mode } => ctx.unlock(lock, mode),
-            SpecOp::Barrier { barrier } => ctx.barrier_on(barrier),
-            SpecOp::Await { loc, value } => {
-                ctx.await_eq(loc, value);
-            }
-        }
-    }
-}
-
 fn child(o: &Opts) -> ! {
     let node = o.node.expect("child needs --node");
     let spec = load_spec(o);
@@ -164,9 +140,9 @@ fn child(o: &Opts) -> ! {
     let workload = o.workload;
     let out = run_cluster_node(opts, move |ctx| {
         if let Some(spec) = spec {
-            run_spec_ops(ctx, &spec.procs[node]);
+            run_ops(ctx, &spec.procs[node]);
         } else if let Some(w) = workload {
-            (w.body(node as u32, nprocs))(ctx);
+            w.run(ctx, node as u32, nprocs);
         }
     });
     println!("node {node} done: messages={} bytes={}", out.messages, out.bytes);

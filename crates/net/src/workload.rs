@@ -6,8 +6,8 @@
 //! finished, so anything a body did not wait for is not guaranteed to
 //! have arrived anywhere.
 
-use mc_live::LiveCtx;
 use mc_model::{Loc, Value};
+use mc_proto::{Driver, MemCtx};
 
 /// A named per-process program over `nprocs` processes.
 #[derive(Clone, Copy, Debug)]
@@ -44,9 +44,9 @@ impl Workload {
         }
     }
 
-    /// The body process `p` of `nprocs` runs.
-    pub fn body(self, p: u32, nprocs: usize) -> impl FnOnce(&mut LiveCtx) + Send + 'static {
-        move |ctx: &mut LiveCtx| match self {
+    /// Runs the body of process `p` of `nprocs` on any executor's context.
+    pub fn run<D: Driver>(self, ctx: &mut MemCtx<D>, p: u32, nprocs: usize) {
+        match self {
             Workload::Ring { writes } => {
                 for i in 1..=writes {
                     ctx.write(Loc(p), i as i64);

@@ -29,6 +29,7 @@
 #![warn(missing_docs)]
 
 pub mod config;
+pub mod ctx;
 pub mod dsm;
 pub mod durability;
 pub mod manager;
@@ -39,6 +40,7 @@ pub mod session;
 pub mod wire;
 
 pub use config::{BatchPolicy, DsmConfig, LockPropagation, Mode, ShardConfig};
+pub use ctx::{Driver, MemCtx};
 pub use dsm::Dsm;
 pub use durability::{
     crc32, decode_wal, DurabilityPolicy, FileDisk, MemDisk, Snapshot, SnapshotError, WalRecord,

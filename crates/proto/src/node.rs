@@ -79,7 +79,7 @@ pub trait NodeIo {
 const FLUSH_TOKEN_BIT: u64 = 1 << 63;
 
 /// A memory or synchronization operation submitted by a process.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Req {
     /// Labeled read (labels are ignored in the pure modes: PRAM memory
     /// reads PRAM, causal memory reads causal, SC reads at the server).
