@@ -20,12 +20,28 @@
 //!    (giving `↦i`) and likewise restrict `|.` to `|.i`;
 //! 3. transitively close `→ ∪ ↦i ∪ |.i` and project onto all operations
 //!    except reads of other processes.
+//!
+//! # Representation
+//!
+//! No relation here is a matrix. A [`Relation`] is its generating edges
+//! turned into per-operation *stamps* in one topological pass — the
+//! vector timestamps Section 6 names as the cheap form of `;`. The member
+//! operations are split into chains, sequences in which each operation
+//! reaches the next, and every operation records per chain the last
+//! chain element that reaches it, so `a ; b` is one array lookup. Chains
+//! are assigned greedily: an operation extends a chain of its own process
+//! whose tail reaches it, or starts a new one. Every lattice point that
+//! keeps other processes' program order (PRAM, causal, processor, mixed)
+//! gets one chain per process; slow memory and weak ordering, which drop
+//! part of it, get more. The same code builds all of them.
 
+use std::collections::HashMap;
 use std::fmt;
+use std::sync::OnceLock;
 
-use crate::graph::{BitMatrix, CycleError, Digraph};
+use crate::graph::{CycleError, Digraph};
 use crate::history::History;
-use crate::ids::{OpId, ProcId};
+use crate::ids::{Loc, OpId, ProcId};
 use crate::op::{Edge, OpKind};
 
 /// The causality structure of a history: the full relation `;`, the
@@ -47,10 +63,13 @@ use crate::op::{Edge, OpKind};
 #[derive(Debug)]
 pub struct Causality<'h> {
     h: &'h History,
-    /// Strict transitive closure of `;`.
-    closure: BitMatrix,
-    /// Strict transitive closure of program order alone.
-    po_closure: BitMatrix,
+    /// A topological order of `;`'s generating graph. Every relation
+    /// built here is a subgraph of it, so this one order serves them all.
+    topo: Vec<u32>,
+    /// `;` itself, every operation a member, and program order alone —
+    /// built on first query: the checkers only need the edges.
+    full: OnceLock<Relation>,
+    po: OnceLock<Relation>,
     /// Full synchronization-order generating edges, per type.
     lock_edges: Vec<Edge>,
     bar_edges: Vec<Edge>,
@@ -87,15 +106,76 @@ impl From<CycleError> for CausalityError {
     }
 }
 
+/// The chain of a non-member.
+const NO_CHAIN: u32 = u32::MAX;
+
 /// A restricted, transitively closed relation over a subset of a history's
-/// operations — the concrete form of `;i,C` and `;i,P`.
+/// operations — the concrete form of `;i,C` and `;i,P` — stored as a
+/// chain decomposition of its members plus one stamp per operation and
+/// chain (see the module docs).
 #[derive(Debug)]
 pub struct Relation {
     members: Vec<bool>,
-    closure: BitMatrix,
+    /// Per operation: its chain and 1-based position in it (`NO_CHAIN`
+    /// for non-members).
+    at: Vec<(u32, u32)>,
+    /// The members, chain by chain, in chain order.
+    chains: Vec<Vec<OpId>>,
+    /// `stamps[c][x]`: the 1-based position of the last operation of
+    /// chain `c` that reaches or is `x`; 0 if none does.
+    stamps: Vec<Vec<u32>>,
 }
 
 impl Relation {
+    /// Closes `edges` over `h`'s operations, visiting them in `topo` (a
+    /// topological order of a graph containing `edges`). Non-members get
+    /// stamps too, so paths through them count, but join no chain.
+    fn build(
+        h: &History,
+        topo: &[u32],
+        members: Vec<bool>,
+        edges: impl Iterator<Item = Edge> + Clone,
+    ) -> Relation {
+        let n = h.len();
+        let preds = Adjacency::new(n, edges.map(|(a, b)| (b, a)));
+        let mut rel = Relation {
+            members,
+            at: vec![(NO_CHAIN, 0); n],
+            chains: Vec::new(),
+            stamps: Vec::new(),
+        };
+        let mut own: Vec<Vec<usize>> = vec![Vec::new(); h.nprocs()];
+        for &x in topo {
+            let x = x as usize;
+            for &y in preds.of(x) {
+                for col in &mut rel.stamps {
+                    col[x] = col[x].max(col[y.index()]);
+                }
+            }
+            if !rel.members[x] {
+                continue;
+            }
+            // A chain's tail reaches x iff x's stamp there is its length.
+            let mine = &mut own[h.ops()[x].proc.index()];
+            let found = mine
+                .iter()
+                .rev()
+                .copied()
+                .find(|&c| rel.stamps[c][x] as usize == rel.chains[c].len());
+            let c = found.unwrap_or_else(|| {
+                rel.chains.push(Vec::new());
+                rel.stamps.push(vec![0; n]);
+                mine.push(rel.chains.len() - 1);
+                rel.chains.len() - 1
+            });
+            rel.chains[c].push(OpId(x as u32));
+            let pos = rel.chains[c].len() as u32;
+            rel.at[x] = (c as u32, pos);
+            rel.stamps[c][x] = pos;
+        }
+        rel
+    }
+
     /// Returns `true` if `op` belongs to the restricted operation set.
     pub fn contains(&self, op: OpId) -> bool {
         self.members[op.index()]
@@ -106,13 +186,83 @@ impl Relation {
     /// Both operations must be members; pairs involving non-members are
     /// never related.
     pub fn precedes(&self, a: OpId, b: OpId) -> bool {
-        self.contains(a) && self.contains(b) && self.closure.get(a.index(), b.index())
+        a != b && self.contains(a) && self.contains(b) && self.reaches(a, b)
     }
 
     /// Iterates over the member operations.
     pub fn members(&self) -> impl Iterator<Item = OpId> + '_ {
         self.members.iter().enumerate().filter(|(_, &m)| m).map(|(i, _)| OpId(i as u32))
     }
+
+    /// The number of chains the members were split into.
+    pub fn chain_count(&self) -> usize {
+        self.chains.len()
+    }
+
+    /// The members, chain by chain, each chain in order.
+    pub(crate) fn chains(&self) -> &[Vec<OpId>] {
+        &self.chains
+    }
+
+    /// `true` if the member `a` is `b` or reaches it.
+    pub(crate) fn reaches(&self, a: OpId, b: OpId) -> bool {
+        let (c, pos) = self.at[a.index()];
+        self.stamps[c as usize][b.index()] >= pos
+    }
+
+    /// The 1-based position of the last operation of chain `c` that
+    /// reaches or is `x` (0 if none): the ops of chain `c` preceding `x`
+    /// are exactly its first `stamp(c, x)`, less `x` itself.
+    pub(crate) fn stamp(&self, c: usize, x: OpId) -> u32 {
+        self.stamps[c][x.index()]
+    }
+}
+
+/// Adjacency lists in one flat array: the successors of `x` are
+/// `list[start[x]..start[x + 1]]`.
+#[derive(Debug)]
+struct Adjacency {
+    start: Vec<u32>,
+    list: Vec<OpId>,
+}
+
+impl Adjacency {
+    /// Lists, for every operation `a`, the `b` of each pair `(a, b)`.
+    fn new(n: usize, pairs: impl Iterator<Item = Edge> + Clone) -> Self {
+        let mut start = vec![0u32; n + 1];
+        for (a, _) in pairs.clone() {
+            start[a.index() + 1] += 1;
+        }
+        for i in 0..n {
+            start[i + 1] += start[i];
+        }
+        let mut next = start.clone();
+        let mut list = vec![OpId(0); start[n] as usize];
+        for (a, b) in pairs {
+            list[next[a.index()] as usize] = b;
+            next[a.index()] += 1;
+        }
+        Adjacency { start, list }
+    }
+
+    fn of(&self, x: usize) -> &[OpId] {
+        &self.list[self.start[x] as usize..self.start[x + 1] as usize]
+    }
+}
+
+/// The generating edges of `;`.
+fn generating<'a>(
+    h: &'a History,
+    sync: [&'a [Edge]; 3],
+    rf: &'a [Edge],
+) -> impl Iterator<Item = Edge> + Clone + 'a {
+    h.po_edges().iter().chain(sync[0]).chain(sync[1]).chain(sync[2]).chain(rf).copied()
+}
+
+fn sorted(mut edges: Vec<Edge>) -> Vec<Edge> {
+    edges.sort_unstable();
+    edges.dedup();
+    edges
 }
 
 impl<'h> Causality<'h> {
@@ -122,32 +272,14 @@ impl<'h> Causality<'h> {
     ///
     /// Returns [`CausalityError::Cyclic`] if `;` has a directed cycle.
     pub fn new(h: &'h History) -> Result<Self, CausalityError> {
-        let n = h.len();
-
-        // Program-order closure (needed for barrier next/prev queries).
-        let mut po_graph = Digraph::new(n);
-        for &(a, b) in h.po_edges() {
-            po_graph.add_edge(a.index(), b.index());
-        }
-        let po_closure = po_graph.transitive_closure()?;
-
         let lock_edges = Self::build_lock_edges(h);
-        let bar_edges = Self::build_bar_edges(h, &po_closure);
+        let bar_edges = Self::build_bar_edges(h);
         let await_edges = Self::build_await_edges(h);
-
-        let reduce = |edges: &[Edge]| -> Result<Vec<Edge>, CycleError> {
-            let mut g = Digraph::new(n);
-            for &(a, b) in edges {
-                g.add_edge(a.index(), b.index());
-            }
-            Ok(g.transitive_reduction()?
-                .edges()
-                .map(|(a, b)| (OpId(a as u32), OpId(b as u32)))
-                .collect())
-        };
-        let reduced_lock = reduce(&lock_edges)?;
-        let reduced_bar = reduce(&bar_edges)?;
-        let reduced_await = reduce(&await_edges)?;
+        let reduced_lock = Self::reduce_lock(h);
+        let reduced_bar = Self::reduce_bar(h, &bar_edges)?;
+        // ↦await only runs from writes to awaits: no path is longer
+        // than one edge, so the reduction drops duplicates only.
+        let reduced_await = sorted(await_edges.clone());
 
         // Reads-from edges: recorded/resolved writers of reads, plus await
         // sources (the latter belong to ↦await, not |., and are already in
@@ -164,24 +296,18 @@ impl<'h> Causality<'h> {
             }
         }
 
-        // Full causality closure.
-        let mut g = Digraph::new(n);
-        for &(a, b) in h
-            .po_edges()
-            .iter()
-            .chain(&lock_edges)
-            .chain(&bar_edges)
-            .chain(&await_edges)
-            .chain(&rf_edges)
-        {
+        let sync = [&lock_edges[..], &bar_edges, &await_edges];
+        let mut g = Digraph::new(h.len());
+        for (a, b) in generating(h, sync, &rf_edges) {
             g.add_edge(a.index(), b.index());
         }
-        let closure = g.transitive_closure()?;
+        let topo: Vec<u32> = g.topo_order()?.into_iter().map(|x| x as u32).collect();
 
         Ok(Causality {
             h,
-            closure,
-            po_closure,
+            topo,
+            full: OnceLock::new(),
+            po: OnceLock::new(),
             lock_edges,
             bar_edges,
             await_edges,
@@ -218,13 +344,32 @@ impl<'h> Causality<'h> {
         edges
     }
 
+    /// `↦p_lock`, read off the epoch structure: each member's lock–unlock
+    /// pair, and every unlock of an epoch to every lock of the next. Every
+    /// other generating edge has a detour — out of a lock through its own
+    /// unlock, into an unlock through its own lock — and these have none.
+    fn reduce_lock(h: &History) -> Vec<Edge> {
+        let mut edges = Vec::new();
+        for epochs in h.lock_epochs().values() {
+            for ep in epochs {
+                edges.extend_from_slice(&ep.members);
+            }
+            for pair in epochs.windows(2) {
+                for &(_, u) in &pair[0].members {
+                    edges.extend(pair[1].members.iter().map(|&(l, _)| (u, l)));
+                }
+            }
+        }
+        sorted(edges)
+    }
+
     /// Edges of `↦bar` (Section 3.1.2): for every operation `o` of `p_j`,
     /// if `o →j b^k_j` then `o ↦ b^k_i` for every participant `p_i`, and
     /// symmetrically for operations after the barrier. Only the *nearest*
     /// round is materialized per operation; farther rounds are reachable
     /// through the barrier-to-barrier chain, so the closure equals the full
     /// relation.
-    fn build_bar_edges(h: &History, po_closure: &BitMatrix) -> Vec<Edge> {
+    fn build_bar_edges(h: &History) -> Vec<Edge> {
         let mut edges = Vec::new();
         for rounds in h.barrier_rounds().values() {
             // Per process: its own barrier ops in round order.
@@ -243,25 +388,75 @@ impl<'h> Causality<'h> {
                             .expect("participant present in every round")
                     })
                     .collect();
+                // A barrier is ordered with every operation of its process
+                // (Section 3, condition 4) and push order extends program
+                // order, so "after o in program order" is "pushed after o".
                 for &o in h.proc_ops(p) {
-                    // Nearest barrier after o in program order.
-                    let next = mine.iter().position(|&b| po_closure.get(o.index(), b.index()));
-                    if let Some(k) = next {
-                        for &b in &rounds[k].ops {
-                            edges.push((o, b));
-                        }
+                    let next = mine.partition_point(|&b| b <= o);
+                    if let Some(round) = rounds.get(next) {
+                        edges.extend(round.ops.iter().map(|&b| (o, b)));
                     }
-                    // Nearest barrier before o in program order.
-                    let prev = mine.iter().rposition(|&b| po_closure.get(b.index(), o.index()));
-                    if let Some(k) = prev {
-                        for &b in &rounds[k].ops {
-                            edges.push((b, o));
-                        }
+                    let prev = mine.partition_point(|&b| b < o);
+                    if prev > 0 {
+                        edges.extend(rounds[prev - 1].ops.iter().map(|&b| (b, o)));
                     }
                 }
             }
         }
         edges
+    }
+
+    /// `↦p_bar`, the transitive reduction of `↦bar`.
+    ///
+    /// Every edge of `↦bar` has a barrier operation at one end, so with the
+    /// barrier operations as the members of a [`Relation`] over these
+    /// edges, any operation's reach is known: a barrier's from its stamps,
+    /// anything else's from its successors, which are all barriers. An
+    /// edge `u → v` is transitive iff a successor of `u` earlier in
+    /// topological order reaches `v`; per chain, `earliest` keeps the
+    /// first position any earlier successor is or leads into.
+    fn reduce_bar(h: &History, edges: &[Edge]) -> Result<Vec<Edge>, CycleError> {
+        let n = h.len();
+        let mut g = Digraph::new(n);
+        for &(a, b) in edges {
+            g.add_edge(a.index(), b.index());
+        }
+        let topo: Vec<u32> = g.topo_order()?.into_iter().map(|x| x as u32).collect();
+        drop(g);
+        let barriers = h.ops().iter().map(|op| matches!(op.kind, OpKind::Barrier { .. })).collect();
+        let rel = Relation::build(h, &topo, barriers, edges.iter().copied());
+        let succs = Adjacency::new(n, edges.iter().copied());
+        let mut rank = vec![0u32; n];
+        for (i, &x) in topo.iter().enumerate() {
+            rank[x as usize] = i as u32;
+        }
+
+        let mut reduced = Vec::new();
+        let mut earliest = vec![u32::MAX; rel.chain_count()];
+        for u in 0..n {
+            let mut vs = succs.of(u).to_vec();
+            if vs.is_empty() {
+                continue;
+            }
+            vs.sort_unstable_by_key(|v| rank[v.index()]);
+            vs.dedup();
+            earliest.fill(u32::MAX);
+            let mut kept = Vec::new();
+            for &v in &vs {
+                if !(0..earliest.len()).any(|c| rel.stamp(c, v) >= earliest[c]) {
+                    kept.push(v);
+                }
+                let entries =
+                    if rel.contains(v) { std::slice::from_ref(&v) } else { succs.of(v.index()) };
+                for &z in entries {
+                    let (c, pos) = rel.at[z.index()];
+                    earliest[c as usize] = earliest[c as usize].min(pos);
+                }
+            }
+            kept.sort_unstable();
+            reduced.extend(kept.into_iter().map(|v| (OpId(u as u32), v)));
+        }
+        Ok(reduced)
     }
 
     /// Edges of `↦await`: `w ↦ a` for every resolved synchronization source
@@ -289,7 +484,11 @@ impl<'h> Causality<'h> {
 
     /// Returns `true` if `a ; b` (strictly).
     pub fn precedes(&self, a: OpId, b: OpId) -> bool {
-        self.closure.get(a.index(), b.index())
+        let everyone = || vec![true; self.h.len()];
+        let full = self
+            .full
+            .get_or_init(|| Relation::build(self.h, &self.topo, everyone(), self.generating()));
+        full.precedes(a, b)
     }
 
     /// Returns `true` if `a` and `b` are unrelated by `;` (and distinct).
@@ -299,7 +498,17 @@ impl<'h> Causality<'h> {
 
     /// Returns `true` if `a →  b` in program order.
     pub fn po_precedes(&self, a: OpId, b: OpId) -> bool {
-        self.po_closure.get(a.index(), b.index())
+        let everyone = || vec![true; self.h.len()];
+        let po = self.po.get_or_init(|| {
+            Relation::build(self.h, &self.topo, everyone(), self.h.po_edges().iter().copied())
+        });
+        po.precedes(a, b)
+    }
+
+    /// The generating edges of `;`.
+    fn generating(&self) -> impl Iterator<Item = Edge> + Clone + '_ {
+        let sync = [&self.lock_edges[..], &self.bar_edges, &self.await_edges];
+        generating(self.h, sync, &self.rf_edges)
     }
 
     /// The generating edges of `↦lock`.
@@ -344,10 +553,20 @@ impl<'h> Causality<'h> {
         self.h.ops().iter().map(|op| op.proc == i || !op.kind.is_read()).collect()
     }
 
+    /// The relation observer `p_i` sees over `edges`.
+    fn relation(&self, i: ProcId, edges: impl Iterator<Item = Edge> + Clone) -> Relation {
+        Relation::build(self.h, &self.topo, self.members_for(i), edges)
+    }
+
+    /// The reductions `↦p_lock ∪ ↦p_bar ∪ ↦p_await`.
+    fn reduced(&self) -> impl Iterator<Item = &Edge> + Clone {
+        self.reduced_lock.iter().chain(&self.reduced_bar).chain(&self.reduced_await)
+    }
+
     /// Builds `;i,C` — Definition 2's relation: the full causality
     /// relation restricted to the operations visible to `p_i`.
     pub fn causal_relation(&self, i: ProcId) -> Relation {
-        Relation { members: self.members_for(i), closure: self.closure.clone() }
+        self.relation(i, self.generating())
     }
 
     /// Builds `;i,P` — Definition 3's relation, via the three-step
@@ -373,28 +592,11 @@ impl<'h> Causality<'h> {
     /// Panics if `i` is not a member of `group`.
     pub fn group_relation(&self, i: ProcId, group: &[ProcId]) -> Relation {
         assert!(group.contains(&i), "{i} must belong to its own group");
-        let n = self.h.len();
-        let touches_group = |&(a, b): &Edge| {
-            group.contains(&self.h.op(a).proc) || group.contains(&self.h.op(b).proc)
-        };
-        let mut g = Digraph::new(n);
-        for &(a, b) in self.h.po_edges() {
-            g.add_edge(a.index(), b.index());
-        }
-        for e in self
-            .reduced_lock
-            .iter()
-            .chain(&self.reduced_bar)
-            .chain(&self.reduced_await)
-            .filter(|e| touches_group(e))
-        {
-            g.add_edge(e.0.index(), e.1.index());
-        }
-        for e in self.rf_edges.iter().filter(|e| touches_group(e)) {
-            g.add_edge(e.0.index(), e.1.index());
-        }
-        let closure = g.transitive_closure().expect("subgraph of an acyclic relation is acyclic");
-        Relation { members: self.members_for(i), closure }
+        let h = self.h;
+        let touches_group =
+            move |&&(a, b): &&Edge| group.contains(&h.op(a).proc) || group.contains(&h.op(b).proc);
+        let incident = self.reduced().chain(&self.rf_edges).filter(touches_group);
+        self.relation(i, h.po_edges().iter().chain(incident).copied())
     }
 
     /// Builds the relation a [`ModelSpec`](crate::spec::ModelSpec)
@@ -406,7 +608,9 @@ impl<'h> Causality<'h> {
     ///   read-your-writes / monotonic-reads properties; other processes'
     ///   order follows the `monotonic_writes` scope. Pairs with a
     ///   synchronization endpoint are always kept (release/acquire
-    ///   ordering is part of every point in the lattice).
+    ///   ordering is part of every point in the lattice). Where a spec
+    ///   keeps only some ordered pairs, an edge set with the same closure
+    ///   stands in for them (see `sparse_po`).
     /// * Synchronization order: the full `↦` generating sets
     ///   (`sync = Full`, Definition 2) or their reductions restricted to
     ///   edges incident to `p_i` (`sync = Incident`, Definition 3).
@@ -421,47 +625,35 @@ impl<'h> Causality<'h> {
     pub fn spec_relation(&self, i: ProcId, spec: &crate::spec::ModelSpec) -> Relation {
         use crate::spec::{OrderScope, SyncScope};
         let h = self.h;
-        let mut g = Digraph::new(h.len());
-        let sync_op = |o: OpId| h.op(o).kind.is_sync();
-
-        // Program order. The common fully-ordered case reuses the
-        // per-process chains; property subsets fall back to filtering
-        // each ordered pair.
-        let own_full = spec.read_your_writes
-            && spec.monotonic_reads
-            && spec.monotonic_writes == OrderScope::Global;
-        if own_full {
-            for &(a, b) in h.po_edges() {
-                g.add_edge(a.index(), b.index());
+        let all_po = |p: ProcId| {
+            if p == i {
+                spec.read_your_writes && spec.monotonic_reads
+            } else {
+                spec.monotonic_writes == OrderScope::Global
             }
-        } else {
-            for p in 0..h.nprocs() {
-                let proc = ProcId(p as u32);
-                let ops = h.proc_ops(proc);
-                for (x, &a) in ops.iter().enumerate() {
-                    for &b in &ops[x + 1..] {
-                        if !self.po_precedes(a, b) {
-                            continue;
-                        }
-                        let keep = sync_op(a)
-                            || sync_op(b)
-                            || if proc == i {
-                                (h.op(a).kind.is_write_like() && spec.read_your_writes)
-                                    || (h.op(a).kind.is_read() && spec.monotonic_reads)
-                            } else {
-                                match spec.monotonic_writes {
-                                    OrderScope::Global => true,
-                                    OrderScope::PerLocation => {
-                                        h.op(a).kind.is_write_like()
-                                            && h.op(b).kind.is_write_like()
-                                            && h.op(a).kind.loc() == h.op(b).kind.loc()
-                                    }
-                                    OrderScope::None => false,
-                                }
-                            };
-                        if keep {
-                            g.add_edge(a.index(), b.index());
-                        }
+        };
+
+        // Program order.
+        let mut edges: Vec<Edge> =
+            h.po_edges().iter().copied().filter(|&(a, _)| all_po(h.op(a).proc)).collect();
+        let partial: Vec<ProcId> =
+            (0..h.nprocs()).map(|p| ProcId(p as u32)).filter(|&p| !all_po(p)).collect();
+        if !partial.is_empty() {
+            let succs = Adjacency::new(h.len(), h.po_edges().iter().copied());
+            let preds = Adjacency::new(h.len(), h.po_edges().iter().map(|&(a, b)| (b, a)));
+            let sync = |k: &OpKind| k.is_sync();
+            for p in partial {
+                if p == i {
+                    let from = |k: &OpKind| {
+                        k.is_sync()
+                            || (k.is_write_like() && spec.read_your_writes)
+                            || (k.is_read() && spec.monotonic_reads)
+                    };
+                    sparse_po(h, p, [&preds, &succs], from, sync, &mut edges);
+                } else {
+                    sparse_po(h, p, [&preds, &succs], sync, sync, &mut edges);
+                    if spec.monotonic_writes == OrderScope::PerLocation {
+                        same_location_writes(h, p, &mut edges);
                     }
                 }
             }
@@ -470,36 +662,83 @@ impl<'h> Causality<'h> {
         // Synchronization order.
         match spec.sync {
             SyncScope::Full => {
-                for &(a, b) in
-                    self.lock_edges.iter().chain(&self.bar_edges).chain(&self.await_edges)
-                {
-                    g.add_edge(a.index(), b.index());
-                }
+                edges.extend(self.lock_edges.iter().chain(&self.bar_edges).chain(&self.await_edges))
             }
-            SyncScope::Incident => {
-                for &(a, b) in self
-                    .reduced_lock
-                    .iter()
-                    .chain(&self.reduced_bar)
-                    .chain(&self.reduced_await)
-                    .filter(|&&(a, b)| h.op(a).proc == i || h.op(b).proc == i)
-                {
-                    g.add_edge(a.index(), b.index());
-                }
-            }
+            SyncScope::Incident => edges
+                .extend(self.reduced().filter(|&&(a, b)| h.op(a).proc == i || h.op(b).proc == i)),
         }
 
         // Reads-from.
-        for &(w, r) in self
-            .rf_edges
-            .iter()
-            .filter(|&&(w, r)| spec.writes_follow_reads || h.op(w).proc == i || h.op(r).proc == i)
-        {
-            g.add_edge(w.index(), r.index());
-        }
+        edges.extend(
+            self.rf_edges.iter().filter(|&&(w, r)| {
+                spec.writes_follow_reads || h.op(w).proc == i || h.op(r).proc == i
+            }),
+        );
 
-        let closure = g.transitive_closure().expect("subgraph of an acyclic relation is acyclic");
-        Relation { members: self.members_for(i), closure }
+        self.relation(i, edges.iter().copied())
+    }
+}
+
+/// Appends edges with the same closure as the program-order pairs
+/// `a →p b` of process `p` with `from(a) || to(b)`, where `to` implies
+/// `from`: each operation gets an edge from every last `from` operation
+/// before it and one to every first `to` operation after it.
+///
+/// Every such edge is a kept pair. Conversely, for a kept pair with
+/// `from(a)`, the last `from` operation on a path from `a` to `b` is
+/// reached from `a` by induction and has an edge to `b`; with `to(b)`
+/// alone, `a` has an edge to the first `to` operation `t` on its way to
+/// `b`, and `t` is a `from` operation, so the first case takes over.
+/// `[preds, succs]` are the program-order adjacency lists.
+fn sparse_po(
+    h: &History,
+    p: ProcId,
+    [preds, succs]: [&Adjacency; 2],
+    from: impl Fn(&OpKind) -> bool,
+    to: impl Fn(&OpKind) -> bool,
+    edges: &mut Vec<Edge>,
+) {
+    let ops = h.proc_ops(p);
+    let local = |o: OpId| ops.binary_search(&o).expect("program order stays in its process");
+    // The matching operations among `next`, and past each one that does
+    // not match, the ones already found for it.
+    let nearest = |next: &[OpId], found: &[Vec<OpId>], pick: &dyn Fn(&OpKind) -> bool| {
+        let mut set = Vec::new();
+        for &q in next {
+            if pick(&h.op(q).kind) {
+                set.push(q);
+            } else {
+                set.extend_from_slice(&found[local(q)]);
+            }
+        }
+        set.sort_unstable();
+        set.dedup();
+        set
+    };
+    // Push order extends program order.
+    let mut last = vec![Vec::new(); ops.len()];
+    for (k, &b) in ops.iter().enumerate() {
+        last[k] = nearest(preds.of(b.index()), &last, &from);
+        edges.extend(last[k].iter().map(|&a| (a, b)));
+    }
+    let mut first = vec![Vec::new(); ops.len()];
+    for (k, &a) in ops.iter().enumerate().rev() {
+        first[k] = nearest(succs.of(a.index()), &first, &to);
+        edges.extend(first[k].iter().map(|&b| (a, b)));
+    }
+}
+
+/// Appends the program order between consecutive write-like operations
+/// of `p` on each location (totally ordered: Section 3, condition 2).
+fn same_location_writes(h: &History, p: ProcId, edges: &mut Vec<Edge>) {
+    let mut last: HashMap<Loc, OpId> = HashMap::new();
+    for &o in h.proc_ops(p) {
+        let kind = &h.op(o).kind;
+        if let (true, Some(loc)) = (kind.is_write_like(), kind.loc()) {
+            if let Some(prev) = last.insert(loc, o) {
+                edges.push((prev, o));
+            }
+        }
     }
 }
 

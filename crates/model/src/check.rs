@@ -19,12 +19,14 @@
 //! reads outside that shape are skipped and reported in
 //! [`CheckReport::skipped`].
 
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use crate::causality::{Causality, CausalityError, Relation};
 use crate::history::History;
 use crate::ids::{Loc, OpId, WriteId};
 use crate::op::{OpKind, ReadLabel};
+use crate::spec::{check_model, ModelAssignment, ModelSpec};
 use crate::value::Value;
 
 /// A single consistency violation found by a checker.
@@ -194,45 +196,35 @@ impl From<CausalityError> for CheckError {
     }
 }
 
-/// How a checker decides which relation each read is judged under.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Judging {
-    /// Respect each read's own label (Definition 4, mixed consistency).
-    ByLabel,
-    /// Judge every read as causal (causal memory).
-    AllCausal,
-    /// Judge every read as PRAM (pipelined RAM).
-    AllPram,
-}
-
 /// Checks **mixed consistency** (Definition 4): every read labeled PRAM is
-/// a PRAM read and every read labeled Causal is a causal read.
+/// a PRAM read and every read labeled Causal is a causal read — the
+/// uniform [`ModelAssignment::mixed`] through [`check_model`].
 ///
 /// # Errors
 ///
 /// Returns the violations found, or a causality error for cyclic histories.
 pub fn check_mixed(h: &History) -> Result<CheckReport, CheckError> {
-    check_with(h, Judging::ByLabel)
+    check_model(h, &ModelAssignment::mixed(h.nprocs()))
 }
 
 /// Checks whether the history is a **causal history**: all reads are
-/// causal reads, regardless of label.
+/// causal reads, regardless of label (uniform [`ModelSpec::CAUSAL`]).
 ///
 /// # Errors
 ///
 /// Returns the violations found, or a causality error for cyclic histories.
 pub fn check_causal(h: &History) -> Result<CheckReport, CheckError> {
-    check_with(h, Judging::AllCausal)
+    check_model(h, &ModelAssignment::uniform(h.nprocs(), ModelSpec::CAUSAL))
 }
 
 /// Checks whether the history is a **PRAM history**: all reads are PRAM
-/// reads, regardless of label.
+/// reads, regardless of label (uniform [`ModelSpec::PRAM`]).
 ///
 /// # Errors
 ///
 /// Returns the violations found, or a causality error for cyclic histories.
 pub fn check_pram(h: &History) -> Result<CheckReport, CheckError> {
-    check_with(h, Judging::AllPram)
+    check_model(h, &ModelAssignment::uniform(h.nprocs(), ModelSpec::PRAM))
 }
 
 /// Checks every read against its process's **group causality relation**
@@ -254,215 +246,291 @@ pub fn check_grouped(
 ) -> Result<CheckReport, CheckError> {
     assert_eq!(groups.len(), h.nprocs(), "one group per process");
     let causality = Causality::new(h)?;
-    let mut report = CheckReport::default();
-
-    let mut has_update = std::collections::HashSet::new();
-    let mut has_write = std::collections::HashSet::new();
-    for op in h.ops() {
-        match op.kind {
-            OpKind::Update { loc, .. } => {
-                has_update.insert(loc);
-            }
-            OpKind::Write { loc, .. } => {
-                has_write.insert(loc);
-            }
-            _ => {}
-        }
-    }
-
-    let mut rels: Vec<Option<Relation>> = (0..h.nprocs()).map(|_| None).collect();
+    let mut reads = vec![Vec::new(); h.nprocs()];
     for (id, op) in h.iter() {
-        let OpKind::Read { loc, label, value, .. } = &op.kind else {
-            continue;
-        };
-        let pi = op.proc.index();
-        let rel = rels[pi].get_or_insert_with(|| causality.group_relation(op.proc, &groups[pi]));
-        if has_update.contains(loc) {
-            if has_write.contains(loc) {
-                report.skipped.push(id);
-                continue;
-            }
-            match check_counter_read(h, rel, id, *loc, *value, *label) {
-                Ok(Some(v)) => report.violations.push(v),
-                Ok(None) => {}
-                Err(()) => report.skipped.push(id),
-            }
-            continue;
-        }
-        if let Some(kind) = check_plain_read(h, rel, id, *loc, *value) {
-            report.violations.push(Violation { read: id, judged_as: *label, kind });
+        if let OpKind::Read { label, .. } = op.kind {
+            reads[op.proc.index()].push((id, label));
         }
     }
-    report.into_result()
+    judge_reads(h, &Locations::new(h), &reads, |p| {
+        causality.group_relation(crate::ProcId(p as u32), &groups[p])
+    })
+    .into_result()
 }
 
-fn check_with(h: &History, judging: Judging) -> Result<CheckReport, CheckError> {
-    let causality = Causality::new(h)?;
-    let mut report = CheckReport::default();
-
-    // Classify locations: counters are locations with commutative updates.
-    let mut has_update = std::collections::HashSet::new();
-    let mut has_write = std::collections::HashSet::new();
-    for op in h.ops() {
-        match op.kind {
-            OpKind::Update { loc, .. } => {
-                has_update.insert(loc);
-            }
-            OpKind::Write { loc, .. } => {
-                has_write.insert(loc);
-            }
-            _ => {}
-        }
-    }
-
-    // Relations are built lazily per process and cached.
-    let mut causal_rel: Vec<Option<Relation>> = (0..h.nprocs()).map(|_| None).collect();
-    let mut pram_rel: Vec<Option<Relation>> = (0..h.nprocs()).map(|_| None).collect();
-
-    for (id, op) in h.iter() {
-        let OpKind::Read { loc, label, value, .. } = &op.kind else {
-            continue;
-        };
-        let judged_as = match judging {
-            Judging::ByLabel => *label,
-            Judging::AllCausal => ReadLabel::Causal,
-            Judging::AllPram => ReadLabel::Pram,
-        };
-        let pi = op.proc.index();
-        let rel: &Relation = match judged_as {
-            ReadLabel::Causal => {
-                causal_rel[pi].get_or_insert_with(|| causality.causal_relation(op.proc))
-            }
-            ReadLabel::Pram => pram_rel[pi].get_or_insert_with(|| causality.pram_relation(op.proc)),
-        };
-
-        if has_update.contains(loc) {
-            if has_write.contains(loc) {
-                report.skipped.push(id);
-                continue;
-            }
-            match check_counter_read(h, rel, id, *loc, *value, judged_as) {
-                Ok(Some(v)) => report.violations.push(v),
-                Ok(None) => {}
-                Err(()) => report.skipped.push(id),
-            }
-            continue;
-        }
-
-        if let Some(kind) = check_plain_read(h, rel, id, *loc, *value) {
-            report.violations.push(Violation { read: id, judged_as, kind });
-        }
-    }
-    report.into_result()
+/// What the history says about each location, gathered in one pass.
+#[derive(Debug)]
+pub(crate) struct Locations {
+    /// Locations with plain writes.
+    written: HashSet<Loc>,
+    /// Counter locations (with commutative updates) and their delta, if
+    /// every update has the same nonzero integer one. (Float counters are
+    /// not value-checkable: apply order perturbs low bits, so reads of
+    /// them are reported as skipped.)
+    counters: HashMap<Loc, Option<i64>>,
 }
 
-/// Definitions 2/3 for an ordinary read: the returned write must precede
-/// the read and no differently-valued operation on the location may lie
-/// strictly between them.
-pub(crate) fn check_plain_read(
-    h: &History,
-    rel: &Relation,
-    read: OpId,
-    loc: Loc,
-    value: Value,
-) -> Option<ViolationKind> {
-    let writer = h.reads_from(read);
-    let wop = if writer.is_initial() { None } else { h.write_op(writer) };
-
-    if let Some(w) = wop {
-        if !rel.precedes(w, read) {
-            return Some(ViolationKind::WriterNotVisible { writer });
-        }
-    }
-
-    // Scan for an intervening o(x)u with u != v. Only member operations
-    // count (other processes' reads are invisible to p_i).
-    for (oid, op) in h.iter() {
-        if oid == read || Some(oid) == wop || !rel.contains(oid) {
-            continue;
-        }
-        let (oloc, ovalue) = match &op.kind {
-            OpKind::Write { loc, value, .. } => (*loc, *value),
-            OpKind::Read { loc, value, .. } => (*loc, *value),
-            _ => continue,
-        };
-        if oloc != loc || ovalue == value {
-            continue;
-        }
-        let after_writer = match wop {
-            Some(w) => rel.precedes(w, oid),
-            // The initial write precedes everything.
-            None => true,
-        };
-        if after_writer && rel.precedes(oid, read) {
-            return Some(match wop {
-                Some(_) => ViolationKind::Overwritten { writer, by: oid },
-                None => ViolationKind::StaleInitial { newer: oid },
-            });
-        }
-    }
-    None
-}
-
-/// If every update on `loc` has the same *integer* delta, returns it.
-/// (Float counters are not value-checkable: apply order perturbs low
-/// bits, so reads of them are reported as skipped.)
-fn counter_delta(h: &History, loc: Loc) -> Option<i64> {
-    let mut delta = None;
-    for op in h.ops() {
-        if let OpKind::Update { loc: l, delta: d, .. } = op.kind {
-            if l == loc {
-                match delta {
-                    None => delta = Some(d.as_i64()?),
-                    Some(prev) if Some(prev) != d.as_i64() => return None,
-                    _ => {}
+impl Locations {
+    pub(crate) fn new(h: &History) -> Self {
+        let mut written = HashSet::new();
+        let mut counters: HashMap<Loc, Option<i64>> = HashMap::new();
+        for op in h.ops() {
+            match op.kind {
+                OpKind::Write { loc, .. } => {
+                    written.insert(loc);
                 }
+                OpKind::Update { loc, delta, .. } => {
+                    let uniform = counters.entry(loc).or_insert(delta.as_i64());
+                    if *uniform != delta.as_i64() {
+                        *uniform = None;
+                    }
+                }
+                _ => {}
             }
         }
+        for delta in counters.values_mut() {
+            *delta = delta.filter(|&d| d != 0);
+        }
+        Locations { written, counters }
     }
-    delta.filter(|&d| d != 0)
+
+    /// Locations with plain writes and no updates, in location order.
+    pub(crate) fn plain_written(&self) -> Vec<Loc> {
+        let mut locs: Vec<Loc> =
+            self.written.iter().filter(|l| !self.counters.contains_key(l)).copied().collect();
+        locs.sort_by_key(|l| l.0);
+        locs
+    }
 }
 
-/// Counter-read visibility: with uniform delta `d`, the returned value
-/// `v = init + k·d` determines the number `k` of accounted updates; every
-/// update preceding the read in the relation must be accounted for.
-/// Returns `Err(())` when the read cannot be judged (non-uniform or
-/// non-integer delta, non-integer initial/returned value) — callers
-/// report those as skipped.
-pub(crate) fn check_counter_read(
+/// What a read came to.
+enum Outcome {
+    Legal,
+    Violating(Violation),
+    Skipped,
+}
+
+/// Judges the reads of `groups[k]` (each with the label it is judged as)
+/// against `relation(k)`, building one relation at a time, and reports in
+/// operation order.
+pub(crate) fn judge_reads(
     h: &History,
-    rel: &Relation,
-    read: OpId,
-    loc: Loc,
-    value: Value,
-    judged_as: ReadLabel,
-) -> Result<Option<Violation>, ()> {
-    let delta = counter_delta(h, loc).ok_or(())?;
-    let init = h.initial(loc).as_i64().ok_or(())?;
-    let v = value.as_i64().ok_or(())?;
-    let diff = v - init;
-    if diff % delta != 0 || diff / delta < 0 {
-        return Ok(Some(Violation {
-            read,
-            judged_as,
-            kind: ViolationKind::CounterValueUnreachable,
-        }));
+    locations: &Locations,
+    groups: &[Vec<(OpId, ReadLabel)>],
+    mut relation: impl FnMut(usize) -> Relation,
+) -> CheckReport {
+    let mut outcomes = Vec::new();
+    for (k, reads) in groups.iter().enumerate() {
+        if reads.is_empty() {
+            continue;
+        }
+        let rel = relation(k);
+        let tracks = Tracks::new(h, &rel);
+        for &(read, judged_as) in reads {
+            let OpKind::Read { loc, value, .. } = h.op(read).kind else {
+                unreachable!("{read} is not a read")
+            };
+            let outcome = match locations.counters.get(&loc) {
+                Some(_) if locations.written.contains(&loc) => Outcome::Skipped,
+                Some(&delta) => match tracks.counter_read(h, delta, read, loc, value) {
+                    Ok(None) => Outcome::Legal,
+                    Ok(Some(kind)) => Outcome::Violating(Violation { read, judged_as, kind }),
+                    Err(()) => Outcome::Skipped,
+                },
+                None => match tracks.plain_read(h, read, loc, value) {
+                    None => Outcome::Legal,
+                    Some(kind) => Outcome::Violating(Violation { read, judged_as, kind }),
+                },
+            };
+            outcomes.push((read, outcome));
+        }
     }
-    let accounted = (diff / delta) as usize;
-    let preceding = h
-        .iter()
-        .filter(|(oid, op)| {
-            matches!(op.kind, OpKind::Update { loc: l, .. } if l == loc) && rel.precedes(*oid, read)
+    outcomes.sort_unstable_by_key(|&(read, _)| read);
+    let mut report = CheckReport::default();
+    for (read, outcome) in outcomes {
+        match outcome {
+            Outcome::Legal => {}
+            Outcome::Violating(v) => report.violations.push(v),
+            Outcome::Skipped => report.skipped.push(read),
+        }
+    }
+    report
+}
+
+/// One chain's member operations on one location, in chain order.
+#[derive(Debug)]
+struct Track {
+    chain: usize,
+    /// 1-based chain positions.
+    pos: Vec<u32>,
+    ops: Vec<OpId>,
+    values: Vec<Value>,
+    /// `next_other[j]`: the first index after `j` whose value differs
+    /// from `values[j]` (`len` if none).
+    next_other: Vec<u32>,
+}
+
+impl Track {
+    /// The entries in `range` whose value is not `v`.
+    fn others(&self, range: std::ops::Range<usize>, v: Value) -> impl Iterator<Item = OpId> + '_ {
+        let mut j = range.start;
+        std::iter::from_fn(move || {
+            while j < range.end {
+                if self.values[j] != v {
+                    j += 1;
+                    return Some(self.ops[j - 1]);
+                }
+                j = self.next_other[j] as usize;
+            }
+            None
         })
-        .count();
-    if preceding > accounted {
-        return Ok(Some(Violation {
-            read,
-            judged_as,
-            kind: ViolationKind::CounterMissingUpdates { preceding, accounted },
-        }));
     }
-    Ok(None)
+}
+
+/// The first index from which `holds` is true through the end of `xs`
+/// (`holds` is monotone: false, then true), searched from the end in
+/// doubling steps — reads mostly return recent writes, so the answer is
+/// usually a few entries back.
+fn gallop_back<T>(xs: &[T], holds: impl Fn(&T) -> bool) -> usize {
+    let (mut lo, mut hi, mut step) = (xs.len(), xs.len(), 1);
+    while lo > 0 && holds(&xs[lo - 1]) {
+        hi = lo - 1;
+        lo = lo.saturating_sub(step);
+        step *= 2;
+    }
+    // The boundary lies in lo..=hi: xs[lo - 1] fails (or lo == 0), xs[hi..] hold.
+    lo + xs[lo..hi].partition_point(|x| !holds(x))
+}
+
+/// A relation's member reads and writes (`plain`) and its updates
+/// (`updates`), split by location and chain: what judging a read needs,
+/// with no scan of the history.
+struct Tracks<'r> {
+    rel: &'r Relation,
+    plain: HashMap<Loc, Vec<Track>>,
+    updates: HashMap<Loc, Vec<Track>>,
+}
+
+impl<'r> Tracks<'r> {
+    fn new(h: &History, rel: &'r Relation) -> Self {
+        let mut plain: HashMap<Loc, Vec<Track>> = HashMap::new();
+        let mut updates: HashMap<Loc, Vec<Track>> = HashMap::new();
+        for (chain, ops) in rel.chains().iter().enumerate() {
+            for (k, &op) in ops.iter().enumerate() {
+                let (by_loc, loc, value) = match h.op(op).kind {
+                    OpKind::Write { loc, value, .. } | OpKind::Read { loc, value, .. } => {
+                        (&mut plain, loc, value)
+                    }
+                    OpKind::Update { loc, delta, .. } => (&mut updates, loc, delta),
+                    _ => continue,
+                };
+                let tracks = by_loc.entry(loc).or_default();
+                if tracks.last().map(|t| t.chain) != Some(chain) {
+                    tracks.push(Track {
+                        chain,
+                        pos: Vec::new(),
+                        ops: Vec::new(),
+                        values: Vec::new(),
+                        next_other: Vec::new(),
+                    });
+                }
+                let t = tracks.last_mut().expect("pushed above");
+                t.pos.push(k as u32 + 1);
+                t.ops.push(op);
+                t.values.push(value);
+            }
+        }
+        for t in plain.values_mut().flatten() {
+            let len = t.values.len();
+            t.next_other = vec![len as u32; len];
+            for j in (0..len.saturating_sub(1)).rev() {
+                t.next_other[j] =
+                    if t.values[j + 1] != t.values[j] { j as u32 + 1 } else { t.next_other[j + 1] };
+            }
+        }
+        Tracks { rel, plain, updates }
+    }
+
+    /// How many of the track's entries precede-or-are `x`: a prefix.
+    fn preceding(&self, t: &Track, x: OpId) -> usize {
+        let stamp = self.rel.stamp(t.chain, x);
+        t.pos.partition_point(|&p| p <= stamp)
+    }
+
+    /// Definitions 2/3 for an ordinary read: the returned write must
+    /// precede the read and no differently-valued operation on the
+    /// location may lie strictly between them.
+    ///
+    /// Per chain, the operations the writer reaches are a suffix and the
+    /// ones preceding the read a prefix, so each chain asks whether a
+    /// differently-valued entry lies in one index range: a binary search
+    /// for the read's end, a search back from it for the writer's, and one
+    /// `next_other` jump. The writer and the read
+    /// carry the read's value, so they never count. Only a violating read
+    /// looks for its witness: the least such operation, by id.
+    fn plain_read(&self, h: &History, read: OpId, loc: Loc, value: Value) -> Option<ViolationKind> {
+        let writer = h.reads_from(read);
+        let wop = if writer.is_initial() { None } else { h.write_op(writer) };
+        if let Some(w) = wop {
+            if !self.rel.precedes(w, read) {
+                return Some(ViolationKind::WriterNotVisible { writer });
+            }
+        }
+        let tracks = self.plain.get(&loc).map_or(&[][..], Vec::as_slice);
+        let range = |t: &Track| {
+            let end = self.preceding(t, read);
+            let start = match wop {
+                Some(w) => gallop_back(&t.ops[..end], |&o| self.rel.reaches(w, o)),
+                // The initial write precedes everything.
+                None => 0,
+            };
+            start..end
+        };
+        let differs = |t: &Track| {
+            let r = range(t);
+            !r.is_empty()
+                && (t.values[r.start] != value || (t.next_other[r.start] as usize) < r.end)
+        };
+        if !tracks.iter().any(differs) {
+            return None;
+        }
+        let by = tracks
+            .iter()
+            .filter_map(|t| t.others(range(t), value).min())
+            .min()
+            .expect("a differing entry was found");
+        Some(match wop {
+            Some(_) => ViolationKind::Overwritten { writer, by },
+            None => ViolationKind::StaleInitial { newer: by },
+        })
+    }
+
+    /// Counter-read visibility: with uniform delta `d`, the returned value
+    /// `v = init + k·d` determines the number `k` of accounted updates;
+    /// every update preceding the read in the relation must be accounted
+    /// for. Returns `Err(())` when the read cannot be judged (non-uniform
+    /// or non-integer delta, non-integer initial/returned value) —
+    /// callers report those as skipped.
+    fn counter_read(
+        &self,
+        h: &History,
+        delta: Option<i64>,
+        read: OpId,
+        loc: Loc,
+        value: Value,
+    ) -> Result<Option<ViolationKind>, ()> {
+        let delta = delta.ok_or(())?;
+        let init = h.initial(loc).as_i64().ok_or(())?;
+        let diff = value.as_i64().ok_or(())? - init;
+        if diff % delta != 0 || diff / delta < 0 {
+            return Ok(Some(ViolationKind::CounterValueUnreachable));
+        }
+        let accounted = (diff / delta) as usize;
+        let updates = self.updates.get(&loc).map_or(&[][..], Vec::as_slice);
+        let preceding = updates.iter().map(|t| self.preceding(t, read)).sum();
+        Ok((preceding > accounted)
+            .then_some(ViolationKind::CounterMissingUpdates { preceding, accounted }))
+    }
 }
 
 #[cfg(test)]
@@ -668,6 +736,16 @@ mod tests {
         let report = check_causal(&h).unwrap();
         assert_eq!(report.skipped.len(), 1);
         assert!(report.is_consistent());
+    }
+
+    #[test]
+    fn gallop_back_finds_the_boundary() {
+        for len in 0..40 {
+            for boundary in 0..=len {
+                let xs: Vec<bool> = (0..len).map(|i| i >= boundary).collect();
+                assert_eq!(gallop_back(&xs, |&x| x), boundary, "len {len}");
+            }
+        }
     }
 
     #[test]

@@ -1,13 +1,12 @@
-//! Directed-graph utilities: bitset reachability, transitive closure and
-//! transitive reduction over DAGs.
+//! Directed-graph utilities: topological order, and dense bitset
+//! transitive closure and reduction over small DAGs.
 //!
-//! The consistency definitions of the paper are all phrased in terms of
-//! reachability queries over relations on operations (`;`, `;i,C`, `;i,P`),
-//! and the PRAM construction additionally needs the *transitive reduction*
-//! of the synchronization orders ("removing the transitive edges",
-//! Section 3.2). Histories that checkers handle are a few thousand
-//! operations, so a dense bitset representation is both the simplest and
-//! the fastest choice.
+//! The consistency checkers do not use the dense forms: a relation over a
+//! whole history is chain stamps ([`crate::causality::Relation`]), n·k
+//! integers for k chains instead of n² bits, and only needs
+//! [`Digraph::topo_order`] from here. The closure and reduction are for
+//! what stays small — one partially ordered process while a history is
+//! validated — and serve the test suites as an independent reference.
 
 use std::fmt;
 

@@ -545,9 +545,14 @@ impl HistoryBuilder {
             }
         }
         // Per-process closure (needed for conditions 2 and 4 and lock-pair
-        // ordering). Also detects cycles.
+        // ordering). Also detects cycles. A chain needs none: its program
+        // order is push order.
         let mut proc_closure = Vec::with_capacity(nprocs);
         for (p, local_ids) in per_proc.iter().enumerate() {
+            if proc_is_chain[p] {
+                proc_closure.push(None);
+                continue;
+            }
             let index_of: HashMap<OpId, usize> =
                 local_ids.iter().enumerate().map(|(i, &o)| (o, i)).collect();
             let mut g = Digraph::new(local_ids.len());
@@ -559,8 +564,12 @@ impl HistoryBuilder {
             let closure = g
                 .transitive_closure()
                 .map_err(|_| MalformedHistory::ProgramOrderCycle(ProcId(p as u32)))?;
-            proc_closure.push((index_of, closure));
+            proc_closure.push(Some((index_of, closure)));
         }
+        let po_before = |a: OpId, b: OpId| match &proc_closure[ops[a.index()].proc.index()] {
+            None => a < b,
+            Some((index_of, closure)) => closure.get(index_of[&a], index_of[&b]),
+        };
 
         // Condition 2: at most one pending invocation per object — with
         // complete operations this means no two *concurrent* same-process
@@ -571,12 +580,10 @@ impl HistoryBuilder {
             if proc_is_chain[p] {
                 continue;
             }
-            let (index_of, closure) = &proc_closure[p];
             let local = &per_proc[p];
             for (i, &a) in local.iter().enumerate() {
                 for &b in &local[i + 1..] {
-                    let (ia, ib) = (index_of[&a], index_of[&b]);
-                    let ordered = closure.get(ia, ib) || closure.get(ib, ia);
+                    let ordered = po_before(a, b) || po_before(b, a);
                     if ordered {
                         continue;
                     }
@@ -721,9 +728,7 @@ impl HistoryBuilder {
         for eps in epochs.values() {
             for ep in eps {
                 for &(l, u) in &ep.members {
-                    let p = ops[l.index()].proc;
-                    let (index_of, closure) = &proc_closure[p.index()];
-                    if !closure.get(index_of[&l], index_of[&u]) {
+                    if !po_before(l, u) {
                         return Err(MalformedHistory::LockPairDisordered(l, u));
                     }
                 }
@@ -766,7 +771,7 @@ impl HistoryBuilder {
                 out.push(BarrierRoundOps { round, ops: round_ops });
             }
             // Each process must pass rounds in increasing program order.
-            for (p, (index_of, closure)) in proc_closure.iter().enumerate() {
+            for p in 0..nprocs {
                 let mine: Vec<OpId> = out
                     .iter()
                     .filter_map(|r| {
@@ -774,7 +779,7 @@ impl HistoryBuilder {
                     })
                     .collect();
                 for w in mine.windows(2) {
-                    if !closure.get(index_of[&w[0]], index_of[&w[1]]) {
+                    if !po_before(w[0], w[1]) {
                         return Err(MalformedHistory::BarrierRoundOrderViolation(w[1]));
                     }
                 }

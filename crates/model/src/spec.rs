@@ -40,13 +40,11 @@
 //! `SLOW ⊑ PRAM ⊑ CAUSAL ⊑ SC` checkable as a containment of failing
 //! histories.
 
-use std::collections::HashSet;
+use std::collections::HashMap;
 use std::fmt;
 
-use crate::causality::{Causality, Relation};
-use crate::check::{
-    check_counter_read, check_plain_read, CheckError, CheckReport, GlobalViolation, Violation,
-};
+use crate::causality::Causality;
+use crate::check::{judge_reads, CheckError, CheckReport, GlobalViolation, Locations};
 use crate::history::{History, HistoryBuilder};
 use crate::ids::{Loc, OpId, ProcId};
 use crate::op::{OpKind, ReadLabel};
@@ -352,69 +350,40 @@ impl fmt::Display for ModelAssignment {
 pub fn check_model(h: &History, models: &ModelAssignment) -> Result<CheckReport, CheckError> {
     assert_eq!(models.len(), h.nprocs(), "one model per process");
     let causality = Causality::new(h)?;
-    let mut report = CheckReport::default();
+    let locations = Locations::new(h);
 
-    // Classify locations: counters are locations with commutative updates.
-    let mut has_update = HashSet::new();
-    let mut has_write = HashSet::new();
-    for op in h.ops() {
-        match op.kind {
-            OpKind::Update { loc, .. } => {
-                has_update.insert(loc);
-            }
-            OpKind::Write { loc, .. } => {
-                has_write.insert(loc);
-            }
-            _ => {}
-        }
-    }
-
-    // Relations are built lazily per process and cached. A process needs
+    // Reads grouped by the relation they are judged under. A process needs
     // at most two: its fixed spec's relation, or (mixed) one per label —
     // in both cases `judged_as` indexes the slot unambiguously.
-    let mut rels: Vec<[Option<Relation>; 2]> = (0..h.nprocs()).map(|_| [None, None]).collect();
-
+    let mut groups = vec![Vec::new(); 2 * h.nprocs()];
+    let mut specs = vec![ModelSpec::PRAM; 2 * h.nprocs()];
     for (id, op) in h.iter() {
-        let OpKind::Read { loc, label, value, .. } = &op.kind else {
+        let OpKind::Read { label, .. } = op.kind else {
             continue;
         };
-        let spec = models.spec_for(op.proc, *label);
+        let spec = models.spec_for(op.proc, label);
         if spec.total_store_order {
             // Judged wholesale by the serialization check below.
             continue;
         }
-        let judged_as = models.judged_as(op.proc, *label);
-        let slot = match judged_as {
-            ReadLabel::Pram => 0,
-            ReadLabel::Causal => 1,
-        };
-        let rel = rels[op.proc.index()][slot]
-            .get_or_insert_with(|| causality.spec_relation(op.proc, &spec));
-
-        if has_update.contains(loc) {
-            if has_write.contains(loc) {
-                report.skipped.push(id);
-                continue;
-            }
-            match check_counter_read(h, rel, id, *loc, *value, judged_as) {
-                Ok(Some(v)) => report.violations.push(v),
-                Ok(None) => {}
-                Err(()) => report.skipped.push(id),
-            }
-            continue;
-        }
-
-        if let Some(kind) = check_plain_read(h, rel, id, *loc, *value) {
-            report.violations.push(Violation { read: id, judged_as, kind });
-        }
+        let judged_as = models.judged_as(op.proc, label);
+        let k = 2 * op.proc.index() + usize::from(judged_as == ReadLabel::Causal);
+        groups[k].push((id, judged_as));
+        specs[k] = spec;
     }
+    let mut report = judge_reads(h, &locations, &groups, |k| {
+        causality.spec_relation(ProcId((k / 2) as u32), &specs[k])
+    });
 
     if models.any_coherent() {
-        let mut locs: Vec<Loc> =
-            has_write.iter().filter(|l| !has_update.contains(l)).copied().collect();
-        locs.sort_by_key(|l| l.0);
-        for loc in locs {
-            if !coherent_at(h, models, loc) {
+        let mut on_loc: HashMap<Loc, Vec<OpId>> = HashMap::new();
+        for (id, op) in h.iter() {
+            if let OpKind::Write { loc, .. } | OpKind::Read { loc, .. } = op.kind {
+                on_loc.entry(loc).or_default().push(id);
+            }
+        }
+        for loc in locations.plain_written() {
+            if !coherent_at(h, models, &on_loc[&loc]) {
                 report.global.push(GlobalViolation::CoherenceCycle { loc });
             }
         }
@@ -442,66 +411,61 @@ pub fn check_model(h: &History, models: &ModelAssignment) -> Result<CheckReport,
     report.into_result()
 }
 
-/// Per-location coherence: all writes to `loc` (a plain-write location)
-/// plus the initial pseudo-write must embed in one total order that
-/// respects every process's program order of writes and, for each
-/// coherent process, the order in which its reads and own writes
-/// observed them. A cycle in those constraints is the witness that no
-/// such order exists.
-fn coherent_at(h: &History, models: &ModelAssignment, loc: Loc) -> bool {
+/// Per-location coherence: all writes to one plain-write location (`ops`
+/// are its reads and writes, in operation order) plus the initial
+/// pseudo-write must embed in one total order that respects every
+/// process's program order of writes and, for each coherent process, the
+/// order in which its reads and own writes observed them. A cycle in
+/// those constraints is the witness that no such order exists.
+fn coherent_at(h: &History, models: &ModelAssignment, ops: &[OpId]) -> bool {
     use crate::graph::Digraph;
-    let init = h.len();
-    let mut g = Digraph::new(h.len() + 1);
-
-    for p in 0..h.nprocs() {
-        let writes: Vec<OpId> = h
-            .proc_ops(ProcId(p as u32))
-            .iter()
-            .copied()
-            .filter(|&o| matches!(h.op(o).kind, OpKind::Write { loc: l, .. } if l == loc))
-            .collect();
-        for &w in &writes {
-            g.add_edge(init, w.index());
-        }
-        for w in writes.windows(2) {
-            g.add_edge(w[0].index(), w[1].index());
+    // Node 0 is the initial write, then the location's writes in order.
+    let mut node: HashMap<OpId, usize> = HashMap::new();
+    for &o in ops {
+        if matches!(h.op(o).kind, OpKind::Write { .. }) {
+            node.insert(o, node.len() + 1);
         }
     }
+    let mut g = Digraph::new(node.len() + 1);
 
-    for p in 0..h.nprocs() {
-        let proc = ProcId(p as u32);
-        if !models.is_coherent(proc) {
-            continue;
-        }
-        // The process's view of loc in program order, each access
-        // resolved to the write it exposes.
-        let mut last: Option<usize> = None;
-        for &o in h.proc_ops(proc) {
-            let node = match &h.op(o).kind {
-                OpKind::Write { loc: l, .. } if *l == loc => o.index(),
-                OpKind::Read { loc: l, .. } if *l == loc => {
-                    let w = h.reads_from(o);
-                    if w.is_initial() {
-                        init
-                    } else {
-                        match h.write_op(w) {
-                            Some(wo) => wo.index(),
-                            None => continue,
-                        }
+    // Per process: the last write seen in its program order and, for a
+    // coherent process, the last write any of its accesses exposed.
+    let mut last_write: Vec<Option<usize>> = vec![None; h.nprocs()];
+    let mut last_seen: Vec<Option<usize>> = vec![None; h.nprocs()];
+    for &o in ops {
+        let op = h.op(o);
+        let p = op.proc.index();
+        let seen = match &op.kind {
+            OpKind::Write { .. } => {
+                let w = node[&o];
+                g.add_edge(0, w);
+                if let Some(prev) = last_write[p].replace(w) {
+                    g.add_edge(prev, w);
+                }
+                w
+            }
+            _ => {
+                let w = h.reads_from(o);
+                if w.is_initial() {
+                    0
+                } else {
+                    match h.write_op(w).and_then(|wo| node.get(&wo)) {
+                        Some(&n) => n,
+                        None => continue,
                     }
                 }
-                _ => continue,
-            };
-            if let Some(prev) = last {
-                if prev != node {
-                    g.add_edge(prev, node);
+            }
+        };
+        if models.is_coherent(op.proc) {
+            if let Some(prev) = last_seen[p].replace(seen) {
+                if prev != seen {
+                    g.add_edge(prev, seen);
                 }
             }
-            last = Some(node);
         }
     }
 
-    g.transitive_closure().is_ok()
+    g.topo_order().is_ok()
 }
 
 /// Projects a history for a partial total-store-order check: every
@@ -522,15 +486,16 @@ fn tso_projection(h: &History, models: &ModelAssignment) -> History {
     for &(a, b) in h.po_edges() {
         preds[b.index()].push(a);
     }
-    let kept_preds = |id: OpId| -> Vec<OpId> {
+    // `seen[o] == id` marks `o` visited in the walk from `id`.
+    let mut seen = vec![u32::MAX; h.len()];
+    let mut kept_preds = |id: OpId| -> Vec<OpId> {
         let mut out = Vec::new();
         let mut stack = preds[id.index()].clone();
-        let mut seen = vec![false; h.len()];
         while let Some(p) = stack.pop() {
-            if seen[p.index()] {
+            if seen[p.index()] == id.0 {
                 continue;
             }
-            seen[p.index()] = true;
+            seen[p.index()] = id.0;
             if keep(p) {
                 out.push(p);
             } else {
