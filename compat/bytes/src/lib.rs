@@ -263,6 +263,9 @@ impl BytesMut {
     }
 
     /// Appends `src`, growing via [`BytesMut::reserve`] if needed.
+    /// Inlined, so that a caller's fixed-width write copies a constant
+    /// number of bytes.
+    #[inline]
     pub fn put_slice(&mut self, src: &[u8]) {
         self.reserve(src.len());
         // Safety: `[end, end+len)` is spare space; we are the unique

@@ -11,7 +11,15 @@
 //! peers, so the bytes transferred on recovery are bounded by the log
 //! tail, not the store size.
 //!
-//! Two backends share the codec: [`MemDisk`] models a disk inside the
+//! There is no second codec here. A logged remote update *is* the
+//! [`Msg`] the node applied, in its wire body; the records a message
+//! cannot express (own writes, incarnations, subscriptions) take tags the
+//! wire format reserves for them; and records, snapshots and disk images
+//! are all written and read with [`crate::wire`]'s primitives and its one
+//! bounds-checked cursor. Recovery therefore replays through the decoder
+//! `tests/wire_props.rs` pins against hostile bytes.
+//!
+//! Two backends share the format: [`MemDisk`] models a disk inside the
 //! deterministic simulator (with an explicit staged-vs-durable boundary so
 //! crash points between append, fsync, and ack are explorable), and
 //! [`FileDisk`] is the real thing for `mc-live` (append-only `wal.log`,
@@ -28,7 +36,11 @@ use std::path::{Path, PathBuf};
 
 use mc_model::{Loc, ProcId, VClock, Value, WriteId};
 
-use crate::msg::{BatchEntry, UpdatePayload};
+use crate::msg::{BatchEntry, Msg, UpdatePayload};
+use crate::wire::{
+    self, Cursor, Sink as _, WireError, CONTROL_TAG_BASE, TAG_WAL_INCARNATION, TAG_WAL_OWN_WRITE,
+    TAG_WAL_OWN_WRITE_SHARDED, TAG_WAL_SUBSCRIBE,
+};
 
 // ---------------------------------------------------------------------------
 // CRC-32 (IEEE 802.3), table-driven, no external deps.
@@ -117,7 +129,8 @@ impl Default for DurabilityPolicy {
 /// One write-ahead-log record. Records are written at *ingest* time (not
 /// apply time), so replay feeds them back through the replica's normal
 /// ingest machinery and the causal pending buffers reconstruct naturally.
-#[derive(Clone, Debug, PartialEq)]
+/// Records compare by their encoding.
+#[derive(Clone, Debug)]
 pub enum WalRecord {
     /// A local write by the owning process (append-before-ack: this is
     /// fsynced before the write's outcome is acknowledged to the program).
@@ -129,37 +142,6 @@ pub enum WalRecord {
         /// Dependency vector minted at the write (vector modes only).
         deps: Option<VClock>,
     },
-    /// A remote singleton update as ingested.
-    Ingest {
-        /// Identity of the remote write.
-        writer: WriteId,
-        /// Location written.
-        loc: Loc,
-        /// Overwrite or increment.
-        payload: UpdatePayload,
-        /// The writer's vector timestamp (vector modes only).
-        deps: Option<VClock>,
-    },
-    /// A remote coalesced batch as ingested.
-    IngestBatch {
-        /// The writing process.
-        proc: ProcId,
-        /// First own-write sequence covered.
-        first_seq: u32,
-        /// Last own-write sequence covered.
-        upto: u32,
-        /// Coalesced per-location entries.
-        entries: Vec<BatchEntry>,
-        /// Dependency vector of the last member (vector modes only).
-        deps: Option<VClock>,
-    },
-    /// The replica's incarnation number, persisted (and fsynced) on every
-    /// rebirth so stale pre-crash session state can never be mistaken for
-    /// the reborn node's.
-    Incarnation {
-        /// The new incarnation.
-        incarnation: u32,
-    },
     /// A local write in sharded mode (chain link recomputed at replay).
     OwnWriteSharded {
         /// Location written.
@@ -169,37 +151,12 @@ pub enum WalRecord {
         /// Sparse `(shard, proc, seq)` dependency triples.
         deps: Vec<(u32, ProcId, u32)>,
     },
-    /// A remote sharded singleton update as ingested.
-    IngestSharded {
-        /// Identity of the remote write.
-        writer: WriteId,
-        /// Location written.
-        loc: Loc,
-        /// Overwrite or increment.
-        payload: UpdatePayload,
-        /// The writer's previous own seq in the target shard.
-        prev: u32,
-        /// Sparse `(shard, proc, seq)` dependency triples.
-        deps: Vec<(u32, ProcId, u32)>,
-    },
-    /// A remote sharded chain (coalesced batch, recovery delta, or
-    /// subscription backfill) as ingested.
-    IngestShardChain {
-        /// The writing process.
-        proc: ProcId,
-        /// The shard the chain lives in.
-        shard: u32,
-        /// Chain link before the first member.
-        prev: u32,
-        /// Last member's global seq.
-        upto: u32,
-        /// Chain entries (coalesced or one-per-write).
-        entries: Vec<BatchEntry>,
-        /// Dependency triples of the last member.
-        deps: Vec<(u32, ProcId, u32)>,
-        /// Whether the already-applied prefix may be trimmed at replay
-        /// (uncoalesced recovery/backfill chains only).
-        trim: bool,
+    /// The replica's incarnation number, persisted (and fsynced) on every
+    /// rebirth so stale pre-crash session state can never be mistaken for
+    /// the reborn node's.
+    Incarnation {
+        /// The new incarnation.
+        incarnation: u32,
     },
     /// A dynamic shard subscription, persisted so replay filters
     /// dependency triples with the same interest set it had live.
@@ -207,6 +164,19 @@ pub enum WalRecord {
         /// The newly subscribed shard.
         shard: u32,
     },
+    /// A remote update as the node applied it: a [`Msg::Update`],
+    /// [`Msg::RecoverResp`], [`Msg::ShardUpdate`],
+    /// [`Msg::ShardUpdateBatch`] or [`Msg::ShardRecoverResp`]. A
+    /// [`Msg::UpdateBatch`] is logged as the `RecoverResp` it becomes once
+    /// its per-link delta is expanded to the full vector, so replay needs
+    /// no link shadow clock.
+    Ingest(Msg),
+}
+
+impl PartialEq for WalRecord {
+    fn eq(&self, other: &Self) -> bool {
+        self.encode() == other.encode()
+    }
 }
 
 /// How the tail of a write-ahead log ended during decoding.
@@ -237,380 +207,93 @@ impl WalTail {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Byte-level codec helpers
-// ---------------------------------------------------------------------------
-
-fn put_u32(b: &mut Vec<u8>, v: u32) {
-    b.extend_from_slice(&v.to_le_bytes());
+/// Appends one `len:u32 | crc:u32 | body` frame to `out`, the body being
+/// whatever `put_body` writes — the shape of every log record and of a
+/// snapshot after its magic.
+pub(crate) fn frame(out: &mut Vec<u8>, put_body: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    out.put_slice(&[0; 8]);
+    put_body(out);
+    let body = &out[start + 8..];
+    let (len, crc) = (u32::try_from(body.len()).expect("frame fits u32"), crc32(body));
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    out[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
 }
 
-fn put_u64(b: &mut Vec<u8>, v: u64) {
-    b.extend_from_slice(&v.to_le_bytes());
+/// Reads one frame: its body and whether the CRC holds, or `None` if the
+/// bytes end before the header or the body it promises.
+fn unframe<'a>(cur: &mut Cursor<'a>) -> Option<(&'a [u8], bool)> {
+    let len = cur.u32().ok()? as usize;
+    let crc = cur.u32().ok()?;
+    let body = cur.take(len).ok()?;
+    Some((body, crc32(body) == crc))
 }
-
-fn put_value(b: &mut Vec<u8>, v: &Value) {
-    match v {
-        Value::Int(i) => {
-            b.push(0);
-            b.extend_from_slice(&i.to_le_bytes());
-        }
-        Value::F64(f) => {
-            b.push(1);
-            b.extend_from_slice(&f.to_le_bytes());
-        }
-        Value::Bool(x) => {
-            b.push(2);
-            b.extend_from_slice(&(*x as u64).to_le_bytes());
-        }
-    }
-}
-
-fn put_payload(b: &mut Vec<u8>, p: &UpdatePayload) {
-    match p {
-        UpdatePayload::Set(v) => {
-            b.push(0);
-            put_value(b, v);
-        }
-        UpdatePayload::Add(v) => {
-            b.push(1);
-            put_value(b, v);
-        }
-    }
-}
-
-fn put_writer(b: &mut Vec<u8>, w: WriteId) {
-    put_u32(b, w.proc.0);
-    put_u32(b, w.seq);
-}
-
-fn put_clock(b: &mut Vec<u8>, c: &VClock) {
-    put_u32(b, c.len() as u32);
-    for (p, n) in c.iter() {
-        let _ = p;
-        put_u32(b, n);
-    }
-}
-
-fn put_opt_clock(b: &mut Vec<u8>, c: &Option<VClock>) {
-    match c {
-        Some(c) => {
-            b.push(1);
-            put_clock(b, c);
-        }
-        None => b.push(0),
-    }
-}
-
-fn put_triples(b: &mut Vec<u8>, t: &[(u32, ProcId, u32)]) {
-    put_u32(b, t.len() as u32);
-    for &(s, q, c) in t {
-        put_u32(b, s);
-        put_u32(b, q.0);
-        put_u32(b, c);
-    }
-}
-
-fn put_entry(b: &mut Vec<u8>, e: &BatchEntry) {
-    put_u32(b, e.loc.0);
-    put_payload(b, &e.payload);
-    put_writer(b, e.writer);
-    put_u32(b, e.adds.len() as u32);
-    for &s in &e.adds {
-        put_u32(b, s);
-    }
-}
-
-/// Bounded cursor over an encoded body; every getter fails (None) on
-/// truncation instead of panicking, so corruption surfaces as a decode
-/// error rather than a crash.
-struct Rd<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl<'a> Rd<'a> {
-    fn new(b: &'a [u8]) -> Self {
-        Rd { b, i: 0 }
-    }
-
-    fn done(&self) -> bool {
-        self.i == self.b.len()
-    }
-
-    /// Bytes left in the buffer. Every element-count read from the wire
-    /// is clamped against this before any allocation or loop, so a
-    /// corrupted length field near `u32::MAX` fails the decode instead
-    /// of attempting a huge reservation.
-    fn remaining(&self) -> usize {
-        self.b.len() - self.i
-    }
-
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.i.checked_add(n)?;
-        if end > self.b.len() {
-            return None;
-        }
-        let s = &self.b[self.i..end];
-        self.i = end;
-        Some(s)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|s| s[0])
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        self.take(4).map(|s| u32::from_le_bytes(s.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        self.take(8).map(|s| u64::from_le_bytes(s.try_into().unwrap()))
-    }
-
-    fn value(&mut self) -> Option<Value> {
-        let tag = self.u8()?;
-        let raw = self.u64()?;
-        match tag {
-            0 => Some(Value::Int(raw as i64)),
-            1 => Some(Value::F64(f64::from_bits(raw))),
-            2 => Some(Value::Bool(raw != 0)),
-            _ => None,
-        }
-    }
-
-    fn payload(&mut self) -> Option<UpdatePayload> {
-        match self.u8()? {
-            0 => Some(UpdatePayload::Set(self.value()?)),
-            1 => Some(UpdatePayload::Add(self.value()?)),
-            _ => None,
-        }
-    }
-
-    fn writer(&mut self) -> Option<WriteId> {
-        let proc = ProcId(self.u32()?);
-        let seq = self.u32()?;
-        Some(WriteId { proc, seq })
-    }
-
-    fn clock(&mut self) -> Option<VClock> {
-        let len = self.u32()? as usize;
-        // A clock component is 4 bytes; refuse lengths the buffer cannot hold.
-        if len > self.remaining() / 4 {
-            return None;
-        }
-        let mut c = VClock::new(len);
-        for i in 0..len {
-            c.set(ProcId(i as u32), self.u32()?);
-        }
-        Some(c)
-    }
-
-    fn opt_clock(&mut self) -> Option<Option<VClock>> {
-        match self.u8()? {
-            0 => Some(None),
-            1 => Some(Some(self.clock()?)),
-            _ => None,
-        }
-    }
-
-    fn entry(&mut self) -> Option<BatchEntry> {
-        let loc = Loc(self.u32()?);
-        let payload = self.payload()?;
-        let writer = self.writer()?;
-        let n = self.u32()? as usize;
-        if n > self.remaining() / 4 {
-            return None;
-        }
-        let mut adds = Vec::with_capacity(n);
-        for _ in 0..n {
-            adds.push(self.u32()?);
-        }
-        Some(BatchEntry { loc, payload, writer, adds })
-    }
-
-    fn triples(&mut self) -> Option<Vec<(u32, ProcId, u32)>> {
-        let n = self.u32()? as usize;
-        // A triple is 12 bytes on the wire.
-        if n > self.remaining() / 12 {
-            return None;
-        }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push((self.u32()?, ProcId(self.u32()?), self.u32()?));
-        }
-        Some(out)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// WAL record framing
-// ---------------------------------------------------------------------------
-
-const TAG_OWN_WRITE: u8 = 1;
-const TAG_INGEST: u8 = 2;
-const TAG_INGEST_BATCH: u8 = 3;
-const TAG_INCARNATION: u8 = 4;
-const TAG_OWN_WRITE_SHARDED: u8 = 5;
-const TAG_INGEST_SHARDED: u8 = 6;
-const TAG_INGEST_SHARD_CHAIN: u8 = 7;
-const TAG_SUBSCRIBE: u8 = 8;
 
 impl WalRecord {
-    /// Encodes the record body (tag + fields, little-endian, no frame).
-    fn encode_body(&self) -> Vec<u8> {
-        let mut b = Vec::new();
+    /// Writes the record body (no frame) to `b`.
+    pub(crate) fn put_body(&self, b: &mut Vec<u8>) {
         match self {
             WalRecord::OwnWrite { loc, payload, deps } => {
-                b.push(TAG_OWN_WRITE);
-                put_u32(&mut b, loc.0);
-                put_payload(&mut b, payload);
-                put_opt_clock(&mut b, deps);
-            }
-            WalRecord::Ingest { writer, loc, payload, deps } => {
-                b.push(TAG_INGEST);
-                put_writer(&mut b, *writer);
-                put_u32(&mut b, loc.0);
-                put_payload(&mut b, payload);
-                put_opt_clock(&mut b, deps);
-            }
-            WalRecord::IngestBatch { proc, first_seq, upto, entries, deps } => {
-                b.push(TAG_INGEST_BATCH);
-                put_u32(&mut b, proc.0);
-                put_u32(&mut b, *first_seq);
-                put_u32(&mut b, *upto);
-                put_u32(&mut b, entries.len() as u32);
-                for e in entries {
-                    put_entry(&mut b, e);
-                }
-                put_opt_clock(&mut b, deps);
-            }
-            WalRecord::Incarnation { incarnation } => {
-                b.push(TAG_INCARNATION);
-                put_u32(&mut b, *incarnation);
+                b.put_u8(TAG_WAL_OWN_WRITE);
+                b.put_u32_le(loc.0);
+                wire::put_payload(b, payload);
+                wire::put_vclock_opt(b, deps.as_ref());
             }
             WalRecord::OwnWriteSharded { loc, payload, deps } => {
-                b.push(TAG_OWN_WRITE_SHARDED);
-                put_u32(&mut b, loc.0);
-                put_payload(&mut b, payload);
-                put_triples(&mut b, deps);
+                b.put_u8(TAG_WAL_OWN_WRITE_SHARDED);
+                b.put_u32_le(loc.0);
+                wire::put_payload(b, payload);
+                wire::put_triples(b, deps);
             }
-            WalRecord::IngestSharded { writer, loc, payload, prev, deps } => {
-                b.push(TAG_INGEST_SHARDED);
-                put_writer(&mut b, *writer);
-                put_u32(&mut b, loc.0);
-                put_payload(&mut b, payload);
-                put_u32(&mut b, *prev);
-                put_triples(&mut b, deps);
-            }
-            WalRecord::IngestShardChain { proc, shard, prev, upto, entries, deps, trim } => {
-                b.push(TAG_INGEST_SHARD_CHAIN);
-                put_u32(&mut b, proc.0);
-                put_u32(&mut b, *shard);
-                put_u32(&mut b, *prev);
-                put_u32(&mut b, *upto);
-                put_u32(&mut b, entries.len() as u32);
-                for e in entries {
-                    put_entry(&mut b, e);
-                }
-                put_triples(&mut b, deps);
-                b.push(*trim as u8);
+            WalRecord::Incarnation { incarnation } => {
+                b.put_u8(TAG_WAL_INCARNATION);
+                b.put_u32_le(*incarnation);
             }
             WalRecord::Subscribe { shard } => {
-                b.push(TAG_SUBSCRIBE);
-                put_u32(&mut b, *shard);
+                b.put_u8(TAG_WAL_SUBSCRIBE);
+                b.put_u32_le(*shard);
             }
+            WalRecord::Ingest(msg) => wire::encode_body(b, msg),
         }
-        b
     }
 
     /// Encodes one framed record: `len:u32 | crc:u32 | body`, with the
     /// CRC covering the body.
     pub fn encode(&self) -> Vec<u8> {
-        let body = self.encode_body();
-        let mut out = Vec::with_capacity(8 + body.len());
-        put_u32(&mut out, body.len() as u32);
-        put_u32(&mut out, crc32(&body));
-        out.extend_from_slice(&body);
+        let mut out = Vec::new();
+        frame(&mut out, |b| self.put_body(b));
         out
     }
 
-    fn decode_body(body: &[u8]) -> Option<WalRecord> {
-        let mut r = Rd::new(body);
-        let rec = match r.u8()? {
-            TAG_OWN_WRITE => {
-                let loc = Loc(r.u32()?);
-                let payload = r.payload()?;
-                let deps = r.opt_clock()?;
-                WalRecord::OwnWrite { loc, payload, deps }
-            }
-            TAG_INGEST => {
-                let writer = r.writer()?;
-                let loc = Loc(r.u32()?);
-                let payload = r.payload()?;
-                let deps = r.opt_clock()?;
-                WalRecord::Ingest { writer, loc, payload, deps }
-            }
-            TAG_INGEST_BATCH => {
-                let proc = ProcId(r.u32()?);
-                let first_seq = r.u32()?;
-                let upto = r.u32()?;
-                let n = r.u32()? as usize;
-                // An entry is at least 17 bytes (loc + payload + writer
-                // + adds count); clamp loosely to the remaining buffer.
-                if n > r.remaining() / 17 {
-                    return None;
-                }
-                let mut entries = Vec::with_capacity(n);
-                for _ in 0..n {
-                    entries.push(r.entry()?);
-                }
-                let deps = r.opt_clock()?;
-                WalRecord::IngestBatch { proc, first_seq, upto, entries, deps }
-            }
-            TAG_INCARNATION => WalRecord::Incarnation { incarnation: r.u32()? },
-            TAG_OWN_WRITE_SHARDED => {
-                let loc = Loc(r.u32()?);
-                let payload = r.payload()?;
-                let deps = r.triples()?;
-                WalRecord::OwnWriteSharded { loc, payload, deps }
-            }
-            TAG_INGEST_SHARDED => {
-                let writer = r.writer()?;
-                let loc = Loc(r.u32()?);
-                let payload = r.payload()?;
-                let prev = r.u32()?;
-                let deps = r.triples()?;
-                WalRecord::IngestSharded { writer, loc, payload, prev, deps }
-            }
-            TAG_INGEST_SHARD_CHAIN => {
-                let proc = ProcId(r.u32()?);
-                let shard = r.u32()?;
-                let prev = r.u32()?;
-                let upto = r.u32()?;
-                let n = r.u32()? as usize;
-                if n > r.remaining() / 17 {
-                    return None;
-                }
-                let mut entries = Vec::with_capacity(n);
-                for _ in 0..n {
-                    entries.push(r.entry()?);
-                }
-                let deps = r.triples()?;
-                let trim = match r.u8()? {
-                    0 => false,
-                    1 => true,
-                    _ => return None,
-                };
-                WalRecord::IngestShardChain { proc, shard, prev, upto, entries, deps, trim }
-            }
-            TAG_SUBSCRIBE => WalRecord::Subscribe { shard: r.u32()? },
-            _ => return None,
+    fn decode_body(body: &[u8]) -> Result<WalRecord, WireError> {
+        let mut cur = Cursor::new(body);
+        let rec = match body.first() {
+            Some(&tag) if tag < CONTROL_TAG_BASE => match wire::decode_body(&mut cur, false)? {
+                msg @ (Msg::Update { .. }
+                | Msg::RecoverResp { .. }
+                | Msg::ShardUpdate { .. }
+                | Msg::ShardUpdateBatch { .. }
+                | Msg::ShardRecoverResp { .. }) => WalRecord::Ingest(msg),
+                _ => return Err(WireError::BadTag(tag)),
+            },
+            _ => match cur.u8()? {
+                TAG_WAL_OWN_WRITE => WalRecord::OwnWrite {
+                    loc: Loc(cur.u32()?),
+                    payload: cur.payload()?,
+                    deps: cur.vclock_opt()?,
+                },
+                TAG_WAL_OWN_WRITE_SHARDED => WalRecord::OwnWriteSharded {
+                    loc: Loc(cur.u32()?),
+                    payload: cur.payload()?,
+                    deps: cur.triples()?,
+                },
+                TAG_WAL_INCARNATION => WalRecord::Incarnation { incarnation: cur.u32()? },
+                TAG_WAL_SUBSCRIBE => WalRecord::Subscribe { shard: cur.u32()? },
+                tag => return Err(WireError::BadTag(tag)),
+            },
         };
-        if !r.done() {
-            return None;
-        }
-        Some(rec)
+        cur.finish()?;
+        Ok(rec)
     }
 }
 
@@ -619,31 +302,19 @@ impl WalRecord {
 /// ([`WalTail::Torn`]) or fails its CRC / body parse
 /// ([`WalTail::Corrupt`]); records before that point are always returned.
 pub fn decode_wal(bytes: &[u8]) -> (Vec<WalRecord>, WalTail) {
+    let mut cur = Cursor::new(bytes);
     let mut out = Vec::new();
-    let mut i = 0usize;
-    while i < bytes.len() {
-        if bytes.len() - i < 8 {
-            return (out, WalTail::Torn { at: i });
-        }
-        let len = u32::from_le_bytes(bytes[i..i + 4].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(bytes[i + 4..i + 8].try_into().unwrap());
-        let Some(end) = i.checked_add(8).and_then(|s| s.checked_add(len)) else {
-            return (out, WalTail::Torn { at: i });
+    while cur.remaining() > 0 {
+        let at = cur.pos();
+        // A torn append or a corrupted length field: either way the
+        // valid prefix is everything before this frame.
+        let Some((body, crc_ok)) = unframe(&mut cur) else {
+            return (out, WalTail::Torn { at });
         };
-        if end > bytes.len() {
-            // Could be a torn append or a corrupted length field; either
-            // way the valid prefix is everything before this frame.
-            return (out, WalTail::Torn { at: i });
+        match crc_ok.then(|| WalRecord::decode_body(body)) {
+            Some(Ok(rec)) => out.push(rec),
+            _ => return (out, WalTail::Corrupt { at }),
         }
-        let body = &bytes[i + 8..end];
-        if crc32(body) != crc {
-            return (out, WalTail::Corrupt { at: i });
-        }
-        match WalRecord::decode_body(body) {
-            Some(rec) => out.push(rec),
-            None => return (out, WalTail::Corrupt { at: i }),
-        }
-        i = end;
     }
     (out, WalTail::Clean)
 }
@@ -730,8 +401,8 @@ pub enum SnapshotError {
     Truncated,
     /// The body CRC failed.
     BadCrc,
-    /// The CRC passed but the body did not parse (codec bug or a
-    /// collision-grade corruption).
+    /// The CRC passed but the body did not parse, or bytes follow it
+    /// (codec bug or a collision-grade corruption).
     Malformed,
 }
 
@@ -748,220 +419,135 @@ impl fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-const SNAP_MAGIC: &[u8; 8] = b"MCSNAP01";
+/// Names the body format: a file from another format version is refused
+/// as [`SnapshotError::BadMagic`], never parsed.
+const SNAP_MAGIC: &[u8; 8] = b"MCSNAP02";
+
+/// A snapshot list: a `u32` count, then each element.
+fn put_list<T>(b: &mut Vec<u8>, items: &[T], mut put: impl FnMut(&mut Vec<u8>, &T)) {
+    b.put_u32_le(u32::try_from(items.len()).expect("snapshot list fits u32"));
+    for item in items {
+        put(b, item);
+    }
+}
+
+/// Reads a [`put_list`] list whose elements take at least `min_bytes`.
+fn read_list<'a, T>(
+    cur: &mut Cursor<'a>,
+    min_bytes: usize,
+    elem: impl FnMut(&mut Cursor<'a>) -> Result<T, WireError>,
+) -> Result<Vec<T>, WireError> {
+    let n = cur.u32()? as usize;
+    cur.list(n, min_bytes, elem)
+}
 
 impl Snapshot {
     /// Encodes the snapshot: `magic | len:u32 | crc:u32 | body`.
     pub fn encode(&self) -> Vec<u8> {
-        let mut b = Vec::new();
-        put_u32(&mut b, self.incarnation);
-        put_clock(&mut b, &self.applied);
-        put_u32(&mut b, self.store.len() as u32);
-        for &(loc, v, w) in &self.store {
-            put_u32(&mut b, loc.0);
-            put_value(&mut b, &v);
-            match w {
-                Some(w) => {
-                    b.push(1);
-                    put_writer(&mut b, w);
+        let mut out = SNAP_MAGIC.to_vec();
+        frame(&mut out, |b| {
+            b.put_u32_le(self.incarnation);
+            wire::put_vclock(b, &self.applied);
+            put_list(b, &self.store, |b, (loc, v, w)| {
+                b.put_u32_le(loc.0);
+                wire::put_value(b, v);
+                b.put_u8(w.is_some() as u8);
+                if let Some(w) = w {
+                    wire::put_writer(b, *w);
                 }
-                None => b.push(0),
-            }
-        }
-        put_u32(&mut b, self.counter_updates.len() as u32);
-        for (loc, ws) in &self.counter_updates {
-            put_u32(&mut b, loc.0);
-            put_u32(&mut b, ws.len() as u32);
-            for &w in ws {
-                put_writer(&mut b, w);
-            }
-        }
-        put_u32(&mut b, self.write_log.len() as u32);
-        for &(loc, seq) in &self.write_log {
-            put_u32(&mut b, loc.0);
-            put_u32(&mut b, seq);
-        }
-        put_u32(&mut b, self.own_updates.len() as u32);
-        for u in &self.own_updates {
-            put_u32(&mut b, u.seq);
-            put_u32(&mut b, u.loc.0);
-            put_payload(&mut b, &u.payload);
-            put_opt_clock(&mut b, &u.deps);
-        }
-        put_u32(&mut b, self.pending.len() as u32);
-        for p in &self.pending {
-            put_writer(&mut b, p.writer);
-            put_u32(&mut b, p.loc.0);
-            put_payload(&mut b, &p.payload);
-            put_clock(&mut b, &p.deps);
-        }
-        put_u32(&mut b, self.pending_batches.len() as u32);
-        for pb in &self.pending_batches {
-            put_u32(&mut b, pb.proc.0);
-            put_u32(&mut b, pb.first_seq);
-            put_u32(&mut b, pb.upto);
-            put_u32(&mut b, pb.entries.len() as u32);
-            for e in &pb.entries {
-                put_entry(&mut b, e);
-            }
-            put_clock(&mut b, &pb.deps);
-        }
-        put_u32(&mut b, self.watermarks.len() as u32);
-        for &(p, d) in &self.watermarks {
-            put_u32(&mut b, p.0);
-            put_u64(&mut b, d);
-        }
-
-        let mut out = Vec::with_capacity(16 + b.len());
-        out.extend_from_slice(SNAP_MAGIC);
-        put_u32(&mut out, b.len() as u32);
-        put_u32(&mut out, crc32(&b));
-        out.extend_from_slice(&b);
+            });
+            put_list(b, &self.counter_updates, |b, (loc, ws)| {
+                b.put_u32_le(loc.0);
+                put_list(b, ws, |b, w| wire::put_writer(b, *w));
+            });
+            put_list(b, &self.write_log, |b, (loc, seq)| {
+                b.put_u32_le(loc.0);
+                b.put_u32_le(*seq);
+            });
+            put_list(b, &self.own_updates, |b, u| {
+                b.put_u32_le(u.seq);
+                b.put_u32_le(u.loc.0);
+                wire::put_payload(b, &u.payload);
+                wire::put_vclock_opt(b, u.deps.as_ref());
+            });
+            put_list(b, &self.pending, |b, p| {
+                wire::put_writer(b, p.writer);
+                b.put_u32_le(p.loc.0);
+                wire::put_payload(b, &p.payload);
+                wire::put_vclock(b, &p.deps);
+            });
+            put_list(b, &self.pending_batches, |b, pb| {
+                b.put_u32_le(pb.proc.0);
+                b.put_u32_le(pb.first_seq);
+                b.put_u32_le(pb.upto);
+                b.put_u32_le(pb.entries.len() as u32);
+                wire::put_entries(b, pb.proc, &pb.entries);
+                wire::put_vclock(b, &pb.deps);
+            });
+            put_list(b, &self.watermarks, |b, (p, delivered)| {
+                b.put_u32_le(p.0);
+                b.put_u64_le(*delivered);
+            });
+        });
         out
     }
 
     /// Decodes a snapshot, validating magic, length, and CRC.
     pub fn decode(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
-        if bytes.len() < 16 {
-            if bytes.len() >= 8 && &bytes[..8] != SNAP_MAGIC {
-                return Err(SnapshotError::BadMagic);
-            }
-            return Err(SnapshotError::Truncated);
+        let mut cur = Cursor::new(bytes);
+        match cur.take(SNAP_MAGIC.len()) {
+            Err(_) => return Err(SnapshotError::Truncated),
+            Ok(magic) if magic != SNAP_MAGIC => return Err(SnapshotError::BadMagic),
+            Ok(_) => {}
         }
-        if &bytes[..8] != SNAP_MAGIC {
-            return Err(SnapshotError::BadMagic);
-        }
-        let len = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(bytes[12..16].try_into().unwrap());
-        let Some(end) = 16usize.checked_add(len) else {
-            return Err(SnapshotError::Truncated);
-        };
-        if end > bytes.len() {
-            return Err(SnapshotError::Truncated);
-        }
-        let body = &bytes[16..end];
-        if crc32(body) != crc {
+        let (body, crc_ok) = unframe(&mut cur).ok_or(SnapshotError::Truncated)?;
+        if !crc_ok {
             return Err(SnapshotError::BadCrc);
         }
-        Self::decode_body(body).ok_or(SnapshotError::Malformed)
+        cur.finish().and_then(|()| Self::decode_body(body)).map_err(|_| SnapshotError::Malformed)
     }
 
-    fn decode_body(body: &[u8]) -> Option<Snapshot> {
-        let mut r = Rd::new(body);
-        let incarnation = r.u32()?;
-        let applied = r.clock()?;
-        // Every element count below is clamped to what the remaining
-        // buffer could possibly hold (divided by the element's minimum
-        // wire size) before reserving or looping, so a corrupted count
-        // near u32::MAX fails cleanly instead of allocating.
-        let n = r.u32()? as usize;
-        if n > r.remaining() / 14 {
-            return None;
-        }
-        let mut store = Vec::with_capacity(n);
-        for _ in 0..n {
-            let loc = Loc(r.u32()?);
-            let v = r.value()?;
-            let w = match r.u8()? {
-                0 => None,
-                1 => Some(r.writer()?),
-                _ => return None,
-            };
-            store.push((loc, v, w));
-        }
-        let n = r.u32()? as usize;
-        if n > r.remaining() / 8 {
-            return None;
-        }
-        let mut counter_updates = Vec::with_capacity(n);
-        for _ in 0..n {
-            let loc = Loc(r.u32()?);
-            let m = r.u32()? as usize;
-            if m > r.remaining() / 8 {
-                return None;
-            }
-            let mut ws = Vec::with_capacity(m);
-            for _ in 0..m {
-                ws.push(r.writer()?);
-            }
-            counter_updates.push((loc, ws));
-        }
-        let n = r.u32()? as usize;
-        if n > r.remaining() / 8 {
-            return None;
-        }
-        let mut write_log = Vec::with_capacity(n);
-        for _ in 0..n {
-            write_log.push((Loc(r.u32()?), r.u32()?));
-        }
-        let n = r.u32()? as usize;
-        if n > r.remaining() / 19 {
-            return None;
-        }
-        let mut own_updates = Vec::with_capacity(n);
-        for _ in 0..n {
-            own_updates.push(OwnUpdate {
-                seq: r.u32()?,
-                loc: Loc(r.u32()?),
-                payload: r.payload()?,
-                deps: r.opt_clock()?,
-            });
-        }
-        let n = r.u32()? as usize;
-        if n > r.remaining() / 26 {
-            return None;
-        }
-        let mut pending = Vec::with_capacity(n);
-        for _ in 0..n {
-            pending.push(SnapPending {
-                writer: r.writer()?,
-                loc: Loc(r.u32()?),
-                payload: r.payload()?,
-                deps: r.clock()?,
-            });
-        }
-        let n = r.u32()? as usize;
-        if n > r.remaining() / 20 {
-            return None;
-        }
-        let mut pending_batches = Vec::with_capacity(n);
-        for _ in 0..n {
-            let proc = ProcId(r.u32()?);
-            let first_seq = r.u32()?;
-            let upto = r.u32()?;
-            let m = r.u32()? as usize;
-            if m > r.remaining() / 17 {
-                return None;
-            }
-            let mut entries = Vec::with_capacity(m);
-            for _ in 0..m {
-                entries.push(r.entry()?);
-            }
-            let deps = r.clock()?;
-            pending_batches.push(SnapBatch { proc, first_seq, upto, entries, deps });
-        }
-        let n = r.u32()? as usize;
-        if n > r.remaining() / 12 {
-            return None;
-        }
-        let mut watermarks = Vec::with_capacity(n);
-        for _ in 0..n {
-            watermarks.push((ProcId(r.u32()?), r.u64()?));
-        }
-        if !r.done() {
-            return None;
-        }
-        Some(Snapshot {
-            incarnation,
-            applied,
-            store,
-            counter_updates,
-            write_log,
-            own_updates,
-            pending,
-            pending_batches,
-            watermarks,
-        })
+    fn decode_body(body: &[u8]) -> Result<Snapshot, WireError> {
+        let mut cur = Cursor::new(body);
+        let c = &mut cur;
+        let snap = Snapshot {
+            incarnation: c.u32()?,
+            applied: c.vclock()?,
+            store: read_list(c, 14, |c| {
+                let (loc, value) = (Loc(c.u32()?), c.value()?);
+                let writer = if c.flag()? { Some(c.writer()?) } else { None };
+                Ok((loc, value, writer))
+            })?,
+            counter_updates: read_list(c, 8, |c| {
+                Ok((Loc(c.u32()?), read_list(c, 8, Cursor::writer)?))
+            })?,
+            write_log: read_list(c, 8, |c| Ok((Loc(c.u32()?), c.u32()?)))?,
+            own_updates: read_list(c, 19, |c| {
+                Ok(OwnUpdate {
+                    seq: c.u32()?,
+                    loc: Loc(c.u32()?),
+                    payload: c.payload()?,
+                    deps: c.vclock_opt()?,
+                })
+            })?,
+            pending: read_list(c, 23, |c| {
+                Ok(SnapPending {
+                    writer: c.writer()?,
+                    loc: Loc(c.u32()?),
+                    payload: c.payload()?,
+                    deps: c.vclock()?,
+                })
+            })?,
+            pending_batches: read_list(c, 18, |c| {
+                let (proc, first_seq, upto) = (ProcId(c.u32()?), c.u32()?, c.u32()?);
+                let n = c.u32()? as usize;
+                let entries = c.entries(proc, n)?;
+                Ok(SnapBatch { proc, first_seq, upto, entries, deps: c.vclock()? })
+            })?,
+            watermarks: read_list(c, 12, |c| Ok((ProcId(c.u32()?), c.u64()?)))?,
+        };
+        cur.finish()?;
+        Ok(snap)
     }
 }
 
@@ -1034,35 +620,32 @@ impl MemDisk {
     }
 
     /// Serializes the durable state (snapshot + log, staged excluded) into
-    /// one image, for repro artifacts that capture disk contents.
+    /// one image, for repro artifacts that capture disk contents:
+    /// `has_snapshot:u8 | [len:u32 | snapshot] | log`.
     pub fn image(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        match &self.snapshot {
-            Some(s) => {
-                out.push(1);
-                put_u32(&mut out, s.len() as u32);
-                out.extend_from_slice(s);
-            }
-            None => out.push(0),
+        out.put_u8(self.snapshot.is_some() as u8);
+        if let Some(s) = &self.snapshot {
+            out.put_u32_le(s.len() as u32);
+            out.put_slice(s);
         }
-        out.extend_from_slice(&self.log);
+        out.put_slice(&self.log);
         out
     }
 
     /// Rebuilds a disk from an [`MemDisk::image`] (staged state is empty,
     /// as after a crash).
     pub fn from_image(bytes: &[u8]) -> Option<MemDisk> {
-        let mut r = Rd::new(bytes);
-        let snapshot = match r.u8()? {
-            0 => None,
-            1 => {
-                let n = r.u32()? as usize;
-                Some(r.take(n)?.to_vec())
+        let mut cur = Cursor::new(bytes);
+        let snapshot = match cur.flag().ok()? {
+            false => None,
+            true => {
+                let n = cur.u32().ok()? as usize;
+                Some(cur.take(n).ok()?.to_vec())
             }
-            _ => return None,
         };
-        let log = bytes[r.i..].to_vec();
-        Some(MemDisk { snapshot, log, staged: Vec::new(), staged_records: 0 })
+        let log = bytes[cur.pos()..].to_vec();
+        Some(MemDisk { snapshot, log, ..MemDisk::default() })
     }
 }
 
@@ -1168,6 +751,14 @@ mod tests {
         ProcId(i)
     }
 
+    fn entry(proc: u32, seq: u32, adds: Vec<u32>) -> BatchEntry {
+        let payload = match adds.is_empty() {
+            true => UpdatePayload::Set(Value::Bool(false)),
+            false => UpdatePayload::Add(Value::Int(3)),
+        };
+        BatchEntry { loc: Loc(1), payload, writer: WriteId::new(p(proc), seq), adds }
+    }
+
     fn sample_records() -> Vec<WalRecord> {
         let mut deps = VClock::new(3);
         deps.set(p(0), 2);
@@ -1184,50 +775,49 @@ mod tests {
                 payload: UpdatePayload::Add(Value::F64(0.5)),
                 deps: None,
             },
-            WalRecord::Ingest {
+            WalRecord::Ingest(Msg::Update {
                 writer: WriteId::new(p(1), 7),
                 loc: Loc(2),
                 payload: UpdatePayload::Set(Value::Bool(true)),
                 deps: Some(deps.clone()),
-            },
-            WalRecord::IngestBatch {
+            }),
+            WalRecord::Ingest(Msg::RecoverResp {
                 proc: p(2),
                 first_seq: 1,
                 upto: 3,
-                entries: vec![BatchEntry {
-                    loc: Loc(1),
-                    payload: UpdatePayload::Add(Value::Int(3)),
-                    writer: WriteId::new(p(2), 3),
-                    adds: vec![1, 2, 3],
-                }],
+                entries: vec![entry(2, 3, vec![1, 2, 3])],
                 deps: Some(deps),
-            },
+                seen: 0,
+            }),
             WalRecord::OwnWriteSharded {
                 loc: Loc(6),
                 payload: UpdatePayload::Set(Value::Int(11)),
                 deps: vec![(0, p(1), 2), (2, p(0), 5)],
             },
-            WalRecord::IngestSharded {
+            WalRecord::Ingest(Msg::ShardUpdate {
                 writer: WriteId::new(p(1), 4),
                 loc: Loc(3),
                 payload: UpdatePayload::Add(Value::Int(1)),
                 prev: 2,
                 deps: vec![(1, p(0), 3)],
-            },
-            WalRecord::IngestShardChain {
+            }),
+            WalRecord::Ingest(Msg::ShardUpdateBatch {
                 proc: p(0),
                 shard: 1,
                 prev: 0,
                 upto: 5,
-                entries: vec![BatchEntry {
-                    loc: Loc(5),
-                    payload: UpdatePayload::Set(Value::Bool(false)),
-                    writer: WriteId::new(p(0), 5),
-                    adds: vec![],
-                }],
+                entries: vec![entry(0, 5, vec![])].into(),
+                deps: vec![(0, p(2), 1)],
+            }),
+            WalRecord::Ingest(Msg::ShardRecoverResp {
+                proc: p(0),
+                shard: 1,
+                prev: 0,
+                upto: 5,
+                entries: vec![entry(0, 5, vec![])],
                 deps: vec![],
-                trim: true,
-            },
+                seen: 2,
+            }),
             WalRecord::Subscribe { shard: 3 },
         ]
     }
@@ -1273,6 +863,39 @@ mod tests {
         let (decoded, tail) = decode_wal(&bytes);
         assert_eq!(decoded, recs[..1]);
         assert_eq!(tail, WalTail::Corrupt { at: second_start });
+    }
+
+    /// A log written in the format before ingest records became wire
+    /// bodies (one frame per old record kind, tags 1–8, CRCs intact) is
+    /// refused at its first frame — `open_node` panics with its
+    /// diagnostic instead of booting from an empty prefix.
+    #[test]
+    fn parent_format_frames_are_corrupt_at_zero() {
+        const PARENT_FRAMES: [&str; 8] = [
+            "1c000000284b251501000000000000070000000000000001020000000100000000000000",
+            "24000000841463f7020100000001000000020000000000050000000000000001020000000100000000000000",
+            "3c0000009dfc529d030100000002000000020000000100000001000000010003000000000000000100000002000000010000000200000001020000000100000000000000",
+            "050000005699ab990402000000",
+            "1f000000423b484805030000000002010000000000000001000000010000000100000001000000",
+            "1f000000784db40006010000000300000004000000000009000000000000000000000000000000",
+            "380000009acd7eca0701000000000000000000000002000000010000000100000001000300000000000000010000000200000001000000020000000000000001",
+            "0500000057745b5c0802000000",
+        ];
+        for (tag, hex) in (1..).zip(PARENT_FRAMES) {
+            let frame: Vec<u8> = (0..hex.len())
+                .step_by(2)
+                .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+                .collect();
+            assert_eq!(frame[8], tag, "one frame per old record kind");
+            assert_eq!(decode_wal(&frame), (vec![], WalTail::Corrupt { at: 0 }));
+        }
+        // Old tags 1–8 are wire tags of no kind an ingest record accepts.
+        for rec in sample_records().iter().filter(|r| matches!(r, WalRecord::Ingest(_))) {
+            assert!(!(1..=8).contains(&rec.encode()[8]), "{rec:?}");
+        }
+        for msg in [Msg::FlushAck, Msg::SubReq { proc: p(0), shard: 1 }] {
+            assert_eq!(decode_wal(&WalRecord::Ingest(msg).encode()).1, WalTail::Corrupt { at: 0 });
+        }
     }
 
     #[test]

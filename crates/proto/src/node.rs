@@ -25,11 +25,12 @@ use mc_model::{BarrierId, Loc, LockId, LockMode, ProcId, ReadLabel, VClock, Valu
 use mc_sim::{NodeId, Poll, SimTime};
 
 use crate::config::{DsmConfig, LockPropagation, Mode};
-use crate::durability::{Snapshot, WalRecord};
+use crate::durability::{self, Snapshot, WalRecord};
 use crate::manager::Manager;
 use crate::msg::{BatchEntry, GrantInfo, Msg, UpdatePayload};
 use crate::replica::Replica;
 use crate::session::{self, LinkSender, Session, SessionConfig};
+use crate::wire;
 
 /// Everything a node asks of its executor. Two production
 /// implementors: the simulator's adaptor over `mc_sim::NetCtx` and a
@@ -571,6 +572,9 @@ pub struct ProcNode {
     /// Log records appended since the last snapshot (the count-based
     /// compaction cadence).
     records_since_snap: u32,
+    /// The buffer every log record is framed in, reused so that logging
+    /// an arriving message allocates nothing.
+    wal_buf: Vec<u8>,
     /// Highest reborn incarnation already answered, per peer — a
     /// duplicated raw [`Msg::RecoverReq`] must not reset the link (and
     /// resend the delta) twice.
@@ -653,6 +657,7 @@ impl ProcNode {
             link_clock_out: HashMap::new(),
             link_clock_in: HashMap::new(),
             records_since_snap: 0,
+            wal_buf: Vec::new(),
             recover_seen: HashMap::new(),
             recover_pushed: HashMap::new(),
             shard_routes,
@@ -817,9 +822,12 @@ impl ProcNode {
         self.links.send(to, msg, io);
     }
 
-    /// Stages one write-ahead-log record (not yet durable).
-    fn wal_append(&mut self, rec: &WalRecord, io: &mut impl NodeIo) {
-        io.wal_append(&rec.encode());
+    /// Stages one write-ahead-log record (not yet durable), its body
+    /// written by `put_body`.
+    fn wal_append(&mut self, put_body: impl FnOnce(&mut Vec<u8>), io: &mut impl NodeIo) {
+        self.wal_buf.clear();
+        durability::frame(&mut self.wal_buf, put_body);
+        io.wal_append(&self.wal_buf);
         self.records_since_snap += 1;
     }
 
@@ -1270,7 +1278,7 @@ impl ProcNode {
             // ([`ProcNode::observe_sync`]), amortizing one sync over
             // every record staged since the last.
             let rec = WalRecord::OwnWrite { loc, payload: payload.clone(), deps: deps.clone() };
-            self.wal_append(&rec, io);
+            self.wal_append(|b| rec.put_body(b), io);
             if !policy.group_commit {
                 io.wal_sync();
             }
@@ -1298,7 +1306,7 @@ impl ProcNode {
         if let Some(policy) = self.cfg.durability {
             let rec =
                 WalRecord::OwnWriteSharded { loc, payload: payload.clone(), deps: deps.clone() };
-            self.wal_append(&rec, io);
+            self.wal_append(|b| rec.put_body(b), io);
             if !policy.group_commit {
                 io.wal_sync();
             }
@@ -1407,29 +1415,14 @@ impl ProcNode {
         }
     }
 
-    /// Logs (durability on) and applies one full-replication batch.
-    #[allow(clippy::too_many_arguments)]
-    fn ingest_batch(
-        &mut self,
-        proc: ProcId,
-        first_seq: u32,
-        upto: u32,
-        entries: Arc<[BatchEntry]>,
-        deps: Option<VClock>,
-        io: &mut impl NodeIo,
-    ) {
+    /// Logs (durability on) and applies one update-class message as it
+    /// arrived: the record body is the message's wire body.
+    fn ingest(&mut self, msg: Msg, io: &mut impl NodeIo) {
         if self.cfg.durability.is_some() {
-            let rec = WalRecord::IngestBatch {
-                proc,
-                first_seq,
-                upto,
-                entries: entries.to_vec(),
-                deps: deps.clone(),
-            };
-            self.wal_append(&rec, io);
+            self.wal_append(|b| wire::encode_body(b, &msg), io);
             self.maybe_snapshot(io);
         }
-        if self.replica.ingest_batch(proc, first_seq, upto, entries, deps, self.cfg.mode) {
+        if self.replica.ingest_msg(msg, self.cfg.mode) {
             self.drain_flush_waiters(io);
         }
     }
@@ -1479,7 +1472,7 @@ impl ProcNode {
         let p = self.proc;
         let durable = self.cfg.durability.is_some();
         match msg {
-            Msg::Update { writer, loc, payload, deps } => {
+            Msg::Update { writer, .. } => {
                 // Recovery can re-deliver an update the disk already
                 // holds (an in-flight pre-crash copy racing the fresh
                 // epoch): drop it by sequence. Without durability,
@@ -1487,19 +1480,7 @@ impl ProcNode {
                 if durable && writer.seq <= self.replica.applied[writer.proc] {
                     return;
                 }
-                if durable {
-                    let rec = WalRecord::Ingest {
-                        writer,
-                        loc,
-                        payload: payload.clone(),
-                        deps: deps.clone(),
-                    };
-                    self.wal_append(&rec, io);
-                    self.maybe_snapshot(io);
-                }
-                if self.replica.ingest(writer, loc, payload, deps, self.cfg.mode) {
-                    self.drain_flush_waiters(io);
-                }
+                self.ingest(msg, io);
             }
             Msg::UpdateBatch { proc, first_seq, upto, entries, delta, ack } => {
                 // A piggybacked ack covers the reverse link, sparing a
@@ -1534,7 +1515,18 @@ impl ProcNode {
                 if durable && upto <= self.replica.applied[proc] {
                     return;
                 }
-                self.ingest_batch(proc, first_seq, upto, entries, deps, io);
+                if durable {
+                    // Logged as the `RecoverResp` the batch is now that its
+                    // delta is expanded: replay needs no link shadow clock.
+                    let put = |b: &mut Vec<u8>| {
+                        wire::put_recover_resp(b, proc, first_seq, upto, 0, &entries, deps.as_ref())
+                    };
+                    self.wal_append(put, io);
+                    self.maybe_snapshot(io);
+                }
+                if self.replica.ingest_batch(proc, first_seq, upto, entries, deps, self.cfg.mode) {
+                    self.drain_flush_waiters(io);
+                }
             }
             Msg::RecoverReq { proc: reborn, incarnation, applied } => {
                 if !self.reborn_peer(reborn, incarnation, from, io) {
@@ -1559,12 +1551,12 @@ impl ProcNode {
                     self.send(from, resp, io);
                 }
             }
-            Msg::RecoverResp { proc, first_seq, upto, entries, deps, seen } => {
+            Msg::RecoverResp { proc, first_seq, upto, seen, .. } => {
                 // Continuity guard: a duplicated response (or one raced
                 // by an in-flight pre-crash copy) re-covers applied
                 // prefix — skip it rather than double-ingest.
                 if upto >= first_seq && first_seq > self.replica.applied[proc] {
-                    self.ingest_batch(proc, first_seq, upto, entries.into(), deps, io);
+                    self.ingest(msg, io);
                 }
                 // Push back our own suffix the responder has not seen,
                 // as plain batches chunked at dependency boundaries: the
@@ -1615,53 +1607,28 @@ impl ProcNode {
             Msg::ScAwaitResp { value, writers } => {
                 self.sc_resp = Some(Resp::Awaited { value, writers });
             }
-            Msg::ShardUpdate { writer, loc, payload, prev, deps } => {
-                if durable {
-                    // Recovery ghost: content already on disk (or covered
-                    // by a ShardRecoverResp) — skip the re-log and
-                    // re-apply.
-                    let st = self.replica.shards().expect("sharded");
-                    if writer.seq <= st.applied(st.shard_of(loc)).get(writer.proc) {
-                        return;
-                    }
-                    let rec = WalRecord::IngestSharded {
-                        writer,
-                        loc,
-                        payload: payload.clone(),
-                        prev,
-                        deps: deps.clone(),
-                    };
-                    self.wal_append(&rec, io);
+            Msg::ShardUpdate { writer, loc, .. } => {
+                // Recovery ghost: content already on disk (or covered by
+                // a ShardRecoverResp) — skip the re-log and re-apply.
+                let st = self.replica.shards().expect("sharded");
+                if durable && writer.seq <= st.applied(st.shard_of(loc)).get(writer.proc) {
+                    return;
                 }
-                self.replica.ingest_sharded(writer, loc, payload, prev, deps, self.cfg.mode);
+                self.ingest(msg, io);
             }
-            Msg::ShardUpdateBatch { proc, shard, prev, upto, entries, deps } => {
-                if durable {
-                    let st = self.replica.shards().expect("sharded");
-                    if upto <= st.applied(shard as usize).get(proc) {
-                        return;
-                    }
-                    let rec = WalRecord::IngestShardChain {
-                        proc,
-                        shard,
-                        prev,
-                        upto,
-                        entries: entries.to_vec(),
-                        deps: deps.clone(),
-                        trim: false,
-                    };
-                    self.wal_append(&rec, io);
+            Msg::ShardUpdateBatch { proc, shard, upto, .. } => {
+                let st = self.replica.shards().expect("sharded");
+                if durable && upto <= st.applied(shard as usize).get(proc) {
+                    return;
                 }
-                let mode = self.cfg.mode;
-                self.replica
-                    .ingest_shard_chain(proc, shard, prev, upto, entries, deps, mode, false);
+                self.ingest(msg, io);
             }
             Msg::SubAck { shard, subs } => {
                 // Persist the subscription before any access can depend
                 // on it: replay must filter dependency triples with the
                 // same interest set the replica had live.
                 if self.replica.shard_subscribe(shard as usize) && durable {
-                    self.wal_append(&WalRecord::Subscribe { shard }, io);
+                    self.wal_append(|b| WalRecord::Subscribe { shard }.put_body(b), io);
                     io.wal_sync();
                 }
                 for q in subs {
@@ -1714,28 +1681,14 @@ impl ProcNode {
                 }
                 self.push_shard_updates(from, &wants, io);
             }
-            Msg::ShardRecoverResp { proc, shard, prev, upto, entries, deps, seen } => {
+            Msg::ShardRecoverResp { proc, shard, upto, seen, .. } => {
                 // The responder subscribes to the shard, or it would not
                 // answer for it — merge the route (recovery re-learning,
                 // and the join-backfill path where it is already known).
                 self.add_shard_route(shard, proc);
                 let st = self.replica.shards().expect("sharded");
                 if upto > st.applied(shard as usize).get(proc) {
-                    if durable {
-                        let rec = WalRecord::IngestShardChain {
-                            proc,
-                            shard,
-                            prev,
-                            upto,
-                            entries: entries.clone(),
-                            deps: deps.clone(),
-                            trim: true,
-                        };
-                        self.wal_append(&rec, io);
-                    }
-                    let (entries, mode) = (entries.into(), self.cfg.mode);
-                    self.replica
-                        .ingest_shard_chain(proc, shard, prev, upto, entries, deps, mode, true);
+                    self.ingest(msg, io);
                 }
                 // Push back our own suffix the responder has not seen.
                 self.push_shard_updates(NodeId(proc.0), &[(shard, seen)], io);

@@ -23,7 +23,7 @@ use mc_model::{Loc, ProcId, VClock, Value, WriteId};
 
 use crate::config::{DsmConfig, Mode};
 use crate::durability::{OwnUpdate, SnapBatch, SnapPending, Snapshot, WalRecord};
-use crate::msg::{BatchEntry, UpdatePayload};
+use crate::msg::{BatchEntry, Msg, UpdatePayload};
 
 /// A pending (causally not yet ready) remote update.
 #[derive(Clone, Debug)]
@@ -1051,12 +1051,6 @@ impl Replica {
                 self.write_log.push((loc, id.seq));
                 self.own_updates.push(OwnUpdate { seq: id.seq, loc, payload, deps });
             }
-            WalRecord::Ingest { writer, loc, payload, deps } => {
-                self.ingest(writer, loc, payload, deps, mode);
-            }
-            WalRecord::IngestBatch { proc, first_seq, upto, entries, deps } => {
-                self.ingest_batch(proc, first_seq, upto, entries.into(), deps, mode);
-            }
             WalRecord::Incarnation { incarnation } => {
                 self.incarnation = self.incarnation.max(incarnation);
             }
@@ -1077,15 +1071,42 @@ impl Replica {
                 self.apply_sharded(id, loc, &payload, sum, &[id.seq]);
                 self.write_log.push((loc, id.seq));
             }
-            WalRecord::IngestSharded { writer, loc, payload, prev, deps } => {
-                self.ingest_sharded(writer, loc, payload, prev, deps, mode);
-            }
-            WalRecord::IngestShardChain { proc, shard, prev, upto, entries, deps, trim } => {
-                self.ingest_shard_chain(proc, shard, prev, upto, entries.into(), deps, mode, trim);
-            }
             WalRecord::Subscribe { shard } => {
                 self.shard_subscribe(shard as usize);
             }
+            WalRecord::Ingest(msg) => {
+                self.ingest_msg(msg, mode);
+            }
+        }
+    }
+
+    /// Ingests one update-class message — the kinds a write-ahead-log
+    /// ingest record carries — by kind: an [`Msg::Update`] singleton, a
+    /// [`Msg::RecoverResp`] batch, or a sharded update or chain (a
+    /// [`Msg::ShardRecoverResp`]'s chain is trimmed of what is already
+    /// applied). Returns `true` if anything was applied.
+    ///
+    /// # Panics
+    ///
+    /// Panics on any other message kind.
+    pub fn ingest_msg(&mut self, msg: Msg, mode: Mode) -> bool {
+        match msg {
+            Msg::Update { writer, loc, payload, deps } => {
+                self.ingest(writer, loc, payload, deps, mode)
+            }
+            Msg::RecoverResp { proc, first_seq, upto, entries, deps, .. } => {
+                self.ingest_batch(proc, first_seq, upto, entries.into(), deps, mode)
+            }
+            Msg::ShardUpdate { writer, loc, payload, prev, deps } => {
+                self.ingest_sharded(writer, loc, payload, prev, deps, mode)
+            }
+            Msg::ShardUpdateBatch { proc, shard, prev, upto, entries, deps } => {
+                self.ingest_shard_chain(proc, shard, prev, upto, entries, deps, mode, false)
+            }
+            Msg::ShardRecoverResp { proc, shard, prev, upto, entries, deps, .. } => {
+                self.ingest_shard_chain(proc, shard, prev, upto, entries.into(), deps, mode, true)
+            }
+            other => panic!("{} is not an update", other.kind()),
         }
     }
 
@@ -1562,12 +1583,12 @@ mod tests {
         // A logged ingest whose predecessor never made it to disk: it
         // must wait in pending again, not apply out of order.
         r.replay_record(
-            WalRecord::Ingest {
+            WalRecord::Ingest(Msg::Update {
                 writer: WriteId::new(p(0), 2),
                 loc: Loc(0),
                 payload: UpdatePayload::Set(Value::Int(2)),
                 deps: Some(deps),
-            },
+            }),
             Mode::Causal,
         );
         assert_eq!(r.pending_len(), 1);

@@ -1,4 +1,7 @@
-//! Binary wire codec for [`Msg`] — the format real TCP links carry.
+//! Binary codec for [`Msg`] — the format real TCP links carry, and the
+//! workspace's only byte codec: the write-ahead log and snapshots
+//! ([`crate::durability`]) are written with the primitives below and
+//! read with the same bounds-checked `Cursor`.
 //!
 //! A frame is a 4-byte little-endian length prefix followed by the body.
 //! **The body length of every message equals [`Msg::wire_bytes`]
@@ -29,10 +32,16 @@
 //!   wrapped message follows as its own unprefixed body (every body is
 //!   self-delimiting because its length is computable while decoding).
 //!
-//! Control frames (tags ≥ [`CONTROL_TAG_BASE`]) never appear inside
-//! `Msg` traffic: they are the TCP runtime's link-management vocabulary
-//! (peer identification, coordinator signals), kept in the same framing
-//! so one reader loop handles both.
+//! Tags ≥ [`CONTROL_TAG_BASE`] never appear inside `Msg` traffic. Tags
+//! 200–202 are [`Control`] frames, the TCP runtime's link-management
+//! vocabulary, kept in the same framing so one reader loop handles both.
+//! Tags 210–213 are the write-ahead log's own records; a logged remote
+//! update is its `Msg` body unchanged.
+//!
+//! The decoder never trusts a count: `Cursor::count` clamps every
+//! element count against the bytes left before anything is reserved, so
+//! a short frame that claims 65 535 entries fails as
+//! [`WireError::Truncated`] without allocating for them.
 
 use bytes::{Bytes, BytesMut};
 use mc_model::{BarrierId, Loc, LockId, LockMode, ProcId, VClock, Value, WriteId};
@@ -47,7 +56,7 @@ pub const FRAME_HEADER: usize = 4;
 /// the connection instead of buffering toward it ([`oversized_prefix`]).
 pub const MAX_FRAME: usize = 16 << 20;
 
-/// First tag value reserved for [`Control`] frames.
+/// First tag value reserved for bodies that are not [`Msg`]s.
 pub const CONTROL_TAG_BASE: u8 = 200;
 
 const TAG_UPDATE: u8 = 0;
@@ -80,6 +89,12 @@ const TAG_SHARD_RECOVER_RESP: u8 = 25;
 const TAG_CTRL_HELLO: u8 = 200;
 const TAG_CTRL_SHUTDOWN: u8 = 201;
 const TAG_CTRL_DONE: u8 = 202;
+
+/// Write-ahead-log records that are not protocol messages.
+pub(crate) const TAG_WAL_OWN_WRITE: u8 = 210;
+pub(crate) const TAG_WAL_OWN_WRITE_SHARDED: u8 = 211;
+pub(crate) const TAG_WAL_INCARNATION: u8 = 212;
+pub(crate) const TAG_WAL_SUBSCRIBE: u8 = 213;
 
 /// Presence flags in the tag's high bits.
 const FLAG_A: u8 = 0x20;
@@ -151,6 +166,42 @@ impl std::error::Error for WireError {}
 // Encoding
 // ---------------------------------------------------------------------
 
+/// Where the encoders write: a connection's [`BytesMut`] arena, or the
+/// `Vec<u8>` a log record or snapshot is built in.
+pub(crate) trait Sink {
+    fn put_slice(&mut self, s: &[u8]);
+
+    fn put_u8(&mut self, v: u8) {
+        self.put_slice(&[v]);
+    }
+
+    fn put_u16_le(&mut self, v: u16) {
+        self.put_slice(&v.to_le_bytes());
+    }
+
+    fn put_u32_le(&mut self, v: u32) {
+        self.put_slice(&v.to_le_bytes());
+    }
+
+    fn put_u64_le(&mut self, v: u64) {
+        self.put_slice(&v.to_le_bytes());
+    }
+}
+
+impl Sink for BytesMut {
+    #[inline]
+    fn put_slice(&mut self, s: &[u8]) {
+        BytesMut::put_slice(self, s);
+    }
+}
+
+impl Sink for Vec<u8> {
+    #[inline]
+    fn put_slice(&mut self, s: &[u8]) {
+        self.extend_from_slice(s);
+    }
+}
+
 fn value_kind(v: &Value) -> u8 {
     match v {
         Value::Int(_) => 0,
@@ -167,12 +218,12 @@ fn value_operand(v: &Value) -> u64 {
     }
 }
 
-fn put_value(buf: &mut BytesMut, v: &Value) {
+pub(crate) fn put_value(buf: &mut impl Sink, v: &Value) {
     buf.put_u8(value_kind(v));
     buf.put_u64_le(value_operand(v));
 }
 
-fn put_payload(buf: &mut BytesMut, p: &UpdatePayload) {
+pub(crate) fn put_payload(buf: &mut impl Sink, p: &UpdatePayload) {
     let (pk, v) = match p {
         UpdatePayload::Set(v) => (0u8, v),
         UpdatePayload::Add(v) => (1u8, v),
@@ -181,22 +232,32 @@ fn put_payload(buf: &mut BytesMut, p: &UpdatePayload) {
     buf.put_u64_le(value_operand(v));
 }
 
-fn put_vclock(buf: &mut BytesMut, c: &VClock) {
-    assert!(c.len() < VCLOCK_NONE as usize, "clock too wide for the wire");
-    buf.put_u16_le(c.len() as u16);
-    for i in 0..c.len() {
-        buf.put_u32_le(c.get(ProcId(i as u32)));
+pub(crate) fn put_writer(buf: &mut impl Sink, w: WriteId) {
+    buf.put_u32_le(w.proc.0);
+    buf.put_u32_le(w.seq);
+}
+
+/// The components alone; the count travels wherever the layout puts it.
+fn put_components(buf: &mut impl Sink, c: &VClock) {
+    for (_, n) in c.iter() {
+        buf.put_u32_le(n);
     }
 }
 
-fn put_vclock_opt(buf: &mut BytesMut, c: Option<&VClock>) {
+pub(crate) fn put_vclock(buf: &mut impl Sink, c: &VClock) {
+    assert!(c.len() < VCLOCK_NONE as usize, "clock too wide for the wire");
+    buf.put_u16_le(c.len() as u16);
+    put_components(buf, c);
+}
+
+pub(crate) fn put_vclock_opt(buf: &mut impl Sink, c: Option<&VClock>) {
     match c {
         None => buf.put_u16_le(VCLOCK_NONE),
         Some(c) => put_vclock(buf, c),
     }
 }
 
-fn put_triples(buf: &mut BytesMut, ts: &[(u32, ProcId, u32)]) {
+pub(crate) fn put_triples(buf: &mut impl Sink, ts: &[(u32, ProcId, u32)]) {
     buf.put_u16_le(u16::try_from(ts.len()).expect("triple count fits u16"));
     for &(shard, p, seq) in ts {
         buf.put_u32_le(shard);
@@ -205,7 +266,7 @@ fn put_triples(buf: &mut BytesMut, ts: &[(u32, ProcId, u32)]) {
     }
 }
 
-fn put_pad(buf: &mut BytesMut, n: usize) {
+fn put_pad(buf: &mut impl Sink, n: usize) {
     for _ in 0..n {
         buf.put_u8(0);
     }
@@ -215,35 +276,52 @@ fn proc_u16(p: ProcId) -> u16 {
     u16::try_from(p.0).expect("process id fits u16 on the wire")
 }
 
-/// One batch entry: 20 bytes plus 4 per extra `Add` member. The writer's
-/// process id is implied by the enclosing batch header.
-fn put_entry(buf: &mut BytesMut, e: &BatchEntry) {
-    buf.put_u32_le(e.loc.0);
-    put_payload(buf, &e.payload);
-    buf.put_u32_le(e.writer.seq);
-    buf.put_u16_le(u16::try_from(e.adds.len()).expect("adds count fits u16"));
-    put_pad(buf, 1);
-    for &a in &e.adds {
-        buf.put_u32_le(a);
+/// Batch entries, 20 bytes each plus 4 per extra `Add` member. The
+/// writer's process id is implied by the enclosing header (`proc`); the
+/// entry count travels in that header.
+pub(crate) fn put_entries(buf: &mut impl Sink, proc: ProcId, entries: &[BatchEntry]) {
+    for e in entries {
+        debug_assert_eq!(e.writer.proc, proc, "batch entries are own writes of the sender");
+        buf.put_u32_le(e.loc.0);
+        put_payload(buf, &e.payload);
+        buf.put_u32_le(e.writer.seq);
+        buf.put_u16_le(u16::try_from(e.adds.len()).expect("adds count fits u16"));
+        put_pad(buf, 1);
+        for &a in &e.adds {
+            buf.put_u32_le(a);
+        }
     }
 }
 
-fn put_entries(buf: &mut BytesMut, proc: ProcId, entries: &[BatchEntry]) -> u16 {
-    for e in entries {
-        debug_assert_eq!(e.writer.proc, proc, "batch entries are own writes of the sender");
-        put_entry(buf, e);
-    }
-    u16::try_from(entries.len()).expect("entry count fits u16")
+/// The body of a [`Msg::RecoverResp`] from borrowed parts: the node logs
+/// a received batch as one without first building the message.
+pub(crate) fn put_recover_resp(
+    buf: &mut impl Sink,
+    proc: ProcId,
+    first_seq: u32,
+    upto: u32,
+    seen: u32,
+    entries: &[BatchEntry],
+    deps: Option<&VClock>,
+) {
+    buf.put_u8(TAG_RECOVER_RESP);
+    buf.put_u32_le(proc.0);
+    buf.put_u32_le(first_seq);
+    buf.put_u32_le(upto);
+    buf.put_u32_le(seen);
+    buf.put_u16_le(u16::try_from(entries.len()).expect("entry count fits u16"));
+    put_vclock_opt(buf, deps);
+    put_pad(buf, 3);
+    put_entries(buf, proc, entries);
 }
 
 /// Appends the body of `msg` (no length prefix) to `buf`. The number of
 /// bytes appended is exactly `msg.wire_bytes()`.
-fn encode_body(buf: &mut BytesMut, msg: &Msg) {
+pub(crate) fn encode_body(buf: &mut impl Sink, msg: &Msg) {
     match msg {
         Msg::Update { writer, loc, payload, deps } => {
             buf.put_u8(TAG_UPDATE);
-            buf.put_u32_le(writer.proc.0);
-            buf.put_u32_le(writer.seq);
+            put_writer(buf, *writer);
             buf.put_u32_le(loc.0);
             put_payload(buf, payload);
             put_vclock_opt(buf, deps.as_ref());
@@ -268,11 +346,9 @@ fn encode_body(buf: &mut BytesMut, msg: &Msg) {
                 buf.put_u64_le(*upto);
                 buf.put_u64_le(*epoch);
             }
-            if let Some(d) = delta {
-                for &(p, c) in d {
-                    buf.put_u32_le(p.0);
-                    buf.put_u32_le(c);
-                }
+            for &(p, c) in delta.iter().flatten() {
+                buf.put_u32_le(p.0);
+                buf.put_u32_le(c);
             }
             put_entries(buf, *proc, entries);
         }
@@ -302,9 +378,7 @@ fn encode_body(buf: &mut BytesMut, msg: &Msg) {
             buf.put_u16_le(u16::try_from(preds.len()).expect("pred count fits u16"));
             buf.put_u16_le(u16::try_from(demand.len()).expect("demand count fits u16"));
             put_pad(buf, 5);
-            for i in 0..knowledge.len() {
-                buf.put_u32_le(knowledge.get(ProcId(i as u32)));
-            }
+            put_components(buf, knowledge);
             for &(p, c) in preds {
                 buf.put_u32_le(p.0);
                 buf.put_u32_le(c);
@@ -326,9 +400,7 @@ fn encode_body(buf: &mut BytesMut, msg: &Msg) {
             // a u8 holds it for any cluster this workspace runs.
             buf.put_u8(u8::try_from(knowledge.len()).expect("release clock fits u8"));
             buf.put_u16_le(u16::try_from(dirty.len()).expect("dirty count fits u16"));
-            for i in 0..knowledge.len() {
-                buf.put_u32_le(knowledge.get(ProcId(i as u32)));
-            }
+            put_components(buf, knowledge);
             // Dirty entries are modeled at 12 bytes (loc + seq + pad).
             for &(loc, seq) in dirty {
                 buf.put_u32_le(loc.0);
@@ -366,8 +438,7 @@ fn encode_body(buf: &mut BytesMut, msg: &Msg) {
             put_value(buf, value);
             match writer {
                 Some(w) => {
-                    buf.put_u32_le(w.proc.0);
-                    buf.put_u32_le(w.seq);
+                    put_writer(buf, *w);
                     put_pad(buf, 6);
                 }
                 None => put_pad(buf, 14),
@@ -375,8 +446,7 @@ fn encode_body(buf: &mut BytesMut, msg: &Msg) {
         }
         Msg::ScWrite { writer, loc, payload } => {
             buf.put_u8(TAG_SC_WRITE);
-            buf.put_u32_le(writer.proc.0);
-            buf.put_u32_le(writer.seq);
+            put_writer(buf, *writer);
             buf.put_u32_le(loc.0);
             put_payload(buf, payload);
             put_pad(buf, 6);
@@ -397,9 +467,8 @@ fn encode_body(buf: &mut BytesMut, msg: &Msg) {
             put_value(buf, value);
             buf.put_u16_le(u16::try_from(writers.len()).expect("writer count fits u16"));
             put_pad(buf, 4);
-            for w in writers {
-                buf.put_u32_le(w.proc.0);
-                buf.put_u32_le(w.seq);
+            for &w in writers {
+                put_writer(buf, w);
             }
         }
         Msg::SessData { seq, epoch, inner } => {
@@ -423,20 +492,11 @@ fn encode_body(buf: &mut BytesMut, msg: &Msg) {
             put_pad(buf, 5);
         }
         Msg::RecoverResp { proc, first_seq, upto, entries, deps, seen } => {
-            buf.put_u8(TAG_RECOVER_RESP);
-            buf.put_u32_le(proc.0);
-            buf.put_u32_le(*first_seq);
-            buf.put_u32_le(*upto);
-            buf.put_u32_le(*seen);
-            buf.put_u16_le(u16::try_from(entries.len()).expect("entry count fits u16"));
-            put_vclock_opt(buf, deps.as_ref());
-            put_pad(buf, 3);
-            put_entries(buf, *proc, entries);
+            put_recover_resp(buf, *proc, *first_seq, *upto, *seen, entries, deps.as_ref());
         }
         Msg::ShardUpdate { writer, loc, payload, prev, deps } => {
             buf.put_u8(TAG_SHARD_UPDATE);
-            buf.put_u32_le(writer.proc.0);
-            buf.put_u32_le(writer.seq);
+            put_writer(buf, *writer);
             buf.put_u32_le(loc.0);
             put_payload(buf, payload);
             buf.put_u32_le(*prev);
@@ -538,17 +598,38 @@ pub fn encode_control(buf: &mut BytesMut, ctrl: &Control) {
 // Decoding
 // ---------------------------------------------------------------------
 
-struct Cursor<'a> {
+/// The one bounds-checked reader over an encoded body: every getter
+/// fails with [`WireError`] instead of panicking, and no count read from
+/// the bytes reserves memory before [`Cursor::count`] has clamped it.
+pub(crate) struct Cursor<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Self {
+    pub(crate) fn new(buf: &'a [u8]) -> Self {
         Cursor { buf, pos: 0 }
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
+    /// Bytes consumed so far.
+    pub(crate) fn pos(&self) -> usize {
+        self.pos
+    }
+
+    /// Bytes left.
+    pub(crate) fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
+    /// Succeeds only if every byte was consumed.
+    pub(crate) fn finish(&self) -> Result<(), WireError> {
+        match self.remaining() {
+            0 => Ok(()),
+            _ => Err(WireError::TrailingBytes),
+        }
+    }
+
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         let end = self.pos.checked_add(n).ok_or(WireError::Truncated)?;
         if end > self.buf.len() {
             return Err(WireError::Truncated);
@@ -558,19 +639,19 @@ impl<'a> Cursor<'a> {
         Ok(s)
     }
 
-    fn u8(&mut self) -> Result<u8, WireError> {
+    pub(crate) fn u8(&mut self) -> Result<u8, WireError> {
         Ok(self.take(1)?[0])
     }
 
-    fn u16(&mut self) -> Result<u16, WireError> {
+    pub(crate) fn u16(&mut self) -> Result<u16, WireError> {
         Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2 bytes")))
     }
 
-    fn u32(&mut self) -> Result<u32, WireError> {
+    pub(crate) fn u32(&mut self) -> Result<u32, WireError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
     }
 
-    fn u64(&mut self) -> Result<u64, WireError> {
+    pub(crate) fn u64(&mut self) -> Result<u64, WireError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
     }
 
@@ -583,12 +664,37 @@ impl<'a> Cursor<'a> {
     }
 
     /// A one-byte boolean: 0 or 1.
-    fn flag(&mut self) -> Result<bool, WireError> {
+    pub(crate) fn flag(&mut self) -> Result<bool, WireError> {
         match self.u8()? {
             0 => Ok(false),
             1 => Ok(true),
             _ => Err(WireError::NonCanonical),
         }
+    }
+
+    /// `n` elements of at least `min_elem_bytes` each cannot follow in
+    /// fewer bytes than that: a count the rest of the body cannot hold is
+    /// [`WireError::Truncated`] before anything is reserved for it.
+    pub(crate) fn count(&self, n: usize, min_elem_bytes: usize) -> Result<usize, WireError> {
+        if n.saturating_mul(min_elem_bytes) > self.remaining() {
+            return Err(WireError::Truncated);
+        }
+        Ok(n)
+    }
+
+    /// `n` elements read by `elem`, each at least `min_elem_bytes` long.
+    pub(crate) fn list<T>(
+        &mut self,
+        n: usize,
+        min_elem_bytes: usize,
+        mut elem: impl FnMut(&mut Self) -> Result<T, WireError>,
+    ) -> Result<Vec<T>, WireError> {
+        let n = self.count(n, min_elem_bytes)?;
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(elem(self)?);
+        }
+        Ok(out)
     }
 
     fn value_from(&mut self, kind: u8) -> Result<Value, WireError> {
@@ -602,12 +708,12 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Value, WireError> {
+    pub(crate) fn value(&mut self) -> Result<Value, WireError> {
         let kind = self.u8()?;
         self.value_from(kind)
     }
 
-    fn payload(&mut self) -> Result<UpdatePayload, WireError> {
+    pub(crate) fn payload(&mut self) -> Result<UpdatePayload, WireError> {
         let kind = self.u8()?;
         let v = self.value_from(kind & 0x0F)?;
         match kind >> 4 {
@@ -617,60 +723,52 @@ impl<'a> Cursor<'a> {
         }
     }
 
+    pub(crate) fn writer(&mut self) -> Result<WriteId, WireError> {
+        Ok(WriteId { proc: ProcId(self.u32()?), seq: self.u32()? })
+    }
+
     fn vclock_n(&mut self, n: usize) -> Result<VClock, WireError> {
-        let mut c = VClock::new(n);
+        let mut c = VClock::new(self.count(n, 4)?);
         for i in 0..n {
             c.set(ProcId(i as u32), self.u32()?);
         }
         Ok(c)
     }
 
-    fn vclock(&mut self) -> Result<VClock, WireError> {
+    pub(crate) fn vclock(&mut self) -> Result<VClock, WireError> {
         let n = self.u16()? as usize;
         self.vclock_n(n)
     }
 
-    fn vclock_opt(&mut self) -> Result<Option<VClock>, WireError> {
-        let n = self.u16()?;
-        if n == VCLOCK_NONE {
-            return Ok(None);
+    pub(crate) fn vclock_opt(&mut self) -> Result<Option<VClock>, WireError> {
+        match self.u16()? {
+            VCLOCK_NONE => Ok(None),
+            n => Ok(Some(self.vclock_n(n as usize)?)),
         }
-        Ok(Some(self.vclock_n(n as usize)?))
     }
 
-    fn triples(&mut self) -> Result<Vec<(u32, ProcId, u32)>, WireError> {
+    pub(crate) fn triples(&mut self) -> Result<Vec<(u32, ProcId, u32)>, WireError> {
         let n = self.u16()? as usize;
-        let mut ts = Vec::with_capacity(n);
-        for _ in 0..n {
-            ts.push((self.u32()?, ProcId(self.u32()?), self.u32()?));
-        }
-        Ok(ts)
+        self.list(n, 12, |c| Ok((c.u32()?, ProcId(c.u32()?), c.u32()?)))
     }
 
-    fn entry(&mut self, proc: ProcId) -> Result<BatchEntry, WireError> {
-        let loc = Loc(self.u32()?);
-        let payload = self.payload()?;
-        let seq = self.u32()?;
-        let nadds = self.u16()? as usize;
-        self.skip(1)?;
-        let mut adds = Vec::with_capacity(nadds);
-        for _ in 0..nadds {
-            adds.push(self.u32()?);
-        }
-        Ok(BatchEntry { loc, payload, writer: WriteId { proc, seq }, adds })
-    }
-
-    fn entries(&mut self, proc: ProcId, n: usize) -> Result<Vec<BatchEntry>, WireError> {
-        let mut es = Vec::with_capacity(n);
-        for _ in 0..n {
-            es.push(self.entry(proc)?);
-        }
-        Ok(es)
+    /// `n` batch entries written by `proc` (see [`put_entries`]).
+    pub(crate) fn entries(&mut self, proc: ProcId, n: usize) -> Result<Vec<BatchEntry>, WireError> {
+        self.list(n, 20, |c| {
+            let loc = Loc(c.u32()?);
+            let payload = c.payload()?;
+            let seq = c.u32()?;
+            let nadds = c.u16()? as usize;
+            c.skip(1)?;
+            let adds = c.list(nadds, 4, Self::u32)?;
+            Ok(BatchEntry { loc, payload, writer: WriteId { proc, seq }, adds })
+        })
     }
 }
 
-/// `nested` is set while decoding the message a `SessData` wraps.
-fn decode_body(cur: &mut Cursor<'_>, nested: bool) -> Result<Msg, WireError> {
+/// Decodes one `Msg` body. `nested` is set while decoding the message a
+/// `SessData` wraps.
+pub(crate) fn decode_body(cur: &mut Cursor<'_>, nested: bool) -> Result<Msg, WireError> {
     let tag = cur.u8()?;
     let flags = tag & 0xE0;
     let variant = if tag >= CONTROL_TAG_BASE { tag } else { tag & 0x1F };
@@ -684,7 +782,7 @@ fn decode_body(cur: &mut Cursor<'_>, nested: bool) -> Result<Msg, WireError> {
     }
     let msg = match variant {
         TAG_UPDATE => {
-            let writer = WriteId { proc: ProcId(cur.u32()?), seq: cur.u32()? };
+            let writer = cur.writer()?;
             let loc = Loc(cur.u32()?);
             let payload = cur.payload()?;
             let deps = cur.vclock_opt()?;
@@ -704,11 +802,7 @@ fn decode_body(cur: &mut Cursor<'_>, nested: bool) -> Result<Msg, WireError> {
                 }
                 None
             } else {
-                let mut d = Vec::with_capacity(nd);
-                for _ in 0..nd {
-                    d.push((ProcId(cur.u32()?), cur.u32()?));
-                }
-                Some(d)
+                Some(cur.list(nd, 8, |c| Ok((ProcId(c.u32()?), c.u32()?)))?)
             };
             let entries = cur.entries(proc, ne)?;
             Msg::UpdateBatch { proc, first_seq, upto, entries: entries.into(), delta, ack }
@@ -736,14 +830,8 @@ fn decode_body(cur: &mut Cursor<'_>, nested: bool) -> Result<Msg, WireError> {
             let nd = cur.u16()? as usize;
             cur.skip(5)?;
             let knowledge = cur.vclock_n(nk)?;
-            let mut preds = Vec::with_capacity(np);
-            for _ in 0..np {
-                preds.push((ProcId(cur.u32()?), cur.u32()?));
-            }
-            let mut demand = Vec::with_capacity(nd);
-            for _ in 0..nd {
-                demand.push((Loc(cur.u32()?), ProcId(cur.u32()?), cur.u32()?));
-            }
+            let preds = cur.list(np, 8, |c| Ok((ProcId(c.u32()?), c.u32()?)))?;
+            let demand = cur.list(nd, 12, |c| Ok((Loc(c.u32()?), ProcId(c.u32()?), c.u32()?)))?;
             Msg::LockGrant { lock, grant: GrantInfo { knowledge, preds, demand } }
         }
         TAG_LOCK_REL => {
@@ -754,13 +842,11 @@ fn decode_body(cur: &mut Cursor<'_>, nested: bool) -> Result<Msg, WireError> {
             let nk = cur.u8()? as usize;
             let nd = cur.u16()? as usize;
             let knowledge = cur.vclock_n(nk)?;
-            let mut dirty = Vec::with_capacity(nd);
-            for _ in 0..nd {
-                let loc = Loc(cur.u32()?);
-                let seq = cur.u32()?;
-                cur.skip(4)?;
-                dirty.push((loc, seq));
-            }
+            let dirty = cur.list(nd, 12, |c| {
+                let entry = (Loc(c.u32()?), c.u32()?);
+                c.skip(4)?;
+                Ok(entry)
+            })?;
             Msg::LockRel { proc, lock, mode, knowledge, own_count, dirty }
         }
         TAG_BARRIER_ARRIVE => {
@@ -786,7 +872,7 @@ fn decode_body(cur: &mut Cursor<'_>, nested: bool) -> Result<Msg, WireError> {
         TAG_SC_READ_RESP => {
             let value = cur.value()?;
             let writer = if flags & FLAG_A != 0 {
-                let w = WriteId { proc: ProcId(cur.u32()?), seq: cur.u32()? };
+                let w = cur.writer()?;
                 cur.skip(6)?;
                 Some(w)
             } else {
@@ -796,7 +882,7 @@ fn decode_body(cur: &mut Cursor<'_>, nested: bool) -> Result<Msg, WireError> {
             Msg::ScReadResp { value, writer }
         }
         TAG_SC_WRITE => {
-            let writer = WriteId { proc: ProcId(cur.u32()?), seq: cur.u32()? };
+            let writer = cur.writer()?;
             let loc = Loc(cur.u32()?);
             let payload = cur.payload()?;
             cur.skip(6)?;
@@ -817,10 +903,7 @@ fn decode_body(cur: &mut Cursor<'_>, nested: bool) -> Result<Msg, WireError> {
             let value = cur.value()?;
             let nw = cur.u16()? as usize;
             cur.skip(4)?;
-            let mut writers = Vec::with_capacity(nw);
-            for _ in 0..nw {
-                writers.push(WriteId { proc: ProcId(cur.u32()?), seq: cur.u32()? });
-            }
+            let writers = cur.list(nw, 8, Cursor::writer)?;
             Msg::ScAwaitResp { value, writers }
         }
         TAG_SESS_DATA => {
@@ -858,7 +941,7 @@ fn decode_body(cur: &mut Cursor<'_>, nested: bool) -> Result<Msg, WireError> {
             Msg::RecoverResp { proc, first_seq, upto, entries, deps, seen }
         }
         TAG_SHARD_UPDATE => {
-            let writer = WriteId { proc: ProcId(cur.u32()?), seq: cur.u32()? };
+            let writer = cur.writer()?;
             let loc = Loc(cur.u32()?);
             let payload = cur.payload()?;
             let prev = cur.u32()?;
@@ -885,10 +968,7 @@ fn decode_body(cur: &mut Cursor<'_>, nested: bool) -> Result<Msg, WireError> {
             let shard = cur.u32()?;
             let ns = cur.u16()? as usize;
             cur.skip(5)?;
-            let mut subs = Vec::with_capacity(ns);
-            for _ in 0..ns {
-                subs.push(ProcId(cur.u32()?));
-            }
+            let subs = cur.list(ns, 4, |c| Ok(ProcId(c.u32()?)))?;
             Msg::SubAck { shard, subs }
         }
         TAG_SUB_NOTIFY => {
@@ -948,9 +1028,7 @@ pub fn decode_frame(body: &[u8]) -> Result<Frame, WireError> {
         }
         _ => Frame::Msg(decode_body(&mut cur, false)?),
     };
-    if cur.pos != body.len() {
-        return Err(WireError::TrailingBytes);
-    }
+    cur.finish()?;
     Ok(frame)
 }
 

@@ -7,7 +7,8 @@
 use proptest::prelude::*;
 
 use mc_model::{Loc, ProcId, VClock, Value, WriteId};
-use mc_proto::{crc32, decode_wal, BatchEntry, Snapshot, UpdatePayload, WalRecord, WalTail};
+use mc_proto::durability::{OwnUpdate, SnapBatch, SnapPending};
+use mc_proto::{crc32, decode_wal, BatchEntry, Msg, Snapshot, UpdatePayload, WalRecord, WalTail};
 
 fn gen_clock() -> impl Strategy<Value = VClock> {
     proptest::collection::vec(0..20u32, 3usize).prop_map(|counts| {
@@ -23,41 +24,159 @@ fn gen_opt_clock() -> impl Strategy<Value = Option<VClock>> {
     (any::<bool>(), gen_clock()).prop_map(|(some, vc)| some.then_some(vc))
 }
 
+fn gen_value() -> BoxedStrategy<Value> {
+    prop_oneof![
+        (-1000i64..1000).prop_map(Value::Int),
+        (-1000i64..1000).prop_map(|i| Value::F64(i as f64 / 3.0)),
+        any::<bool>().prop_map(Value::Bool),
+    ]
+    .boxed()
+}
+
 fn gen_payload() -> impl Strategy<Value = UpdatePayload> {
     prop_oneof![
-        (-1000i64..1000).prop_map(|v| UpdatePayload::Set(Value::Int(v))),
+        gen_value().prop_map(UpdatePayload::Set),
         (-50i64..50).prop_map(|d| UpdatePayload::Add(Value::Int(d))),
     ]
 }
 
-fn gen_record() -> impl Strategy<Value = WalRecord> {
+fn gen_writer() -> impl Strategy<Value = WriteId> {
+    (0..3u32, 1..100u32).prop_map(|(p, seq)| WriteId::new(ProcId(p), seq))
+}
+
+fn gen_triples() -> impl Strategy<Value = Vec<(u32, ProcId, u32)>> {
+    proptest::collection::vec((0..4u32, 0..3u32, 0..20u32), 0..3)
+        .prop_map(|ts| ts.into_iter().map(|(s, p, c)| (s, ProcId(p), c)).collect())
+}
+
+/// Batch entries as `(loc, payload, seq)`; [`entries`] makes them own
+/// writes of the batch's process, the invariant the protocol keeps.
+fn gen_entry_parts() -> impl Strategy<Value = Vec<(u32, UpdatePayload, u32)>> {
+    proptest::collection::vec((0..8u32, gen_payload(), 1..100u32), 0..3)
+}
+
+fn entries(proc: ProcId, parts: Vec<(u32, UpdatePayload, u32)>) -> Vec<BatchEntry> {
+    parts
+        .into_iter()
+        .map(|(loc, payload, seq)| {
+            let adds = match payload {
+                UpdatePayload::Add(_) => vec![seq],
+                UpdatePayload::Set(_) => Vec::new(),
+            };
+            BatchEntry { loc: Loc(loc), payload, writer: WriteId::new(proc, seq), adds }
+        })
+        .collect()
+}
+
+/// `(proc, shard, (prev, upto, seen), entries, deps)` of a sharded chain.
+#[allow(clippy::type_complexity)]
+fn gen_chain() -> impl Strategy<
+    Value = (u32, u32, (u32, u32, u32), Vec<(u32, UpdatePayload, u32)>, Vec<(u32, ProcId, u32)>),
+> {
+    (0..3u32, 0..4u32, (0..50u32, 0..50u32, 0..50u32), gen_entry_parts(), gen_triples())
+}
+
+/// Every message kind an ingest record accepts.
+fn gen_ingest() -> impl Strategy<Value = Msg> {
     prop_oneof![
-        (0..8u32, gen_payload(), gen_opt_clock())
-            .prop_map(|(loc, payload, deps)| WalRecord::OwnWrite { loc: Loc(loc), payload, deps }),
-        (0..3u32, 1..100u32, 0..8u32, gen_payload(), gen_opt_clock()).prop_map(
-            |(w, seq, loc, payload, deps)| WalRecord::Ingest {
-                writer: WriteId::new(ProcId(w), seq),
+        (gen_writer(), 0..8u32, gen_payload(), gen_opt_clock()).prop_map(
+            |(writer, loc, payload, deps)| Msg::Update { writer, loc: Loc(loc), payload, deps }
+        ),
+        ((0..3u32, 1..50u32, 0..4u32), gen_entry_parts(), gen_opt_clock(), 0..50u32).prop_map(
+            |((p, first_seq, span), parts, deps, seen)| Msg::RecoverResp {
+                proc: ProcId(p),
+                first_seq,
+                upto: first_seq + span,
+                entries: entries(ProcId(p), parts),
+                deps,
+                seen,
+            }
+        ),
+        (gen_writer(), 0..8u32, gen_payload(), 0..50u32, gen_triples()).prop_map(
+            |(writer, loc, payload, prev, deps)| Msg::ShardUpdate {
+                writer,
                 loc: Loc(loc),
                 payload,
+                prev,
                 deps,
             }
         ),
-        (0..3u32, 1..50u32, 0..4u32, gen_payload(), gen_opt_clock()).prop_map(
-            |(p, first, span, payload, deps)| WalRecord::IngestBatch {
-                proc: ProcId(p),
-                first_seq: first,
-                upto: first + span,
-                entries: vec![BatchEntry {
-                    loc: Loc(0),
-                    payload,
-                    writer: WriteId::new(ProcId(p), first + span),
-                    adds: Vec::new(),
-                }],
-                deps,
-            }
-        ),
-        (0..16u32).prop_map(|incarnation| WalRecord::Incarnation { incarnation }),
+        gen_chain().prop_map(|(p, shard, (prev, upto, _), parts, deps)| {
+            let entries = entries(ProcId(p), parts).into();
+            Msg::ShardUpdateBatch { proc: ProcId(p), shard, prev, upto, entries, deps }
+        }),
+        gen_chain().prop_map(|(p, shard, (prev, upto, seen), parts, deps)| Msg::ShardRecoverResp {
+            proc: ProcId(p),
+            shard,
+            prev,
+            upto,
+            entries: entries(ProcId(p), parts),
+            deps,
+            seen,
+        }),
     ]
+}
+
+/// Every record kind.
+fn gen_record() -> impl Strategy<Value = WalRecord> {
+    prop_oneof![
+        1 => (0..8u32, gen_payload(), gen_opt_clock())
+            .prop_map(|(loc, payload, deps)| WalRecord::OwnWrite { loc: Loc(loc), payload, deps }),
+        1 => (0..8u32, gen_payload(), gen_triples()).prop_map(|(loc, payload, deps)| {
+            WalRecord::OwnWriteSharded { loc: Loc(loc), payload, deps }
+        }),
+        1 => (0..16u32).prop_map(|incarnation| WalRecord::Incarnation { incarnation }),
+        1 => (0..16u32).prop_map(|shard| WalRecord::Subscribe { shard }),
+        3 => gen_ingest().prop_map(WalRecord::Ingest),
+    ]
+}
+
+/// A snapshot with every list populated.
+fn gen_snapshot() -> impl Strategy<Value = Snapshot> {
+    let store =
+        proptest::collection::vec((0..8u32, gen_value(), any::<bool>(), gen_writer()), 0..4);
+    let own = proptest::collection::vec((0..8u32, gen_payload(), gen_opt_clock()), 0..3);
+    let pending =
+        proptest::collection::vec((gen_writer(), 0..8u32, gen_payload(), gen_clock()), 0..3);
+    let batches =
+        proptest::collection::vec(((0..3u32, 1..50u32), gen_entry_parts(), gen_clock()), 0..3);
+    let marks = proptest::collection::vec((0..3u32, any::<u64>()), 0..3);
+    ((0..8u32, gen_clock()), store, own, (pending, batches), marks).prop_map(
+        |((incarnation, applied), store, own, (pending, batches), marks)| Snapshot {
+            incarnation,
+            applied,
+            store: store
+                .into_iter()
+                .map(|(l, v, some, w)| (Loc(l), v, some.then_some(w)))
+                .collect(),
+            counter_updates: vec![(Loc(0), vec![WriteId::new(ProcId(1), 1)])],
+            write_log: (1..=own.len() as u32).map(|seq| (Loc(seq % 8), seq)).collect(),
+            own_updates: (1..)
+                .zip(own)
+                .map(|(seq, (l, payload, deps))| OwnUpdate { seq, loc: Loc(l), payload, deps })
+                .collect(),
+            pending: pending
+                .into_iter()
+                .map(|(writer, l, payload, deps)| SnapPending {
+                    writer,
+                    loc: Loc(l),
+                    payload,
+                    deps,
+                })
+                .collect(),
+            pending_batches: batches
+                .into_iter()
+                .map(|((p, upto), parts, deps)| SnapBatch {
+                    proc: ProcId(p),
+                    first_seq: 1,
+                    upto,
+                    entries: entries(ProcId(p), parts),
+                    deps,
+                })
+                .collect(),
+            watermarks: marks.into_iter().map(|(p, d)| (ProcId(p), d)).collect(),
+        },
+    )
 }
 
 /// Encodes each record separately so tests know the frame boundaries.
@@ -201,6 +320,61 @@ proptest! {
                 tail == WalTail::Torn { at: s } || tail == WalTail::Corrupt { at: s },
                 "damage in frame {} misattributed: {:?}", k, tail
             );
+        }
+    }
+
+    /// The wire decoder's contract, for the log: whatever a mutated log
+    /// decodes to re-encodes to exactly the bytes it was read from. A
+    /// flipped bit or a poisoned byte (CRC refreshed, so the parser and
+    /// not the checksum confronts it) is refused or lands on another
+    /// canonical encoding — never on bytes that read as something else.
+    #[test]
+    fn every_decoded_log_prefix_re_encodes_byte_identically(
+        records in proptest::collection::vec(gen_record(), 1..8),
+        (frame_sel, pos_sel, bit) in (any::<u64>(), any::<u64>(), 0u32..8),
+        poison in any::<bool>(),
+    ) {
+        let (mut log, starts) = frames(&records);
+        let k = (frame_sel % records.len() as u64) as usize;
+        let (s, end) = (starts[k], starts.get(k + 1).copied().unwrap_or(log.len()));
+        let off = s + 8 + (pos_sel % (end - s - 8) as u64) as usize;
+        if poison {
+            log[off] = 0xFF;
+        } else {
+            log[off] ^= 1 << bit;
+        }
+        let crc = crc32(&log[s + 8..end]);
+        log[s + 4..s + 8].copy_from_slice(&crc.to_le_bytes());
+
+        let (decoded, tail) = decode_wal(&log);
+        let valid = match tail {
+            WalTail::Clean => log.len(),
+            WalTail::Torn { at } | WalTail::Corrupt { at } => at,
+        };
+        let again: Vec<u8> = decoded.iter().flat_map(WalRecord::encode).collect();
+        prop_assert_eq!(&again[..], &log[..valid]);
+    }
+
+    /// The same contract for snapshots with every list populated.
+    #[test]
+    fn every_decoded_snapshot_re_encodes_byte_identically(
+        snap in gen_snapshot(),
+        (pos_sel, bit) in (any::<u64>(), 0u32..8),
+        poison in any::<bool>(),
+    ) {
+        let mut bytes = snap.encode();
+        prop_assert_eq!(Snapshot::decode(&bytes).expect("clean round-trip"), snap);
+        // magic(8) | len(4) | crc(4) | body
+        let off = 16 + (pos_sel % (bytes.len() as u64 - 16)) as usize;
+        if poison {
+            bytes[off] = 0xFF;
+        } else {
+            bytes[off] ^= 1 << bit;
+        }
+        let crc = crc32(&bytes[16..]);
+        bytes[12..16].copy_from_slice(&crc.to_le_bytes());
+        if let Ok(back) = Snapshot::decode(&bytes) {
+            prop_assert_eq!(back.encode(), bytes);
         }
     }
 
