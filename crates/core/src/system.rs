@@ -73,9 +73,10 @@ impl Outcome {
     /// Verifies the recorded history against the consistency definition
     /// of the protocol the run executed on: Definition 3 for
     /// [`Mode::Pram`], Definition 2 for [`Mode::Causal`], Definition 4
-    /// for [`Mode::Mixed`], and the exact Definition 1 search for
-    /// [`Mode::Sc`] (`Unknown` verdicts are treated as success; SC runs
-    /// should stay litmus-sized).
+    /// for [`Mode::Mixed`], and Definition 1 for [`Mode::Sc`] — decided
+    /// in linear time against the write order the SC server recorded
+    /// ([`History::write_order`]), so SC runs of any length check
+    /// exactly.
     ///
     /// # Errors
     ///
@@ -431,6 +432,9 @@ impl System {
 
         let nnodes = dsm_cfg.nnodes();
         let mut dsm = Dsm::new(dsm_cfg);
+        if record {
+            dsm.server_mut().record_write_order();
+        }
         for (p, disk) in seed_disks {
             dsm.set_disk(p, disk);
         }
@@ -448,14 +452,17 @@ impl System {
                 f(&mut ctx);
             });
         }
-        let report = kernel.run()?;
+        let mut report = kernel.run()?;
         let history = match recorder {
             None => None,
             Some(rec) => {
-                let builder = Arc::try_unwrap(rec)
+                let mut builder = Arc::try_unwrap(rec)
                     .expect("all process handles dropped")
                     .into_inner()
                     .expect("no poisoned recorder");
+                for (loc, order) in report.protocol.server_mut().take_write_order() {
+                    builder.set_write_order(loc, order);
+                }
                 Some(builder.build().map_err(RunError::Malformed)?)
             }
         };
@@ -787,8 +794,23 @@ mod tests {
             assert_eq!(ctx.read_causal(Loc(0)), Value::Int(5));
         });
         let outcome = sys.run().unwrap();
-        let h = outcome.history.unwrap();
-        check::check_causal(&h).unwrap();
-        assert!(mc_model::sc::check_sequential(&h).unwrap().is_sc());
+        let h = outcome.history.as_ref().unwrap();
+        check::check_causal(h).unwrap();
+        // The server's write order rides along and covers every write.
+        let order = h.write_order().expect("an SC run records its server's write order");
+        assert_eq!(order.keys().copied().collect::<Vec<_>>(), [Loc(0), Loc(1)]);
+        outcome.verify().expect("serializable in the server's order");
+    }
+
+    #[test]
+    fn replicated_runs_record_no_write_order() {
+        let mut sys = System::new(2, Mode::Causal).record(true);
+        sys.spawn(|ctx| {
+            ctx.write(Loc(0), 5);
+        });
+        sys.spawn(|ctx| {
+            let _ = ctx.read_causal(Loc(0));
+        });
+        assert!(sys.run().unwrap().history.unwrap().write_order().is_none());
     }
 }

@@ -417,7 +417,8 @@ impl Cluster {
             let net = net.clone();
             let cfg = cfg.clone();
             let node = cfg.nprocs + shard;
-            manager_handles.push(std::thread::spawn(move || run_manager_node(rx, net, cfg, node)));
+            manager_handles
+                .push(std::thread::spawn(move || run_manager_node(rx, net, cfg, node, record)));
         }
         let (done_tx, done_rx) = unbounded::<u32>();
         let mut proc_handles = Vec::new();
@@ -475,13 +476,17 @@ impl Cluster {
             .map(|h| h.join().expect("manager threads do not panic"))
             .collect();
 
+        let mut server = managers.remove(0);
         let history = match recorder {
             None => None,
             Some(rec) => {
-                let builder = Arc::try_unwrap(rec)
+                let mut builder = Arc::try_unwrap(rec)
                     .expect("all recorder handles dropped")
                     .into_inner()
                     .expect("recorder healthy");
+                for (loc, order) in server.take_write_order() {
+                    builder.set_write_order(loc, order);
+                }
                 Some(builder.build().map_err(LiveError::Malformed)?)
             }
         };
@@ -501,7 +506,7 @@ impl Cluster {
             wall: start.elapsed(),
             trace,
             replicas,
-            server: managers.remove(0),
+            server,
             mode: cfg.mode,
         })
     }
@@ -883,11 +888,22 @@ pub fn run_proc_node(
 
 /// One manager shard: feed every arriving message to the shared
 /// [`ManagerNode`] — and, with the session layer on, retransmit
-/// unacknowledged grants/releases on wall-clock ticks.
+/// unacknowledged grants/releases on wall-clock ticks. With `record` on,
+/// the returned manager holds the SC write order
+/// ([`Manager::take_write_order`]).
 /// Transport-agnostic for the same reason as [`run_proc_node`].
-pub fn run_manager_node(rx: Receiver<Wire>, net: Net, cfg: DsmConfig, node: NodeId) -> Manager {
+pub fn run_manager_node(
+    rx: Receiver<Wire>,
+    net: Net,
+    cfg: DsmConfig,
+    node: NodeId,
+    record: bool,
+) -> Manager {
     let reliable = cfg.reliable;
     let mut manager = ManagerNode::new(nid(node), Arc::new(cfg));
+    if record {
+        manager.manager_mut().record_write_order();
+    }
     let mut io = LiveIo { me: node, net, wal: None };
     loop {
         match next_wire(&rx, reliable) {

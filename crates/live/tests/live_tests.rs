@@ -121,7 +121,11 @@ fn sc_mode_serializes_at_the_server() {
         let outcome = sys.run().unwrap();
         assert_eq!(outcome.final_value(ProcId(0), Loc(0)), Value::Int(7));
         let h = outcome.history.expect("recorded");
-        assert!(mc_model::sc::check_sequential(&h).unwrap().is_sc());
+        // The server's write order rides along and covers every write.
+        let order = h.write_order().expect("an SC run records its server's write order");
+        assert_eq!(order.keys().copied().collect::<Vec<_>>(), [Loc(0), Loc(1)]);
+        let sc = mc_model::ModelAssignment::uniform(2, mc_model::ModelSpec::SC);
+        mc_model::spec::check_model(&h, &sc).expect("serializable in the server's order");
     }
 }
 

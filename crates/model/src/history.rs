@@ -98,6 +98,9 @@ pub enum MalformedHistory {
     /// An await's observed writers could not be resolved or do not produce
     /// the awaited value.
     UnresolvableAwait(OpId),
+    /// The recorded write order of a location is not a permutation of
+    /// the history's writes and updates to it.
+    WriteOrderMismatch(Loc),
 }
 
 impl fmt::Display for MalformedHistory {
@@ -141,6 +144,9 @@ impl fmt::Display for MalformedHistory {
                 write!(f, "read {o} disagrees with its recorded writer")
             }
             UnresolvableAwait(o) => write!(f, "await {o} cannot be resolved"),
+            WriteOrderMismatch(l) => {
+                write!(f, "write order of {l} is not a permutation of its writes")
+            }
         }
     }
 }
@@ -167,6 +173,9 @@ pub struct History {
     /// Resolved await sources: for every `Await` op, the writes it
     /// synchronizes with.
     await_src: Vec<Vec<WriteId>>,
+    /// The order in which a central server applied each location's
+    /// writes and updates, when the executor recorded one.
+    write_order: Option<BTreeMap<Loc, Vec<WriteId>>>,
 }
 
 impl History {
@@ -250,6 +259,15 @@ impl History {
             "{a} is not an await operation"
         );
         &self.await_src[a.index()]
+    }
+
+    /// The write order the executor's central server recorded: per
+    /// written location, every write and update to it in the order the
+    /// server applied them. `None` for histories without one (replicated
+    /// protocols, hand-built and parsed histories). Not part of
+    /// [`History::signature`].
+    pub fn write_order(&self) -> Option<&BTreeMap<Loc, Vec<WriteId>>> {
+        self.write_order.as_ref()
     }
 
     /// Iterates over the ids of all operations.
@@ -393,6 +411,7 @@ pub struct HistoryBuilder {
     proc_is_chain: Vec<bool>,
     initial: HashMap<Loc, Value>,
     write_seq: Vec<u32>,
+    write_order: Option<BTreeMap<Loc, Vec<WriteId>>>,
 }
 
 impl HistoryBuilder {
@@ -407,6 +426,7 @@ impl HistoryBuilder {
             proc_is_chain: vec![true; nprocs],
             initial: HashMap::new(),
             write_seq: vec![0; nprocs],
+            write_order: None,
         }
     }
 
@@ -519,6 +539,15 @@ impl HistoryBuilder {
         self.push(proc, OpKind::Await { loc, value, writers: Vec::new() })
     }
 
+    /// Records the order in which a central server applied the writes and
+    /// updates to `loc` (see [`History::write_order`]). Once any location
+    /// has an order, [`HistoryBuilder::build`] requires one for every
+    /// written location.
+    pub fn set_write_order(&mut self, loc: Loc, order: Vec<WriteId>) -> &mut Self {
+        self.write_order.get_or_insert_with(BTreeMap::new).insert(loc, order);
+        self
+    }
+
     /// The number of operations pushed so far.
     pub fn len(&self) -> usize {
         self.ops.len()
@@ -536,7 +565,16 @@ impl HistoryBuilder {
     /// Returns a [`MalformedHistory`] describing the first violated
     /// well-formedness condition.
     pub fn build(self) -> Result<History, MalformedHistory> {
-        let HistoryBuilder { nprocs, ops, po_edges, per_proc, initial, proc_is_chain, .. } = self;
+        let HistoryBuilder {
+            nprocs,
+            ops,
+            po_edges,
+            per_proc,
+            initial,
+            proc_is_chain,
+            write_order,
+            ..
+        } = self;
 
         // -- program order sanity ------------------------------------------------
         for &(a, b) in &po_edges {
@@ -609,6 +647,27 @@ impl HistoryBuilder {
                 if writes_by_id.insert(w, OpId(i as u32)).is_some() {
                     return Err(MalformedHistory::DuplicateWriteId(w));
                 }
+            }
+        }
+
+        // -- write order: each location's list is a permutation of its writes ----
+        if let Some(order) = &write_order {
+            let mut listed = vec![false; ops.len()];
+            for (&loc, writes) in order {
+                for w in writes {
+                    let fits = writes_by_id.get(w).is_some_and(|&o| {
+                        ops[o.index()].kind.loc() == Some(loc)
+                            && !std::mem::replace(&mut listed[o.index()], true)
+                    });
+                    if !fits {
+                        return Err(MalformedHistory::WriteOrderMismatch(loc));
+                    }
+                }
+            }
+            let unlisted = ops.iter().zip(&listed).find(|(op, &l)| !l && op.kind.is_write_like());
+            if let Some((op, _)) = unlisted {
+                let loc = op.kind.loc().expect("write-like operations have a location");
+                return Err(MalformedHistory::WriteOrderMismatch(loc));
             }
         }
 
@@ -900,6 +959,7 @@ impl HistoryBuilder {
             writes_by_id,
             rf,
             await_src,
+            write_order,
         })
     }
 }
@@ -1263,6 +1323,37 @@ mod tests {
     }
 
     #[test]
+    fn write_order_must_permute_each_locations_writes() {
+        let mut b = HistoryBuilder::new(2);
+        let (_, w1) = b.push_write(p(0), Loc(0), Value::Int(1));
+        let (_, u) = b.push_update(p(1), Loc(0), 1);
+        let (_, y) = b.push_write(p(1), Loc(1), Value::Int(1));
+        b.push_read(p(0), Loc(1), ReadLabel::Causal, Value::Int(1));
+        let with = |orders: &[(u32, Vec<WriteId>)]| {
+            let mut b = b.clone();
+            for (loc, order) in orders {
+                b.set_write_order(Loc(*loc), order.clone());
+            }
+            b.build()
+        };
+        let h = with(&[(0, vec![u, w1]), (1, vec![y])]).unwrap();
+        assert_eq!(h.write_order().unwrap()[&Loc(0)], vec![u, w1]);
+        // The order is no part of what a history observed.
+        let unordered = b.clone().build().unwrap();
+        assert_eq!(h.signature(), unordered.signature());
+        assert!(unordered.write_order().is_none());
+
+        let mismatch = |orders: &[(u32, Vec<WriteId>)], loc: u32| {
+            assert_eq!(with(orders).unwrap_err(), MalformedHistory::WriteOrderMismatch(Loc(loc)));
+        };
+        mismatch(&[(0, vec![u, w1])], 1); // a written location left out
+        mismatch(&[(0, vec![w1]), (1, vec![y])], 0); // a write left out
+        mismatch(&[(0, vec![u, w1, u]), (1, vec![y])], 0); // a write twice
+        mismatch(&[(0, vec![u, w1, y]), (1, vec![y])], 0); // another location's write
+        mismatch(&[(0, vec![u, w1]), (1, vec![y, WriteId::new(p(0), 9)])], 1); // no such write
+    }
+
+    #[test]
     fn error_messages_are_nonempty() {
         let errs = [
             MalformedHistory::DuplicateWriteId(WriteId::new(p(0), 1)),
@@ -1270,6 +1361,7 @@ mod tests {
             MalformedHistory::AmbiguousRead(OpId(2)),
             MalformedHistory::LockHeldAtEnd(p(0), LockId(1)),
             MalformedHistory::BarrierNotTotallyOrdered(OpId(0)),
+            MalformedHistory::WriteOrderMismatch(Loc(2)),
         ];
         for e in errs {
             assert!(!e.to_string().is_empty());

@@ -332,9 +332,11 @@ impl fmt::Display for ModelAssignment {
 /// declarative validator behind every lattice point.
 ///
 /// Reads of processes with a total-store-order spec are judged by a
-/// single serialization check (over the projection of the history that
-/// keeps all writes and synchronization but only those processes'
-/// reads); all other reads are judged by the Definitions-2/3 rule under
+/// single serialization check (of all writes and synchronization but only
+/// those processes' reads) — in linear time against the server's write
+/// order when the history carries one ([`History::write_order`]), by
+/// exact search otherwise; all other reads are judged by the
+/// Definitions-2/3 rule under
 /// the sub-relation their spec declares; coherent processes additionally
 /// contribute their observations to a per-location write-serialization
 /// check.
@@ -389,26 +391,41 @@ pub fn check_model(h: &History, models: &ModelAssignment) -> Result<CheckReport,
         }
     }
 
-    if models.any_tso() {
-        let verdict = if models.all_tso() {
-            crate::sc::check_sequential(h)
-        } else {
-            let projected = tso_projection(h, models);
-            crate::sc::check_sequential(&projected)
-        };
-        match verdict {
-            Err(e) => return Err(CheckError::Causality(e)),
-            Ok(crate::sc::ScVerdict::NotSequentiallyConsistent) => {
-                report.global.push(GlobalViolation::NotSerializable);
-            }
-            // A serialization exists, or the search exhausted its budget
-            // without refuting one — same benefit of the doubt the
-            // dedicated SC checker gives.
-            Ok(_) => {}
-        }
+    if models.any_tso() && !tso_serializable(h, &causality, models)? {
+        report.global.push(GlobalViolation::NotSerializable);
     }
 
     report.into_result()
+}
+
+/// The total-store-order judgement of [`check_model`]: whether the
+/// writes, updates, synchronization operations and the reads of
+/// total-store-order processes have one sequential serialization.
+///
+/// A history carrying its server's write order is judged in linear time
+/// against that order ([`crate::sc`]); a pass is a replayed
+/// serialization, and a failure means the run is not sequentially
+/// consistent in the order its server chose. Without one, the exact
+/// search decides, over [`tso_projection`] unless every process demands
+/// a total store order. A search that exhausts its budget counts as a
+/// pass, the benefit of the doubt the dedicated SC checker gives.
+fn tso_serializable(
+    h: &History,
+    causality: &Causality<'_>,
+    models: &ModelAssignment,
+) -> Result<bool, CheckError> {
+    let tso_read =
+        |id: OpId| matches!(models.get(h.op(id).proc), ProcModel::Fixed(s) if s.total_store_order);
+    if let Some(ok) = crate::sc::serializable_in_write_order(h, causality, tso_read) {
+        return Ok(ok);
+    }
+    let budget = crate::sc::DEFAULT_STATE_BUDGET;
+    let verdict = if models.all_tso() {
+        crate::sc::search(h, causality, budget)
+    } else {
+        crate::sc::check_sequential_with_budget(&tso_projection(h, models), budget)?
+    };
+    Ok(verdict != crate::sc::ScVerdict::NotSequentiallyConsistent)
 }
 
 /// Per-location coherence: all writes to one plain-write location (`ops`

@@ -285,7 +285,7 @@ pub fn run_cluster_node(
 
     if node >= cfg.nprocs {
         // Manager shard: serve until the coordinator's Shutdown frame.
-        let manager = run_manager_node(inbox_rx, net.clone(), cfg, node);
+        let manager = run_manager_node(inbox_rx, net.clone(), cfg, node, false);
         return NodeOutcome {
             replica: None,
             manager: Some(manager),

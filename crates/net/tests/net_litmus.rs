@@ -88,6 +88,10 @@ fn iriw_over_tcp_serializes_under_sc() {
         }
         let outcome = sys.run().expect("cluster runs");
         let h = outcome.history.expect("recorded");
+        // Judged against the server's write order, which covers both
+        // written locations.
+        let order = h.write_order().expect("an SC run records its server's write order");
+        assert_eq!(order.keys().copied().collect::<Vec<_>>(), [Loc(0), Loc(1)]);
         check_model(&h, &ModelAssignment::uniform(4, ModelSpec::SC))
             .unwrap_or_else(|e| panic!("SC cluster must serialize IRIW over TCP: {e}"));
     }

@@ -16,6 +16,7 @@ use mc_sim::{NetCtx, NodeId, Poll, ProcToken, Protocol, SimTime};
 
 use crate::config::DsmConfig;
 use crate::durability::{decode_wal, MemDisk, WalTail};
+use crate::manager::Manager;
 use crate::msg::Msg;
 use crate::node::{ManagerNode, NodeIo, ProcNode, Req, Resp};
 use crate::replica::Replica;
@@ -135,6 +136,12 @@ impl Dsm {
     /// The SC server's value of `loc` (SC mode result collection).
     pub fn server_value(&self, loc: Loc) -> Value {
         self.managers[0].manager().peek(loc)
+    }
+
+    /// The SC server (the first manager shard), to record and collect
+    /// its write order.
+    pub fn server_mut(&mut self) -> &mut Manager {
+        self.managers[0].manager_mut()
     }
 
     /// A replica's simulated disk (repro capture, tests).

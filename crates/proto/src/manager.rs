@@ -54,6 +54,10 @@ pub struct Manager {
     last_writer: Vec<Option<WriteId>>,
     counter_updates: HashMap<Loc, Vec<WriteId>>,
     watches: Vec<(ProcId, Loc, Value)>,
+    /// Per location, the writes and updates applied in the order they
+    /// were applied — kept only once [`Manager::record_write_order`] is
+    /// called.
+    write_order: Option<BTreeMap<Loc, Vec<WriteId>>>,
 }
 
 /// Messages the manager wants delivered, with destination *process* (the
@@ -72,7 +76,22 @@ impl Manager {
             last_writer: Vec::new(),
             counter_updates: HashMap::new(),
             watches: Vec::new(),
+            write_order: None,
         }
+    }
+
+    /// Starts recording the SC server's write order: from here on, every
+    /// write and update is noted per location in the order it is applied.
+    /// Executors turn this on when they record a history; the order never
+    /// travels on the wire.
+    pub fn record_write_order(&mut self) {
+        self.write_order.get_or_insert_with(BTreeMap::new);
+    }
+
+    /// Takes the recorded write order: each written location with its
+    /// writes and updates in application order (empty unless recording).
+    pub fn take_write_order(&mut self) -> BTreeMap<Loc, Vec<WriteId>> {
+        self.write_order.as_mut().map(std::mem::take).unwrap_or_default()
     }
 
     /// Handles one message addressed to this manager shard, returning
@@ -309,6 +328,9 @@ impl Manager {
             }
         }
         self.last_writer[loc.index()] = Some(writer);
+        if let Some(order) = &mut self.write_order {
+            order.entry(loc).or_default().push(writer);
+        }
         let mut out = vec![(writer.proc, Msg::ScWriteAck)];
         out.extend(self.fire_watches());
         out
@@ -519,6 +541,22 @@ mod tests {
         let (_, Msg::ScReadResp { value, writer }) = &out[0] else { panic!() };
         assert_eq!(*value, Value::INITIAL);
         assert_eq!(*writer, None);
+    }
+
+    #[test]
+    fn sc_write_order_is_kept_only_when_recording() {
+        let (a, b, c) = (WriteId::new(p(0), 1), WriteId::new(p(1), 1), WriteId::new(p(0), 2));
+        let run = |m: &mut Manager| {
+            m.sc_write(a, Loc(3), UpdatePayload::Set(Value::Int(1)));
+            m.sc_write(b, Loc(3), UpdatePayload::Add(Value::Int(1)));
+            m.sc_write(c, Loc(0), UpdatePayload::Set(Value::Int(7)));
+            m.take_write_order()
+        };
+        assert!(run(&mut Manager::new(2)).is_empty());
+        let mut m = Manager::new(2);
+        m.record_write_order();
+        assert_eq!(run(&mut m), BTreeMap::from([(Loc(0), vec![c]), (Loc(3), vec![a, b])]));
+        assert!(m.take_write_order().is_empty(), "taken");
     }
 
     #[test]

@@ -526,6 +526,11 @@ impl ManagerNode {
         &self.manager
     }
 
+    /// Mutable manager state (to record and collect the SC write order).
+    pub fn manager_mut(&mut self) -> &mut Manager {
+        &mut self.manager
+    }
+
     /// Consumes the node, returning the manager state.
     pub fn into_manager(self) -> Manager {
         self.manager
