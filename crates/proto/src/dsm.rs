@@ -750,7 +750,7 @@ mod tests {
             ctx.request(Req::Lock { lock: LockId(0), mode: LockMode::Write });
             ctx.request(Req::Lock { lock: LockId(0), mode: LockMode::Write });
         });
-        // The panic happens on the kernel thread (protocol code).
+        // Protocol code panics on the process thread; `run` re-raises it.
         let _ = k.run();
     }
 

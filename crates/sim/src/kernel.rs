@@ -1,20 +1,30 @@
 //! The simulation kernel: deterministic scheduling of process syscalls and
 //! message deliveries.
 //!
-//! Processes are ordinary Rust closures running on OS threads, but **at
-//! most one process thread is ever runnable**: every interaction with the
-//! memory system is a *syscall* that parks the thread on a rendezvous
-//! channel until the kernel schedules it. The kernel interleaves syscalls
-//! and message deliveries by minimum virtual time with seeded
-//! tie-breaking, so a run is a pure function of `(program, SimConfig)` —
-//! re-running with a different seed explores a different interleaving,
-//! which the property-based tests exploit.
+//! Processes are ordinary Rust closures, each on an OS thread of its own,
+//! but **exactly one process thread runs at a time**, from its first
+//! instruction on. The kernel has no thread of its own. Its state (`Core`)
+//! sits behind one lock, and the running process — the one holding the
+//! *baton* — drives it. A syscall stores its request in the core and asks
+//! what runs next (`Core::next`): a queued resumption, else the next
+//! unstarted process, else the outcome of one more scheduling step. If
+//! that is the caller's own resumption, the syscall returns at once.
+//! Otherwise the caller fills the next thread's one-slot mailbox, unparks
+//! it, and parks until its own mailbox is filled: at most one hand-off
+//! per syscall.
+//!
+//! The core interleaves syscalls and message deliveries by minimum virtual
+//! time with seeded tie-breaking, so a run is a pure function of
+//! `(program, SimConfig)` — re-running with a different seed explores a
+//! different interleaving, which the property-based tests exploit.
 
+use std::any::Any;
 use std::cmp::Reverse;
+use std::collections::VecDeque;
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::thread::JoinHandle;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::thread::{self, JoinHandle, Thread};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -59,8 +69,10 @@ pub enum Poll<R> {
 ///
 /// One `Protocol` value owns the state of *all* nodes (replicas and
 /// managers); the kernel tells it which node an event concerns. This keeps
-/// the trait object-free and lets protocols share lookup tables.
-pub trait Protocol: 'static {
+/// the trait object-free and lets protocols share lookup tables. The
+/// kernel runs on whichever process thread holds the baton, so the value
+/// moves between threads: hence `Send`.
+pub trait Protocol: Send + 'static {
     /// Network message payload.
     type Msg: Send + 'static;
     /// Syscall request issued by processes.
@@ -123,25 +135,152 @@ pub trait Protocol: 'static {
     }
 }
 
-enum ProcEvent<Req> {
-    Request(Req),
-    Charge(SimTime),
-    Done(Option<Box<dyn std::any::Any + Send>>),
+/// What wakes a parked thread.
+enum Wake<R> {
+    /// Run the process closure from its first instruction.
+    Start,
+    /// Return from the pending syscall with this response.
+    Resume(R),
+    /// The run is over: unwind (or, for the caller of [`Kernel::run`],
+    /// collect the result).
+    Shutdown,
 }
 
-enum KernelReply<Resp> {
-    Resp(Resp),
-    Ack,
+/// A parked thread's one-slot inbox.
+struct Mailbox<R> {
+    thread: OnceLock<Thread>,
+    wake: Mutex<Option<Wake<R>>>,
+}
+
+impl<R> Mailbox<R> {
+    fn new() -> Self {
+        Mailbox { thread: OnceLock::new(), wake: Mutex::new(None) }
+    }
+
+    fn post(&self, wake: Wake<R>) {
+        *self.wake.lock().expect("mailbox lock") = Some(wake);
+        self.thread.get().expect("registered before the first hand-off").unpark();
+    }
+
+    fn wait(&self) -> Wake<R> {
+        loop {
+            if let Some(wake) = self.wake.lock().expect("mailbox lock").take() {
+                return wake;
+            }
+            thread::park();
+        }
+    }
+}
+
+/// A process body, as handed to [`Kernel::spawn`].
+type Body<P> = Box<dyn FnOnce(&mut ProcCtx<P>) + Send>;
+
+/// How a run ended: its result, or (`Err`) the payload of a panic in
+/// protocol code, which [`Kernel::run`] re-raises.
+type Ending = std::thread::Result<Result<(), SimError>>;
+
+/// What the process threads share: the kernel state behind one lock, and
+/// the mailboxes through which the baton passes.
+struct Baton<P: Protocol> {
+    core: Mutex<Core<P>>,
+    /// One per process, indexed by token; the last belongs to the caller
+    /// of [`Kernel::run`], which waits there for the run to end.
+    mailboxes: Vec<Mailbox<P::Resp>>,
+}
+
+impl<P: Protocol> Baton<P> {
+    fn lock(&self) -> MutexGuard<'_, Core<P>> {
+        // A protocol panic is caught before the guard drops, and nothing
+        // else panics under it, so the lock is never poisoned.
+        self.core.lock().expect("kernel lock")
+    }
+
+    /// Locks the core of a run that has not ended.
+    ///
+    /// # Panics
+    ///
+    /// Panics if it has: the caller is a process unwinding a shutdown.
+    fn lock_live(&self) -> MutexGuard<'_, Core<P>> {
+        let core = self.lock();
+        if core.ended.is_some() {
+            drop(core);
+            panic!("kernel alive");
+        }
+        core
+    }
+
+    /// Runs the kernel on behalf of mailbox `me` until something is due
+    /// to run, and passes the baton to it. Returns `me`'s own resumption
+    /// when that is next; otherwise wakes the thread that is (every
+    /// thread, if the run is over) and returns `None`.
+    fn pass(&self, mut core: MutexGuard<'_, Core<P>>, me: usize) -> Option<P::Resp> {
+        match catch_unwind(AssertUnwindSafe(|| core.next())) {
+            Ok(Next::Run(to, Wake::Resume(resp))) if to == me => Some(resp),
+            Ok(Next::Run(to, wake)) => {
+                drop(core);
+                self.mailboxes[to].post(wake);
+                None
+            }
+            Ok(Next::Over(result)) => {
+                self.end(core, Ok(result));
+                None
+            }
+            Err(payload) => {
+                self.end(core, Err(payload));
+                None
+            }
+        }
+    }
+
+    /// Records how the run ended and wakes every thread with a shutdown.
+    fn end(&self, mut core: MutexGuard<'_, Core<P>>, ending: Ending) {
+        core.ended = Some(ending);
+        drop(core);
+        for mailbox in &self.mailboxes {
+            mailbox.post(Wake::Shutdown);
+        }
+    }
+
+    /// The life of process `me`'s thread: wait for its turn to start, run
+    /// `body`, then pass the baton on — or end the run with its panic.
+    fn process(self: Arc<Self>, me: usize, body: Body<P>) {
+        match self.mailboxes[me].wait() {
+            Wake::Start => {}
+            Wake::Shutdown => return,
+            Wake::Resume(_) => unreachable!("an unstarted process resumed"),
+        }
+        let token = ProcToken(me as u32);
+        let mut ctx = ProcCtx { token, baton: self };
+        let result = catch_unwind(AssertUnwindSafe(|| body(&mut ctx)));
+        let baton = ctx.baton;
+        let mut core = baton.lock();
+        if core.ended.is_some() {
+            return; // unwound by the shutdown, or outlived it
+        }
+        match result {
+            Ok(()) => {
+                core.procs[me].state = ProcState::Done;
+                baton.pass(core, me);
+            }
+            Err(payload) => {
+                baton.end(core, Ok(Err(SimError::ProcPanicked { proc: token, payload })));
+            }
+        }
+    }
 }
 
 /// The process-side handle for issuing syscalls.
 ///
 /// Handed to each process closure by [`Kernel::spawn`].
-#[derive(Debug)]
 pub struct ProcCtx<P: Protocol> {
     token: ProcToken,
-    tx: Sender<(u32, ProcEvent<P::Req>)>,
-    rx: Receiver<KernelReply<P::Resp>>,
+    baton: Arc<Baton<P>>,
+}
+
+impl<P: Protocol> fmt::Debug for ProcCtx<P> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ProcCtx").field("token", &self.token).finish_non_exhaustive()
+    }
 }
 
 impl<P: Protocol> ProcCtx<P> {
@@ -152,14 +291,24 @@ impl<P: Protocol> ProcCtx<P> {
 
     /// Issues a syscall and blocks until the kernel responds.
     ///
+    /// The calling thread runs the kernel itself; it parks only while
+    /// other processes run first.
+    ///
     /// # Panics
     ///
-    /// Panics if the kernel has shut down (deadlock detected elsewhere).
+    /// Panics if the run has ended (a deadlock, panic or event limit
+    /// elsewhere).
     pub fn request(&mut self, req: P::Req) -> P::Resp {
-        self.tx.send((self.token.0, ProcEvent::Request(req))).expect("kernel alive");
-        match self.rx.recv().expect("kernel alive") {
-            KernelReply::Resp(r) => r,
-            KernelReply::Ack => unreachable!("request answered with ack"),
+        let me = self.token.index();
+        let mut core = self.baton.lock_live();
+        core.submit(me, req);
+        if let Some(resp) = self.baton.pass(core, me) {
+            return resp;
+        }
+        match self.baton.mailboxes[me].wait() {
+            Wake::Resume(resp) => resp,
+            Wake::Shutdown => panic!("kernel alive"),
+            Wake::Start => unreachable!("a running process restarted"),
         }
     }
 
@@ -169,18 +318,15 @@ impl<P: Protocol> ProcCtx<P> {
     ///
     /// # Panics
     ///
-    /// Panics if the kernel has shut down.
+    /// Panics if the run has ended.
     pub fn advance(&mut self, cost: SimTime) {
-        self.tx.send((self.token.0, ProcEvent::Charge(cost))).expect("kernel alive");
-        match self.rx.recv().expect("kernel alive") {
-            KernelReply::Ack => {}
-            KernelReply::Resp(_) => unreachable!("charge answered with response"),
-        }
+        self.baton.lock_live().procs[self.token.index()].clock += cost;
     }
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum ProcState {
+    /// Running process code, queued to resume, or not yet started.
     Running,
     Ready,
     Blocked,
@@ -190,8 +336,6 @@ enum ProcState {
 struct ProcSlot<P: Protocol> {
     node: NodeId,
     state: ProcState,
-    resp_tx: Sender<KernelReply<P::Resp>>,
-    handle: Option<JoinHandle<()>>,
     clock: SimTime,
     ready_at: SimTime,
     pending: Option<P::Req>,
@@ -214,7 +358,7 @@ pub enum SimError {
         /// The process that panicked.
         proc: ProcToken,
         /// The panic payload.
-        payload: Box<dyn std::any::Any + Send>,
+        payload: Box<dyn Any + Send>,
     },
     /// The configured event budget was exhausted.
     EventLimit {
@@ -282,28 +426,16 @@ pub struct RunReport<P> {
 /// # Ok::<(), mc_sim::SimError>(())
 /// ```
 pub struct Kernel<P: Protocol> {
-    protocol: P,
-    config: SimConfig,
-    network: Network<P::Msg>,
-    rng: StdRng,
-    schedule: Box<dyn Schedule>,
-    metrics: Metrics,
-    procs: Vec<ProcSlot<P>>,
-    inbox_tx: Sender<(u32, ProcEvent<P::Req>)>,
-    inbox_rx: Receiver<(u32, ProcEvent<P::Req>)>,
-    now: SimTime,
-    /// Scheduled crash-recovers from the fault plan, sorted by time;
-    /// `next_plan_recover` indexes the first not yet executed.
-    plan_recovers: Vec<(SimTime, NodeId)>,
-    next_plan_recover: usize,
+    core: Core<P>,
+    bodies: Vec<Body<P>>,
 }
 
 impl<P: Protocol> fmt::Debug for Kernel<P> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Kernel")
-            .field("nnodes", &self.network.nnodes)
-            .field("nprocs", &self.procs.len())
-            .field("now", &self.now)
+            .field("nnodes", &self.core.network.nnodes)
+            .field("nprocs", &self.core.procs.len())
+            .field("now", &self.core.now)
             .finish()
     }
 }
@@ -311,11 +443,10 @@ impl<P: Protocol> fmt::Debug for Kernel<P> {
 impl<P: Protocol> Kernel<P> {
     /// Creates a kernel over `nnodes` network nodes.
     pub fn new(protocol: P, nnodes: usize, config: SimConfig) -> Self {
-        let (inbox_tx, inbox_rx) = channel();
         let mut plan_recovers: Vec<(SimTime, NodeId)> =
             config.faults.crash_recovers.iter().map(|&(n, t)| (t, n)).collect();
         plan_recovers.sort();
-        Kernel {
+        let core = Core {
             protocol,
             rng: StdRng::seed_from_u64(config.seed),
             schedule: Box::new(RandomSchedule::new(config.seed ^ 0x5eed_0fda)),
@@ -323,18 +454,25 @@ impl<P: Protocol> Kernel<P> {
             network: Network::new(nnodes),
             metrics: Metrics::new(),
             procs: Vec::new(),
-            inbox_tx,
-            inbox_rx,
             now: SimTime::ZERO,
             plan_recovers,
             next_plan_recover: 0,
-        }
+            resumed: VecDeque::new(),
+            started: 0,
+            candidates: Vec::new(),
+            ids: Vec::new(),
+            ended: None,
+        };
+        Kernel { core, bodies: Vec::new() }
     }
 
     /// Spawns a process bound to `node` and returns its token.
     ///
-    /// The closure runs on its own thread but is scheduled cooperatively:
-    /// it only makes progress when the kernel resumes one of its syscalls.
+    /// The closure gets a thread of its own when [`Kernel::run`] starts,
+    /// and is scheduled cooperatively: processes start one at a time in
+    /// token order (each once the one before has issued its first syscall
+    /// or finished), and a started process makes progress only when the
+    /// kernel resumes one of its syscalls.
     ///
     /// # Panics
     ///
@@ -343,36 +481,23 @@ impl<P: Protocol> Kernel<P> {
     where
         F: FnOnce(&mut ProcCtx<P>) + Send + 'static,
     {
-        assert!(node.index() < self.network.nnodes, "unknown node {node}");
-        let token = ProcToken(self.procs.len() as u32);
-        let (resp_tx, resp_rx) = channel();
-        let tx = self.inbox_tx.clone();
-        let mut ctx = ProcCtx { token, tx: tx.clone(), rx: resp_rx };
-        let handle = std::thread::Builder::new()
-            .name(format!("sim-proc-{}", token.0))
-            .spawn(move || {
-                let result = catch_unwind(AssertUnwindSafe(move || f(&mut ctx)));
-                let payload = result.err();
-                // The kernel may already be gone (deadlock shutdown).
-                let _ = tx.send((token.0, ProcEvent::Done(payload)));
-            })
-            .expect("thread spawn");
-        self.procs.push(ProcSlot {
+        assert!(node.index() < self.core.network.nnodes, "unknown node {node}");
+        let token = ProcToken(self.core.procs.len() as u32);
+        self.core.procs.push(ProcSlot {
             node,
             state: ProcState::Running,
-            resp_tx,
-            handle: Some(handle),
             clock: SimTime::ZERO,
             ready_at: SimTime::ZERO,
             pending: None,
             blocked_since: SimTime::ZERO,
         });
+        self.bodies.push(Box::new(f));
         token
     }
 
     /// The kernel's metrics so far (useful between phased runs).
     pub fn metrics(&self) -> &Metrics {
-        &self.metrics
+        &self.core.metrics
     }
 
     /// Enables structured tracing for this run.
@@ -383,7 +508,7 @@ impl<P: Protocol> Kernel<P> {
     /// when disabled the instrumentation sites cost one `Option` check
     /// each, so untraced runs pay nothing measurable.
     pub fn enable_tracing(&mut self) {
-        self.network.tracer = Some(Tracer::new());
+        self.core.network.tracer = Some(Tracer::new());
     }
 
     /// Replaces the tie-breaking schedule (see [`crate::schedule`]).
@@ -393,9 +518,111 @@ impl<P: Protocol> Kernel<P> {
     /// nondeterminism, so enumerating decision traces enumerates the
     /// run's interleavings.
     pub fn set_schedule(&mut self, schedule: Box<dyn Schedule>) {
-        self.schedule = schedule;
+        self.core.schedule = schedule;
     }
 
+    /// Runs the simulation to completion.
+    ///
+    /// Spawns one thread per process; all of them are joined before this
+    /// returns.
+    ///
+    /// # Errors
+    ///
+    /// * [`SimError::Deadlock`] if blocked processes can never resume;
+    /// * [`SimError::ProcPanicked`] if a process panicked;
+    /// * [`SimError::EventLimit`] if the event budget is exhausted.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a panic in protocol code, with its original payload.
+    pub fn run(self) -> Result<RunReport<P>, SimError> {
+        let Kernel { core, bodies } = self;
+        let caller = bodies.len();
+        let baton = Arc::new(Baton {
+            core: Mutex::new(core),
+            mailboxes: (0..=caller).map(|_| Mailbox::new()).collect(),
+        });
+        let threads: Vec<JoinHandle<()>> = bodies
+            .into_iter()
+            .enumerate()
+            .map(|(i, body)| {
+                let baton = baton.clone();
+                thread::Builder::new()
+                    .name(format!("sim-proc-{i}"))
+                    .spawn(move || baton.process(i, body))
+                    .expect("thread spawn")
+            })
+            .collect();
+        let registered = threads.iter().map(|t| t.thread().clone()).chain([thread::current()]);
+        for (mailbox, thread) in baton.mailboxes.iter().zip(registered) {
+            mailbox.thread.set(thread).expect("registered once");
+        }
+        // Hand the baton to the first process and wait for the run's end;
+        // every other thread has then unwound or finished.
+        baton.pass(baton.lock(), caller);
+        baton.mailboxes[caller].wait();
+        for t in threads {
+            t.join().expect("a process thread catches its panics");
+        }
+        let baton = Arc::into_inner(baton).expect("every process thread joined");
+        baton.core.into_inner().expect("kernel lock").finish()
+    }
+}
+
+/// One runnable action of a scheduling step; [`ActionId`] is its
+/// identity as the schedule sees it.
+#[derive(Clone, Copy)]
+enum Cand {
+    Deliver,
+    Timer,
+    Syscall(usize),
+    Crash(NodeId),
+    /// `plan` distinguishes a fault-plan scheduled recover (advances
+    /// `next_plan_recover`) from an explored budget recover (spends the
+    /// node's once-per-run allowance).
+    CrashRecover {
+        node: NodeId,
+        plan: bool,
+    },
+}
+
+/// What runs next, as [`Core::next`] decides.
+enum Next<R> {
+    /// Wake mailbox `.0` with `.1`.
+    Run(usize, Wake<R>),
+    /// Nothing runs again: the run is over with this result.
+    Over(Result<(), SimError>),
+}
+
+/// The kernel's state and scheduling loop, run by whichever thread holds
+/// the baton.
+struct Core<P: Protocol> {
+    protocol: P,
+    config: SimConfig,
+    network: Network<P::Msg>,
+    rng: StdRng,
+    schedule: Box<dyn Schedule>,
+    metrics: Metrics,
+    procs: Vec<ProcSlot<P>>,
+    now: SimTime,
+    /// Scheduled crash-recovers from the fault plan, sorted by time;
+    /// `next_plan_recover` indexes the first not yet executed.
+    plan_recovers: Vec<(SimTime, NodeId)>,
+    next_plan_recover: usize,
+    /// Processes resumed by the last step, in the order it resumed them;
+    /// each runs to its next syscall before another step is taken.
+    resumed: VecDeque<(usize, P::Resp)>,
+    /// How many processes have been started (they start in token order).
+    started: usize,
+    /// The current step's candidates and their identities, kept across
+    /// steps so that stepping allocates nothing.
+    candidates: Vec<Cand>,
+    ids: Vec<ActionId>,
+    /// Set once the run is over.
+    ended: Option<Ending>,
+}
+
+impl<P: Protocol> Core<P> {
     fn net_ctx<'a>(
         now: SimTime,
         network: &'a mut Network<P::Msg>,
@@ -407,45 +634,48 @@ impl<P: Protocol> Kernel<P> {
         NetCtx { now, net: network, rng, metrics, config, sched }
     }
 
-    /// Blocks until no process thread is running (all are parked on a
-    /// syscall, blocked, or done).
-    fn settle(&mut self) -> Result<(), SimError> {
-        while self.procs.iter().any(|p| p.state == ProcState::Running) {
-            let (idx, ev) = self.inbox_rx.recv().expect("a running process exists");
-            let slot = &mut self.procs[idx as usize];
-            match ev {
-                ProcEvent::Request(req) => {
-                    slot.pending = Some(req);
-                    slot.ready_at = slot.clock + self.config.local_cost;
-                    slot.state = ProcState::Ready;
-                    self.metrics.record_proc_syscall(idx as usize);
-                }
-                ProcEvent::Charge(cost) => {
-                    slot.clock += cost;
-                    slot.resp_tx.send(KernelReply::Ack).expect("process waiting for ack");
-                }
-                ProcEvent::Done(payload) => {
-                    slot.state = ProcState::Done;
-                    if let Some(payload) = payload {
-                        return Err(SimError::ProcPanicked { proc: ProcToken(idx), payload });
-                    }
-                }
-            }
-        }
-        Ok(())
+    /// Records process `idx`'s syscall: it becomes a candidate once its
+    /// local cost has elapsed.
+    fn submit(&mut self, idx: usize, req: P::Req) {
+        let slot = &mut self.procs[idx];
+        slot.pending = Some(req);
+        slot.ready_at = slot.clock + self.config.local_cost;
+        slot.state = ProcState::Ready;
+        self.metrics.record_proc_syscall(idx);
     }
 
-    /// Resumes process `idx` with `reply` and waits for it to settle.
-    fn resume(&mut self, idx: usize, reply: P::Resp) -> Result<(), SimError> {
+    /// Queues process `idx` to return `resp` from its syscall.
+    ///
+    /// Deferring the return to after the step cannot be observed: no
+    /// protocol callback reads another process's next request, a resumed
+    /// (`Running`) process is never polled, `now` is fixed within a step,
+    /// and the queue keeps the order in which processes were resumed.
+    fn resume(&mut self, idx: usize, resp: P::Resp) {
         let slot = &mut self.procs[idx];
         slot.state = ProcState::Running;
         slot.clock = self.now;
-        slot.resp_tx.send(KernelReply::Resp(reply)).expect("process waiting for response");
-        self.settle()
+        self.resumed.push_back((idx, resp));
+    }
+
+    /// Decides what runs next: the oldest queued resumption, else the
+    /// next unstarted process, else whatever one more step brings.
+    fn next(&mut self) -> Next<P::Resp> {
+        loop {
+            if let Some((idx, resp)) = self.resumed.pop_front() {
+                return Next::Run(idx, Wake::Resume(resp));
+            }
+            if self.started < self.procs.len() {
+                self.started += 1;
+                return Next::Run(self.started - 1, Wake::Start);
+            }
+            if let Some(result) = self.step() {
+                return Next::Over(result);
+            }
+        }
     }
 
     /// Polls every blocked process (in token order) until a fixpoint.
-    fn poll_blocked_procs(&mut self) -> Result<(), SimError> {
+    fn poll_blocked_procs(&mut self) {
         loop {
             let mut progressed = false;
             for idx in 0..self.procs.len() {
@@ -480,37 +710,22 @@ impl<P: Protocol> Kernel<P> {
                     // The resumed process reads node-local state: its
                     // node's state joins the current step's footprint.
                     self.network.touched.push(Touch::State(node));
-                    self.resume(idx, resp)?;
+                    self.resume(idx, resp);
                     progressed = true;
                 }
             }
             if !progressed {
-                return Ok(());
+                return;
             }
         }
     }
 
-    /// Runs the simulation to completion.
-    ///
-    /// # Errors
-    ///
-    /// * [`SimError::Deadlock`] if blocked processes can never resume;
-    /// * [`SimError::ProcPanicked`] if a process panicked;
-    /// * [`SimError::EventLimit`] if the event budget is exhausted.
-    pub fn run(mut self) -> Result<RunReport<P>, SimError> {
-        let outcome = self.run_inner();
-        // Shut down: drop response senders so stray threads unblock, then
-        // join them (ignoring their shutdown panics).
-        let handles: Vec<JoinHandle<()>> =
-            self.procs.iter_mut().filter_map(|p| p.handle.take()).collect();
-        let senders: Vec<Sender<KernelReply<P::Resp>>> =
-            self.procs.drain(..).map(|p| p.resp_tx).collect();
-        drop(senders);
-        for h in handles {
-            let _ = h.join();
-        }
-        match outcome {
-            Ok(()) => {
+    /// Completes a run that is over.
+    fn finish(mut self) -> Result<RunReport<P>, SimError> {
+        match self.ended.take().expect("the run is over") {
+            Err(payload) => resume_unwind(payload),
+            Ok(Err(e)) => Err(e),
+            Ok(Ok(())) => {
                 self.metrics.finish_time = self.now;
                 // On normal completion nothing is left in flight (queued
                 // deliveries and armed timers are always runnable events),
@@ -527,267 +742,238 @@ impl<P: Protocol> Kernel<P> {
                     trace: self.network.tracer.take(),
                 })
             }
-            Err(e) => Err(e),
         }
     }
 
-    fn run_inner(&mut self) -> Result<(), SimError> {
-        self.settle()?;
-        self.poll_blocked_procs()?;
-        loop {
-            if self.metrics.events >= self.config.max_events {
-                return Err(SimError::EventLimit { limit: self.config.max_events });
-            }
-            // Candidates: the earliest delivery, the earliest timer, and
-            // every ready syscall.
-            let delivery_at = self.network.queue.peek().map(|Reverse(d)| d.at);
-            let timer_at = self.network.timers.peek().map(|Reverse(t)| t.at);
-            let plan_recover_at = self.plan_recovers.get(self.next_plan_recover).map(|&(t, _)| t);
-            let ready: Vec<(usize, SimTime)> = self
+    /// Takes one scheduling step: chooses a candidate, executes it and
+    /// polls the blocked processes. Returns the run's result instead when
+    /// nothing is left to step.
+    fn step(&mut self) -> Option<Result<(), SimError>> {
+        if self.metrics.events >= self.config.max_events {
+            return Some(Err(SimError::EventLimit { limit: self.config.max_events }));
+        }
+        // Candidates: the earliest delivery, the earliest timer, and
+        // every ready syscall.
+        let delivery_at = self.network.queue.peek().map(|Reverse(d)| d.at);
+        let timer_at = self.network.timers.peek().map(|Reverse(t)| t.at);
+        let plan_recover_at = self.plan_recovers.get(self.next_plan_recover).map(|&(t, _)| t);
+        let ready_at =
+            self.procs.iter().filter(|p| p.state == ProcState::Ready).map(|p| p.ready_at).min();
+
+        let min_time =
+            [ready_at, delivery_at, timer_at, plan_recover_at].into_iter().flatten().min();
+        let Some(min_time) = min_time else {
+            // Nothing runnable.
+            let blocked: Vec<ProcToken> = self
                 .procs
                 .iter()
                 .enumerate()
-                .filter(|(_, p)| p.state == ProcState::Ready)
-                .map(|(i, p)| (i, p.ready_at))
+                .filter(|(_, p)| p.state == ProcState::Blocked)
+                .map(|(i, _)| ProcToken(i as u32))
                 .collect();
+            if blocked.is_empty() {
+                return Some(Ok(())); // all done
+            }
+            return Some(Err(SimError::Deadlock { blocked, at: self.now }));
+        };
+        self.now = self.now.max(min_time);
 
-            let min_time = ready
-                .iter()
-                .map(|&(_, t)| t)
-                .chain(delivery_at)
-                .chain(timer_at)
-                .chain(plan_recover_at)
-                .min();
-            let Some(min_time) = min_time else {
-                // Nothing runnable.
-                let blocked: Vec<ProcToken> = self
-                    .procs
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, p)| p.state == ProcState::Blocked)
-                    .map(|(i, _)| ProcToken(i as u32))
-                    .collect();
-                if blocked.is_empty() {
-                    return Ok(()); // all done
-                }
-                return Err(SimError::Deadlock { blocked, at: self.now });
-            };
-            self.now = self.now.max(min_time);
-
-            // Collect all candidates at min_time; delegate the tie-break
-            // to the schedule, describing each candidate so recording
-            // schedules can reason about what the choices *were*. Under
-            // fault exploration, every not-yet-crashed budgeted node may
-            // also crash instead — enumerating crash timing.
-            #[derive(Clone, Copy)]
-            enum Cand {
-                Deliver,
-                Timer,
-                Syscall(usize),
-                Crash(NodeId),
-                /// `plan` distinguishes a fault-plan scheduled recover
-                /// (advances `next_plan_recover`) from an explored budget
-                /// recover (spends the node's once-per-run allowance).
-                CrashRecover {
-                    node: NodeId,
-                    plan: bool,
-                },
+        // Collect all candidates at min_time; delegate the tie-break
+        // to the schedule, describing each candidate so recording
+        // schedules can reason about what the choices *were*. Under
+        // fault exploration, every not-yet-crashed budgeted node may
+        // also crash instead — enumerating crash timing.
+        self.candidates.clear();
+        self.ids.clear();
+        for (i, p) in self.procs.iter().enumerate() {
+            if p.state == ProcState::Ready && p.ready_at == min_time {
+                self.candidates.push(Cand::Syscall(i));
+                self.ids.push(ActionId::Syscall { proc: i as u32 });
             }
-            let mut candidates: Vec<Cand> = Vec::new();
-            let mut ids: Vec<ActionId> = Vec::new();
-            for &(i, t) in &ready {
-                if t == min_time {
-                    candidates.push(Cand::Syscall(i));
-                    ids.push(ActionId::Syscall { proc: i as u32 });
-                }
-            }
-            if delivery_at == Some(min_time) {
-                let d = &self.network.queue.peek().expect("nonempty").0;
-                candidates.push(Cand::Deliver);
-                ids.push(ActionId::Deliver { from: d.from, to: d.to, seq: d.seq });
-            }
-            if timer_at == Some(min_time) {
-                let t = &self.network.timers.peek().expect("nonempty").0;
-                candidates.push(Cand::Timer);
-                ids.push(ActionId::Timer { node: t.node, seq: t.seq });
-            }
-            if plan_recover_at == Some(min_time) {
-                let (_, node) = self.plan_recovers[self.next_plan_recover];
-                candidates.push(Cand::CrashRecover { node, plan: true });
-                ids.push(ActionId::CrashRecover { node });
-            }
-            if let Some(budget) = &self.config.explore_faults {
-                for &node in &budget.crashes {
-                    if !self.network.is_downed(node) {
-                        candidates.push(Cand::Crash(node));
-                        ids.push(ActionId::Crash { node });
-                    }
-                }
-                for &node in &budget.recovers {
-                    if !self.network.is_downed(node) && !self.network.recovers_used.contains(&node)
-                    {
-                        candidates.push(Cand::CrashRecover { node, plan: false });
-                        ids.push(ActionId::CrashRecover { node });
-                    }
-                }
-            }
-            let choice = candidates[self.schedule.choose_action(&ids)];
-
-            self.metrics.events += 1;
-            // Each step's conflict footprint starts from its primary node
-            // and accumulates send destinations, timer targets, and
-            // resumed processes as the step executes.
-            self.network.touched.clear();
-            match choice {
-                Cand::Deliver => {
-                    let Reverse(d) = self.network.queue.pop().expect("peeked");
-                    let Delivery { from, to, sent, msg, .. } = d;
-                    self.metrics.record_delivery(self.now.saturating_sub(sent));
-                    // Delivery dequeues at `to` *and* mutates its replica.
-                    self.network.touched.push(Touch::Queue(to));
-                    self.network.touched.push(Touch::State(to));
-                    let mut ctx = Self::net_ctx(
-                        self.now,
-                        &mut self.network,
-                        &mut self.rng,
-                        &mut self.metrics,
-                        &self.config,
-                        Some(&mut *self.schedule),
-                    );
-                    self.protocol.on_message(to, from, msg, &mut ctx);
-                }
-                Cand::Timer => {
-                    let Reverse(t) = self.network.timers.pop().expect("peeked");
-                    self.metrics.timers_fired += 1;
-                    if let Some(tr) = self.network.tracer.as_mut() {
-                        tr.record(TraceEvent {
-                            t: self.now,
-                            dur: None,
-                            cat: "timer",
-                            name: "timer_fired".to_string(),
-                            track: t.node.0,
-                            args: vec![("token", t.token.to_string())],
-                        });
-                    }
-                    self.network.touched.push(Touch::Queue(t.node));
-                    self.network.touched.push(Touch::State(t.node));
-                    let mut ctx = Self::net_ctx(
-                        self.now,
-                        &mut self.network,
-                        &mut self.rng,
-                        &mut self.metrics,
-                        &self.config,
-                        Some(&mut *self.schedule),
-                    );
-                    self.protocol.on_timer(t.node, t.token, &mut ctx);
-                }
-                Cand::Syscall(idx) => {
-                    let req = self.procs[idx].pending.take().expect("ready has request");
-                    let (token, node) = (ProcToken(idx as u32), self.procs[idx].node);
-                    if let Some(tr) = self.network.tracer.as_mut() {
-                        // Span from the syscall's issue (before the charged
-                        // local cost) to the moment it is serviced.
-                        let issued =
-                            self.procs[idx].ready_at.saturating_sub(self.config.local_cost);
-                        tr.record(TraceEvent {
-                            t: issued,
-                            dur: Some(self.now.saturating_sub(issued)),
-                            cat: "syscall",
-                            name: "syscall".to_string(),
-                            track: node.0,
-                            args: vec![("proc", idx.to_string())],
-                        });
-                    }
-                    // A syscall reads and writes its own node's replica;
-                    // any sends it issues add queue touches elsewhere.
-                    self.network.touched.push(Touch::State(node));
-                    let mut ctx = Self::net_ctx(
-                        self.now,
-                        &mut self.network,
-                        &mut self.rng,
-                        &mut self.metrics,
-                        &self.config,
-                        Some(&mut *self.schedule),
-                    );
-                    match self.protocol.on_request(token, node, req, &mut ctx) {
-                        Poll::Ready(resp) => {
-                            self.resume(idx, resp)?;
-                        }
-                        Poll::Pending => {
-                            self.procs[idx].state = ProcState::Blocked;
-                            self.procs[idx].blocked_since = self.now;
-                        }
-                    }
-                }
-                Cand::Crash(node) => {
-                    // A crash silences the node and purges its queue. The
-                    // wiped in-flight deliveries and cancelled timers join
-                    // the fault/timer accounting so conservation holds.
-                    self.network.touched.push(Touch::State(node));
-                    self.network.touched.push(Touch::Queue(node));
-                    let (wiped, cancelled) = self.network.crash_node(node);
-                    self.metrics.faults.crash_dropped += wiped;
-                    self.metrics.timers_cancelled += cancelled;
-                    if let Some(tr) = self.network.tracer.as_mut() {
-                        tr.record(TraceEvent {
-                            t: self.now,
-                            dur: None,
-                            cat: "fault",
-                            name: "crash".to_string(),
-                            track: node.0,
-                            args: vec![
-                                ("wiped_deliveries", wiped.to_string()),
-                                ("cancelled_timers", cancelled.to_string()),
-                            ],
-                        });
-                    }
-                }
-                Cand::CrashRecover { node, plan } => {
-                    // A crash-recover is a crash (wiping the node's
-                    // in-flight deliveries, timers, and volatile protocol
-                    // state) immediately followed by a rebirth from
-                    // durable storage: the protocol replays its WAL and
-                    // snapshot in `on_crash_recover` and re-fetches the
-                    // rest from peers.
-                    self.network.touched.push(Touch::State(node));
-                    self.network.touched.push(Touch::Queue(node));
-                    let (wiped, cancelled) = self.network.crash_node(node);
-                    self.network.revive(node);
-                    if plan {
-                        self.next_plan_recover += 1;
-                    } else {
-                        self.network.recovers_used.push(node);
-                    }
-                    self.metrics.faults.crash_dropped += wiped;
-                    self.metrics.timers_cancelled += cancelled;
-                    self.metrics.wal.recoveries += 1;
-                    if let Some(tr) = self.network.tracer.as_mut() {
-                        tr.record(TraceEvent {
-                            t: self.now,
-                            dur: None,
-                            cat: "fault",
-                            name: "crash_recover".to_string(),
-                            track: node.0,
-                            args: vec![
-                                ("wiped_deliveries", wiped.to_string()),
-                                ("cancelled_timers", cancelled.to_string()),
-                            ],
-                        });
-                    }
-                    let mut ctx = Self::net_ctx(
-                        self.now,
-                        &mut self.network,
-                        &mut self.rng,
-                        &mut self.metrics,
-                        &self.config,
-                        Some(&mut *self.schedule),
-                    );
-                    self.protocol.on_crash_recover(node, &mut ctx);
-                }
-            }
-            self.poll_blocked_procs()?;
-            self.schedule.record_footprint(&self.network.touched);
         }
+        if delivery_at == Some(min_time) {
+            let d = &self.network.queue.peek().expect("nonempty").0;
+            self.candidates.push(Cand::Deliver);
+            self.ids.push(ActionId::Deliver { from: d.from, to: d.to, seq: d.seq });
+        }
+        if timer_at == Some(min_time) {
+            let t = &self.network.timers.peek().expect("nonempty").0;
+            self.candidates.push(Cand::Timer);
+            self.ids.push(ActionId::Timer { node: t.node, seq: t.seq });
+        }
+        if plan_recover_at == Some(min_time) {
+            let (_, node) = self.plan_recovers[self.next_plan_recover];
+            self.candidates.push(Cand::CrashRecover { node, plan: true });
+            self.ids.push(ActionId::CrashRecover { node });
+        }
+        if let Some(budget) = &self.config.explore_faults {
+            for &node in &budget.crashes {
+                if !self.network.is_downed(node) {
+                    self.candidates.push(Cand::Crash(node));
+                    self.ids.push(ActionId::Crash { node });
+                }
+            }
+            for &node in &budget.recovers {
+                if !self.network.is_downed(node) && !self.network.recovers_used.contains(&node) {
+                    self.candidates.push(Cand::CrashRecover { node, plan: false });
+                    self.ids.push(ActionId::CrashRecover { node });
+                }
+            }
+        }
+        let choice = self.candidates[self.schedule.choose_action(&self.ids)];
+
+        self.metrics.events += 1;
+        // Each step's conflict footprint starts from its primary node
+        // and accumulates send destinations, timer targets, and
+        // resumed processes as the step executes.
+        self.network.touched.clear();
+        match choice {
+            Cand::Deliver => {
+                let Reverse(d) = self.network.queue.pop().expect("peeked");
+                let Delivery { from, to, sent, msg, .. } = d;
+                self.metrics.record_delivery(self.now.saturating_sub(sent));
+                // Delivery dequeues at `to` *and* mutates its replica.
+                self.network.touched.push(Touch::Queue(to));
+                self.network.touched.push(Touch::State(to));
+                let mut ctx = Self::net_ctx(
+                    self.now,
+                    &mut self.network,
+                    &mut self.rng,
+                    &mut self.metrics,
+                    &self.config,
+                    Some(&mut *self.schedule),
+                );
+                self.protocol.on_message(to, from, msg, &mut ctx);
+            }
+            Cand::Timer => {
+                let Reverse(t) = self.network.timers.pop().expect("peeked");
+                self.metrics.timers_fired += 1;
+                if let Some(tr) = self.network.tracer.as_mut() {
+                    tr.record(TraceEvent {
+                        t: self.now,
+                        dur: None,
+                        cat: "timer",
+                        name: "timer_fired".to_string(),
+                        track: t.node.0,
+                        args: vec![("token", t.token.to_string())],
+                    });
+                }
+                self.network.touched.push(Touch::Queue(t.node));
+                self.network.touched.push(Touch::State(t.node));
+                let mut ctx = Self::net_ctx(
+                    self.now,
+                    &mut self.network,
+                    &mut self.rng,
+                    &mut self.metrics,
+                    &self.config,
+                    Some(&mut *self.schedule),
+                );
+                self.protocol.on_timer(t.node, t.token, &mut ctx);
+            }
+            Cand::Syscall(idx) => {
+                let req = self.procs[idx].pending.take().expect("ready has request");
+                let (token, node) = (ProcToken(idx as u32), self.procs[idx].node);
+                if let Some(tr) = self.network.tracer.as_mut() {
+                    // Span from the syscall's issue (before the charged
+                    // local cost) to the moment it is serviced.
+                    let issued = self.procs[idx].ready_at.saturating_sub(self.config.local_cost);
+                    tr.record(TraceEvent {
+                        t: issued,
+                        dur: Some(self.now.saturating_sub(issued)),
+                        cat: "syscall",
+                        name: "syscall".to_string(),
+                        track: node.0,
+                        args: vec![("proc", idx.to_string())],
+                    });
+                }
+                // A syscall reads and writes its own node's replica;
+                // any sends it issues add queue touches elsewhere.
+                self.network.touched.push(Touch::State(node));
+                let mut ctx = Self::net_ctx(
+                    self.now,
+                    &mut self.network,
+                    &mut self.rng,
+                    &mut self.metrics,
+                    &self.config,
+                    Some(&mut *self.schedule),
+                );
+                match self.protocol.on_request(token, node, req, &mut ctx) {
+                    Poll::Ready(resp) => self.resume(idx, resp),
+                    Poll::Pending => {
+                        self.procs[idx].state = ProcState::Blocked;
+                        self.procs[idx].blocked_since = self.now;
+                    }
+                }
+            }
+            Cand::Crash(node) => {
+                // A crash silences the node and purges its queue. The
+                // wiped in-flight deliveries and cancelled timers join
+                // the fault/timer accounting so conservation holds.
+                self.network.touched.push(Touch::State(node));
+                self.network.touched.push(Touch::Queue(node));
+                let (wiped, cancelled) = self.network.crash_node(node);
+                self.metrics.faults.crash_dropped += wiped;
+                self.metrics.timers_cancelled += cancelled;
+                if let Some(tr) = self.network.tracer.as_mut() {
+                    tr.record(TraceEvent {
+                        t: self.now,
+                        dur: None,
+                        cat: "fault",
+                        name: "crash".to_string(),
+                        track: node.0,
+                        args: vec![
+                            ("wiped_deliveries", wiped.to_string()),
+                            ("cancelled_timers", cancelled.to_string()),
+                        ],
+                    });
+                }
+            }
+            Cand::CrashRecover { node, plan } => {
+                // A crash-recover is a crash (wiping the node's
+                // in-flight deliveries, timers, and volatile protocol
+                // state) immediately followed by a rebirth from
+                // durable storage: the protocol replays its WAL and
+                // snapshot in `on_crash_recover` and re-fetches the
+                // rest from peers.
+                self.network.touched.push(Touch::State(node));
+                self.network.touched.push(Touch::Queue(node));
+                let (wiped, cancelled) = self.network.crash_node(node);
+                self.network.revive(node);
+                if plan {
+                    self.next_plan_recover += 1;
+                } else {
+                    self.network.recovers_used.push(node);
+                }
+                self.metrics.faults.crash_dropped += wiped;
+                self.metrics.timers_cancelled += cancelled;
+                self.metrics.wal.recoveries += 1;
+                if let Some(tr) = self.network.tracer.as_mut() {
+                    tr.record(TraceEvent {
+                        t: self.now,
+                        dur: None,
+                        cat: "fault",
+                        name: "crash_recover".to_string(),
+                        track: node.0,
+                        args: vec![
+                            ("wiped_deliveries", wiped.to_string()),
+                            ("cancelled_timers", cancelled.to_string()),
+                        ],
+                    });
+                }
+                let mut ctx = Self::net_ctx(
+                    self.now,
+                    &mut self.network,
+                    &mut self.rng,
+                    &mut self.metrics,
+                    &self.config,
+                    Some(&mut *self.schedule),
+                );
+                self.protocol.on_crash_recover(node, &mut ctx);
+            }
+        }
+        self.poll_blocked_procs();
+        self.schedule.record_footprint(&self.network.touched);
+        None
     }
 }
 
@@ -933,6 +1119,75 @@ mod tests {
             }
             other => panic!("expected panic report, got {:?}", other.map(|_| ())),
         }
+    }
+
+    #[test]
+    fn processes_start_one_at_a_time_in_token_order() {
+        let mut k = Kernel::new(counter(3), 3, SimConfig::default());
+        let log = Arc::new(Mutex::new(Vec::new()));
+        for n in 0..3u32 {
+            let log = log.clone();
+            k.spawn(NodeId(n), move |ctx| {
+                if n == 0 {
+                    // Were the others running already, they would log first.
+                    std::thread::sleep(std::time::Duration::from_millis(5));
+                }
+                log.lock().unwrap().push(n);
+                ctx.request(Req::Get);
+            });
+        }
+        k.run().unwrap();
+        assert_eq!(*log.lock().unwrap(), vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn the_first_process_to_panic_is_always_p0() {
+        for run in 0..50 {
+            let mut k = Kernel::new(counter(2), 2, SimConfig::default());
+            for n in 0..2u32 {
+                k.spawn(NodeId(n), move |_ctx| panic!("P{n} before any syscall"));
+            }
+            match k.run() {
+                Err(SimError::ProcPanicked { proc, .. }) => {
+                    assert_eq!(proc, ProcToken(0), "run {run}")
+                }
+                other => panic!("run {run}: expected a panic report, got {:?}", other.map(|_| ())),
+            }
+        }
+    }
+
+    #[test]
+    fn a_protocol_panic_reaches_the_caller_of_run() {
+        #[derive(Debug)]
+        struct Faulty;
+        impl Protocol for Faulty {
+            type Msg = ();
+            type Req = ();
+            type Resp = ();
+            fn on_request(
+                &mut self,
+                _: ProcToken,
+                _: NodeId,
+                _: (),
+                _: &mut NetCtx<'_, ()>,
+            ) -> Poll<()> {
+                panic!("protocol bug")
+            }
+            fn on_message(&mut self, _: NodeId, _: NodeId, _: (), _: &mut NetCtx<'_, ()>) {}
+            fn poll_blocked(
+                &mut self,
+                _: ProcToken,
+                _: NodeId,
+                _: &mut NetCtx<'_, ()>,
+            ) -> Option<()> {
+                None
+            }
+        }
+        let mut k = Kernel::new(Faulty, 2, SimConfig::default());
+        k.spawn(NodeId(0), |ctx| ctx.request(()));
+        k.spawn(NodeId(1), |ctx| ctx.request(()));
+        let payload = catch_unwind(AssertUnwindSafe(|| k.run())).expect_err("re-raised");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"protocol bug"));
     }
 
     #[test]

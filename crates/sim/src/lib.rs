@@ -14,10 +14,12 @@
 //! * **protocol timers** ([`NetCtx::set_timer`] /
 //!   [`Protocol::on_timer`]) so protocols can retransmit and recover;
 //! * a **kernel** ([`Kernel`]) that runs user closures as cooperative
-//!   processes: every memory/synchronization operation is a syscall that
-//!   parks the thread until the kernel schedules it, so executions are
-//!   **bit-for-bit reproducible** from a seed while different seeds explore
-//!   different interleavings;
+//!   processes, one thread each and exactly one running at a time: every
+//!   memory/synchronization operation is a syscall, and the process that
+//!   issues it runs the kernel itself, then passes the baton to whichever
+//!   process the schedule resumes — there is no kernel thread. Executions
+//!   are **bit-for-bit reproducible** from a seed while different seeds
+//!   explore different interleavings;
 //! * exact **metrics** ([`Metrics`]): virtual completion time, message and
 //!   byte counts per message kind, blocking stalls — the quantities that
 //!   differentiate PRAM, causal, and sequentially consistent memory.
