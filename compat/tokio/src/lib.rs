@@ -23,7 +23,8 @@
 //!   `connect` and `accept` on a stopping runtime return `Pending`, which
 //!   ends the task. No thread and no listening port outlives the runtime.
 //! - `TcpStream` has inherent `async fn read`/`write_all` instead of the
-//!   `AsyncRead`/`AsyncWrite` traits.
+//!   `AsyncRead`/`AsyncWrite` traits, and `into_std` keeps the socket
+//!   blocking.
 
 pub mod runtime {
     //! The thread-per-task runtime and its teardown registry.
@@ -249,6 +250,12 @@ pub mod net {
         pub async fn connect(addr: SocketAddr) -> io::Result<TcpStream> {
             unless_stopping().await;
             Ok(TcpStream::adopt(std::net::TcpStream::connect(addr)?))
+        }
+
+        /// The std socket, for writes from threads off the runtime. Unlike
+        /// upstream it stays blocking, and teardown no longer wakes it.
+        pub fn into_std(self) -> io::Result<std::net::TcpStream> {
+            Arc::try_unwrap(self.0).or_else(|shared| shared.try_clone())
         }
 
         /// Propagates the underlying setsockopt error.

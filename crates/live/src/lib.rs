@@ -3,7 +3,8 @@
 //! The deterministic simulator (`mc-sim`) is the primary test vehicle; this
 //! crate is the *deployment-shaped* executor: every process is an OS
 //! thread, every link a crossbeam channel (FIFO per sender — the paper's
-//! channel assumption), and the manager shards are threads of their own.
+//! channel assumption), and a manager shard runs on whichever thread
+//! sends it a message ([`ManagerSlot`]).
 //! [`LiveSystem::lossy`] revokes the reliability half of that assumption
 //! (seeded, deterministic per-message drops) and [`LiveSystem::reliable`]
 //! earns it back with the same `mc_proto::session` layer the simulator
@@ -44,6 +45,6 @@
 mod system;
 
 pub use system::{
-    run_manager_node, run_proc_node, ChannelTransport, Cluster, LiveCtx, LiveDriver, LiveError,
-    LiveOutcome, LiveSystem, Net, NodeConfig, NodeId, Transport, WalCounters, Wire,
+    run_proc_node, ChannelTransport, Cluster, LiveCtx, LiveDriver, LiveError, LiveOutcome,
+    LiveSystem, ManagerSlot, Net, NodeConfig, NodeId, Transport, WalCounters, Wire,
 };

@@ -4,7 +4,8 @@
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
@@ -50,29 +51,124 @@ pub trait Transport: Send + Sync {
     /// run is already shutting down).
     fn deliver(&self, from: NodeId, to: NodeId, msg: Msg) -> bool;
 
+    /// Delivers like [`Transport::deliver`], for a caller with nothing
+    /// else to do until a reply arrives: an application thread about to
+    /// park, or a thread running a manager. A transport may then do the
+    /// I/O on the calling thread instead of waking a writer for it.
+    fn deliver_inline(&self, from: NodeId, to: NodeId, msg: Msg) -> bool {
+        self.deliver(from, to, msg)
+    }
+
     /// Tells node `to` to drain its inbox and exit.
     fn shutdown(&self, to: NodeId);
 }
 
-/// The in-process transport: one unbounded channel per node.
+/// The in-process transport: one unbounded channel per process node;
+/// a manager node runs on the sending thread.
 pub struct ChannelTransport {
-    senders: Vec<Sender<Wire>>,
+    inboxes: Vec<Sender<Wire>>,
+    managers: Vec<ManagerSlot>,
 }
 
 impl ChannelTransport {
-    /// Wraps the per-node inbox senders.
-    pub fn new(senders: Vec<Sender<Wire>>) -> Self {
-        ChannelTransport { senders }
+    /// Process node `i` reads `inboxes[i]`; manager shard `k` (node
+    /// `inboxes.len() + k`) is hosted in `managers[k]`.
+    pub fn new(inboxes: Vec<Sender<Wire>>, managers: Vec<ManagerSlot>) -> Self {
+        ChannelTransport { inboxes, managers }
     }
 }
 
 impl Transport for ChannelTransport {
     fn deliver(&self, from: NodeId, to: NodeId, msg: Msg) -> bool {
-        self.senders[to].send(Wire::Proto { from, msg }).is_ok()
+        match self.inboxes.get(to) {
+            Some(inbox) => inbox.send(Wire::Proto { from, msg }).is_ok(),
+            None => self.managers[to - self.inboxes.len()].deliver(from, msg),
+        }
     }
 
+    /// A manager node is taken out of its slot by the run itself.
     fn shutdown(&self, to: NodeId) {
-        let _ = self.senders[to].send(Wire::Shutdown);
+        if let Some(inbox) = self.inboxes.get(to) {
+            let _ = inbox.send(Wire::Shutdown);
+        }
+    }
+}
+
+/// A manager shard with no thread of its own: the node and its I/O
+/// behind one lock, run by whichever thread delivers it a message — the
+/// sending thread in-process, the reader thread that decoded the frame
+/// over TCP. A manager only ever sends to process nodes, so running one
+/// never enters another.
+///
+/// Empty until [`ManagerSlot::install`], and again once
+/// [`ManagerSlot::take`] has taken the manager out at shutdown: a message
+/// that finds the slot empty is refused, like a send to a closed inbox.
+#[derive(Clone, Default)]
+pub struct ManagerSlot(Arc<Mutex<Option<Hosted>>>);
+
+struct Hosted {
+    node: ManagerNode,
+    io: LiveIo,
+    /// No message has arrived since the last retransmission sweep.
+    quiet: bool,
+}
+
+impl ManagerSlot {
+    fn lock(&self) -> MutexGuard<'_, Option<Hosted>> {
+        self.0.lock().expect("manager healthy")
+    }
+
+    /// Installs manager shard `node`, sending over `net`. With `record`
+    /// on, it keeps the SC write order ([`Manager::take_write_order`]).
+    pub fn install(&self, net: Net, cfg: Arc<DsmConfig>, node: NodeId, record: bool) {
+        let mut manager = ManagerNode::new(nid(node), cfg);
+        if record {
+            manager.manager_mut().record_write_order();
+        }
+        // Whoever runs a manager has nothing else to do until it returns.
+        let io = LiveIo::new(node, net, Sending::Inline);
+        *self.lock() = Some(Hosted { node: manager, io, quiet: false });
+    }
+
+    /// Runs the manager on one message from node `from`, on the calling
+    /// thread. `false` if no manager is installed.
+    pub fn deliver(&self, from: NodeId, msg: Msg) -> bool {
+        let mut slot = self.lock();
+        let Some(hosted) = slot.as_mut() else { return false };
+        hosted.quiet = false;
+        hosted.node.on_message(nid(from), msg, &mut hosted.io);
+        true
+    }
+
+    /// Blocks until `until` yields [`Wire::Shutdown`] or closes. Messages
+    /// do not wait here — they run the manager on the thread that
+    /// delivers them — so with the session layer on (`reliable`) this
+    /// thread only retransmits what is unacknowledged, after every
+    /// [`RETX_TICK`] in which no message arrived.
+    pub fn sweep(&self, until: &Receiver<Wire>, reliable: bool) {
+        loop {
+            match next_wire(until, reliable) {
+                Inbox::Wire(Wire::Proto { from, msg }) => {
+                    self.deliver(from, msg);
+                }
+                Inbox::Tick => {
+                    let mut slot = self.lock();
+                    let Some(hosted) = slot.as_mut() else { continue };
+                    if std::mem::replace(&mut hosted.quiet, true) {
+                        hosted.node.retransmit(&mut hosted.io);
+                    }
+                }
+                Inbox::Wire(Wire::Shutdown) | Inbox::Closed => return,
+            }
+        }
+    }
+
+    /// Takes the manager out, leaving the slot empty. A manager that
+    /// panicked is still returned: the panic was raised on the thread
+    /// that delivered to it.
+    pub fn take(&self) -> Option<Manager> {
+        let hosted = self.0.lock().unwrap_or_else(PoisonError::into_inner).take();
+        hosted.map(|h| h.node.into_manager())
     }
 }
 
@@ -216,8 +312,9 @@ impl Net {
 
     /// `kind` names the message on the trace: what a session-wrapped
     /// payload carries (`"update"` is a more useful track label than
-    /// `"sess_data"`), or `"retransmit"`.
-    fn send(&self, from: NodeId, to: NodeId, kind: &'static str, msg: Msg) {
+    /// `"sess_data"`), or `"retransmit"`. `inline`: the caller has
+    /// nothing else to do ([`Transport::deliver_inline`]).
+    fn send(&self, from: NodeId, to: NodeId, kind: &'static str, msg: Msg, inline: bool) {
         self.messages.fetch_add(1, Ordering::Relaxed);
         self.bytes.fetch_add(msg.wire_bytes(), Ordering::Relaxed);
         if self.loss > 0.0 {
@@ -230,7 +327,12 @@ impl Net {
             }
         }
         self.trace_instant("msg", kind, from, to, msg.wire_bytes());
-        if !self.transport.deliver(from, to, msg) && !self.shutting_down.load(Ordering::SeqCst) {
+        let delivered = if inline {
+            self.transport.deliver_inline(from, to, msg)
+        } else {
+            self.transport.deliver(from, to, msg)
+        };
+        if !delivered && !self.shutting_down.load(Ordering::SeqCst) {
             // A closed inbox before shutdown begins means a message was
             // silently lost while the run still depended on it.
             self.closed_dropped.fetch_add(1, Ordering::SeqCst);
@@ -372,12 +474,13 @@ impl Cluster {
         id
     }
 
-    /// Runs every node main on a thread of its own — manager shards on the
-    /// last nodes, processes on the first — over `net`, node `i` reading
-    /// `inboxes[i]`; waits for every program to finish, lets `quiesce`
-    /// hold the shutdown until the transport has nothing in flight, shuts
-    /// the nodes down and collects the outcome. `start` is when the run
-    /// began for [`LiveOutcome::wall`].
+    /// Runs the nodes over `net` — process `i` on a thread of its own
+    /// reading `inboxes[i]`, manager shard `k` installed in `managers[k]`
+    /// and run by whichever thread delivers to it; waits for every
+    /// program to finish, lets `quiesce` hold the shutdown until the
+    /// transport has nothing in flight, shuts the nodes down and collects
+    /// the outcome. `start` is when the run began for
+    /// [`LiveOutcome::wall`].
     ///
     /// # Errors
     ///
@@ -394,7 +497,8 @@ impl Cluster {
         self,
         start: Instant,
         net: Net,
-        mut inboxes: Vec<Receiver<Wire>>,
+        inboxes: Vec<Receiver<Wire>>,
+        managers: Vec<ManagerSlot>,
         quiesce: impl FnOnce(&Net),
     ) -> Result<LiveOutcome, LiveError> {
         let Cluster { cfg, record, timeout, durability_dir, procs } = self;
@@ -406,19 +510,24 @@ impl Cluster {
             cfg.nprocs
         );
         let nnodes = cfg.nnodes();
-        assert_eq!(inboxes.len(), nnodes, "one inbox per node");
+        assert_eq!(inboxes.len(), cfg.nprocs, "one inbox per process");
+        assert_eq!(managers.len(), nnodes - cfg.nprocs, "one slot per manager shard");
         let recorder = record.then(|| Arc::new(Mutex::new(HistoryBuilder::new(cfg.nprocs))));
         let walc = Arc::new(WalCounters::default());
 
-        // Manager shard threads (the last `manager_shards` nodes), then
-        // process threads.
-        let mut manager_handles = Vec::new();
-        for (shard, rx) in inboxes.split_off(cfg.nprocs).into_iter().enumerate() {
-            let net = net.clone();
-            let cfg = cfg.clone();
-            let node = cfg.nprocs + shard;
-            manager_handles
-                .push(std::thread::spawn(move || run_manager_node(rx, net, cfg, node, record)));
+        // Manager shards get no thread; with the session layer on, one
+        // per shard sweeps its retransmissions until `stop` closes.
+        let shared = Arc::new(cfg.clone());
+        let (stop, stopped) = unbounded::<Wire>();
+        let mut sweepers = Vec::new();
+        for (k, slot) in managers.iter().enumerate() {
+            slot.install(net.clone(), shared.clone(), cfg.nprocs + k, record);
+            if cfg.reliable {
+                let (slot, stopped) = (slot.clone(), stopped.clone());
+                sweepers.push(spawn_named(format!("mc-mgr-tick-{k}"), move || {
+                    slot.sweep(&stopped, true)
+                }));
+            }
         }
         let (done_tx, done_rx) = unbounded::<u32>();
         let mut proc_handles = Vec::new();
@@ -433,7 +542,7 @@ impl Cluster {
             let recorder = recorder.clone();
             let done_tx = done_tx.clone();
             let walc = walc.clone();
-            proc_handles.push(std::thread::spawn(move || {
+            proc_handles.push(spawn_named(format!("mc-proc-{i}"), move || {
                 run_proc_node(opts, rx, net, walc, recorder, f, move || {
                     let _ = done_tx.send(i as u32);
                 })
@@ -457,9 +566,18 @@ impl Cluster {
         // was lost), so stop treating them as silent losses.
         net.begin_shutdown(nnodes);
 
+        let joined: Vec<_> = proc_handles.into_iter().map(JoinHandle::join).collect();
+        drop(stop);
+        for sweeper in sweepers {
+            sweeper.join().expect("a sweep does not panic");
+        }
+        // Taken out even when a process failed: an in-process manager's
+        // I/O holds the transport that holds its slot.
+        let mut managers: Vec<Manager> =
+            managers.iter().map(|slot| slot.take().expect("every shard installed")).collect();
         let mut replicas = Vec::new();
-        for (i, h) in proc_handles.into_iter().enumerate() {
-            match h.join() {
+        for (i, joined) in joined.into_iter().enumerate() {
+            match joined {
                 Ok(replica) => replicas.push(replica),
                 Err(payload) => {
                     let message = payload
@@ -471,10 +589,6 @@ impl Cluster {
                 }
             }
         }
-        let mut managers: Vec<Manager> = manager_handles
-            .into_iter()
-            .map(|h| h.join().expect("manager threads do not panic"))
-            .collect();
 
         let mut server = managers.remove(0);
         let history = match recorder {
@@ -510,6 +624,14 @@ impl Cluster {
             mode: cfg.mode,
         })
     }
+}
+
+/// Starts `f` on a thread called `name`.
+fn spawn_named<T: Send + 'static>(
+    name: String,
+    f: impl FnOnce() -> T + Send + 'static,
+) -> JoinHandle<T> {
+    std::thread::Builder::new().name(name).spawn(f).expect("spawn a node thread")
 }
 
 /// Builder for a live (threaded) mixed-consistency system. Mirrors the
@@ -680,29 +802,64 @@ impl LiveSystem {
     /// Panics if more processes were spawned than configured.
     pub fn run(self) -> Result<LiveOutcome, LiveError> {
         let start = Instant::now();
-        let (senders, inboxes) = (0..self.cluster.cfg.nnodes()).map(|_| unbounded()).unzip();
+        let cfg = &self.cluster.cfg;
+        let (senders, inboxes) = (0..cfg.nprocs).map(|_| unbounded()).unzip();
+        let managers: Vec<ManagerSlot> =
+            (cfg.nprocs..cfg.nnodes()).map(|_| ManagerSlot::default()).collect();
         let net = Net {
             loss: self.loss,
             seed: self.seed,
             tracer: self.trace.then(|| Arc::new(Mutex::new(Tracer::new()))),
             epoch: start,
-            ..Net::new(Arc::new(ChannelTransport::new(senders)))
+            ..Net::new(Arc::new(ChannelTransport::new(senders, managers.clone())))
         };
         // In-process channels need no quiesce: the shutdown enqueues
-        // strictly after every message already sent.
-        self.cluster.run(start, net, inboxes, |_| {})
+        // strictly after every message already sent, and a manager has
+        // handled each message before its send returned.
+        self.cluster.run(start, net, inboxes, managers, |_| {})
     }
 }
 
 /// The live [`NodeIo`]: sends go to the shared [`Net`], the log is a real
-/// file. Timers are served by polling instead — the node mains sweep
-/// retransmissions every [`RETX_TICK`] and [`LiveDriver`] checks the batch
-/// window's age on its own clock — so arming one is a no-op here.
+/// file. Timers are served by polling instead — process nodes and
+/// [`ManagerSlot::sweep`] retransmit every [`RETX_TICK`] and
+/// [`LiveDriver`] checks the batch window's age on its own clock — so
+/// arming one is a no-op here.
 struct LiveIo {
     me: NodeId,
     net: Net,
     /// The write-ahead log (process nodes with durability on only).
     wal: Option<Wal>,
+    sending: Sending,
+    /// What `send` held back while `sending` is [`Sending::Held`].
+    held: Vec<(NodeId, &'static str, Msg)>,
+}
+
+/// How [`LiveIo`] hands a message to the transport.
+#[derive(Clone, Copy, PartialEq)]
+enum Sending {
+    /// To the link's writer: the caller has more to do.
+    Queued,
+    /// Held until the caller knows whether it parks
+    /// ([`LiveIo::release`]).
+    Held,
+    /// Written by the caller, which has nothing else to do until a reply
+    /// arrives ([`Transport::deliver_inline`]).
+    Inline,
+}
+
+impl LiveIo {
+    fn new(me: NodeId, net: Net, sending: Sending) -> LiveIo {
+        LiveIo { me, net, wal: None, sending, held: Vec::new() }
+    }
+
+    /// Sends what was held, written by this thread if it `parks` next.
+    fn release(&mut self, parks: bool) {
+        self.sending = Sending::Queued;
+        for (to, kind, msg) in self.held.drain(..) {
+            self.net.send(self.me, to, kind, msg, parks);
+        }
+    }
 }
 
 struct Wal {
@@ -714,7 +871,10 @@ struct Wal {
 
 impl NodeIo for LiveIo {
     fn send(&mut self, to: mc_sim::NodeId, kind: &'static str, msg: Msg) {
-        self.net.send(self.me, to.index(), kind, msg);
+        match self.sending {
+            Sending::Held => self.held.push((to.index(), kind, msg)),
+            sending => self.net.send(self.me, to.index(), kind, msg, sending == Sending::Inline),
+        }
     }
 
     fn arm_timer(&mut self, _delay: SimTime, _token: u64) {}
@@ -782,7 +942,7 @@ fn open_node(
     net: Net,
 ) -> (ProcNode, LiveIo) {
     let mut node = ProcNode::new(proc, cfg.clone());
-    let mut io = LiveIo { me: proc.index(), net, wal: None };
+    let mut io = LiveIo::new(proc.index(), net, Sending::Queued);
     let (Some(_), Some(dir)) = (cfg.durability, dir) else { return (node, io) };
     let rdir = dir.join(format!("replica-{}", proc.index()));
     let (snap_bytes, log_bytes) =
@@ -886,34 +1046,6 @@ pub fn run_proc_node(
     driver.node.into_replica()
 }
 
-/// One manager shard: feed every arriving message to the shared
-/// [`ManagerNode`] — and, with the session layer on, retransmit
-/// unacknowledged grants/releases on wall-clock ticks. With `record` on,
-/// the returned manager holds the SC write order
-/// ([`Manager::take_write_order`]).
-/// Transport-agnostic for the same reason as [`run_proc_node`].
-pub fn run_manager_node(
-    rx: Receiver<Wire>,
-    net: Net,
-    cfg: DsmConfig,
-    node: NodeId,
-    record: bool,
-) -> Manager {
-    let reliable = cfg.reliable;
-    let mut manager = ManagerNode::new(nid(node), Arc::new(cfg));
-    if record {
-        manager.manager_mut().record_write_order();
-    }
-    let mut io = LiveIo { me: node, net, wal: None };
-    loop {
-        match next_wire(&rx, reliable) {
-            Inbox::Wire(Wire::Proto { from, msg }) => manager.on_message(nid(from), msg, &mut io),
-            Inbox::Tick => manager.retransmit(&mut io),
-            Inbox::Wire(Wire::Shutdown) | Inbox::Closed => return manager.into_manager(),
-        }
-    }
-}
-
 /// The per-process handle of the live executor: [`MemCtx`]'s operations,
 /// driven against this thread's own [`ProcNode`].
 pub type LiveCtx = MemCtx<LiveDriver>;
@@ -986,7 +1118,10 @@ impl LiveDriver {
         // might be waiting for — there is no background timer thread, so
         // blocking is the flush point (the sim's timer fires within
         // `max_delay_micros`; parking flushes at least that eagerly).
+        // Nothing else to do here, so this thread writes them itself.
+        self.io.sending = Sending::Inline;
         self.flush();
+        self.io.sending = Sending::Queued;
         let reliable = self.node.cfg().reliable;
         let deadline = Instant::now() + self.timeout;
         loop {
@@ -1034,7 +1169,9 @@ impl Driver for LiveDriver {
     /// re-poll until the node answers.
     fn op(&mut self, req: Req) -> Resp {
         self.drain();
+        self.io.sending = Sending::Held;
         let mut poll = self.node.start(req, &mut self.io);
+        self.io.release(matches!(poll, Poll::Pending));
         let resp = loop {
             match poll {
                 Poll::Ready(resp) => break resp,

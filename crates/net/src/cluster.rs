@@ -3,8 +3,9 @@
 //!
 //! Two shapes share all the plumbing:
 //!
-//! - [`NetSystem`] — an *in-process* cluster: every node is a thread of
-//!   this process, but every protocol message crosses a real loopback
+//! - [`NetSystem`] — an *in-process* cluster: every process node is a
+//!   thread of this process and every manager runs on the reader threads
+//!   of its links, but every protocol message crosses a real loopback
 //!   TCP connection (port-0 listeners, full link mesh). This is the
 //!   drop-in TCP twin of `mc_live::LiveSystem` — same builder surface,
 //!   same [`LiveOutcome`] — used by the litmus tests and the saturation
@@ -22,7 +23,7 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::unbounded;
 use mc_live::{
-    run_manager_node, run_proc_node, Cluster, LiveCtx, LiveError, LiveOutcome, Net, NodeConfig,
+    run_proc_node, Cluster, LiveCtx, LiveError, LiveOutcome, ManagerSlot, Net, NodeConfig,
     WalCounters, Wire,
 };
 use mc_model::ProcId;
@@ -31,7 +32,7 @@ use mc_proto::{BatchPolicy, DsmConfig, DurabilityPolicy, Manager, Mode, Replica,
 use tokio::runtime::{Handle, Runtime};
 
 use crate::placement::Placement;
-use crate::transport::{spawn_listener, Inbound, TcpTransportBuilder};
+use crate::transport::{listen, Inbound, TcpTransportBuilder};
 
 /// How long a settled in-process cluster may take to drain its last
 /// in-flight frames before shutdown proceeds anyway.
@@ -140,12 +141,13 @@ impl NetSystem {
     /// configuration, or if loopback sockets cannot be bound.
     pub fn run(self) -> Result<LiveOutcome, LiveError> {
         let start = Instant::now();
-        let nnodes = self.cluster.cfg.nnodes();
+        let (nprocs, nnodes) = (self.cluster.cfg.nprocs, self.cluster.cfg.nnodes());
         let rt = Runtime::with_workers(0);
         let handle = rt.handle();
         // Threads started from here on are link threads and share one
-        // CPU; from `nodes()` on they are node threads and keep off it,
-        // so that a hop costs the same wake-ups in every run.
+        // CPU — the managers run on their readers; from `nodes()` on they
+        // are process threads and keep off it, so that a hop costs the
+        // same wake-ups in every run.
         let placement = Placement::begin();
         placement.links();
 
@@ -155,6 +157,7 @@ impl NetSystem {
         // Done travels on a local channel in-process; the listeners
         // still need an events sink for protocol completeness.
         let (ev_tx, _ev_rx) = unbounded::<Control>();
+        let managers: Vec<ManagerSlot> = (nprocs..nnodes).map(|_| ManagerSlot::default()).collect();
         let mut b = TcpTransportBuilder::new(nnodes);
         let mut inboxes = Vec::with_capacity(nnodes);
         let mut addrs = Vec::with_capacity(nnodes);
@@ -165,10 +168,14 @@ impl NetSystem {
             addrs.push(listener.local_addr().expect("listener address"));
             let inbound =
                 Inbound { inbox: tx.clone(), events: ev_tx.clone(), delivered: delivered.clone() };
-            spawn_listener(listener, inbound, handle);
+            let manager = node.checked_sub(nprocs).map(|k| managers[k].clone());
+            listen(listener, inbound, manager, handle);
             b.local(node, tx);
             inboxes.push(rx);
         }
+        // A manager's frames run it on their readers: its inbox stays
+        // empty.
+        inboxes.truncate(nprocs);
         for from in 0..nnodes {
             for (to, addr) in addrs.iter().enumerate() {
                 if from != to {
@@ -185,7 +192,7 @@ impl NetSystem {
         // wait for every sent frame to reach its destination inbox
         // first. Acks generated while draining keep both counters
         // moving; they settle together.
-        let outcome = self.cluster.run(start, net, inboxes, |net| {
+        let outcome = self.cluster.run(start, net, inboxes, managers, |net| {
             let quiesce_deadline = Instant::now() + QUIESCE_LIMIT;
             loop {
                 let sent = net.messages();
@@ -199,7 +206,8 @@ impl NetSystem {
             }
         });
         // `net` — every sender into the link queues — went with the node
-        // threads; the runtime's drop joins the link threads.
+        // threads and the managers; the runtime's drop joins the link
+        // threads.
         drop(rt);
         outcome
     }
@@ -233,7 +241,8 @@ pub struct NodeOutcome {
 
 /// Runs one node of a multi-process cluster to completion on the
 /// calling thread (plus one thread per link and, on node 0, the
-/// coordinator).
+/// coordinator). A manager node's frames run it on their reader
+/// threads; the calling thread only waits for `Shutdown`.
 ///
 /// Node 0 is the coordinator: every process node reports a
 /// [`Control::Done`] frame to it when its program body finishes, and it
@@ -260,16 +269,6 @@ pub fn run_cluster_node(
 
     let (inbox_tx, inbox_rx) = unbounded::<Wire>();
     let (ev_tx, ev_rx) = unbounded::<Control>();
-    let delivered = Arc::new(AtomicU64::new(0));
-    let listener = crate::transport::bind_reusable(base_port + node as u16).unwrap_or_else(|e| {
-        panic!("node {node}: cannot bind port {}: {e}", base_port + node as u16)
-    });
-    spawn_listener(
-        listener,
-        Inbound { inbox: inbox_tx.clone(), events: ev_tx.clone(), delivered },
-        &handle,
-    );
-
     let mut b = TcpTransportBuilder::new(nnodes);
     for to in 0..nnodes {
         if to != node {
@@ -280,15 +279,34 @@ pub fn run_cluster_node(
     b.local(node, inbox_tx.clone());
     let transport = Arc::new(b.build());
     let net = Net::new(transport.clone());
+    // A manager shard is installed before its port opens: its frames run
+    // it on their readers from the first one on.
+    let manager = (node >= cfg.nprocs).then(|| {
+        let slot = ManagerSlot::default();
+        slot.install(net.clone(), Arc::new(cfg.clone()), node, false);
+        slot
+    });
+    let listener = crate::transport::bind_reusable(base_port + node as u16).unwrap_or_else(|e| {
+        panic!("node {node}: cannot bind port {}: {e}", base_port + node as u16)
+    });
+    let delivered = Arc::new(AtomicU64::new(0));
+    listen(
+        listener,
+        Inbound { inbox: inbox_tx.clone(), events: ev_tx.clone(), delivered },
+        manager.clone(),
+        &handle,
+    );
     placement.nodes();
     let walc = Arc::new(WalCounters::default());
 
-    if node >= cfg.nprocs {
-        // Manager shard: serve until the coordinator's Shutdown frame.
-        let manager = run_manager_node(inbox_rx, net.clone(), cfg, node, false);
+    if let Some(slot) = manager {
+        // This thread waits for the coordinator's Shutdown frame,
+        // sweeping retransmissions meanwhile when the session layer is
+        // on.
+        slot.sweep(&inbox_rx, cfg.reliable);
         return NodeOutcome {
             replica: None,
-            manager: Some(manager),
+            manager: Some(slot.take().expect("installed above")),
             messages: net.messages(),
             bytes: net.bytes(),
         };

@@ -7,7 +7,7 @@
 //! **The protocol state machines and the node mains are the same
 //! code**: `mc-net` plugs a [`TcpTransport`] into `mc-live`'s
 //! [`Transport`](mc_live::Transport) seam and feeds decoded frames into
-//! the identical `run_proc_node`/`run_manager_node` loops, so a green
+//! the identical `run_proc_node` loop and `ManagerSlot`, so a green
 //! run here demonstrates the protocols survive genuine networking —
 //! partial writes, reconnects, kernel buffering — not just genuine
 //! concurrency.

@@ -1,9 +1,10 @@
-//! Where a node's threads run: its link threads on one CPU, the threads
-//! that feed them on the others.
+//! Where a node's threads run: its link threads on one CPU — and with
+//! them the managers, which run on their readers — and the process
+//! threads on the others.
 //!
-//! A frame's way from `deliver` to the peer's inbox is a chain of
-//! wake-ups — node → writer → socket → reader → node — with next to no
-//! work between them, so a hop costs what its wake-ups cost, and one
+//! A frame's way from one node to another is a chain of wake-ups —
+//! sender (or writer) → socket → reader → inbox → process — with next to
+//! no work between them, so a hop costs what its wake-ups cost, and one
 //! that brings another CPU out of idle costs several times one that
 //! stays put. Left to the kernel, the threads land differently in every
 //! run, and differently again after the machine has sat idle; a round

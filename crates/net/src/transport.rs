@@ -1,7 +1,7 @@
-//! The TCP transport: one writer and one reader thread per directed
-//! link beneath the transport-agnostic node mains of `mc-live` (written
-//! as `async fn`s over the `compat/tokio` shim, which runs each on a
-//! thread of its own with blocking socket calls).
+//! The TCP transport: a writer and a reader thread per directed link
+//! beneath the transport-agnostic nodes of `mc-live` (written as
+//! `async fn`s over the `compat/tokio` shim, which runs each on a thread
+//! of its own with blocking socket calls).
 //!
 //! # Topology
 //!
@@ -11,37 +11,68 @@
 //! frame after it is attributed to that node (the session layer needs
 //! the link identity for its per-link sequence numbers).
 //!
+//! # Who does the I/O
+//!
+//! A round trip costs its wake-ups, not its bytes, so a frame is handled
+//! by a thread that is awake anyway wherever that is safe:
+//!
+//! - *Sending.* A thread with nothing else to do until a reply arrives
+//!   writes its own frame ([`Transport::deliver_inline`]): an
+//!   application thread whose operation is about to park, or a reader
+//!   running a manager. Every other frame goes through the link's queue
+//!   to its writer — a loopback write runs the peer's whole receive path
+//!   in the writing thread, and an application thread that keeps working
+//!   would lose the writer's pipelining.
+//! - *Receiving.* A reader hands a frame for a process node to that
+//!   node's inbox; a frame for a manager node runs the manager on the
+//!   reader itself ([`ManagerSlot`]).
+//!
+//! An SC operation thus wakes three threads: application → (socket) →
+//! the manager's reader → (socket) → the process's reader → application.
+//!
+//! # One order per link across both write paths
+//!
+//! A caller writes directly only when nothing on the link is queued or
+//! in the writer's hands — a per-link in-flight count that the writer
+//! decrements after each write — and the writer has published a greeted
+//! connection; otherwise it enqueues. Two sends on a link that are
+//! ordered (one thread's, or one manager's under its lock) therefore
+//! reach the socket in that order. The writer holds the connection's
+//! lock across each write and only direct writers take it, so enqueueing
+//! never waits behind a socket write.
+//!
 //! # Zero-copy hot path
 //!
 //! Each link owns an *encode arena* (a [`BytesMut`]): `deliver` encodes
 //! the frame there and splits it off as a [`Bytes`] view — no copy, no
-//! fresh allocation. The frame travels through a bounded queue to the
-//! link's writer task; once written and dropped, the arena's next
-//! `reserve` reclaims the region in place (`bytes::pool_stats` counts
-//! the reuses). The reader side mirrors it: one receive buffer per
-//! connection, socket reads land in its spare capacity, and
-//! [`next_frame`] carves complete frames off the front as views.
+//! fresh allocation. Once written and dropped, the arena's next `reserve`
+//! reclaims the region in place (`bytes::pool_stats` counts the reuses).
+//! The reader side mirrors it: one receive buffer per connection, socket
+//! reads land in its spare capacity, and [`next_frame`] carves complete
+//! frames off the front as views.
 //!
 //! # Reconnection and fencing
 //!
-//! A writer whose connection breaks redials with exponential backoff,
-//! re-sends `Hello`, and retries the frame the failure interrupted (a
-//! torn partial frame dies with the old connection — each connection is
-//! a fresh framing context). A frame the peer received twice this way
-//! is deduplicated by the session layer's sequence numbers, and a
-//! *reborn* peer (crash + restart) is fenced by the session epochs that
-//! `run_proc_node` derives from the replica incarnation — the same
-//! machinery the lossy in-process executor exercises.
+//! A writer whose connection breaks — on its own write or a caller's —
+//! redials with exponential backoff, re-sends `Hello`, and retries the
+//! frame the failure interrupted (a torn partial frame dies with the old
+//! connection — each connection is a fresh framing context). A frame the
+//! peer received twice this way is deduplicated by the session layer's
+//! sequence numbers, and a *reborn* peer (crash + restart) is fenced by
+//! the session epochs that `run_proc_node` derives from the replica
+//! incarnation — the same machinery the lossy in-process executor
+//! exercises.
 
+use std::io::Write;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use bytes::{Bytes, BytesMut};
 use crossbeam::channel::Sender;
-use mc_live::{NodeId, Transport, Wire};
+use mc_live::{ManagerSlot, NodeId, Transport, Wire};
 use mc_proto::wire::{
     decode_frame, encode_control, encode_frame, next_frame, oversized_prefix, Control, Frame,
 };
@@ -66,26 +97,67 @@ const BACKOFF_MAX: Duration = Duration::from_millis(50);
 /// initial encode-arena capacity.
 const BUF_CHUNK: usize = 64 * 1024;
 
-/// One directed link: the shared encode arena and the queue to the
-/// writer task that owns the socket.
+/// One directed link: the shared encode arena, the queue to the writer
+/// task, and what the writer shares with callers that write directly.
 struct Link {
     arena: Mutex<BytesMut>,
     tx: mpsc::Sender<Bytes>,
+    wire: Arc<LinkWire>,
+}
+
+/// The writer's connection and its backlog, shared with direct writers.
+#[derive(Default)]
+struct LinkWire {
+    /// The writer's connection once greeted; `None` while it (re)dials.
+    conn: Mutex<Option<std::net::TcpStream>>,
+    /// Frames queued or in the writer's hands; the writer decrements it
+    /// after each write.
+    inflight: AtomicUsize,
 }
 
 impl Link {
-    /// Encodes one frame into the arena and queues it, blocking when
-    /// the writer is `SEND_QUEUE` frames behind. Returns `false` only
-    /// if the writer task is gone (transport torn down).
+    fn encode(&self, encode: impl FnOnce(&mut BytesMut)) -> Bytes {
+        let mut arena = self.arena.lock().expect("arena healthy");
+        debug_assert!(arena.is_empty(), "arena fully split between frames");
+        encode(&mut arena);
+        let len = arena.len();
+        arena.split_to(len)
+    }
+
+    /// Queues one frame for the writer, blocking when it is
+    /// `SEND_QUEUE` frames behind. Returns `false` only if the writer
+    /// task is gone (transport torn down).
     fn push(&self, encode: impl FnOnce(&mut BytesMut)) -> bool {
-        let frame = {
-            let mut arena = self.arena.lock().expect("arena healthy");
-            debug_assert!(arena.is_empty(), "arena fully split between frames");
-            encode(&mut arena);
-            let len = arena.len();
-            arena.split_to(len)
-        };
-        self.tx.blocking_send(frame).is_ok()
+        self.enqueue(self.encode(encode))
+    }
+
+    fn enqueue(&self, frame: Bytes) -> bool {
+        self.wire.inflight.fetch_add(1, Ordering::AcqRel);
+        let sent = self.tx.blocking_send(frame).is_ok();
+        if !sent {
+            self.wire.inflight.fetch_sub(1, Ordering::AcqRel);
+        }
+        sent
+    }
+
+    /// Writes one frame on the calling thread when the link is up and
+    /// idle; queues it otherwise, or when the write fails (the writer
+    /// then redials and resends it whole).
+    fn push_inline(&self, encode: impl FnOnce(&mut BytesMut)) -> bool {
+        let frame = self.encode(encode);
+        let wire = &self.wire;
+        if wire.inflight.load(Ordering::Acquire) == 0 {
+            let mut conn = wire.conn.lock().expect("connection healthy");
+            if let Some(stream) =
+                conn.as_mut().filter(|_| wire.inflight.load(Ordering::Acquire) == 0)
+            {
+                if stream.write_all(&frame).is_ok() {
+                    return true;
+                }
+                *conn = None;
+            }
+        }
+        self.enqueue(frame)
     }
 }
 
@@ -113,9 +185,10 @@ impl TcpTransportBuilder {
     pub fn link(&mut self, from: NodeId, to: NodeId, addr: SocketAddr, handle: &Handle) {
         assert_ne!(from, to, "nodes do not dial themselves");
         let (tx, rx) = mpsc::channel(SEND_QUEUE);
-        handle.spawn(write_link(from as u32, addr, rx));
+        let wire = Arc::new(LinkWire::default());
+        handle.spawn(write_link(from as u32, addr, rx, wire.clone()));
         self.links[from * self.nnodes + to] =
-            Some(Link { arena: Mutex::new(BytesMut::with_capacity(BUF_CHUNK)), tx });
+            Some(Link { arena: Mutex::new(BytesMut::with_capacity(BUF_CHUNK)), tx, wire });
     }
 
     /// Registers the inbox of a node hosted in this process: the
@@ -153,17 +226,28 @@ impl TcpTransport {
             None => false,
         }
     }
+
+    /// Delivers to a node hosted here, for want of a TCP link to it.
+    fn deliver_local(&self, from: NodeId, to: NodeId, msg: Msg) -> bool {
+        match &self.local[to] {
+            Some(tx) => tx.send(Wire::Proto { from, msg }).is_ok(),
+            None => false,
+        }
+    }
 }
 
 impl Transport for TcpTransport {
     fn deliver(&self, from: NodeId, to: NodeId, msg: Msg) -> bool {
-        if let Some(l) = self.link(from, to) {
-            return l.push(|b| encode_frame(b, &msg));
+        match self.link(from, to) {
+            Some(l) => l.push(|b| encode_frame(b, &msg)),
+            None => self.deliver_local(from, to, msg),
         }
-        // No TCP link: the destination must be hosted here.
-        match &self.local[to] {
-            Some(tx) => tx.send(Wire::Proto { from, msg }).is_ok(),
-            None => false,
+    }
+
+    fn deliver_inline(&self, from: NodeId, to: NodeId, msg: Msg) -> bool {
+        match self.link(from, to) {
+            Some(l) => l.push_inline(|b| encode_frame(b, &msg)),
+            None => self.deliver_local(from, to, msg),
         }
     }
 
@@ -184,14 +268,15 @@ impl Transport for TcpTransport {
 }
 
 /// The writer task of one directed link: dial (with backoff), announce
-/// `Hello`, then drain the frame queue into the socket, redialling on
-/// any error with the interrupted frame carried over.
-async fn write_link(me: u32, addr: SocketAddr, mut rx: mpsc::Receiver<Bytes>) {
+/// `Hello`, publish the connection, then drain the frame queue into the
+/// socket, redialling on any error with the interrupted frame carried
+/// over.
+async fn write_link(me: u32, addr: SocketAddr, mut rx: mpsc::Receiver<Bytes>, wire: Arc<LinkWire>) {
     let mut pending: Option<Bytes> = None;
     let mut hello = BytesMut::with_capacity(64);
     loop {
         let mut backoff = BACKOFF_MIN;
-        let mut stream = loop {
+        let stream = loop {
             match TcpStream::connect(addr).await {
                 Ok(s) => break s,
                 Err(_) => {
@@ -200,13 +285,14 @@ async fn write_link(me: u32, addr: SocketAddr, mut rx: mpsc::Receiver<Bytes>) {
                 }
             }
         };
+        let Ok(mut stream) = stream.into_std() else { continue };
         let _ = stream.set_nodelay(true);
         encode_control(&mut hello, &Control::Hello { node: me });
         let greeting = {
             let len = hello.len();
             hello.split_to(len)
         };
-        if stream.write_all(&greeting).await.is_err() {
+        if stream.write_all(&greeting).is_err() {
             if trace() {
                 eprintln!("NETTRACE write_link {me}->{addr}: greeting failed, redial");
             }
@@ -215,24 +301,32 @@ async fn write_link(me: u32, addr: SocketAddr, mut rx: mpsc::Receiver<Bytes>) {
         if trace() {
             eprintln!("NETTRACE write_link {me}->{addr}: connected");
         }
+        *wire.conn.lock().expect("connection healthy") = Some(stream);
         loop {
             let frame = match pending.take() {
                 Some(f) => f,
                 None => match rx.recv().await {
                     Some(f) => f,
-                    None => return,
+                    None => {
+                        wire.conn.lock().expect("connection healthy").take();
+                        return;
+                    }
                 },
             };
-            if stream.write_all(&frame).await.is_err() {
+            let mut conn = wire.conn.lock().expect("connection healthy");
+            let written = conn.as_mut().is_some_and(|stream| stream.write_all(&frame).is_ok());
+            if !written {
                 if trace() {
                     eprintln!("NETTRACE write_link {me}->{addr}: write failed, redial");
                 }
                 // The torn suffix dies with this connection; resend the
                 // whole frame after redialling. The duplicate the peer
                 // may see is absorbed by session sequencing.
+                *conn = None;
                 pending = Some(frame);
                 break;
             }
+            wire.inflight.fetch_sub(1, Ordering::AcqRel);
         }
     }
 }
@@ -255,13 +349,25 @@ pub struct Inbound {
 /// Spawns the accept loop for one node's listening socket on `handle`'s
 /// runtime; each accepted connection gets its own reader task.
 pub fn spawn_listener(listener: std::net::TcpListener, inbound: Inbound, handle: &Handle) {
+    listen(listener, inbound, None, handle);
+}
+
+/// [`spawn_listener`] for a node that is a manager hosted in `manager`:
+/// its readers run it on every protocol frame instead of using the
+/// inbox, which then carries only `Shutdown`.
+pub(crate) fn listen(
+    listener: std::net::TcpListener,
+    inbound: Inbound,
+    manager: Option<ManagerSlot>,
+    handle: &Handle,
+) {
     let handle2 = handle.clone();
     handle.spawn(async move {
         let Ok(listener) = TcpListener::from_std(listener) else { return };
         loop {
             match listener.accept().await {
                 Ok((stream, _)) => {
-                    handle2.spawn(read_link(stream, inbound.clone()));
+                    handle2.spawn(read_link(stream, inbound.clone(), manager.clone()));
                 }
                 Err(_) => return,
             }
@@ -270,13 +376,11 @@ pub fn spawn_listener(listener: std::net::TcpListener, inbound: Inbound, handle:
 }
 
 /// The reader task of one accepted connection: socket reads land in the
-/// spare capacity of a single receive buffer, complete frames are carved
-/// off the front as views and decoded straight into inbox entries.
-async fn read_link(mut stream: TcpStream, inbound: Inbound) {
+/// spare capacity of a single receive buffer, and [`ingest`] takes every
+/// complete frame off its front.
+async fn read_link(mut stream: TcpStream, inbound: Inbound, manager: Option<ManagerSlot>) {
     let _ = stream.set_nodelay(true);
     let mut buf = BytesMut::with_capacity(BUF_CHUNK);
-    // The dialler's Hello names the sending node; a protocol frame
-    // before it is a framing error and drops the connection.
     let mut from: Option<NodeId> = None;
     loop {
         buf.reserve(BUF_CHUNK);
@@ -290,36 +394,66 @@ async fn read_link(mut stream: TcpStream, inbound: Inbound) {
             Ok(n) => n,
         };
         buf.advance_written(n);
-        while let Some(body) = next_frame(&mut buf) {
-            match decode_frame(&body) {
-                Ok(Frame::Msg(msg)) => {
-                    let Some(f) = from else { return };
-                    if inbound.inbox.send(Wire::Proto { from: f, msg }).is_err() {
-                        // Node exited (shutdown); the link is done.
-                        return;
-                    }
-                    inbound.delivered.fetch_add(1, Ordering::Relaxed);
-                }
-                Ok(Frame::Control(Control::Hello { node })) => from = Some(node as usize),
-                Ok(Frame::Control(Control::Shutdown)) => {
-                    let _ = inbound.inbox.send(Wire::Shutdown);
-                }
-                Ok(Frame::Control(done @ Control::Done { .. })) => {
-                    let _ = inbound.events.send(done);
-                }
-                Err(e) => {
-                    eprintln!("mc-net: dropping connection on undecodable frame: {e}");
-                    return;
-                }
+        match ingest(&mut buf, &mut from, &inbound, manager.as_ref()) {
+            Ok(()) => {}
+            // The node exited (shutdown); the link is done.
+            Err(Dropped::Closed) => return,
+            Err(Dropped::Broken(why)) => {
+                eprintln!("mc-net: dropping connection {why}");
+                return;
             }
         }
-        if oversized_prefix(&buf) {
-            // No encoder writes such a header; buffering toward it would
-            // let one hostile peer claim gigabytes.
-            eprintln!("mc-net: dropping connection on a frame header over MAX_FRAME");
-            return;
+    }
+}
+
+/// Why a reader stops reading its connection.
+#[derive(Debug, PartialEq)]
+enum Dropped {
+    /// The destination is gone: its inbox closed or its manager taken.
+    Closed,
+    /// The peer broke the framing protocol (logged).
+    Broken(&'static str),
+}
+
+/// Decodes and delivers every complete frame at the front of `buf`. The
+/// dialler's `Hello` sets `from`, which names the sender of every
+/// protocol frame after it; a protocol frame before it is a framing
+/// error.
+fn ingest(
+    buf: &mut BytesMut,
+    from: &mut Option<NodeId>,
+    inbound: &Inbound,
+    manager: Option<&ManagerSlot>,
+) -> Result<(), Dropped> {
+    while let Some(body) = next_frame(buf) {
+        match decode_frame(&body) {
+            Ok(Frame::Msg(msg)) => {
+                let f = from.ok_or(Dropped::Broken("on a protocol frame before Hello"))?;
+                let delivered = match manager {
+                    Some(m) => m.deliver(f, msg),
+                    None => inbound.inbox.send(Wire::Proto { from: f, msg }).is_ok(),
+                };
+                if !delivered {
+                    return Err(Dropped::Closed);
+                }
+                inbound.delivered.fetch_add(1, Ordering::Relaxed);
+            }
+            Ok(Frame::Control(Control::Hello { node })) => *from = Some(node as usize),
+            Ok(Frame::Control(Control::Shutdown)) => {
+                let _ = inbound.inbox.send(Wire::Shutdown);
+            }
+            Ok(Frame::Control(done @ Control::Done { .. })) => {
+                let _ = inbound.events.send(done);
+            }
+            Err(_) => return Err(Dropped::Broken("on an undecodable frame")),
         }
     }
+    if oversized_prefix(buf) {
+        // No encoder writes such a header; buffering toward it would let
+        // one hostile peer claim gigabytes.
+        return Err(Dropped::Broken("on a frame header over MAX_FRAME"));
+    }
+    Ok(())
 }
 
 /// Binds a loopback listener on `port` with `SO_REUSEADDR`, so a node
@@ -386,4 +520,40 @@ pub fn bind_reusable(port: u16) -> std::io::Result<std::net::TcpListener> {
 #[cfg(not(unix))]
 pub fn bind_reusable(port: u16) -> std::io::Result<std::net::TcpListener> {
     std::net::TcpListener::bind(("127.0.0.1", port))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crossbeam::channel::unbounded;
+    use mc_model::{Loc, ProcId};
+
+    fn ping(loc: u32) -> Msg {
+        Msg::ScRead { proc: ProcId(0), loc: Loc(loc) }
+    }
+
+    /// A protocol frame with no `Hello` before it breaks the connection,
+    /// and nothing reaches the inbox.
+    #[test]
+    fn a_frame_before_hello_drops_the_connection() {
+        let (inbox, rx) = unbounded();
+        let (events, _) = unbounded();
+        let inbound = Inbound { inbox, events, delivered: Arc::default() };
+        let mut buf = BytesMut::with_capacity(256);
+        encode_frame(&mut buf, &ping(1));
+        let mut from = None;
+        let dropped = ingest(&mut buf, &mut from, &inbound, None);
+        assert_eq!(dropped, Err(Dropped::Broken("on a protocol frame before Hello")));
+        assert!(rx.try_recv().is_err(), "nothing delivered");
+        assert_eq!(inbound.delivered.load(Ordering::Relaxed), 0);
+
+        // The same frame after a greeting is delivered.
+        encode_control(&mut buf, &Control::Hello { node: 3 });
+        encode_frame(&mut buf, &ping(2));
+        assert_eq!(ingest(&mut buf, &mut from, &inbound, None), Ok(()));
+        match rx.try_recv() {
+            Ok(Wire::Proto { from: 3, msg: Msg::ScRead { loc: Loc(2), .. } }) => {}
+            _ => panic!("the greeted frame reaches the inbox"),
+        }
+    }
 }

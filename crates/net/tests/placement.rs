@@ -1,5 +1,7 @@
-//! A cluster places its threads: link threads on one CPU, node threads
-//! off it, and the thread that ran the cluster allowed what it was.
+//! A cluster places its threads: link threads on one CPU — the manager
+//! runs on its links' reader threads, so on that CPU too — process
+//! threads off it, and the thread that ran the cluster allowed what it
+//! was.
 //!
 //! One test in a binary of its own: it tells link threads from the
 //! harness's by looking at every thread of the process.
@@ -69,9 +71,11 @@ fn link_threads_share_one_cpu_and_node_threads_keep_off_it() {
     let home = &seen[0].1[0];
     assert_eq!(cpus(home).len(), 1, "link threads on one CPU: {home}");
     for (node, links) in seen.iter() {
-        // 3 accept loops and 6 writers from the start, a reader per used link.
+        // 3 accept loops and 6 writers from the start, a reader per used
+        // link; the manager runs on its readers, so it has no thread to
+        // keep off the links' CPU.
         assert!(links.len() >= 9 + 2, "{} link threads", links.len());
         assert!(links.iter().all(|l| l == home), "all on the same one: {links:?}");
-        assert!(!cpus(node).contains(&cpus(home)[0]), "node on {node}, links on {home}");
+        assert!(!cpus(node).contains(&cpus(home)[0]), "process on {node}, links on {home}");
     }
 }
