@@ -1,24 +1,16 @@
 //! Diffs two machine-readable benchmark reports (`BENCH_*.json`).
 //!
-//! `bench_diff BASELINE CURRENT [--tolerance 0.10] [--strict-wall]`
+//! `bench_diff BASELINE CURRENT`
 //!
 //! The report format puts one metric per line, so the diff is
-//! line-by-line with no JSON parser:
-//!
-//! * the `date` line is exempt (reports from different days still match);
-//! * wall-clock columns ([`mc_bench::WALL_COLS`]) are parsed as a number
-//!   with an optional duration unit and compared with a relative
-//!   tolerance band (default ±10%); deviations are reported, and fail
-//!   the diff only under `--strict-wall` — CI runner speed varies far
-//!   more than the simulator's deterministic counters ever may;
-//! * every other line (all deterministic counters, keys, structure)
-//!   must match byte-for-byte.
+//! line-by-line with no JSON parser: the `date` line is exempt (reports
+//! from different days still match), and every other line (every
+//! counter, key and bracket) must match byte-for-byte — all of them are
+//! deterministic.
 //!
 //! Exit codes: 0 clean, 1 mismatch, 2 usage/IO error.
 
 use std::process::exit;
-
-use mc_bench::is_wall_col;
 
 /// Extracts `(key, value)` from a `"key": "value"` line, if it is one.
 fn scalar_line(line: &str) -> Option<(&str, &str)> {
@@ -31,50 +23,14 @@ fn scalar_line(line: &str) -> Option<(&str, &str)> {
     Some((key, v))
 }
 
-/// Parses a wall-clock value: a leading float with an optional duration
-/// unit suffix (`ns`/`µs`/`us`/`ms`/`s`, from `Duration`'s debug format),
-/// normalized to nanoseconds; unit-less values (rates like `ops/s`) pass
-/// through unscaled.
-fn parse_wall(v: &str) -> Option<f64> {
-    let end = v
-        .char_indices()
-        .find(|(_, c)| !c.is_ascii_digit() && *c != '.')
-        .map_or(v.len(), |(i, _)| i);
-    let num: f64 = v[..end].parse().ok()?;
-    let scale = match v[end..].trim() {
-        "" | "ns" => 1.0,
-        "µs" | "us" => 1e3,
-        "ms" => 1e6,
-        "s" => 1e9,
-        _ => return None,
-    };
-    Some(num * scale)
-}
-
 fn main() {
-    let mut paths: Vec<String> = Vec::new();
-    let mut tolerance = 0.10f64;
-    let mut strict_wall = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--tolerance" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(t) => tolerance = t,
-                None => {
-                    eprintln!("--tolerance needs a number");
-                    exit(2);
-                }
-            },
-            "--strict-wall" => strict_wall = true,
-            other if !other.starts_with("--") => paths.push(other.to_string()),
-            other => {
-                eprintln!("unknown flag {other}");
-                exit(2);
-            }
-        }
+    let paths: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(flag) = paths.iter().find(|a| a.starts_with("--")) {
+        eprintln!("unknown flag {flag}");
+        exit(2);
     }
     if paths.len() != 2 {
-        eprintln!("usage: bench_diff BASELINE CURRENT [--tolerance 0.10] [--strict-wall]");
+        eprintln!("usage: bench_diff BASELINE CURRENT");
         exit(2);
     }
     let read = |p: &str| {
@@ -98,45 +54,18 @@ fn main() {
         exit(1);
     }
 
-    let mut counter_mismatches = 0u32;
-    let mut wall_deviations = 0u32;
-    let mut wall_checked = 0u32;
+    let mut mismatches = 0u32;
     for (n, (b, c)) in bl.iter().zip(&cl).enumerate() {
-        let line = n + 1;
-        match (scalar_line(b), scalar_line(c)) {
-            (Some(("date", _)), Some(("date", _))) => continue,
-            (Some((bk, bv)), Some((ck, cv))) if bk == ck && is_wall_col(bk) => {
-                wall_checked += 1;
-                let ok = match (parse_wall(bv), parse_wall(cv)) {
-                    (Some(x), Some(y)) => {
-                        let scale = x.abs().max(f64::EPSILON);
-                        (y - x).abs() / scale <= tolerance
-                    }
-                    _ => false,
-                };
-                if !ok {
-                    wall_deviations += 1;
-                    eprintln!(
-                        "wall line {line}: \"{bk}\" outside ±{:.0}% band: baseline {bv}, current {cv}",
-                        tolerance * 100.0
-                    );
-                }
-            }
-            _ if b == c => {}
-            _ => {
-                counter_mismatches += 1;
-                eprintln!("FAIL line {line}:\n  baseline: {b}\n  current:  {c}");
-            }
+        let dates =
+            matches!((scalar_line(b), scalar_line(c)), (Some(("date", _)), Some(("date", _))));
+        if b != c && !dates {
+            mismatches += 1;
+            eprintln!("FAIL line {}:\n  baseline: {b}\n  current:  {c}", n + 1);
         }
     }
 
-    println!(
-        "compared {} lines: {counter_mismatches} counter mismatches, \
-         {wall_deviations}/{wall_checked} wall-clock values outside the ±{:.0}% band",
-        bl.len(),
-        tolerance * 100.0
-    );
-    if counter_mismatches > 0 || (strict_wall && wall_deviations > 0) {
+    println!("compared {} lines: {mismatches} counter mismatches", bl.len());
+    if mismatches > 0 {
         exit(1);
     }
 }

@@ -587,52 +587,6 @@ pub fn faults_table() -> Table {
     }
 }
 
-/// **E4** — checker throughput: wall-clock cost of verifying recorded
-/// histories of growing size.
-pub fn checkers_table() -> Table {
-    let mut rows = Vec::new();
-    for target_ops in [200usize, 600, 1200] {
-        // A mixed workload sized to roughly `target_ops` operations.
-        let procs = 3;
-        let per = target_ops / procs / 2;
-        let mut sys = System::new(procs, Mode::Mixed).seed(5).record(true);
-        for p in 0..procs {
-            sys.spawn(move |ctx| {
-                let mut rng = StdRng::seed_from_u64(p as u64);
-                let mut val = (p as i64 + 1) * 100_000;
-                for _ in 0..per {
-                    let loc = Loc(rng.gen_range(0..6u32));
-                    if rng.gen_bool(0.5) {
-                        val += 1;
-                        ctx.write(loc, val);
-                    } else {
-                        let _ = ctx.read_causal(loc);
-                    }
-                    let _ = ctx.read_pram(loc);
-                }
-            });
-        }
-        let h = sys.run().expect("run").history.expect("recorded");
-        let start = std::time::Instant::now();
-        let verdict = check::check_mixed(&h).is_ok();
-        let elapsed = start.elapsed();
-        rows.push(Row::new(
-            vec![("history ops", h.len().to_string())],
-            vec![
-                ("check wall time", format!("{:.1?}", elapsed)),
-                ("ops/s", format!("{:.0}", h.len() as f64 / elapsed.as_secs_f64())),
-                ("consistent", verdict.to_string()),
-            ],
-        ));
-    }
-    Table {
-        id: "E4",
-        title: "checker throughput (Definition 4 verification)",
-        paper_ref: "§3 — executable consistency definitions",
-        rows,
-    }
-}
-
 /// **E7** — stateless model checking: schedules explored by naive
 /// depth-first enumeration vs dynamic partial-order reduction on the
 /// litmus programs, with identical outcome coverage by construction
@@ -676,7 +630,6 @@ pub fn exploration_table() -> Table {
     let mut rows = Vec::new();
     for (name, spec) in &programs {
         let run = |dpor: bool| {
-            let start = std::time::Instant::now();
             let out = explore_with(
                 ExploreOptions::new().dpor(dpor).max_runs(3_000_000),
                 || spec.build_system(),
@@ -687,10 +640,9 @@ pub fn exploration_table() -> Table {
                 },
             )
             .expect("litmus programs are consistent");
-            (out, start.elapsed())
+            out
         };
-        let (naive, naive_t) = run(false);
-        let (dpor, dpor_t) = run(true);
+        let (naive, dpor) = (run(false), run(true));
         assert!(naive.complete && dpor.complete, "{name}: exploration must exhaust");
         rows.push(Row::new(
             vec![("program", (*name).to_string())],
@@ -700,8 +652,6 @@ pub fn exploration_table() -> Table {
                 ("pruned", dpor.pruned.to_string()),
                 ("outcomes", dpor.unique_outcomes.to_string()),
                 ("reduction", format!("{:.1}x", naive.runs as f64 / dpor.runs as f64)),
-                ("dpor scheds/s", format!("{:.0}", dpor.runs as f64 / dpor_t.as_secs_f64())),
-                ("naive scheds/s", format!("{:.0}", naive.runs as f64 / naive_t.as_secs_f64())),
             ],
         ));
     }
@@ -775,6 +725,13 @@ fn recovery_datapoint(prewrites: u32) -> (Metrics, Metrics, Metrics) {
     (crashed, steady, no_wal)
 }
 
+/// What recovery moved in one run: the answers (`recover_resp`) plus
+/// every write re-shipped for them, in either direction (`reship`).
+fn recovery_traffic(m: &Metrics) -> (u64, u64) {
+    let (resp, reship) = (m.kind("recover_resp"), m.kind("reship"));
+    (resp.bytes + reship.bytes, resp.count + reship.count)
+}
+
 /// **E9** — durable crash recovery: a replica that crash-recovers from
 /// its write-ahead log and compacted snapshot fetches only the missing
 /// *delta* from its peers. The store grows 16× across the sweep; the
@@ -786,12 +743,12 @@ pub fn recovery_table() -> Table {
     let mut rows = Vec::new();
     for prewrites in [64u32, 256, 1024] {
         let (crashed, steady, no_wal) = recovery_datapoint(prewrites);
-        let resp = crashed.kind("recover_resp");
+        let (bytes, msgs) = recovery_traffic(&crashed);
         rows.push(Row::new(
             vec![("store locs", prewrites.to_string())],
             vec![
-                ("recovery bytes", resp.bytes.to_string()),
-                ("recovery msgs", (crashed.kind("recover_req").count + resp.count).to_string()),
+                ("recovery bytes", bytes.to_string()),
+                ("recovery msgs", (crashed.kind("recover_req").count + msgs).to_string()),
                 ("wal replayed", crashed.wal.replayed.to_string()),
                 ("wal lost", crashed.wal.lost.to_string()),
                 ("snapshots", crashed.wal.snapshots.to_string()),
@@ -817,106 +774,6 @@ pub fn recovery_table() -> Table {
     }
 }
 
-/// One E11 datapoint: a ring workload over either the threaded
-/// in-process executor or a real loopback-TCP cluster, with process 0
-/// timing `reads` labelled reads after convergence. Returns the run's
-/// wall time and the sorted read latencies.
-fn saturation_run(
-    tcp: bool,
-    nprocs: usize,
-    mode: Mode,
-    writes: u32,
-    reads: usize,
-    label: ReadLabel,
-) -> (std::time::Duration, Vec<std::time::Duration>) {
-    use std::sync::{Arc, Mutex};
-    let lat: Arc<Mutex<Vec<std::time::Duration>>> = Arc::new(Mutex::new(Vec::new()));
-    let body = |p: u32| {
-        let lat = lat.clone();
-        move |ctx: &mut mc_live::LiveCtx| {
-            for i in 1..=writes {
-                ctx.write(Loc(p), i as i64);
-            }
-            let next = (p + 1) % nprocs as u32;
-            ctx.await_eq(Loc(next), mc_model::Value::Int(writes as i64));
-            if p == 0 {
-                let mut timings = Vec::with_capacity(reads);
-                for _ in 0..reads {
-                    let t0 = std::time::Instant::now();
-                    let _ = ctx.read(Loc(next), label);
-                    timings.push(t0.elapsed());
-                }
-                lat.lock().expect("latency vec healthy").extend(timings);
-            }
-        }
-    };
-    let out = if tcp {
-        let mut sys = mc_net::NetSystem::new(nprocs, mode);
-        for p in 0..nprocs as u32 {
-            sys.spawn(body(p));
-        }
-        sys.run().expect("TCP ring runs")
-    } else {
-        let mut sys = mc_live::LiveSystem::new(nprocs, mode);
-        for p in 0..nprocs as u32 {
-            sys.spawn(body(p));
-        }
-        sys.run().expect("threaded ring runs")
-    };
-    let mut lat = Arc::try_unwrap(lat).expect("bodies joined").into_inner().expect("unpoisoned");
-    lat.sort_unstable();
-    (out.wall, lat)
-}
-
-/// The (transport, mode, label) grid E11 sweeps: read labels under the
-/// vector modes, plus the serialized read under SC.
-const SATURATION_CELLS: &[(Mode, ReadLabel, &str)] = &[
-    (Mode::Causal, ReadLabel::Pram, "pram"),
-    (Mode::Causal, ReadLabel::Causal, "causal"),
-    (Mode::Sc, ReadLabel::Causal, "sc"),
-];
-
-/// E11 writes per process: long enough that steady-state frame traffic
-/// dominates connection setup.
-const SATURATION_WRITES: u32 = 1_500;
-/// E11 timed reads on process 0.
-const SATURATION_READS: usize = 300;
-
-fn p99(sorted: &[std::time::Duration]) -> std::time::Duration {
-    sorted[(sorted.len() * 99) / 100 - 1]
-}
-
-/// E11: the tokio TCP transport under saturation — ring throughput and
-/// p99 read latency per consistency label, threaded channels vs real
-/// loopback sockets running the identical protocol stack.
-pub fn net_saturation_table() -> Table {
-    let mut rows = Vec::new();
-    for &(mode, label, label_name) in SATURATION_CELLS {
-        for tcp in [false, true] {
-            let (wall, lat) =
-                saturation_run(tcp, 4, mode, SATURATION_WRITES, SATURATION_READS, label);
-            let ops = u64::from(SATURATION_WRITES) * 4 + SATURATION_READS as u64;
-            rows.push(Row::new(
-                vec![
-                    ("transport", if tcp { "tcp" } else { "threads" }.to_string()),
-                    ("mode", format!("{mode}")),
-                    ("read label", label_name.to_string()),
-                ],
-                vec![
-                    ("ops/s", format!("{:.0}", ops as f64 / wall.as_secs_f64())),
-                    ("p99 read us", format!("{:.1}", p99(&lat).as_nanos() as f64 / 1000.0)),
-                ],
-            ));
-        }
-    }
-    Table {
-        id: "E11",
-        title: "TCP transport saturation: loopback sockets vs threaded channels (ring, 4 procs)",
-        paper_ref: "runtime extension — the protocol stack over a real async network",
-        rows,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -926,30 +783,6 @@ mod tests {
         let t = protocols_table(2, 20);
         assert_eq!(t.rows.len(), 8, "2 workloads x 4 modes");
         assert!(t.to_markdown().contains("sc"));
-    }
-
-    #[test]
-    fn net_saturation_meets_acceptance() {
-        // The issue's acceptance floor: real loopback TCP must hold
-        // ring throughput within 5x of the threaded in-process
-        // baseline. Best-of-3 on both sides damps scheduler noise.
-        // Workload size matters: connection setup is a fixed cost, so
-        // the ring must be long enough that steady-state frame traffic
-        // dominates — the same size the E11 table sweeps.
-        let best = |tcp: bool| {
-            (0..3)
-                .map(|_| {
-                    saturation_run(tcp, 4, Mode::Causal, SATURATION_WRITES, 50, ReadLabel::Causal).0
-                })
-                .min()
-                .expect("three runs")
-        };
-        let threads = best(false);
-        let tcp = best(true);
-        assert!(
-            tcp <= threads * 5,
-            "TCP ring must stay within 5x of the threaded baseline: {tcp:?} vs {threads:?}"
-        );
     }
 
     #[test]
@@ -1010,13 +843,6 @@ mod tests {
     }
 
     #[test]
-    fn checkers_table_runs() {
-        let t = checkers_table();
-        assert_eq!(t.rows.len(), 3);
-        assert!(t.rows.iter().all(|r| r.vals[2].1 == "true"));
-    }
-
-    #[test]
     fn recovery_table_meets_acceptance() {
         // The issue's acceptance floor: recovery traffic is bounded by
         // the log tail, not the store. A 16x larger store must not grow
@@ -1025,8 +851,8 @@ mod tests {
         // what recovery actually moved.
         let (small_crashed, _, _) = recovery_datapoint(64);
         let (big_crashed, steady, _) = recovery_datapoint(1024);
-        let small_bytes = small_crashed.kind("recover_resp").bytes;
-        let big_bytes = big_crashed.kind("recover_resp").bytes;
+        let small_bytes = recovery_traffic(&small_crashed).0;
+        let big_bytes = recovery_traffic(&big_crashed).0;
         assert_eq!(big_crashed.wal.recoveries, 1, "node 1 must recover exactly once");
         assert!(big_bytes > 0, "the crash must leave a real delta to fetch");
         assert!(

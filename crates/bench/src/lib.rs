@@ -6,13 +6,17 @@
 //!
 //! * the `report` binary (`cargo run -p mc-bench --bin report`), which
 //!   regenerates the tables recorded in `EXPERIMENTS.md`;
-//! * the Criterion benches (`cargo bench`), which track the wall-clock
-//!   cost of the simulator and checkers themselves.
+//! * `report --json` and `bench_diff`, which pin every number against a
+//!   committed baseline.
+//!
+//! Every number here is exact: virtual time, message and byte counts,
+//! schedule counts. Wall-clock costs are measured by `mcbench`
+//! (`benchmark/`).
 //!
 //! Experiment index (see `DESIGN.md` §5): E1 protocol access costs,
 //! C1/F2/F3 solver comparison, C2/F5 Cholesky variants, C3 asynchronous
-//! relaxation, E2 lock propagation variants, E3 barrier scaling, E4
-//! checker throughput, F4 FDTD scaling.
+//! relaxation, E2 lock propagation variants, E3 barrier scaling, F4 FDTD
+//! scaling.
 
 #![warn(missing_docs)]
 
@@ -82,18 +86,6 @@ impl Table {
     }
 }
 
-/// Metric columns whose values are wall-clock measurements and therefore
-/// hardware-dependent: a baseline diff compares them with a tolerance
-/// band instead of exactly. Every other column is deterministic (fixed
-/// seeds, virtual time) and must match a committed baseline byte-for-byte.
-pub const WALL_COLS: &[&str] =
-    &["check wall time", "ops/s", "dpor scheds/s", "naive scheds/s", "p99 read us"];
-
-/// True when `col` holds a wall-clock (nondeterministic) measurement.
-pub fn is_wall_col(col: &str) -> bool {
-    WALL_COLS.contains(&col)
-}
-
 /// Escapes a string for embedding in a JSON string literal.
 fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
@@ -114,11 +106,10 @@ fn json_escape(s: &str) -> String {
 }
 
 /// Renders the full machine-readable report: experiment id → titled row
-/// list, each row split into `counters` (deterministic, diffed exactly)
-/// and `wall` (wall-clock, diffed with a tolerance band). Every scalar is
-/// a string and every metric sits on its own line, so two reports can be
-/// compared line-by-line without a JSON parser (`bench_diff` does exactly
-/// that; the `date` line is exempt).
+/// list, each row's metrics under `counters`. Every scalar is a string
+/// and every metric sits on its own line, so two reports can be compared
+/// line-by-line without a JSON parser (`bench_diff` does exactly that;
+/// the `date` line is exempt).
 pub fn report_json(date: &str, tables: &[Table]) -> String {
     let mut s = String::new();
     s.push_str("{\n");
@@ -136,26 +127,17 @@ pub fn report_json(date: &str, tables: &[Table]) -> String {
             let key: Vec<String> = r.keys.iter().map(|(k, v)| format!("{k}={v}")).collect();
             s.push_str("        {\n");
             let _ = writeln!(s, "          \"key\": \"{}\",", json_escape(&key.join(" ")));
-            for (section, wall) in [("counters", false), ("wall", true)] {
-                let cols: Vec<&(&'static str, String)> =
-                    r.vals.iter().filter(|(k, _)| is_wall_col(k) == wall).collect();
-                let trail = if wall { "" } else { "," };
-                if cols.is_empty() {
-                    let _ = writeln!(s, "          \"{section}\": {{}}{trail}");
-                    continue;
-                }
-                let _ = writeln!(s, "          \"{section}\": {{");
-                for (ci, (k, v)) in cols.iter().enumerate() {
-                    let comma = if ci + 1 < cols.len() { "," } else { "" };
-                    let _ = writeln!(
-                        s,
-                        "            \"{}\": \"{}\"{comma}",
-                        json_escape(k),
-                        json_escape(v)
-                    );
-                }
-                let _ = writeln!(s, "          }}{trail}");
+            s.push_str("          \"counters\": {\n");
+            for (ci, (k, v)) in r.vals.iter().enumerate() {
+                let comma = if ci + 1 < r.vals.len() { "," } else { "" };
+                let _ = writeln!(
+                    s,
+                    "            \"{}\": \"{}\"{comma}",
+                    json_escape(k),
+                    json_escape(v)
+                );
             }
+            s.push_str("          }\n");
             let comma = if ri + 1 < t.rows.len() { "," } else { "" };
             let _ = writeln!(s, "        }}{comma}");
         }
@@ -242,58 +224,26 @@ mod tests {
     }
 
     #[test]
-    fn report_json_splits_counters_from_wall_and_is_line_oriented() {
-        let t = Table {
-            id: "E4",
+    fn report_json_is_line_oriented_and_deterministic() {
+        let table = || Table {
+            id: "E1",
             title: "demo \"quoted\"",
             paper_ref: "none",
             rows: vec![Row::new(
                 vec![("n", "4".into()), ("mode", "mixed".into())],
-                vec![
-                    ("messages", "3".into()),
-                    ("check wall time", "1.5ms".into()),
-                    ("ops/s", "1200".into()),
-                ],
+                vec![("messages", "3".into()), ("virtual time", "1.5ms".into())],
             )],
         };
-        let json = report_json("2026-08-05", &[t]);
+        let json = report_json("2026-08-05", &[table()]);
         assert!(json.contains("\"key\": \"n=4 mode=mixed\""));
         assert!(json.contains("\"date\": \"2026-08-05\""));
         assert!(json.contains("\"title\": \"demo \\\"quoted\\\"\""));
-        // Every metric sits alone on its own line.
-        assert!(json
-            .lines()
-            .any(|l| l.trim() == "\"messages\": \"3\"," || l.trim() == "\"messages\": \"3\""));
-        // The wall-clock columns land in the wall section, after counters.
-        let counters = json.find("\"counters\"").unwrap();
-        let wall = json.find("\"wall\"").unwrap();
-        let msgs = json.find("\"messages\"").unwrap();
-        let wt = json.find("\"check wall time\"").unwrap();
-        assert!(counters < msgs && msgs < wall && wall < wt);
-        assert!(json.find("\"ops/s\"").unwrap() > wall);
+        // Every metric sits alone on its own line, inside `counters`.
+        let lines: Vec<&str> = json.lines().map(str::trim).collect();
+        let counters = lines.iter().position(|l| *l == "\"counters\": {").unwrap();
+        assert_eq!(lines[counters + 1], "\"messages\": \"3\",");
+        assert_eq!(lines[counters + 2], "\"virtual time\": \"1.5ms\"");
         // Deterministic: same input, same bytes.
-        let t2 = Table {
-            id: "E4",
-            title: "demo \"quoted\"",
-            paper_ref: "none",
-            rows: vec![Row::new(
-                vec![("n", "4".into()), ("mode", "mixed".into())],
-                vec![
-                    ("messages", "3".into()),
-                    ("check wall time", "1.5ms".into()),
-                    ("ops/s", "1200".into()),
-                ],
-            )],
-        };
-        assert_eq!(json, report_json("2026-08-05", &[t2]));
-    }
-
-    #[test]
-    fn wall_cols_cover_every_nondeterministic_column() {
-        for c in ["check wall time", "ops/s", "dpor scheds/s", "naive scheds/s"] {
-            assert!(is_wall_col(c));
-        }
-        assert!(!is_wall_col("messages"));
-        assert!(!is_wall_col("virtual time"));
+        assert_eq!(json, report_json("2026-08-05", &[table()]));
     }
 }

@@ -85,18 +85,10 @@ impl Outcome {
     pub fn verify(&self) -> Result<(), VerifyError> {
         let h = self.history.as_ref().ok_or(VerifyError::NotRecorded)?;
         let cfg = self.dsm.config();
-        // The mode enums survive as protocol substrates, but every
-        // verdict now comes from the declarative lattice validator: a
-        // legacy mode is judged as the uniform assignment of its
-        // equivalent lattice point.
-        let models = cfg.models.clone().unwrap_or_else(|| match cfg.mode {
-            Mode::Pram => mc_model::ModelAssignment::uniform(h.nprocs(), mc_model::ModelSpec::PRAM),
-            Mode::Causal => {
-                mc_model::ModelAssignment::uniform(h.nprocs(), mc_model::ModelSpec::CAUSAL)
-            }
-            Mode::Mixed => mc_model::ModelAssignment::mixed(h.nprocs()),
-            Mode::Sc => mc_model::ModelAssignment::uniform(h.nprocs(), mc_model::ModelSpec::SC),
-        });
+        // Every verdict comes from the declarative lattice validator,
+        // against the per-process assignment the run was configured
+        // with (a plain mode is the uniform assignment of its point).
+        let models = &cfg.models;
         // Under interest-based partial replication the protocol promises
         // each consistency guarantee *per shard* (updates flow among a
         // shard's subscribers only), so the recorded history is judged
@@ -107,11 +99,11 @@ impl Outcome {
         if let Some(sc) = cfg.sharding.as_ref().filter(|_| cfg.mode.is_replicated()) {
             for shard in 0..sc.nshards {
                 let hs = h.project_shard(sc.nshards, shard).map_err(VerifyError::Projection)?;
-                Self::judge(&hs, &models)?;
+                Self::judge(&hs, models)?;
             }
             return Ok(());
         }
-        Self::judge(h, &models)
+        Self::judge(h, models)
     }
 
     fn judge(h: &mc_model::History, models: &mc_model::ModelAssignment) -> Result<(), VerifyError> {

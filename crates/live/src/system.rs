@@ -177,6 +177,11 @@ impl ManagerSlot {
 /// period is coarse enough that a healthy ack always wins the race.
 const RETX_TICK: Duration = Duration::from_millis(1);
 
+/// How long a durable node's log may grow before it is compacted into a
+/// snapshot, on top of the record-count cadence the node keeps itself
+/// ([`DurabilityPolicy::snapshot_every`](mc_proto::DurabilityPolicy)).
+const SNAPSHOT_INTERVAL: Duration = Duration::from_millis(10);
+
 /// Shared durability counters, aggregated into [`LiveOutcome::wal`] at
 /// teardown (the same quantities as the simulator's `Metrics::wal`).
 #[derive(Default)]
@@ -1070,13 +1075,11 @@ impl LiveDriver {
         self.snapshot_if_aged();
     }
 
-    /// The wall-clock half of the snapshot policy (the node itself
+    /// Compacts a stale log every [`SNAPSHOT_INTERVAL`] (the node itself
     /// compacts by record count).
     fn snapshot_if_aged(&mut self) {
-        let (Some(policy), Some(wal)) = (self.node.cfg().durability, &self.io.wal) else { return };
-        if self.node.snapshot_is_stale()
-            && wal.last_snap.elapsed() >= Duration::from_micros(policy.snapshot_interval_micros)
-        {
+        let Some(wal) = &self.io.wal else { return };
+        if self.node.snapshot_is_stale() && wal.last_snap.elapsed() >= SNAPSHOT_INTERVAL {
             self.node.snapshot(&mut self.io);
         }
     }

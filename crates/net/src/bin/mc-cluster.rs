@@ -100,10 +100,9 @@ fn parse(args: &[String]) -> Opts {
 
 /// The cluster config both sides derive identically from the options.
 fn config(o: &Opts, spec: Option<&ProgSpec>) -> DsmConfig {
-    let mut cfg = DsmConfig::new(o.procs, o.mode);
+    let mut cfg = DsmConfig::new(o.procs, spec.map_or(o.mode, |spec| spec.mode));
     cfg.reliable = o.reliable;
     if let Some(spec) = spec {
-        cfg.mode = spec.mode;
         cfg.lock_propagation = spec.lock_propagation;
         if let Some(models) = &spec.models {
             cfg = cfg.with_models(mc_model::ModelAssignment::per_proc(models.clone()));

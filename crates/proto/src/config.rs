@@ -229,12 +229,11 @@ pub struct DsmConfig {
     /// only the missing delta from peers.
     pub durability: Option<crate::durability::DurabilityPolicy>,
     /// Per-process consistency-model assignment (the ordering-property
-    /// lattice; see [`mc_model::spec`]). `None` keeps the legacy
-    /// behavior where [`DsmConfig::mode`] alone decides how reads are
-    /// labeled; `Some` makes `mode` a derived *substrate* (set by
-    /// [`DsmConfig::with_models`]) and each process's reads follow its
-    /// assigned lattice point.
-    pub models: Option<mc_model::ModelAssignment>,
+    /// lattice; see [`mc_model::spec`]): each process's reads follow its
+    /// assigned point. [`DsmConfig::new`] assigns every process the
+    /// point its mode implements; [`DsmConfig::with_models`] sets an
+    /// explicit assignment and derives `mode` as its *substrate*.
+    pub models: mc_model::ModelAssignment,
     /// Sharded interest-based partial replication. `None` (the default)
     /// keeps full replication: every write broadcast to every peer.
     /// `Some` routes each update only to the subscribers of its shard
@@ -247,7 +246,16 @@ pub struct DsmConfig {
 
 impl DsmConfig {
     /// A configuration with the given process count and mode, lazy locks.
+    /// Every process is assigned the lattice point `mode` implements:
+    /// PRAM, causal, per-read labels (Definition 4) or SC.
     pub fn new(nprocs: usize, mode: Mode) -> Self {
+        use mc_model::{ModelAssignment, ModelSpec};
+        let models = match mode {
+            Mode::Pram => ModelAssignment::uniform(nprocs, ModelSpec::PRAM),
+            Mode::Causal => ModelAssignment::uniform(nprocs, ModelSpec::CAUSAL),
+            Mode::Mixed => ModelAssignment::mixed(nprocs),
+            Mode::Sc => ModelAssignment::uniform(nprocs, ModelSpec::SC),
+        };
         DsmConfig {
             nprocs,
             mode,
@@ -258,7 +266,7 @@ impl DsmConfig {
             batch: None,
             locations: 64,
             durability: None,
-            models: None,
+            models,
             sharding: None,
         }
     }
@@ -317,28 +325,20 @@ impl DsmConfig {
                 Mode::Pram
             }
         };
-        self.models = Some(models);
+        self.models = models;
         self
     }
 
     /// The effective label of a read issued by `proc` with program label
-    /// `label`: under a model assignment, `ByLabel` processes keep their
-    /// program labels and `Fixed` processes read causally exactly when
-    /// their point includes writes-follow-reads; without one, the legacy
-    /// global mode decides.
+    /// `label`: `ByLabel` processes keep their program labels and
+    /// `Fixed` processes read causally exactly when their point includes
+    /// writes-follow-reads.
     pub fn read_policy(
         &self,
         proc: mc_model::ProcId,
         label: mc_model::ReadLabel,
     ) -> mc_model::ReadLabel {
-        match &self.models {
-            Some(models) => models.judged_as(proc, label),
-            None => match self.mode {
-                Mode::Pram => mc_model::ReadLabel::Pram,
-                Mode::Causal => mc_model::ReadLabel::Causal,
-                Mode::Mixed | Mode::Sc => label,
-            },
-        }
+        self.models.judged_as(proc, label)
     }
 
     /// Enables or disables the reliable-delivery session layer.

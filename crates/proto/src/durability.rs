@@ -80,11 +80,9 @@ pub fn crc32(data: &[u8]) -> u32 {
 /// When to compact the write-ahead log into a snapshot.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DurabilityPolicy {
-    /// Compact after this many log records (simulator and live).
+    /// Compact after this many log records (simulator and live; live
+    /// nodes also compact on a fixed wall-clock cadence).
     pub snapshot_every: u32,
-    /// Additionally compact on this wall-clock cadence (live only; the
-    /// simulator's notion of time is logical, so it compacts by count).
-    pub snapshot_interval_micros: u64,
     /// Group commit: own-write records are *staged* on append and the
     /// fsync is deferred to the next externalization point — an
     /// outgoing protocol send, or a local read/await returning — so
@@ -98,8 +96,7 @@ pub struct DurabilityPolicy {
 }
 
 impl DurabilityPolicy {
-    /// Snapshot after every `snapshot_every` log records, with the
-    /// default wall-clock cadence for live clusters.
+    /// Snapshot after every `snapshot_every` log records.
     pub fn new(snapshot_every: u32) -> Self {
         DurabilityPolicy { snapshot_every, ..Default::default() }
     }
@@ -114,11 +111,7 @@ impl DurabilityPolicy {
 
 impl Default for DurabilityPolicy {
     fn default() -> Self {
-        DurabilityPolicy {
-            snapshot_every: 64,
-            snapshot_interval_micros: 10_000,
-            group_commit: false,
-        }
+        DurabilityPolicy { snapshot_every: 64, group_commit: false }
     }
 }
 

@@ -261,8 +261,13 @@ pub enum Msg {
         /// with only the missing delta.
         applied: VClock,
     },
-    /// A peer's answer to [`Msg::RecoverReq`]: the suffix of the peer's
-    /// own writes the reborn replica is missing, batched.
+    /// A peer's answer to [`Msg::RecoverReq`]: how much of the reborn
+    /// process's writes the peer holds (`seen`, the push-back trigger).
+    /// Recovery answers carry no entries — the peer's missing writes
+    /// follow as individual [`Msg::Update`]s, because a batch gated on
+    /// its last member can deadlock against another survivor's. The
+    /// entry form is how a write-ahead log records an
+    /// [`Msg::UpdateBatch`] with its clock delta expanded.
     RecoverResp {
         /// The responding process.
         proc: ProcId,
@@ -376,8 +381,8 @@ pub enum Msg {
         prev: u32,
         /// The responder's own sequence in the shard now.
         upto: u32,
-        /// One entry per missing own write, in sequence order (empty in
-        /// the metadata-only answers current senders emit).
+        /// One entry per missing own write, in sequence order (always
+        /// empty in recovery answers).
         entries: Vec<BatchEntry>,
         /// Sparse per-shard dependency clock of the last member.
         deps: Vec<(u32, ProcId, u32)>,

@@ -309,16 +309,15 @@ impl Links {
     }
 
     /// Sends one protocol message, through the session layer when it is
-    /// enabled. Sessioned payloads keep their *inner* kind in the
-    /// metrics (the header shows up in the byte counters).
+    /// enabled, labelled `kind` in the metrics. Sessioned payloads keep
+    /// that label (the header shows up in the byte counters).
     ///
     /// With tracing on, an update's vector timestamp is attached to the
     /// message span just recorded — the same clocks that order causal
     /// delivery double as trace metadata. Batch frames are annotated
     /// with their member writes instead.
-    fn send(&mut self, to: NodeId, msg: Msg, io: &mut impl NodeIo) {
+    fn send(&mut self, to: NodeId, kind: &'static str, msg: Msg, io: &mut impl NodeIo) {
         let annotation = if io.tracing() { trace_annotation(&msg) } else { None };
-        let kind = msg.kind();
         match &mut self.session {
             None => io.send(to, kind, msg),
             Some(s) => {
@@ -504,7 +503,7 @@ impl ManagerNode {
     pub fn on_message(&mut self, from: NodeId, msg: Msg, io: &mut impl NodeIo) {
         for m in self.links.accept(from, msg, io) {
             for (proc, out) in self.manager.handle(m, &self.cfg) {
-                self.links.send(NodeId(proc.0), out, io);
+                self.links.send(NodeId(proc.0), out.kind(), out, io);
             }
         }
     }
@@ -584,10 +583,6 @@ pub struct ProcNode {
     /// duplicated raw [`Msg::RecoverReq`] must not reset the link (and
     /// resend the delta) twice.
     recover_seen: HashMap<ProcId, u32>,
-    /// High-water of own-write sequences already pushed back to each
-    /// answering peer — chunked recovery responses repeat `seen`, and
-    /// the push-back must not repeat with them.
-    recover_pushed: HashMap<NodeId, u32>,
     /// Multicast routes (sharding only): `shard_routes[s]` lists the
     /// peers this node knows to subscribe to shard `s` (self excluded).
     /// Seeded from the static interest sets; dynamic joiners are merged
@@ -609,7 +604,7 @@ impl ProcNode {
     }
 
     fn fresh_replica(proc: ProcId, cfg: &DsmConfig, snapshot: Option<&Snapshot>) -> Replica {
-        let coherent = cfg.models.as_ref().is_some_and(|m| m.is_coherent(proc));
+        let coherent = cfg.models.is_coherent(proc);
         assert!(
             !coherent || cfg.durability.is_none(),
             "coherent lattice points cannot run with durability: \
@@ -664,7 +659,6 @@ impl ProcNode {
             records_since_snap: 0,
             wal_buf: Vec::new(),
             recover_seen: HashMap::new(),
-            recover_pushed: HashMap::new(),
             shard_routes,
             cfg,
         }
@@ -814,6 +808,11 @@ impl ProcNode {
 
     /// Sends one protocol message (see [`Links::send`]).
     fn send(&mut self, to: NodeId, msg: Msg, io: &mut impl NodeIo) {
+        self.send_as(to, msg.kind(), msg, io);
+    }
+
+    /// [`ProcNode::send`] under an explicit metrics label.
+    fn send_as(&mut self, to: NodeId, kind: &'static str, msg: Msg, io: &mut impl NodeIo) {
         // Group-commit externalization barrier: no protocol message may
         // leave a replica node while log records are still staged — a
         // peer (or, transitively, the program) could otherwise observe
@@ -824,7 +823,7 @@ impl ProcNode {
         if self.cfg.durability.is_some_and(|d| d.group_commit) {
             io.wal_sync();
         }
-        self.links.send(to, msg, io);
+        self.links.send(to, kind, msg, io);
     }
 
     /// Stages one write-ahead-log record (not yet durable), its body
@@ -857,8 +856,8 @@ impl ProcNode {
 
     /// Compacts the log into a snapshot now. The log is fsynced first
     /// so the snapshot never covers records a crash could still drop.
-    /// Executors with a wall clock call this for
-    /// [`DurabilityPolicy::snapshot_interval_micros`](crate::DurabilityPolicy).
+    /// Executors with a wall clock also call this on their own
+    /// cadence (mc-live compacts a stale log every 10 ms).
     pub fn snapshot(&mut self, io: &mut impl NodeIo) {
         // Snapshots do not capture per-shard clocks, own chains, or
         // subscriptions: sharded replicas stay log-only, and recovery
@@ -1432,15 +1431,13 @@ impl ProcNode {
         }
     }
 
-    /// Re-ships own writes one [`Msg::ShardUpdate`] each — recovery
-    /// answers, push-backs and join backfills alike. Never one atomic
-    /// chain per shard: two chains with mutual cross-shard dependency
-    /// triples would park against each other forever at a receiver
-    /// that lost both; single writes interleaved in global sequence
-    /// order always drain.
-    fn push_shard_updates(&mut self, to: NodeId, wants: &[(u32, u32)], io: &mut impl NodeIo) {
-        for (writer, loc, payload, prev, deps) in self.replica.shard_updates_after(wants) {
-            self.send(to, Msg::ShardUpdate { writer, loc, payload, prev, deps }, io);
+    /// Re-ships our own writes past `wants` to `to`, one per-write
+    /// message each ([`Replica::writes_after`]) under the `"reship"`
+    /// label — recovery answers, recovery push-backs and subscription
+    /// backfills alike.
+    fn reship(&mut self, to: NodeId, wants: &[(u32, u32)], io: &mut impl NodeIo) {
+        for msg in self.replica.writes_after(wants) {
+            self.send_as(to, "reship", msg, io);
         }
     }
 
@@ -1468,7 +1465,6 @@ impl ProcNode {
         self.links.reset_toward(from, io);
         self.link_clock_out.remove(&from);
         self.link_clock_in.remove(&from);
-        self.recover_pushed.remove(&from);
         true
     }
 
@@ -1537,56 +1533,25 @@ impl ProcNode {
                 if !self.reborn_peer(reborn, incarnation, from, io) {
                     return;
                 }
-                // Answer with the suffix of our own writes the reborn
-                // replica is missing — full dependency vectors, no link
-                // delta — plus how much of *its* history we hold, so it
-                // can push back its own suffix.
+                // Answer with how much of *its* history we hold (the
+                // push-back trigger; no entries), then re-ship our own
+                // writes it is missing, one per message.
                 let after = applied[p];
                 let seen = self.replica.applied[reborn];
-                // One response per dependency-homogeneous chunk: a
-                // single batch gated on its last member's vector
-                // deadlocks when two survivors' deltas cross-reference
-                // each other's writes (see `Replica::delta_chunks`).
-                let mut chunks = self.replica.delta_chunks(after);
-                if chunks.is_empty() {
-                    chunks.push((after + 1, after, Vec::new(), None));
-                }
-                for (first_seq, upto, entries, deps) in chunks {
-                    let resp = Msg::RecoverResp { proc: p, first_seq, upto, entries, deps, seen };
-                    self.send(from, resp, io);
-                }
+                let (first_seq, upto, entries, deps) = (after + 1, after, Vec::new(), None);
+                let resp = Msg::RecoverResp { proc: p, first_seq, upto, entries, deps, seen };
+                self.send(from, resp, io);
+                self.reship(from, &[(0, after)], io);
             }
             Msg::RecoverResp { proc, first_seq, upto, seen, .. } => {
-                // Continuity guard: a duplicated response (or one raced
-                // by an in-flight pre-crash copy) re-covers applied
-                // prefix — skip it rather than double-ingest.
+                // Recovery answers carry no entries. One that does (the
+                // form a log records a batch in) is ingested unless it
+                // re-covers the applied prefix.
                 if upto >= first_seq && first_seq > self.replica.applied[proc] {
                     self.ingest(msg, io);
                 }
-                // Push back our own suffix the responder has not seen,
-                // as plain batches chunked at dependency boundaries: the
-                // shadow clocks for this link were cleared on both
-                // sides, so the first delta degenerates to the full
-                // vector. High-watered — one RecoverResp arrives per
-                // chunk and each repeats `seen`, so the suffix must be
-                // pushed exactly once.
-                let pushed = self.recover_pushed.get(&from).copied().unwrap_or(0);
-                let chunks = self.replica.delta_chunks(seen.max(pushed));
-                if let Some(&(_, last_upto, _, _)) = chunks.last() {
-                    self.recover_pushed.insert(from, last_upto);
-                }
-                for (first_seq, upto, entries, d) in chunks {
-                    let delta = d.as_ref().map(|deps| self.batch_delta(from, deps));
-                    let msg = Msg::UpdateBatch {
-                        proc: p,
-                        first_seq,
-                        upto,
-                        entries: entries.into(),
-                        delta,
-                        ack: None,
-                    };
-                    self.send(from, msg, io);
-                }
+                // Push back our own writes the responder has not seen.
+                self.reship(from, &[(0, seen)], io);
             }
             Msg::Flush { from_proc, upto } => {
                 if self.replica.applied[from_proc] >= upto {
@@ -1646,7 +1611,7 @@ impl ProcNode {
                 // and push our own write suffix for the shard directly,
                 // so the join window closes without third-party state.
                 self.add_shard_route(shard, proc);
-                self.push_shard_updates(NodeId(proc.0), &[(shard, 0)], io);
+                self.reship(NodeId(proc.0), &[(shard, 0)], io);
             }
             Msg::ShardRecoverReq { proc: reborn, incarnation, applied } => {
                 if !self.reborn_peer(reborn, incarnation, from, io) {
@@ -1684,7 +1649,7 @@ impl ProcNode {
                     self.send(from, msg, io);
                     wants.push((s, after));
                 }
-                self.push_shard_updates(from, &wants, io);
+                self.reship(from, &wants, io);
             }
             Msg::ShardRecoverResp { proc, shard, upto, seen, .. } => {
                 // The responder subscribes to the shard, or it would not
@@ -1696,7 +1661,7 @@ impl ProcNode {
                     self.ingest(msg, io);
                 }
                 // Push back our own suffix the responder has not seen.
-                self.push_shard_updates(NodeId(proc.0), &[(shard, seen)], io);
+                self.reship(NodeId(proc.0), &[(shard, seen)], io);
             }
             other => panic!("replica received unexpected {other:?}"),
         }
@@ -1724,20 +1689,21 @@ mod tests {
     }
     use Effect::{ArmTimer, Send, WalAppend, WalSync};
 
-    /// Records every effect in call order and keeps what was sent.
+    /// Records every effect in call order and keeps what was sent, and
+    /// to whom.
     #[derive(Default)]
     struct Recorder {
         log: Vec<Effect>,
-        sent: Vec<Msg>,
+        sent: Vec<(NodeId, Msg)>,
         /// Simulates power loss at the next append: the call panics
         /// before the record is staged.
         crash_at_append: bool,
     }
 
     impl NodeIo for Recorder {
-        fn send(&mut self, _to: NodeId, kind: &'static str, msg: Msg) {
+        fn send(&mut self, to: NodeId, kind: &'static str, msg: Msg) {
             self.log.push(Send(kind));
-            self.sent.push(msg);
+            self.sent.push((to, msg));
         }
 
         fn arm_timer(&mut self, _delay: SimTime, _token: u64) {
@@ -1775,7 +1741,7 @@ mod tests {
         let mut io = Recorder::default();
         write(writer, &mut io, X, 7);
         writer.flush_updates(&mut io);
-        io.sent
+        io.sent.into_iter().map(|(_, msg)| msg).collect()
     }
 
     #[test]
@@ -1870,5 +1836,57 @@ mod tests {
             9,
             "its delta still advanced the link"
         );
+    }
+
+    /// Delivers every message `io` holds for `to` into `node`, from
+    /// `from`, and returns what `node` sent in turn.
+    fn deliver(from: NodeId, io: Recorder, node: &mut ProcNode) -> Recorder {
+        let mut out = Recorder::default();
+        for (to, msg) in io.sent {
+            if to == node.node() {
+                node.on_message(from, msg, &mut out);
+            }
+        }
+        out
+    }
+
+    /// A reborn node with an empty disk, answered by two survivors whose
+    /// missing writes reference each other's: each survivor's second
+    /// write read the other's first. With the second survivor's whole
+    /// answer delivered before any of the first's, every one of its
+    /// writes waits on a write still to come — and all of them drain.
+    #[test]
+    fn a_reborn_node_drains_two_cross_dependent_recovery_answers() {
+        let cfg = durable(DsmConfig::new(3, Mode::Causal), false);
+        let (mut a, mut b) =
+            (ProcNode::new(ProcId(0), cfg.clone()), ProcNode::new(ProcId(2), cfg.clone()));
+        let (n0, n1, n2) = (NodeId(0), NodeId(1), NodeId(2));
+        let mut io = Recorder::default();
+        write(&mut a, &mut io, Loc(0), 1);
+        deliver(n0, io, &mut b);
+        let mut io = Recorder::default();
+        write(&mut b, &mut io, Loc(2), 1);
+        deliver(n2, io, &mut a);
+        let mut io = Recorder::default();
+        write(&mut a, &mut io, Loc(0), 2);
+        deliver(n0, io, &mut b);
+        write(&mut b, &mut Recorder::default(), Loc(2), 2);
+
+        let mut reborn = ProcNode::new(ProcId(1), cfg);
+        let mut req = Recorder::default();
+        reborn.recover(None, Vec::new(), &mut req);
+        let answer_a =
+            deliver(n1, Recorder { sent: req.sent.clone(), ..Recorder::default() }, &mut a);
+        let answer_b = deliver(n1, req, &mut b);
+        let labels = answer_a.log.clone();
+        let back = deliver(n2, answer_b, &mut reborn);
+        deliver(n0, answer_a, &mut reborn);
+
+        let r = reborn.replica();
+        assert_eq!(r.pending_len(), 0, "every re-shipped write applied");
+        assert_eq!((r.applied[ProcId(0)], r.applied[ProcId(2)]), (2, 2));
+        assert_eq!((r.peek(Loc(0)), r.peek(Loc(2))), (Value::Int(2), Value::Int(2)));
+        assert_eq!(labels, [Send("recover_resp"), Send("reship"), Send("reship")]);
+        assert!(back.sent.is_empty(), "the reborn node wrote nothing to push back");
     }
 }

@@ -91,15 +91,6 @@ enum PendingShard {
     },
 }
 
-/// A suffix of one process's per-shard write chain: `(prev, upto,
-/// one-entry-per-write, dependency triples of the last member)`.
-pub type ShardChain = (u32, u32, Vec<BatchEntry>, Vec<(u32, ProcId, u32)>);
-
-/// One own write re-shipped for a recovery delta or a subscription
-/// backfill: `(writer, loc, payload, chain link, dependency triples)` —
-/// the fields of a [`ShardUpdate`](crate::Msg::ShardUpdate).
-pub type ShardPush = (WriteId, Loc, UpdatePayload, u32, Vec<(u32, ProcId, u32)>);
-
 /// Per-shard replication state. The address space is partitioned by
 /// `loc.index() % nshards`; a replica receives only the shards it
 /// subscribes to, and clocks are kept per shard so knowledge width is
@@ -881,70 +872,46 @@ impl Replica {
         })
     }
 
-    /// The suffix of this replica's own chain in `shard` after global
-    /// seq `after`, as uncoalesced one-per-write entries: `(prev, upto,
-    /// entries, deps-of-last-member)`. `None` when the peer already has
-    /// everything.
+    /// This replica's own writes past each `(shard, after)` watermark,
+    /// one per-write message each, in global sequence order: what a
+    /// recovery answer, a recovery push-back and a subscription
+    /// backfill re-ship. Full replication is the one-shard case: an
+    /// unsharded replica is shard `0` and yields [`Msg::Update`]s from
+    /// its durable own-write history; a sharded one yields
+    /// [`Msg::ShardUpdate`]s with their original chain links.
     ///
-    /// A chain applies *atomically* at the receiver, so this shape is
-    /// only safe when at most one chain can be in flight per causal
-    /// cut (live batches guarantee it by flushing other shards first).
-    /// Recovery and backfill answer with [`Self::shard_updates_after`]
-    /// instead: two atomic chains whose last-member triples point into
-    /// each other's shards deadlock a receiver that lacks both.
-    pub fn shard_chain_after(&self, shard: usize, after: u32) -> Option<ShardChain> {
-        let st = self.shards.as_ref()?;
-        let missing: Vec<&ShardOwnUpdate> =
-            st.own_log[shard].iter().filter(|u| u.seq > after).collect();
-        let last = missing.last()?;
-        let (upto, deps) = (last.seq, last.deps.clone());
-        let entries = missing
-            .iter()
-            .map(|u| BatchEntry {
+    /// Every message carries the dependencies its write was minted
+    /// with, so a receiver fed these over FIFO links drains under any
+    /// interleaving (DESIGN.md §4.2.2, invariant 4). A batch or chain
+    /// of them would not: it is gated on its *last* member, and two
+    /// such units can each need a member of the other.
+    pub fn writes_after(&self, wants: &[(u32, u32)]) -> Vec<Msg> {
+        let me = self.proc;
+        let Some(st) = &self.shards else {
+            let log = &self.own_updates;
+            let suffix = |&(_, after): &(u32, u32)| &log[log.partition_point(|u| u.seq <= after)..];
+            let update = |u: &OwnUpdate| Msg::Update {
+                writer: WriteId::new(me, u.seq),
                 loc: u.loc,
                 payload: u.payload.clone(),
-                writer: WriteId::new(self.proc, u.seq),
-                adds: match u.payload {
-                    UpdatePayload::Add(_) => vec![u.seq],
-                    UpdatePayload::Set(_) => vec![],
-                },
-            })
-            .collect();
-        Some((after, upto, entries, deps))
-    }
-
-    /// This replica's own writes after each `(shard, after)` watermark,
-    /// re-shipped one [`ShardUpdate`](crate::Msg::ShardUpdate) at a
-    /// time with their original chain links and write-time dependency
-    /// triples, interleaved across shards in global sequence order.
-    ///
-    /// Recovery deltas and subscription backfills use this per-write
-    /// form rather than one atomic chain per shard: a shard-A chain may
-    /// carry a triple into shard B while B's chain carries one back
-    /// into A, and since chains apply atomically a receiver that lacks
-    /// both parks each on the other forever. Individual writes follow
-    /// the (acyclic) causal order, so in-sequence delivery always
-    /// drains — exactly like live traffic.
-    pub fn shard_updates_after(&self, wants: &[(u32, u32)]) -> Vec<ShardPush> {
-        let Some(st) = self.shards.as_ref() else { return Vec::new() };
+                deps: u.deps.clone(),
+            };
+            return wants.iter().flat_map(suffix).map(update).collect();
+        };
         let mut out = Vec::new();
         for &(shard, after) in wants {
             let mut prev = 0;
             for u in &st.own_log[shard as usize] {
                 if u.seq > after {
-                    out.push((
-                        WriteId::new(self.proc, u.seq),
-                        u.loc,
-                        u.payload.clone(),
-                        prev,
-                        u.deps.clone(),
-                    ));
+                    let writer = WriteId::new(me, u.seq);
+                    let (loc, payload, deps) = (u.loc, u.payload.clone(), u.deps.clone());
+                    out.push((u.seq, Msg::ShardUpdate { writer, loc, payload, prev, deps }));
                 }
                 prev = u.seq;
             }
         }
-        out.sort_unstable_by_key(|&(w, ..)| w.seq);
-        out
+        out.sort_unstable_by_key(|&(seq, _)| seq);
+        out.into_iter().map(|(_, msg)| msg).collect()
     }
 
     // -- durability ---------------------------------------------------------
@@ -1108,81 +1075,6 @@ impl Replica {
             }
             other => panic!("{} is not an update", other.kind()),
         }
-    }
-
-    /// The suffix of this replica's own writes after sequence `after`,
-    /// as batch entries for a [`RecoverResp`](crate::Msg::RecoverResp)
-    /// (or the reborn side's push-back batch): `(first_seq, upto,
-    /// entries, deps-of-last-member)`. `None` when the peer already has
-    /// everything.
-    pub fn delta_entries(&self, after: u32) -> Option<(u32, u32, Vec<BatchEntry>, Option<VClock>)> {
-        let missing: Vec<&OwnUpdate> = self.own_updates.iter().filter(|u| u.seq > after).collect();
-        let last = missing.last()?;
-        let (upto, deps) = (last.seq, last.deps.clone());
-        let entries = missing
-            .iter()
-            .map(|u| BatchEntry {
-                loc: u.loc,
-                payload: u.payload.clone(),
-                writer: WriteId::new(self.proc, u.seq),
-                adds: match u.payload {
-                    UpdatePayload::Add(_) => vec![u.seq],
-                    UpdatePayload::Set(_) => vec![],
-                },
-            })
-            .collect();
-        Some((after + 1, upto, entries, deps))
-    }
-
-    /// [`Replica::delta_entries`] split at dependency boundaries: one
-    /// batch per maximal run of own writes whose *cross-process*
-    /// dependencies are identical (the own coordinate grows within a
-    /// run but never gates).
-    ///
-    /// A single batch gated on the deps of its last member deadlocks
-    /// when two peers' recovery deltas cross-reference each other's
-    /// recent writes: neither batch is ever ready at the recovering
-    /// node, even though the underlying per-write causal order is
-    /// acyclic and an interleaved application order exists. Runs with
-    /// unchanged external deps have no incoming dependency except at
-    /// their head, so contracting each run to one atomic batch
-    /// preserves acyclicity — chunked deltas always admit a topological
-    /// application order, which `drain_pending`'s fixpoint finds.
-    pub fn delta_chunks(&self, after: u32) -> Vec<(u32, u32, Vec<BatchEntry>, Option<VClock>)> {
-        let missing: Vec<&OwnUpdate> = self.own_updates.iter().filter(|u| u.seq > after).collect();
-        let external_eq = |a: &Option<VClock>, b: &Option<VClock>| match (a, b) {
-            (Some(a), Some(b)) => {
-                a.iter().all(|(p, c)| p == self.proc || b[p] == c)
-                    && b.iter().all(|(p, c)| p == self.proc || a[p] == c)
-            }
-            (None, None) => true,
-            _ => false,
-        };
-        let mut chunks: Vec<(u32, u32, Vec<BatchEntry>, Option<VClock>)> = Vec::new();
-        for u in missing {
-            let entry = BatchEntry {
-                loc: u.loc,
-                payload: u.payload.clone(),
-                writer: WriteId::new(self.proc, u.seq),
-                adds: match u.payload {
-                    UpdatePayload::Add(_) => vec![u.seq],
-                    UpdatePayload::Set(_) => vec![],
-                },
-            };
-            match chunks.last_mut() {
-                Some((_, upto, entries, deps)) if external_eq(deps, &u.deps) => {
-                    *upto = u.seq;
-                    // The run's shared vector is its last member's: the
-                    // external coordinates are identical across the run
-                    // and the own coordinate is maximal, matching what a
-                    // single-batch delta would carry.
-                    *deps = u.deps.clone();
-                    entries.push(entry);
-                }
-                _ => chunks.push((u.seq, u.seq, vec![entry], u.deps.clone())),
-            }
-        }
-        chunks
     }
 
     /// Number of own writes retained for recovery push-back.
@@ -1596,19 +1488,25 @@ mod tests {
     }
 
     #[test]
-    fn delta_entries_cover_exactly_the_missing_suffix() {
+    fn writes_after_cover_exactly_the_missing_suffix() {
         let c = durable_cfg(Mode::Pram);
         let mut r = Replica::new(p(0), 2);
         r.local_write(Loc(0), UpdatePayload::Set(Value::Int(1)), &c);
         r.local_write(Loc(1), UpdatePayload::Add(Value::Int(2)), &c);
         r.local_write(Loc(0), UpdatePayload::Set(Value::Int(3)), &c);
-        assert!(r.delta_entries(3).is_none(), "peer already has everything");
-        let (first, upto, entries, deps) = r.delta_entries(1).unwrap();
-        assert_eq!((first, upto), (2, 3));
-        assert_eq!(entries.len(), 2);
-        assert_eq!(entries[0].adds, vec![2], "Add entries credit their member");
-        assert_eq!(entries[1].adds, Vec::<u32>::new());
-        assert!(deps.is_none(), "PRAM carries no vectors");
+        assert!(r.writes_after(&[(0, 3)]).is_empty(), "peer already has everything");
+        let suffix = r.writes_after(&[(0, 1)]);
+        let seqs: Vec<u32> = suffix
+            .iter()
+            .map(|m| match m {
+                Msg::Update { writer, deps, .. } => {
+                    assert!(deps.is_none(), "PRAM carries no vectors");
+                    writer.seq
+                }
+                other => panic!("full replication re-ships updates, not {}", other.kind()),
+            })
+            .collect();
+        assert_eq!(seqs, [2, 3]);
         // Applying the suffix at a peer that has the prefix converges it.
         let mut peer = Replica::new(p(1), 2);
         peer.ingest(
@@ -1618,25 +1516,61 @@ mod tests {
             None,
             Mode::Pram,
         );
-        peer.ingest_batch(p(0), first, upto, entries.into(), deps, Mode::Pram);
+        for m in suffix {
+            peer.ingest_msg(m, Mode::Pram);
+        }
         assert_eq!(peer.value(Loc(0)), Value::Int(3));
         assert_eq!(peer.value(Loc(1)), Value::Int(2));
+        assert_eq!(peer.await_writers(Loc(1)), [WriteId::new(p(0), 2)], "Adds credit their write");
         assert_eq!(peer.applied[p(0)], 3);
     }
 
-    /// Regression: whole-suffix recovery batches deadlock when two
-    /// survivors' deltas cross-reference each other's recent writes —
-    /// each batch is gated on the deps of its *last* member, so neither
-    /// can go first at a fresh reborn node even though the per-write
-    /// causal order is acyclic. `delta_chunks` splits the suffix at
-    /// external-dependency boundaries and always drains.
+    /// The one unit the old full-replication recovery shipped per
+    /// survivor: its whole suffix as a batch gated on the last member.
+    fn batch_of(suffix: Vec<Msg>) -> Msg {
+        let (mut entries, mut last_deps) = (Vec::new(), None);
+        for m in suffix {
+            let Msg::Update { writer, loc, payload, deps } = m else { panic!("not an update") };
+            entries.push(BatchEntry { loc, payload, writer, adds: vec![] });
+            last_deps = deps;
+        }
+        let (first, last) = (entries[0].writer, entries[entries.len() - 1].writer);
+        let (proc, first_seq, upto) = (first.proc, first.seq, last.seq);
+        Msg::RecoverResp { proc, first_seq, upto, entries, deps: last_deps, seen: 0 }
+    }
+
+    /// The one unit the old sharded recovery shipped per shard: the
+    /// writer's chain suffix in `shard`, gated on the last member.
+    fn chain_of(shard: u32, suffix: Vec<Msg>) -> Msg {
+        let (mut entries, mut head, mut last_deps) = (Vec::new(), 0, Vec::new());
+        for m in suffix {
+            let Msg::ShardUpdate { writer, loc, payload, prev, deps } = m else {
+                panic!("not a sharded update")
+            };
+            if entries.is_empty() {
+                head = prev;
+            }
+            entries.push(BatchEntry { loc, payload, writer, adds: vec![] });
+            last_deps = deps;
+        }
+        let last = entries[entries.len() - 1].writer;
+        let entries = entries.into();
+        let (proc, prev, upto, deps) = (last.proc, head, last.seq, last_deps);
+        Msg::ShardUpdateBatch { proc, shard, prev, upto, entries, deps }
+    }
+
+    /// Regression for the recovery deadlock each data plane once hit: a
+    /// reborn replica fed a survivor's missing suffix as *one* batch or
+    /// chain parks forever, because the unit waits on its last member's
+    /// dependencies and two units each need a member of the other. Fed
+    /// one write per message, as [`Replica::writes_after`] yields them,
+    /// it drains.
     #[test]
-    fn chunked_deltas_break_cross_gated_recovery_deadlock() {
+    fn per_write_reships_drain_where_whole_suffix_batches_park() {
+        // Full replication: two survivors whose suffixes reference each
+        // other — each one's second write read the other's first.
         let c = durable_cfg(Mode::Causal);
-        let mut a = Replica::new(p(0), 3);
-        let mut b = Replica::new(p(2), 3);
-        // Interleaved exchange: each survivor's second write causally
-        // depends on the other's first.
+        let (mut a, mut b) = (Replica::new(p(0), 3), Replica::new(p(2), 3));
         let (id, deps) = a.local_write(Loc(0), UpdatePayload::Set(Value::Int(1)), &c);
         b.ingest(id, Loc(0), UpdatePayload::Set(Value::Int(1)), deps, Mode::Causal);
         let (id, deps) = b.local_write(Loc(2), UpdatePayload::Set(Value::Int(1)), &c);
@@ -1645,31 +1579,48 @@ mod tests {
         b.ingest(id, Loc(0), UpdatePayload::Set(Value::Int(2)), deps, Mode::Causal);
         b.local_write(Loc(2), UpdatePayload::Set(Value::Int(2)), &c);
 
-        // Single-batch deltas: a's batch carries {p0:2, p2:1}, b's
-        // {p0:2, p2:2} — each waits on the other, forever.
+        // a's batch waits on {p2:1}, b's on {p0:2}: neither goes first.
         let mut fresh = Replica::new(p(1), 3);
-        let (f, u, e, d) = a.delta_entries(0).unwrap();
-        fresh.ingest_batch(p(0), f, u, e.into(), d, Mode::Causal);
-        let (f, u, e, d) = b.delta_entries(0).unwrap();
-        fresh.ingest_batch(p(2), f, u, e.into(), d, Mode::Causal);
-        assert_eq!(fresh.applied[p(0)], 0, "cross-gated batches must deadlock");
-        assert_eq!(fresh.applied[p(2)], 0);
-        assert_eq!(fresh.pending_len(), 2);
+        for r in [&a, &b] {
+            fresh.ingest_msg(batch_of(r.writes_after(&[(0, 0)])), Mode::Causal);
+        }
+        assert_eq!(fresh.pending_len(), 2, "whole-suffix batches park on each other");
+        assert_eq!((fresh.applied[p(0)], fresh.applied[p(2)]), (0, 0));
 
-        // Chunked deltas split where the external deps change; the
-        // fixpoint interleaves the runs and converges.
-        assert_eq!(a.delta_chunks(0).len(), 2, "one chunk per external-deps run");
+        // The same writes one per message, b's all before a's: b's wait
+        // on a's, then everything drains.
         let mut fresh = Replica::new(p(1), 3);
-        for (proc, r) in [(p(0), &a), (p(2), &b)] {
-            for (f, u, e, d) in r.delta_chunks(0) {
-                fresh.ingest_batch(proc, f, u, e.into(), d, Mode::Causal);
+        for r in [&b, &a] {
+            for m in r.writes_after(&[(0, 0)]) {
+                fresh.ingest_msg(m, Mode::Causal);
             }
         }
-        assert_eq!(fresh.applied[p(0)], 2);
-        assert_eq!(fresh.applied[p(2)], 2);
-        assert_eq!(fresh.value(Loc(0)), Value::Int(2));
-        assert_eq!(fresh.value(Loc(2)), Value::Int(2));
         assert_eq!(fresh.pending_len(), 0);
+        assert_eq!((fresh.applied[p(0)], fresh.applied[p(2)]), (2, 2));
+        assert_eq!((fresh.value(Loc(0)), fresh.value(Loc(2))), (Value::Int(2), Value::Int(2)));
+
+        // Sharding: one writer alternating shards mints chains with
+        // mutual cross-shard triples — shard 0's suffix {1,3} needs
+        // (1,p0,2), shard 1's {2} needs (0,p0,1).
+        let c = cfg(Mode::Causal);
+        let mut w = Replica::new(p(0), 2).with_sharding(2, vec![0, 1]);
+        w.sharded_write(Loc(0), UpdatePayload::Set(Value::Int(42)), &c);
+        w.sharded_write(Loc(1), UpdatePayload::Set(Value::Int(1)), &c);
+        w.sharded_write(Loc(2), UpdatePayload::Set(Value::Int(7)), &c);
+        let mut fresh = Replica::new(p(1), 2).with_sharding(2, vec![0, 1]);
+        for shard in [0, 1] {
+            fresh.ingest_msg(chain_of(shard, w.writes_after(&[(shard, 0)])), Mode::Causal);
+        }
+        assert_eq!(fresh.shards().unwrap().pending_len(), 2, "whole-suffix chains park");
+        assert_eq!(fresh.value(Loc(0)), Value::INITIAL);
+
+        let mut fresh = Replica::new(p(1), 2).with_sharding(2, vec![0, 1]);
+        for m in w.writes_after(&[(0, 0), (1, 0)]) {
+            fresh.ingest_msg(m, Mode::Causal);
+        }
+        assert_eq!(fresh.shards().unwrap().pending_len(), 0);
+        assert_eq!(fresh.value(Loc(0)), Value::Int(42));
+        assert_eq!(fresh.value(Loc(2)), Value::Int(7));
     }
 
     #[test]
@@ -1694,12 +1645,8 @@ mod tests {
         assert_eq!(know[p(1)], 5);
     }
 
-    /// Regression: recovery and backfill must re-ship own suffixes one
-    /// write at a time. A writer that alternates shards mints chains
-    /// whose last members carry triples into each other's shards; a
-    /// receiver that lacks both (fresh disk) parks each atomic chain on
-    /// the other forever, while the per-write form drains in sequence
-    /// order.
+    /// Sharded re-ships interleave shards in global sequence order and
+    /// keep each write's chain link, re-anchored past a held prefix.
     #[test]
     fn per_write_recovery_pushes_avoid_cross_shard_chain_cycle() {
         let c = cfg(Mode::Causal);
@@ -1707,46 +1654,25 @@ mod tests {
         w.sharded_write(Loc(0), UpdatePayload::Set(Value::Int(42)), &c); // shard 0, seq 1
         w.sharded_write(Loc(1), UpdatePayload::Set(Value::Int(1)), &c); // shard 1, seq 2
         w.sharded_write(Loc(2), UpdatePayload::Set(Value::Int(7)), &c); // shard 0, seq 3
+        let link = |m: &Msg| match m {
+            Msg::ShardUpdate { writer, prev, .. } => (writer.seq, *prev),
+            other => panic!("sharding re-ships sharded updates, not {}", other.kind()),
+        };
 
-        // Whole-chain shipment: shard 0's chain {1,3} depends on
-        // (1,p0,2) and shard 1's chain {2} on (0,p0,1) — both park.
+        let pushes = w.writes_after(&[(0, 0), (1, 0)]);
+        assert_eq!(pushes.iter().map(link).collect::<Vec<_>>(), [(1, 0), (2, 0), (3, 1)]);
         let mut fresh = Replica::new(p(1), 2).with_sharding(2, vec![0, 1]);
-        for shard in [0u32, 1] {
-            let (prev, upto, entries, deps) = w.shard_chain_after(shard as usize, 0).unwrap();
-            fresh.ingest_shard_chain(
-                p(0),
-                shard,
-                prev,
-                upto,
-                entries.into(),
-                deps,
-                Mode::Causal,
-                true,
-            );
-        }
-        assert_eq!(fresh.shards().unwrap().pending_len(), 2, "atomic chains deadlock");
-        assert_eq!(fresh.value(Loc(0)), Value::INITIAL);
-
-        // Per-write shipment in global sequence order always drains.
-        let mut fresh = Replica::new(p(1), 2).with_sharding(2, vec![0, 1]);
-        let pushes = w.shard_updates_after(&[(0, 0), (1, 0)]);
-        assert_eq!(pushes.len(), 3);
-        assert!(pushes.windows(2).all(|ab| ab[0].0.seq < ab[1].0.seq), "seq order");
-        for (writer, loc, payload, prev, deps) in pushes {
-            fresh.ingest_sharded(writer, loc, payload, prev, deps, Mode::Causal);
+        for m in pushes {
+            fresh.ingest_msg(m, Mode::Causal);
         }
         assert_eq!(fresh.shards().unwrap().pending_len(), 0);
-        assert_eq!(fresh.value(Loc(0)), Value::Int(42));
         assert_eq!(fresh.value(Loc(1)), Value::Int(1));
-        assert_eq!(fresh.value(Loc(2)), Value::Int(7));
         assert_eq!(fresh.shards().unwrap().applied(0).get(p(0)), 3);
         assert_eq!(fresh.shards().unwrap().applied(1).get(p(0)), 2);
 
         // A partial watermark re-anchors the chain link past the
         // already-held prefix instead of restarting from zero.
-        let tail = w.shard_updates_after(&[(0, 1)]);
-        assert_eq!(tail.len(), 1);
-        assert_eq!(tail[0].0.seq, 3);
-        assert_eq!(tail[0].3, 1, "chain link anchored at the held prefix");
+        let tail = w.writes_after(&[(0, 1)]);
+        assert_eq!(tail.iter().map(link).collect::<Vec<_>>(), [(3, 1)]);
     }
 }
