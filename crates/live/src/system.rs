@@ -177,11 +177,6 @@ impl ManagerSlot {
 /// period is coarse enough that a healthy ack always wins the race.
 const RETX_TICK: Duration = Duration::from_millis(1);
 
-/// How long a durable node's log may grow before it is compacted into a
-/// snapshot, on top of the record-count cadence the node keeps itself
-/// ([`DurabilityPolicy::snapshot_every`](mc_proto::DurabilityPolicy)).
-const SNAPSHOT_INTERVAL: Duration = Duration::from_millis(10);
-
 /// Shared durability counters, aggregated into [`LiveOutcome::wal`] at
 /// teardown (the same quantities as the simulator's `Metrics::wal`).
 #[derive(Default)]
@@ -870,8 +865,6 @@ impl LiveIo {
 struct Wal {
     disk: FileDisk,
     counters: Arc<WalCounters>,
-    /// When the last snapshot was installed (wall-clock cadence).
-    last_snap: Instant,
 }
 
 impl NodeIo for LiveIo {
@@ -905,7 +898,6 @@ impl NodeIo for LiveIo {
         wal.disk
             .install_snapshot(&bytes)
             .unwrap_or_else(|e| panic!("p{}: snapshot install failed: {e}", self.me));
-        wal.last_snap = Instant::now();
         wal.counters.snapshots.fetch_add(1, Ordering::Relaxed);
     }
 }
@@ -973,7 +965,7 @@ fn open_node(
         f.sync_all().unwrap_or_else(|e| panic!("{proc}: cannot sync truncated wal: {e}"));
     }
     let disk = FileDisk::open(&rdir).unwrap_or_else(|e| panic!("{proc}: cannot open wal: {e}"));
-    io.wal = Some(Wal { disk, counters: walc.clone(), last_snap: Instant::now() });
+    io.wal = Some(Wal { disk, counters: walc.clone() });
     if had_state {
         walc.replayed.fetch_add(records.len() as u64, Ordering::Relaxed);
         walc.recoveries.fetch_add(1, Ordering::Relaxed);
@@ -1068,20 +1060,9 @@ pub struct LiveDriver {
 }
 
 impl LiveDriver {
-    /// Feeds one arriving wire message to the node, then compacts the
-    /// log if its wall-clock cadence came due.
+    /// Feeds one arriving wire message to the node.
     fn receive(&mut self, from: NodeId, msg: Msg) {
         self.node.on_message(nid(from), msg, &mut self.io);
-        self.snapshot_if_aged();
-    }
-
-    /// Compacts a stale log every [`SNAPSHOT_INTERVAL`] (the node itself
-    /// compacts by record count).
-    fn snapshot_if_aged(&mut self) {
-        let Some(wal) = &self.io.wal else { return };
-        if self.node.snapshot_is_stale() && wal.last_snap.elapsed() >= SNAPSHOT_INTERVAL {
-            self.node.snapshot(&mut self.io);
-        }
     }
 
     /// Handles all already-delivered messages without blocking, then
@@ -1184,7 +1165,6 @@ impl Driver for LiveDriver {
                 }
             }
         };
-        self.snapshot_if_aged();
         self.buffered_since = if self.node.has_buffered() {
             self.buffered_since.or_else(|| Some(Instant::now()))
         } else {

@@ -43,9 +43,6 @@ const VICTIM: usize = 1;
 /// Hard deadline for the whole cycle.
 const DEADLINE: Duration = Duration::from_secs(120);
 
-/// Victim storm progress, read by the trace watchdog.
-static PROGRESS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
 fn cluster_cfg() -> DsmConfig {
     let mut cfg = DsmConfig::new(NPROCS, Mode::Causal);
     cfg.reliable = true;
@@ -90,22 +87,10 @@ fn child(node: usize, port: u16, dir: &Path) {
         timeout: Duration::from_secs(60),
         durability_dir: Some(dir.to_path_buf()),
     };
-    if node == VICTIM && std::env::var_os("MC_NET_TRACE").is_some() {
-        std::thread::spawn(|| loop {
-            std::thread::sleep(Duration::from_secs(10));
-            eprintln!(
-                "NETTRACE victim: storm progress {}",
-                PROGRESS.load(std::sync::atomic::Ordering::Relaxed)
-            );
-        });
-    }
     let out = run_cluster_node(opts, move |ctx: &mut LiveCtx| {
         let p = node as u32;
         for i in 1..=writes_of(p) {
             ctx.write(Loc(p), i as i64);
-            if node == VICTIM {
-                PROGRESS.store(i as u64, std::sync::atomic::Ordering::Relaxed);
-            }
             if node == VICTIM && i == 20 {
                 println!("storming");
             }

@@ -66,7 +66,6 @@
 use std::io::Write;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::OnceLock;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -80,11 +79,6 @@ use mc_proto::Msg;
 use tokio::net::{TcpListener, TcpStream};
 use tokio::runtime::Handle;
 use tokio::sync::mpsc;
-
-fn trace() -> bool {
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| std::env::var_os("MC_NET_TRACE").is_some())
-}
 
 /// Outstanding frames per directed link before `deliver` blocks the
 /// sending protocol thread — the backpressure point.
@@ -293,13 +287,7 @@ async fn write_link(me: u32, addr: SocketAddr, mut rx: mpsc::Receiver<Bytes>, wi
             hello.split_to(len)
         };
         if stream.write_all(&greeting).is_err() {
-            if trace() {
-                eprintln!("NETTRACE write_link {me}->{addr}: greeting failed, redial");
-            }
             continue;
-        }
-        if trace() {
-            eprintln!("NETTRACE write_link {me}->{addr}: connected");
         }
         *wire.conn.lock().expect("connection healthy") = Some(stream);
         loop {
@@ -316,9 +304,6 @@ async fn write_link(me: u32, addr: SocketAddr, mut rx: mpsc::Receiver<Bytes>, wi
             let mut conn = wire.conn.lock().expect("connection healthy");
             let written = conn.as_mut().is_some_and(|stream| stream.write_all(&frame).is_ok());
             if !written {
-                if trace() {
-                    eprintln!("NETTRACE write_link {me}->{addr}: write failed, redial");
-                }
                 // The torn suffix dies with this connection; resend the
                 // whole frame after redialling. The duplicate the peer
                 // may see is absorbed by session sequencing.
@@ -385,12 +370,7 @@ async fn read_link(mut stream: TcpStream, inbound: Inbound, manager: Option<Mana
     loop {
         buf.reserve(BUF_CHUNK);
         let n = match stream.read(buf.spare_mut()).await {
-            Ok(0) | Err(_) => {
-                if trace() {
-                    eprintln!("NETTRACE read_link from={from:?}: socket closed");
-                }
-                return;
-            }
+            Ok(0) | Err(_) => return,
             Ok(n) => n,
         };
         buf.advance_written(n);

@@ -359,12 +359,6 @@ impl DsmConfig {
         self
     }
 
-    /// Sets the store pre-sizing hint.
-    pub fn with_locations(mut self, locations: usize) -> Self {
-        self.locations = locations;
-        self
-    }
-
     /// Distributes lock and barrier managers over `shards` nodes.
     ///
     /// # Panics

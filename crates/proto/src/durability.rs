@@ -80,8 +80,8 @@ pub fn crc32(data: &[u8]) -> u32 {
 /// When to compact the write-ahead log into a snapshot.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DurabilityPolicy {
-    /// Compact after this many log records (simulator and live; live
-    /// nodes also compact on a fixed wall-clock cadence).
+    /// Compact after this many log records — the one compaction
+    /// cadence, the same on every executor.
     pub snapshot_every: u32,
     /// Group commit: own-write records are *staged* on append and the
     /// fsync is deferred to the next externalization point — an
@@ -316,21 +316,9 @@ pub fn decode_wal(bytes: &[u8]) -> (Vec<WalRecord>, WalTail) {
 // Snapshots
 // ---------------------------------------------------------------------------
 
-/// A buffered (causally not yet ready) singleton update, as persisted in
-/// a snapshot.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SnapPending {
-    /// Identity of the write.
-    pub writer: WriteId,
-    /// Location.
-    pub loc: Loc,
-    /// Overwrite or increment.
-    pub payload: UpdatePayload,
-    /// The writer's vector timestamp.
-    pub deps: VClock,
-}
-
-/// A buffered (causally not yet ready) batch, as persisted in a snapshot.
+/// A buffered (causally not yet ready) run of one sender's writes — a
+/// batch, or a single update as a run of one — as persisted in a
+/// snapshot.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SnapBatch {
     /// The writing process.
@@ -372,13 +360,10 @@ pub struct Snapshot {
     pub store: Vec<(Loc, Value, Option<WriteId>)>,
     /// Applied updates per counter location.
     pub counter_updates: Vec<(Loc, Vec<WriteId>)>,
-    /// Every own write `(loc, seq)` in order (demand-driven bookkeeping).
-    pub write_log: Vec<(Loc, u32)>,
-    /// Full own-write history with dependency vectors (recovery push-back).
+    /// Full own-write history with dependency vectors (recovery
+    /// push-back; the demand-driven dirty set is rebuilt from it).
     pub own_updates: Vec<OwnUpdate>,
-    /// Buffered singleton updates.
-    pub pending: Vec<SnapPending>,
-    /// Buffered batches.
+    /// Buffered runs, single updates included.
     pub pending_batches: Vec<SnapBatch>,
     /// Session receiver watermarks per peer (in-order delivered counts),
     /// kept for post-recovery diagnostics.
@@ -414,7 +399,7 @@ impl std::error::Error for SnapshotError {}
 
 /// Names the body format: a file from another format version is refused
 /// as [`SnapshotError::BadMagic`], never parsed.
-const SNAP_MAGIC: &[u8; 8] = b"MCSNAP02";
+const SNAP_MAGIC: &[u8; 8] = b"MCSNAP03";
 
 /// A snapshot list: a `u32` count, then each element.
 fn put_list<T>(b: &mut Vec<u8>, items: &[T], mut put: impl FnMut(&mut Vec<u8>, &T)) {
@@ -453,21 +438,11 @@ impl Snapshot {
                 b.put_u32_le(loc.0);
                 put_list(b, ws, |b, w| wire::put_writer(b, *w));
             });
-            put_list(b, &self.write_log, |b, (loc, seq)| {
-                b.put_u32_le(loc.0);
-                b.put_u32_le(*seq);
-            });
             put_list(b, &self.own_updates, |b, u| {
                 b.put_u32_le(u.seq);
                 b.put_u32_le(u.loc.0);
                 wire::put_payload(b, &u.payload);
                 wire::put_vclock_opt(b, u.deps.as_ref());
-            });
-            put_list(b, &self.pending, |b, p| {
-                wire::put_writer(b, p.writer);
-                b.put_u32_le(p.loc.0);
-                wire::put_payload(b, &p.payload);
-                wire::put_vclock(b, &p.deps);
             });
             put_list(b, &self.pending_batches, |b, pb| {
                 b.put_u32_le(pb.proc.0);
@@ -514,21 +489,12 @@ impl Snapshot {
             counter_updates: read_list(c, 8, |c| {
                 Ok((Loc(c.u32()?), read_list(c, 8, Cursor::writer)?))
             })?,
-            write_log: read_list(c, 8, |c| Ok((Loc(c.u32()?), c.u32()?)))?,
             own_updates: read_list(c, 19, |c| {
                 Ok(OwnUpdate {
                     seq: c.u32()?,
                     loc: Loc(c.u32()?),
                     payload: c.payload()?,
                     deps: c.vclock_opt()?,
-                })
-            })?,
-            pending: read_list(c, 23, |c| {
-                Ok(SnapPending {
-                    writer: c.writer()?,
-                    loc: Loc(c.u32()?),
-                    payload: c.payload()?,
-                    deps: c.vclock()?,
                 })
             })?,
             pending_batches: read_list(c, 18, |c| {
@@ -605,11 +571,6 @@ impl MemDisk {
     /// durable log bytes.
     pub fn load(&self) -> (Option<&[u8]>, &[u8]) {
         (self.snapshot.as_deref(), &self.log)
-    }
-
-    /// Durable size in bytes (snapshot + log), for accounting.
-    pub fn durable_bytes(&self) -> u64 {
-        self.snapshot.as_ref().map_or(0, |s| s.len() as u64) + self.log.len() as u64
     }
 
     /// Serializes the durable state (snapshot + log, staged excluded) into
@@ -905,18 +866,11 @@ mod tests {
                 (Loc(3), Value::F64(1.5), None),
             ],
             counter_updates: vec![(Loc(0), vec![WriteId::new(p(0), 1), WriteId::new(p(1), 1)])],
-            write_log: vec![(Loc(0), 1), (Loc(3), 2)],
             own_updates: vec![OwnUpdate {
                 seq: 1,
                 loc: Loc(0),
                 payload: UpdatePayload::Add(Value::Int(4)),
                 deps: Some(deps.clone()),
-            }],
-            pending: vec![SnapPending {
-                writer: WriteId::new(p(1), 9),
-                loc: Loc(5),
-                payload: UpdatePayload::Set(Value::Bool(false)),
-                deps: deps.clone(),
             }],
             pending_batches: vec![SnapBatch {
                 proc: p(1),
@@ -948,6 +902,26 @@ mod tests {
         let last = flipped.len() - 1;
         flipped[last] ^= 0x01;
         assert_eq!(Snapshot::decode(&flipped), Err(SnapshotError::BadCrc));
+    }
+
+    /// A snapshot the previous format wrote (`MCSNAP02`: it also held
+    /// the own-write log and buffered singletons; CRC intact) is refused
+    /// by its magic, never parsed: a node booting from one panics with
+    /// the diagnostic instead of reading fields that moved.
+    #[test]
+    fn previous_format_snapshot_is_refused_as_bad_magic() {
+        const MCSNAP02: &str = "4d43534e415030328e000000af9725db000000000200010000000000000001000000\
+            01000000000500000000000000010000000001000000000000000100000001000000010000000100\
+            00000100000001000000000500000000000000020001000000000000000100000001000000020000\
+            0000000000000700000000000000020000000000020000000000000001000000010000000300000000000000";
+        let bytes: Vec<u8> = (0..MCSNAP02.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&MCSNAP02[i..i + 2], 16).unwrap())
+            .collect();
+        assert_eq!(&bytes[..8], b"MCSNAP02");
+        let (body, crc_ok) = unframe(&mut Cursor::new(&bytes[8..])).unwrap();
+        assert!(crc_ok && !body.is_empty(), "an intact image of the previous format");
+        assert_eq!(Snapshot::decode(&bytes), Err(SnapshotError::BadMagic));
     }
 
     #[test]

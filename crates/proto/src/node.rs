@@ -785,11 +785,6 @@ impl ProcNode {
             || self.shard_out.values().any(|b| !b.buf.entries.is_empty())
     }
 
-    /// Whether the log has grown since the last snapshot.
-    pub fn snapshot_is_stale(&self) -> bool {
-        self.records_since_snap > 0
-    }
-
     fn node(&self) -> NodeId {
         NodeId(self.proc.0)
     }
@@ -856,9 +851,7 @@ impl ProcNode {
 
     /// Compacts the log into a snapshot now. The log is fsynced first
     /// so the snapshot never covers records a crash could still drop.
-    /// Executors with a wall clock also call this on their own
-    /// cadence (mc-live compacts a stale log every 10 ms).
-    pub fn snapshot(&mut self, io: &mut impl NodeIo) {
+    fn snapshot(&mut self, io: &mut impl NodeIo) {
         // Snapshots do not capture per-shard clocks, own chains, or
         // subscriptions: sharded replicas stay log-only, and recovery
         // replays the full WAL.

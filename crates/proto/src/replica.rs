@@ -15,41 +15,39 @@
 //!   direct synchronization predecessors are ever raised);
 //! * `invalid` — demand-driven per-location requirements installed by lock
 //!   grants; reads of exactly those locations block.
+//!
+//! Each data plane keeps one pending queue. A single update is a run of
+//! one: the vector plane buffers runs of a sender's consecutive writes,
+//! the sharded plane chains of them, and an update that arrives ready is
+//! applied without being buffered. Every write, own or remote, reaches
+//! the store through one apply function; own writes are minted by one
+//! function too. Beside each location the replica keeps only its latest
+//! own write's sequence number — the demand-driven lock variant's dirty
+//! set — so nothing a volatile replica holds grows with run length.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use mc_model::{Loc, ProcId, VClock, Value, WriteId};
+use mc_model::{Loc, LockId, ProcId, VClock, Value, WriteId};
 
 use crate::config::{DsmConfig, Mode};
-use crate::durability::{OwnUpdate, SnapBatch, SnapPending, Snapshot, WalRecord};
+use crate::durability::{OwnUpdate, SnapBatch, Snapshot, WalRecord};
 use crate::msg::{BatchEntry, Msg, UpdatePayload};
 
-/// A pending (causally not yet ready) remote update.
+/// A causally not yet ready run of one sender's writes
+/// `first_seq..=upto` — a whole batch, or a single update as a run of
+/// one — applied atomically once its first member is next in the
+/// sender's sequence and the last member's cross-process dependencies
+/// are met.
 #[derive(Clone, Debug)]
-pub struct PendingUpdate {
-    /// Identity of the write.
-    pub writer: WriteId,
-    /// Location.
-    pub loc: Loc,
-    /// Overwrite or increment.
-    pub payload: UpdatePayload,
-    /// The writer's vector timestamp.
-    pub deps: VClock,
-}
-
-/// A pending (causally not yet ready) remote update batch, applied
-/// atomically once its first member is next in the sender's sequence
-/// and the last member's cross-process dependencies are met.
-#[derive(Clone, Debug)]
-struct PendingBatch {
+struct PendingRun {
     proc: ProcId,
     first_seq: u32,
     upto: u32,
     entries: Arc<[BatchEntry]>,
     /// Dependency vector of the *last* member write. Deps are monotone
-    /// in batch order (same sender, program order), so the last
-    /// member's vector covers every member's cross-process needs.
+    /// in run order (same sender, program order), so the last member's
+    /// vector covers every member's cross-process needs.
     deps: VClock,
 }
 
@@ -67,28 +65,20 @@ pub struct ShardOwnUpdate {
     pub deps: Vec<(u32, ProcId, u32)>,
 }
 
-/// A buffered sharded update or chain that is not yet ready.
+/// A buffered sharded chain that is not yet ready: a coalesced batch,
+/// or a single update as a chain of one.
 #[derive(Clone, Debug)]
-enum PendingShard {
-    Single {
-        writer: WriteId,
-        loc: Loc,
-        payload: UpdatePayload,
-        prev: u32,
-        deps: Vec<(u32, ProcId, u32)>,
-    },
-    Chain {
-        proc: ProcId,
-        shard: u32,
-        prev: u32,
-        upto: u32,
-        entries: Arc<[BatchEntry]>,
-        /// Leading members already applied before buffering (recovery
-        /// and backfill overlap) — skipped without copying the shared
-        /// entry buffer.
-        skip: usize,
-        deps: Vec<(u32, ProcId, u32)>,
-    },
+struct PendingChain {
+    proc: ProcId,
+    shard: u32,
+    prev: u32,
+    upto: u32,
+    entries: Arc<[BatchEntry]>,
+    /// Leading members already applied before buffering (recovery and
+    /// backfill overlap) — skipped without copying the shared entry
+    /// buffer.
+    skip: usize,
+    deps: Vec<(u32, ProcId, u32)>,
 }
 
 /// Per-shard replication state. The address space is partitioned by
@@ -116,8 +106,8 @@ pub struct ShardState {
     own_log: Vec<Vec<ShardOwnUpdate>>,
     /// Shards this replica is currently subscribed to (sorted).
     subs: Vec<usize>,
-    /// Buffered not-yet-ready sharded updates and chains.
-    pending: Vec<PendingShard>,
+    /// Buffered not-yet-ready chains.
+    pending: Vec<PendingChain>,
 }
 
 impl ShardState {
@@ -146,7 +136,7 @@ impl ShardState {
         &self.applied[shard]
     }
 
-    /// Number of buffered (not yet ready) sharded updates and chains.
+    /// Number of buffered (not yet ready) chains.
     pub fn pending_len(&self) -> usize {
         self.pending.len()
     }
@@ -166,6 +156,47 @@ impl ShardState {
         }
         out
     }
+
+    /// Readiness of `proc`'s chain in `shard` linked at `prev`: the link
+    /// must match exactly, and every dependency triple for a shard this
+    /// replica subscribes to must be dominated. Triples for shards it
+    /// does not subscribe to are skipped — it can never observe those
+    /// writes, so they are outside its causal past's visible image.
+    fn chain_ready(
+        &self,
+        proc: ProcId,
+        shard: usize,
+        prev: u32,
+        deps: &[(u32, ProcId, u32)],
+    ) -> bool {
+        if self.applied[shard].get(proc) != prev {
+            return false;
+        }
+        deps.iter().all(|&(ds, q, c)| {
+            let ds = ds as usize;
+            (ds == shard && q == proc) || !self.subscribed(ds) || self.applied[ds].get(q) >= c
+        })
+    }
+}
+
+/// A single write as a run entry: an `Add` credits its own sequence.
+fn single_entry(writer: WriteId, loc: Loc, payload: UpdatePayload) -> BatchEntry {
+    let adds = match payload {
+        UpdatePayload::Add(_) => vec![writer.seq],
+        UpdatePayload::Set(_) => Vec::new(),
+    };
+    BatchEntry { loc, payload, writer, adds }
+}
+
+/// The writes of a run as [`Replica::apply`] takes them.
+fn members(entries: &[BatchEntry]) -> impl Iterator<Item = (WriteId, Loc, &UpdatePayload, &[u32])> {
+    entries.iter().map(|e| (e.writer, e.loc, &e.payload, &e.adds[..]))
+}
+
+/// Sum of the dependency triples that land in `shard` — the sender's
+/// pre-existing knowledge of the write's own shard.
+fn dep_sum(deps: &[(u32, ProcId, u32)], shard: usize) -> u64 {
+    deps.iter().filter(|&&(ds, _, _)| ds as usize == shard).map(|&(_, _, c)| u64::from(c)).sum()
 }
 
 /// One process's local copy of the shared memory plus its consistency
@@ -177,13 +208,14 @@ pub struct Replica {
     nprocs: usize,
     store: Vec<Value>,
     last_writer: Vec<Option<WriteId>>,
+    /// `own_seq[l]` = sequence number of this process's latest own
+    /// write to location `l` (0: none) — the demand-driven dirty set.
+    own_seq: Vec<u32>,
     /// `applied[j]` = number of `p_j`'s updates applied locally
     /// (`applied[self]` counts own writes).
     pub applied: VClock,
     /// Causal-application buffer (causal/mixed modes).
-    pending: Vec<PendingUpdate>,
-    /// Causal-application buffer for whole batches.
-    pending_batches: Vec<PendingBatch>,
+    pending: Vec<PendingRun>,
     /// Causal-read gate.
     pub must_see: VClock,
     /// PRAM-read gate.
@@ -194,11 +226,9 @@ pub struct Replica {
     /// Updates applied per counter location (locations that ever received
     /// an `Add`), for await synchronization sources.
     counter_updates: HashMap<Loc, Vec<WriteId>>,
-    /// Demand-driven bookkeeping: every own write (loc, seq) in order.
-    pub write_log: Vec<(Loc, u32)>,
-    /// Per-lock watermark into `write_log` (entries before it were already
-    /// shipped on an earlier release of that lock).
-    pub lock_watermarks: HashMap<mc_model::LockId, usize>,
+    /// Per-lock watermark: this process's own-write count at its last
+    /// release of that lock (own writes up to it were already shipped).
+    pub lock_watermarks: HashMap<LockId, u32>,
     /// Full own-write history with dependency vectors, retained only
     /// when the configuration enables durability: it is what lets this
     /// replica answer a reborn peer with exactly the suffix it misses,
@@ -213,7 +243,7 @@ pub struct Replica {
     /// every observer agrees on the write order per location.
     coherent: bool,
     /// The tag of the currently installed write per location (coherent
-    /// replicas only): `(causal sum of deps, writer, seq)`, compared
+    /// replicas only): `(causal sum, writer, seq)`, compared
     /// lexicographically — a total order consistent with causality and
     /// every writer's program order.
     coh_tags: HashMap<Loc, (u64, u32, u32)>,
@@ -229,14 +259,13 @@ impl Replica {
             nprocs,
             store: Vec::new(),
             last_writer: Vec::new(),
+            own_seq: Vec::new(),
             applied: VClock::new(nprocs),
             pending: Vec::new(),
-            pending_batches: Vec::new(),
             must_see: VClock::new(nprocs),
             pram_wait: VClock::new(nprocs),
             invalid: HashMap::new(),
             counter_updates: HashMap::new(),
-            write_log: Vec::new(),
             lock_watermarks: HashMap::new(),
             own_updates: Vec::new(),
             incarnation: 0,
@@ -277,17 +306,16 @@ impl Replica {
     /// bounds-checked indexing with no mutation. Writes beyond the hint
     /// still grow the store on demand.
     pub fn with_store_capacity(mut self, locations: usize) -> Self {
-        if locations > self.store.len() {
-            self.store.resize(locations, Value::INITIAL);
-            self.last_writer.resize(locations, None);
-        }
+        self.grow(locations);
         self
     }
 
-    fn ensure_loc(&mut self, loc: Loc) {
-        if loc.index() >= self.store.len() {
-            self.store.resize(loc.index() + 1, Value::INITIAL);
-            self.last_writer.resize(loc.index() + 1, None);
+    /// Grows the per-location columns to cover `len` locations.
+    fn grow(&mut self, len: usize) {
+        if len > self.store.len() {
+            self.store.resize(len, Value::INITIAL);
+            self.last_writer.resize(len, None);
+            self.own_seq.resize(len, 0);
         }
     }
 
@@ -340,60 +368,87 @@ impl Replica {
         payload: UpdatePayload,
         cfg: &DsmConfig,
     ) -> (WriteId, Option<VClock>) {
-        let deps = if cfg.mode.carries_vectors() {
+        let deps = cfg.mode.carries_vectors().then(|| {
             let mut k = self.knowledge();
             k.tick(self.proc);
-            Some(k)
-        } else {
-            None
-        };
-        self.applied.tick(self.proc);
-        let id = WriteId::new(self.proc, self.own_count());
-        self.apply_to_store(id, loc, &payload, deps.as_ref());
-        self.write_log.push((loc, id.seq));
+            k
+        });
+        let id = self.mint(loc, &payload, deps.as_ref());
         if cfg.durability.is_some() {
             self.own_updates.push(OwnUpdate { seq: id.seq, loc, payload, deps: deps.clone() });
         }
         (id, deps)
     }
 
-    fn apply_to_store(
+    /// The one own-write mint: takes this process's next sequence
+    /// number, applies the write locally, and marks `loc` dirty for the
+    /// demand-driven lock variant. A sharded replica also advances the
+    /// write's shard chain. `deps` is the vector the write carries
+    /// (vector plane). Own writes always win locally: their dependency
+    /// vector (or post-write shard clock) covers everything applied, so
+    /// their coherent tag beats any installed one.
+    fn mint(&mut self, loc: Loc, payload: &UpdatePayload, deps: Option<&VClock>) -> WriteId {
+        self.applied.tick(self.proc);
+        let id = WriteId::new(self.proc, self.own_count());
+        let sum = match &mut self.shards {
+            Some(st) => {
+                let s = st.shard_of(loc);
+                st.own_prev[s] = id.seq;
+                st.applied[s].set(id.proc, id.seq);
+                st.applied[s].sum()
+            }
+            None => self.vector_sum(deps),
+        };
+        self.apply(id, loc, payload, sum, &[id.seq]);
+        self.own_seq[loc.index()] = id.seq;
+        id
+    }
+
+    /// The one store-apply, for own and remote writes of both planes:
+    /// installs `writer`'s write to `loc`. `Add`s always apply and
+    /// credit every member seq in `adds` to the counter. On a coherent
+    /// replica a `Set` is installed only when its tag
+    /// `(sum, writer, seq)` beats the installed one; the planes differ
+    /// only in the `sum` they pass — the vector plane the write's
+    /// dependency sum, the sharded plane its shard-local knowledge
+    /// total. Either strictly increases along causality, so the tag
+    /// order is a total order consistent with it.
+    fn apply(
         &mut self,
         writer: WriteId,
         loc: Loc,
         payload: &UpdatePayload,
-        deps: Option<&VClock>,
+        sum: u64,
+        adds: &[u32],
     ) {
-        self.ensure_loc(loc);
+        self.grow(loc.index() + 1);
+        let i = loc.index();
         match payload {
             UpdatePayload::Set(v) => {
-                if self.admit_set(loc, writer, deps) {
-                    self.store[loc.index()] = *v;
-                    self.last_writer[loc.index()] = Some(writer);
+                if self.coherent && !self.admit_tag(loc, (sum, writer.proc.0, writer.seq)) {
+                    return;
                 }
+                self.store[i] = *v;
             }
             UpdatePayload::Add(d) => {
-                let cur = self.store[loc.index()];
-                self.store[loc.index()] = cur.checked_add(*d).unwrap_or_else(|| {
+                let cur = self.store[i];
+                self.store[i] = cur.checked_add(*d).unwrap_or_else(|| {
                     panic!("update delta kind mismatch at {loc} ({cur:?} += {d:?})")
                 });
-                self.counter_updates.entry(loc).or_default().push(writer);
-                self.last_writer[loc.index()] = Some(writer);
+                let ups = self.counter_updates.entry(loc).or_default();
+                ups.extend(adds.iter().map(|&s| WriteId::new(writer.proc, s)));
             }
         }
+        self.last_writer[i] = Some(writer);
     }
 
-    /// Last-writer-wins admission: on a coherent replica a `Set` is
-    /// installed only when its tag beats the installed one. Commutative
-    /// `Add`s and non-coherent replicas always admit. Own writes always
-    /// win locally: their dependency vector covers everything applied,
-    /// so their tag is strictly larger than any installed one.
-    fn admit_set(&mut self, loc: Loc, writer: WriteId, deps: Option<&VClock>) -> bool {
+    /// The vector plane's coherent tag total for a write carrying
+    /// `deps` (unused, and zero, on a non-coherent replica).
+    fn vector_sum(&self, deps: Option<&VClock>) -> u64 {
         if !self.coherent {
-            return true;
+            return 0;
         }
-        let deps = deps.expect("coherent replicas run a vector-carrying mode");
-        self.admit_tag(loc, (deps.sum(), writer.proc.0, writer.seq))
+        deps.expect("coherent replicas run a vector-carrying mode").sum()
     }
 
     /// Lexicographic last-writer-wins admission on a precomputed tag.
@@ -408,9 +463,9 @@ impl Replica {
     }
 
     /// Ingests a remote update. In PRAM mode it applies immediately; in
-    /// causal/mixed mode it applies only when causally ready, buffering
-    /// otherwise (and draining the buffer to a fixpoint). Returns `true`
-    /// if at least one update was applied.
+    /// causal/mixed mode it is a run of one: applied on arrival when
+    /// causally ready, buffered otherwise (and the buffer drained to a
+    /// fixpoint). Returns `true` if at least one update was applied.
     pub fn ingest(
         &mut self,
         writer: WriteId,
@@ -419,18 +474,26 @@ impl Replica {
         deps: Option<VClock>,
         mode: Mode,
     ) -> bool {
+        let (proc, seq) = (writer.proc, writer.seq);
         if !mode.carries_vectors() {
             // PRAM: apply on receipt. FIFO links deliver per-sender
             // in-order; with fault injection they may not, and the
             // resulting store regressions are exactly what the checkers
             // must detect.
-            let seen = self.applied.get(writer.proc).max(writer.seq);
-            self.applied.set(writer.proc, seen);
-            self.apply_to_store(writer, loc, &payload, None);
+            let seen = self.applied.get(proc).max(seq);
+            self.apply(writer, loc, &payload, self.vector_sum(None), &[seq]);
+            self.applied.set(proc, seen);
             return true;
         }
         let deps = deps.expect("vector modes attach deps");
-        self.pending.push(PendingUpdate { writer, loc, payload, deps });
+        if self.run_ready(proc, seq, seq, &deps) {
+            // In order: nothing to buffer.
+            self.apply_run(proc, seq, &deps, [(writer, loc, &payload, &[seq][..])]);
+            self.drain_pending();
+            return true;
+        }
+        let entries = Arc::from([single_entry(writer, loc, payload)]);
+        self.pending.push(PendingRun { proc, first_seq: seq, upto: seq, entries, deps });
         self.drain_pending()
     }
 
@@ -452,103 +515,72 @@ impl Replica {
         mode: Mode,
     ) -> bool {
         if !mode.carries_vectors() {
-            let seen = self.applied.get(proc).max(upto);
-            for e in entries.iter() {
-                self.apply_batch_entry(proc, e, None);
+            let (seen, sum) = (self.applied.get(proc).max(upto), self.vector_sum(None));
+            for (writer, loc, payload, adds) in members(&entries) {
+                self.apply(writer, loc, payload, sum, adds);
             }
             self.applied.set(proc, seen);
             return true;
         }
         let deps = deps.expect("vector modes attach deps");
-        self.pending_batches.push(PendingBatch { proc, first_seq, upto, entries, deps });
+        self.pending.push(PendingRun { proc, first_seq, upto, entries, deps });
         self.drain_pending()
     }
 
-    /// Applies every causally ready buffered update or batch (each can
-    /// unblock the other); returns `true` if any applied.
+    /// Whether a run of `proc`'s writes `first_seq..=upto`, gated on
+    /// `deps`, can apply: the next expected sequence falls inside the
+    /// run — `first_seq` may sit below the watermark when recovery
+    /// overlaps an in-flight pre-crash copy (the covered prefix is
+    /// skipped at application) — and every cross-process dependency is
+    /// applied.
+    fn run_ready(&self, proc: ProcId, first_seq: u32, upto: u32, deps: &VClock) -> bool {
+        let next = self.applied[proc] + 1;
+        (first_seq..=upto).contains(&next)
+            && deps.iter().all(|(p, c)| p == proc || self.applied[p] >= c)
+    }
+
+    /// Applies a ready run: every member past the applied watermark (an
+    /// already-applied prefix is a set of ghosts), each tagged with the
+    /// run's vector. That vector covers every member's deps, and anyone
+    /// who observed a member applied the whole run first — so the tag
+    /// order stays consistent with causality.
+    fn apply_run<'a>(
+        &mut self,
+        proc: ProcId,
+        upto: u32,
+        deps: &VClock,
+        writes: impl IntoIterator<Item = (WriteId, Loc, &'a UpdatePayload, &'a [u32])>,
+    ) {
+        let sum = self.vector_sum(Some(deps));
+        for (writer, loc, payload, adds) in writes {
+            if writer.seq > self.applied[proc] {
+                self.apply(writer, loc, payload, sum, adds);
+            }
+        }
+        self.applied.set(proc, upto);
+    }
+
+    /// Applies every causally ready buffered run (each can unblock
+    /// another); returns `true` if any applied.
     fn drain_pending(&mut self) -> bool {
-        // Prune ghosts first: a buffered update or batch fully covered
-        // by the applied watermark (recovery re-delivered it) can never
-        // become ready and would otherwise sit buffered forever.
-        self.pending.retain(|u| u.writer.seq > self.applied[u.writer.proc]);
-        self.pending_batches.retain(|b| b.upto > self.applied[b.proc]);
+        // Prune ghosts first: a buffered run fully covered by the
+        // applied watermark (recovery re-delivered it) can never become
+        // ready and would otherwise sit buffered forever.
+        self.pending.retain(|b| b.upto > self.applied[b.proc]);
         let mut any = false;
-        loop {
-            if let Some(idx) = self.pending.iter().position(|u| self.causally_ready(u)) {
-                let u = self.pending.swap_remove(idx);
-                self.applied.tick(u.writer.proc);
-                debug_assert_eq!(self.applied[u.writer.proc], u.writer.seq);
-                self.apply_to_store(u.writer, u.loc, &u.payload, Some(&u.deps));
-                any = true;
-                continue;
-            }
-            if let Some(idx) = self.pending_batches.iter().position(|b| self.batch_ready(b)) {
-                let b = self.pending_batches.swap_remove(idx);
-                for e in b.entries.iter() {
-                    // The batch vector covers every member's deps, and
-                    // anyone who observed a member applied the whole
-                    // batch first — so tagging each entry with the batch
-                    // vector keeps the tag order consistent with
-                    // causality. An already-applied prefix (recovery
-                    // overlapping an in-flight pre-crash copy) is a set
-                    // of ghosts — skip, apply only the genuine suffix.
-                    if e.writer.seq > self.applied[b.proc] {
-                        self.apply_batch_entry(b.proc, e, Some(&b.deps));
-                    }
-                }
-                self.applied.set(b.proc, b.upto);
-                any = true;
-                continue;
-            }
-            return any;
+        while let Some(idx) =
+            self.pending.iter().position(|b| self.run_ready(b.proc, b.first_seq, b.upto, &b.deps))
+        {
+            let b = self.pending.swap_remove(idx);
+            self.apply_run(b.proc, b.upto, &b.deps, members(&b.entries));
+            any = true;
         }
+        any
     }
 
-    /// Applies one coalesced batch entry: `Set` installs the surviving
-    /// value, `Add` applies the summed delta and credits every member
-    /// write identity to the counter.
-    fn apply_batch_entry(&mut self, proc: ProcId, e: &BatchEntry, deps: Option<&VClock>) {
-        self.ensure_loc(e.loc);
-        match &e.payload {
-            UpdatePayload::Set(v) => {
-                if self.admit_set(e.loc, e.writer, deps) {
-                    self.store[e.loc.index()] = *v;
-                    self.last_writer[e.loc.index()] = Some(e.writer);
-                }
-            }
-            UpdatePayload::Add(d) => {
-                let cur = self.store[e.loc.index()];
-                self.store[e.loc.index()] = cur.checked_add(*d).unwrap_or_else(|| {
-                    panic!("update delta kind mismatch at {} ({cur:?} += {d:?})", e.loc)
-                });
-                let ups = self.counter_updates.entry(e.loc).or_default();
-                ups.extend(e.adds.iter().map(|&s| WriteId::new(proc, s)));
-                self.last_writer[e.loc.index()] = Some(e.writer);
-            }
-        }
-    }
-
-    fn causally_ready(&self, u: &PendingUpdate) -> bool {
-        if self.applied[u.writer.proc] + 1 != u.writer.seq {
-            return false;
-        }
-        u.deps.iter().all(|(p, c)| p == u.writer.proc || self.applied[p] >= c)
-    }
-
-    fn batch_ready(&self, b: &PendingBatch) -> bool {
-        // Ready when the next expected sequence falls inside the batch:
-        // `first_seq` may sit below the watermark when recovery overlaps
-        // an in-flight pre-crash copy (the covered prefix is skipped at
-        // application time).
-        if self.applied[b.proc] + 1 < b.first_seq || self.applied[b.proc] >= b.upto {
-            return false;
-        }
-        b.deps.iter().all(|(p, c)| p == b.proc || self.applied[p] >= c)
-    }
-
-    /// Number of buffered (not yet applied) updates and batches.
+    /// Number of buffered (not yet applied) runs.
     pub fn pending_len(&self) -> usize {
-        self.pending.len() + self.pending_batches.len()
+        self.pending.len()
     }
 
     /// Gate for causal reads: the causal cut must be applied locally
@@ -600,18 +632,15 @@ impl Replica {
     }
 
     /// Drains the demand-driven dirty set accumulated since the last
-    /// release of `lock`: the latest own write per location.
-    pub fn take_dirty(&mut self, lock: mc_model::LockId) -> Vec<(Loc, u32)> {
-        let wm = self.lock_watermarks.get(&lock).copied().unwrap_or(0);
-        let mut latest: HashMap<Loc, u32> = HashMap::new();
-        for &(loc, seq) in &self.write_log[wm..] {
-            let e = latest.entry(loc).or_insert(seq);
-            *e = (*e).max(seq);
-        }
-        self.lock_watermarks.insert(lock, self.write_log.len());
-        let mut out: Vec<(Loc, u32)> = latest.into_iter().collect();
-        out.sort_unstable_by_key(|&(l, _)| l);
-        out
+    /// release of `lock`: every location whose latest own write is newer
+    /// than the lock's watermark, with that write's seq, by location.
+    pub fn take_dirty(&mut self, lock: LockId) -> Vec<(Loc, u32)> {
+        let shipped = self.lock_watermarks.insert(lock, self.own_count()).unwrap_or(0);
+        (0..)
+            .zip(&self.own_seq)
+            .filter(|&(_, &seq)| seq > shipped)
+            .map(|(l, &seq)| (Loc(l), seq))
+            .collect()
     }
 
     /// The number of processes.
@@ -656,79 +685,42 @@ impl Replica {
         payload: UpdatePayload,
         cfg: &DsmConfig,
     ) -> (WriteId, u32, Vec<(u32, ProcId, u32)>) {
-        self.applied.tick(self.proc);
-        let id = WriteId::new(self.proc, self.own_count());
-        let st = self.shards.as_mut().expect("sharded_write requires sharding");
+        let me = self.proc;
+        let st = self.shards.as_ref().expect("sharded_write requires sharding");
         let s = st.shard_of(loc);
         let prev = st.own_prev[s];
         let mut deps = Vec::new();
         if cfg.mode.carries_vectors() {
             for (ds, clock) in st.applied.iter().enumerate() {
                 for (q, c) in clock.iter() {
-                    if c > 0 && !(ds == s && q == self.proc) {
+                    if c > 0 && !(ds == s && q == me) {
                         deps.push((ds as u32, q, c));
                     }
                 }
             }
         }
-        st.own_prev[s] = id.seq;
-        st.applied[s].set(self.proc, id.seq);
-        st.own_log[s].push(ShardOwnUpdate {
-            seq: id.seq,
-            loc,
-            payload: payload.clone(),
-            deps: deps.clone(),
-        });
-        let sum = st.applied[s].sum();
-        self.apply_sharded(id, loc, &payload, sum, &[id.seq]);
-        self.write_log.push((loc, id.seq));
+        let id = self.mint(loc, &payload, None);
+        self.shard_own_log(id.seq, loc, payload, deps.clone());
         (id, prev, deps)
     }
 
-    /// Installs one sharded write into the store. `sum` is the write's
-    /// shard-local knowledge total (the writer's post-write shard clock
-    /// summed), which orders coherent `Set`s: if `w1` causally precedes
-    /// `w2` in the same shard, `w2`'s post-write clock strictly
-    /// dominates `w1`'s component-wise, so its sum is strictly larger —
-    /// the `(sum, proc, seq)` tag is a total order consistent with
-    /// per-shard causality. `adds` are the member seqs credited to a
-    /// counter location.
-    fn apply_sharded(
+    /// Retains a minted sharded own write in its shard's chain.
+    fn shard_own_log(
         &mut self,
-        writer: WriteId,
+        seq: u32,
         loc: Loc,
-        payload: &UpdatePayload,
-        sum: u64,
-        adds: &[u32],
+        payload: UpdatePayload,
+        deps: Vec<(u32, ProcId, u32)>,
     ) {
-        self.ensure_loc(loc);
-        match payload {
-            UpdatePayload::Set(v) => {
-                let admit = !self.coherent || self.admit_tag(loc, (sum, writer.proc.0, writer.seq));
-                if admit {
-                    self.store[loc.index()] = *v;
-                    self.last_writer[loc.index()] = Some(writer);
-                }
-            }
-            UpdatePayload::Add(d) => {
-                let cur = self.store[loc.index()];
-                self.store[loc.index()] = cur.checked_add(*d).unwrap_or_else(|| {
-                    panic!("update delta kind mismatch at {loc} ({cur:?} += {d:?})")
-                });
-                let ups = self.counter_updates.entry(loc).or_default();
-                ups.extend(adds.iter().map(|&s| WriteId::new(writer.proc, s)));
-                self.last_writer[loc.index()] = Some(writer);
-            }
-        }
+        let st = self.shards.as_mut().expect("sharded own write on a sharded replica");
+        let s = st.shard_of(loc);
+        st.own_log[s].push(ShardOwnUpdate { seq, loc, payload, deps });
     }
 
-    /// Ingests one remote sharded update. Non-vector modes apply on
-    /// receipt (mirroring the unsharded PRAM path); vector modes buffer
-    /// until the shard chain link matches and every dependency triple
-    /// for a *subscribed* shard is dominated. Stale duplicates (already
-    /// at or past the writer's seq in this shard) are discarded.
-    /// Returns `true` if anything was applied.
-    pub fn ingest_sharded(
+    /// Ingests one remote sharded update: a chain of one, applied on
+    /// arrival when its link matches and its triples are met (always,
+    /// in non-vector modes), buffered otherwise.
+    fn ingest_shard_update(
         &mut self,
         writer: WriteId,
         loc: Loc,
@@ -737,33 +729,33 @@ impl Replica {
         deps: Vec<(u32, ProcId, u32)>,
         mode: Mode,
     ) -> bool {
-        let st = self.shards.as_mut().expect("sharding enabled");
-        let s = st.shard_of(loc);
-        if !mode.carries_vectors() {
-            let seen = st.applied[s].get(writer.proc).max(writer.seq);
-            st.applied[s].set(writer.proc, seen);
-            let global = self.applied.get(writer.proc).max(writer.seq);
-            self.applied.set(writer.proc, global);
-            let sum = self.shards.as_ref().unwrap().applied[s].sum();
-            self.apply_sharded(writer, loc, &payload, sum, &[writer.seq]);
-            return true;
-        }
-        if st.applied[s].get(writer.proc) >= writer.seq {
+        let (proc, seq) = (writer.proc, writer.seq);
+        let st = self.shards.as_ref().expect("sharding enabled");
+        let shard = st.shard_of(loc);
+        let vectors = mode.carries_vectors();
+        if vectors && st.applied[shard].get(proc) >= seq {
             return false;
         }
-        st.pending.push(PendingShard::Single { writer, loc, payload, prev, deps });
+        if !vectors || st.chain_ready(proc, shard, prev, &deps) {
+            let tags = vectors.then_some(&deps[..]);
+            self.apply_chain(proc, shard, seq, tags, [(writer, loc, &payload, &[seq][..])]);
+            self.drain_shard_pending();
+            return true;
+        }
+        let (shard, entries) = (shard as u32, Arc::from([single_entry(writer, loc, payload)]));
+        let chain = PendingChain { proc, shard, prev, upto: seq, entries, skip: 0, deps };
+        self.shards.as_mut().expect("sharding enabled").pending.push(chain);
         self.drain_shard_pending()
     }
 
-    /// Ingests a sharded chain (a coalesced per-shard batch, a recovery
-    /// delta, or a subscription backfill) covering the sender's own
-    /// writes in `shard` from chain link `prev` up to `upto`. When
-    /// `trim` is set the entries are one-per-write (uncoalesced), and
-    /// any prefix this replica already has is discarded with `prev`
-    /// re-anchored — recovery and backfill pushes may overlap what the
-    /// receiver already applied. Returns `true` if anything applied.
+    /// Ingests a sharded chain (a coalesced per-shard batch, or a chain
+    /// a recovery answer logged) covering the sender's own writes in
+    /// `shard` from chain link `prev` up to `upto`. When `trim` is set
+    /// the entries are one-per-write (uncoalesced), and any prefix this
+    /// replica already has is discarded with `prev` re-anchored.
+    /// Returns `true` if anything applied.
     #[allow(clippy::too_many_arguments)]
-    pub fn ingest_shard_chain(
+    fn ingest_shard_chain(
         &mut self,
         proc: ProcId,
         shard: u32,
@@ -791,85 +783,56 @@ impl Replica {
             }
         }
         if !mode.carries_vectors() {
-            let seen = have.max(upto);
-            st.applied[shard as usize].set(proc, seen);
-            let global = self.applied.get(proc).max(upto);
-            self.applied.set(proc, global);
-            for e in entries[skip..].iter() {
-                let sum = self.shards.as_ref().unwrap().applied[shard as usize].sum();
-                self.apply_sharded(e.writer, e.loc, &e.payload, sum, &e.adds);
-            }
+            self.apply_chain(proc, shard as usize, upto, None, members(&entries[skip..]));
             return true;
         }
-        st.pending.push(PendingShard::Chain { proc, shard, prev, upto, entries, skip, deps });
+        st.pending.push(PendingChain { proc, shard, prev, upto, entries, skip, deps });
         self.drain_shard_pending()
     }
 
-    /// Applies every ready buffered sharded update or chain (each can
-    /// unblock the other); returns `true` if any applied.
+    /// Advances `proc`'s chain in `shard` to `upto` and applies its
+    /// writes. `tags` are the chain's dependency triples, which cover
+    /// every member's (monotone in chain order): if `w1` causally
+    /// precedes `w2` in the same shard, `w2`'s shard-local knowledge
+    /// total strictly exceeds `w1`'s, so tagging each member with the
+    /// triples' sum in `shard` plus its seq keeps coherent tag order
+    /// consistent with per-shard causality. Without triples
+    /// (non-vector modes) the receiver's own shard clock stands in.
+    fn apply_chain<'a>(
+        &mut self,
+        proc: ProcId,
+        shard: usize,
+        upto: u32,
+        tags: Option<&[(u32, ProcId, u32)]>,
+        writes: impl IntoIterator<Item = (WriteId, Loc, &'a UpdatePayload, &'a [u32])>,
+    ) {
+        let st = self.shards.as_mut().expect("sharding enabled");
+        let clock = &mut st.applied[shard];
+        clock.set(proc, clock.get(proc).max(upto));
+        let base = tags.map(|deps| dep_sum(deps, shard));
+        let own = clock.sum();
+        let global = self.applied.get(proc).max(upto);
+        self.applied.set(proc, global);
+        for (writer, loc, payload, adds) in writes {
+            let sum = base.map_or(own, |b| b + u64::from(writer.seq));
+            self.apply(writer, loc, payload, sum, adds);
+        }
+    }
+
+    /// Applies every ready buffered chain (each can unblock another);
+    /// returns `true` if any applied.
     fn drain_shard_pending(&mut self) -> bool {
         let mut any = false;
         loop {
             let st = self.shards.as_ref().expect("sharding enabled");
-            let idx = st.pending.iter().position(|p| Self::shard_ready(st, p));
-            let Some(idx) = idx else { return any };
-            let p = self.shards.as_mut().unwrap().pending.swap_remove(idx);
+            let ready =
+                |c: &PendingChain| st.chain_ready(c.proc, c.shard as usize, c.prev, &c.deps);
+            let Some(idx) = st.pending.iter().position(ready) else { return any };
+            let c = self.shards.as_mut().expect("sharding enabled").pending.swap_remove(idx);
+            let tags = Some(&c.deps[..]);
+            self.apply_chain(c.proc, c.shard as usize, c.upto, tags, members(&c.entries[c.skip..]));
             any = true;
-            match p {
-                PendingShard::Single { writer, loc, payload, prev: _, deps } => {
-                    let st = self.shards.as_mut().unwrap();
-                    let s = st.shard_of(loc);
-                    st.applied[s].set(writer.proc, writer.seq);
-                    let global = self.applied.get(writer.proc).max(writer.seq);
-                    self.applied.set(writer.proc, global);
-                    let sum = Self::dep_sum(&deps, s) + writer.seq as u64;
-                    self.apply_sharded(writer, loc, &payload, sum, &[writer.seq]);
-                }
-                PendingShard::Chain { proc, shard, prev: _, upto, entries, skip, deps } => {
-                    let st = self.shards.as_mut().unwrap();
-                    st.applied[shard as usize].set(proc, upto);
-                    let global = self.applied.get(proc).max(upto);
-                    self.applied.set(proc, global);
-                    for e in entries[skip..].iter() {
-                        // The chain triples cover every member's deps
-                        // (monotone in chain order), so tagging each
-                        // entry with them keeps coherent tag order
-                        // consistent with per-shard causality.
-                        let sum = Self::dep_sum(&deps, shard as usize) + e.writer.seq as u64;
-                        self.apply_sharded(e.writer, e.loc, &e.payload, sum, &e.adds);
-                    }
-                }
-            }
         }
-    }
-
-    /// Sum of the dependency triples that land in `shard` — the
-    /// sender's pre-existing knowledge of the write's own shard.
-    fn dep_sum(deps: &[(u32, ProcId, u32)], shard: usize) -> u64 {
-        deps.iter().filter(|&&(ds, _, _)| ds as usize == shard).map(|&(_, _, c)| c as u64).sum()
-    }
-
-    /// Readiness of one buffered sharded item: the chain link must
-    /// match exactly, and every dependency triple for a shard this
-    /// replica subscribes to must be dominated. Triples for shards it
-    /// does not subscribe to are skipped — it can never observe those
-    /// writes, so they are outside its causal past's visible image.
-    fn shard_ready(st: &ShardState, p: &PendingShard) -> bool {
-        let (sender, shard, prev, deps) = match p {
-            PendingShard::Single { writer, loc, prev, deps, .. } => {
-                (writer.proc, st.shard_of(*loc), *prev, deps)
-            }
-            PendingShard::Chain { proc, shard, prev, deps, .. } => {
-                (*proc, *shard as usize, *prev, deps)
-            }
-        };
-        if st.applied[shard].get(sender) != prev {
-            return false;
-        }
-        deps.iter().all(|&(ds, q, c)| {
-            let ds = ds as usize;
-            (ds == shard && q == sender) || !st.subscribed(ds) || st.applied[ds].get(q) >= c
-        })
     }
 
     /// This replica's own writes past each `(shard, after)` watermark,
@@ -936,20 +899,9 @@ impl Replica {
             applied: self.applied.clone(),
             store,
             counter_updates,
-            write_log: self.write_log.clone(),
             own_updates: self.own_updates.clone(),
-            pending: self
-                .pending
-                .iter()
-                .map(|u| SnapPending {
-                    writer: u.writer,
-                    loc: u.loc,
-                    payload: u.payload.clone(),
-                    deps: u.deps.clone(),
-                })
-                .collect(),
             pending_batches: self
-                .pending_batches
+                .pending
                 .iter()
                 .map(|b| SnapBatch {
                     proc: b.proc,
@@ -963,7 +915,9 @@ impl Replica {
         }
     }
 
-    /// Rebuilds a replica from a decoded [`Snapshot`]. The read gates
+    /// Rebuilds a replica from a decoded [`Snapshot`]. The own-write
+    /// column is rebuilt from `own_updates`, which is complete whenever
+    /// snapshots are taken (durability keeps it). The read gates
     /// (`must_see`, `pram_wait`, `invalid`) and lock watermarks are
     /// *not* part of the snapshot: in the simulator they survive the
     /// crash with the client program, and a restarted live process
@@ -973,27 +927,20 @@ impl Replica {
         r.incarnation = snap.incarnation;
         r.applied = snap.applied.clone();
         for &(loc, v, w) in &snap.store {
-            r.ensure_loc(loc);
+            r.grow(loc.index() + 1);
             r.store[loc.index()] = v;
             r.last_writer[loc.index()] = w;
         }
+        for u in &snap.own_updates {
+            r.grow(u.loc.index() + 1);
+            r.own_seq[u.loc.index()] = u.seq;
+        }
         r.counter_updates = snap.counter_updates.iter().cloned().collect();
-        r.write_log = snap.write_log.clone();
         r.own_updates = snap.own_updates.clone();
         r.pending = snap
-            .pending
-            .iter()
-            .map(|u| PendingUpdate {
-                writer: u.writer,
-                loc: u.loc,
-                payload: u.payload.clone(),
-                deps: u.deps.clone(),
-            })
-            .collect();
-        r.pending_batches = snap
             .pending_batches
             .iter()
-            .map(|b| PendingBatch {
+            .map(|b| PendingRun {
                 proc: b.proc,
                 first_seq: b.first_seq,
                 upto: b.upto,
@@ -1012,31 +959,15 @@ impl Replica {
     pub fn replay_record(&mut self, rec: WalRecord, mode: Mode) {
         match rec {
             WalRecord::OwnWrite { loc, payload, deps } => {
-                self.applied.tick(self.proc);
-                let id = WriteId::new(self.proc, self.own_count());
-                self.apply_to_store(id, loc, &payload, deps.as_ref());
-                self.write_log.push((loc, id.seq));
+                let id = self.mint(loc, &payload, deps.as_ref());
                 self.own_updates.push(OwnUpdate { seq: id.seq, loc, payload, deps });
+            }
+            WalRecord::OwnWriteSharded { loc, payload, deps } => {
+                let id = self.mint(loc, &payload, None);
+                self.shard_own_log(id.seq, loc, payload, deps);
             }
             WalRecord::Incarnation { incarnation } => {
                 self.incarnation = self.incarnation.max(incarnation);
-            }
-            WalRecord::OwnWriteSharded { loc, payload, deps } => {
-                self.applied.tick(self.proc);
-                let id = WriteId::new(self.proc, self.own_count());
-                let st = self.shards.as_mut().expect("sharded WAL record on a sharded replica");
-                let s = st.shard_of(loc);
-                st.own_prev[s] = id.seq;
-                st.applied[s].set(self.proc, id.seq);
-                st.own_log[s].push(ShardOwnUpdate {
-                    seq: id.seq,
-                    loc,
-                    payload: payload.clone(),
-                    deps,
-                });
-                let sum = st.applied[s].sum();
-                self.apply_sharded(id, loc, &payload, sum, &[id.seq]);
-                self.write_log.push((loc, id.seq));
             }
             WalRecord::Subscribe { shard } => {
                 self.shard_subscribe(shard as usize);
@@ -1065,7 +996,7 @@ impl Replica {
                 self.ingest_batch(proc, first_seq, upto, entries.into(), deps, mode)
             }
             Msg::ShardUpdate { writer, loc, payload, prev, deps } => {
-                self.ingest_sharded(writer, loc, payload, prev, deps, mode)
+                self.ingest_shard_update(writer, loc, payload, prev, deps, mode)
             }
             Msg::ShardUpdateBatch { proc, shard, prev, upto, entries, deps } => {
                 self.ingest_shard_chain(proc, shard, prev, upto, entries, deps, mode, false)
@@ -1418,7 +1349,7 @@ mod tests {
         assert_eq!(back.value(Loc(0)), Value::Int(5));
         assert_eq!(back.value(Loc(1)), Value::Int(2));
         assert_eq!(back.own_count(), 2);
-        assert_eq!(back.write_log, r.write_log);
+        assert_eq!(back.take_dirty(LockId(0)), r.take_dirty(LockId(0)));
         assert_eq!(back.pending_len(), 1);
         assert_eq!(back.await_writers(Loc(1)), r.await_writers(Loc(1)));
         // The buffered write still drains once its predecessor arrives.
@@ -1464,7 +1395,7 @@ mod tests {
         assert_eq!(reborn.writer_of(Loc(1)), Some(id2));
         assert_eq!(reborn.incarnation, 2);
         assert_eq!(reborn.value(Loc(1)), Value::Int(4));
-        assert_eq!(reborn.write_log, live.write_log);
+        assert_eq!(reborn.take_dirty(LockId(0)), live.take_dirty(LockId(0)));
     }
 
     #[test]

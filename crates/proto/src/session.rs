@@ -331,15 +331,6 @@ impl Session {
         wire
     }
 
-    /// Forgets every link touching a reborn node: its outgoing senders
-    /// (fresh ones materialize at the node's base epoch) and its
-    /// incoming receivers (peers reset their senders toward it, and the
-    /// higher epoch would void the old watermark anyway).
-    pub fn forget_node_links(&mut self, node: NodeId) {
-        self.senders.retain(|&(from, _), _| from != node);
-        self.receivers.retain(|&(_, to), _| to != node);
-    }
-
     /// The receiver state of the directed link `from → to`.
     pub fn receiver(&mut self, from: NodeId, to: NodeId) -> &mut LinkReceiver {
         self.receivers.entry((from, to)).or_default()

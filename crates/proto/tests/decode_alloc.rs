@@ -11,6 +11,9 @@
 //!    ingests 10 000 `Update`s, `RecoverResp`s and `ShardUpdate`s; from
 //!    a message's arrival to its log record reaching the disk, nothing is
 //!    allocated once the node's record buffer has grown.
+//! 3. A volatile replica's heap does not grow with its writes: a million
+//!    local writes to 64 locations peak under 64 KiB. A replica that keeps
+//!    a word per own write (8 MiB here) fails.
 //!
 //! The allocator is process-global, so it counts only the thread that
 //! asked to be measured.
@@ -21,11 +24,11 @@ use std::sync::Arc;
 
 use bytes::BytesMut;
 use mc_model::{BarrierId, Loc, LockId, LockMode, ProcId, VClock, Value, WriteId};
-use mc_proto::durability::{OwnUpdate, SnapBatch, SnapPending};
+use mc_proto::durability::{OwnUpdate, SnapBatch};
 use mc_proto::wire::{decode_frame, encode_frame, FRAME_HEADER};
 use mc_proto::{
     crc32, decode_wal, BatchEntry, DsmConfig, DurabilityPolicy, GrantInfo, Mode, Msg, NodeIo,
-    ProcNode, ShardConfig, Snapshot, UpdatePayload, WalRecord,
+    ProcNode, Replica, ShardConfig, Snapshot, UpdatePayload, WalRecord,
 };
 use mc_sim::{NodeId, SimTime};
 
@@ -273,18 +276,11 @@ fn max_count_snapshots_decode_in_bounded_memory() {
         applied: clock(3),
         store: vec![(Loc(1), Value::Int(4), Some(WriteId::new(ProcId(1), 2)))],
         counter_updates: vec![(Loc(2), vec![WriteId::new(ProcId(0), 1)])],
-        write_log: vec![(Loc(1), 1)],
         own_updates: vec![OwnUpdate {
             seq: 1,
             loc: Loc(1),
             payload: UpdatePayload::Add(Value::Int(1)),
             deps: Some(clock(3)),
-        }],
-        pending: vec![SnapPending {
-            writer: WriteId::new(ProcId(2), 5),
-            loc: Loc(0),
-            payload: UpdatePayload::Set(Value::Bool(true)),
-            deps: clock(3),
         }],
         pending_batches: vec![SnapBatch {
             proc: ProcId(1),
@@ -385,4 +381,20 @@ fn logging_an_arriving_update_allocates_nothing() {
         (NodeId(1), update)
     });
     assert_no_allocs("shard_update", &allocs_before_append(&mut node, shard_updates.collect()));
+}
+
+#[test]
+fn a_volatile_replicas_heap_does_not_grow_with_its_writes() {
+    const WRITES: u32 = 1_000_000;
+    let cfg = DsmConfig::new(2, Mode::Causal);
+    let mut replica = Replica::new(ProcId(0), 2);
+    start_measuring();
+    for i in 0..WRITES {
+        replica.local_write(Loc(i % 64), UpdatePayload::Set(Value::Int(i.into())), &cfg);
+    }
+    let (peak, _) = stop_measuring();
+    let grown = LIVE.with(Cell::get);
+    println!("{WRITES} local writes to 64 locations: heap grew {grown} B, peaked at {peak} B");
+    assert!(peak < PEAK_LIMIT, "{WRITES} writes grew the replica's heap to {peak} bytes");
+    assert_eq!(replica.own_count(), WRITES);
 }

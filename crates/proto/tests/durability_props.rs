@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 
 use mc_model::{Loc, ProcId, VClock, Value, WriteId};
-use mc_proto::durability::{OwnUpdate, SnapBatch, SnapPending};
+use mc_proto::durability::{OwnUpdate, SnapBatch};
 use mc_proto::{crc32, decode_wal, BatchEntry, Msg, Snapshot, UpdatePayload, WalRecord, WalTail};
 
 fn gen_clock() -> impl Strategy<Value = VClock> {
@@ -150,29 +150,26 @@ fn gen_snapshot() -> impl Strategy<Value = Snapshot> {
                 .map(|(l, v, some, w)| (Loc(l), v, some.then_some(w)))
                 .collect(),
             counter_updates: vec![(Loc(0), vec![WriteId::new(ProcId(1), 1)])],
-            write_log: (1..=own.len() as u32).map(|seq| (Loc(seq % 8), seq)).collect(),
             own_updates: (1..)
                 .zip(own)
                 .map(|(seq, (l, payload, deps))| OwnUpdate { seq, loc: Loc(l), payload, deps })
                 .collect(),
-            pending: pending
+            pending_batches: pending
                 .into_iter()
-                .map(|(writer, l, payload, deps)| SnapPending {
-                    writer,
-                    loc: Loc(l),
-                    payload,
+                .map(|(writer, l, payload, deps)| SnapBatch {
+                    proc: writer.proc,
+                    first_seq: writer.seq,
+                    upto: writer.seq,
+                    entries: entries(writer.proc, vec![(l, payload, writer.seq)]),
                     deps,
                 })
-                .collect(),
-            pending_batches: batches
-                .into_iter()
-                .map(|((p, upto), parts, deps)| SnapBatch {
+                .chain(batches.into_iter().map(|((p, upto), parts, deps)| SnapBatch {
                     proc: ProcId(p),
                     first_seq: 1,
                     upto,
                     entries: entries(ProcId(p), parts),
                     deps,
-                })
+                }))
                 .collect(),
             watermarks: marks.into_iter().map(|(p, d)| (ProcId(p), d)).collect(),
         },
@@ -396,7 +393,6 @@ proptest! {
             applied: VClock::new(3),
             store: store.into_iter().map(|(l, v)| (Loc(l), Value::Int(v), None)).collect(),
             counter_updates: vec![(Loc(0), vec![WriteId::new(ProcId(0), 1)])],
-            write_log: vec![(Loc(0), 1)],
             ..Snapshot::default()
         };
         let mut bytes = snap.encode();

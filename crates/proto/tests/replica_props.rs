@@ -1,11 +1,14 @@
 //! Property tests for the replica layer: causal gating must make replica
-//! state independent of network delivery order, and the PRAM fast path
-//! must preserve per-sender order.
+//! state independent of network delivery order, the PRAM fast path
+//! must preserve per-sender order, and a release's demand-driven dirty
+//! set is what the paper's definition over the own-write log says.
+
+use std::collections::{BTreeMap, HashMap};
 
 use proptest::prelude::*;
 
-use mc_model::{Loc, ProcId, VClock, Value, WriteId};
-use mc_proto::{Mode, Replica, UpdatePayload};
+use mc_model::{Loc, LockId, ProcId, VClock, Value, WriteId};
+use mc_proto::{DsmConfig, Mode, Replica, UpdatePayload};
 
 /// A generated write: `(writer, loc, value-id)`. Sequence numbers are
 /// assigned per writer in order; dependency vectors make each writer's
@@ -181,6 +184,45 @@ proptest! {
         let sum: i64 = deltas.iter().sum();
         prop_assert_eq!(r.peek(Loc(0)), Value::Int(sum));
         prop_assert_eq!(r.await_writers(Loc(0)).len(), deltas.len());
+    }
+}
+
+/// The dirty set by definition: the latest own write per location among
+/// the writes logged since `since`, by location.
+fn dirty_by_log(log: &[(Loc, u32)], since: usize) -> Vec<(Loc, u32)> {
+    let latest: BTreeMap<Loc, u32> = log[since..].iter().copied().collect();
+    latest.into_iter().collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// On any sequence of own writes and releases over several locks,
+    /// [`Replica::take_dirty`] ships exactly the latest own write per
+    /// location since that lock's previous release — computed here from
+    /// a log of every own write, which the replica does not keep.
+    #[test]
+    fn take_dirty_equals_the_write_log_definition(
+        ops in proptest::collection::vec((any::<bool>(), 0..16u32, any::<bool>()), 0..200),
+    ) {
+        let cfg = DsmConfig::new(2, Mode::Causal);
+        let mut r = Replica::new(ProcId(0), 2);
+        let mut log = Vec::new();
+        let mut shipped: HashMap<LockId, usize> = HashMap::new();
+        for (write, x, add) in ops {
+            if write {
+                let payload = match add {
+                    true => UpdatePayload::Add(Value::Int(1)),
+                    false => UpdatePayload::Set(Value::Int(x.into())),
+                };
+                let (id, _) = r.local_write(Loc(x), payload, &cfg);
+                log.push((Loc(x), id.seq));
+            } else {
+                let lock = LockId(x % 3);
+                let since = shipped.insert(lock, log.len()).unwrap_or(0);
+                prop_assert_eq!(r.take_dirty(lock), dirty_by_log(&log, since));
+            }
+        }
     }
 }
 
