@@ -893,12 +893,19 @@ impl NodeIo for LiveIo {
         wal.counters.fsyncs.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn install_snapshot(&mut self, bytes: Vec<u8>) {
+    fn install_snapshot(&mut self, snapshot: Vec<u8>, history: &[u8]) {
         let Some(wal) = &mut self.wal else { return };
         wal.disk
-            .install_snapshot(&bytes)
+            .compact(&snapshot, history)
             .unwrap_or_else(|e| panic!("p{}: snapshot install failed: {e}", self.me));
         wal.counters.snapshots.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn truncate_history(&mut self, len: usize) {
+        let Some(wal) = &mut self.wal else { return };
+        wal.disk
+            .truncate_history(len)
+            .unwrap_or_else(|e| panic!("p{}: history truncation failed: {e}", self.me));
     }
 }
 
@@ -925,8 +932,9 @@ fn next_wire(rx: &Receiver<Wire>, reliable: bool) -> Inbox {
 }
 
 /// Opens process `proc`'s node and disk and, when prior state exists,
-/// recovers: the snapshot plus the WAL's valid prefix go through
-/// [`ProcNode::recover`]. Only what concerns the real file happens here:
+/// recovers: the snapshot, the history segment and the WAL's valid
+/// prefix go through [`ProcNode::recover`]. Only what concerns the real
+/// file happens here:
 /// a torn tail (the expected `kill -9` residue) is truncated before the
 /// log is reopened for appending; a corrupt frame *before* the tail is a
 /// real integrity failure and panics with a diagnostic rather than
@@ -944,7 +952,9 @@ fn open_node(
     let rdir = dir.join(format!("replica-{}", proc.index()));
     let (snap_bytes, log_bytes) =
         FileDisk::load(&rdir).unwrap_or_else(|e| panic!("{proc}: cannot load {rdir:?}: {e}"));
-    let had_state = snap_bytes.is_some() || !log_bytes.is_empty();
+    let history = FileDisk::load_history(&rdir)
+        .unwrap_or_else(|e| panic!("{proc}: cannot load history in {rdir:?}: {e}"));
+    let had_state = snap_bytes.is_some() || !log_bytes.is_empty() || !history.is_empty();
     let (records, tail) = decode_wal(&log_bytes);
     let valid_len = match tail {
         WalTail::Clean => log_bytes.len(),
@@ -957,11 +967,13 @@ fn open_node(
         }
     };
     if valid_len < log_bytes.len() {
+        // The log follows the snapshot frame in `wal.log`.
+        let end = snap_bytes.as_ref().map_or(0, Vec::len) + valid_len;
         let f = std::fs::OpenOptions::new()
             .write(true)
             .open(rdir.join("wal.log"))
             .unwrap_or_else(|e| panic!("{proc}: cannot reopen wal: {e}"));
-        f.set_len(valid_len as u64).unwrap_or_else(|e| panic!("{proc}: cannot truncate wal: {e}"));
+        f.set_len(end as u64).unwrap_or_else(|e| panic!("{proc}: cannot truncate wal: {e}"));
         f.sync_all().unwrap_or_else(|e| panic!("{proc}: cannot sync truncated wal: {e}"));
     }
     let disk = FileDisk::open(&rdir).unwrap_or_else(|e| panic!("{proc}: cannot open wal: {e}"));
@@ -969,7 +981,7 @@ fn open_node(
     if had_state {
         walc.replayed.fetch_add(records.len() as u64, Ordering::Relaxed);
         walc.recoveries.fetch_add(1, Ordering::Relaxed);
-        node.recover(snap_bytes.as_deref(), records, &mut io);
+        node.recover(snap_bytes.as_deref(), &history, records, &mut io);
     }
     (node, io)
 }

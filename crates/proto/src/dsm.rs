@@ -70,9 +70,13 @@ impl NodeIo for SimIo<'_, '_> {
         self.net.record_wal_sync(n);
     }
 
-    fn install_snapshot(&mut self, bytes: Vec<u8>) {
-        self.disk().install_snapshot(bytes);
+    fn install_snapshot(&mut self, snapshot: Vec<u8>, history: &[u8]) {
+        self.disk().install_snapshot(snapshot, history);
         self.net.record_snapshot();
+    }
+
+    fn truncate_history(&mut self, len: usize) {
+        self.disk().truncate_history(len);
     }
 
     fn tracing(&self) -> bool {
@@ -201,7 +205,8 @@ impl Protocol for Dsm {
     }
 
     /// Crash-recover a replica node: drop the unsynced log tail and
-    /// rebuild the node from snapshot + log ([`ProcNode::recover`]).
+    /// rebuild the node from snapshot, history and log
+    /// ([`ProcNode::recover`]).
     ///
     /// In the simulator the crash models the *memory system's* node, not
     /// the client: the program (and the read gates / lock bookkeeping it
@@ -221,6 +226,7 @@ impl Protocol for Dsm {
             let (s, l) = self.disks[i].load();
             (s.map(<[u8]>::to_vec), l.to_vec())
         };
+        let history = self.disks[i].history().to_vec();
         let (records, tail) = decode_wal(&log);
         debug_assert!(
             matches!(tail, WalTail::Clean),
@@ -231,6 +237,7 @@ impl Protocol for Dsm {
         }
         self.nodes[i].recover(
             snapshot.as_deref(),
+            &history,
             records,
             &mut SimIo::new(node, net, &mut self.disks),
         );
@@ -967,7 +974,7 @@ mod tests {
                 assert_eq!(r.peek(Loc(0)), Value::Int(5), "{mode} replica {i} has the value");
                 assert_eq!(r.applied[ProcId(0)], 5, "{mode} replica {i}: no acked write lost");
             }
-            assert_eq!(dsm.replica(ProcId(0)).own_updates_len(), 5, "{mode}: history durable");
+            assert_eq!(dsm.replica(ProcId(0)).own_updates().len(), 5, "{mode}: history durable");
         }
     }
 

@@ -1,15 +1,19 @@
-//! Durable storage for replicas: a per-replica write-ahead log plus
-//! compacted snapshots.
+//! Durable storage for replicas: a per-replica write-ahead log,
+//! compacted snapshots, and an append-only own-write history.
 //!
 //! The paper's crash model is amnesia — a crashed process simply vanishes
 //! and a restarted one re-earns the memory from its peers. This module
 //! earns durability back from disk instead: every ingested update is
 //! framed as a CRC-guarded [`WalRecord`] and appended to a log
 //! (append-before-ack for own writes), and the log is periodically
-//! compacted into a [`Snapshot`] of the full replica state. Recovery
-//! replays `snapshot + log` and then fetches only the missing delta from
-//! peers, so the bytes transferred on recovery are bounded by the log
-//! tail, not the store size.
+//! compacted into a [`Snapshot`] of the replica's live state, whose size
+//! is O(locations + pending) and never O(run length). The own writes a
+//! reborn peer may ask for (`Replica::writes_after`) live in a separate
+//! history segment: each compaction appends only the writes minted since
+//! the previous one ([`put_history`]), in the same step as the snapshot.
+//! Recovery reads `snapshot → history prefix → log` and then fetches
+//! only the missing delta from peers, so the bytes transferred on
+//! recovery are bounded by the log tail, not the store size.
 //!
 //! There is no second codec here. A logged remote update *is* the
 //! [`Msg`] the node applied, in its wire body; the records a message
@@ -22,16 +26,17 @@
 //! Two backends share the format: [`MemDisk`] models a disk inside the
 //! deterministic simulator (with an explicit staged-vs-durable boundary so
 //! crash points between append, fsync, and ack are explorable), and
-//! [`FileDisk`] is the real thing for `mc-live` (append-only `wal.log`,
-//! `sync_all` fsyncs, atomic tmp-then-rename snapshot installs).
+//! [`FileDisk`] is the real thing for `mc-live` (`wal.log` headed by the
+//! snapshot, `history.log` beside it, `sync_all` fsyncs, and one rename
+//! as the commit point of a compaction).
 //!
-//! The log format is truncation-tolerant: decoding stops at the first
-//! torn or corrupt frame and returns the valid prefix plus a
-//! [`WalTail`] diagnostic — a corrupt record is never applied.
+//! Both formats are truncation-tolerant: decoding stops at the first
+//! torn or corrupt frame (for the history, also at a sequence gap) and
+//! returns the valid prefix — a corrupt record is never applied.
 
 use std::fmt;
 use std::fs;
-use std::io::{self, Read as _, Seek as _, Write as _};
+use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 
 use mc_model::{Loc, ProcId, VClock, Value, WriteId};
@@ -335,7 +340,8 @@ pub struct SnapBatch {
 
 /// One of this replica's own writes, retained (with its dependency
 /// vector) so a reborn peer can be pushed exactly the suffix it misses —
-/// even past log compaction.
+/// even past log compaction. On disk, one history-segment frame
+/// ([`put_history`]).
 #[derive(Clone, Debug, PartialEq)]
 pub struct OwnUpdate {
     /// Own-write sequence number (1-based).
@@ -348,8 +354,10 @@ pub struct OwnUpdate {
     pub deps: Option<VClock>,
 }
 
-/// A compacted image of one replica: everything `snapshot + empty log`
-/// must reproduce. Installing a snapshot truncates the write-ahead log.
+/// A compacted image of one replica's live state: everything
+/// `snapshot + history prefix + empty log` must reproduce. Nothing in it
+/// grows with the own-write count: the own writes themselves are in the
+/// history segment. Installing a snapshot truncates the write-ahead log.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Snapshot {
     /// Replica incarnation at snapshot time.
@@ -360,9 +368,6 @@ pub struct Snapshot {
     pub store: Vec<(Loc, Value, Option<WriteId>)>,
     /// Applied updates per counter location.
     pub counter_updates: Vec<(Loc, Vec<WriteId>)>,
-    /// Full own-write history with dependency vectors (recovery
-    /// push-back; the demand-driven dirty set is rebuilt from it).
-    pub own_updates: Vec<OwnUpdate>,
     /// Buffered runs, single updates included.
     pub pending_batches: Vec<SnapBatch>,
     /// Session receiver watermarks per peer (in-order delivered counts),
@@ -399,7 +404,7 @@ impl std::error::Error for SnapshotError {}
 
 /// Names the body format: a file from another format version is refused
 /// as [`SnapshotError::BadMagic`], never parsed.
-const SNAP_MAGIC: &[u8; 8] = b"MCSNAP03";
+const SNAP_MAGIC: &[u8; 8] = b"MCSNAP04";
 
 /// A snapshot list: a `u32` count, then each element.
 fn put_list<T>(b: &mut Vec<u8>, items: &[T], mut put: impl FnMut(&mut Vec<u8>, &T)) {
@@ -437,12 +442,6 @@ impl Snapshot {
             put_list(b, &self.counter_updates, |b, (loc, ws)| {
                 b.put_u32_le(loc.0);
                 put_list(b, ws, |b, w| wire::put_writer(b, *w));
-            });
-            put_list(b, &self.own_updates, |b, u| {
-                b.put_u32_le(u.seq);
-                b.put_u32_le(u.loc.0);
-                wire::put_payload(b, &u.payload);
-                wire::put_vclock_opt(b, u.deps.as_ref());
             });
             put_list(b, &self.pending_batches, |b, pb| {
                 b.put_u32_le(pb.proc.0);
@@ -489,14 +488,6 @@ impl Snapshot {
             counter_updates: read_list(c, 8, |c| {
                 Ok((Loc(c.u32()?), read_list(c, 8, Cursor::writer)?))
             })?,
-            own_updates: read_list(c, 19, |c| {
-                Ok(OwnUpdate {
-                    seq: c.u32()?,
-                    loc: Loc(c.u32()?),
-                    payload: c.payload()?,
-                    deps: c.vclock_opt()?,
-                })
-            })?,
             pending_batches: read_list(c, 18, |c| {
                 let (proc, first_seq, upto) = (ProcId(c.u32()?), c.u32()?, c.u32()?);
                 let n = c.u32()? as usize;
@@ -511,6 +502,57 @@ impl Snapshot {
 }
 
 // ---------------------------------------------------------------------------
+// Own-write history
+// ---------------------------------------------------------------------------
+
+/// Appends one `len:u32 | crc:u32 | seq | loc | payload | deps` frame per
+/// own write to `out` — the history segment a compaction appends, in the
+/// same step as its snapshot, for the writes minted since the previous
+/// one.
+pub fn put_history(out: &mut Vec<u8>, updates: &[OwnUpdate]) {
+    for u in updates {
+        frame(out, |b| {
+            b.put_u32_le(u.seq);
+            b.put_u32_le(u.loc.0);
+            wire::put_payload(b, &u.payload);
+            wire::put_vclock_opt(b, u.deps.as_ref());
+        });
+    }
+}
+
+/// Reads the first `upto` own writes of a history segment: the writes
+/// and the bytes they take. Sequence numbers run 1, 2, 3, … with no gap;
+/// decoding stops early at a torn frame, a failed CRC, a malformed body
+/// or a sequence number out of turn, and nothing is reserved for frames
+/// that are not there.
+pub fn decode_history(bytes: &[u8], upto: u32) -> (Vec<OwnUpdate>, usize) {
+    let mut cur = Cursor::new(bytes);
+    let (mut out, mut end) = (Vec::new(), 0);
+    while (out.len() as u32) < upto {
+        let Some((body, true)) = unframe(&mut cur) else { break };
+        match decode_own(body) {
+            Ok(u) if u.seq as usize == out.len() + 1 => out.push(u),
+            _ => break,
+        }
+        end = cur.pos();
+    }
+    (out, end)
+}
+
+/// Decodes one [`put_history`] frame body.
+fn decode_own(body: &[u8]) -> Result<OwnUpdate, WireError> {
+    let mut c = Cursor::new(body);
+    let u = OwnUpdate {
+        seq: c.u32()?,
+        loc: Loc(c.u32()?),
+        payload: c.payload()?,
+        deps: c.vclock_opt()?,
+    };
+    c.finish()?;
+    Ok(u)
+}
+
+// ---------------------------------------------------------------------------
 // Simulated disk
 // ---------------------------------------------------------------------------
 
@@ -518,10 +560,12 @@ impl Snapshot {
 /// boundary: [`MemDisk::append`] stages a framed record, [`MemDisk::sync`]
 /// makes the staged tail durable (the modeled fsync), and
 /// [`MemDisk::crash`] drops whatever was staged — exactly the crash point
-/// between append and fsync that the explorer injects.
+/// between append and fsync that the explorer injects. A compaction
+/// ([`MemDisk::install_snapshot`]) is one atomic step.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MemDisk {
     snapshot: Option<Vec<u8>>,
+    history: Vec<u8>,
     log: Vec<u8>,
     staged: Vec<u8>,
     staged_records: u64,
@@ -551,17 +595,25 @@ impl MemDisk {
         self.staged_records
     }
 
-    /// Atomically installs a snapshot and truncates the durable log.
+    /// Atomically installs a snapshot, appends the history tail it
+    /// covers ([`put_history`] frames) and truncates the durable log.
     /// The caller must [`MemDisk::sync`] first — compaction must never
     /// silently discard staged records.
-    pub fn install_snapshot(&mut self, bytes: Vec<u8>) {
+    pub fn install_snapshot(&mut self, snapshot: Vec<u8>, history: &[u8]) {
         debug_assert_eq!(self.staged_records, 0, "sync before snapshotting");
-        self.snapshot = Some(bytes);
+        self.snapshot = Some(snapshot);
+        self.history.extend_from_slice(history);
         self.log.clear();
     }
 
-    /// A crash: the staged tail is lost, the durable log and snapshot
-    /// survive. Returns the number of records lost.
+    /// Cuts the history segment to its first `len` bytes: recovery drops
+    /// what lies past the prefix the snapshot covers.
+    pub fn truncate_history(&mut self, len: usize) {
+        self.history.truncate(len);
+    }
+
+    /// A crash: the staged tail is lost, the durable log, history and
+    /// snapshot survive. Returns the number of records lost.
     pub fn crash(&mut self) -> u64 {
         self.staged.clear();
         std::mem::take(&mut self.staged_records)
@@ -573,9 +625,15 @@ impl MemDisk {
         (self.snapshot.as_deref(), &self.log)
     }
 
-    /// Serializes the durable state (snapshot + log, staged excluded) into
-    /// one image, for repro artifacts that capture disk contents:
-    /// `has_snapshot:u8 | [len:u32 | snapshot] | log`.
+    /// The own-write history segment.
+    pub fn history(&self) -> &[u8] {
+        &self.history
+    }
+
+    /// Serializes the durable state (snapshot, history and log, staged
+    /// excluded) into one image, for repro artifacts that capture disk
+    /// contents: `has_snapshot:u8 | [len:u32 | snapshot] | len:u32 |
+    /// history | log`.
     pub fn image(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.put_u8(self.snapshot.is_some() as u8);
@@ -583,6 +641,8 @@ impl MemDisk {
             out.put_u32_le(s.len() as u32);
             out.put_slice(s);
         }
+        out.put_u32_le(self.history.len() as u32);
+        out.put_slice(&self.history);
         out.put_slice(&self.log);
         out
     }
@@ -591,15 +651,17 @@ impl MemDisk {
     /// as after a crash).
     pub fn from_image(bytes: &[u8]) -> Option<MemDisk> {
         let mut cur = Cursor::new(bytes);
+        let region = |cur: &mut Cursor<'_>| {
+            let n = cur.u32().ok()? as usize;
+            Some(cur.take(n).ok()?.to_vec())
+        };
         let snapshot = match cur.flag().ok()? {
             false => None,
-            true => {
-                let n = cur.u32().ok()? as usize;
-                Some(cur.take(n).ok()?.to_vec())
-            }
+            true => Some(region(&mut cur)?),
         };
+        let history = region(&mut cur)?;
         let log = bytes[cur.pos()..].to_vec();
-        Some(MemDisk { snapshot, log, ..MemDisk::default() })
+        Some(MemDisk { snapshot, history, log, ..MemDisk::default() })
     }
 }
 
@@ -607,25 +669,46 @@ impl MemDisk {
 // Real files (mc-live)
 // ---------------------------------------------------------------------------
 
-/// A real per-replica disk directory for `mc-live`: an append-only
-/// `wal.log` (made durable with `sync_all`) and a snapshot installed
-/// atomically via write-tmp-then-rename. The staged-vs-durable boundary
-/// here is the page cache: records appended but not yet fsynced may or
-/// may not survive `kill -9`, and recovery tolerates either via the
-/// truncation-tolerant decoder.
+/// A real per-replica disk directory for `mc-live`: `wal.log`, whose
+/// first frame is the installed snapshot (if any) and the rest the
+/// records logged since, and the append-only `history.log`. The
+/// staged-vs-durable boundary is the page cache: records appended but
+/// not yet fsynced may or may not survive `kill -9`, and recovery
+/// tolerates either via the truncation-tolerant decoders.
+///
+/// A compaction ([`FileDisk::compact`]) has one commit point: the rename
+/// of a fresh `wal.tmp`, holding only the new snapshot, over `wal.log`.
+/// Before it the directory recovers to the old snapshot and log (a
+/// history tail already appended lies past the old snapshot's prefix and
+/// is dropped at recovery); after it, to the new snapshot and an empty
+/// log. No state holds a snapshot together with a log it already covers.
 #[derive(Debug)]
 pub struct FileDisk {
     dir: PathBuf,
     wal: fs::File,
+    history: fs::File,
     staged_records: u64,
+}
+
+/// Reads `path` whole; a missing file reads as empty.
+fn read_or_empty(path: &Path) -> io::Result<Vec<u8>> {
+    match fs::read(path) {
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(Vec::new()),
+        read => read,
+    }
 }
 
 impl FileDisk {
     /// Opens (creating if needed) the replica directory `dir`.
     pub fn open(dir: &Path) -> io::Result<FileDisk> {
         fs::create_dir_all(dir)?;
-        let wal = fs::OpenOptions::new().create(true).append(true).open(dir.join("wal.log"))?;
-        Ok(FileDisk { dir: dir.to_path_buf(), wal, staged_records: 0 })
+        let append = |name| fs::OpenOptions::new().create(true).append(true).open(dir.join(name));
+        Ok(FileDisk {
+            dir: dir.to_path_buf(),
+            wal: append("wal.log")?,
+            history: append("history.log")?,
+            staged_records: 0,
+        })
     }
 
     /// The replica directory.
@@ -652,48 +735,71 @@ impl FileDisk {
         self.staged_records
     }
 
-    /// Atomically installs a snapshot (write `snapshot.tmp`, fsync,
-    /// rename over `snapshot.bin`) and truncates `wal.log`.
-    pub fn install_snapshot(&mut self, bytes: &[u8]) -> io::Result<()> {
-        self.wal.sync_all()?;
-        self.staged_records = 0;
-        let tmp = self.dir.join("snapshot.tmp");
-        let fin = self.dir.join("snapshot.bin");
-        {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(bytes)?;
-            f.sync_all()?;
+    /// Compacts: makes the `history` tail ([`put_history`] frames)
+    /// durable in `history.log`, writes `snapshot` to a fresh `wal.tmp`
+    /// and fsyncs it, then renames it over `wal.log` — the one commit
+    /// point — and fsyncs the directory so that the rename, and with it
+    /// every record appended to the new log, survives power loss too.
+    /// The old log is synced first only if it has staged records.
+    pub fn compact(&mut self, snapshot: &[u8], history: &[u8]) -> io::Result<()> {
+        if self.staged_records > 0 {
+            self.sync()?;
         }
-        fs::rename(&tmp, &fin)?;
-        self.wal.set_len(0)?;
-        self.wal.seek(io::SeekFrom::Start(0))?;
-        self.wal.sync_all()?;
+        if !history.is_empty() {
+            self.history.write_all(history)?;
+            self.history.sync_all()?;
+        }
+        let tmp = self.dir.join("wal.tmp");
+        let mut wal = fs::File::create(&tmp)?;
+        wal.write_all(snapshot)?;
+        wal.sync_all()?;
+        fs::rename(&tmp, self.dir.join("wal.log"))?;
+        fs::File::open(&self.dir)?.sync_all()?;
+        self.wal = wal;
         Ok(())
     }
 
+    /// [`FileDisk::compact`] with no history tail.
+    pub fn install_snapshot(&mut self, snapshot: &[u8]) -> io::Result<()> {
+        self.compact(snapshot, &[])
+    }
+
+    /// Cuts `history.log` to its first `len` bytes (and fsyncs): recovery
+    /// drops what lies past the prefix the snapshot covers.
+    pub fn truncate_history(&mut self, len: usize) -> io::Result<()> {
+        self.history.set_len(len as u64)?;
+        self.history.sync_all()
+    }
+
     /// What recovery reads from `dir`: the installed snapshot (if any)
-    /// and the raw log bytes. Static so it runs before the directory is
-    /// re-opened for writing by the reborn process.
+    /// and the raw log bytes after it. Static so it runs before the
+    /// directory is re-opened for writing by the reborn process. A log
+    /// frame never starts with the snapshot magic (its length field would
+    /// read 1.3 GB), so the magic tells the two apart.
+    ///
+    /// # Errors
+    ///
+    /// Besides I/O errors, refuses a directory that still holds a
+    /// `snapshot.bin` — the layout before the snapshot moved into
+    /// `wal.log` — rather than recover from its log alone.
     pub fn load(dir: &Path) -> io::Result<(Option<Vec<u8>>, Vec<u8>)> {
-        let snap = match fs::File::open(dir.join("snapshot.bin")) {
-            Ok(mut f) => {
-                let mut b = Vec::new();
-                f.read_to_end(&mut b)?;
-                Some(b)
-            }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => None,
-            Err(e) => return Err(e),
-        };
-        let log = match fs::File::open(dir.join("wal.log")) {
-            Ok(mut f) => {
-                let mut b = Vec::new();
-                f.read_to_end(&mut b)?;
-                b
-            }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
-            Err(e) => return Err(e),
-        };
-        Ok((snap, log))
+        if dir.join("snapshot.bin").exists() {
+            let msg = format!("{}: snapshot.bin is from an earlier format", dir.display());
+            return Err(io::Error::new(io::ErrorKind::InvalidData, msg));
+        }
+        let mut log = read_or_empty(&dir.join("wal.log"))?;
+        if !log.starts_with(SNAP_MAGIC) {
+            return Ok((None, log));
+        }
+        let mut cur = Cursor::new(&log[SNAP_MAGIC.len()..]);
+        let end = unframe(&mut cur).map_or(log.len(), |_| SNAP_MAGIC.len() + cur.pos());
+        let rest = log.split_off(end);
+        Ok((Some(log), rest))
+    }
+
+    /// The own-write history segment of `dir` (`history.log`).
+    pub fn load_history(dir: &Path) -> io::Result<Vec<u8>> {
+        read_or_empty(&dir.join("history.log"))
     }
 }
 
@@ -866,12 +972,6 @@ mod tests {
                 (Loc(3), Value::F64(1.5), None),
             ],
             counter_updates: vec![(Loc(0), vec![WriteId::new(p(0), 1), WriteId::new(p(1), 1)])],
-            own_updates: vec![OwnUpdate {
-                seq: 1,
-                loc: Loc(0),
-                payload: UpdatePayload::Add(Value::Int(4)),
-                deps: Some(deps.clone()),
-            }],
             pending_batches: vec![SnapBatch {
                 proc: p(1),
                 first_seq: 2,
@@ -904,24 +1004,78 @@ mod tests {
         assert_eq!(Snapshot::decode(&flipped), Err(SnapshotError::BadCrc));
     }
 
-    /// A snapshot the previous format wrote (`MCSNAP02`: it also held
-    /// the own-write log and buffered singletons; CRC intact) is refused
-    /// by its magic, never parsed: a node booting from one panics with
-    /// the diagnostic instead of reading fields that moved.
+    /// Snapshots earlier formats wrote — `MCSNAP02` (it also held the
+    /// own-write log and buffered singletons) and `MCSNAP03` (it also
+    /// held the own-write history); CRCs intact — are refused by their
+    /// magic, never parsed: a node booting from one panics with the
+    /// diagnostic instead of reading fields that moved.
     #[test]
     fn previous_format_snapshot_is_refused_as_bad_magic() {
         const MCSNAP02: &str = "4d43534e415030328e000000af9725db000000000200010000000000000001000000\
             01000000000500000000000000010000000001000000000000000100000001000000010000000100\
             00000100000001000000000500000000000000020001000000000000000100000001000000020000\
             0000000000000700000000000000020000000000020000000000000001000000010000000300000000000000";
-        let bytes: Vec<u8> = (0..MCSNAP02.len())
-            .step_by(2)
-            .map(|i| u8::from_str_radix(&MCSNAP02[i..i + 2], 16).unwrap())
-            .collect();
-        assert_eq!(&bytes[..8], b"MCSNAP02");
-        let (body, crc_ok) = unframe(&mut Cursor::new(&bytes[8..])).unwrap();
-        assert!(crc_ok && !body.is_empty(), "an intact image of the previous format");
-        assert_eq!(Snapshot::decode(&bytes), Err(SnapshotError::BadMagic));
+        const MCSNAP03: &str =
+            "4d43534e4150303357000000f2e3dfd702000000020001000000000000000100000000\
+            00000000050000000000000001000000000100000000000000010000000100000000000000000500\
+            000000000000ffff0000000001000000010000000300000000000000";
+        for (magic, hex) in [(b"MCSNAP02", MCSNAP02), (b"MCSNAP03", MCSNAP03)] {
+            let bytes: Vec<u8> = (0..hex.len())
+                .step_by(2)
+                .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+                .collect();
+            assert_eq!(&bytes[..8], magic);
+            let (body, crc_ok) = unframe(&mut Cursor::new(&bytes[8..])).unwrap();
+            assert!(crc_ok && !body.is_empty(), "an intact image of an earlier format");
+            assert_eq!(Snapshot::decode(&bytes), Err(SnapshotError::BadMagic));
+        }
+    }
+
+    fn own(seq: u32, loc: u32) -> OwnUpdate {
+        let deps = seq.is_multiple_of(2).then(|| [seq, 1].into_iter().collect());
+        OwnUpdate { seq, loc: Loc(loc), payload: UpdatePayload::Set(Value::Int(seq.into())), deps }
+    }
+
+    fn history(seqs: impl IntoIterator<Item = u32>) -> (Vec<OwnUpdate>, Vec<u8>) {
+        let updates: Vec<OwnUpdate> = seqs.into_iter().map(|s| own(s, s % 5)).collect();
+        let mut bytes = Vec::new();
+        put_history(&mut bytes, &updates);
+        (updates, bytes)
+    }
+
+    #[test]
+    fn history_reads_back_the_prefix_asked_for() {
+        let (updates, bytes) = history(1..=6);
+        assert_eq!(decode_history(&bytes, u32::MAX), (updates.clone(), bytes.len()));
+        let (prefix, len) = decode_history(&bytes, 4);
+        assert_eq!(prefix, updates[..4]);
+        let mut four = Vec::new();
+        put_history(&mut four, &updates[..4]);
+        assert_eq!(len, four.len(), "the prefix length is where a truncation cuts");
+        assert_eq!(decode_history(&bytes, 0), (vec![], 0));
+    }
+
+    /// A torn frame, a failed CRC and a sequence number out of turn each
+    /// end the history at the last good frame.
+    #[test]
+    fn history_stops_at_a_torn_frame_a_bad_crc_or_a_seq_gap() {
+        let (updates, bytes) = history(1..=3);
+        let two = {
+            let mut b = Vec::new();
+            put_history(&mut b, &updates[..2]);
+            b.len()
+        };
+        let expect = (updates[..2].to_vec(), two);
+        assert_eq!(decode_history(&bytes[..bytes.len() - 1], u32::MAX), expect, "torn");
+        let mut flipped = bytes.clone();
+        *flipped.last_mut().unwrap() ^= 0x10;
+        assert_eq!(decode_history(&flipped, u32::MAX), expect, "bad crc");
+        let (_, gap) = history([1, 2, 4, 5]);
+        assert_eq!(decode_history(&gap, u32::MAX), expect, "seq gap");
+        let (_, late) = history([2, 3]);
+        assert_eq!(decode_history(&late, u32::MAX), (vec![], 0), "must start at seq 1");
+        let (_, dup) = history([1, 2, 2]);
+        assert_eq!(decode_history(&dup, u32::MAX), expect, "a write recorded twice");
     }
 
     #[test]
@@ -948,10 +1102,12 @@ mod tests {
         d.append(&WalRecord::Incarnation { incarnation: 1 }.encode());
         d.sync();
         let snap = Snapshot { incarnation: 1, applied: VClock::new(1), ..Default::default() };
-        d.install_snapshot(snap.encode());
+        let (_, tail) = history(1..=2);
+        d.install_snapshot(snap.encode(), &tail);
         let (s, log) = d.load();
         assert!(log.is_empty());
         assert_eq!(Snapshot::decode(s.unwrap()).unwrap(), snap);
+        assert_eq!(d.history(), tail, "the history tail commits with the snapshot");
     }
 
     #[test]
@@ -959,9 +1115,9 @@ mod tests {
         let mut d = MemDisk::new();
         d.append(&WalRecord::Incarnation { incarnation: 2 }.encode());
         d.sync();
-        d.install_snapshot(
-            Snapshot { incarnation: 2, applied: VClock::new(1), ..Default::default() }.encode(),
-        );
+        let (updates, history) = history(1..=3);
+        let snap = Snapshot { incarnation: 2, applied: VClock::new(1), ..Default::default() };
+        d.install_snapshot(snap.encode(), &history);
         d.append(&WalRecord::Incarnation { incarnation: 3 }.encode());
         d.sync();
         d.append(&WalRecord::Incarnation { incarnation: 9 }.encode()); // staged: excluded
@@ -969,14 +1125,21 @@ mod tests {
         let back = MemDisk::from_image(&img).unwrap();
         assert_eq!(back.staged_records(), 0);
         let (s, log) = back.load();
-        assert!(s.is_some());
+        assert_eq!(Snapshot::decode(s.unwrap()), Ok(snap));
+        assert_eq!(decode_history(back.history(), u32::MAX), (updates, history.len()));
         let (recs, tail) = decode_wal(log);
         assert!(tail.is_clean());
         assert_eq!(recs, vec![WalRecord::Incarnation { incarnation: 3 }]);
+        assert_eq!(back.image(), img);
+        // Every cut of the image short of its log is refused, not misread.
+        let log_starts = img.len() - log.len();
+        for cut in 0..log_starts {
+            assert_eq!(MemDisk::from_image(&img[..cut]), None, "cut at {cut}");
+        }
     }
 
-    #[test]
-    fn filedisk_roundtrip() {
+    /// A fresh scratch directory per call.
+    fn scratch_dir() -> PathBuf {
         use std::sync::atomic::{AtomicUsize, Ordering};
         static SEQ: AtomicUsize = AtomicUsize::new(0);
         let dir = std::env::temp_dir().join(format!(
@@ -985,13 +1148,19 @@ mod tests {
             SEQ.fetch_add(1, Ordering::Relaxed)
         ));
         let _ = fs::remove_dir_all(&dir);
+        dir
+    }
 
+    #[test]
+    fn filedisk_roundtrip() {
+        let dir = scratch_dir();
         let mut d = FileDisk::open(&dir).unwrap();
         d.append(&WalRecord::Incarnation { incarnation: 1 }.encode()).unwrap();
         assert_eq!(d.staged_records(), 1);
         assert_eq!(d.sync().unwrap(), 1);
         let snap = Snapshot { incarnation: 1, applied: VClock::new(2), ..Default::default() };
-        d.install_snapshot(&snap.encode()).unwrap();
+        let (_, first) = history(1..=2);
+        d.compact(&snap.encode(), &first).unwrap();
         d.append(
             &WalRecord::OwnWrite {
                 loc: Loc(0),
@@ -1005,21 +1174,46 @@ mod tests {
         drop(d);
 
         let (s, log) = FileDisk::load(&dir).unwrap();
-        assert_eq!(Snapshot::decode(&s.unwrap()).unwrap(), snap);
+        let s = s.unwrap();
+        assert_eq!(Snapshot::decode(&s).unwrap(), snap);
         let (recs, tail) = decode_wal(&log);
         assert!(tail.is_clean());
-        assert_eq!(recs.len(), 1, "snapshot install truncated the pre-snapshot log");
+        assert_eq!(recs.len(), 1, "compaction replaced the pre-snapshot log");
+        assert_eq!(fs::read(dir.join("wal.log")).unwrap(), [s, log].concat(), "one file");
+        assert!(!dir.join("wal.tmp").exists() && !dir.join("snapshot.bin").exists());
+        assert_eq!(FileDisk::load_history(&dir).unwrap(), first);
 
         // Re-open appends after the existing tail.
         let mut d = FileDisk::open(&dir).unwrap();
         d.append(&WalRecord::Incarnation { incarnation: 2 }.encode()).unwrap();
         d.sync().unwrap();
-        drop(d);
         let (_, log) = FileDisk::load(&dir).unwrap();
         let (recs, tail) = decode_wal(&log);
         assert!(tail.is_clean());
         assert_eq!(recs.len(), 2);
 
+        // The next compaction appends only its own tail; a truncation
+        // cuts back to a prefix.
+        let (updates, both) = history(1..=4);
+        d.compact(&snap.encode(), &both[first.len()..]).unwrap();
+        let on_disk = FileDisk::load_history(&dir).unwrap();
+        assert_eq!(decode_history(&on_disk, u32::MAX), (updates, both.len()));
+        d.truncate_history(first.len()).unwrap();
+        assert_eq!(FileDisk::load_history(&dir).unwrap(), first);
+        assert_eq!(FileDisk::load(&dir).unwrap().1, Vec::<u8>::new());
+
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A directory in the layout before the snapshot moved into
+    /// `wal.log` is refused, not recovered from its log alone.
+    #[test]
+    fn filedisk_refuses_a_separate_snapshot_file() {
+        let dir = scratch_dir();
+        drop(FileDisk::open(&dir).unwrap());
+        fs::write(dir.join("snapshot.bin"), b"MCSNAP03").unwrap();
+        let err = FileDisk::load(&dir).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
         fs::remove_dir_all(&dir).unwrap();
     }
 }

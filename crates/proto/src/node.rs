@@ -54,9 +54,16 @@ pub trait NodeIo {
     /// Makes every staged record durable (the fsync).
     fn wal_sync(&mut self);
 
-    /// Atomically installs a snapshot and truncates the log. The node
-    /// has synced the log first.
-    fn install_snapshot(&mut self, bytes: Vec<u8>);
+    /// Atomically installs a snapshot, appends `history` (the own
+    /// writes minted since the previous compaction, as
+    /// [`durability::put_history`] frames) to the history segment, and
+    /// truncates the log — one commit. The node has synced the log
+    /// first.
+    fn install_snapshot(&mut self, snapshot: Vec<u8>, history: &[u8]);
+
+    /// Cuts the history segment to its first `len` bytes. Recovery calls
+    /// it to drop a tail a compaction appended but never committed.
+    fn truncate_history(&mut self, len: usize);
 
     /// Whether structured tracing is on (gates annotation strings).
     fn tracing(&self) -> bool {
@@ -576,6 +583,9 @@ pub struct ProcNode {
     /// Log records appended since the last snapshot (the count-based
     /// compaction cadence).
     records_since_snap: u32,
+    /// How many of the replica's own writes the history segment holds:
+    /// the next compaction appends the rest.
+    history_len: usize,
     /// The buffer every log record is framed in, reused so that logging
     /// an arriving message allocates nothing.
     wal_buf: Vec<u8>,
@@ -657,6 +667,7 @@ impl ProcNode {
             link_clock_out: HashMap::new(),
             link_clock_in: HashMap::new(),
             records_since_snap: 0,
+            history_len: 0,
             wal_buf: Vec::new(),
             recover_seen: HashMap::new(),
             shard_routes,
@@ -665,7 +676,10 @@ impl ProcNode {
     }
 
     /// Rebuilds this node from its disk after a crash: decode the
-    /// snapshot, replay the log's `records` through the normal ingest
+    /// snapshot, restore the own-write history it covers from the first
+    /// frames of `history` (cutting the segment there: a longer one is a
+    /// compaction that never committed, whose writes the log still
+    /// holds), replay the log's `records` through the normal ingest
     /// machinery, bump the incarnation and persist it (fsynced) before
     /// any session traffic — so a second crash cannot resurrect this
     /// epoch space — then ask every peer for the missing delta. Every
@@ -683,11 +697,13 @@ impl ProcNode {
     ///
     /// # Panics
     ///
-    /// Panics if the snapshot does not decode: compaction installs
-    /// snapshots atomically, so a corrupt one is an integrity failure.
+    /// Panics if the snapshot does not decode, or if the history holds
+    /// fewer own writes than the snapshot covers: compaction makes both
+    /// durable before it commits, so either is an integrity failure.
     pub fn recover(
         &mut self,
         snapshot: Option<&[u8]>,
+        history: &[u8],
         records: Vec<WalRecord>,
         io: &mut impl NodeIo,
     ) {
@@ -696,11 +712,25 @@ impl ProcNode {
             Snapshot::decode(bytes).unwrap_or_else(|e| panic!("{proc}: snapshot is corrupt: {e}"))
         });
         let mut replica = Self::fresh_replica(proc, &self.cfg, snap.as_ref());
+        let covered = replica.own_count();
+        let (own, len) = durability::decode_history(history, covered);
+        // Under SC the server keeps the writes: no history to restore.
+        assert!(
+            own.len() == covered as usize || !self.cfg.mode.is_replicated(),
+            "{proc}: the history holds {} of the {covered} own writes the snapshot covers",
+            own.len()
+        );
+        if len < history.len() {
+            io.truncate_history(len);
+        }
+        let history_len = own.len();
+        replica.restore_history(own);
         let replayed = records.len() as u32;
         for rec in records {
             replica.replay_record(rec, self.cfg.mode);
         }
         let old = std::mem::replace(self, Self::with_replica(proc, self.cfg.clone(), replica));
+        self.history_len = history_len;
         let r = &mut self.replica;
         r.must_see = old.replica.must_see;
         r.pram_wait = old.replica.pram_wait;
@@ -849,8 +879,10 @@ impl ProcNode {
         }
     }
 
-    /// Compacts the log into a snapshot now. The log is fsynced first
-    /// so the snapshot never covers records a crash could still drop.
+    /// Compacts the log into a snapshot now, handing the disk only the
+    /// own writes minted since the last compaction. The log is fsynced
+    /// first so the snapshot never covers records a crash could still
+    /// drop.
     fn snapshot(&mut self, io: &mut impl NodeIo) {
         // Snapshots do not capture per-shard clocks, own chains, or
         // subscriptions: sharded replicas stay log-only, and recovery
@@ -864,7 +896,12 @@ impl ProcNode {
             None => Vec::new(),
             Some(s) => peers.map(|j| (ProcId(j.0), s.receiver(j, me).delivered())).collect(),
         };
-        io.install_snapshot(self.replica.to_snapshot(watermarks).encode());
+        let snapshot = self.replica.to_snapshot(watermarks).encode();
+        let own = self.replica.own_updates();
+        self.wal_buf.clear();
+        durability::put_history(&mut self.wal_buf, &own[self.history_len..]);
+        io.install_snapshot(snapshot, &self.wal_buf);
+        self.history_len = own.len();
         self.records_since_snap = 0;
     }
 
@@ -1712,7 +1749,9 @@ mod tests {
             self.log.push(WalSync);
         }
 
-        fn install_snapshot(&mut self, _bytes: Vec<u8>) {}
+        fn install_snapshot(&mut self, _snapshot: Vec<u8>, _history: &[u8]) {}
+
+        fn truncate_history(&mut self, _len: usize) {}
     }
 
     const X: Loc = Loc(0);
@@ -1867,7 +1906,7 @@ mod tests {
 
         let mut reborn = ProcNode::new(ProcId(1), cfg);
         let mut req = Recorder::default();
-        reborn.recover(None, Vec::new(), &mut req);
+        reborn.recover(None, &[], Vec::new(), &mut req);
         let answer_a =
             deliver(n1, Recorder { sent: req.sent.clone(), ..Recorder::default() }, &mut a);
         let answer_b = deliver(n1, req, &mut b);

@@ -879,9 +879,10 @@ impl Replica {
 
     // -- durability ---------------------------------------------------------
 
-    /// Captures the replica as a compacted [`Snapshot`] (everything that
-    /// `snapshot + empty log` must reproduce). `watermarks` are the
-    /// session receiver watermarks to persist alongside.
+    /// Captures the replica's live state as a compacted [`Snapshot`]
+    /// (everything that `snapshot + history prefix + empty log` must
+    /// reproduce; the own-write history is not copied). `watermarks` are
+    /// the session receiver watermarks to persist alongside.
     pub fn to_snapshot(&self, watermarks: Vec<(ProcId, u64)>) -> Snapshot {
         let mut store = Vec::new();
         for i in 0..self.store.len() {
@@ -899,7 +900,6 @@ impl Replica {
             applied: self.applied.clone(),
             store,
             counter_updates,
-            own_updates: self.own_updates.clone(),
             pending_batches: self
                 .pending
                 .iter()
@@ -916,12 +916,11 @@ impl Replica {
     }
 
     /// Rebuilds a replica from a decoded [`Snapshot`]. The own-write
-    /// column is rebuilt from `own_updates`, which is complete whenever
-    /// snapshots are taken (durability keeps it). The read gates
-    /// (`must_see`, `pram_wait`, `invalid`) and lock watermarks are
-    /// *not* part of the snapshot: in the simulator they survive the
-    /// crash with the client program, and a restarted live process
-    /// starts its program afresh.
+    /// history is not in the snapshot: [`Replica::restore_history`] puts
+    /// it back. The read gates (`must_see`, `pram_wait`, `invalid`) and
+    /// lock watermarks are *not* part of the snapshot either: in the
+    /// simulator they survive the crash with the client program, and a
+    /// restarted live process starts its program afresh.
     pub fn from_snapshot(proc: ProcId, nprocs: usize, snap: &Snapshot) -> Replica {
         let mut r = Replica::new(proc, nprocs);
         r.incarnation = snap.incarnation;
@@ -931,12 +930,7 @@ impl Replica {
             r.store[loc.index()] = v;
             r.last_writer[loc.index()] = w;
         }
-        for u in &snap.own_updates {
-            r.grow(u.loc.index() + 1);
-            r.own_seq[u.loc.index()] = u.seq;
-        }
         r.counter_updates = snap.counter_updates.iter().cloned().collect();
-        r.own_updates = snap.own_updates.clone();
         r.pending = snap
             .pending_batches
             .iter()
@@ -1008,9 +1002,21 @@ impl Replica {
         }
     }
 
-    /// Number of own writes retained for recovery push-back.
-    pub fn own_updates_len(&self) -> usize {
-        self.own_updates.len()
+    /// Restores the own-write history a snapshot covers, read back from
+    /// the history segment, and the demand-driven dirty-set column it
+    /// implies (the latest own write per location).
+    pub fn restore_history(&mut self, history: Vec<OwnUpdate>) {
+        for u in &history {
+            self.grow(u.loc.index() + 1);
+            self.own_seq[u.loc.index()] = u.seq;
+        }
+        self.own_updates = history;
+    }
+
+    /// The own writes retained for recovery push-back, in sequence
+    /// order (empty unless the configuration enables durability).
+    pub fn own_updates(&self) -> &[OwnUpdate] {
+        &self.own_updates
     }
 }
 
@@ -1345,6 +1351,7 @@ mod tests {
         let snap = Snapshot::decode(&bytes).unwrap();
         assert_eq!(snap.watermarks, vec![(p(1), 7)]);
         let mut back = Replica::from_snapshot(p(0), 3, &snap);
+        back.restore_history(r.own_updates().to_vec());
         assert_eq!(back.incarnation, 3);
         assert_eq!(back.value(Loc(0)), Value::Int(5));
         assert_eq!(back.value(Loc(1)), Value::Int(2));
@@ -1558,10 +1565,10 @@ mod tests {
     fn own_history_is_kept_only_under_durability() {
         let mut r = Replica::new(p(0), 2);
         r.local_write(Loc(0), UpdatePayload::Set(Value::Int(1)), &cfg(Mode::Pram));
-        assert_eq!(r.own_updates_len(), 0, "no durability, no history");
+        assert_eq!(r.own_updates().len(), 0, "no durability, no history");
         let mut r = Replica::new(p(0), 2);
         r.local_write(Loc(0), UpdatePayload::Set(Value::Int(1)), &durable_cfg(Mode::Pram));
-        assert_eq!(r.own_updates_len(), 1);
+        assert_eq!(r.own_updates().len(), 1);
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! What decoding and logging cost the heap, measured.
 //!
 //! 1. No decoder allocates for what a count merely claims. Every count
-//!    field of every wire frame, log record and snapshot is set to its
-//!    largest value in turn (a log record's or snapshot's CRC refreshed,
-//!    so the parser and not the checksum confronts it) and the bytes are
-//!    decoded: the peak heap while decoding stays under 64 KiB. A
-//!    decoder that reserves before clamping the count to the bytes left
-//!    — 65 535 batch entries for a 16-byte body — fails here.
+//!    field of every wire frame, log record, snapshot and history frame
+//!    is set to its largest value in turn (a log record's, snapshot's or
+//!    history frame's CRC refreshed, so the parser and not the checksum
+//!    confronts it) and the bytes are decoded: the peak heap while
+//!    decoding stays under 64 KiB. A decoder that reserves before
+//!    clamping the count to the bytes left — 65 535 batch entries for a
+//!    16-byte body, or `u32::MAX` own writes for a torn history — fails
+//!    here.
 //! 2. Logging an arriving update allocates nothing. A durable node
 //!    ingests 10 000 `Update`s, `RecoverResp`s and `ShardUpdate`s; from
 //!    a message's arrival to its log record reaching the disk, nothing is
@@ -24,7 +26,7 @@ use std::sync::Arc;
 
 use bytes::BytesMut;
 use mc_model::{BarrierId, Loc, LockId, LockMode, ProcId, VClock, Value, WriteId};
-use mc_proto::durability::{OwnUpdate, SnapBatch};
+use mc_proto::durability::{decode_history, put_history, OwnUpdate, SnapBatch};
 use mc_proto::wire::{decode_frame, encode_frame, FRAME_HEADER};
 use mc_proto::{
     crc32, decode_wal, BatchEntry, DsmConfig, DurabilityPolicy, GrantInfo, Mode, Msg, NodeIo,
@@ -276,12 +278,6 @@ fn max_count_snapshots_decode_in_bounded_memory() {
         applied: clock(3),
         store: vec![(Loc(1), Value::Int(4), Some(WriteId::new(ProcId(1), 2)))],
         counter_updates: vec![(Loc(2), vec![WriteId::new(ProcId(0), 1)])],
-        own_updates: vec![OwnUpdate {
-            seq: 1,
-            loc: Loc(1),
-            payload: UpdatePayload::Add(Value::Int(1)),
-            deps: Some(clock(3)),
-        }],
         pending_batches: vec![SnapBatch {
             proc: ProcId(1),
             first_seq: 1,
@@ -302,6 +298,33 @@ fn max_count_snapshots_decode_in_bounded_memory() {
     assert!(peak < PEAK_LIMIT, "snapshot decoding peaked at {peak} bytes");
 }
 
+/// The history decoder under the same poisoning, and cut at every byte:
+/// it stops at the torn frame, the failed CRC or the sequence number out
+/// of turn without reserving for writes the bytes do not hold, however
+/// many it is asked for.
+#[test]
+fn max_count_history_frames_decode_in_bounded_memory() {
+    let own = |seq| OwnUpdate {
+        seq,
+        loc: Loc(1),
+        payload: UpdatePayload::Add(Value::Int(1)),
+        deps: Some(clock(3)),
+    };
+    let mut frame = Vec::new();
+    put_history(&mut frame, &[own(1)]);
+    let reseal = |f: &mut Vec<u8>| {
+        let crc = crc32(&f[8..]);
+        f[4..8].copy_from_slice(&crc.to_le_bytes());
+    };
+    let mut variants = max_count_variants(&frame, 0, reseal);
+    let mut two = Vec::new();
+    put_history(&mut two, &[own(1), own(3)]);
+    variants.extend((0..=two.len()).map(|cut| two[..cut].to_vec()));
+    let peak = worst_peak(&variants, |b| drop(decode_history(b, u32::MAX)));
+    assert!(peak < PEAK_LIMIT, "history decoding peaked at {peak} bytes");
+    assert_eq!(decode_history(&two, u32::MAX).0, vec![own(1)], "the gap ends the history");
+}
+
 /// A disk that records how many allocations happened between a
 /// message's arrival and its log record's append.
 #[derive(Default)]
@@ -319,7 +342,9 @@ impl NodeIo for AppendAllocs {
 
     fn wal_sync(&mut self) {}
 
-    fn install_snapshot(&mut self, _bytes: Vec<u8>) {}
+    fn install_snapshot(&mut self, _snapshot: Vec<u8>, _history: &[u8]) {}
+
+    fn truncate_history(&mut self, _len: usize) {}
 }
 
 /// Delivers each message to `node` and returns the allocations before

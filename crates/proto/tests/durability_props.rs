@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 
 use mc_model::{Loc, ProcId, VClock, Value, WriteId};
-use mc_proto::durability::{OwnUpdate, SnapBatch};
+use mc_proto::durability::SnapBatch;
 use mc_proto::{crc32, decode_wal, BatchEntry, Msg, Snapshot, UpdatePayload, WalRecord, WalTail};
 
 fn gen_clock() -> impl Strategy<Value = VClock> {
@@ -135,14 +135,13 @@ fn gen_record() -> impl Strategy<Value = WalRecord> {
 fn gen_snapshot() -> impl Strategy<Value = Snapshot> {
     let store =
         proptest::collection::vec((0..8u32, gen_value(), any::<bool>(), gen_writer()), 0..4);
-    let own = proptest::collection::vec((0..8u32, gen_payload(), gen_opt_clock()), 0..3);
     let pending =
         proptest::collection::vec((gen_writer(), 0..8u32, gen_payload(), gen_clock()), 0..3);
     let batches =
         proptest::collection::vec(((0..3u32, 1..50u32), gen_entry_parts(), gen_clock()), 0..3);
     let marks = proptest::collection::vec((0..3u32, any::<u64>()), 0..3);
-    ((0..8u32, gen_clock()), store, own, (pending, batches), marks).prop_map(
-        |((incarnation, applied), store, own, (pending, batches), marks)| Snapshot {
+    ((0..8u32, gen_clock()), store, (pending, batches), marks).prop_map(
+        |((incarnation, applied), store, (pending, batches), marks)| Snapshot {
             incarnation,
             applied,
             store: store
@@ -150,10 +149,6 @@ fn gen_snapshot() -> impl Strategy<Value = Snapshot> {
                 .map(|(l, v, some, w)| (Loc(l), v, some.then_some(w)))
                 .collect(),
             counter_updates: vec![(Loc(0), vec![WriteId::new(ProcId(1), 1)])],
-            own_updates: (1..)
-                .zip(own)
-                .map(|(seq, (l, payload, deps))| OwnUpdate { seq, loc: Loc(l), payload, deps })
-                .collect(),
             pending_batches: pending
                 .into_iter()
                 .map(|(writer, l, payload, deps)| SnapBatch {
