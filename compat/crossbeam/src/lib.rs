@@ -4,9 +4,17 @@
 //! built on `Mutex<VecDeque>` + `Condvar`, with cloneable `Sender` and
 //! `Receiver` halves and the same disconnect semantics the live executor
 //! relies on (send fails once every receiver is gone; recv fails once the
-//! queue is drained and every sender is gone). Not optimized for
-//! throughput — the live executor's message rates are tiny compared to
-//! the cost of the protocol work on either side.
+//! queue is drained and every sender is gone).
+//!
+//! A send wakes a receiver only when one is asleep: receivers blocked in
+//! [`recv`](channel::Receiver::recv) or
+//! [`recv_timeout`](channel::Receiver::recv_timeout) count themselves
+//! under the state lock, and a send that finds the count at zero skips
+//! the condvar (on Linux a `futex_wake` system call). The live executor's
+//! message rates are low, but each of its round trips is paced by the
+//! wake-ups on the way, so a receiver that polls with
+//! [`try_recv`](channel::Receiver::try_recv) while it is awake costs its
+//! senders nothing.
 
 #![warn(missing_docs)]
 
@@ -21,6 +29,8 @@ pub mod channel {
         queue: VecDeque<T>,
         senders: usize,
         receivers: usize,
+        /// Receivers blocked on `ready`: a send notifies only if some are.
+        asleep: usize,
     }
 
     struct Chan<T> {
@@ -117,7 +127,12 @@ pub mod channel {
     /// Creates an unbounded MPMC channel.
     pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
         let chan = Arc::new(Chan {
-            state: Mutex::new(State { queue: VecDeque::new(), senders: 1, receivers: 1 }),
+            state: Mutex::new(State {
+                queue: VecDeque::new(),
+                senders: 1,
+                receivers: 1,
+                asleep: 0,
+            }),
             ready: Condvar::new(),
         });
         (Sender { chan: chan.clone() }, Receiver { chan })
@@ -131,8 +146,13 @@ pub mod channel {
                 return Err(SendError(msg));
             }
             st.queue.push_back(msg);
+            let asleep = st.asleep > 0;
             drop(st);
-            self.chan.ready.notify_one();
+            // A receiver counts itself asleep under the lock before it
+            // waits, so one that found the queue empty is counted here.
+            if asleep {
+                self.chan.ready.notify_one();
+            }
             Ok(())
         }
     }
@@ -172,7 +192,9 @@ pub mod channel {
                 if st.senders == 0 {
                     return Err(RecvError);
                 }
+                st.asleep += 1;
                 st = self.chan.ready.wait(st).unwrap();
+                st.asleep -= 1;
             }
         }
 
@@ -189,9 +211,12 @@ pub mod channel {
             }
         }
 
-        /// Blocks up to `timeout` for a message.
+        /// Blocks up to `timeout` for a message; a timeout too long for
+        /// an [`Instant`] (such as [`Duration::MAX`]) never expires.
         pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-            let deadline = Instant::now() + timeout;
+            let Some(deadline) = Instant::now().checked_add(timeout) else {
+                return self.recv().map_err(|RecvError| RecvTimeoutError::Disconnected);
+            };
             let mut st = self.chan.state.lock().unwrap();
             loop {
                 if let Some(msg) = st.queue.pop_front() {
@@ -204,8 +229,9 @@ pub mod channel {
                 if now >= deadline {
                     return Err(RecvTimeoutError::Timeout);
                 }
-                let (guard, _res) = self.chan.ready.wait_timeout(st, deadline - now).unwrap();
-                st = guard;
+                st.asleep += 1;
+                st = self.chan.ready.wait_timeout(st, deadline - now).unwrap().0;
+                st.asleep -= 1;
             }
         }
     }
@@ -264,6 +290,18 @@ pub mod channel {
             let (tx, rx) = unbounded::<u32>();
             assert_eq!(rx.recv_timeout(Duration::from_millis(10)), Err(RecvTimeoutError::Timeout));
             drop(tx);
+        }
+
+        #[test]
+        fn a_timeout_too_long_for_an_instant_never_expires() {
+            let (tx, rx) = unbounded();
+            let sender = thread::spawn(move || {
+                thread::sleep(Duration::from_millis(5));
+                tx.send(7).unwrap();
+            });
+            assert_eq!(rx.recv_timeout(Duration::MAX), Ok(7));
+            sender.join().unwrap();
+            assert_eq!(rx.recv_timeout(Duration::MAX), Err(RecvTimeoutError::Disconnected));
         }
 
         #[test]

@@ -2,9 +2,12 @@
 //!
 //! The deterministic simulator (`mc-sim`) is the primary test vehicle; this
 //! crate is the *deployment-shaped* executor: every process is an OS
-//! thread, every link a crossbeam channel (FIFO per sender — the paper's
-//! channel assumption), and a manager shard runs on whichever thread
-//! sends it a message ([`ManagerSlot`]).
+//! thread with one inbox, an in-process channel (`compat/crossbeam`,
+//! FIFO per sender — the paper's channel assumption), and a manager
+//! shard runs on whichever thread sends it a message ([`ManagerSlot`]).
+//! An operation that must wait for a message parks: it probes its inbox
+//! for a few tens of microseconds while awake, then sleeps on it
+//! ([`ParkStats`] counts which of the two answered).
 //! [`LiveSystem::lossy`] revokes the reliability half of that assumption
 //! (seeded, deterministic per-message drops) and [`LiveSystem::reliable`]
 //! earns it back with the same `mc_proto::session` layer the simulator
@@ -46,5 +49,5 @@ mod system;
 
 pub use system::{
     run_proc_node, ChannelTransport, Cluster, LiveCtx, LiveDriver, LiveError, LiveOutcome,
-    LiveSystem, ManagerSlot, Net, NodeConfig, NodeId, Transport, WalCounters, Wire,
+    LiveSystem, ManagerSlot, Net, NodeConfig, NodeId, ParkStats, Transport, WalCounters, Wire,
 };

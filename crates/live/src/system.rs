@@ -8,7 +8,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 
 use mc_model::{BarrierId, History, HistoryBuilder, Loc, MalformedHistory, ProcId, VClock, Value};
 use mc_proto::{
@@ -176,6 +176,28 @@ impl ManagerSlot {
 /// Wall-clock ticks stand in for the simulator's per-link timers; the
 /// period is coarse enough that a healthy ack always wins the race.
 const RETX_TICK: Duration = Duration::from_millis(1);
+
+/// How long a parked operation keeps probing its inbox, yielding the CPU
+/// between probes, before it blocks (DESIGN.md §4.5). A reply that lands
+/// inside the window is taken by a thread that is still awake: the
+/// sender skips the wake-up call and the receiver the trip through the
+/// scheduler. The value is the knee of a measured sweep
+/// (EXPERIMENTS.md §E11); a longer window catches few more replies and
+/// burns the CPU a co-located thread could use.
+const SPIN_WINDOW: Duration = Duration::from_micros(60);
+
+/// How one process's parked operations were answered: each park is a wait
+/// for one more message, caught inside [`SPIN_WINDOW`] or slept through.
+/// `parks == caught + slept` once the process is done.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ParkStats {
+    /// Waits for a message by a parked operation.
+    pub parks: u64,
+    /// Parks whose message arrived inside the spin window.
+    pub caught: u64,
+    /// Parks that outlasted the window and blocked on the inbox.
+    pub slept: u64,
+}
 
 /// Shared durability counters, aggregated into [`LiveOutcome::wal`] at
 /// teardown (the same quantities as the simulator's `Metrics::wal`).
@@ -401,6 +423,9 @@ pub struct LiveOutcome {
     /// to a `kill -9` die with the process and are only observable as
     /// the torn tail the next incarnation recovers through.
     pub wal: DurabilityStats,
+    /// How each process's parked operations were answered, indexed by
+    /// process.
+    pub parks: Vec<ParkStats>,
     replicas: Vec<Replica>,
     server: Manager,
     mode: Mode,
@@ -575,10 +600,13 @@ impl Cluster {
         // I/O holds the transport that holds its slot.
         let mut managers: Vec<Manager> =
             managers.iter().map(|slot| slot.take().expect("every shard installed")).collect();
-        let mut replicas = Vec::new();
+        let (mut replicas, mut parks) = (Vec::new(), Vec::new());
         for (i, joined) in joined.into_iter().enumerate() {
             match joined {
-                Ok(replica) => replicas.push(replica),
+                Ok((replica, park)) => {
+                    replicas.push(replica);
+                    parks.push(park);
+                }
                 Err(payload) => {
                     let message = payload
                         .downcast_ref::<&str>()
@@ -613,6 +641,7 @@ impl Cluster {
         Ok(LiveOutcome {
             history,
             wal: walc.stats(),
+            parks,
             messages: net.messages(),
             bytes: net.bytes(),
             lost: net.lost.load(Ordering::Relaxed),
@@ -775,7 +804,7 @@ impl LiveSystem {
 
     /// Sets the blocked-operation timeout (default 10 s); a process that
     /// waits longer panics with a diagnostic, surfacing as
-    /// [`LiveError::ProcPanicked`].
+    /// [`LiveError::ProcPanicked`]. [`Duration::MAX`] means no deadline.
     pub fn timeout(mut self, timeout: Duration) -> Self {
         self.cluster.timeout = timeout;
         self
@@ -993,7 +1022,8 @@ pub struct NodeConfig {
     pub proc: ProcId,
     /// The shared protocol configuration.
     pub cfg: DsmConfig,
-    /// Blocked-operation timeout (panics past it).
+    /// Blocked-operation timeout (panics past it; [`Duration::MAX`]
+    /// never does).
     pub timeout: Duration,
     /// Durability root; each process keeps its WAL under
     /// `dir/replica-{i}`.
@@ -1005,7 +1035,9 @@ pub struct NodeConfig {
 /// keep ingesting — retransmitting on session ticks — until the
 /// shutdown signal, and fsync on the way out. Both the in-process
 /// executor and the TCP runtime (`mc-net`) call this; only the
-/// [`Transport`] behind `net` and the inbox feeding `rx` differ.
+/// [`Transport`] behind `net` and the inbox feeding `rx` differ. Returns
+/// the final replica and how the program's parked operations were
+/// answered.
 pub fn run_proc_node(
     opts: NodeConfig,
     rx: Receiver<Wire>,
@@ -1014,13 +1046,20 @@ pub fn run_proc_node(
     recorder: Option<Arc<Mutex<HistoryBuilder>>>,
     body: impl FnOnce(&mut LiveCtx),
     done: impl FnOnce(),
-) -> Replica {
+) -> (Replica, ParkStats) {
     let NodeConfig { proc, cfg, timeout, durability_dir } = opts;
     // A recovered node has already asked every peer for the updates its
     // disk never made durable; responses arrive during (or after) the
     // program and unblock its read gates.
     let (node, io) = open_node(proc, Arc::new(cfg), durability_dir.as_deref(), &walc, net);
-    let driver = LiveDriver { node, io, inbox: rx, timeout, buffered_since: None };
+    let driver = LiveDriver {
+        node,
+        io,
+        inbox: rx,
+        timeout,
+        buffered_since: None,
+        parks: ParkStats::default(),
+    };
     let mut ctx = LiveCtx::new(driver, recorder);
     // The done signal must fire even on panic (op timeouts panic by
     // design): the coordinator waits for exactly one signal per process,
@@ -1052,7 +1091,7 @@ pub fn run_proc_node(
     // Final fsync: a clean shutdown leaves no staged records behind
     // (only a kill can lose appended work).
     driver.io.wal_sync();
-    driver.node.into_replica()
+    (driver.node.into_replica(), driver.parks)
 }
 
 /// The per-process handle of the live executor: [`MemCtx`]'s operations,
@@ -1069,6 +1108,7 @@ pub struct LiveDriver {
     /// When the out-batches last became non-empty (the wall-clock flush
     /// window starts here).
     buffered_since: Option<Instant>,
+    parks: ParkStats,
 }
 
 impl LiveDriver {
@@ -1101,14 +1141,16 @@ impl LiveDriver {
         self.buffered_since = None;
     }
 
-    /// Blocks until one more message arrives and handles it. With the
-    /// session layer on, waits in [`RETX_TICK`] slices, retransmitting
-    /// unacknowledged payloads between them.
+    /// Waits until one more message arrives and handles it: first awake,
+    /// probing the inbox for [`SPIN_WINDOW`], then blocked on it. With
+    /// the session layer on, the blocked wait runs in [`RETX_TICK`]
+    /// slices, retransmitting unacknowledged payloads between them.
     ///
     /// # Panics
     ///
     /// Panics (naming what the parked operation waits for) after the
-    /// configured timeout — the live executor's deadlock detector.
+    /// configured timeout, the spin window included — the live
+    /// executor's deadlock detector.
     fn step(&mut self) {
         // About to park: never sit on buffered writes another process
         // might be waiting for — there is no background timer thread, so
@@ -1118,22 +1160,53 @@ impl LiveDriver {
         self.io.sending = Sending::Inline;
         self.flush();
         self.io.sending = Sending::Queued;
-        let reliable = self.node.cfg().reliable;
-        let deadline = Instant::now() + self.timeout;
+        self.parks.parks += 1;
+        let start = Instant::now();
+        // `None`: a timeout past what an `Instant` holds never expires.
+        let deadline = start.checked_add(self.timeout);
+        let wire = match self.spin(start + SPIN_WINDOW.min(self.timeout)) {
+            Some(wire) => {
+                self.parks.caught += 1;
+                wire
+            }
+            None => {
+                self.parks.slept += 1;
+                self.sleep(deadline)
+            }
+        };
+        match wire {
+            Wire::Proto { from, msg } => self.receive(from, msg),
+            Wire::Shutdown => panic!(
+                "{} received shutdown while waiting for {:?}",
+                self.proc(),
+                self.node.blocked()
+            ),
+        }
+    }
+
+    /// Probes the inbox until `until`, yielding between probes so that a
+    /// thread sharing this CPU — the peer or the reader about to deliver
+    /// the reply — runs meanwhile.
+    fn spin(&self, until: Instant) -> Option<Wire> {
         loop {
-            let wait = if reliable {
-                RETX_TICK.min(deadline.saturating_duration_since(Instant::now()))
-            } else {
-                self.timeout
-            };
+            match self.inbox.try_recv() {
+                Ok(wire) => return Some(wire),
+                Err(TryRecvError::Empty) if Instant::now() < until => std::thread::yield_now(),
+                Err(_) => return None,
+            }
+        }
+    }
+
+    /// Blocks for the next message until `deadline`.
+    fn sleep(&mut self, deadline: Option<Instant>) -> Wire {
+        let reliable = self.node.cfg().reliable;
+        loop {
+            let left =
+                deadline.map_or(Duration::MAX, |d| d.saturating_duration_since(Instant::now()));
+            let wait = if reliable { RETX_TICK.min(left) } else { left };
             match self.inbox.recv_timeout(wait) {
-                Ok(Wire::Proto { from, msg }) => return self.receive(from, msg),
-                Ok(Wire::Shutdown) => panic!(
-                    "{} received shutdown while waiting for {:?}",
-                    self.proc(),
-                    self.node.blocked()
-                ),
-                Err(RecvTimeoutError::Timeout) if Instant::now() < deadline => {
+                Ok(wire) => return wire,
+                Err(RecvTimeoutError::Timeout) if deadline.is_none_or(|d| Instant::now() < d) => {
                     self.node.retransmit(&mut self.io);
                 }
                 Err(_) => {
@@ -1142,13 +1215,14 @@ impl LiveDriver {
                     let replica = self.node.replica();
                     panic!(
                         "{} timed out after {:?} waiting for {:?} \
-                         (applied={:?} pending={} links={:?})",
+                         (applied={:?} pending={} links={:?} {:?})",
                         self.proc(),
                         self.timeout,
                         self.node.blocked().expect("a parked operation"),
                         replica.applied,
                         replica.pending_len(),
                         self.node.session().map(|s| s.debug_links()),
+                        self.parks,
                     )
                 }
             }

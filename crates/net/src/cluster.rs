@@ -106,7 +106,8 @@ impl NetSystem {
         self
     }
 
-    /// Sets the blocked-operation timeout.
+    /// Sets the blocked-operation timeout; [`Duration::MAX`] means no
+    /// deadline.
     pub fn timeout(mut self, timeout: Duration) -> Self {
         self.cluster.timeout = timeout;
         self
@@ -313,7 +314,7 @@ pub fn run_cluster_node(
     }
 
     let opts = NodeConfig { proc: ProcId(node as u32), cfg: cfg.clone(), timeout, durability_dir };
-    let replica = if node == 0 {
+    let (replica, _) = if node == 0 {
         // Coordinator: the protocol node runs on its own thread while
         // this thread collects Done reports and broadcasts Shutdown.
         let ev_tx = ev_tx.clone();

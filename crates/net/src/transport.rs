@@ -27,8 +27,12 @@
 //!   node's inbox; a frame for a manager node runs the manager on the
 //!   reader itself ([`ManagerSlot`]).
 //!
-//! An SC operation thus wakes three threads: application → (socket) →
+//! An SC operation thus crosses three threads: application → (socket) →
 //! the manager's reader → (socket) → the process's reader → application.
+//! Only the two readers are woken when the reply comes back quickly: the
+//! parked application thread probes its inbox for a few tens of
+//! microseconds before it sleeps (`mc_live`'s spin window), so it takes
+//! the reply awake, and the reader's hand-off skips the wake-up call.
 //!
 //! # One order per link across both write paths
 //!
