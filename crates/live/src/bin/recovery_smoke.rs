@@ -133,6 +133,9 @@ fn cycle(label: &str, group_commit: bool) {
             }
             None => Replica::new(ProcId(p as u32), NPROCS),
         };
+        let written = snap_bytes.as_ref().map_or(0, Vec::len) + wal.len();
+        let size = std::fs::metadata(rdir.join("wal.log")).map_or(0, |m| m.len());
+        println!("replica-{p}: log ends at byte {written} of {size}");
         let (records, tail) = decode_wal(&wal);
         match tail {
             WalTail::Clean => {}

@@ -208,6 +208,8 @@ pub struct WalCounters {
     /// Fsync calls that made at least one record durable (`fsyncs <
     /// synced` is the signature of effective group-commit batching).
     fsyncs: AtomicU64,
+    /// Syncs that flushed the log's size too (at open, or after growth).
+    full_syncs: AtomicU64,
     replayed: AtomicU64,
     snapshots: AtomicU64,
     recoveries: AtomicU64,
@@ -221,6 +223,7 @@ impl WalCounters {
             appends: self.appends.load(Ordering::Relaxed),
             synced: self.synced.load(Ordering::Relaxed),
             fsyncs: self.fsyncs.load(Ordering::Relaxed),
+            full_syncs: self.full_syncs.load(Ordering::Relaxed),
             lost: 0,
             replayed: self.replayed.load(Ordering::Relaxed),
             snapshots: self.snapshots.load(Ordering::Relaxed),
@@ -920,6 +923,7 @@ impl NodeIo for LiveIo {
         let n = wal.disk.sync().unwrap_or_else(|e| panic!("p{}: wal sync failed: {e}", self.me));
         wal.counters.synced.fetch_add(n, Ordering::Relaxed);
         wal.counters.fsyncs.fetch_add(1, Ordering::Relaxed);
+        wal.counters.full_syncs.fetch_add(wal.disk.take_full_syncs(), Ordering::Relaxed);
     }
 
     fn install_snapshot(&mut self, snapshot: Vec<u8>, history: &[u8]) {
@@ -963,11 +967,11 @@ fn next_wire(rx: &Receiver<Wire>, reliable: bool) -> Inbox {
 /// Opens process `proc`'s node and disk and, when prior state exists,
 /// recovers: the snapshot, the history segment and the WAL's valid
 /// prefix go through [`ProcNode::recover`]. Only what concerns the real
-/// file happens here:
-/// a torn tail (the expected `kill -9` residue) is truncated before the
-/// log is reopened for appending; a corrupt frame *before* the tail is a
-/// real integrity failure and panics with a diagnostic rather than
-/// silently dropping durable state.
+/// file happens here: a corrupt frame (one whose CRC fails with written
+/// bytes behind it, or whose body does not parse) is a real integrity
+/// failure and panics with a diagnostic rather than silently dropping
+/// durable state; a torn tail (the expected `kill -9` residue) is cut
+/// by [`FileDisk::open`], which appends right after the valid prefix.
 fn open_node(
     proc: ProcId,
     cfg: Arc<DsmConfig>,
@@ -985,27 +989,14 @@ fn open_node(
         .unwrap_or_else(|e| panic!("{proc}: cannot load history in {rdir:?}: {e}"));
     let had_state = snap_bytes.is_some() || !log_bytes.is_empty() || !history.is_empty();
     let (records, tail) = decode_wal(&log_bytes);
-    let valid_len = match tail {
-        WalTail::Clean => log_bytes.len(),
-        WalTail::Torn { at } => at,
-        WalTail::Corrupt { at } => {
-            // A CRC failure with more frames behind it would mean durable
-            // records silently vanish; all observed kill patterns tear
-            // only the tail, so refuse anything else loudly.
-            panic!("{proc}: wal in {rdir:?} has a corrupt frame at byte {at}")
-        }
-    };
-    if valid_len < log_bytes.len() {
-        // The log follows the snapshot frame in `wal.log`.
-        let end = snap_bytes.as_ref().map_or(0, Vec::len) + valid_len;
-        let f = std::fs::OpenOptions::new()
-            .write(true)
-            .open(rdir.join("wal.log"))
-            .unwrap_or_else(|e| panic!("{proc}: cannot reopen wal: {e}"));
-        f.set_len(end as u64).unwrap_or_else(|e| panic!("{proc}: cannot truncate wal: {e}"));
-        f.sync_all().unwrap_or_else(|e| panic!("{proc}: cannot sync truncated wal: {e}"));
+    if let WalTail::Corrupt { at } = tail {
+        // A CRC failure with written bytes behind it would mean durable
+        // records silently vanish; all observed kill patterns tear
+        // only the tail, so refuse anything else loudly.
+        panic!("{proc}: wal in {rdir:?} has a corrupt frame at byte {at}")
     }
-    let disk = FileDisk::open(&rdir).unwrap_or_else(|e| panic!("{proc}: cannot open wal: {e}"));
+    let mut disk = FileDisk::open(&rdir).unwrap_or_else(|e| panic!("{proc}: cannot open wal: {e}"));
+    walc.full_syncs.fetch_add(disk.take_full_syncs(), Ordering::Relaxed);
     io.wal = Some(Wal { disk, counters: walc.clone() });
     if had_state {
         walc.replayed.fetch_add(records.len() as u64, Ordering::Relaxed);

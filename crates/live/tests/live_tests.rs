@@ -767,3 +767,48 @@ fn group_commit_amortizes_live_fsyncs() {
         per_write.wal.fsyncs
     );
 }
+
+#[test]
+fn durable_writes_between_compactions_sync_data_only() {
+    // The shape of mcbench's `durable_session`: two processes, reliable
+    // sessions, the default compaction cadence, own writes acked one
+    // sync each and a peer read every eighth write. Each replica opens
+    // its log with one full sync; after that the preallocated log never
+    // grows, so no sync between two compactions flushes metadata.
+    const WRITES: u32 = 2_000;
+    const OWN: u32 = 16;
+    let dir = std::env::temp_dir().join(format!("mc-live-prealloc-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut sys = LiveSystem::new(2, Mode::Causal)
+        .reliable(true)
+        .durability(mc_proto::DurabilityPolicy::default(), &dir);
+    for p in 0..2u32 {
+        sys.spawn(move |ctx| {
+            let q = 1 - p;
+            for k in 0..WRITES {
+                ctx.write(Loc(p * OWN + k % OWN), i64::from(k) + 1);
+                if k % 8 == 7 {
+                    ctx.read_pram(Loc(q * OWN + k % OWN));
+                }
+            }
+            ctx.write(Loc(2 * OWN + p), 1);
+            ctx.await_eq(Loc(2 * OWN + q), Value::Int(1));
+        });
+    }
+    let out = sys.run().expect("clean run");
+    assert!(out.wal.snapshots >= 2 * u64::from(WRITES) / 64, "compactions ran: {:?}", out.wal);
+    assert!(out.wal.fsyncs > 2 * u64::from(WRITES), "every own write synced: {:?}", out.wal);
+    assert_eq!(out.wal.full_syncs, 2, "one full sync per replica, at open: {:?}", out.wal);
+    for p in 0..2 {
+        let rdir = dir.join(format!("replica-{p}"));
+        let (snapshot, _) = mc_proto::FileDisk::load(&rdir).expect("replica dir loads");
+        let len = std::fs::metadata(rdir.join("wal.log")).expect("the log exists").len();
+        let snapshot = snapshot.expect("a compaction committed").len();
+        assert_eq!(
+            len as usize,
+            snapshot + mc_proto::durability::WAL_CHUNK,
+            "replica-{p}'s log grew"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

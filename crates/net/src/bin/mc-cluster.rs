@@ -99,7 +99,10 @@ fn parse(args: &[String]) -> Opts {
 }
 
 /// The cluster config both sides derive identically from the options.
-fn config(o: &Opts, spec: Option<&ProgSpec>) -> DsmConfig {
+/// A spec's `durability N` line sets the snapshot cadence under
+/// `--durable`; without the flag there is no directory to keep the log
+/// in, and the spec is refused.
+fn config(o: &Opts, spec: Option<&ProgSpec>) -> Result<DsmConfig, String> {
     let mut cfg = DsmConfig::new(o.procs, spec.map_or(o.mode, |spec| spec.mode));
     cfg.reliable = o.reliable;
     if let Some(spec) = spec {
@@ -109,11 +112,26 @@ fn config(o: &Opts, spec: Option<&ProgSpec>) -> DsmConfig {
         }
         assert!(spec.shards.is_none(), "mc-cluster does not support sharded specs yet");
     }
-    if o.durable.is_some() {
-        cfg.durability = Some(DurabilityPolicy::new(64));
-        cfg.reliable = true;
+    let every = spec.and_then(|spec| spec.durability);
+    match (&o.durable, every) {
+        (None, Some(n)) => {
+            return Err(format!("the spec asks for `durability {n}`: run it with --durable DIR"))
+        }
+        (Some(_), every) => {
+            cfg.durability = Some(DurabilityPolicy::new(every.unwrap_or(64)));
+            cfg.reliable = true;
+        }
+        (None, None) => {}
     }
-    cfg
+    Ok(cfg)
+}
+
+/// [`config`], or exit 2 with its complaint.
+fn config_or_exit(o: &Opts, spec: Option<&ProgSpec>) -> DsmConfig {
+    config(o, spec).unwrap_or_else(|e| {
+        eprintln!("mc-cluster: {e}");
+        std::process::exit(2);
+    })
 }
 
 fn load_spec(o: &Opts) -> Option<ProgSpec> {
@@ -127,7 +145,7 @@ fn load_spec(o: &Opts) -> Option<ProgSpec> {
 fn child(o: &Opts) -> ! {
     let node = o.node.expect("child needs --node");
     let spec = load_spec(o);
-    let cfg = config(o, spec.as_ref());
+    let cfg = config_or_exit(o, spec.as_ref());
     let nprocs = cfg.nprocs;
     let opts = NodeOpts {
         node,
@@ -159,7 +177,7 @@ fn parent(o: &Opts) -> ! {
     if let Some(spec) = &spec {
         assert_eq!(spec.procs.len(), o.procs, "--procs must match the spec's process count");
     }
-    let cfg = config(o, spec.as_ref());
+    let cfg = config_or_exit(o, spec.as_ref());
     let nnodes = cfg.nnodes();
     let base_port = if o.port != 0 {
         o.port
@@ -207,5 +225,36 @@ fn main() {
         child(&o);
     } else {
         parent(&o);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn opts(args: &[&str]) -> Opts {
+        parse(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    const SPEC: &str = "mode causal\ndurability 7\nproc 0\n  w 0 1\nproc 1\n  r 0 causal\n";
+
+    #[test]
+    fn a_durable_spec_sets_the_snapshot_cadence() {
+        let spec = ProgSpec::parse(SPEC).expect("the spec parses");
+        let cfg = config(&opts(&["--procs", "2", "--durable", "d"]), Some(&spec)).unwrap();
+        assert_eq!(cfg.durability, Some(DurabilityPolicy::new(7)));
+        assert!(cfg.reliable);
+        let plain = ProgSpec { durability: None, ..spec };
+        let cfg = config(&opts(&["--procs", "2", "--durable", "d"]), Some(&plain)).unwrap();
+        assert_eq!(cfg.durability, Some(DurabilityPolicy::new(64)), "the default cadence");
+    }
+
+    #[test]
+    fn a_durable_spec_without_a_directory_is_refused() {
+        let spec = ProgSpec::parse(SPEC).expect("the spec parses");
+        let err = config(&opts(&["--procs", "2"]), Some(&spec)).unwrap_err();
+        assert!(err.contains("--durable"), "{err}");
+        let plain = ProgSpec { durability: None, ..spec };
+        assert_eq!(config(&opts(&["--procs", "2"]), Some(&plain)).unwrap().durability, None);
     }
 }

@@ -184,6 +184,9 @@ fn parent() {
         }
         None => Replica::new(ProcId(VICTIM as u32), NPROCS),
     };
+    let written = snap_bytes.as_ref().map_or(0, Vec::len) + wal.len();
+    let size = std::fs::metadata(rdir.join("wal.log")).map_or(0, |m| m.len());
+    println!("victim: log ends at byte {written} of {size}");
     let (records, tail) = decode_wal(&wal);
     match tail {
         WalTail::Clean => {}

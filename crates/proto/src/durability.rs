@@ -27,16 +27,20 @@
 //! deterministic simulator (with an explicit staged-vs-durable boundary so
 //! crash points between append, fsync, and ack are explorable), and
 //! [`FileDisk`] is the real thing for `mc-live` (`wal.log` headed by the
-//! snapshot, `history.log` beside it, `sync_all` fsyncs, and one rename
-//! as the commit point of a compaction).
+//! snapshot and preallocated with written zeros, so a per-write sync is
+//! a data-only `sync_data`; `history.log` beside it; and one rename as
+//! the commit point of a compaction).
 //!
 //! Both formats are truncation-tolerant: decoding stops at the first
 //! torn or corrupt frame (for the history, also at a sequence gap) and
-//! returns the valid prefix — a corrupt record is never applied.
+//! returns the valid prefix — a corrupt record is never applied. The
+//! zero tail of a `wal.log` never reaches the decoder: [`FileDisk::load`]
+//! returns only the written prefix.
 
 use std::fmt;
 use std::fs;
 use std::io::{self, Write as _};
+use std::os::unix::fs::FileExt as _;
 use std::path::{Path, PathBuf};
 
 use mc_model::{Loc, ProcId, VClock, Value, WriteId};
@@ -669,6 +673,17 @@ impl MemDisk {
 // Real files (mc-live)
 // ---------------------------------------------------------------------------
 
+/// Bytes of written zeros a `wal.log` holds ahead of its records: one
+/// chunk follows the snapshot in every fresh log, and an append that
+/// would cross the end of the file first extends it by as many more as
+/// it needs. At the default cadence (a compaction every 64 records) a
+/// two-process log stays well inside one chunk, so between two
+/// compactions the file never grows and every sync is data-only.
+pub const WAL_CHUNK: usize = 16 << 10;
+
+/// The zeros a chunk is written from.
+static ZEROS: [u8; WAL_CHUNK] = [0; WAL_CHUNK];
+
 /// A real per-replica disk directory for `mc-live`: `wal.log`, whose
 /// first frame is the installed snapshot (if any) and the rest the
 /// records logged since, and the append-only `history.log`. The
@@ -676,18 +691,33 @@ impl MemDisk {
 /// not yet fsynced may or may not survive `kill -9`, and recovery
 /// tolerates either via the truncation-tolerant decoders.
 ///
+/// `wal.log` is preallocated: records overwrite zeros that were written
+/// (not left as holes) and made durable before, inside the file's size,
+/// so [`FileDisk::sync`] is a `sync_data` that flushes no metadata. The
+/// log ends at the first all-zero frame header — no record has an empty
+/// body — or at the end of the file. Only after an append extended the
+/// file does the next sync flush its size as well (`sync_all`).
+///
 /// A compaction ([`FileDisk::compact`]) has one commit point: the rename
-/// of a fresh `wal.tmp`, holding only the new snapshot, over `wal.log`.
-/// Before it the directory recovers to the old snapshot and log (a
-/// history tail already appended lies past the old snapshot's prefix and
-/// is dropped at recovery); after it, to the new snapshot and an empty
-/// log. No state holds a snapshot together with a log it already covers.
+/// of a fresh `wal.tmp`, holding only the new snapshot and one zero
+/// chunk, over `wal.log`. Before it the directory recovers to the old
+/// snapshot and log (a history tail already appended lies past the old
+/// snapshot's prefix and is dropped at recovery); after it, to the new
+/// snapshot and an empty log. No state holds a snapshot together with a
+/// log it already covers.
 #[derive(Debug)]
 pub struct FileDisk {
     dir: PathBuf,
     wal: fs::File,
     history: fs::File,
+    /// Where the next record goes: just past the last valid frame.
+    end: u64,
+    /// The length of `wal.log`; every byte in `end..len` is zero.
+    len: u64,
+    /// The file's size changed since its last sync, which must flush it.
+    resized: bool,
     staged_records: u64,
+    full_syncs: u64,
 }
 
 /// Reads `path` whole; a missing file reads as empty.
@@ -698,17 +728,101 @@ fn read_or_empty(path: &Path) -> io::Result<Vec<u8>> {
     }
 }
 
+/// fsyncs a directory, so that the entries created or renamed in it
+/// survive power loss.
+fn sync_dir(dir: &Path) -> io::Result<()> {
+    fs::File::open(dir)?.sync_all()
+}
+
+/// Where the parts of a `wal.log` image end: the snapshot frame (if
+/// any) at `log`, the run of CRC-valid frames after it at `valid`, and
+/// the written bytes at `written`.
+///
+/// The log stops at an all-zero frame header (or the end of the file)
+/// — then `written == valid` — or at the first frame that is cut short
+/// or fails its CRC. Such a frame followed only by zeros is a torn
+/// tail: `written` then cuts it short of its end, so [`decode_wal`]
+/// reads it as [`WalTail::Torn`] exactly as it reads a log whose file
+/// ends mid-frame. A non-zero byte after it is kept, so the frame stays
+/// whole and decodes as [`WalTail::Corrupt`].
+struct Extent {
+    log: usize,
+    valid: usize,
+    written: usize,
+}
+
+impl Extent {
+    fn of(bytes: &[u8]) -> Extent {
+        let log = match bytes.strip_prefix(SNAP_MAGIC) {
+            None => 0,
+            Some(rest) => {
+                let mut cur = Cursor::new(rest);
+                unframe(&mut cur).map_or(bytes.len(), |_| SNAP_MAGIC.len() + cur.pos())
+            }
+        };
+        let mut cur = Cursor::new(&bytes[log..]);
+        loop {
+            let valid = log + cur.pos();
+            let rest = &bytes[valid..];
+            if rest.iter().take(8).all(|&b| b == 0) {
+                return Extent { log, valid, written: valid };
+            }
+            match unframe(&mut cur) {
+                Some((_, true)) => continue,
+                frame => {
+                    let nonzero = valid + rest.iter().rposition(|&b| b != 0).map_or(0, |i| i + 1);
+                    let frame_end = frame.map_or(usize::MAX, |_| log + cur.pos());
+                    let written =
+                        if nonzero > frame_end { nonzero } else { nonzero.min(frame_end - 1) };
+                    return Extent { log, valid, written };
+                }
+            }
+        }
+    }
+}
+
 impl FileDisk {
-    /// Opens (creating if needed) the replica directory `dir`.
+    /// Opens (creating if needed) the replica directory `dir`, ready to
+    /// append right after the last valid frame of its log. Whatever
+    /// follows that frame is cut, and a log left with no zero tail (new,
+    /// cut, or written before preallocation) gains one chunk; a log this
+    /// changes is fsynced before `open` returns (counted in
+    /// [`FileDisk::take_full_syncs`]). When `open` creates the directory
+    /// or a file in it, it fsyncs the directory and its parent too.
+    ///
+    /// A corrupt frame is cut like a torn one: recovery that must refuse
+    /// corruption decodes [`FileDisk::load`] first, as `mc-live` does.
     pub fn open(dir: &Path) -> io::Result<FileDisk> {
+        let (wal_path, history_path) = (dir.join("wal.log"), dir.join("history.log"));
+        let created = !wal_path.exists() || !history_path.exists();
         fs::create_dir_all(dir)?;
-        let append = |name| fs::OpenOptions::new().create(true).append(true).open(dir.join(name));
-        Ok(FileDisk {
+        let bytes = read_or_empty(&wal_path)?;
+        let valid = Extent::of(&bytes).valid;
+        let mut disk = FileDisk {
             dir: dir.to_path_buf(),
-            wal: append("wal.log")?,
-            history: append("history.log")?,
+            wal: fs::OpenOptions::new().create(true).truncate(false).write(true).open(&wal_path)?,
+            history: fs::OpenOptions::new().create(true).append(true).open(&history_path)?,
+            end: valid as u64,
+            len: bytes.len() as u64,
+            resized: false,
             staged_records: 0,
-        })
+            full_syncs: 0,
+        };
+        if bytes[valid..].iter().any(|&b| b != 0) {
+            disk.wal.set_len(disk.end)?;
+            disk.len = disk.end;
+            disk.resized = true;
+        }
+        disk.reserve(disk.end + 1)?;
+        if disk.resized {
+            disk.sync()?;
+        }
+        if created {
+            disk.history.sync_all()?;
+            sync_dir(dir)?;
+            sync_dir(dir.parent().filter(|p| !p.as_os_str().is_empty()).unwrap_or(Path::new(".")))?;
+        }
+        Ok(disk)
     }
 
     /// The replica directory.
@@ -716,17 +830,38 @@ impl FileDisk {
         &self.dir
     }
 
+    /// Extends `wal.log` with zero chunks until it is at least `need`
+    /// bytes long.
+    fn reserve(&mut self, need: u64) -> io::Result<()> {
+        while self.len < need {
+            self.wal.write_all_at(&ZEROS, self.len)?;
+            self.len += WAL_CHUNK as u64;
+            self.resized = true;
+        }
+        Ok(())
+    }
+
     /// Appends one framed record to `wal.log` (durable only after
     /// [`FileDisk::sync`]).
     pub fn append(&mut self, frame: &[u8]) -> io::Result<()> {
-        self.wal.write_all(frame)?;
+        let next = self.end + frame.len() as u64;
+        self.reserve(next)?;
+        self.wal.write_all_at(frame, self.end)?;
+        self.end = next;
         self.staged_records += 1;
         Ok(())
     }
 
-    /// fsyncs the log. Returns the number of records covered by this sync.
+    /// fsyncs the log: `sync_data`, or `sync_all` if the file grew since
+    /// the last sync. Returns the number of records covered by this sync.
     pub fn sync(&mut self) -> io::Result<u64> {
-        self.wal.sync_all()?;
+        if self.resized {
+            self.wal.sync_all()?;
+            self.resized = false;
+            self.full_syncs += 1;
+        } else {
+            self.wal.sync_data()?;
+        }
         Ok(std::mem::take(&mut self.staged_records))
     }
 
@@ -735,12 +870,20 @@ impl FileDisk {
         self.staged_records
     }
 
+    /// The syncs since the last call that had to flush the log's size
+    /// too: the one [`FileDisk::open`] makes when it creates, cuts or
+    /// extends the log, and the first after an append extended it.
+    pub fn take_full_syncs(&mut self) -> u64 {
+        std::mem::take(&mut self.full_syncs)
+    }
+
     /// Compacts: makes the `history` tail ([`put_history`] frames)
-    /// durable in `history.log`, writes `snapshot` to a fresh `wal.tmp`
-    /// and fsyncs it, then renames it over `wal.log` — the one commit
-    /// point — and fsyncs the directory so that the rename, and with it
-    /// every record appended to the new log, survives power loss too.
-    /// The old log is synced first only if it has staged records.
+    /// durable in `history.log`, writes `snapshot` and one zero chunk to
+    /// a fresh `wal.tmp` and fsyncs it, then renames it over `wal.log` —
+    /// the one commit point — and fsyncs the directory so that the
+    /// rename, and with it every record appended to the new log,
+    /// survives power loss too. The old log is synced first only if it
+    /// has staged records.
     pub fn compact(&mut self, snapshot: &[u8], history: &[u8]) -> io::Result<()> {
         if self.staged_records > 0 {
             self.sync()?;
@@ -752,10 +895,14 @@ impl FileDisk {
         let tmp = self.dir.join("wal.tmp");
         let mut wal = fs::File::create(&tmp)?;
         wal.write_all(snapshot)?;
+        wal.write_all(&ZEROS)?;
         wal.sync_all()?;
         fs::rename(&tmp, self.dir.join("wal.log"))?;
-        fs::File::open(&self.dir)?.sync_all()?;
+        sync_dir(&self.dir)?;
         self.wal = wal;
+        self.end = snapshot.len() as u64;
+        self.len = self.end + WAL_CHUNK as u64;
+        self.resized = false;
         Ok(())
     }
 
@@ -772,10 +919,12 @@ impl FileDisk {
     }
 
     /// What recovery reads from `dir`: the installed snapshot (if any)
-    /// and the raw log bytes after it. Static so it runs before the
-    /// directory is re-opened for writing by the reborn process. A log
-    /// frame never starts with the snapshot magic (its length field would
-    /// read 1.3 GB), so the magic tells the two apart.
+    /// and the written log bytes after it — never the zero tail, so
+    /// [`decode_wal`] sees the bytes of an EOF-terminated log. Static so
+    /// it runs before the directory is re-opened for writing by the
+    /// reborn process. A log frame never starts with the snapshot magic
+    /// (its length field would read 1.3 GB), so the magic tells the two
+    /// apart.
     ///
     /// # Errors
     ///
@@ -787,14 +936,11 @@ impl FileDisk {
             let msg = format!("{}: snapshot.bin is from an earlier format", dir.display());
             return Err(io::Error::new(io::ErrorKind::InvalidData, msg));
         }
-        let mut log = read_or_empty(&dir.join("wal.log"))?;
-        if !log.starts_with(SNAP_MAGIC) {
-            return Ok((None, log));
-        }
-        let mut cur = Cursor::new(&log[SNAP_MAGIC.len()..]);
-        let end = unframe(&mut cur).map_or(log.len(), |_| SNAP_MAGIC.len() + cur.pos());
-        let rest = log.split_off(end);
-        Ok((Some(log), rest))
+        let mut bytes = read_or_empty(&dir.join("wal.log"))?;
+        let extent = Extent::of(&bytes);
+        bytes.truncate(extent.written);
+        let log = bytes.split_off(extent.log);
+        Ok(((extent.log > 0).then_some(bytes), log))
     }
 
     /// The own-write history segment of `dir` (`history.log`).
@@ -1179,7 +1325,10 @@ mod tests {
         let (recs, tail) = decode_wal(&log);
         assert!(tail.is_clean());
         assert_eq!(recs.len(), 1, "compaction replaced the pre-snapshot log");
-        assert_eq!(fs::read(dir.join("wal.log")).unwrap(), [s, log].concat(), "one file");
+        let file = fs::read(dir.join("wal.log")).unwrap();
+        let (written, zeros) = file.split_at(s.len() + log.len());
+        assert_eq!(written, [&s[..], &log[..]].concat(), "one file");
+        assert!(zeros.len() >= WAL_CHUNK - log.len() && zeros.iter().all(|&b| b == 0));
         assert!(!dir.join("wal.tmp").exists() && !dir.join("snapshot.bin").exists());
         assert_eq!(FileDisk::load_history(&dir).unwrap(), first);
 

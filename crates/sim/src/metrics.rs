@@ -76,6 +76,12 @@ pub struct DurabilityStats {
     /// over every record staged since the last externalization, so
     /// `fsyncs < synced` is the signature of effective batching.
     pub fsyncs: u64,
+    /// Syncs that had to flush a log file's size as well as its data:
+    /// the one a real replica directory makes when it is opened and
+    /// its log created, cut or extended, and the first after an append
+    /// extended the log. Every other sync of a preallocated log is
+    /// data-only. Always zero in the simulator, whose disk has no size.
+    pub full_syncs: u64,
     /// Staged records lost to a crash before their fsync.
     pub lost: u64,
     /// Durable records replayed during recoveries.
