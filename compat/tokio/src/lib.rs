@@ -10,7 +10,9 @@
 //! - **Blocking leaves.** `accept`, `connect`, `read`, `write_all`, `recv`
 //!   and `sleep` make the blocking std call inside their first poll and
 //!   return `Ready`: a task waits in the kernel on its own thread. Nothing
-//!   is `Pending` while the runtime lives, so nothing needs waking.
+//!   is `Pending` while the runtime lives, so nothing needs waking. The
+//!   channel's `try_recv` is the one leaf that never waits (a link writer
+//!   takes what is already queued behind the frame it woke for).
 //! - **Why that fits.** The traffic served is O(n²) long-lived loops —
 //!   one accept loop per node, one writer and one reader per directed
 //!   link — never many short tasks. A thread parked in `read` costs
@@ -297,7 +299,7 @@ pub mod sync {
         use std::sync::mpsc::{sync_channel, SyncSender};
         use std::sync::{Arc, Mutex, Weak};
 
-        pub use std::sync::mpsc::SendError;
+        pub use std::sync::mpsc::{SendError, TryRecvError};
 
         use crate::runtime::{wake_on_stop, Stop};
 
@@ -323,7 +325,7 @@ pub mod sync {
         /// Receiving endpoint.
         pub struct Receiver<T> {
             rx: std::sync::mpsc::Receiver<T>,
-            /// Until the first `recv` has told the runtime about it.
+            /// Until the first receive has told the runtime about it.
             gate: Weak<Gate<T>>,
             queued: Arc<AtomicUsize>,
         }
@@ -367,12 +369,29 @@ pub mod sync {
             /// Receives the next value; `None` once the queue is drained
             /// and the sender is gone or the runtime is stopping.
             pub async fn recv(&mut self) -> Option<T> {
-                if let Some(gate) = std::mem::take(&mut self.gate).upgrade() {
-                    wake_on_stop(&gate);
-                }
+                self.register();
                 let value = self.rx.recv().ok()?;
                 self.queued.fetch_sub(1, Ordering::Relaxed);
                 Some(value)
+            }
+
+            /// Takes the next value if one is queued, without waiting:
+            /// `Empty` when none is, `Disconnected` once the queue is
+            /// drained and the sender is gone or the runtime is stopping.
+            pub fn try_recv(&mut self) -> Result<T, TryRecvError> {
+                self.register();
+                let value = self.rx.try_recv()?;
+                self.queued.fetch_sub(1, Ordering::Relaxed);
+                Ok(value)
+            }
+
+            /// Tells the runtime, once, that teardown must close this
+            /// channel — before the task first receives, so a task that
+            /// only ever polls still sees the channel close.
+            fn register(&mut self) {
+                if let Some(gate) = std::mem::take(&mut self.gate).upgrade() {
+                    wake_on_stop(&gate);
+                }
             }
         }
     }
@@ -444,6 +463,39 @@ mod tests {
         assert_eq!(tx.capacity(), tx.max_capacity(), "drained queue is all free slots");
         drop(tx);
         drop(rt);
+    }
+
+    /// `try_recv` takes only what is queued and frees its slot, and a
+    /// task that only ever polls still ends at teardown.
+    #[test]
+    fn try_recv_takes_what_is_queued_and_sees_teardown() {
+        use crate::sync::mpsc::TryRecvError;
+        let rt = Runtime::with_workers(1);
+        let (tx, mut rx) = crate::sync::mpsc::channel::<u32>(4);
+        tx.blocking_send(1).expect("receiver alive");
+        tx.blocking_send(2).expect("receiver alive");
+        assert_eq!(tx.capacity(), 2);
+        let (got_tx, got_rx) = std::sync::mpsc::channel();
+        rt.handle().spawn(async move {
+            let mut got = Vec::new();
+            loop {
+                match rx.try_recv() {
+                    Ok(v) => got.push(v),
+                    Err(TryRecvError::Empty) => std::thread::sleep(Duration::from_millis(1)),
+                    Err(TryRecvError::Disconnected) => break,
+                }
+            }
+            got_tx.send(got).expect("test alive");
+        });
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while tx.capacity() < 4 {
+            assert!(Instant::now() < deadline, "the queued values are taken");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // The sender is still alive, so only teardown can end the task.
+        drop(rt);
+        assert_eq!(got_rx.recv().expect("the task ended"), [1, 2]);
+        assert!(tx.blocking_send(3).is_err());
     }
 
     #[test]

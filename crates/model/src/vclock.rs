@@ -29,9 +29,22 @@ use crate::ids::ProcId;
 /// b.merge(&a);
 /// assert!(b.dominates(&a));
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, Default)]
+#[derive(PartialEq, Eq, Hash, Default)]
 pub struct VClock {
     counts: Vec<u32>,
+}
+
+/// Written out so that `clone_from` reuses the target's buffer (the
+/// derived one reallocates): a clock overwritten once per message, like
+/// a link's shadow clock, then costs no allocation.
+impl Clone for VClock {
+    fn clone(&self) -> Self {
+        VClock { counts: self.counts.clone() }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.counts.clone_from(&source.counts);
+    }
 }
 
 impl VClock {
@@ -173,6 +186,16 @@ mod tests {
         c.set(ProcId(1), 7);
         assert_eq!(c[ProcId(1)], 7);
         assert_eq!(c.total(), 9);
+    }
+
+    #[test]
+    fn clone_from_reuses_the_buffer() {
+        let src: VClock = [4, 0, 9].into_iter().collect();
+        let mut dst = VClock::new(3);
+        let buf = dst.counts.as_ptr();
+        dst.clone_from(&src);
+        assert_eq!(dst, src);
+        assert_eq!(dst.counts.as_ptr(), buf, "same allocation");
     }
 
     #[test]

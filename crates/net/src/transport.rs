@@ -22,7 +22,10 @@
 //!   running a manager. Every other frame goes through the link's queue
 //!   to its writer — a loopback write runs the peer's whole receive path
 //!   in the writing thread, and an application thread that keeps working
-//!   would lose the writer's pipelining.
+//!   would lose the writer's pipelining. A writer that wakes for a frame
+//!   also takes every frame queued behind it, up to [`BUF_CHUNK`] bytes,
+//!   and writes them all with one call: a streaming link costs a system
+//!   call per burst, not per frame.
 //! - *Receiving.* A reader hands a frame for a process node to that
 //!   node's inbox; a frame for a manager node runs the manager on the
 //!   reader itself ([`ManagerSlot`]).
@@ -38,12 +41,12 @@
 //!
 //! A caller writes directly only when nothing on the link is queued or
 //! in the writer's hands — a per-link in-flight count that the writer
-//! decrements after each write — and the writer has published a greeted
-//! connection; otherwise it enqueues. Two sends on a link that are
-//! ordered (one thread's, or one manager's under its lock) therefore
-//! reach the socket in that order. The writer holds the connection's
-//! lock across each write and only direct writers take it, so enqueueing
-//! never waits behind a socket write.
+//! decrements, by the number of frames written, after each write — and
+//! the writer has published a greeted connection; otherwise it enqueues.
+//! Two sends on a link that are ordered (one thread's, or one manager's
+//! under its lock) therefore reach the socket in that order. The writer
+//! holds the connection's lock across each write and only direct writers
+//! take it, so enqueueing never waits behind a socket write.
 //!
 //! # Zero-copy hot path
 //!
@@ -58,14 +61,15 @@
 //! # Reconnection and fencing
 //!
 //! A writer whose connection breaks — on its own write or a caller's —
-//! redials with exponential backoff, re-sends `Hello`, and retries the
-//! frame the failure interrupted (a torn partial frame dies with the old
-//! connection — each connection is a fresh framing context). A frame the
-//! peer received twice this way is deduplicated by the session layer's
-//! sequence numbers, and a *reborn* peer (crash + restart) is fenced by
-//! the session epochs that `run_proc_node` derives from the replica
-//! incarnation — the same machinery the lossy in-process executor
-//! exercises.
+//! redials with exponential backoff, re-sends `Hello`, and resends its
+//! gather from the first frame the failed write did not take whole (a
+//! torn partial frame dies with the old connection — each connection is
+//! a fresh framing context); a frame the socket took whole is never
+//! resent. A frame the peer received twice this way is deduplicated by
+//! the session layer's sequence numbers, and a *reborn* peer (crash +
+//! restart) is fenced by the session epochs that `run_proc_node` derives
+//! from the replica incarnation — the same machinery the lossy
+//! in-process executor exercises.
 
 use std::io::Write;
 use std::net::SocketAddr;
@@ -267,10 +271,21 @@ impl Transport for TcpTransport {
 
 /// The writer task of one directed link: dial (with backoff), announce
 /// `Hello`, publish the connection, then drain the frame queue into the
-/// socket, redialling on any error with the interrupted frame carried
-/// over.
+/// socket, redialling on any error with the frames it interrupted
+/// carried over.
+///
+/// Each wake-up writes the frame it woke for together with every frame
+/// already queued behind it, up to [`BUF_CHUNK`] bytes, copied back to
+/// back into the link's gather buffer and written with one call. The
+/// buffer is a pooled region like the encode arena: written bytes are
+/// split off and dropped, so the next frames reclaim it in place. It
+/// starts empty and grows only to the largest burst the link carries,
+/// so a quiet link keeps no 64 KiB region.
 async fn write_link(me: u32, addr: SocketAddr, mut rx: mpsc::Receiver<Bytes>, wire: Arc<LinkWire>) {
-    let mut pending: Option<Bytes> = None;
+    // The frames taken off the queue and not yet written whole, back to
+    // back, and the length of each.
+    let mut gather = BytesMut::with_capacity(0);
+    let mut lens: Vec<usize> = Vec::new();
     let mut hello = BytesMut::with_capacity(64);
     loop {
         let mut backoff = BACKOFF_MIN;
@@ -295,29 +310,70 @@ async fn write_link(me: u32, addr: SocketAddr, mut rx: mpsc::Receiver<Bytes>, wi
         }
         *wire.conn.lock().expect("connection healthy") = Some(stream);
         loop {
-            let frame = match pending.take() {
-                Some(f) => f,
-                None => match rx.recv().await {
-                    Some(f) => f,
-                    None => {
-                        wire.conn.lock().expect("connection healthy").take();
-                        return;
-                    }
-                },
-            };
+            if gather.is_empty() {
+                let Some(frame) = rx.recv().await else {
+                    wire.conn.lock().expect("connection healthy").take();
+                    return;
+                };
+                gather.put_slice(&frame);
+                lens.push(frame.len());
+            }
+            while gather.len() < BUF_CHUNK {
+                let Ok(frame) = rx.try_recv() else { break };
+                gather.put_slice(&frame);
+                lens.push(frame.len());
+            }
             let mut conn = wire.conn.lock().expect("connection healthy");
-            let written = conn.as_mut().is_some_and(|stream| stream.write_all(&frame).is_ok());
-            if !written {
-                // The torn suffix dies with this connection; resend the
-                // whole frame after redialling. The duplicate the peer
-                // may see is absorbed by session sequencing.
+            let written = match conn.as_mut() {
+                Some(stream) => write_counted(stream, &gather),
+                None => Err(0),
+            };
+            let (frames, bytes) = match written {
+                Ok(()) => (lens.len(), gather.len()),
+                Err(took) => resend_point(&lens, took),
+            };
+            wire.inflight.fetch_sub(frames, Ordering::AcqRel);
+            drop(gather.split_to(bytes));
+            lens.drain(..frames);
+            if written.is_err() {
+                // A torn frame dies with this connection and is resent
+                // whole after redialling. The duplicate the peer may see
+                // is absorbed by session sequencing.
                 *conn = None;
-                pending = Some(frame);
                 break;
             }
-            wire.inflight.fetch_sub(1, Ordering::AcqRel);
         }
     }
+}
+
+/// Writes all of `buf`, or reports how many of its leading bytes the
+/// socket took before the write failed.
+fn write_counted(stream: &mut impl Write, buf: &[u8]) -> Result<(), usize> {
+    let mut took = 0;
+    while took < buf.len() {
+        match stream.write(&buf[took..]) {
+            Ok(0) => return Err(took),
+            Ok(n) => took += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(_) => return Err(took),
+        }
+    }
+    Ok(())
+}
+
+/// Where a gather of frames of lengths `lens` resumes after a failed
+/// write that took its first `written` bytes: the leading frames written
+/// whole, as `(count, bytes)`. Those are never resent; the first frame
+/// cut short and every one after it are.
+fn resend_point(lens: &[usize], written: usize) -> (usize, usize) {
+    let mut bytes = 0;
+    for (i, &len) in lens.iter().enumerate() {
+        if bytes + len > written {
+            return (i, bytes);
+        }
+        bytes += len;
+    }
+    (lens.len(), bytes)
 }
 
 /// Where a listener delivers what its connections carry: protocol
@@ -538,6 +594,54 @@ mod tests {
         match rx.try_recv() {
             Ok(Wire::Proto { from: 3, msg: Msg::ScRead { loc: Loc(2), .. } }) => {}
             _ => panic!("the greeted frame reaches the inbox"),
+        }
+    }
+
+    /// A failed gather write resumes at the first frame not written
+    /// whole, at every byte offset of a three-frame gather.
+    #[test]
+    fn a_failed_gather_resends_from_the_first_torn_frame() {
+        let lens = [5, 1, 7];
+        let want = |written: usize| match written {
+            0..=4 => (0, 0),
+            5 => (1, 5),
+            6..=12 => (2, 6),
+            13 => (3, 13),
+            _ => unreachable!(),
+        };
+        for written in 0..=13 {
+            assert_eq!(resend_point(&lens, written), want(written), "{written} bytes written");
+        }
+        assert_eq!(resend_point(&[], 0), (0, 0));
+    }
+
+    /// The byte count a failed write reports is what the sink took.
+    #[test]
+    fn write_counted_reports_the_bytes_taken_before_a_failure() {
+        /// Takes at most `room` bytes, three at a time, then fails.
+        struct Sink {
+            room: usize,
+            got: Vec<u8>,
+        }
+        impl Write for Sink {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                let n = buf.len().min(3).min(self.room - self.got.len());
+                if n == 0 {
+                    return Err(std::io::ErrorKind::BrokenPipe.into());
+                }
+                self.got.extend_from_slice(&buf[..n]);
+                Ok(n)
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let buf: Vec<u8> = (0..13).collect();
+        for room in 0..=13 {
+            let mut sink = Sink { room, got: Vec::new() };
+            let res = write_counted(&mut sink, &buf);
+            assert_eq!(res, if room == 13 { Ok(()) } else { Err(room) });
+            assert_eq!(sink.got, buf[..room]);
         }
     }
 }

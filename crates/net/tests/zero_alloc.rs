@@ -9,10 +9,11 @@
 //!    **zero** allocations: encoding writes into reclaimed arena
 //!    capacity, the frame is a refcounted view, and decoding a dense
 //!    frame borrows from the receive buffer.
-//! 2. A real two-process loopback cluster pushes a 10 000-write storm
-//!    and the buffer pool's global counters must show reuse dominating
-//!    allocation — the per-peer arenas and receive buffers recycle
-//!    their regions instead of growing the heap.
+//! 2. A real two-process loopback cluster pushes a 10 000-write storm,
+//!    unbatched and under `BatchPolicy::default()`, and the buffer
+//!    pool's global counters must show reuse dominating allocation — the
+//!    per-link encode arenas, writers' gather buffers and receive buffers
+//!    recycle their regions instead of growing the heap.
 //!
 //! The allocation counter only counts the thread that asked to be
 //! measured: the allocator is process-global, and the test harness and
@@ -30,7 +31,7 @@ use bytes::{pool_stats, BytesMut};
 use mc_model::{Loc, ProcId, Value, WriteId};
 use mc_net::NetSystem;
 use mc_proto::wire::{decode_frame, encode_frame, Frame, FRAME_HEADER};
-use mc_proto::{Mode, Msg, UpdatePayload};
+use mc_proto::{BatchPolicy, Mode, Msg, UpdatePayload};
 
 /// Counts the measuring thread's allocations without changing them.
 struct CountingAlloc;
@@ -123,11 +124,12 @@ fn steady_state_wire_cycle_allocates_nothing() {
     );
 }
 
-#[test]
-fn tcp_storm_reuses_pool_buffers() {
+/// A 10 000-write storm on a two-process TCP cluster under `batch`:
+/// the buffer pool's `(allocations, reuses)` over the run.
+fn tcp_storm(batch: Option<BatchPolicy>) -> (u64, u64) {
     let _guard = SERIAL.lock().unwrap();
     let (allocs0, reuses0) = pool_stats();
-    let mut sys = NetSystem::new(2, Mode::Causal);
+    let mut sys = NetSystem::new(2, Mode::Causal).batching(batch);
     sys.spawn(|ctx| {
         for i in 1..=10_000 {
             ctx.write(Loc(0), i);
@@ -138,8 +140,14 @@ fn tcp_storm_reuses_pool_buffers() {
     });
     sys.run().expect("storm cluster runs");
     let (allocs1, reuses1) = pool_stats();
-    let allocs = allocs1 - allocs0;
-    let reuses = reuses1 - reuses0;
+    let (allocs, reuses) = (allocs1 - allocs0, reuses1 - reuses0);
+    println!("10k-write storm, batching {batch:?}: {allocs} fresh regions, {reuses} reuses");
+    (allocs, reuses)
+}
+
+#[test]
+fn tcp_storm_reuses_pool_buffers() {
+    let (allocs, reuses) = tcp_storm(None);
     // Most frames never touch the pool at all: split_to carves views
     // out of the current region and reserve only acts when a region
     // fills. Per-message allocation would show up as thousands of
@@ -155,4 +163,17 @@ fn tcp_storm_reuses_pool_buffers() {
     // time), so only the reclaim path's engagement is pinned, not a
     // ratio.
     assert!(reuses > 0, "the reclaim path never engaged over a 10k-op TCP run");
+}
+
+/// The same storm batched: batch frames through each link's encode
+/// arena and its writer's gather buffer, which must be reclaimed in place
+/// and not allocated per write.
+#[test]
+fn batched_tcp_storm_reuses_pool_buffers() {
+    let (allocs, reuses) = tcp_storm(Some(BatchPolicy::default()));
+    assert!(
+        allocs <= 100,
+        "a batched 10k-op TCP run must not allocate per message: {allocs} fresh regions"
+    );
+    assert!(reuses > 0, "the reclaim path never engaged over a batched 10k-op TCP run");
 }

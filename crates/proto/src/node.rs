@@ -227,14 +227,22 @@ pub enum Blocked {
 #[derive(Debug, Default)]
 struct Coalesced {
     entries: Vec<BatchEntry>,
-    /// Latest entry index per location (coalescing target).
-    last_idx: HashMap<Loc, usize>,
+    /// Latest entry index per location, indexed by `Loc::index`
+    /// ([`Coalesced::NONE`] when the batch holds none): a push costs one
+    /// load however many entries are buffered. Grown on demand to the
+    /// highest location written, like the replica's store.
+    latest: Vec<u32>,
 }
 
 impl Coalesced {
+    const NONE: u32 = u32::MAX;
+
     fn push(&mut self, loc: Loc, payload: UpdatePayload, id: WriteId) {
-        if let Some(&idx) = self.last_idx.get(&loc) {
-            let e = &mut self.entries[idx];
+        let slot = loc.index();
+        if slot >= self.latest.len() {
+            self.latest.resize(slot + 1, Self::NONE);
+        }
+        if let Some(e) = self.entries.get_mut(self.latest[slot] as usize) {
             match (&mut e.payload, &payload) {
                 (UpdatePayload::Set(cur), UpdatePayload::Set(v)) => {
                     *cur = *v;
@@ -256,16 +264,19 @@ impl Coalesced {
             UpdatePayload::Add(_) => vec![id.seq],
             UpdatePayload::Set(_) => Vec::new(),
         };
-        self.last_idx.insert(loc, self.entries.len());
+        self.latest[slot] = self.entries.len() as u32;
         self.entries.push(BatchEntry { loc, payload, writer: id, adds });
     }
 
     /// Empties the buffer into one shared slice: every recipient's
     /// message (and any session retransmit copy) bumps a refcount
-    /// instead of deep-cloning the entries.
+    /// instead of deep-cloning the entries. The entries move out and the
+    /// buffer keeps its capacity for the next batch.
     fn take(&mut self) -> Arc<[BatchEntry]> {
-        self.last_idx.clear();
-        std::mem::take(&mut self.entries).into()
+        for e in &self.entries {
+            self.latest[e.loc.index()] = Self::NONE;
+        }
+        self.entries.drain(..).collect()
     }
 }
 
@@ -277,7 +288,9 @@ struct OutBatch {
     /// Last own-write sequence number buffered.
     upto: u32,
     buf: Coalesced,
-    /// Dependency vector of the last buffered write (vector modes).
+    /// Dependency vector of the last buffered write (vector modes). The
+    /// replica mints each write's vector into it in place, and a flush
+    /// leaves it here, so the clock is allocated once per node.
     deps: Option<VClock>,
 }
 
@@ -917,7 +930,7 @@ impl ProcNode {
             .filter(|&q| deps[q] != prev[q])
             .map(|q| (q, deps[q]))
             .collect();
-        *prev = deps.clone();
+        prev.clone_from(deps);
         changed
     }
 
@@ -929,7 +942,8 @@ impl ProcNode {
         }
     }
 
-    /// Buffers a local write into the outgoing batch, coalescing
+    /// Buffers a local write, whose dependency vector the replica
+    /// minted into `self.out.deps`, into the outgoing batch, coalescing
     /// against the latest entry for the location, arming the flush
     /// timer on the empty→non-empty transition, and force-flushing at
     /// the policy's size limit.
@@ -938,7 +952,6 @@ impl ProcNode {
         loc: Loc,
         payload: UpdatePayload,
         id: WriteId,
-        deps: Option<VClock>,
         io: &mut impl NodeIo,
     ) {
         let policy = self.cfg.batch.expect("batching enabled");
@@ -948,7 +961,6 @@ impl ProcNode {
         }
         let b = &mut self.out;
         b.upto = id.seq;
-        b.deps = deps;
         b.buf.push(loc, payload, id);
         if b.buf.entries.len() >= policy.max_updates {
             self.flush_updates(io);
@@ -984,6 +996,8 @@ impl ProcNode {
                 Msg::UpdateBatch { proc, first_seq, upto, entries: entries.clone(), delta, ack };
             self.send(to, msg, io);
         }
+        // Back for the next batch's writes to overwrite in place.
+        self.out.deps = deps;
     }
 
     /// Sends `msg` to every peer *replica* node.
@@ -1303,7 +1317,12 @@ impl ProcNode {
             }
             return self.do_sharded_write(loc, payload, io);
         }
-        let (id, deps) = self.replica.local_write(loc, payload.clone(), &self.cfg);
+        // A batched write mints its dependency vector straight into the
+        // batch's clock; an unbatched one hands its own to the update.
+        let batched = self.cfg.batch.is_some();
+        let mut unbatched_deps = None;
+        let deps = if batched { &mut self.out.deps } else { &mut unbatched_deps };
+        let id = self.replica.local_write_into(loc, payload.clone(), &self.cfg, deps);
         if let Some(policy) = self.cfg.durability {
             // Append-before-ack: the write's log record is staged
             // before `Wrote` reaches the program. Per-write policies
@@ -1311,6 +1330,7 @@ impl ProcNode {
             // message ([`ProcNode::send`]) or observation
             // ([`ProcNode::observe_sync`]), amortizing one sync over
             // every record staged since the last.
+            let deps = if batched { &self.out.deps } else { &unbatched_deps };
             let rec = WalRecord::OwnWrite { loc, payload: payload.clone(), deps: deps.clone() };
             self.wal_append(|b| rec.put_body(b), io);
             if !policy.group_commit {
@@ -1318,10 +1338,11 @@ impl ProcNode {
             }
             self.maybe_snapshot(io);
         }
-        if self.cfg.batch.is_some() {
-            self.buffer_write(loc, payload, id, deps, io);
+        if batched {
+            self.buffer_write(loc, payload, id, io);
         } else {
-            self.broadcast(Msg::Update { writer: id, loc, payload, deps }, io);
+            let msg = Msg::Update { writer: id, loc, payload, deps: unbatched_deps };
+            self.broadcast(msg, io);
         }
         // The local apply may satisfy pending flush probes.
         self.drain_flush_waiters(io);
@@ -1920,5 +1941,108 @@ mod tests {
         assert_eq!((r.peek(Loc(0)), r.peek(Loc(2))), (Value::Int(2), Value::Int(2)));
         assert_eq!(labels, [Send("recover_resp"), Send("reship"), Send("reship")]);
         assert!(back.sent.is_empty(), "the reborn node wrote nothing to push back");
+    }
+
+    fn w(seq: u32) -> WriteId {
+        WriteId::new(ProcId(0), seq)
+    }
+
+    fn set(v: i64) -> UpdatePayload {
+        UpdatePayload::Set(Value::Int(v))
+    }
+
+    fn add(d: i64) -> UpdatePayload {
+        UpdatePayload::Add(Value::Int(d))
+    }
+
+    fn entry(loc: u32, payload: UpdatePayload, writer: u32, adds: &[u32]) -> BatchEntry {
+        BatchEntry { loc: Loc(loc), payload, writer: w(writer), adds: adds.to_vec() }
+    }
+
+    #[test]
+    fn coalesced_sets_merge_into_the_latest_entry_and_adds_sum() {
+        let mut c = Coalesced::default();
+        c.push(Loc(0), set(1), w(1));
+        c.push(Loc(1), add(2), w(2));
+        c.push(Loc(0), set(3), w(3));
+        c.push(Loc(1), add(5), w(4));
+        assert_eq!(c.entries, [entry(0, set(3), 3, &[]), entry(1, add(7), 4, &[2, 4])]);
+    }
+
+    #[test]
+    fn coalesced_a_kind_change_starts_an_entry_that_later_writes_merge_into() {
+        let mut c = Coalesced::default();
+        c.push(Loc(0), set(1), w(1));
+        c.push(Loc(0), add(1), w(2));
+        c.push(Loc(0), set(4), w(3));
+        c.push(Loc(0), set(5), w(4));
+        assert_eq!(
+            c.entries,
+            [entry(0, set(1), 1, &[]), entry(0, add(1), 2, &[2]), entry(0, set(5), 4, &[])],
+            "the Set after the Add starts a third entry, and the last Set merges into it"
+        );
+    }
+
+    /// Integer adds wrap, so the sum that fails is one across value
+    /// kinds.
+    #[test]
+    fn coalesced_an_add_whose_sum_fails_starts_a_new_entry() {
+        let mut c = Coalesced::default();
+        c.push(Loc(0), add(1), w(1));
+        let float = UpdatePayload::Add(Value::F64(0.5));
+        c.push(Loc(0), float.clone(), w(2));
+        c.push(Loc(0), UpdatePayload::Add(Value::F64(0.25)), w(3));
+        let sum = UpdatePayload::Add(Value::F64(0.75));
+        assert_eq!(c.entries, [entry(0, add(1), 1, &[1]), entry(0, sum, 3, &[2, 3])]);
+    }
+
+    #[test]
+    fn coalesced_take_starts_the_next_batch_clean() {
+        let mut c = Coalesced::default();
+        c.push(Loc(0), set(1), w(1));
+        c.push(Loc(1), set(2), w(2));
+        let first = c.take();
+        assert_eq!(first.len(), 2);
+        assert!(c.entries.is_empty() && c.entries.capacity() >= 2, "capacity kept");
+        c.push(Loc(1), set(3), w(3));
+        c.push(Loc(0), set(4), w(4));
+        assert_eq!(c.entries, [entry(1, set(3), 3, &[]), entry(0, set(4), 4, &[])]);
+        assert_eq!(first[0], entry(0, set(1), 1, &[]), "the taken batch is untouched");
+    }
+
+    #[test]
+    fn coalesced_takes_locations_beyond_the_configured_count() {
+        let far = DsmConfig::new(2, Mode::Causal).locations as u32 * 1000;
+        let mut c = Coalesced::default();
+        c.push(Loc(far), set(1), w(1));
+        c.push(Loc(3), set(2), w(2));
+        c.push(Loc(far), set(3), w(3));
+        assert_eq!(c.entries, [entry(far, set(3), 3, &[]), entry(3, set(2), 2, &[])]);
+    }
+
+    #[test]
+    fn coalesced_a_thousand_locations_fill_a_thousand_entry_batch() {
+        const N: u32 = 1000;
+        let policy = BatchPolicy { max_updates: N as usize, ..BatchPolicy::default() };
+        let cfg = DsmConfig::new(2, Mode::Causal).with_batching(Some(policy));
+        let mut node = ProcNode::new(ProcId(0), Arc::new(cfg));
+        let mut io = Recorder::default();
+        for round in 0..2 {
+            for loc in 0..N {
+                assert_eq!(node.out.buf.entries.len(), loc as usize, "round {round}");
+                write(&mut node, &mut io, Loc(loc), i64::from(round * N + loc));
+            }
+            // The thousandth distinct location fills the batch and flushes it.
+            assert!(node.out.buf.entries.is_empty(), "round {round}");
+        }
+        let batches: Vec<_> = io
+            .sent
+            .iter()
+            .map(|(_, msg)| match msg {
+                Msg::UpdateBatch { entries, upto, .. } => (entries.len(), *upto),
+                other => panic!("{other:?}"),
+            })
+            .collect();
+        assert_eq!(batches, [(N as usize, N), (N as usize, 2 * N)]);
     }
 }

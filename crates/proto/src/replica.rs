@@ -368,16 +368,42 @@ impl Replica {
         payload: UpdatePayload,
         cfg: &DsmConfig,
     ) -> (WriteId, Option<VClock>) {
-        let deps = cfg.mode.carries_vectors().then(|| {
-            let mut k = self.knowledge();
+        let mut deps = None;
+        let id = self.local_write_into(loc, payload, cfg, &mut deps);
+        (id, deps)
+    }
+
+    /// [`Replica::local_write`] that leaves the dependency vector in
+    /// `deps` (`None` outside vector modes), overwriting the clock
+    /// already there in place: a caller that keeps one clock across
+    /// writes, like the outgoing batch, allocates none per write.
+    pub(crate) fn local_write_into(
+        &mut self,
+        loc: Loc,
+        payload: UpdatePayload,
+        cfg: &DsmConfig,
+        deps: &mut Option<VClock>,
+    ) -> WriteId {
+        if cfg.mode.carries_vectors() {
+            // The knowledge vector, ticked: over the caller's clock in
+            // place when it has one.
+            let k = match deps {
+                Some(k) => {
+                    k.clone_from(&self.applied);
+                    k.merge(&self.must_see);
+                    k
+                }
+                None => deps.insert(self.knowledge()),
+            };
             k.tick(self.proc);
-            k
-        });
+        } else {
+            *deps = None;
+        }
         let id = self.mint(loc, &payload, deps.as_ref());
         if cfg.durability.is_some() {
             self.own_updates.push(OwnUpdate { seq: id.seq, loc, payload, deps: deps.clone() });
         }
-        (id, deps)
+        id
     }
 
     /// The one own-write mint: takes this process's next sequence

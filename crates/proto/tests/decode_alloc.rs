@@ -16,6 +16,13 @@
 //! 3. A volatile replica's heap does not grow with its writes: a million
 //!    local writes to 64 locations peak under 64 KiB. A replica that keeps
 //!    a word per own write (8 MiB here) fails.
+//! 4. A batched write allocates only when it flushes. A causal node under
+//!    `BatchPolicy::default()` makes 10 000 writes over 32 locations: a
+//!    write that only buffers allocates nothing (its dependency vector is
+//!    minted into the batch's clock, and the entry buffer keeps its
+//!    capacity across flushes), and a flush allocates [`ALLOCS_PER_FLUSH`]
+//!    times. A node that builds a fresh clock per write, or regrows its
+//!    entry buffer per batch, fails.
 //!
 //! The allocator is process-global, so it counts only the thread that
 //! asked to be measured.
@@ -29,10 +36,10 @@ use mc_model::{BarrierId, Loc, LockId, LockMode, ProcId, VClock, Value, WriteId}
 use mc_proto::durability::{decode_history, put_history, OwnUpdate, SnapBatch};
 use mc_proto::wire::{decode_frame, encode_frame, FRAME_HEADER};
 use mc_proto::{
-    crc32, decode_wal, BatchEntry, DsmConfig, DurabilityPolicy, GrantInfo, Mode, Msg, NodeIo,
-    ProcNode, Replica, ShardConfig, Snapshot, UpdatePayload, WalRecord,
+    crc32, decode_wal, BatchEntry, BatchPolicy, DsmConfig, DurabilityPolicy, GrantInfo, Mode, Msg,
+    NodeIo, ProcNode, Replica, Req, Resp, ShardConfig, Snapshot, UpdatePayload, WalRecord,
 };
-use mc_sim::{NodeId, SimTime};
+use mc_sim::{NodeId, Poll, SimTime};
 
 struct Counting;
 
@@ -422,4 +429,61 @@ fn a_volatile_replicas_heap_does_not_grow_with_its_writes() {
     println!("{WRITES} local writes to 64 locations: heap grew {grown} B, peaked at {peak} B");
     assert!(peak < PEAK_LIMIT, "{WRITES} writes grew the replica's heap to {peak} bytes");
     assert_eq!(replica.own_count(), WRITES);
+}
+
+/// A null executor that counts the messages a node sends.
+#[derive(Default)]
+struct CountSends(usize);
+
+impl NodeIo for CountSends {
+    fn send(&mut self, _to: NodeId, _kind: &'static str, _msg: Msg) {
+        self.0 += 1;
+    }
+
+    fn arm_timer(&mut self, _delay: SimTime, _token: u64) {}
+
+    fn wal_append(&mut self, _frame: &[u8]) {}
+
+    fn wal_sync(&mut self) {}
+
+    fn install_snapshot(&mut self, _snapshot: Vec<u8>, _history: &[u8]) {}
+
+    fn truncate_history(&mut self, _len: usize) {}
+}
+
+/// Allocations of a flush under `BatchPolicy::default()` with one peer:
+/// the entries' shared slice and the link's clock delta.
+const ALLOCS_PER_FLUSH: u64 = 2;
+
+#[test]
+fn a_batched_write_allocates_only_when_it_flushes() {
+    const WRITES: u32 = 10_000;
+    let cfg = DsmConfig::new(2, Mode::Causal).with_batching(Some(BatchPolicy::default()));
+    let mut node = ProcNode::new(ProcId(0), Arc::new(cfg));
+    let mut io = CountSends::default();
+    let write = |node: &mut ProcNode, io: &mut CountSends, i: u32| {
+        let req = Req::Write { loc: Loc(i % 32), value: Value::Int(i.into()) };
+        assert!(matches!(node.start(req, io), Poll::Ready(Resp::Wrote { .. })));
+    };
+    // Warm-up: every location written, the batch and link clocks grown.
+    for i in 0..64 {
+        write(&mut node, &mut io, i);
+    }
+    let (mut flushes, mut flush_allocs, mut write_allocs) = (0, 0, 0);
+    for i in 0..WRITES {
+        let sent = io.0;
+        start_measuring();
+        write(&mut node, &mut io, i);
+        let (_, allocs) = stop_measuring();
+        if io.0 > sent {
+            flushes += 1;
+            assert!(allocs <= ALLOCS_PER_FLUSH, "write {i} flushed with {allocs} allocations");
+            flush_allocs += allocs;
+        } else {
+            write_allocs += allocs;
+        }
+    }
+    println!("{WRITES} batched writes: {flushes} flushes, {flush_allocs} allocations");
+    assert_eq!(flushes, WRITES / 16, "each full batch of 16 flushes once");
+    assert_eq!(write_allocs, 0, "{write_allocs} allocations in writes that did not flush");
 }
