@@ -78,7 +78,7 @@ pub use mc_model::{
     ModelAssignment, ModelSpec, OpKind, ProcId, ProcModel, ReadLabel, Value, WriteId,
 };
 pub use mc_proto::{
-    BatchPolicy, Driver, DsmConfig, DurabilityPolicy, LockPropagation, MemCtx, MemDisk, Mode,
+    BatchPolicy, CrashFs, Driver, DsmConfig, DurabilityPolicy, LockPropagation, MemCtx, Mode,
     SessionConfig, ShardConfig,
 };
 pub use mc_sim::{

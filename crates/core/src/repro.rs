@@ -47,7 +47,7 @@ pub struct Repro {
     pub budget: Option<FaultBudget>,
     /// The decision prefix to replay (all later decisions are 0).
     pub trace: Vec<u32>,
-    /// Pre-seeded replica disk images (`(proc, serialized MemDisk)`),
+    /// Pre-seeded replica disk images (`(proc, CrashFs::image)`),
     /// for repros that start from a specific durable state — e.g. a
     /// torn WAL tail a reborn node must recover through.
     pub disks: Vec<(u32, Vec<u8>)>,
@@ -92,8 +92,8 @@ fn run_once(
         sys = sys.explore_faults(b.clone());
     }
     for (p, image) in disks {
-        match mc_proto::MemDisk::from_image(image) {
-            Some(disk) => sys = sys.seed_disk(crate::ProcId(*p), disk),
+        match mc_proto::CrashFs::from_image(image) {
+            Some(fs) => sys = sys.seed_disk(crate::ProcId(*p), fs),
             None => return RunResult::RunFail(format!("disk image for proc {p} is malformed")),
         }
     }
@@ -517,16 +517,17 @@ mod tests {
         // pre-crash durable disk image the reborn node recovers from.
         // The program deadlocks (awaits a value nobody writes), so the
         // Run failure reproduces under any replayed decision prefix.
-        let mut disk = mc_proto::MemDisk::new();
-        disk.append(&mc_proto::WalRecord::Incarnation { incarnation: 1 }.encode());
-        disk.sync();
+        let root = std::path::Path::new("");
+        let mut disk = mc_proto::FileDisk::open_on(mc_proto::CrashFs::default(), root).unwrap();
+        disk.append(&mc_proto::WalRecord::Incarnation { incarnation: 1 }.encode()).unwrap();
+        disk.sync().unwrap();
         let repro = Repro {
             kind: FailureKind::Run,
             reason: "deadlock: process 0 awaits a value never written".to_string(),
             allow_deadlock: false,
             budget: Some(FaultBudget::new().crash_recover_of(NodeId(0))),
             trace: Vec::new(),
-            disks: vec![(0, disk.image())],
+            disks: vec![(0, disk.fs().image())],
             spec: ProgSpec::new(Mode::Pram)
                 .durable(2)
                 .proc(vec![SpecOp::Await { loc: Loc(0), value: 1 }]),

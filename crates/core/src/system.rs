@@ -176,7 +176,7 @@ pub struct System {
     record: bool,
     trace: bool,
     schedule: Option<Box<dyn mc_sim::Schedule>>,
-    seed_disks: Vec<(ProcId, mc_proto::MemDisk)>,
+    seed_disks: Vec<(ProcId, mc_proto::CrashFs)>,
     #[allow(clippy::type_complexity)]
     procs: Vec<Box<dyn FnOnce(&mut Ctx<'_>) + Send + 'static>>,
 }
@@ -205,11 +205,12 @@ impl System {
         }
     }
 
-    /// Pre-seeds `proc`'s replica disk before the run — the durable
-    /// image a reborn node recovers from. Lets repro artifacts (and
+    /// Pre-seeds `proc`'s replica directory before the run — the durable
+    /// files a reborn node recovers from. Lets repro artifacts (and
     /// corruption tests) start a run from an exact on-disk state.
-    pub fn seed_disk(mut self, proc: ProcId, disk: mc_proto::MemDisk) -> Self {
-        self.seed_disks.push((proc, disk));
+    /// Takes effect only with durability on.
+    pub fn seed_disk(mut self, proc: ProcId, fs: mc_proto::CrashFs) -> Self {
+        self.seed_disks.push((proc, fs));
         self
     }
 
@@ -427,8 +428,8 @@ impl System {
         if record {
             dsm.server_mut().record_write_order();
         }
-        for (p, disk) in seed_disks {
-            dsm.set_disk(p, disk);
+        for (p, fs) in seed_disks {
+            dsm.set_disk(p, fs);
         }
         let mut kernel = Kernel::new(dsm, nnodes, sim_cfg);
         if trace {

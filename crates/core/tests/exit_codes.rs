@@ -74,9 +74,11 @@ fn sharded_artifact() -> String {
 /// (awaits a value nobody writes), carrying a crash-recover fault budget
 /// and the pre-crash durable disk image of replica 0.
 fn recovery_artifact() -> String {
-    let mut disk = mixed_consistency::MemDisk::new();
-    disk.append(&mc_proto::WalRecord::Incarnation { incarnation: 1 }.encode());
-    disk.sync();
+    let root = std::path::Path::new("");
+    let mut disk = mc_proto::FileDisk::open_on(mixed_consistency::CrashFs::default(), root)
+        .expect("a CrashFs opens");
+    disk.append(&mc_proto::WalRecord::Incarnation { incarnation: 1 }.encode()).expect("append");
+    disk.sync().expect("sync");
     Repro {
         kind: FailureKind::Run,
         reason: "deadlock after recovery".to_string(),
@@ -85,7 +87,7 @@ fn recovery_artifact() -> String {
             mixed_consistency::FaultBudget::new().crash_recover_of(mixed_consistency::NodeId(0)),
         ),
         trace: Vec::new(),
-        disks: vec![(0, disk.image())],
+        disks: vec![(0, disk.fs().image())],
         spec: ProgSpec::new(Mode::Pram)
             .durable(2)
             .proc(vec![SpecOp::Await { loc: Loc(0), value: 1 }]),

@@ -12,9 +12,8 @@ use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvE
 
 use mc_model::{BarrierId, History, HistoryBuilder, Loc, MalformedHistory, ProcId, VClock, Value};
 use mc_proto::{
-    decode_wal, BatchPolicy, Driver, DsmConfig, DurabilityPolicy, FileDisk, LockPropagation,
-    Manager, ManagerNode, MemCtx, Mode, Msg, NodeIo, ProcNode, Replica, Req, Resp, ShardConfig,
-    WalTail,
+    BatchPolicy, Driver, DsmConfig, DurabilityPolicy, FileDisk, LockPropagation, Manager,
+    ManagerNode, MemCtx, Mode, Msg, NodeIo, ProcNode, Replica, Req, Resp, ShardConfig, StdFs,
 };
 use mc_sim::{DurabilityStats, Poll, SimTime, TraceEvent, Tracer};
 
@@ -965,13 +964,9 @@ fn next_wire(rx: &Receiver<Wire>, reliable: bool) -> Inbox {
 }
 
 /// Opens process `proc`'s node and disk and, when prior state exists,
-/// recovers: the snapshot, the history segment and the WAL's valid
-/// prefix go through [`ProcNode::recover`]. Only what concerns the real
-/// file happens here: a corrupt frame (one whose CRC fails with written
-/// bytes behind it, or whose body does not parse) is a real integrity
-/// failure and panics with a diagnostic rather than silently dropping
-/// durable state; a torn tail (the expected `kill -9` residue) is cut
-/// by [`FileDisk::open`], which appends right after the valid prefix.
+/// recovers through the path the simulator takes too:
+/// [`FileDisk::recover`] (which refuses a corrupt frame and cuts a torn
+/// tail, the expected `kill -9` residue), then [`ProcNode::recover`].
 fn open_node(
     proc: ProcId,
     cfg: Arc<DsmConfig>,
@@ -983,25 +978,14 @@ fn open_node(
     let mut io = LiveIo::new(proc.index(), net, Sending::Queued);
     let (Some(_), Some(dir)) = (cfg.durability, dir) else { return (node, io) };
     let rdir = dir.join(format!("replica-{}", proc.index()));
-    let (snap_bytes, log_bytes) =
-        FileDisk::load(&rdir).unwrap_or_else(|e| panic!("{proc}: cannot load {rdir:?}: {e}"));
-    let history = FileDisk::load_history(&rdir)
-        .unwrap_or_else(|e| panic!("{proc}: cannot load history in {rdir:?}: {e}"));
-    let had_state = snap_bytes.is_some() || !log_bytes.is_empty() || !history.is_empty();
-    let (records, tail) = decode_wal(&log_bytes);
-    if let WalTail::Corrupt { at } = tail {
-        // A CRC failure with written bytes behind it would mean durable
-        // records silently vanish; all observed kill patterns tear
-        // only the tail, so refuse anything else loudly.
-        panic!("{proc}: wal in {rdir:?} has a corrupt frame at byte {at}")
-    }
-    let mut disk = FileDisk::open(&rdir).unwrap_or_else(|e| panic!("{proc}: cannot open wal: {e}"));
+    let (mut disk, found) = FileDisk::recover(StdFs, &rdir)
+        .unwrap_or_else(|e| panic!("{proc}: cannot recover {rdir:?}: {e}"));
     walc.full_syncs.fetch_add(disk.take_full_syncs(), Ordering::Relaxed);
     io.wal = Some(Wal { disk, counters: walc.clone() });
-    if had_state {
-        walc.replayed.fetch_add(records.len() as u64, Ordering::Relaxed);
+    if let Some(found) = found {
+        walc.replayed.fetch_add(found.records.len() as u64, Ordering::Relaxed);
         walc.recoveries.fetch_add(1, Ordering::Relaxed);
-        node.recover(snap_bytes.as_deref(), &history, records, &mut io);
+        node.recover(found, &mut io);
     }
     (node, io)
 }

@@ -7,15 +7,17 @@
 //! manager shards (lock manager, barrier manager, and — in SC mode, on
 //! the first — the central memory server). The protocol itself lives in
 //! [`crate::node`]; this module only routes kernel events to the node
-//! they concern and lends it the simulated network and disk.
+//! they concern and lends it the simulated network and disk: the shipped
+//! [`FileDisk`], on a [`CrashFs`].
 
+use std::path::Path;
 use std::sync::Arc;
 
 use mc_model::{Loc, ProcId, Value};
 use mc_sim::{NetCtx, NodeId, Poll, ProcToken, Protocol, SimTime};
 
 use crate::config::DsmConfig;
-use crate::durability::{decode_wal, MemDisk, WalTail};
+use crate::durability::{CrashFs, FileDisk, Recovery};
 use crate::manager::Manager;
 use crate::msg::Msg;
 use crate::node::{ManagerNode, NodeIo, ProcNode, Req, Resp};
@@ -27,9 +29,10 @@ pub struct Dsm {
     cfg: Arc<DsmConfig>,
     nodes: Vec<ProcNode>,
     managers: Vec<ManagerNode>,
-    /// Per-replica simulated disks (meaningful iff [`DsmConfig::durability`]).
-    /// Kept beside the nodes: a disk outlives the node it belongs to.
-    disks: Vec<MemDisk>,
+    /// One disk per replica when [`DsmConfig::durability`] is on, none
+    /// otherwise. Kept beside the nodes: a disk outlives the node it
+    /// belongs to.
+    disks: Vec<FileDisk<CrashFs>>,
 }
 
 /// The simulator's [`NodeIo`]: one node's view of the simulated network,
@@ -37,17 +40,17 @@ pub struct Dsm {
 struct SimIo<'a, 'n> {
     me: NodeId,
     net: &'a mut NetCtx<'n, Msg>,
-    /// `None` on manager nodes, which keep no durable state.
-    disk: Option<&'a mut MemDisk>,
+    /// `None` on manager nodes and volatile replicas, which keep no
+    /// durable state: the log operations are no-ops there.
+    disk: Option<&'a mut FileDisk<CrashFs>>,
 }
 
-impl<'a, 'n> SimIo<'a, 'n> {
-    fn new(me: NodeId, net: &'a mut NetCtx<'n, Msg>, disks: &'a mut [MemDisk]) -> Self {
-        SimIo { me, net, disk: disks.get_mut(me.index()) }
-    }
+/// The directory of a simulated replica: the root of its [`CrashFs`].
+const REPLICA_DIR: &str = "";
 
-    fn disk(&mut self) -> &mut MemDisk {
-        self.disk.as_deref_mut().expect("manager nodes keep no durable state")
+impl<'a, 'n> SimIo<'a, 'n> {
+    fn new(me: NodeId, net: &'a mut NetCtx<'n, Msg>, disks: &'a mut [FileDisk<CrashFs>]) -> Self {
+        SimIo { me, net, disk: disks.get_mut(me.index()) }
     }
 }
 
@@ -61,22 +64,27 @@ impl NodeIo for SimIo<'_, '_> {
     }
 
     fn wal_append(&mut self, frame: &[u8]) {
-        self.disk().append(frame);
+        let Some(disk) = &mut self.disk else { return };
+        disk.append(frame).expect("a CrashFs write fails only without power");
         self.net.record_wal_append(1);
     }
 
     fn wal_sync(&mut self) {
-        let n = self.disk().sync();
+        let Some(disk) = &mut self.disk else { return };
+        let n = disk.sync().expect("a CrashFs sync fails only without power");
         self.net.record_wal_sync(n);
+        self.net.record_full_syncs(disk.take_full_syncs());
     }
 
     fn install_snapshot(&mut self, snapshot: Vec<u8>, history: &[u8]) {
-        self.disk().install_snapshot(snapshot, history);
+        let Some(disk) = &mut self.disk else { return };
+        disk.compact(&snapshot, history).expect("a CrashFs compaction fails only without power");
         self.net.record_snapshot();
     }
 
     fn truncate_history(&mut self, len: usize) {
-        self.disk().truncate_history(len);
+        let Some(disk) = &mut self.disk else { return };
+        disk.truncate_history(len).expect("a CrashFs truncation fails only without power");
     }
 
     fn tracing(&self) -> bool {
@@ -117,7 +125,10 @@ impl Dsm {
             managers: (n..cfg.nnodes())
                 .map(|node| ManagerNode::new(NodeId(node as u32), cfg.clone()))
                 .collect(),
-            disks: vec![MemDisk::new(); n],
+            disks: match cfg.durability {
+                Some(_) => (0..n).map(|_| open(CrashFs::default())).collect(),
+                None => Vec::new(),
+            },
             cfg,
         }
     }
@@ -148,16 +159,20 @@ impl Dsm {
         self.managers[0].manager_mut()
     }
 
-    /// A replica's simulated disk (repro capture, tests).
-    pub fn disk(&self, proc: ProcId) -> &MemDisk {
-        &self.disks[proc.index()]
+    /// Replaces a durable replica's file system — repro replay restores
+    /// captured disk images before re-running a schedule. The disk opens
+    /// on it at once: a torn log tail is cut there, as on a real
+    /// directory. Does nothing when durability is off.
+    pub fn set_disk(&mut self, proc: ProcId, fs: CrashFs) {
+        if let Some(disk) = self.disks.get_mut(proc.index()) {
+            *disk = open(fs);
+        }
     }
+}
 
-    /// Replaces a replica's simulated disk — repro replay restores
-    /// captured disk images before re-running a schedule.
-    pub fn set_disk(&mut self, proc: ProcId, disk: MemDisk) {
-        self.disks[proc.index()] = disk;
-    }
+/// Opens a simulated replica's disk on `fs`.
+fn open(fs: CrashFs) -> FileDisk<CrashFs> {
+    FileDisk::open_on(fs, Path::new(REPLICA_DIR)).expect("a CrashFs opens")
 }
 
 impl Protocol for Dsm {
@@ -204,9 +219,11 @@ impl Protocol for Dsm {
         }
     }
 
-    /// Crash-recover a replica node: drop the unsynced log tail and
-    /// rebuild the node from snapshot, history and log
-    /// ([`ProcNode::recover`]).
+    /// Crash-recover a replica node: power loss drops every un-synced
+    /// operation of its disk, and the node rebuilds from what survives
+    /// through the recovery path every executor takes
+    /// ([`FileDisk::recover`], then [`ProcNode::recover`]). A volatile
+    /// replica has no disk and rebuilds from nothing.
     ///
     /// In the simulator the crash models the *memory system's* node, not
     /// the client: the program (and the read gates / lock bookkeeping it
@@ -217,36 +234,22 @@ impl Protocol for Dsm {
             "crash-recover of a manager node is unsupported (managers keep no durable state)"
         );
         let i = node.index();
-        // Power loss: staged (appended, never fsynced) records are gone.
-        let lost = self.disks[i].crash();
-        if lost > 0 {
-            net.record_wal_lost(lost);
+        let mut found = Recovery::default();
+        if let Some(disk) = self.disks.get_mut(i) {
+            net.record_wal_lost(disk.staged_records());
+            let (reopened, held) = FileDisk::recover(disk.fs().crashed(), Path::new(REPLICA_DIR))
+                .unwrap_or_else(|e| panic!("p{i}: cannot recover: {e}"));
+            *disk = reopened;
+            found = held.unwrap_or_default();
+            net.record_wal_replayed(found.records.len() as u64);
         }
-        let (snapshot, log) = {
-            let (s, l) = self.disks[i].load();
-            (s.map(<[u8]>::to_vec), l.to_vec())
-        };
-        let history = self.disks[i].history().to_vec();
-        let (records, tail) = decode_wal(&log);
-        debug_assert!(
-            matches!(tail, WalTail::Clean),
-            "MemDisk drops whole staged records, never torn bytes"
-        );
-        if !records.is_empty() {
-            net.record_wal_replayed(records.len() as u64);
-        }
-        self.nodes[i].recover(
-            snapshot.as_deref(),
-            &history,
-            records,
-            &mut SimIo::new(node, net, &mut self.disks),
-        );
+        self.nodes[i].recover(found, &mut SimIo::new(node, net, &mut self.disks));
     }
 
     /// Staged (appended, unsynced) log records across all disks — the
     /// kernel samples this for the WAL conservation law.
     fn durable_staged(&self) -> u64 {
-        self.disks.iter().map(MemDisk::staged_records).sum()
+        self.disks.iter().map(FileDisk::staged_records).sum()
     }
 }
 

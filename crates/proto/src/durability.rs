@@ -23,13 +23,14 @@
 //! bounds-checked cursor. Recovery therefore replays through the decoder
 //! `tests/wire_props.rs` pins against hostile bytes.
 //!
-//! Two backends share the format: [`MemDisk`] models a disk inside the
-//! deterministic simulator (with an explicit staged-vs-durable boundary so
-//! crash points between append, fsync, and ack are explorable), and
-//! [`FileDisk`] is the real thing for `mc-live` (`wal.log` headed by the
-//! snapshot and preallocated with written zeros, so a per-write sync is
-//! a data-only `sync_data`; `history.log` beside it; and one rename as
-//! the commit point of a compaction).
+//! There is one disk, [`FileDisk`], written once over a small [`Fs`]
+//! trait: `wal.log` headed by the snapshot and preallocated with written
+//! zeros, so a per-write sync is a data-only `sync_data`; `history.log`
+//! beside it; and one rename as the commit point of a compaction.
+//! `mc-live` runs it on the real file system ([`StdFs`]); the simulator
+//! runs it on [`CrashFs`], an in-memory file system that keeps across a
+//! crash only what POSIX promises, so the code the explorer crashes is
+//! the code that ships. Both recover through [`FileDisk::recover`].
 //!
 //! Both formats are truncation-tolerant: decoding stops at the first
 //! torn or corrupt frame (for the history, also at a sequence gap) and
@@ -37,9 +38,10 @@
 //! zero tail of a `wal.log` never reaches the decoder: [`FileDisk::load`]
 //! returns only the written prefix.
 
+use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
-use std::io::{self, Write as _};
+use std::io::{self, Seek as _, Write as _};
 use std::os::unix::fs::FileExt as _;
 use std::path::{Path, PathBuf};
 
@@ -557,120 +559,365 @@ fn decode_own(body: &[u8]) -> Result<OwnUpdate, WireError> {
 }
 
 // ---------------------------------------------------------------------------
-// Simulated disk
+// File systems
 // ---------------------------------------------------------------------------
 
-/// A simulated per-replica disk with an explicit staged-vs-durable
-/// boundary: [`MemDisk::append`] stages a framed record, [`MemDisk::sync`]
-/// makes the staged tail durable (the modeled fsync), and
-/// [`MemDisk::crash`] drops whatever was staged — exactly the crash point
-/// between append and fsync that the explorer injects. A compaction
-/// ([`MemDisk::install_snapshot`]) is one atomic step.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct MemDisk {
-    snapshot: Option<Vec<u8>>,
-    history: Vec<u8>,
-    log: Vec<u8>,
-    staged: Vec<u8>,
-    staged_records: u64,
+/// The file operations [`FileDisk`] is written against, so that one disk
+/// runs on every executor: [`StdFs`] on the real file system (`mc-live`,
+/// `mc-net`) and [`CrashFs`] in the simulator.
+pub trait Fs {
+    /// An open, writable file.
+    type File: fmt::Debug;
+
+    /// Reads `path` whole, or `None` if no file has that name.
+    fn read(&self, path: &Path) -> io::Result<Option<Vec<u8>>>;
+
+    /// Opens `path` for writing, creating it empty if it does not exist
+    /// (then `true`).
+    fn create(&mut self, path: &Path) -> io::Result<(Self::File, bool)>;
+
+    /// Creates `dir` and every missing parent.
+    fn create_dir_all(&mut self, dir: &Path) -> io::Result<()>;
+
+    /// Writes all of `buf` at byte `at`, extending the file if needed.
+    fn write_at(&mut self, file: &mut Self::File, buf: &[u8], at: u64) -> io::Result<()>;
+
+    /// Writes all of `buf` at the end of the file.
+    fn append(&mut self, file: &mut Self::File, buf: &[u8]) -> io::Result<()>;
+
+    /// Cuts the file to `len` bytes, or extends it with zeros.
+    fn set_len(&mut self, file: &mut Self::File, len: u64) -> io::Result<()>;
+
+    /// Makes the file's data durable: the bytes inside the size that is
+    /// durable already. A file that changed size needs [`Fs::sync_all`].
+    fn sync_data(&mut self, file: &mut Self::File) -> io::Result<()>;
+
+    /// Makes the file's data and size durable.
+    fn sync_all(&mut self, file: &mut Self::File) -> io::Result<()>;
+
+    /// Renames `from` to `to`, replacing any file named `to`.
+    fn rename(&mut self, from: &Path, to: &Path) -> io::Result<()>;
+
+    /// Makes the names created or renamed in `dir` durable.
+    fn sync_dir(&mut self, dir: &Path) -> io::Result<()>;
 }
 
-impl MemDisk {
-    /// An empty disk.
-    pub fn new() -> Self {
-        MemDisk::default()
+/// The real file system, through `std::fs`.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct StdFs;
+
+impl Fs for StdFs {
+    type File = fs::File;
+
+    fn read(&self, path: &Path) -> io::Result<Option<Vec<u8>>> {
+        match fs::read(path) {
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
+            read => read.map(Some),
+        }
     }
 
-    /// Stages one framed record (not yet durable).
-    pub fn append(&mut self, frame: &[u8]) {
-        self.staged.extend_from_slice(frame);
-        self.staged_records += 1;
+    fn create(&mut self, path: &Path) -> io::Result<(fs::File, bool)> {
+        let mut open = fs::OpenOptions::new();
+        open.write(true);
+        match open.clone().create_new(true).open(path) {
+            Err(e) if e.kind() == io::ErrorKind::AlreadyExists => Ok((open.open(path)?, false)),
+            created => Ok((created?, true)),
+        }
     }
 
-    /// The modeled fsync: moves the staged tail into the durable log.
-    /// Returns the number of records made durable.
-    pub fn sync(&mut self) -> u64 {
-        self.log.append(&mut self.staged);
-        std::mem::take(&mut self.staged_records)
+    fn create_dir_all(&mut self, dir: &Path) -> io::Result<()> {
+        fs::create_dir_all(dir)
     }
 
-    /// Number of staged (appended but not yet fsynced) records.
-    pub fn staged_records(&self) -> u64 {
-        self.staged_records
+    fn write_at(&mut self, file: &mut fs::File, buf: &[u8], at: u64) -> io::Result<()> {
+        file.write_all_at(buf, at)
     }
 
-    /// Atomically installs a snapshot, appends the history tail it
-    /// covers ([`put_history`] frames) and truncates the durable log.
-    /// The caller must [`MemDisk::sync`] first — compaction must never
-    /// silently discard staged records.
-    pub fn install_snapshot(&mut self, snapshot: Vec<u8>, history: &[u8]) {
-        debug_assert_eq!(self.staged_records, 0, "sync before snapshotting");
-        self.snapshot = Some(snapshot);
-        self.history.extend_from_slice(history);
-        self.log.clear();
+    fn append(&mut self, file: &mut fs::File, buf: &[u8]) -> io::Result<()> {
+        file.seek(io::SeekFrom::End(0))?;
+        file.write_all(buf)
     }
 
-    /// Cuts the history segment to its first `len` bytes: recovery drops
-    /// what lies past the prefix the snapshot covers.
-    pub fn truncate_history(&mut self, len: usize) {
-        self.history.truncate(len);
+    fn set_len(&mut self, file: &mut fs::File, len: u64) -> io::Result<()> {
+        file.set_len(len)
     }
 
-    /// A crash: the staged tail is lost, the durable log, history and
-    /// snapshot survive. Returns the number of records lost.
-    pub fn crash(&mut self) -> u64 {
-        self.staged.clear();
-        std::mem::take(&mut self.staged_records)
+    fn sync_data(&mut self, file: &mut fs::File) -> io::Result<()> {
+        file.sync_data()
     }
 
-    /// What recovery reads: the installed snapshot (if any) and the
-    /// durable log bytes.
-    pub fn load(&self) -> (Option<&[u8]>, &[u8]) {
-        (self.snapshot.as_deref(), &self.log)
+    fn sync_all(&mut self, file: &mut fs::File) -> io::Result<()> {
+        file.sync_all()
     }
 
-    /// The own-write history segment.
-    pub fn history(&self) -> &[u8] {
-        &self.history
+    fn rename(&mut self, from: &Path, to: &Path) -> io::Result<()> {
+        fs::rename(from, to)
     }
 
-    /// Serializes the durable state (snapshot, history and log, staged
-    /// excluded) into one image, for repro artifacts that capture disk
-    /// contents: `has_snapshot:u8 | [len:u32 | snapshot] | len:u32 |
-    /// history | log`.
+    fn sync_dir(&mut self, dir: &Path) -> io::Result<()> {
+        fs::File::open(dir)?.sync_all()
+    }
+}
+
+/// An in-memory [`Fs`] that keeps, across a crash, only what POSIX
+/// promises. This is the persistence model of ALICE (Pillai et al., "All
+/// File Systems Are Not Created Equal", OSDI 2014):
+///
+/// - a write or size change that no sync covers may be lost;
+/// - an overwrite inside the file's durable size is durable after
+///   [`Fs::sync_data`];
+/// - a size change, and the bytes past the old size, only after
+///   [`Fs::sync_all`];
+/// - a created or renamed name only after [`Fs::sync_dir`].
+///
+/// [`CrashFs::crashed`] is the state in which every un-synced operation
+/// is lost: the simulator's crash. [`CrashFs::crash_states`] is every
+/// state the rules permit. Directories are not modelled: every one
+/// exists. The simulator keeps one `CrashFs` per durable replica, with
+/// the replica's files at its root (the directory `""`).
+#[derive(Clone, Debug, Default)]
+pub struct CrashFs {
+    /// Names and file contents (by inode) as reads see them.
+    names: BTreeMap<PathBuf, usize>,
+    files: Vec<Vec<u8>>,
+    /// Names and file contents as they survive every crash.
+    durable_names: BTreeMap<PathBuf, usize>,
+    durable: Vec<Vec<u8>>,
+    /// The writes and size changes no sync has covered, oldest first.
+    pending: Vec<Op>,
+    /// Mutating operations issued so far.
+    ops: usize,
+    /// The operation count at which the power goes out.
+    cut: Option<usize>,
+}
+
+/// A write or size change of one [`CrashFs`] file.
+#[derive(Clone, Debug)]
+enum Op {
+    Write { ino: usize, at: usize, bytes: Vec<u8> },
+    SetLen { ino: usize, len: usize },
+}
+
+impl Op {
+    fn ino(&self) -> usize {
+        match self {
+            Op::Write { ino, .. } | Op::SetLen { ino, .. } => *ino,
+        }
+    }
+
+    fn apply(&self, files: &mut [Vec<u8>]) {
+        match self {
+            Op::Write { ino, at, bytes } => {
+                let (file, end) = (&mut files[*ino], at + bytes.len());
+                if file.len() < end {
+                    file.resize(end, 0);
+                }
+                file[*at..end].copy_from_slice(bytes);
+            }
+            Op::SetLen { ino, len } => files[*ino].resize(*len, 0),
+        }
+    }
+}
+
+impl CrashFs {
+    /// A file system that holds `names` over `files`, all of it durable.
+    fn at(names: BTreeMap<PathBuf, usize>, files: Vec<Vec<u8>>) -> CrashFs {
+        let (durable_names, durable) = (names.clone(), files.clone());
+        CrashFs { names, files, durable_names, durable, ..CrashFs::default() }
+    }
+
+    /// Counts one mutating operation, or fails it once the power is out.
+    fn tick(&mut self) -> io::Result<()> {
+        if self.cut.is_some_and(|cut| self.ops >= cut) {
+            return Err(io::Error::other("the power is out"));
+        }
+        self.ops += 1;
+        Ok(())
+    }
+
+    /// Applies `op` to what reads see; it survives every crash once a
+    /// sync covers it.
+    fn issue(&mut self, op: Op) -> io::Result<()> {
+        self.tick()?;
+        op.apply(&mut self.files);
+        self.pending.push(op);
+        Ok(())
+    }
+
+    /// Mutating operations issued so far.
+    pub fn ops(&self) -> usize {
+        self.ops
+    }
+
+    /// Cuts the power after `ops` more mutating operations: every later
+    /// one fails and changes nothing.
+    pub fn cut_power_after(&mut self, ops: usize) {
+        self.cut = Some(self.ops.saturating_add(ops));
+    }
+
+    /// The state after a crash that loses every un-synced operation.
+    pub fn crashed(&self) -> CrashFs {
+        CrashFs::at(self.durable_names.clone(), self.durable.clone())
+    }
+
+    /// Every distinct state a crash may leave: any subset of the pending
+    /// writes and size changes, each whole, over the durable contents,
+    /// with the durable names or with the names as reads see them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if more than 12 operations are pending.
+    pub fn crash_states(&self) -> Vec<CrashFs> {
+        let n = self.pending.len();
+        assert!(n <= 12, "{n} un-synced operations: too many crash states to list");
+        let mut states: Vec<CrashFs> = Vec::new();
+        for kept in 0..1u32 << n {
+            let mut files = self.durable.clone();
+            let kept_ops = self.pending.iter().enumerate().filter(|(i, _)| kept >> i & 1 == 1);
+            kept_ops.for_each(|(_, op)| op.apply(&mut files));
+            for names in [&self.durable_names, &self.names] {
+                let state = CrashFs::at(names.clone(), files.clone());
+                if !states.iter().any(|s| s.view().eq(state.view())) {
+                    states.push(state);
+                }
+            }
+        }
+        states
+    }
+
+    /// Each name with the contents of its file, as reads see them.
+    fn view(&self) -> impl Iterator<Item = (&PathBuf, &Vec<u8>)> {
+        self.names.iter().map(|(name, &ino)| (name, &self.files[ino]))
+    }
+
+    /// The durable files, for a repro artifact: per file `name_len:u32 |
+    /// name | len:u32 | kept:u32 | bytes`, where the `len - kept` bytes
+    /// not written out are zeros.
     pub fn image(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        out.put_u8(self.snapshot.is_some() as u8);
-        if let Some(s) = &self.snapshot {
-            out.put_u32_le(s.len() as u32);
-            out.put_slice(s);
+        for (name, file) in self.crashed().view() {
+            let name = name.to_string_lossy();
+            let kept = file.iter().rposition(|&b| b != 0).map_or(0, |i| i + 1);
+            out.put_u32_le(name.len() as u32);
+            out.put_slice(name.as_bytes());
+            out.put_u32_le(file.len() as u32);
+            out.put_u32_le(kept as u32);
+            out.put_slice(&file[..kept]);
         }
-        out.put_u32_le(self.history.len() as u32);
-        out.put_slice(&self.history);
-        out.put_slice(&self.log);
         out
     }
 
-    /// Rebuilds a disk from an [`MemDisk::image`] (staged state is empty,
-    /// as after a crash).
-    pub fn from_image(bytes: &[u8]) -> Option<MemDisk> {
-        let mut cur = Cursor::new(bytes);
-        let region = |cur: &mut Cursor<'_>| {
+    /// Rebuilds a file system from a [`CrashFs::image`], or `None` if the
+    /// bytes are not one.
+    pub fn from_image(bytes: &[u8]) -> Option<CrashFs> {
+        let (mut cur, mut names, mut files) = (Cursor::new(bytes), BTreeMap::new(), Vec::new());
+        while cur.remaining() > 0 {
             let n = cur.u32().ok()? as usize;
-            Some(cur.take(n).ok()?.to_vec())
-        };
-        let snapshot = match cur.flag().ok()? {
-            false => None,
-            true => Some(region(&mut cur)?),
-        };
-        let history = region(&mut cur)?;
-        let log = bytes[cur.pos()..].to_vec();
-        Some(MemDisk { snapshot, history, log, ..MemDisk::default() })
+            let name = std::str::from_utf8(cur.take(n).ok()?).ok()?;
+            let (len, kept) = (cur.u32().ok()? as usize, cur.u32().ok()? as usize);
+            // A disk's zero tail is shorter than a chunk: a longer one is
+            // not an image, and is never allocated.
+            if len < kept || len - kept > WAL_CHUNK {
+                return None;
+            }
+            let mut file = cur.take(kept).ok()?.to_vec();
+            file.resize(len, 0);
+            names.insert(name.into(), files.len());
+            files.push(file);
+        }
+        Some(CrashFs::at(names, files))
+    }
+}
+
+impl Fs for CrashFs {
+    type File = usize;
+
+    fn read(&self, path: &Path) -> io::Result<Option<Vec<u8>>> {
+        Ok(self.names.get(path).map(|&ino| self.files[ino].clone()))
+    }
+
+    fn create(&mut self, path: &Path) -> io::Result<(usize, bool)> {
+        if let Some(&ino) = self.names.get(path) {
+            return Ok((ino, false));
+        }
+        self.tick()?;
+        self.files.push(Vec::new());
+        self.durable.push(Vec::new());
+        self.names.insert(path.to_path_buf(), self.files.len() - 1);
+        Ok((self.files.len() - 1, true))
+    }
+
+    fn create_dir_all(&mut self, _dir: &Path) -> io::Result<()> {
+        Ok(())
+    }
+
+    fn write_at(&mut self, &mut ino: &mut usize, buf: &[u8], at: u64) -> io::Result<()> {
+        self.issue(Op::Write { ino, at: at as usize, bytes: buf.to_vec() })
+    }
+
+    fn append(&mut self, &mut ino: &mut usize, buf: &[u8]) -> io::Result<()> {
+        let at = self.files[ino].len();
+        self.issue(Op::Write { ino, at, bytes: buf.to_vec() })
+    }
+
+    fn set_len(&mut self, &mut ino: &mut usize, len: u64) -> io::Result<()> {
+        self.issue(Op::SetLen { ino, len: len as usize })
+    }
+
+    fn sync_data(&mut self, &mut ino: &mut usize) -> io::Result<()> {
+        self.tick()?;
+        let durable = &mut self.durable[ino];
+        let size = durable.len();
+        self.pending.retain_mut(|op| match op {
+            Op::Write { ino: i, at, bytes } if *i == ino && *at < size => {
+                let inside = bytes.len().min(size - *at);
+                durable[*at..*at + inside].copy_from_slice(&bytes[..inside]);
+                bytes.drain(..inside);
+                *at += inside;
+                !bytes.is_empty()
+            }
+            _ => true,
+        });
+        Ok(())
+    }
+
+    fn sync_all(&mut self, &mut ino: &mut usize) -> io::Result<()> {
+        self.tick()?;
+        let (synced, pending): (Vec<Op>, _) =
+            std::mem::take(&mut self.pending).into_iter().partition(|op| op.ino() == ino);
+        synced.iter().for_each(|op| op.apply(&mut self.durable));
+        self.pending = pending;
+        debug_assert_eq!(self.durable[ino], self.files[ino], "a synced file reads as it is");
+        Ok(())
+    }
+
+    fn rename(&mut self, from: &Path, to: &Path) -> io::Result<()> {
+        let ino = self.names.get(from).copied().ok_or(io::ErrorKind::NotFound)?;
+        self.tick()?;
+        self.names.remove(from);
+        self.names.insert(to.to_path_buf(), ino);
+        Ok(())
+    }
+
+    fn sync_dir(&mut self, dir: &Path) -> io::Result<()> {
+        self.tick()?;
+        let in_dir = |name: &PathBuf| name.parent() == Some(dir);
+        self.durable_names.retain(|name, _| !in_dir(name));
+        let names = self.names.iter().filter(|(name, _)| in_dir(name));
+        self.durable_names.extend(names.map(|(name, &ino)| (name.clone(), ino)));
+        // A file no name reaches any more holds nothing worth keeping.
+        for ino in 0..self.files.len() {
+            let named = |names: &BTreeMap<PathBuf, usize>| names.values().any(|&i| i == ino);
+            if !named(&self.names) && !named(&self.durable_names) {
+                (self.files[ino], self.durable[ino]) = (Vec::new(), Vec::new());
+            }
+        }
+        Ok(())
     }
 }
 
 // ---------------------------------------------------------------------------
-// Real files (mc-live)
+// The disk
 // ---------------------------------------------------------------------------
 
 /// Bytes of written zeros a `wal.log` holds ahead of its records: one
@@ -684,12 +931,11 @@ pub const WAL_CHUNK: usize = 16 << 10;
 /// The zeros a chunk is written from.
 static ZEROS: [u8; WAL_CHUNK] = [0; WAL_CHUNK];
 
-/// A real per-replica disk directory for `mc-live`: `wal.log`, whose
+/// A per-replica disk directory on file system `F`: `wal.log`, whose
 /// first frame is the installed snapshot (if any) and the rest the
-/// records logged since, and the append-only `history.log`. The
-/// staged-vs-durable boundary is the page cache: records appended but
-/// not yet fsynced may or may not survive `kill -9`, and recovery
-/// tolerates either via the truncation-tolerant decoders.
+/// records logged since, and the append-only `history.log`. Records
+/// appended but not yet synced may or may not survive a crash, and
+/// recovery tolerates either via the truncation-tolerant decoders.
 ///
 /// `wal.log` is preallocated: records overwrite zeros that were written
 /// (not left as holes) and made durable before, inside the file's size,
@@ -706,10 +952,11 @@ static ZEROS: [u8; WAL_CHUNK] = [0; WAL_CHUNK];
 /// snapshot and an empty log. No state holds a snapshot together with a
 /// log it already covers.
 #[derive(Debug)]
-pub struct FileDisk {
+pub struct FileDisk<F: Fs = StdFs> {
+    fs: F,
     dir: PathBuf,
-    wal: fs::File,
-    history: fs::File,
+    wal: F::File,
+    history: F::File,
     /// Where the next record goes: just past the last valid frame.
     end: u64,
     /// The length of `wal.log`; every byte in `end..len` is zero.
@@ -720,18 +967,16 @@ pub struct FileDisk {
     full_syncs: u64,
 }
 
-/// Reads `path` whole; a missing file reads as empty.
-fn read_or_empty(path: &Path) -> io::Result<Vec<u8>> {
-    match fs::read(path) {
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(Vec::new()),
-        read => read,
-    }
-}
-
-/// fsyncs a directory, so that the entries created or renamed in it
-/// survive power loss.
-fn sync_dir(dir: &Path) -> io::Result<()> {
-    fs::File::open(dir)?.sync_all()
+/// What a replica directory held when [`FileDisk::recover`] opened it,
+/// for [`ProcNode::recover`](crate::ProcNode::recover) to rebuild from.
+#[derive(Debug, Default)]
+pub struct Recovery {
+    /// The installed snapshot, if any.
+    pub snapshot: Option<Vec<u8>>,
+    /// The own-write history segment.
+    pub history: Vec<u8>,
+    /// The log's valid record prefix.
+    pub records: Vec<WalRecord>,
 }
 
 /// Where the parts of a `wal.log` image end: the snapshot frame (if
@@ -781,27 +1026,68 @@ impl Extent {
     }
 }
 
+/// [`FileDisk::load`] on `fs`. A log frame never starts with the
+/// snapshot magic (its length field would read 1.3 GB), so the magic
+/// tells the snapshot and the log apart.
+fn load(fs: &impl Fs, dir: &Path) -> io::Result<(Option<Vec<u8>>, Vec<u8>)> {
+    if fs.read(&dir.join("snapshot.bin"))?.is_some() {
+        let msg = format!("{}: snapshot.bin is from an earlier format", dir.display());
+        return Err(io::Error::new(io::ErrorKind::InvalidData, msg));
+    }
+    let mut bytes = fs.read(&dir.join("wal.log"))?.unwrap_or_default();
+    let extent = Extent::of(&bytes);
+    bytes.truncate(extent.written);
+    let log = bytes.split_off(extent.log);
+    Ok(((extent.log > 0).then_some(bytes), log))
+}
+
 impl FileDisk {
-    /// Opens (creating if needed) the replica directory `dir`, ready to
-    /// append right after the last valid frame of its log. Whatever
-    /// follows that frame is cut, and a log left with no zero tail (new,
-    /// cut, or written before preallocation) gains one chunk; a log this
-    /// changes is fsynced before `open` returns (counted in
-    /// [`FileDisk::take_full_syncs`]). When `open` creates the directory
-    /// or a file in it, it fsyncs the directory and its parent too.
-    ///
-    /// A corrupt frame is cut like a torn one: recovery that must refuse
-    /// corruption decodes [`FileDisk::load`] first, as `mc-live` does.
+    /// [`FileDisk::open_on`] the real file system.
     pub fn open(dir: &Path) -> io::Result<FileDisk> {
-        let (wal_path, history_path) = (dir.join("wal.log"), dir.join("history.log"));
-        let created = !wal_path.exists() || !history_path.exists();
-        fs::create_dir_all(dir)?;
-        let bytes = read_or_empty(&wal_path)?;
+        FileDisk::open_on(StdFs, dir)
+    }
+
+    /// What recovery reads from `dir`: the installed snapshot (if any)
+    /// and the written log bytes after it — never the zero tail, so
+    /// [`decode_wal`] sees the bytes of an EOF-terminated log.
+    ///
+    /// # Errors
+    ///
+    /// Besides I/O errors, refuses a directory that still holds a
+    /// `snapshot.bin` — the layout before the snapshot moved into
+    /// `wal.log` — rather than recover from its log alone.
+    pub fn load(dir: &Path) -> io::Result<(Option<Vec<u8>>, Vec<u8>)> {
+        load(&StdFs, dir)
+    }
+
+    /// The own-write history segment of `dir` (`history.log`).
+    pub fn load_history(dir: &Path) -> io::Result<Vec<u8>> {
+        Ok(StdFs.read(&dir.join("history.log"))?.unwrap_or_default())
+    }
+}
+
+impl<F: Fs> FileDisk<F> {
+    /// Opens (creating if needed) the replica directory `dir` on `fs`,
+    /// ready to append right after the last valid frame of its log.
+    /// Whatever follows that frame is cut, and a log left with no zero
+    /// tail (new, cut, or written before preallocation) gains one chunk;
+    /// a log this changes is synced before `open_on` returns (counted in
+    /// [`FileDisk::take_full_syncs`]). When it creates the directory or
+    /// a file in it, it syncs the directory and its parent too.
+    ///
+    /// A corrupt frame is cut like a torn one: recovery, which must
+    /// refuse corruption, opens through [`FileDisk::recover`].
+    pub fn open_on(mut fs: F, dir: &Path) -> io::Result<FileDisk<F>> {
+        fs.create_dir_all(dir)?;
+        let bytes = fs.read(&dir.join("wal.log"))?.unwrap_or_default();
         let valid = Extent::of(&bytes).valid;
+        let (wal, new_wal) = fs.create(&dir.join("wal.log"))?;
+        let (history, new_history) = fs.create(&dir.join("history.log"))?;
         let mut disk = FileDisk {
+            fs,
             dir: dir.to_path_buf(),
-            wal: fs::OpenOptions::new().create(true).truncate(false).write(true).open(&wal_path)?,
-            history: fs::OpenOptions::new().create(true).append(true).open(&history_path)?,
+            wal,
+            history,
             end: valid as u64,
             len: bytes.len() as u64,
             resized: false,
@@ -809,7 +1095,7 @@ impl FileDisk {
             full_syncs: 0,
         };
         if bytes[valid..].iter().any(|&b| b != 0) {
-            disk.wal.set_len(disk.end)?;
+            disk.fs.set_len(&mut disk.wal, disk.end)?;
             disk.len = disk.end;
             disk.resized = true;
         }
@@ -817,12 +1103,39 @@ impl FileDisk {
         if disk.resized {
             disk.sync()?;
         }
-        if created {
-            disk.history.sync_all()?;
-            sync_dir(dir)?;
-            sync_dir(dir.parent().filter(|p| !p.as_os_str().is_empty()).unwrap_or(Path::new(".")))?;
+        if new_wal || new_history {
+            disk.fs.sync_all(&mut disk.history)?;
+            disk.fs.sync_dir(dir)?;
+            let parent = dir.parent().filter(|p| !p.as_os_str().is_empty());
+            disk.fs.sync_dir(parent.unwrap_or(Path::new(".")))?;
         }
         Ok(disk)
+    }
+
+    /// Opens `dir` for a node to recover from: the one recovery path of
+    /// every executor. It loads the snapshot, history and log, decodes
+    /// the log and refuses a corrupt frame, and only then opens the
+    /// directory, which cuts a torn tail so that the reborn node appends
+    /// right after the valid prefix. Returns the open disk and, unless
+    /// the directory held nothing, what the node rebuilds from.
+    ///
+    /// # Errors
+    ///
+    /// I/O errors, a directory in an earlier layout (see
+    /// [`FileDisk::load`]), and a log with a corrupt frame
+    /// ([`WalTail::Corrupt`], as `InvalidData`): a CRC failure with
+    /// written bytes behind it would make durable records vanish.
+    pub fn recover(fs: F, dir: &Path) -> io::Result<(FileDisk<F>, Option<Recovery>)> {
+        let (snapshot, log) = load(&fs, dir)?;
+        let history = fs.read(&dir.join("history.log"))?.unwrap_or_default();
+        let held = snapshot.is_some() || !log.is_empty() || !history.is_empty();
+        let (records, tail) = decode_wal(&log);
+        if let WalTail::Corrupt { at } = tail {
+            let msg = format!("{}: wal.log has a corrupt frame at byte {at}", dir.display());
+            return Err(io::Error::new(io::ErrorKind::InvalidData, msg));
+        }
+        let disk = FileDisk::open_on(fs, dir)?;
+        Ok((disk, held.then_some(Recovery { snapshot, history, records })))
     }
 
     /// The replica directory.
@@ -830,11 +1143,16 @@ impl FileDisk {
         &self.dir
     }
 
+    /// The file system the directory is on.
+    pub fn fs(&self) -> &F {
+        &self.fs
+    }
+
     /// Extends `wal.log` with zero chunks until it is at least `need`
     /// bytes long.
     fn reserve(&mut self, need: u64) -> io::Result<()> {
         while self.len < need {
-            self.wal.write_all_at(&ZEROS, self.len)?;
+            self.fs.write_at(&mut self.wal, &ZEROS, self.len)?;
             self.len += WAL_CHUNK as u64;
             self.resized = true;
         }
@@ -846,32 +1164,32 @@ impl FileDisk {
     pub fn append(&mut self, frame: &[u8]) -> io::Result<()> {
         let next = self.end + frame.len() as u64;
         self.reserve(next)?;
-        self.wal.write_all_at(frame, self.end)?;
+        self.fs.write_at(&mut self.wal, frame, self.end)?;
         self.end = next;
         self.staged_records += 1;
         Ok(())
     }
 
-    /// fsyncs the log: `sync_data`, or `sync_all` if the file grew since
+    /// Syncs the log: `sync_data`, or `sync_all` if the file grew since
     /// the last sync. Returns the number of records covered by this sync.
     pub fn sync(&mut self) -> io::Result<u64> {
         if self.resized {
-            self.wal.sync_all()?;
+            self.fs.sync_all(&mut self.wal)?;
             self.resized = false;
             self.full_syncs += 1;
         } else {
-            self.wal.sync_data()?;
+            self.fs.sync_data(&mut self.wal)?;
         }
         Ok(std::mem::take(&mut self.staged_records))
     }
 
-    /// Number of appended-but-not-fsynced records.
+    /// Number of appended-but-not-synced records.
     pub fn staged_records(&self) -> u64 {
         self.staged_records
     }
 
     /// The syncs since the last call that had to flush the log's size
-    /// too: the one [`FileDisk::open`] makes when it creates, cuts or
+    /// too: the one [`FileDisk::open_on`] makes when it creates, cuts or
     /// extends the log, and the first after an append extended it.
     pub fn take_full_syncs(&mut self) -> u64 {
         std::mem::take(&mut self.full_syncs)
@@ -879,8 +1197,8 @@ impl FileDisk {
 
     /// Compacts: makes the `history` tail ([`put_history`] frames)
     /// durable in `history.log`, writes `snapshot` and one zero chunk to
-    /// a fresh `wal.tmp` and fsyncs it, then renames it over `wal.log` —
-    /// the one commit point — and fsyncs the directory so that the
+    /// a fresh `wal.tmp` and syncs it, then renames it over `wal.log` —
+    /// the one commit point — and syncs the directory so that the
     /// rename, and with it every record appended to the new log,
     /// survives power loss too. The old log is synced first only if it
     /// has staged records.
@@ -888,17 +1206,17 @@ impl FileDisk {
         if self.staged_records > 0 {
             self.sync()?;
         }
-        if !history.is_empty() {
-            self.history.write_all(history)?;
-            self.history.sync_all()?;
-        }
+        self.append_history(history)?;
         let tmp = self.dir.join("wal.tmp");
-        let mut wal = fs::File::create(&tmp)?;
-        wal.write_all(snapshot)?;
-        wal.write_all(&ZEROS)?;
-        wal.sync_all()?;
-        fs::rename(&tmp, self.dir.join("wal.log"))?;
-        sync_dir(&self.dir)?;
+        let (mut wal, created) = self.fs.create(&tmp)?;
+        if !created {
+            self.fs.set_len(&mut wal, 0)?;
+        }
+        self.fs.write_at(&mut wal, snapshot, 0)?;
+        self.fs.write_at(&mut wal, &ZEROS, snapshot.len() as u64)?;
+        self.fs.sync_all(&mut wal)?;
+        self.fs.rename(&tmp, &self.dir.join("wal.log"))?;
+        self.fs.sync_dir(&self.dir)?;
         self.wal = wal;
         self.end = snapshot.len() as u64;
         self.len = self.end + WAL_CHUNK as u64;
@@ -906,46 +1224,25 @@ impl FileDisk {
         Ok(())
     }
 
+    /// Appends `history` to `history.log` and makes it durable.
+    fn append_history(&mut self, history: &[u8]) -> io::Result<()> {
+        if history.is_empty() {
+            return Ok(());
+        }
+        self.fs.append(&mut self.history, history)?;
+        self.fs.sync_all(&mut self.history)
+    }
+
     /// [`FileDisk::compact`] with no history tail.
     pub fn install_snapshot(&mut self, snapshot: &[u8]) -> io::Result<()> {
         self.compact(snapshot, &[])
     }
 
-    /// Cuts `history.log` to its first `len` bytes (and fsyncs): recovery
+    /// Cuts `history.log` to its first `len` bytes (and syncs): recovery
     /// drops what lies past the prefix the snapshot covers.
     pub fn truncate_history(&mut self, len: usize) -> io::Result<()> {
-        self.history.set_len(len as u64)?;
-        self.history.sync_all()
-    }
-
-    /// What recovery reads from `dir`: the installed snapshot (if any)
-    /// and the written log bytes after it — never the zero tail, so
-    /// [`decode_wal`] sees the bytes of an EOF-terminated log. Static so
-    /// it runs before the directory is re-opened for writing by the
-    /// reborn process. A log frame never starts with the snapshot magic
-    /// (its length field would read 1.3 GB), so the magic tells the two
-    /// apart.
-    ///
-    /// # Errors
-    ///
-    /// Besides I/O errors, refuses a directory that still holds a
-    /// `snapshot.bin` — the layout before the snapshot moved into
-    /// `wal.log` — rather than recover from its log alone.
-    pub fn load(dir: &Path) -> io::Result<(Option<Vec<u8>>, Vec<u8>)> {
-        if dir.join("snapshot.bin").exists() {
-            let msg = format!("{}: snapshot.bin is from an earlier format", dir.display());
-            return Err(io::Error::new(io::ErrorKind::InvalidData, msg));
-        }
-        let mut bytes = read_or_empty(&dir.join("wal.log"))?;
-        let extent = Extent::of(&bytes);
-        bytes.truncate(extent.written);
-        let log = bytes.split_off(extent.log);
-        Ok(((extent.log > 0).then_some(bytes), log))
-    }
-
-    /// The own-write history segment of `dir` (`history.log`).
-    pub fn load_history(dir: &Path) -> io::Result<Vec<u8>> {
-        read_or_empty(&dir.join("history.log"))
+        self.fs.set_len(&mut self.history, len as u64)?;
+        self.fs.sync_all(&mut self.history)
     }
 }
 
@@ -1224,64 +1521,120 @@ mod tests {
         assert_eq!(decode_history(&dup, u32::MAX), expect, "a write recorded twice");
     }
 
+    /// A fresh simulated replica directory: a [`CrashFs`] with the
+    /// replica's files at its root.
+    fn crash_disk() -> FileDisk<CrashFs> {
+        FileDisk::open_on(CrashFs::default(), Path::new("")).unwrap()
+    }
+
+    /// What recovery reads after the crash that loses every un-synced
+    /// operation: `(snapshot, log, history)`.
+    fn crash_load(d: &FileDisk<CrashFs>) -> (Option<Vec<u8>>, Vec<u8>, Vec<u8>) {
+        let fs = d.fs().crashed();
+        let (snapshot, log) = load(&fs, Path::new("")).unwrap();
+        (snapshot, log, fs.read(Path::new("history.log")).unwrap().unwrap_or_default())
+    }
+
     #[test]
-    fn memdisk_staged_vs_durable() {
-        let mut d = MemDisk::new();
+    fn crashfs_staged_vs_durable() {
+        let mut d = crash_disk();
         let rec = WalRecord::Incarnation { incarnation: 1 }.encode();
-        d.append(&rec);
-        d.append(&rec);
+        d.append(&rec).unwrap();
+        d.append(&rec).unwrap();
         assert_eq!(d.staged_records(), 2);
-        assert_eq!(d.load().1.len(), 0, "staged bytes are not durable");
-        assert_eq!(d.sync(), 2);
-        d.append(&rec);
-        assert_eq!(d.crash(), 1, "the unsynced tail is lost");
-        let (snap, log) = d.load();
+        assert_eq!(crash_load(&d).1.len(), 0, "staged bytes are not durable");
+        assert_eq!(d.sync().unwrap(), 2);
+        d.append(&rec).unwrap();
+        assert_eq!(d.staged_records(), 1, "the unsynced tail is lost");
+        let (snap, log, _) = crash_load(&d);
         assert!(snap.is_none());
-        let (recs, tail) = decode_wal(log);
+        let (recs, tail) = decode_wal(&log);
         assert_eq!(recs.len(), 2);
         assert!(tail.is_clean());
     }
 
     #[test]
-    fn memdisk_snapshot_truncates_log() {
-        let mut d = MemDisk::new();
-        d.append(&WalRecord::Incarnation { incarnation: 1 }.encode());
-        d.sync();
+    fn crashfs_compaction_truncates_log() {
+        let mut d = crash_disk();
+        d.append(&WalRecord::Incarnation { incarnation: 1 }.encode()).unwrap();
+        d.sync().unwrap();
         let snap = Snapshot { incarnation: 1, applied: VClock::new(1), ..Default::default() };
         let (_, tail) = history(1..=2);
-        d.install_snapshot(snap.encode(), &tail);
-        let (s, log) = d.load();
+        d.compact(&snap.encode(), &tail).unwrap();
+        let (s, log, history) = crash_load(&d);
         assert!(log.is_empty());
-        assert_eq!(Snapshot::decode(s.unwrap()).unwrap(), snap);
-        assert_eq!(d.history(), tail, "the history tail commits with the snapshot");
+        assert_eq!(Snapshot::decode(&s.unwrap()).unwrap(), snap);
+        assert_eq!(history, tail, "the history tail commits with the snapshot");
     }
 
     #[test]
-    fn memdisk_image_roundtrip() {
-        let mut d = MemDisk::new();
-        d.append(&WalRecord::Incarnation { incarnation: 2 }.encode());
-        d.sync();
+    fn crashfs_image_roundtrip() {
+        let mut d = crash_disk();
+        d.append(&WalRecord::Incarnation { incarnation: 2 }.encode()).unwrap();
+        d.sync().unwrap();
         let (updates, history) = history(1..=3);
         let snap = Snapshot { incarnation: 2, applied: VClock::new(1), ..Default::default() };
-        d.install_snapshot(snap.encode(), &history);
-        d.append(&WalRecord::Incarnation { incarnation: 3 }.encode());
-        d.sync();
-        d.append(&WalRecord::Incarnation { incarnation: 9 }.encode()); // staged: excluded
-        let img = d.image();
-        let back = MemDisk::from_image(&img).unwrap();
+        d.compact(&snap.encode(), &history).unwrap();
+        d.append(&WalRecord::Incarnation { incarnation: 3 }.encode()).unwrap();
+        d.sync().unwrap();
+        d.append(&WalRecord::Incarnation { incarnation: 9 }.encode()).unwrap(); // staged: excluded
+        let img = d.fs().image();
+        let (back, found) =
+            FileDisk::recover(CrashFs::from_image(&img).unwrap(), Path::new("")).unwrap();
         assert_eq!(back.staged_records(), 0);
-        let (s, log) = back.load();
-        assert_eq!(Snapshot::decode(s.unwrap()), Ok(snap));
-        assert_eq!(decode_history(back.history(), u32::MAX), (updates, history.len()));
-        let (recs, tail) = decode_wal(log);
-        assert!(tail.is_clean());
-        assert_eq!(recs, vec![WalRecord::Incarnation { incarnation: 3 }]);
-        assert_eq!(back.image(), img);
-        // Every cut of the image short of its log is refused, not misread.
-        let log_starts = img.len() - log.len();
-        for cut in 0..log_starts {
-            assert_eq!(MemDisk::from_image(&img[..cut]), None, "cut at {cut}");
-        }
+        let found = found.expect("the image holds state");
+        assert_eq!(Snapshot::decode(found.snapshot.as_deref().unwrap()), Ok(snap));
+        assert_eq!(decode_history(&found.history, u32::MAX), (updates, history.len()));
+        assert_eq!(found.records, vec![WalRecord::Incarnation { incarnation: 3 }]);
+        assert_eq!(back.fs().image(), img);
+        // Every cut of the image inside a file is refused, not misread.
+        let whole: Vec<usize> =
+            (0..=img.len()).filter(|&cut| CrashFs::from_image(&img[..cut]).is_some()).collect();
+        assert_eq!(whole.len(), 3, "an empty image, one file, both files: {whole:?}");
+        assert_eq!((whole[0], whole[2]), (0, img.len()));
+    }
+
+    /// The four persistence rules, one at a time: an operation no sync
+    /// covers may be lost, an overwrite inside the durable size is durable
+    /// after `sync_data`, a size change only after `sync_all`, a name only
+    /// after `sync_dir`.
+    #[test]
+    fn crashfs_keeps_only_what_a_sync_made_durable() {
+        let (dir, a, b) = (Path::new("d"), Path::new("d/a"), Path::new("d/b"));
+        let survivors = |fs: &CrashFs, path| -> Vec<Option<Vec<u8>>> {
+            fs.crash_states().iter().map(|s| s.read(path).unwrap()).collect()
+        };
+        let mut fs = CrashFs::default();
+        let (mut f, created) = fs.create(a).unwrap();
+        assert!(created);
+        fs.write_at(&mut f, b"hello", 0).unwrap();
+        assert_eq!(fs.read(a).unwrap().as_deref(), Some(&b"hello"[..]), "reads see it at once");
+        assert_eq!(fs.crashed().read(a).unwrap(), None);
+        assert_eq!(survivors(&fs, a), [None, Some(vec![]), Some(b"hello".to_vec())]);
+        fs.sync_data(&mut f).unwrap();
+        fs.sync_dir(dir).unwrap();
+        assert_eq!(fs.crashed().read(a).unwrap(), Some(vec![]), "a name, but no size yet");
+        fs.sync_all(&mut f).unwrap();
+        assert_eq!(fs.crashed().read(a).unwrap(), Some(b"hello".to_vec()));
+        fs.write_at(&mut f, b"J", 0).unwrap();
+        fs.write_at(&mut f, b"!", 5).unwrap();
+        fs.sync_data(&mut f).unwrap();
+        assert_eq!(fs.crashed().read(a).unwrap(), Some(b"Jello".to_vec()), "inside the size");
+        assert_eq!(survivors(&fs, a), [Some(b"Jello".to_vec()), Some(b"Jello!".to_vec())]);
+        fs.sync_all(&mut f).unwrap();
+        fs.rename(a, b).unwrap();
+        assert_eq!((fs.read(a).unwrap(), fs.read(b).unwrap().is_some()), (None, true));
+        assert_eq!(survivors(&fs, b), [None, Some(b"Jello!".to_vec())]);
+        fs.sync_dir(dir).unwrap();
+        assert_eq!(fs.crashed().read(b).unwrap(), Some(b"Jello!".to_vec()));
+        assert_eq!(fs.crashed().read(a).unwrap(), None);
+        // Once the power is out, nothing changes any more.
+        let ops = fs.ops();
+        fs.cut_power_after(1);
+        fs.write_at(&mut f, b"h", 0).unwrap();
+        assert!(fs.write_at(&mut f, b"x", 0).is_err() && fs.sync_all(&mut f).is_err());
+        assert_eq!(fs.ops(), ops + 1);
+        assert_eq!(fs.read(b).unwrap(), Some(b"hello!".to_vec()));
     }
 
     /// A fresh scratch directory per call.

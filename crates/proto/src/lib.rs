@@ -43,8 +43,8 @@ pub use config::{BatchPolicy, DsmConfig, LockPropagation, Mode, ShardConfig};
 pub use ctx::{Driver, MemCtx};
 pub use dsm::Dsm;
 pub use durability::{
-    crc32, decode_wal, DurabilityPolicy, FileDisk, MemDisk, Snapshot, SnapshotError, WalRecord,
-    WalTail,
+    crc32, decode_wal, CrashFs, DurabilityPolicy, FileDisk, Fs, Recovery, Snapshot, SnapshotError,
+    StdFs, WalRecord, WalTail,
 };
 pub use manager::Manager;
 pub use msg::{BatchEntry, GrantInfo, Msg, UpdatePayload};

@@ -25,7 +25,7 @@ use mc_model::{BarrierId, Loc, LockId, LockMode, ProcId, ReadLabel, VClock, Valu
 use mc_sim::{NodeId, Poll, SimTime};
 
 use crate::config::{DsmConfig, LockPropagation, Mode};
-use crate::durability::{self, Snapshot, WalRecord};
+use crate::durability::{self, Recovery, Snapshot, WalRecord};
 use crate::manager::Manager;
 use crate::msg::{BatchEntry, GrantInfo, Msg, UpdatePayload};
 use crate::replica::Replica;
@@ -688,8 +688,8 @@ impl ProcNode {
         }
     }
 
-    /// Rebuilds this node from its disk after a crash: decode the
-    /// snapshot, restore the own-write history it covers from the first
+    /// Rebuilds this node from what [`FileDisk::recover`](durability::FileDisk::recover) found on its
+    /// disk after a crash: decode the snapshot, restore the own-write history it covers from the first
     /// frames of `history` (cutting the segment there: a longer one is a
     /// compaction that never committed, whose writes the log still
     /// holds), replay the log's `records` through the normal ingest
@@ -713,20 +713,15 @@ impl ProcNode {
     /// Panics if the snapshot does not decode, or if the history holds
     /// fewer own writes than the snapshot covers: compaction makes both
     /// durable before it commits, so either is an integrity failure.
-    pub fn recover(
-        &mut self,
-        snapshot: Option<&[u8]>,
-        history: &[u8],
-        records: Vec<WalRecord>,
-        io: &mut impl NodeIo,
-    ) {
+    pub fn recover(&mut self, from: Recovery, io: &mut impl NodeIo) {
+        let Recovery { snapshot, history, records } = from;
         let proc = self.proc;
         let snap = snapshot.map(|bytes| {
-            Snapshot::decode(bytes).unwrap_or_else(|e| panic!("{proc}: snapshot is corrupt: {e}"))
+            Snapshot::decode(&bytes).unwrap_or_else(|e| panic!("{proc}: snapshot is corrupt: {e}"))
         });
         let mut replica = Self::fresh_replica(proc, &self.cfg, snap.as_ref());
         let covered = replica.own_count();
-        let (own, len) = durability::decode_history(history, covered);
+        let (own, len) = durability::decode_history(&history, covered);
         // Under SC the server keeps the writes: no history to restore.
         assert!(
             own.len() == covered as usize || !self.cfg.mode.is_replicated(),
@@ -1927,7 +1922,7 @@ mod tests {
 
         let mut reborn = ProcNode::new(ProcId(1), cfg);
         let mut req = Recorder::default();
-        reborn.recover(None, &[], Vec::new(), &mut req);
+        reborn.recover(Recovery::default(), &mut req);
         let answer_a =
             deliver(n1, Recorder { sent: req.sent.clone(), ..Recorder::default() }, &mut a);
         let answer_b = deliver(n1, req, &mut b);

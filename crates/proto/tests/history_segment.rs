@@ -4,7 +4,7 @@
 //!
 //! 1. A snapshot's size does not depend on how many writes came before.
 //! 2. Over many compactions and a recovery, on the simulator's
-//!    `MemDisk` and on a real `FileDisk` directory, the history holds
+//!    `CrashFs` and in a real directory, the history holds
 //!    each own write exactly once, in sequence order, and the reborn
 //!    replica answers `writes_after` exactly as before the crash.
 //! 3. A `FileDisk` compaction cut short before its commit point leaves
@@ -12,14 +12,14 @@
 //!    next compactions append each write once again.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use mc_model::{Loc, ProcId, Value, WriteId};
 use mc_proto::durability::{decode_history, put_history};
 use mc_proto::{
-    decode_wal, DsmConfig, DurabilityPolicy, FileDisk, MemDisk, Mode, Msg, NodeIo, ProcNode,
-    Replica, Req, Resp, UpdatePayload, WalRecord,
+    CrashFs, DsmConfig, DurabilityPolicy, FileDisk, Fs, Mode, Msg, NodeIo, ProcNode, Recovery,
+    Replica, Req, Resp, StdFs, UpdatePayload, WalRecord,
 };
 use mc_sim::{NodeId, Poll, SimTime};
 
@@ -38,49 +38,14 @@ fn a_snapshot_does_not_grow_with_the_own_write_count() {
     assert_eq!(sizes[0], sizes[1], "snapshot bytes after 100 and after 100 000 own writes");
 }
 
-/// The two disks, as the test drives them.
-trait Disk {
-    fn append(&mut self, frame: &[u8]);
-    fn sync(&mut self);
-    fn compact(&mut self, snapshot: Vec<u8>, history: &[u8]);
-    fn truncate_history(&mut self, len: usize);
-    /// Power loss, then what recovery reads: `(snapshot, history, log)`.
-    fn crash(&mut self) -> (Option<Vec<u8>>, Vec<u8>, Vec<u8>);
-}
-
-impl Disk for MemDisk {
-    fn append(&mut self, frame: &[u8]) {
-        MemDisk::append(self, frame);
-    }
-
-    fn sync(&mut self) {
-        MemDisk::sync(self);
-    }
-
-    fn compact(&mut self, snapshot: Vec<u8>, history: &[u8]) {
-        self.install_snapshot(snapshot, history);
-    }
-
-    fn truncate_history(&mut self, len: usize) {
-        MemDisk::truncate_history(self, len);
-    }
-
-    fn crash(&mut self) -> (Option<Vec<u8>>, Vec<u8>, Vec<u8>) {
-        MemDisk::crash(self);
-        let (snapshot, log) = self.load();
-        (snapshot.map(<[u8]>::to_vec), self.history().to_vec(), log.to_vec())
-    }
-}
-
 /// A replica directory under the system temp dir, removed on drop.
-struct Dir(PathBuf, FileDisk);
+struct Dir(PathBuf);
 
 impl Dir {
     fn new(tag: &str) -> Dir {
         let path = std::env::temp_dir().join(format!("mc-history-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&path);
-        let disk = FileDisk::open(&path).expect("replica dir opens");
-        Dir(path, disk)
+        Dir(path)
     }
 }
 
@@ -90,58 +55,54 @@ impl Drop for Dir {
     }
 }
 
-impl Disk for Dir {
-    fn append(&mut self, frame: &[u8]) {
-        self.1.append(frame).expect("append");
-    }
-
-    fn sync(&mut self) {
-        self.1.sync().expect("fsync");
-    }
-
-    fn compact(&mut self, snapshot: Vec<u8>, history: &[u8]) {
-        self.1.compact(&snapshot, history).expect("compaction");
-    }
-
-    fn truncate_history(&mut self, len: usize) {
-        self.1.truncate_history(len).expect("history truncates");
-    }
-
-    fn crash(&mut self) -> (Option<Vec<u8>>, Vec<u8>, Vec<u8>) {
-        // Everything here was fsynced: what kill -9 leaves is the files.
-        self.1 = FileDisk::open(&self.0).expect("replica dir reopens");
-        let (snapshot, log) = FileDisk::load(&self.0).expect("replica dir loads");
-        (snapshot, FileDisk::load_history(&self.0).expect("history loads"), log)
-    }
-}
-
 /// A node's I/O over one disk; messages go nowhere. Records the size of
 /// every history tail a compaction handed over.
-struct OnDisk<D> {
-    disk: D,
+struct OnDisk<F: Fs> {
+    disk: FileDisk<F>,
     tails: Vec<usize>,
+    /// What a crash keeps of the file system: on the simulator's
+    /// `CrashFs`, only what a sync made durable; in a real directory,
+    /// everything (a killed process leaves the page cache behind).
+    power_loss: fn(&F) -> F,
 }
 
-impl<D: Disk> NodeIo for OnDisk<D> {
+impl<F: Fs> OnDisk<F> {
+    fn new(fs: F, dir: &Path, power_loss: fn(&F) -> F) -> OnDisk<F> {
+        let disk = FileDisk::open_on(fs, dir).expect("replica dir opens");
+        OnDisk { disk, tails: Vec::new(), power_loss }
+    }
+
+    /// Power loss, then the recovery every executor runs: the disk
+    /// reopens and hands back what the node rebuilds from.
+    fn crash(&mut self) -> Recovery {
+        let fs = (self.power_loss)(self.disk.fs());
+        let (mut disk, found) = FileDisk::recover(fs, self.disk.dir()).expect("recovers");
+        assert_eq!(disk.take_full_syncs(), 0, "the log ended clean: opening it cut nothing");
+        self.disk = disk;
+        found.unwrap_or_default()
+    }
+}
+
+impl<F: Fs> NodeIo for OnDisk<F> {
     fn send(&mut self, _to: NodeId, _kind: &'static str, _msg: Msg) {}
 
     fn arm_timer(&mut self, _delay: SimTime, _token: u64) {}
 
     fn wal_append(&mut self, frame: &[u8]) {
-        self.disk.append(frame);
+        self.disk.append(frame).expect("append");
     }
 
     fn wal_sync(&mut self) {
-        self.disk.sync();
+        self.disk.sync().expect("sync");
     }
 
     fn install_snapshot(&mut self, snapshot: Vec<u8>, history: &[u8]) {
         self.tails.push(history.len());
-        self.disk.compact(snapshot, history);
+        self.disk.compact(&snapshot, history).expect("compaction");
     }
 
     fn truncate_history(&mut self, len: usize) {
-        self.disk.truncate_history(len);
+        self.disk.truncate_history(len).expect("history truncates");
     }
 }
 
@@ -153,7 +114,7 @@ fn config() -> Arc<DsmConfig> {
 /// `n` operations by process 0 — writes and counter updates over seven
 /// locations — with a remote update from process 1 after every fifth,
 /// so the own writes carry vectors that name the peer.
-fn run<D: Disk>(node: &mut ProcNode, io: &mut OnDisk<D>, n: u32) {
+fn run<F: Fs>(node: &mut ProcNode, io: &mut OnDisk<F>, n: u32) {
     for i in 0..n {
         let loc = Loc(i % 7);
         let req = match i % 3 {
@@ -196,17 +157,15 @@ fn assert_history_is_exact(history: &[u8], tails: &[usize], node: &ProcNode) {
 }
 
 /// Crashes the disk under `io` and rebuilds process 0 from it.
-fn reborn<D: Disk>(io: &mut OnDisk<D>) -> ProcNode {
-    let (snapshot, history, log) = io.disk.crash();
-    let (records, tail) = decode_wal(&log);
-    assert!(tail.is_clean());
+fn reborn<F: Fs>(io: &mut OnDisk<F>) -> ProcNode {
+    let found = io.crash();
     let mut node = ProcNode::new(ProcId(0), config());
-    node.recover(snapshot.as_deref(), &history, records, io);
+    node.recover(found, io);
     node
 }
 
-fn compactions_then_recovery<D: Disk>(disk: D) {
-    let mut io = OnDisk { disk, tails: Vec::new() };
+fn compactions_then_recovery<F: Fs>(fs: F, dir: &Path, power_loss: fn(&F) -> F) {
+    let mut io = OnDisk::new(fs, dir, power_loss);
     let mut node = ProcNode::new(ProcId(0), config());
     run(&mut node, &mut io, 100);
     assert!(io.tails.len() >= 10, "{} compactions", io.tails.len());
@@ -218,7 +177,7 @@ fn compactions_then_recovery<D: Disk>(disk: D) {
     let own = node.replica().own_count();
 
     let mut node = reborn(&mut io);
-    let (_, history, _) = io.disk.crash();
+    let history = io.crash().history;
     assert_history_is_exact(&history, &io.tails, &node);
     assert_eq!(node.replica().own_count(), own);
     assert_eq!(answers(&node), before, "writes_after answers as before the crash");
@@ -227,20 +186,21 @@ fn compactions_then_recovery<D: Disk>(disk: D) {
     run(&mut node, &mut io, 60);
     let before = answers(&node);
     let node = reborn(&mut io);
-    let (_, history, _) = io.disk.crash();
+    let history = io.crash().history;
     assert_history_is_exact(&history, &io.tails, &node);
     assert_eq!(node.replica().own_count(), own + 60);
     assert_eq!(answers(&node), before);
 }
 
 #[test]
-fn compactions_write_each_own_write_once_on_a_memdisk() {
-    compactions_then_recovery(MemDisk::new());
+fn compactions_write_each_own_write_once_on_a_crashfs() {
+    compactions_then_recovery(CrashFs::default(), Path::new(""), CrashFs::crashed);
 }
 
 #[test]
 fn compactions_write_each_own_write_once_in_a_directory() {
-    compactions_then_recovery(Dir::new("once"));
+    let dir = Dir::new("once");
+    compactions_then_recovery(StdFs, &dir.0, |_| StdFs);
 }
 
 /// A compaction that appended its history tail but died before the
@@ -249,12 +209,13 @@ fn compactions_write_each_own_write_once_in_a_directory() {
 /// appends each write once.
 #[test]
 fn a_history_tail_past_the_snapshot_is_cut_at_recovery() {
-    let mut io = OnDisk { disk: Dir::new("window"), tails: Vec::new() };
+    let dir = Dir::new("window");
+    let path = dir.0.clone();
+    let mut io = OnDisk::new(StdFs, &path, |_| StdFs);
     let mut node = ProcNode::new(ProcId(0), config());
     run(&mut node, &mut io, 43);
     let covered = io.tails.iter().sum::<usize>();
     // Stage the next compaction by hand, then undo its commit.
-    let path = io.disk.0.clone();
     let log = fs::read(path.join("wal.log")).expect("log reads");
     let history = FileDisk::load_history(&path).expect("history loads");
     assert_eq!(history.len(), covered);
@@ -264,7 +225,7 @@ fn a_history_tail_past_the_snapshot_is_cut_at_recovery() {
     let mut tail = Vec::new();
     put_history(&mut tail, &own[persisted.len()..]);
     let snapshot = node.replica().to_snapshot(Vec::new()).encode();
-    io.disk.1.compact(&snapshot, &tail).expect("compaction");
+    io.disk.compact(&snapshot, &tail).expect("compaction");
     fs::write(path.join("wal.log"), &log).expect("the old log comes back");
     assert_eq!(FileDisk::load_history(&path).unwrap().len(), covered + tail.len());
 
@@ -273,6 +234,6 @@ fn a_history_tail_past_the_snapshot_is_cut_at_recovery() {
     assert_eq!(FileDisk::load_history(&path).unwrap().len(), covered, "the tail is cut off");
     assert_eq!(answers(&node), before);
     run(&mut node, &mut io, 30);
-    let (_, history, _) = io.disk.crash();
+    let history = io.crash().history;
     assert_history_is_exact(&history, &io.tails, &node);
 }

@@ -77,10 +77,9 @@ pub struct DurabilityStats {
     /// `fsyncs < synced` is the signature of effective batching.
     pub fsyncs: u64,
     /// Syncs that had to flush a log file's size as well as its data:
-    /// the one a real replica directory makes when it is opened and
-    /// its log created, cut or extended, and the first after an append
-    /// extended the log. Every other sync of a preallocated log is
-    /// data-only. Always zero in the simulator, whose disk has no size.
+    /// the one a replica directory makes when it is opened and its log
+    /// created, cut or extended, and the first after an append extended
+    /// the log. Every other sync of a preallocated log is data-only.
     pub full_syncs: u64,
     /// Staged records lost to a crash before their fsync.
     pub lost: u64,

@@ -611,6 +611,11 @@ impl<M> NetCtx<'_, M> {
         }
     }
 
+    /// Records `n` syncs that flushed a log's size as well as its data.
+    pub fn record_full_syncs(&mut self, n: u64) {
+        self.metrics.wal.full_syncs += n;
+    }
+
     /// Records `n` staged WAL records lost to a crash before their fsync.
     pub fn record_wal_lost(&mut self, n: u64) {
         self.metrics.wal.lost += n;
