@@ -132,7 +132,7 @@ fn batching_datapoint(mode: Mode, write_frac: f64, procs: usize, ops: usize) -> 
 /// wire traffic per operation with batching off vs. on
 /// ([`mixed_consistency::BatchPolicy::default`]), across the replicated
 /// modes. Coalescing collapses same-location writes inside a batch
-/// window and delta compression strips unchanged vector components, so
+/// and delta compression strips unchanged vector components, so
 /// the win grows with write intensity and with vector-carrying modes.
 pub fn batching_table(procs: usize, ops: usize) -> Table {
     let mut rows = Vec::new();

@@ -1265,7 +1265,9 @@ mod tests {
         // what the cluster settles on after recovery.
         use std::collections::BTreeSet;
 
-        fn outcome_set(batch: Option<mc_proto::BatchPolicy>) -> BTreeSet<(i64, i64, i64, i64)> {
+        fn outcome_set(
+            batch: Option<mc_proto::BatchPolicy>,
+        ) -> (BTreeSet<(i64, i64, i64, i64)>, usize) {
             let set = Mutex::new(BTreeSet::new());
             let out = explore_with(
                 ExploreOptions::new().allow_deadlock(true).max_runs(50_000),
@@ -1298,11 +1300,12 @@ mod tests {
             )
             .unwrap();
             assert!(out.complete);
-            set.into_inner().unwrap()
+            (set.into_inner().unwrap(), out.runs)
         }
 
-        let unbatched = outcome_set(None);
-        let batched = outcome_set(Some(mc_proto::BatchPolicy::immediate()));
+        let (unbatched, unbatched_runs) = outcome_set(None);
+        let (batched, batched_runs) = outcome_set(Some(mc_proto::BatchPolicy::default()));
+        println!("crash recovery: unbatched {unbatched_runs} runs, batched {batched_runs} runs");
         assert!(
             unbatched.contains(&(7, 8, 7, 8)),
             "full convergence must be reachable: {unbatched:?}"

@@ -308,8 +308,11 @@ impl System {
     /// Enables (`Some`) or disables (`None`, the default) batched,
     /// coalesced, delta-compressed update propagation
     /// ([`mc_proto::BatchPolicy`]). Buffered writes flush before every
-    /// synchronization message, so the mixed-consistency semantics are
-    /// unchanged — only the wire traffic is.
+    /// synchronization message and whenever an operation parks, so the
+    /// mixed-consistency semantics are unchanged — only the wire traffic
+    /// is. Otherwise a batch closes at an operation's entry once the
+    /// process's links hold no undelivered message, at
+    /// [`mc_proto::BUF_CHUNK`] bytes, and when the process exits.
     pub fn batching(mut self, batch: Option<mc_proto::BatchPolicy>) -> Self {
         self.dsm_cfg.batch = batch;
         self

@@ -49,7 +49,9 @@ fn a_torn_tail_in_a_seeded_disk_loses_no_later_write() {
     const WRITES: i64 = 200;
     let mut disk = FileDisk::open_on(CrashFs::default(), Path::new("")).expect("a CrashFs opens");
     disk.append(&WalRecord::Incarnation { incarnation: 1 }.encode()).expect("append");
-    let torn = WalRecord::Incarnation { incarnation: 2 }.encode();
+    // Its body's last bytes are not zeros: over the log's zero tail, a
+    // frame cut short of trailing zeros would read whole again.
+    let torn = WalRecord::Incarnation { incarnation: 0x0302_0100 }.encode();
     disk.append(&torn[..torn.len() - 3]).expect("append");
     disk.sync().expect("sync");
     let faults = FaultPlan::new()
@@ -71,6 +73,8 @@ fn a_torn_tail_in_a_seeded_disk_loses_no_later_write() {
     });
     let out = sys.run().expect("both recoveries complete");
     assert_eq!(out.metrics.wal.recoveries, 2);
+    let wal = out.metrics.wal;
+    assert_eq!(wal.full_syncs, 2, "one full sync per replica, at open: {wal:?}");
     let writer = out.dsm().replica(ProcId(0));
     assert_eq!(writer.own_count(), WRITES as u32, "every acked write survives both recoveries");
     assert_eq!(writer.peek(Loc(0)), Value::Int(WRITES));

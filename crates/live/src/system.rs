@@ -3,7 +3,7 @@
 
 use std::fmt;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -60,6 +60,15 @@ pub trait Transport: Send + Sync {
 
     /// Tells node `to` to drain its inbox and exit.
     fn shutdown(&self, to: NodeId);
+
+    /// Whether nothing sent from `from` to `to` is still on its way (the
+    /// batch flush rule's question, [`NodeIo::link_idle`]).
+    fn link_idle(&self, from: NodeId, to: NodeId) -> bool;
+
+    /// Node `to` has taken a message from `from` off its inbox.
+    fn taken(&self, from: NodeId, to: NodeId) {
+        let _ = (from, to);
+    }
 }
 
 /// The in-process transport: one unbounded channel per process node;
@@ -67,22 +76,43 @@ pub trait Transport: Send + Sync {
 pub struct ChannelTransport {
     inboxes: Vec<Sender<Wire>>,
     managers: Vec<ManagerSlot>,
+    /// Messages sent and not yet taken, per link into a process node
+    /// (`from * inboxes.len() + to`). One sent to a closed inbox stays
+    /// counted: nobody asks about that link again. A hint for the batch
+    /// flush rule that publishes nothing, hence `Relaxed`.
+    in_flight: Vec<AtomicUsize>,
 }
 
 impl ChannelTransport {
     /// Process node `i` reads `inboxes[i]`; manager shard `k` (node
     /// `inboxes.len() + k`) is hosted in `managers[k]`.
     pub fn new(inboxes: Vec<Sender<Wire>>, managers: Vec<ManagerSlot>) -> Self {
-        ChannelTransport { inboxes, managers }
+        let links = (inboxes.len() + managers.len()) * inboxes.len();
+        let in_flight = (0..links).map(|_| AtomicUsize::new(0)).collect();
+        ChannelTransport { inboxes, managers, in_flight }
+    }
+
+    fn in_flight(&self, from: NodeId, to: NodeId) -> &AtomicUsize {
+        &self.in_flight[from * self.inboxes.len() + to]
     }
 }
 
 impl Transport for ChannelTransport {
     fn deliver(&self, from: NodeId, to: NodeId, msg: Msg) -> bool {
-        match self.inboxes.get(to) {
-            Some(inbox) => inbox.send(Wire::Proto { from, msg }).is_ok(),
-            None => self.managers[to - self.inboxes.len()].deliver(from, msg),
-        }
+        let Some(inbox) = self.inboxes.get(to) else {
+            return self.managers[to - self.inboxes.len()].deliver(from, msg);
+        };
+        self.in_flight(from, to).fetch_add(1, Ordering::Relaxed);
+        inbox.send(Wire::Proto { from, msg }).is_ok()
+    }
+
+    /// A manager runs on the sending thread: its link is never busy.
+    fn link_idle(&self, from: NodeId, to: NodeId) -> bool {
+        to >= self.inboxes.len() || self.in_flight(from, to).load(Ordering::Relaxed) == 0
+    }
+
+    fn taken(&self, from: NodeId, to: NodeId) {
+        self.in_flight(from, to).fetch_sub(1, Ordering::Relaxed);
     }
 
     /// A manager node is taken out of its slot by the run itself.
@@ -729,11 +759,8 @@ impl LiveSystem {
         self
     }
 
-    /// Enables (or disables) batched update propagation. Buffered writes
-    /// are flushed before every synchronization send, at the size limit,
-    /// and once the wall-clock [`BatchPolicy::max_delay_micros`] window
-    /// elapses (checked on operation entry and whenever a process is
-    /// about to block).
+    /// Enables (or disables) batched update propagation: a batch closes
+    /// on link state and sync points, never on a clock ([`BatchPolicy`]).
     pub fn batching(mut self, batch: Option<BatchPolicy>) -> Self {
         self.cluster.cfg.batch = batch;
         self
@@ -853,9 +880,8 @@ impl LiveSystem {
 
 /// The live [`NodeIo`]: sends go to the shared [`Net`], the log is a real
 /// file. Timers are served by polling instead — process nodes and
-/// [`ManagerSlot::sweep`] retransmit every [`RETX_TICK`] and
-/// [`LiveDriver`] checks the batch window's age on its own clock — so
-/// arming one is a no-op here.
+/// [`ManagerSlot::sweep`] retransmit every [`RETX_TICK`] — so arming one
+/// is a no-op here.
 struct LiveIo {
     me: NodeId,
     net: Net,
@@ -907,6 +933,10 @@ impl NodeIo for LiveIo {
     }
 
     fn arm_timer(&mut self, _delay: SimTime, _token: u64) {}
+
+    fn link_idle(&mut self, to: mc_sim::NodeId) -> bool {
+        self.net.transport.link_idle(self.me, to.index())
+    }
 
     fn wal_append(&mut self, frame: &[u8]) {
         let Some(wal) = &mut self.wal else { return };
@@ -1027,14 +1057,7 @@ pub fn run_proc_node(
     // disk never made durable; responses arrive during (or after) the
     // program and unblock its read gates.
     let (node, io) = open_node(proc, Arc::new(cfg), durability_dir.as_deref(), &walc, net);
-    let driver = LiveDriver {
-        node,
-        io,
-        inbox: rx,
-        timeout,
-        buffered_since: None,
-        parks: ParkStats::default(),
-    };
+    let driver = LiveDriver { node, io, inbox: rx, timeout, parks: ParkStats::default() };
     let mut ctx = LiveCtx::new(driver, recorder);
     // The done signal must fire even on panic (op timeouts panic by
     // design): the coordinator waits for exactly one signal per process,
@@ -1046,7 +1069,7 @@ pub fn run_proc_node(
     // coordinator broadcasts shutdown once every done signal is in, and
     // sends racing that broadcast may land after a peer's ingest loop
     // has exited.
-    driver.flush();
+    driver.node.flush_updates(&mut driver.io);
     done();
     if let Err(payload) = result {
         std::panic::resume_unwind(payload);
@@ -1080,21 +1103,17 @@ pub struct LiveDriver {
     io: LiveIo,
     inbox: Receiver<Wire>,
     timeout: Duration,
-    /// When the out-batches last became non-empty (the wall-clock flush
-    /// window starts here).
-    buffered_since: Option<Instant>,
     parks: ParkStats,
 }
 
 impl LiveDriver {
     /// Feeds one arriving wire message to the node.
     fn receive(&mut self, from: NodeId, msg: Msg) {
+        self.io.net.transport.taken(from, self.io.me);
         self.node.on_message(nid(from), msg, &mut self.io);
     }
 
-    /// Handles all already-delivered messages without blocking, then
-    /// flushes the outgoing batch if its wall-clock window has elapsed
-    /// (the simulator's flush timer, polled on every operation entry).
+    /// Handles all already-delivered messages without blocking.
     fn drain(&mut self) {
         while let Ok(wire) = self.inbox.try_recv() {
             match wire {
@@ -1102,18 +1121,6 @@ impl LiveDriver {
                 Wire::Shutdown => unreachable!("shutdown during the program"),
             }
         }
-        let Some(policy) = self.node.cfg().batch else { return };
-        let window = Duration::from_micros(policy.max_delay_micros);
-        if self.buffered_since.is_some_and(|t| t.elapsed() >= window) {
-            self.flush();
-        }
-    }
-
-    /// Puts every buffered write on the wire; the batch window restarts
-    /// with the next one.
-    fn flush(&mut self) {
-        self.node.flush_updates(&mut self.io);
-        self.buffered_since = None;
     }
 
     /// Waits until one more message arrives and handles it: first awake,
@@ -1127,14 +1134,6 @@ impl LiveDriver {
     /// configured timeout, the spin window included — the live
     /// executor's deadlock detector.
     fn step(&mut self) {
-        // About to park: never sit on buffered writes another process
-        // might be waiting for — there is no background timer thread, so
-        // blocking is the flush point (the sim's timer fires within
-        // `max_delay_micros`; parking flushes at least that eagerly).
-        // Nothing else to do here, so this thread writes them itself.
-        self.io.sending = Sending::Inline;
-        self.flush();
-        self.io.sending = Sending::Queued;
         self.parks.parks += 1;
         let start = Instant::now();
         // `None`: a timeout past what an `Instant` holds never expires.
@@ -1210,14 +1209,21 @@ impl Driver for LiveDriver {
         self.node.proc()
     }
 
-    /// Runs one operation to completion: submit it, then receive and
-    /// re-poll until the node answers.
+    /// Runs one operation to completion: enter it, take in what arrived,
+    /// submit it, then receive and re-poll until the node answers. What
+    /// is sent before the node knows whether it parks is held, so that a
+    /// parking operation writes it on this thread.
     fn op(&mut self, req: Req) -> Resp {
-        self.drain();
         self.io.sending = Sending::Held;
+        self.node.enter(&mut self.io);
+        // A write reads nothing: while its batch is open, what arrived
+        // waits, and so the peers' batches grow too.
+        if !(matches!(req, Req::Write { .. } | Req::Update { .. }) && self.node.has_buffered()) {
+            self.drain();
+        }
         let mut poll = self.node.start(req, &mut self.io);
         self.io.release(matches!(poll, Poll::Pending));
-        let resp = loop {
+        loop {
             match poll {
                 Poll::Ready(resp) => break resp,
                 Poll::Pending => {
@@ -1225,12 +1231,6 @@ impl Driver for LiveDriver {
                     poll = self.node.poll(&mut self.io).map_or(Poll::Pending, Poll::Ready);
                 }
             }
-        };
-        self.buffered_since = if self.node.has_buffered() {
-            self.buffered_since.or_else(|| Some(Instant::now()))
-        } else {
-            None
-        };
-        resp
+        }
     }
 }

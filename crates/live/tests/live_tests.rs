@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use mc_live::LiveSystem;
 use mc_model::{check, BarrierId, Loc, LockId, ProcId, Value};
-use mc_proto::{BatchPolicy, LockPropagation, Mode};
+use mc_proto::{LockPropagation, Mode};
 
 const REPS: usize = 5;
 
@@ -235,29 +235,6 @@ fn timeout_names_the_gate_the_read_is_parked_on() {
     assert!(message.contains("timed out"), "{message}");
     assert!(message.contains("Read { loc: Loc(3), label: Causal }"), "{message}");
     assert!(message.contains("applied="), "{message}");
-}
-
-#[test]
-fn aged_flush_restarts_the_batch_window() {
-    // One write ages past the window and is flushed on the next
-    // operation's entry; the burst behind it must then coalesce into one
-    // batch (sent when the program ends), not leave one by one as if the
-    // window were still the expired one.
-    let policy = BatchPolicy { max_updates: 1_000, max_delay_micros: 20_000 };
-    let mut sys = LiveSystem::new(2, Mode::Causal).batching(Some(policy));
-    sys.spawn(|ctx| {
-        ctx.write(Loc(0), 1);
-        std::thread::sleep(Duration::from_millis(30));
-        for i in 1..=50u32 {
-            ctx.write(Loc(i), 1);
-        }
-    });
-    sys.spawn(|_ctx| {});
-    let outcome = sys.run().unwrap();
-    assert_eq!(outcome.final_value(ProcId(1), Loc(50)), Value::Int(1));
-    // Two batches when the burst outruns the 20 ms window; a descheduled
-    // thread may legitimately age out once or twice more.
-    assert!(outcome.messages <= 6, "{} messages for 51 buffered writes", outcome.messages);
 }
 
 #[test]

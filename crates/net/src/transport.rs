@@ -26,6 +26,14 @@
 //!   also takes every frame queued behind it, up to [`BUF_CHUNK`] bytes,
 //!   and writes them all with one call: a streaming link costs a system
 //!   call per burst, not per frame.
+//! - *Batching.* A node closes its batch of buffered writes at an
+//!   operation's entry only once its links are idle
+//!   ([`Transport::link_idle`]: the link's in-flight count is zero, so
+//!   the writer has written every frame handed to it). The frame still
+//!   on its way is what lets the next batch grow: under load the writes
+//!   made meanwhile leave as one frame, and a lone write leaves at the
+//!   next operation — written by its own thread when that operation
+//!   parks.
 //! - *Receiving.* A reader hands a frame for a process node to that
 //!   node's inbox; a frame for a manager node runs the manager on the
 //!   reader itself ([`ManagerSlot`]).
@@ -82,6 +90,7 @@ use crossbeam::channel::Sender;
 use mc_live::{ManagerSlot, NodeId, Transport, Wire};
 use mc_proto::wire::{
     decode_frame, encode_control, encode_frame, next_frame, oversized_prefix, Control, Frame,
+    BUF_CHUNK,
 };
 use mc_proto::Msg;
 use tokio::net::{TcpListener, TcpStream};
@@ -95,9 +104,6 @@ pub const SEND_QUEUE: usize = 1024;
 const BACKOFF_MIN: Duration = Duration::from_millis(1);
 /// Backoff ceiling — a restarted peer is redialled at least this often.
 const BACKOFF_MAX: Duration = Duration::from_millis(50);
-/// Spare receive capacity kept ahead of each socket read, and the
-/// initial encode-arena capacity.
-const BUF_CHUNK: usize = 64 * 1024;
 
 /// One directed link: the shared encode arena, the queue to the writer
 /// task, and what the writer shares with callers that write directly.
@@ -251,6 +257,11 @@ impl Transport for TcpTransport {
             Some(l) => l.push_inline(|b| encode_frame(b, &msg)),
             None => self.deliver_local(from, to, msg),
         }
+    }
+
+    /// Idle once the link's writer has written every frame handed to it.
+    fn link_idle(&self, from: NodeId, to: NodeId) -> bool {
+        self.link(from, to).is_none_or(|l| l.wire.inflight.load(Ordering::Acquire) == 0)
     }
 
     fn shutdown(&self, to: NodeId) {

@@ -8,6 +8,7 @@
 #![cfg(target_os = "linux")]
 
 use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 use mc_live::{LiveCtx, LiveSystem};
 use mc_model::{Loc, Value};
@@ -29,14 +30,27 @@ fn thread_names() -> Vec<String> {
 
 /// A process of a two-process SC run: it writes, awaits the other's
 /// write — both through the manager, and both processes are up by then —
-/// and process 0 lists the threads alive.
-fn body(seen: &Arc<Mutex<Vec<String>>>, p: u32) -> impl FnOnce(&mut LiveCtx) + Send + 'static {
+/// and process 0 lists the threads alive, once `want` is among them. A
+/// new thread carries its spawner's name until it first runs, and on a
+/// loaded host a sweeper may not have run yet; after 10 s the listing is
+/// taken as it is.
+fn body(
+    seen: &Arc<Mutex<Vec<String>>>,
+    p: u32,
+    want: Option<&'static str>,
+) -> impl FnOnce(&mut LiveCtx) + Send + 'static {
     let seen = seen.clone();
     move |ctx| {
         ctx.write(Loc(p), 1);
         ctx.await_eq(Loc(1 - p), Value::Int(1));
         if p == 0 {
-            *seen.lock().expect("healthy") = thread_names();
+            let deadline = Instant::now() + Duration::from_secs(10);
+            let mut names = thread_names();
+            while want.is_some_and(|w| !names.iter().any(|n| n == w)) && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
+                names = thread_names();
+            }
+            *seen.lock().expect("healthy") = names;
         }
     }
 }
@@ -52,7 +66,7 @@ fn a_manager_has_no_thread_unless_it_sweeps_retransmissions() {
     let seen = Arc::default();
     let mut sys = LiveSystem::new(2, Mode::Sc);
     for p in 0..2 {
-        sys.spawn(body(&seen, p));
+        sys.spawn(body(&seen, p, None));
     }
     sys.run().expect("threads run");
     assert_eq!(started(seen), ["mc-proc-0", "mc-proc-1"], "threads, unreliable");
@@ -60,7 +74,7 @@ fn a_manager_has_no_thread_unless_it_sweeps_retransmissions() {
     let seen = Arc::default();
     let mut sys = NetSystem::new(2, Mode::Sc);
     for p in 0..2 {
-        sys.spawn(body(&seen, p));
+        sys.spawn(body(&seen, p, None));
     }
     sys.run().expect("TCP runs");
     let names = started(seen);
@@ -70,7 +84,7 @@ fn a_manager_has_no_thread_unless_it_sweeps_retransmissions() {
     let seen = Arc::default();
     let mut sys = LiveSystem::new(2, Mode::Sc).reliable(true);
     for p in 0..2 {
-        sys.spawn(body(&seen, p));
+        sys.spawn(body(&seen, p, Some("mc-mgr-tick-0")));
     }
     sys.run().expect("reliable threads run");
     assert_eq!(started(seen), ["mc-mgr-tick-0", "mc-proc-0", "mc-proc-1"], "threads, reliable");

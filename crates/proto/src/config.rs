@@ -81,38 +81,23 @@ impl fmt::Display for LockPropagation {
     }
 }
 
-/// When buffered updates are force-flushed into an
-/// [`UpdateBatch`](crate::Msg::UpdateBatch), beyond the mandatory
-/// flush-before-sync points (lock release, barrier arrival, blocking
-/// await). Batching exploits the FIFO-channel assumption the protocol
-/// already relies on: a batch applied atomically at the receiver is
+/// Batched update propagation: a process's writes buffer, coalesced per
+/// location, into one [`UpdateBatch`](crate::Msg::UpdateBatch) per peer.
+/// Batching exploits the FIFO-channel assumption the protocol already
+/// relies on: a batch applied atomically at the receiver is
 /// indistinguishable from its member updates delivered back to back.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct BatchPolicy {
-    /// Flush once this many (coalesced) entries are buffered.
-    pub max_updates: usize,
-    /// Flush at most this long (virtual time in the simulator, wall
-    /// clock in the live executor) after the first buffered update —
-    /// the liveness backstop for processes that stop writing without
-    /// synchronizing.
-    pub max_delay_micros: u64,
-}
-
-impl Default for BatchPolicy {
-    fn default() -> Self {
-        BatchPolicy { max_updates: 16, max_delay_micros: 25 }
-    }
-}
-
-impl BatchPolicy {
-    /// A policy with no delay window: updates buffer only until the
-    /// next scheduling point (the flush timer is armed at zero delay).
-    /// Useful for exploration, where virtual-time windows would hide
-    /// interleavings behind the end of the program.
-    pub fn immediate() -> Self {
-        BatchPolicy { max_delay_micros: 0, ..BatchPolicy::default() }
-    }
-}
+///
+/// The batch closes on link state, not on a count or a clock (Nagle's
+/// rule without the delayed-ACK timer, RFC 896): at an operation's entry
+/// once every peer link is idle ([`ProcNode::enter`](crate::ProcNode::enter)),
+/// whenever an operation parks, before every synchronization send (lock
+/// release, barrier arrival, eager unlock, recovery), when its entries
+/// reach [`BUF_CHUNK`](crate::wire::BUF_CHUNK) bytes, and when the
+/// process exits. A lone write on an idle link leaves at the next
+/// operation; under load the batch grows while the previous frame is on
+/// the wire. There is nothing to tune.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct BatchPolicy {}
 
 /// Sharded interest-based partial replication: the address space is
 /// partitioned into `nshards` shards (`shard(loc) = loc mod nshards`)
@@ -481,10 +466,6 @@ mod tests {
         let c = DsmConfig::new(2, Mode::Causal);
         assert_eq!(c.batch, None, "batching is opt-in");
         let c = c.with_batching(Some(BatchPolicy::default()));
-        let p = c.batch.unwrap();
-        assert!(p.max_updates > 1);
-        assert!(p.max_delay_micros > 0);
-        assert_eq!(BatchPolicy::immediate().max_delay_micros, 0);
-        assert_eq!(BatchPolicy::immediate().max_updates, p.max_updates);
+        assert_eq!(c.batch, Some(BatchPolicy {}));
     }
 }

@@ -54,6 +54,17 @@ impl<'a, 'n> SimIo<'a, 'n> {
     }
 }
 
+/// Counts the disk's full syncs when the node's event ends: those of
+/// its syncs, and after an open (a replica's first event, or its
+/// recovery) the open's own, whether or not the replica ever syncs.
+impl Drop for SimIo<'_, '_> {
+    fn drop(&mut self) {
+        if let Some(disk) = &mut self.disk {
+            self.net.record_full_syncs(disk.take_full_syncs());
+        }
+    }
+}
+
 impl NodeIo for SimIo<'_, '_> {
     fn send(&mut self, to: NodeId, kind: &'static str, msg: Msg) {
         self.net.send(self.me, to, kind, msg.wire_bytes(), msg);
@@ -61,6 +72,10 @@ impl NodeIo for SimIo<'_, '_> {
 
     fn arm_timer(&mut self, delay: SimTime, token: u64) {
         self.net.set_timer(self.me, delay, token);
+    }
+
+    fn link_idle(&mut self, to: NodeId) -> bool {
+        self.net.link_idle(self.me, to)
     }
 
     fn wal_append(&mut self, frame: &[u8]) {
@@ -73,7 +88,6 @@ impl NodeIo for SimIo<'_, '_> {
         let Some(disk) = &mut self.disk else { return };
         let n = disk.sync().expect("a CrashFs sync fails only without power");
         self.net.record_wal_sync(n);
-        self.net.record_full_syncs(disk.take_full_syncs());
     }
 
     fn install_snapshot(&mut self, snapshot: Vec<u8>, history: &[u8]) {
@@ -190,6 +204,17 @@ impl Protocol for Dsm {
         let i = proc.index();
         debug_assert_eq!(node.index(), i, "process i runs on node i");
         self.nodes[i].start(req, &mut SimIo::new(node, net, &mut self.disks))
+    }
+
+    /// Operation entry ([`ProcNode::enter`]), where the program submits
+    /// the request.
+    fn on_submit(&mut self, proc: ProcToken, node: NodeId, net: &mut NetCtx<'_, Msg>) {
+        self.nodes[proc.index()].enter(&mut SimIo::new(node, net, &mut self.disks));
+    }
+
+    /// A process that exits leaves no write buffered.
+    fn on_exit(&mut self, proc: ProcToken, node: NodeId, net: &mut NetCtx<'_, Msg>) {
+        self.nodes[proc.index()].flush_updates(&mut SimIo::new(node, net, &mut self.disks));
     }
 
     fn on_message(&mut self, to: NodeId, from: NodeId, msg: Msg, net: &mut NetCtx<'_, Msg>) {
@@ -793,8 +818,10 @@ mod tests {
         };
         let unbatched = run(None);
         let batched = run(Some(BatchPolicy::default()));
-        assert_eq!(batched.kind("update").count, 0, "every update rides a batch");
-        assert!(batched.kind("update_batch").count > 0);
+        // The first write finds the links idle and leaves alone, as its
+        // own update; the nine behind it ride one batch to each peer.
+        assert_eq!(batched.kind("update").count, 3 * 2);
+        assert_eq!(batched.kind("update_batch").count, 3 * 2);
         assert!(
             batched.messages * 2 <= unbatched.messages,
             "10 same-location writes coalesce: {} vs {}",
@@ -804,8 +831,10 @@ mod tests {
         assert!(batched.bytes < unbatched.bytes, "{} vs {}", batched.bytes, unbatched.bytes);
     }
 
+    /// The writer syncs with no one and exits: its exit flush delivers
+    /// the last write.
     #[test]
-    fn flush_timer_delivers_without_synchronization() {
+    fn exit_flush_delivers_without_synchronization() {
         use crate::config::BatchPolicy;
         for mode in [Mode::Pram, Mode::Causal, Mode::Mixed] {
             let cfg = DsmConfig::new(2, mode).with_batching(Some(BatchPolicy::default()));
@@ -825,25 +854,44 @@ mod tests {
         }
     }
 
+    /// Behind a link busy for the whole burst, distinct-location writes
+    /// leave in batches closed by the byte bound, none over it.
     #[test]
-    fn size_limit_forces_intermediate_flushes() {
+    fn byte_bound_closes_batches_behind_a_busy_link() {
         use crate::config::BatchPolicy;
-        let policy = BatchPolicy { max_updates: 4, max_delay_micros: 10_000 };
-        let cfg = DsmConfig::new(2, Mode::Pram).with_batching(Some(policy));
-        let mut k = kernel_cfg(cfg, 2);
+        use crate::wire::BUF_CHUNK;
+        use mc_sim::{LatencyModel, SimTime};
+        const WRITES: u32 = 10_000;
+        let cfg = DsmConfig::new(2, Mode::Pram).with_batching(Some(BatchPolicy::default()));
+        let mut sim = SimConfig::with_seed(2);
+        sim.latency =
+            LatencyModel { base: SimTime::from_micros(1_000_000), ..LatencyModel::INSTANT };
+        let nnodes = cfg.nnodes();
+        let mut k = Kernel::new(Dsm::new(cfg), nnodes, sim);
+        k.enable_tracing();
         k.spawn(NodeId(0), |ctx| {
-            for j in 0..8u32 {
+            for j in 0..WRITES {
                 write(ctx, j, 1); // distinct locations: no coalescing
             }
         });
         k.spawn(NodeId(1), |_ctx| {});
         let report = k.run().unwrap();
-        assert_eq!(
-            report.metrics.kind("update_batch").count,
-            2,
-            "8 distinct-location writes at max_updates=4 make exactly 2 batches"
-        );
-        assert_eq!(report.protocol.replica(ProcId(1)).peek(Loc(7)), Value::Int(1));
+        // The second write's entry sends the first alone, as its own
+        // update; the link then stays busy: three batches of 3 276
+        // twenty-byte entries close at the bound, and the exit flush
+        // sends the last 171.
+        let sizes: Vec<u64> = report
+            .trace
+            .expect("tracing on")
+            .events()
+            .filter(|e| e.cat == "msg" && e.name == "update_batch")
+            .map(|e| e.args.iter().find(|(k, _)| *k == "bytes").unwrap().1.parse().unwrap())
+            .collect();
+        let batch = |entries: u64| 16 + 20 * entries;
+        assert_eq!(sizes, [batch(3_276), batch(3_276), batch(3_276), batch(171)]);
+        assert_eq!(report.metrics.kind("update").count, 1);
+        assert!(sizes.iter().all(|&b| b <= BUF_CHUNK as u64), "{sizes:?}");
+        assert_eq!(report.protocol.replica(ProcId(1)).peek(Loc(WRITES - 1)), Value::Int(1));
     }
 
     #[test]

@@ -694,8 +694,49 @@ pub struct CrashFs {
 /// A write or size change of one [`CrashFs`] file.
 #[derive(Clone, Debug)]
 enum Op {
-    Write { ino: usize, at: usize, bytes: Vec<u8> },
+    Write { ino: usize, at: usize, bytes: Data },
     SetLen { ino: usize, len: usize },
+}
+
+/// What a [`CrashFs`] write wrote: its bytes, or a run of zeros — a
+/// log's preallocated chunk, kept without a buffer.
+#[derive(Clone, Debug)]
+enum Data {
+    Owned(Vec<u8>),
+    Zeros(usize),
+}
+
+impl Data {
+    fn of(buf: &[u8]) -> Data {
+        if buf.iter().all(|&b| b == 0) {
+            Data::Zeros(buf.len())
+        } else {
+            Data::Owned(buf.to_vec())
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Data::Owned(bytes) => bytes.len(),
+            &Data::Zeros(n) => n,
+        }
+    }
+
+    /// Writes the first `dst.len()` bytes into `dst`.
+    fn copy_to(&self, dst: &mut [u8]) {
+        match self {
+            Data::Owned(bytes) => dst.copy_from_slice(&bytes[..dst.len()]),
+            Data::Zeros(_) => dst.fill(0),
+        }
+    }
+
+    /// Drops the first `n` bytes.
+    fn advance(&mut self, n: usize) {
+        match self {
+            Data::Owned(bytes) => drop(bytes.drain(..n)),
+            Data::Zeros(len) => *len -= n,
+        }
+    }
 }
 
 impl Op {
@@ -712,7 +753,7 @@ impl Op {
                 if file.len() < end {
                     file.resize(end, 0);
                 }
-                file[*at..end].copy_from_slice(bytes);
+                bytes.copy_to(&mut file[*at..end]);
             }
             Op::SetLen { ino, len } => files[*ino].resize(*len, 0),
         }
@@ -852,12 +893,12 @@ impl Fs for CrashFs {
     }
 
     fn write_at(&mut self, &mut ino: &mut usize, buf: &[u8], at: u64) -> io::Result<()> {
-        self.issue(Op::Write { ino, at: at as usize, bytes: buf.to_vec() })
+        self.issue(Op::Write { ino, at: at as usize, bytes: Data::of(buf) })
     }
 
     fn append(&mut self, &mut ino: &mut usize, buf: &[u8]) -> io::Result<()> {
         let at = self.files[ino].len();
-        self.issue(Op::Write { ino, at, bytes: buf.to_vec() })
+        self.issue(Op::Write { ino, at, bytes: Data::of(buf) })
     }
 
     fn set_len(&mut self, &mut ino: &mut usize, len: u64) -> io::Result<()> {
@@ -871,10 +912,10 @@ impl Fs for CrashFs {
         self.pending.retain_mut(|op| match op {
             Op::Write { ino: i, at, bytes } if *i == ino && *at < size => {
                 let inside = bytes.len().min(size - *at);
-                durable[*at..*at + inside].copy_from_slice(&bytes[..inside]);
-                bytes.drain(..inside);
+                bytes.copy_to(&mut durable[*at..*at + inside]);
+                bytes.advance(inside);
                 *at += inside;
-                !bytes.is_empty()
+                bytes.len() > 0
             }
             _ => true,
         });

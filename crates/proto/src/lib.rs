@@ -52,6 +52,6 @@ pub use node::{Blocked, ManagerNode, NodeIo, ProcNode, Req, Resp};
 pub use replica::{Replica, ShardState};
 pub use session::{LinkReceiver, LinkSender, Session, SessionConfig};
 pub use wire::{
-    decode_frame, encode_control, encode_frame, next_frame, Control, Frame, WireError,
+    decode_frame, encode_control, encode_frame, next_frame, Control, Frame, WireError, BUF_CHUNK,
     CONTROL_TAG_BASE, FRAME_HEADER,
 };

@@ -44,8 +44,15 @@ pub trait NodeIo {
     /// Asks for an `on_timer(token)` call `delay` from now. Timers
     /// cannot be cancelled; a stale expiry is a no-op for the node. An
     /// executor that polls on its own clock instead (the live
-    /// retransmit sweep and batch-age check) may ignore the request.
+    /// retransmit sweep) may ignore the request.
     fn arm_timer(&mut self, delay: SimTime, token: u64);
+
+    /// Whether nothing this node sent toward `to` is still on its way
+    /// ([`ProcNode::enter`]). By default every link is idle.
+    fn link_idle(&mut self, to: NodeId) -> bool {
+        let _ = to;
+        true
+    }
 
     /// Stages one framed write-ahead-log record (durable only after
     /// [`NodeIo::wal_sync`]).
@@ -80,11 +87,6 @@ pub trait NodeIo {
         let _ = waited;
     }
 }
-
-/// Timer-token namespace bit for batch flush timers. Session link
-/// tokens pack two 32-bit node ids, so their bit 63 is always clear;
-/// flush tokens set it and carry the flushing process in the low bits.
-const FLUSH_TOKEN_BIT: u64 = 1 << 63;
 
 /// A memory or synchronization operation submitted by a process.
 #[derive(Clone, Debug, PartialEq)]
@@ -232,10 +234,17 @@ struct Coalesced {
     /// load however many entries are buffered. Grown on demand to the
     /// highest location written, like the replica's store.
     latest: Vec<u32>,
+    /// Modeled wire bytes of the entries ([`BatchEntry::wire_bytes`]).
+    bytes: u64,
 }
 
 impl Coalesced {
     const NONE: u32 = u32::MAX;
+
+    /// Whether one more push (24 bytes at most) could pass [`wire::BUF_CHUNK`].
+    fn full(&self) -> bool {
+        self.bytes + 24 > wire::BUF_CHUNK as u64
+    }
 
     fn push(&mut self, loc: Loc, payload: UpdatePayload, id: WriteId) {
         let slot = loc.index();
@@ -254,6 +263,7 @@ impl Coalesced {
                         *cur = sum;
                         e.adds.push(id.seq);
                         e.writer = id;
+                        self.bytes += 4;
                         return;
                     }
                 }
@@ -265,7 +275,9 @@ impl Coalesced {
             UpdatePayload::Set(_) => Vec::new(),
         };
         self.latest[slot] = self.entries.len() as u32;
-        self.entries.push(BatchEntry { loc, payload, writer: id, adds });
+        let entry = BatchEntry { loc, payload, writer: id, adds };
+        self.bytes += entry.wire_bytes();
+        self.entries.push(entry);
     }
 
     /// Empties the buffer into one shared slice: every recipient's
@@ -276,7 +288,15 @@ impl Coalesced {
         for e in &self.entries {
             self.latest[e.loc.index()] = Self::NONE;
         }
+        self.bytes = 0;
         self.entries.drain(..).collect()
+    }
+
+    /// Empties a buffer that holds one entry.
+    fn take_one(&mut self) -> BatchEntry {
+        let e = self.entries.pop().expect("one entry");
+        (self.latest[e.loc.index()], self.bytes) = (Self::NONE, 0);
+        e
     }
 }
 
@@ -582,11 +602,6 @@ pub struct ProcNode {
     out: OutBatch,
     /// Per-shard outgoing buffers (sharding with batching).
     shard_out: HashMap<u32, ShardOutBatch>,
-    /// Whether a flush timer is pending, shared by every out-buffer:
-    /// one firing flushes them all. Timers cannot be cancelled, so a
-    /// timer that fires after a sync-triggered flush clears the flag
-    /// and flushes whatever (possibly nothing) is there.
-    flush_timer_armed: bool,
     /// Sender-side shadow of the dependency clock last transmitted to
     /// each peer (vector-clock delta compression).
     link_clock_out: HashMap<NodeId, VClock>,
@@ -676,7 +691,6 @@ impl ProcNode {
             sc_pending_write: None,
             out: OutBatch::default(),
             shard_out: HashMap::new(),
-            flush_timer_armed: false,
             link_clock_out: HashMap::new(),
             link_clock_in: HashMap::new(),
             records_since_snap: 0,
@@ -929,19 +943,10 @@ impl ProcNode {
         changed
     }
 
-    fn arm_flush_timer(&mut self, policy: crate::config::BatchPolicy, io: &mut impl NodeIo) {
-        if !self.flush_timer_armed {
-            self.flush_timer_armed = true;
-            let delay = SimTime::from_micros(policy.max_delay_micros);
-            io.arm_timer(delay, FLUSH_TOKEN_BIT | self.proc.0 as u64);
-        }
-    }
-
     /// Buffers a local write, whose dependency vector the replica
     /// minted into `self.out.deps`, into the outgoing batch, coalescing
-    /// against the latest entry for the location, arming the flush
-    /// timer on the empty→non-empty transition, and force-flushing at
-    /// the policy's size limit.
+    /// against the latest entry for the location, and flushing at the
+    /// byte bound.
     fn buffer_write(
         &mut self,
         loc: Loc,
@@ -949,15 +954,23 @@ impl ProcNode {
         id: WriteId,
         io: &mut impl NodeIo,
     ) {
-        let policy = self.cfg.batch.expect("batching enabled");
-        if self.out.buf.entries.is_empty() {
-            self.out.first_seq = id.seq;
-            self.arm_flush_timer(policy, io);
-        }
         let b = &mut self.out;
+        if b.buf.entries.is_empty() {
+            b.first_seq = id.seq;
+        }
         b.upto = id.seq;
         b.buf.push(loc, payload, id);
-        if b.buf.entries.len() >= policy.max_updates {
+        if b.buf.full() {
+            self.flush_updates(io);
+        }
+    }
+
+    /// Operation entry: flushes the buffered writes once every peer link
+    /// is idle (Nagle's rule without the delayed-ACK timer, RFC 896).
+    /// Executors call it where the program starts an operation, before
+    /// taking in what arrived meanwhile and [`ProcNode::start`]ing it.
+    pub fn enter(&mut self, io: &mut impl NodeIo) {
+        if self.has_buffered() && self.peers().all(|to| io.link_idle(to)) {
             self.flush_updates(io);
         }
     }
@@ -965,19 +978,26 @@ impl ProcNode {
     /// Flushes the outgoing batch (no-op when empty or when batching is
     /// off) to every peer replica, attaching a per-link
     /// dependency-clock delta and — when the session layer runs — a
-    /// piggybacked cumulative ack for the reverse link. Called before
-    /// every message that establishes `↦lock`/`↦bar` order, at the size
-    /// limit, on the delay timer, and by executors about to park the
-    /// process.
+    /// piggybacked cumulative ack for the reverse link. Called at an
+    /// idle operation entry, when an operation parks, before every
+    /// message that establishes `↦lock`/`↦bar` order, at the byte bound,
+    /// and by executors when the process exits.
     pub fn flush_updates(&mut self, io: &mut impl NodeIo) {
         if self.cfg.batch.is_none() {
             return;
         }
         if self.sharded() {
-            self.flush_shards(io);
+            self.flush_shards(None, io);
             return;
         }
         if self.out.buf.entries.is_empty() {
+            return;
+        }
+        if self.out.first_seq == self.out.upto {
+            // One write: its own update is the smaller frame.
+            let BatchEntry { loc, payload, writer, .. } = self.out.buf.take_one();
+            let deps = self.out.deps.clone();
+            self.broadcast(Msg::Update { writer, loc, payload, deps }, io);
             return;
         }
         let entries = self.out.buf.take();
@@ -1050,8 +1070,7 @@ impl ProcNode {
     }
 
     /// Buffers a sharded local write into the per-shard outgoing batch,
-    /// coalescing like [`ProcNode::buffer_write`] and sharing the flush
-    /// timer.
+    /// coalescing and bounded like [`ProcNode::buffer_write`].
     fn buffer_shard_write(
         &mut self,
         loc: Loc,
@@ -1061,7 +1080,6 @@ impl ProcNode {
         deps: Vec<(u32, ProcId, u32)>,
         io: &mut impl NodeIo,
     ) {
-        let policy = self.cfg.batch.expect("batching enabled");
         let shard = self.replica.shards().expect("sharded").shard_of(loc) as u32;
         // Program order crosses shards: this write's dependency triples
         // cover the process's own *buffered* writes in other shards, so
@@ -1071,17 +1089,7 @@ impl ProcNode {
         // writes already on the wire, and coalescing still collapses
         // runs of same-shard writes (the locality case sharding is
         // built around).
-        let mut others: Vec<u32> = self
-            .shard_out
-            .iter()
-            .filter(|&(&s, b)| s != shard && !b.buf.entries.is_empty())
-            .map(|(&s, _)| s)
-            .collect();
-        others.sort_unstable();
-        for s in others {
-            self.flush_shard(s, io);
-        }
-        self.arm_flush_timer(policy, io);
+        self.flush_shards(Some(shard), io);
         let b = self.shard_out.entry(shard).or_default();
         if b.buf.entries.is_empty() {
             b.prev = prev;
@@ -1089,17 +1097,14 @@ impl ProcNode {
         b.upto = id.seq;
         b.deps = deps;
         b.buf.push(loc, payload, id);
-        if b.buf.entries.len() >= policy.max_updates {
+        if b.buf.full() {
             self.flush_shard(shard, io);
         }
     }
 
-    /// Flushes one shard's outgoing buffer to its subscribers.
+    /// Flushes one shard's (non-empty) outgoing buffer to its subscribers.
     fn flush_shard(&mut self, shard: u32, io: &mut impl NodeIo) {
-        let Some(b) = self.shard_out.get_mut(&shard) else { return };
-        if b.buf.entries.is_empty() {
-            return;
-        }
+        let b = self.shard_out.get_mut(&shard).expect("a buffered shard");
         let msg = Msg::ShardUpdateBatch {
             proc: self.proc,
             shard,
@@ -1111,13 +1116,13 @@ impl ProcNode {
         self.multicast_shard(shard, msg, io);
     }
 
-    /// Flushes every non-empty per-shard buffer, in shard order
-    /// (deterministic under DPOR).
-    fn flush_shards(&mut self, io: &mut impl NodeIo) {
+    /// Flushes every non-empty per-shard buffer but `except`'s, in shard
+    /// order (deterministic under DPOR).
+    fn flush_shards(&mut self, except: Option<u32>, io: &mut impl NodeIo) {
         let mut shards: Vec<u32> = self
             .shard_out
             .iter()
-            .filter(|(_, b)| !b.buf.entries.is_empty())
+            .filter(|&(&s, b)| Some(s) != except && !b.buf.entries.is_empty())
             .map(|(&s, _)| s)
             .collect();
         shards.sort_unstable();
@@ -1200,7 +1205,16 @@ impl ProcNode {
 
     /// Submits an operation. [`Poll::Pending`] parks it: call
     /// [`ProcNode::poll`] after subsequent messages until it completes.
+    /// A parking operation also flushes the writes others may await.
     pub fn start(&mut self, req: Req, io: &mut impl NodeIo) -> Poll<Resp> {
+        let poll = self.begin(req, io);
+        if matches!(poll, Poll::Pending) {
+            self.flush_updates(io);
+        }
+        poll
+    }
+
+    fn begin(&mut self, req: Req, io: &mut impl NodeIo) -> Poll<Resp> {
         let p = self.proc;
         match req {
             Req::Read { loc, label } => {
@@ -1278,9 +1292,6 @@ impl ProcNode {
                 match self.await_ready(loc, value, io) {
                     Some(resp) => Poll::Ready(resp),
                     None => {
-                        // Blocking on a flag others may in turn await:
-                        // don't sit on unflushed writes while parked.
-                        self.flush_updates(io);
                         self.blocked = Some(Blocked::Await { loc, value });
                         Poll::Pending
                     }
@@ -1447,14 +1458,9 @@ impl ProcNode {
         resp
     }
 
-    /// A timer armed through [`NodeIo::arm_timer`] expired.
+    /// A session link timer armed through [`NodeIo::arm_timer`] expired.
     pub fn on_timer(&mut self, token: u64, io: &mut impl NodeIo) {
-        if token & FLUSH_TOKEN_BIT != 0 {
-            self.flush_timer_armed = false;
-            self.flush_updates(io);
-        } else {
-            self.links.on_timer(session::token_link(token).1, io);
-        }
+        self.links.on_timer(session::token_link(token).1, io);
     }
 
     /// Handles one arriving wire message: the session layer sequences
@@ -1556,8 +1562,8 @@ impl ProcNode {
                 });
                 // Recovery ghost: the batch's content is already on disk
                 // (or covered by a RecoverResp) — the replica must not
-                // re-apply it and the WAL must not re-log it. Batch
-                // windows from one writer never partially overlap, so a
+                // re-apply it and the WAL must not re-log it. Batches
+                // from one writer never partially overlap, so a
                 // whole-batch skip is exact.
                 if durable && upto <= self.replica.applied[proc] {
                     return;
@@ -1744,6 +1750,8 @@ mod tests {
         /// Simulates power loss at the next append: the call panics
         /// before the record is staged.
         crash_at_append: bool,
+        /// Every link reports a frame still on its way.
+        busy: bool,
     }
 
     impl NodeIo for Recorder {
@@ -1754,6 +1762,10 @@ mod tests {
 
         fn arm_timer(&mut self, _delay: SimTime, _token: u64) {
             self.log.push(ArmTimer);
+        }
+
+        fn link_idle(&mut self, _to: NodeId) -> bool {
+            !self.busy
         }
 
         fn wal_append(&mut self, _frame: &[u8]) {
@@ -1771,6 +1783,7 @@ mod tests {
     }
 
     const X: Loc = Loc(0);
+    const Y: Loc = Loc(1);
 
     fn durable(cfg: DsmConfig, group_commit: bool) -> Arc<DsmConfig> {
         let policy = DurabilityPolicy::default().with_group_commit(group_commit);
@@ -1784,10 +1797,12 @@ mod tests {
         }
     }
 
-    /// The messages `writer` puts on the wire for one write of `X`.
+    /// The messages `writer` puts on the wire for a write of `X`, then
+    /// one of `Y`.
     fn written_by(writer: &mut ProcNode) -> Vec<Msg> {
         let mut io = Recorder::default();
         write(writer, &mut io, X, 7);
+        write(writer, &mut io, Y, 8);
         writer.flush_updates(&mut io);
         io.sent.into_iter().map(|(_, msg)| msg).collect()
     }
@@ -1806,9 +1821,9 @@ mod tests {
         let cfg = durable(cfg, true);
         let (mut node, mut io) = (ProcNode::new(ProcId(0), cfg.clone()), Recorder::default());
         write(&mut node, &mut io, X, 1);
-        assert_eq!(io.log, [WalAppend, ArmTimer], "staged: nothing synced, nothing sent");
+        assert_eq!(io.log, [WalAppend], "staged: nothing synced, nothing sent");
         node.flush_updates(&mut io);
-        assert_eq!(io.log[2..], [WalSync, Send("update_batch")]);
+        assert_eq!(io.log[1..], [WalSync, Send("update")], "a batch of one write is its update");
 
         // A local observation is an externalization point too: the value
         // a read or await returns must already be durable.
@@ -1823,7 +1838,7 @@ mod tests {
                 matches!(resp, Poll::Ready(Resp::Value { .. } | Resp::Awaited { .. })),
                 "{resp:?}"
             );
-            assert_eq!(io.log, [WalAppend, ArmTimer, WalSync], "synced before the answer");
+            assert_eq!(io.log, [WalAppend, WalSync], "synced before the answer");
         }
     }
 
@@ -2015,29 +2030,93 @@ mod tests {
         assert_eq!(c.entries, [entry(far, set(3), 3, &[]), entry(3, set(2), 2, &[])]);
     }
 
-    #[test]
-    fn coalesced_a_thousand_locations_fill_a_thousand_entry_batch() {
-        const N: u32 = 1000;
-        let policy = BatchPolicy { max_updates: N as usize, ..BatchPolicy::default() };
-        let cfg = DsmConfig::new(2, Mode::Causal).with_batching(Some(policy));
-        let mut node = ProcNode::new(ProcId(0), Arc::new(cfg));
-        let mut io = Recorder::default();
-        for round in 0..2 {
-            for loc in 0..N {
-                assert_eq!(node.out.buf.entries.len(), loc as usize, "round {round}");
-                write(&mut node, &mut io, Loc(loc), i64::from(round * N + loc));
-            }
-            // The thousandth distinct location fills the batch and flushes it.
-            assert!(node.out.buf.entries.is_empty(), "round {round}");
-        }
-        let batches: Vec<_> = io
-            .sent
+    /// The batches `io` sent: entry count, last member, modeled entry
+    /// bytes.
+    fn batches(io: &Recorder) -> Vec<(usize, u32, u64)> {
+        io.sent
             .iter()
             .map(|(_, msg)| match msg {
-                Msg::UpdateBatch { entries, upto, .. } => (entries.len(), *upto),
+                Msg::UpdateBatch { entries, upto, .. } => {
+                    (entries.len(), *upto, entries.iter().map(BatchEntry::wire_bytes).sum())
+                }
                 other => panic!("{other:?}"),
             })
-            .collect();
-        assert_eq!(batches, [(N as usize, N), (N as usize, 2 * N)]);
+            .collect()
+    }
+
+    #[test]
+    fn coalesced_a_burst_behind_a_busy_link_leaves_in_chunk_sized_batches() {
+        const N: u32 = 10_000;
+        let cfg = DsmConfig::new(2, Mode::Causal).with_batching(Some(BatchPolicy::default()));
+        let mut node = ProcNode::new(ProcId(0), Arc::new(cfg));
+        let mut io = Recorder { busy: true, ..Recorder::default() };
+        for loc in 0..N {
+            node.enter(&mut io);
+            write(&mut node, &mut io, Loc(loc), i64::from(loc));
+        }
+        // A batch closes where one more entry could pass the bound: 3 276
+        // entries of 20 bytes, the last 172 writes still buffered.
+        let full = ((wire::BUF_CHUNK as u64 - 24) / 20 + 1) as u32;
+        assert_eq!(full, 3_276);
+        let chunk = |k: u32| (full as usize, k * full, u64::from(full) * 20);
+        assert_eq!(batches(&io), [chunk(1), chunk(2), chunk(3)]);
+        assert_eq!(node.out.buf.entries.len(), (N - 3 * full) as usize);
+        node.flush_updates(&mut io);
+        let sent = batches(&io);
+        assert_eq!(sent[3], (172, N, 172 * 20));
+        assert!(sent.iter().all(|&(_, _, bytes)| bytes <= wire::BUF_CHUNK as u64));
+    }
+
+    /// Nagle's rule on a recording executor: a burst behind a frame on
+    /// its way leaves as one batch once the link is idle, a lone write on
+    /// an idle link leaves at the next operation's entry (not inside the
+    /// write) as its own update, and a parking operation flushes whatever
+    /// the link state.
+    #[test]
+    fn a_batch_closes_when_its_link_is_idle_or_its_operation_parks() {
+        let cfg =
+            Arc::new(DsmConfig::new(2, Mode::Causal).with_batching(Some(BatchPolicy::default())));
+        let op = |node: &mut ProcNode, io: &mut Recorder, req: Req| {
+            node.enter(io);
+            node.start(req, io)
+        };
+        let wr = |loc: u32, v: i64| Req::Write { loc: Loc(loc), value: Value::Int(v) };
+        let rd = |loc: u32| Req::Read { loc: Loc(loc), label: ReadLabel::Pram };
+
+        // A burst behind one in-flight frame: nothing leaves until the
+        // link is idle, then everything leaves as one batch.
+        let (mut node, mut io) = (ProcNode::new(ProcId(0), cfg.clone()), Recorder::default());
+        io.busy = true;
+        for loc in 0..8 {
+            assert!(matches!(op(&mut node, &mut io, wr(loc, 1)), Poll::Ready(_)));
+        }
+        assert!(matches!(op(&mut node, &mut io, rd(0)), Poll::Ready(_)));
+        assert!(io.sent.is_empty(), "nothing leaves behind a busy link");
+        io.busy = false;
+        assert!(matches!(op(&mut node, &mut io, rd(0)), Poll::Ready(_)));
+        assert_eq!(batches(&io), [(8, 8, 160)], "the burst leaves as one batch");
+
+        // A lone write on an idle link waits for the next operation, and
+        // a batch of one write leaves as that write's update.
+        let (mut node, mut io) = (ProcNode::new(ProcId(0), cfg.clone()), Recorder::default());
+        assert!(matches!(op(&mut node, &mut io, wr(0, 1)), Poll::Ready(_)));
+        assert!(io.sent.is_empty(), "the write itself sends nothing");
+        node.enter(&mut io);
+        match &io.sent[..] {
+            [(_, Msg::Update { writer, loc: Loc(0), deps: Some(_), .. })] => {
+                assert_eq!(*writer, w(1), "it leaves at the next operation's entry");
+            }
+            other => panic!("{other:?}"),
+        }
+
+        // A parking operation flushes even behind a busy link.
+        let (mut node, mut io) = (ProcNode::new(ProcId(0), cfg), Recorder::default());
+        io.busy = true;
+        for loc in 0..2 {
+            assert!(matches!(op(&mut node, &mut io, wr(loc, 1)), Poll::Ready(_)));
+        }
+        let parks = op(&mut node, &mut io, Req::Await { loc: Loc(2), value: Value::Int(1) });
+        assert!(matches!(parks, Poll::Pending));
+        assert_eq!(batches(&io), [(2, 2, 40)], "the parked operation's writes left");
     }
 }

@@ -56,6 +56,11 @@ pub const FRAME_HEADER: usize = 4;
 /// the connection instead of buffering toward it ([`oversized_prefix`]).
 pub const MAX_FRAME: usize = 16 << 20;
 
+/// The write chunk: a batch of buffered writes closes once its entries
+/// reach this many modeled bytes, and a TCP link writer gathers up to it
+/// per `write(2)` and reads into this much spare capacity.
+pub const BUF_CHUNK: usize = 64 * 1024;
+
 /// First tag value reserved for bodies that are not [`Msg`]s.
 pub const CONTROL_TAG_BASE: u8 = 200;
 

@@ -16,9 +16,10 @@
 //! 3. A volatile replica's heap does not grow with its writes: a million
 //!    local writes to 64 locations peak under 64 KiB. A replica that keeps
 //!    a word per own write (8 MiB here) fails.
-//! 4. A batched write allocates only when it flushes. A causal node under
-//!    `BatchPolicy::default()` makes 10 000 writes over 32 locations: a
-//!    write that only buffers allocates nothing (its dependency vector is
+//! 4. A batched write allocates only when it flushes. A causal node
+//!    makes 10 000 batched writes over 32 locations, its link idle at
+//!    every 16th operation's entry: a write that only buffers allocates
+//!    nothing (its dependency vector is
 //!    minted into the batch's clock, and the entry buffer keeps its
 //!    capacity across flushes), and a flush allocates [`ALLOCS_PER_FLUSH`]
 //!    times. A node that builds a fresh clock per write, or regrows its
@@ -431,9 +432,10 @@ fn a_volatile_replicas_heap_does_not_grow_with_its_writes() {
     assert_eq!(replica.own_count(), WRITES);
 }
 
-/// A null executor that counts the messages a node sends.
+/// A null executor that counts the messages a node sends, and whose
+/// link is idle at every 16th question.
 #[derive(Default)]
-struct CountSends(usize);
+struct CountSends(usize, u32);
 
 impl NodeIo for CountSends {
     fn send(&mut self, _to: NodeId, _kind: &'static str, _msg: Msg) {
@@ -441,6 +443,11 @@ impl NodeIo for CountSends {
     }
 
     fn arm_timer(&mut self, _delay: SimTime, _token: u64) {}
+
+    fn link_idle(&mut self, _to: NodeId) -> bool {
+        self.1 += 1;
+        self.1.is_multiple_of(16)
+    }
 
     fn wal_append(&mut self, _frame: &[u8]) {}
 
@@ -451,8 +458,8 @@ impl NodeIo for CountSends {
     fn truncate_history(&mut self, _len: usize) {}
 }
 
-/// Allocations of a flush under `BatchPolicy::default()` with one peer:
-/// the entries' shared slice and the link's clock delta.
+/// Allocations of a batch flush with one peer: the entries' shared slice
+/// and the link's clock delta.
 const ALLOCS_PER_FLUSH: u64 = 2;
 
 #[test]
@@ -463,6 +470,7 @@ fn a_batched_write_allocates_only_when_it_flushes() {
     let mut io = CountSends::default();
     let write = |node: &mut ProcNode, io: &mut CountSends, i: u32| {
         let req = Req::Write { loc: Loc(i % 32), value: Value::Int(i.into()) };
+        node.enter(io);
         assert!(matches!(node.start(req, io), Poll::Ready(Resp::Wrote { .. })));
     };
     // Warm-up: every location written, the batch and link clocks grown.
@@ -484,6 +492,6 @@ fn a_batched_write_allocates_only_when_it_flushes() {
         }
     }
     println!("{WRITES} batched writes: {flushes} flushes, {flush_allocs} allocations");
-    assert_eq!(flushes, WRITES / 16, "each full batch of 16 flushes once");
+    assert_eq!(flushes, WRITES / 16, "each idle link flushes the batch once");
     assert_eq!(write_allocs, 0, "{write_allocs} allocations in writes that did not flush");
 }

@@ -100,6 +100,22 @@ pub trait Protocol: Send + 'static {
         net: &mut NetCtx<'_, Self::Msg>,
     );
 
+    /// Runs where process `proc` (bound to `node`) submits a syscall,
+    /// before the kernel services it with [`Protocol::on_request`]: the
+    /// process running on after the step that resumed it, so whatever
+    /// this touches joins that step's footprint. The default does
+    /// nothing.
+    fn on_submit(&mut self, proc: ProcToken, node: NodeId, net: &mut NetCtx<'_, Self::Msg>) {
+        let _ = (proc, node, net);
+    }
+
+    /// Runs when process `proc`'s body returns, like
+    /// [`Protocol::on_submit`] part of the step that resumed it last.
+    /// The default does nothing.
+    fn on_exit(&mut self, proc: ProcToken, node: NodeId, net: &mut NetCtx<'_, Self::Msg>) {
+        let _ = (proc, node, net);
+    }
+
     /// Re-examines a parked process after an event. Returning `Some`
     /// resumes it.
     fn poll_blocked(
@@ -260,6 +276,7 @@ impl<P: Protocol> Baton<P> {
         match result {
             Ok(()) => {
                 core.procs[me].state = ProcState::Done;
+                core.hook = Some(me);
                 baton.pass(core, me);
             }
             Err(payload) => {
@@ -459,6 +476,8 @@ impl<P: Protocol> Kernel<P> {
             next_plan_recover: 0,
             resumed: VecDeque::new(),
             started: 0,
+            hook: None,
+            footprint_open: false,
             candidates: Vec::new(),
             ids: Vec::new(),
             ended: None,
@@ -614,6 +633,14 @@ struct Core<P: Protocol> {
     resumed: VecDeque<(usize, P::Resp)>,
     /// How many processes have been started (they start in token order).
     started: usize,
+    /// The process that has just submitted a syscall or exited:
+    /// [`Core::next`] first runs its [`Protocol::on_submit`] or
+    /// [`Protocol::on_exit`].
+    hook: Option<usize>,
+    /// Whether the last step's footprint is still open: the processes it
+    /// resumed run on, up to their next syscall or exit, before the next
+    /// step closes it.
+    footprint_open: bool,
     /// The current step's candidates and their identities, kept across
     /// steps so that stepping allocates nothing.
     candidates: Vec<Cand>,
@@ -642,6 +669,27 @@ impl<P: Protocol> Core<P> {
         slot.ready_at = slot.clock + self.config.local_cost;
         slot.state = ProcState::Ready;
         self.metrics.record_proc_syscall(idx);
+        self.hook = Some(idx);
+    }
+
+    /// Runs the hook of process `idx`, which has just submitted a
+    /// syscall or exited, at the process's own clock.
+    fn run_hook(&mut self, idx: usize) {
+        let slot = &self.procs[idx];
+        let (token, node, exit) = (ProcToken(idx as u32), slot.node, slot.state == ProcState::Done);
+        let mut ctx = Self::net_ctx(
+            self.now.max(slot.clock),
+            &mut self.network,
+            &mut self.rng,
+            &mut self.metrics,
+            &self.config,
+            Some(&mut *self.schedule),
+        );
+        if exit {
+            self.protocol.on_exit(token, node, &mut ctx);
+        } else {
+            self.protocol.on_submit(token, node, &mut ctx);
+        }
     }
 
     /// Queues process `idx` to return `resp` from its syscall.
@@ -660,6 +708,9 @@ impl<P: Protocol> Core<P> {
     /// Decides what runs next: the oldest queued resumption, else the
     /// next unstarted process, else whatever one more step brings.
     fn next(&mut self) -> Next<P::Resp> {
+        if let Some(idx) = self.hook.take() {
+            self.run_hook(idx);
+        }
         loop {
             if let Some((idx, resp)) = self.resumed.pop_front() {
                 return Next::Run(idx, Wake::Resume(resp));
@@ -749,6 +800,9 @@ impl<P: Protocol> Core<P> {
     /// polls the blocked processes. Returns the run's result instead when
     /// nothing is left to step.
     fn step(&mut self) -> Option<Result<(), SimError>> {
+        if std::mem::take(&mut self.footprint_open) {
+            self.schedule.record_footprint(&self.network.touched);
+        }
         if self.metrics.events >= self.config.max_events {
             return Some(Err(SimError::EventLimit { limit: self.config.max_events }));
         }
@@ -829,8 +883,7 @@ impl<P: Protocol> Core<P> {
         self.network.touched.clear();
         match choice {
             Cand::Deliver => {
-                let Reverse(d) = self.network.queue.pop().expect("peeked");
-                let Delivery { from, to, sent, msg, .. } = d;
+                let Delivery { from, to, sent, msg, .. } = self.network.dequeue().expect("peeked");
                 self.metrics.record_delivery(self.now.saturating_sub(sent));
                 // Delivery dequeues at `to` *and* mutates its replica.
                 self.network.touched.push(Touch::Queue(to));
@@ -972,7 +1025,7 @@ impl<P: Protocol> Core<P> {
             }
         }
         self.poll_blocked_procs();
-        self.schedule.record_footprint(&self.network.touched);
+        self.footprint_open = true;
         None
     }
 }

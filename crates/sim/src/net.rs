@@ -443,6 +443,8 @@ impl Ord for TimerEntry {
 #[derive(Debug)]
 pub(crate) struct Network<M> {
     pub queue: BinaryHeap<Reverse<Delivery<M>>>,
+    /// Queued deliveries per directed link, `from * nnodes + to`.
+    in_flight: Vec<u32>,
     pub link_last: HashMap<(NodeId, NodeId), SimTime>,
     pub next_seq: u64,
     pub timers: BinaryHeap<Reverse<TimerEntry>>,
@@ -472,6 +474,7 @@ impl<M> Network<M> {
     pub fn new(nnodes: usize) -> Self {
         Network {
             queue: BinaryHeap::new(),
+            in_flight: vec![0; nnodes * nnodes],
             link_last: HashMap::new(),
             next_seq: 0,
             timers: BinaryHeap::new(),
@@ -484,6 +487,25 @@ impl<M> Network<M> {
             touched: Vec::new(),
             tracer: None,
         }
+    }
+
+    fn link(&self, from: NodeId, to: NodeId) -> usize {
+        from.index() * self.nnodes + to.index()
+    }
+
+    /// Queues one delivery.
+    fn enqueue(&mut self, d: Delivery<M>) {
+        let link = self.link(d.from, d.to);
+        self.in_flight[link] += 1;
+        self.queue.push(Reverse(d));
+    }
+
+    /// Takes the earliest delivery off the queue.
+    pub fn dequeue(&mut self) -> Option<Delivery<M>> {
+        let Reverse(d) = self.queue.pop()?;
+        let link = self.link(d.from, d.to);
+        self.in_flight[link] -= 1;
+        Some(d)
     }
 
     /// `true` if `node` was taken down by an explored crash action.
@@ -508,6 +530,10 @@ impl<M> Network<M> {
         let in_flight = queue.len();
         self.queue = queue.into_iter().filter(|Reverse(d)| d.to != node).collect();
         let wiped = (in_flight - self.queue.len()) as u64;
+        for from in 0..self.nnodes as u32 {
+            let link = self.link(NodeId(from), node);
+            self.in_flight[link] = 0;
+        }
         let timers = std::mem::take(&mut self.timers);
         let armed = timers.len();
         self.timers = timers.into_iter().filter(|Reverse(t)| t.node != node).collect();
@@ -647,6 +673,14 @@ impl<M> NetCtx<'_, M> {
                 ],
             });
         }
+    }
+
+    /// Whether no delivery from `from` to `to` is queued. The answer
+    /// depends on `to`'s queue, which joins the step's footprint: the
+    /// query is ordered against the deliveries that change it.
+    pub fn link_idle(&mut self, from: NodeId, to: NodeId) -> bool {
+        self.net.touched.push(Touch::Queue(to));
+        self.net.in_flight[self.net.link(from, to)] == 0
     }
 
     /// Schedules a protocol timer at `node`, `delay` from now.
@@ -811,7 +845,7 @@ impl<M> NetCtx<'_, M> {
         }
         let seq = self.net.next_seq;
         self.net.next_seq += 1;
-        self.net.queue.push(Reverse(Delivery { at, seq, from, to, sent: self.now, msg }));
+        self.net.enqueue(Delivery { at, seq, from, to, sent: self.now, msg });
         if let Some(tr) = self.net.tracer.as_mut() {
             // The in-flight message renders as a span on the sender's
             // track, from the send to the scheduled delivery.

@@ -12,9 +12,13 @@
 //!
 //! The program is built so its traffic does not depend on scheduling:
 //! only write locks are taken (every grant after the first carries
-//! exactly one predecessor), the awaited value is produced by exactly
-//! one `Set`, and nothing is batched (flush timing is the one thing
-//! wall-clock and virtual time legitimately disagree on).
+//! exactly one predecessor), the awaited value is a counter every lock
+//! section adds one to, and nothing is batched (flush timing is the one
+//! thing wall-clock and virtual time legitimately disagree on). Adds
+//! commute, so every replica reaches the count in every mode; a `Set`
+//! of the running count would not under PRAM, where a lock grant waits
+//! only for the previous holder's writes and an older holder's `Set`
+//! may land last and stay.
 
 use mc_live::{LiveOutcome, LiveSystem};
 use mc_net::NetSystem;
@@ -32,8 +36,8 @@ fn program<D: Driver>(ctx: &mut MemCtx<D>, p: u32) {
         assert_eq!(ctx.read_pram(Loc(q)), Value::Int(q as i64 + 1));
     }
     ctx.with_write_lock(LockId(0), |c| {
-        let v = c.read_causal(SHARED).expect_i64();
-        c.write(SHARED, v + 1);
+        c.read_causal(SHARED);
+        c.add(SHARED, 1);
     });
     ctx.await_eq(SHARED, Value::Int(NPROCS as i64));
     ctx.barrier();

@@ -4,6 +4,10 @@
 #   tests/mutants/run.sh <patch> <cargo test arguments>...
 #   tests/mutants/run.sh tests/mutants/sync-data-after-growth.patch -p mc-proto --test crash_states
 #
+# Each patch opens with a `Breaks:` line (what the mutant breaks) and a
+# `Suite:` line (the arguments of the suite that kills it); CI runs
+#   tests/mutants/run.sh "$m" $(sed -n 's/^Suite: //p' "$m")
+#
 # Copies the working tree to target/mutants/src (only files that differ
 # are rewritten, so the build there stays incremental), applies the
 # patch, builds the named test, runs it under a 600 s deadline, and
