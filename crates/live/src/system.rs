@@ -66,9 +66,7 @@ pub trait Transport: Send + Sync {
     fn link_idle(&self, from: NodeId, to: NodeId) -> bool;
 
     /// Node `to` has taken a message from `from` off its inbox.
-    fn taken(&self, from: NodeId, to: NodeId) {
-        let _ = (from, to);
-    }
+    fn taken(&self, from: NodeId, to: NodeId);
 }
 
 /// The in-process transport: one unbounded channel per process node;
@@ -1217,7 +1215,8 @@ impl Driver for LiveDriver {
         self.io.sending = Sending::Held;
         self.node.enter(&mut self.io);
         // A write reads nothing: while its batch is open, what arrived
-        // waits, and so the peers' batches grow too.
+        // waits, and so the peers' batches grow too, until the byte
+        // bound closes this one.
         if !(matches!(req, Req::Write { .. } | Req::Update { .. }) && self.node.has_buffered()) {
             self.drain();
         }

@@ -6,11 +6,31 @@
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use mc_live::LiveSystem;
+use mc_live::{ChannelTransport, LiveSystem, Transport};
 use mc_model::{check, BarrierId, Loc, LockId, ProcId, Value};
-use mc_proto::{LockPropagation, Mode};
+use mc_proto::{LockPropagation, Mode, Msg};
 
 const REPS: usize = 5;
+
+/// The in-process answer to the batch flush rule's question: a link is
+/// busy from a delivery until the receiver has taken every message on
+/// it, and a manager, run by the sending thread, is never busy.
+#[test]
+fn a_channel_link_is_busy_from_deliver_until_taken() {
+    let (to_0, inbox_0) = crossbeam::channel::unbounded();
+    let (to_1, _inbox_1) = crossbeam::channel::unbounded();
+    let t = ChannelTransport::new(vec![to_0, to_1], Vec::new());
+    assert!(t.link_idle(1, 0), "nothing sent yet");
+    assert!(t.deliver(1, 0, Msg::FlushAck) && t.deliver(1, 0, Msg::FlushAck));
+    assert!(!t.link_idle(1, 0), "two messages on their way");
+    assert!(t.link_idle(0, 1), "the reverse link is untouched");
+    for left in [1, 0] {
+        inbox_0.try_recv().expect("a delivered message");
+        t.taken(1, 0);
+        assert_eq!(t.link_idle(1, 0), left == 0, "{left} still on its way");
+    }
+    assert!(t.link_idle(0, 2), "a manager's link");
+}
 
 #[test]
 fn producer_consumer_all_modes() {

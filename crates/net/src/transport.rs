@@ -264,6 +264,9 @@ impl Transport for TcpTransport {
         self.link(from, to).is_none_or(|l| l.wire.inflight.load(Ordering::Acquire) == 0)
     }
 
+    /// A frame leaves its link when the writer writes it, not when it is taken.
+    fn taken(&self, _from: NodeId, _to: NodeId) {}
+
     fn shutdown(&self, to: NodeId) {
         if let Some(tx) = &self.local[to] {
             let _ = tx.send(Wire::Shutdown);

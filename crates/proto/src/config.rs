@@ -91,11 +91,11 @@ impl fmt::Display for LockPropagation {
 /// rule without the delayed-ACK timer, RFC 896): at an operation's entry
 /// once every peer link is idle ([`ProcNode::enter`](crate::ProcNode::enter)),
 /// whenever an operation parks, before every synchronization send (lock
-/// release, barrier arrival, eager unlock, recovery), when its entries
-/// reach [`BUF_CHUNK`](crate::wire::BUF_CHUNK) bytes, and when the
-/// process exits. A lone write on an idle link leaves at the next
-/// operation; under load the batch grows while the previous frame is on
-/// the wire. There is nothing to tune.
+/// release, barrier arrival, eager unlock, recovery), when its writes,
+/// coalesced or not, reach [`BUF_CHUNK`](crate::wire::BUF_CHUNK) bytes,
+/// and when the process exits. A lone write on an idle link leaves at
+/// the next operation; under load the batch grows while the previous
+/// frame is on the wire. There is nothing to tune.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct BatchPolicy {}
 

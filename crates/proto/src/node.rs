@@ -48,11 +48,8 @@ pub trait NodeIo {
     fn arm_timer(&mut self, delay: SimTime, token: u64);
 
     /// Whether nothing this node sent toward `to` is still on its way
-    /// ([`ProcNode::enter`]). By default every link is idle.
-    fn link_idle(&mut self, to: NodeId) -> bool {
-        let _ = to;
-        true
-    }
+    /// ([`ProcNode::enter`]).
+    fn link_idle(&mut self, to: NodeId) -> bool;
 
     /// Stages one framed write-ahead-log record (durable only after
     /// [`NodeIo::wal_sync`]).
@@ -234,7 +231,9 @@ struct Coalesced {
     /// load however many entries are buffered. Grown on demand to the
     /// highest location written, like the replica's store.
     latest: Vec<u32>,
-    /// Modeled wire bytes of the entries ([`BatchEntry::wire_bytes`]).
+    /// Modeled wire bytes of every write pushed since the last take (a
+    /// coalesced `Set` counts its entry again): the batch reaches
+    /// [`wire::BUF_CHUNK`] after a bounded number of writes.
     bytes: u64,
 }
 
@@ -256,6 +255,7 @@ impl Coalesced {
                 (UpdatePayload::Set(cur), UpdatePayload::Set(v)) => {
                     *cur = *v;
                     e.writer = id;
+                    self.bytes += e.wire_bytes();
                     return;
                 }
                 (UpdatePayload::Add(cur), UpdatePayload::Add(d)) => {
@@ -280,23 +280,16 @@ impl Coalesced {
         self.entries.push(entry);
     }
 
-    /// Empties the buffer into one shared slice: every recipient's
-    /// message (and any session retransmit copy) bumps a refcount
-    /// instead of deep-cloning the entries. The entries move out and the
-    /// buffer keeps its capacity for the next batch.
-    fn take(&mut self) -> Arc<[BatchEntry]> {
+    /// Empties the buffer. Collected into one shared slice, every
+    /// recipient's message (and any session retransmit copy) bumps a
+    /// refcount instead of deep-cloning the entries. The entries move
+    /// out and the buffer keeps its capacity for the next batch.
+    fn take(&mut self) -> std::vec::Drain<'_, BatchEntry> {
         for e in &self.entries {
             self.latest[e.loc.index()] = Self::NONE;
         }
         self.bytes = 0;
-        self.entries.drain(..).collect()
-    }
-
-    /// Empties a buffer that holds one entry.
-    fn take_one(&mut self) -> BatchEntry {
-        let e = self.entries.pop().expect("one entry");
-        (self.latest[e.loc.index()], self.bytes) = (Self::NONE, 0);
-        e
+        self.entries.drain(..)
     }
 }
 
@@ -995,12 +988,13 @@ impl ProcNode {
         }
         if self.out.first_seq == self.out.upto {
             // One write: its own update is the smaller frame.
-            let BatchEntry { loc, payload, writer, .. } = self.out.buf.take_one();
+            let BatchEntry { loc, payload, writer, .. } =
+                self.out.buf.take().next().expect("one write");
             let deps = self.out.deps.clone();
             self.broadcast(Msg::Update { writer, loc, payload, deps }, io);
             return;
         }
-        let entries = self.out.buf.take();
+        let entries: Arc<[BatchEntry]> = self.out.buf.take().collect();
         let (first_seq, upto) = (self.out.first_seq, self.out.upto);
         let deps = self.out.deps.take();
         let proc = self.proc;
@@ -1110,7 +1104,7 @@ impl ProcNode {
             shard,
             prev: b.prev,
             upto: b.upto,
-            entries: b.buf.take(),
+            entries: b.buf.take().collect(),
             deps: std::mem::take(&mut b.deps),
         };
         self.multicast_shard(shard, msg, io);
@@ -1227,13 +1221,8 @@ impl ProcNode {
                     return Poll::Pending;
                 }
                 let label = self.cfg.read_policy(p, label);
-                match self.read_ready(loc, label, io) {
-                    Some(resp) => Poll::Ready(resp),
-                    None => {
-                        self.blocked = Some(Blocked::Read { loc, label });
-                        Poll::Pending
-                    }
-                }
+                let resp = self.read_ready(loc, label, io);
+                self.ready_or_park(resp, Blocked::Read { loc, label })
             }
             Req::Write { loc, value } => self.do_write(loc, UpdatePayload::Set(value), &req, io),
             Req::Update { loc, delta } => self.do_write(loc, UpdatePayload::Add(delta), &req, io),
@@ -1289,15 +1278,18 @@ impl ProcNode {
                 if !self.shard_gate(loc, &req, io) {
                     return Poll::Pending;
                 }
-                match self.await_ready(loc, value, io) {
-                    Some(resp) => Poll::Ready(resp),
-                    None => {
-                        self.blocked = Some(Blocked::Await { loc, value });
-                        Poll::Pending
-                    }
-                }
+                let resp = self.await_ready(loc, value, io);
+                self.ready_or_park(resp, Blocked::Await { loc, value })
             }
         }
+    }
+
+    /// Answers with `resp`, or parks on `blocked` if there is none yet.
+    fn ready_or_park(&mut self, resp: Option<Resp>, blocked: Blocked) -> Poll<Resp> {
+        if resp.is_none() {
+            self.blocked = Some(blocked);
+        }
+        resp.map_or(Poll::Pending, Poll::Ready)
     }
 
     fn do_write(
@@ -2011,7 +2003,7 @@ mod tests {
         let mut c = Coalesced::default();
         c.push(Loc(0), set(1), w(1));
         c.push(Loc(1), set(2), w(2));
-        let first = c.take();
+        let first: Vec<_> = c.take().collect();
         assert_eq!(first.len(), 2);
         assert!(c.entries.is_empty() && c.entries.capacity() >= 2, "capacity kept");
         c.push(Loc(1), set(3), w(3));
@@ -2065,6 +2057,23 @@ mod tests {
         let sent = batches(&io);
         assert_eq!(sent[3], (172, N, 172 * 20));
         assert!(sent.iter().all(|&(_, _, bytes)| bytes <= wire::BUF_CHUNK as u64));
+    }
+
+    /// Writes that coalesce into one entry still count toward the byte
+    /// bound, so a link that stays busy cannot hold them back for ever:
+    /// the batch closes after as many writes as distinct locations take.
+    #[test]
+    fn coalesced_writes_to_one_location_close_at_the_byte_bound() {
+        let cfg = DsmConfig::new(2, Mode::Causal).with_batching(Some(BatchPolicy::default()));
+        let mut node = ProcNode::new(ProcId(0), Arc::new(cfg));
+        let mut io = Recorder { busy: true, ..Recorder::default() };
+        let full = ((wire::BUF_CHUNK as u64 - 24) / 20 + 1) as u32;
+        for i in 0..2 * full + 1 {
+            node.enter(&mut io);
+            write(&mut node, &mut io, X, i64::from(i));
+        }
+        assert_eq!(batches(&io), [(1, full, 20), (1, 2 * full, 20)]);
+        assert_eq!(node.out.buf.entries.len(), 1, "the next batch is open");
     }
 
     /// Nagle's rule on a recording executor: a burst behind a frame on

@@ -62,6 +62,10 @@ impl NodeIo for Powered {
 
     fn arm_timer(&mut self, _delay: SimTime, _token: u64) {}
 
+    fn link_idle(&mut self, _to: NodeId) -> bool {
+        true
+    }
+
     fn wal_append(&mut self, frame: &[u8]) {
         self.on &= self.disk.append(frame).is_ok();
     }

@@ -343,6 +343,10 @@ impl NodeIo for AppendAllocs {
 
     fn arm_timer(&mut self, _delay: SimTime, _token: u64) {}
 
+    fn link_idle(&mut self, _to: NodeId) -> bool {
+        true
+    }
+
     fn wal_append(&mut self, _frame: &[u8]) {
         let (_, allocs) = stop_measuring();
         self.0.push(allocs);

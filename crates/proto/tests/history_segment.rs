@@ -88,6 +88,10 @@ impl<F: Fs> NodeIo for OnDisk<F> {
 
     fn arm_timer(&mut self, _delay: SimTime, _token: u64) {}
 
+    fn link_idle(&mut self, _to: NodeId) -> bool {
+        true
+    }
+
     fn wal_append(&mut self, frame: &[u8]) {
         self.disk.append(frame).expect("append");
     }

@@ -12,13 +12,12 @@
 //!
 //! The program is built so its traffic does not depend on scheduling:
 //! only write locks are taken (every grant after the first carries
-//! exactly one predecessor), the awaited value is a counter every lock
-//! section adds one to, and nothing is batched (flush timing is the one
-//! thing wall-clock and virtual time legitimately disagree on). Adds
-//! commute, so every replica reaches the count in every mode; a `Set`
-//! of the running count would not under PRAM, where a lock grant waits
-//! only for the previous holder's writes and an older holder's `Set`
-//! may land last and stay.
+//! exactly one predecessor), the awaited value is produced by exactly
+//! one write, and nothing is batched (flush timing is the one thing
+//! wall-clock and virtual time legitimately disagree on). Under PRAM a
+//! lock grant orders only the previous holder's writes, so an older
+//! holder's `Set` of the count may land last and stay; there each lock
+//! section adds one instead, and adds commute.
 
 use mc_live::{LiveOutcome, LiveSystem};
 use mc_net::NetSystem;
@@ -28,7 +27,7 @@ const NPROCS: usize = 3;
 const SHARED: Loc = Loc(10);
 
 /// The program of process `p`, written once for every executor.
-fn program<D: Driver>(ctx: &mut MemCtx<D>, p: u32) {
+fn program<D: Driver>(ctx: &mut MemCtx<D>, mode: Mode, p: u32) {
     ctx.write(Loc(p), p as i64 + 1);
     ctx.write(Loc(p + 3), 7);
     ctx.barrier();
@@ -36,8 +35,12 @@ fn program<D: Driver>(ctx: &mut MemCtx<D>, p: u32) {
         assert_eq!(ctx.read_pram(Loc(q)), Value::Int(q as i64 + 1));
     }
     ctx.with_write_lock(LockId(0), |c| {
-        c.read_causal(SHARED);
-        c.add(SHARED, 1);
+        let v = c.read_causal(SHARED).expect_i64();
+        if mode == Mode::Pram {
+            c.add(SHARED, 1);
+        } else {
+            c.write(SHARED, v + 1);
+        }
     });
     ctx.await_eq(SHARED, Value::Int(NPROCS as i64));
     ctx.barrier();
@@ -46,7 +49,7 @@ fn program<D: Driver>(ctx: &mut MemCtx<D>, p: u32) {
 fn simulated(mode: Mode) -> (u64, u64) {
     let mut sys = System::new(NPROCS, mode).batching(None);
     for p in 0..NPROCS as u32 {
-        sys.spawn(move |ctx| program(ctx, p));
+        sys.spawn(move |ctx| program(ctx, mode, p));
     }
     let outcome = sys.run().unwrap_or_else(|e| panic!("{mode} simulated: {e}"));
     (outcome.metrics.messages, outcome.metrics.bytes)
@@ -55,7 +58,7 @@ fn simulated(mode: Mode) -> (u64, u64) {
 fn threads(mode: Mode) -> (u64, u64) {
     let mut sys = LiveSystem::new(NPROCS, mode).batching(None);
     for p in 0..NPROCS as u32 {
-        sys.spawn(move |ctx| program(ctx, p));
+        sys.spawn(move |ctx| program(ctx, mode, p));
     }
     traffic(sys.run().unwrap_or_else(|e| panic!("{mode} threads: {e}")))
 }
@@ -63,7 +66,7 @@ fn threads(mode: Mode) -> (u64, u64) {
 fn tcp(mode: Mode) -> (u64, u64) {
     let mut sys = NetSystem::new(NPROCS, mode).batching(None);
     for p in 0..NPROCS as u32 {
-        sys.spawn(move |ctx| program(ctx, p));
+        sys.spawn(move |ctx| program(ctx, mode, p));
     }
     traffic(sys.run().unwrap_or_else(|e| panic!("{mode} tcp: {e}")))
 }
