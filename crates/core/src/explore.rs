@@ -212,7 +212,7 @@ where
 impl System {
     /// Forces a jitter-free latency model (exploration helper).
     pub(crate) fn zero_jitter_for_exploration(&mut self) {
-        self.sim_cfg_mut().latency.jitter = SimTime::ZERO;
+        self.exec.cfg.latency.jitter = SimTime::ZERO;
     }
 }
 
@@ -1104,7 +1104,7 @@ mod tests {
             },
             |o| {
                 o.verify().map_err(|e| e.to_string())?;
-                let writer = o.dsm().replica(ProcId(0));
+                let writer = o.replica(ProcId(0));
                 if writer.applied[ProcId(0)] != 3 {
                     return Err(format!(
                         "acked writes lost across recovery: writer replayed {} of 3",
@@ -1197,7 +1197,7 @@ mod tests {
             },
             |o| {
                 o.verify().map_err(|e| e.to_string())?;
-                let writer = o.dsm().replica(ProcId(0));
+                let writer = o.replica(ProcId(0));
                 if writer.applied[ProcId(0)] != 3 {
                     return Err(format!(
                         "externalized writes lost across recovery: writer replayed {} of 3",

@@ -18,6 +18,11 @@
 //!   manager (eager / lazy / demand-driven propagation), barrier manager,
 //!   awaits, and counter objects.
 //!
+//! [`System<E>`] runs a program on an [`Executor`]: the simulator
+//! ([`Sim`], the default) here, real threads (`mc_live::Threads`) and
+//! loopback TCP (`mc_net::Tcp`) in their crates. Every run ends in the
+//! same [`Outcome`], and [`Outcome::verify`] judges it.
+//!
 //! # Quick start
 //!
 //! ```
@@ -60,6 +65,7 @@
 #![warn(missing_docs)]
 
 pub mod explore;
+mod legacy;
 pub mod progspec;
 pub mod repro;
 mod system;
@@ -67,7 +73,9 @@ mod vars;
 
 pub use progspec::{ProgSpec, SpecOp};
 pub use repro::Repro;
-pub use system::{Ctx, Outcome, RunError, SimDriver, System, VerifyError};
+pub use system::{
+    Ctx, Executor, Outcome, ParkStats, RunError, Sim, SimDriver, System, VerifyError, WallClock,
+};
 pub use vars::{VarArray, VarMatrix, VarSpace};
 
 /// The formal model (histories, causality, checkers), re-exported.

@@ -1,13 +1,19 @@
-//! The user-facing runtime: build a system, spawn processes, run, get
-//! metrics and a checkable history.
+//! The user-facing runtime: build a system, spawn processes, run it on
+//! an executor, get metrics and a checkable history.
 
 use std::fmt;
+use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use mc_model::{BarrierId, History, HistoryBuilder, Loc, MalformedHistory, ProcId, Value};
-use mc_proto::{Driver, Dsm, DsmConfig, LockPropagation, MemCtx, Mode, Req, Resp};
+use mc_proto::{
+    CrashFs, Driver, Dsm, DsmConfig, DurabilityPolicy, LockPropagation, Manager, MemCtx, Mode,
+    Replica, Req, Resp,
+};
 use mc_sim::{
-    FaultPlan, Kernel, LatencyModel, Metrics, NodeId, ProcCtx, SimConfig, SimError, SimTime,
+    DurabilityStats, FaultPlan, Kernel, LatencyModel, Metrics, NodeId, ProcCtx, SimConfig,
+    SimError, SimTime, Tracer,
 };
 
 /// Error from running a system.
@@ -15,6 +21,15 @@ use mc_sim::{
 pub enum RunError {
     /// The simulation failed (deadlock, process panic, event limit).
     Sim(SimError),
+    /// A process thread of a wall-clock executor panicked. A blocked
+    /// operation that outlives [`System::timeout`] panics this way, with
+    /// a diagnostic naming what it waited for.
+    ProcPanicked {
+        /// The process that panicked.
+        proc: ProcId,
+        /// The panic message, if it was a string.
+        message: String,
+    },
     /// The recorded history failed well-formedness validation — this
     /// indicates a protocol bug (or injected fault) worth investigating.
     Malformed(MalformedHistory),
@@ -24,6 +39,7 @@ impl fmt::Display for RunError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             RunError::Sim(e) => write!(f, "{e}"),
+            RunError::ProcPanicked { proc, message } => write!(f, "{proc} panicked: {message}"),
             RunError::Malformed(e) => write!(f, "recorded history is malformed: {e}"),
         }
     }
@@ -37,37 +53,107 @@ impl From<SimError> for RunError {
     }
 }
 
-/// The result of a completed run.
+/// How one process's parked operations were answered on a wall-clock
+/// executor: each park is a wait for one more message, caught while the
+/// thread still probed its inbox or slept through. `parks == caught +
+/// slept` once the process is done.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ParkStats {
+    /// Waits for a message by a parked operation.
+    pub parks: u64,
+    /// Parks whose message arrived inside the spin window.
+    pub caught: u64,
+    /// Parks that outlasted the window and blocked on the inbox.
+    pub slept: u64,
+}
+
+/// The result of a completed run, on any executor.
 #[derive(Debug)]
 pub struct Outcome {
-    /// Simulator metrics: virtual time, messages, bytes, stalls.
-    pub metrics: Metrics,
-    /// The recorded history, when recording was enabled.
+    /// Protocol messages sent.
+    pub messages: u64,
+    /// Modeled wire bytes sent.
+    pub bytes: u64,
+    /// Durability counters (all zero without durability).
+    pub wal: DurabilityStats,
+    /// The recorded history, when [`System::record`] was enabled.
     pub history: Option<History>,
-    /// The structured event trace, when [`System::trace`] was enabled:
-    /// message/syscall/stall spans and timer/fault instants keyed by
-    /// virtual time, exportable as JSONL or a Chrome/Perfetto trace.
-    pub trace: Option<mc_sim::Tracer>,
-    dsm: Dsm,
+    /// The structured event trace, when [`System::trace`] was enabled,
+    /// keyed by virtual time in the simulator and by wall-clock time
+    /// since the run began elsewhere.
+    pub trace: Option<Tracer>,
+    /// Run metrics. The simulator fills them all (virtual time, per-kind
+    /// counts, stalls); a wall-clock run fills `messages`, `bytes`, `wal`
+    /// and, for the lossy-channel shim's drops, `faults.dropped`.
+    pub metrics: Metrics,
+    /// How each process's parked operations were answered, indexed by
+    /// process (wall-clock executors; empty in the simulator).
+    pub parks: Vec<ParkStats>,
+    /// Each process's final replica, indexed by process.
+    pub replicas: Vec<Replica>,
+    /// Each manager shard's final state; the first is the SC server.
+    pub managers: Vec<Manager>,
+    /// The protocol configuration the run executed.
+    pub config: DsmConfig,
 }
 
 impl Outcome {
-    /// The final converged value of `loc`: read from `proc`'s replica in
-    /// the replicated modes (the simulator drains all deliveries before
-    /// finishing, so replicas agree except for concurrent float-counter
+    /// Assembles a finished run's outcome: the recorder's history,
+    /// stamped with the SC server's write order (`managers[0]`), and the
+    /// counters read off `metrics`.
+    ///
+    /// # Errors
+    ///
+    /// [`RunError::Malformed`] if the recorded history fails validation.
+    pub fn new(
+        recorder: Option<Arc<Mutex<HistoryBuilder>>>,
+        metrics: Metrics,
+        trace: Option<Tracer>,
+        parks: Vec<ParkStats>,
+        replicas: Vec<Replica>,
+        mut managers: Vec<Manager>,
+        config: DsmConfig,
+    ) -> Result<Outcome, RunError> {
+        let mut history = None;
+        if let Some(rec) = recorder {
+            let rec = Arc::into_inner(rec).expect("every recorder handle dropped");
+            let mut builder = rec.into_inner().expect("recorder healthy");
+            for (loc, order) in managers[0].take_write_order() {
+                builder.set_write_order(loc, order);
+            }
+            history = Some(builder.build().map_err(RunError::Malformed)?);
+        }
+        Ok(Outcome {
+            messages: metrics.messages,
+            bytes: metrics.bytes,
+            wal: metrics.wal,
+            history,
+            trace,
+            metrics,
+            parks,
+            replicas,
+            managers,
+            config,
+        })
+    }
+
+    /// The final value of `loc`: read from `proc`'s replica in the
+    /// replicated modes (every executor drains all deliveries before it
+    /// finishes, so replicas agree except for concurrent float-counter
     /// deltas — see the Cholesky discussion), or from the central server
     /// in SC mode.
     pub fn final_value(&self, proc: ProcId, loc: Loc) -> Value {
-        if self.dsm.config().mode.is_replicated() {
-            self.dsm.replica(proc).peek(loc)
+        if self.config.mode.is_replicated() {
+            self.replica(proc).peek(loc)
         } else {
-            self.dsm.server_value(loc)
+            self.managers[0].peek(loc)
         }
     }
 
-    /// The protocol's final state.
-    pub fn dsm(&self) -> &Dsm {
-        &self.dsm
+    /// `proc`'s final replica state (incarnation, applied clock, shard
+    /// subscriptions).
+    pub fn replica(&self, proc: ProcId) -> &Replica {
+        &self.replicas[proc.index()]
     }
 
     /// Verifies the recorded history against the consistency definition
@@ -84,7 +170,7 @@ impl Outcome {
     /// if recording was off.
     pub fn verify(&self) -> Result<(), VerifyError> {
         let h = self.history.as_ref().ok_or(VerifyError::NotRecorded)?;
-        let cfg = self.dsm.config();
+        let cfg = &self.config;
         // Every verdict comes from the declarative lattice validator,
         // against the per-process assignment the run was configured
         // with (a plain mode is the uniform assignment of its point).
@@ -140,16 +226,35 @@ impl fmt::Display for VerifyError {
             VerifyError::NotRecorded => write!(f, "history recording was not enabled"),
             VerifyError::Check(e) => write!(f, "{e}"),
             VerifyError::Projection(e) => write!(f, "shard projection malformed: {e}"),
-            VerifyError::NotSequentiallyConsistent => {
-                write!(f, "no serialization is sequential")
-            }
+            VerifyError::NotSequentiallyConsistent => write!(f, "no serialization is sequential"),
         }
     }
 }
 
 impl std::error::Error for VerifyError {}
 
-/// Builder for a mixed-consistency DSM system.
+/// Where a [`System`]'s processes run. A program written against
+/// [`MemCtx<D>`] runs on every executor; each one drives it through its
+/// own [`Driver`].
+pub trait Executor: Sized {
+    /// The driver behind each process's [`MemCtx`].
+    type Driver<'a>: Driver;
+
+    /// Runs `system` to completion (see [`System::run`]).
+    fn run(system: System<Self>) -> Result<Outcome, RunError>;
+}
+
+/// An executor on real threads and the wall clock: a blocked operation
+/// times out ([`System::timeout`]), and a durable replica keeps its files
+/// in a directory ([`System::durability`]).
+pub trait WallClock: Executor {}
+
+/// Builder for a mixed-consistency DSM system, run on executor `E`.
+///
+/// The knobs every executor honours are methods of every `System`; the
+/// simulator's own (seed, latency, faults) are methods of `System<Sim>`,
+/// and the wall clock's (timeout, durability directory) of the
+/// [`WallClock`] executors'.
 ///
 /// # Examples
 ///
@@ -166,57 +271,46 @@ impl std::error::Error for VerifyError {}
 ///     assert_eq!(ctx.read_causal(Loc(0)), Value::Int(41));
 /// });
 /// let outcome = sys.run()?;
-/// let history = outcome.history.expect("recording enabled");
-/// mixed_consistency::check::check_mixed(&history).expect("mixed consistent");
+/// outcome.verify().expect("mixed consistent");
 /// # Ok::<(), mixed_consistency::RunError>(())
 /// ```
-pub struct System {
-    dsm_cfg: DsmConfig,
-    sim_cfg: SimConfig,
-    record: bool,
-    trace: bool,
-    schedule: Option<Box<dyn mc_sim::Schedule>>,
-    seed_disks: Vec<(ProcId, mc_proto::CrashFs)>,
+pub struct System<E: Executor = Sim> {
+    /// The executor, carrying the knobs only it honours.
+    pub exec: E,
+    /// The protocol configuration.
+    pub cfg: DsmConfig,
+    /// Whether to record a history.
+    pub record: bool,
+    /// Whether to collect a structured event trace.
+    pub trace: bool,
+    /// Blocked-operation timeout ([`WallClock`] executors).
+    pub timeout: Duration,
+    /// Durability root ([`WallClock`] executors): replica `i` keeps its
+    /// files under `dir/replica-{i}`.
+    pub durability_dir: Option<PathBuf>,
+    /// The process programs, in spawn order.
     #[allow(clippy::type_complexity)]
-    procs: Vec<Box<dyn FnOnce(&mut Ctx<'_>) + Send + 'static>>,
+    pub procs: Vec<Box<dyn FnOnce(&mut MemCtx<E::Driver<'_>>) + Send>>,
 }
 
-impl fmt::Debug for System {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("System")
-            .field("dsm", &self.dsm_cfg)
-            .field("nprocs", &self.procs.len())
-            .field("record", &self.record)
-            .finish()
-    }
-}
-
-impl System {
-    /// Creates a system of `nprocs` processes running on memory `mode`.
-    pub fn new(nprocs: usize, mode: Mode) -> Self {
+impl<E: Executor> System<E> {
+    /// Creates a system of `nprocs` processes on memory `mode`, run on
+    /// `exec`.
+    pub fn on(exec: E, nprocs: usize, mode: Mode) -> Self {
         System {
-            dsm_cfg: DsmConfig::new(nprocs, mode),
-            sim_cfg: SimConfig::default(),
+            exec,
+            cfg: DsmConfig::new(nprocs, mode),
             record: false,
             trace: false,
-            schedule: None,
-            seed_disks: Vec::new(),
+            timeout: Duration::from_secs(10),
+            durability_dir: None,
             procs: Vec::new(),
         }
     }
 
-    /// Pre-seeds `proc`'s replica directory before the run — the durable
-    /// files a reborn node recovers from. Lets repro artifacts (and
-    /// corruption tests) start a run from an exact on-disk state.
-    /// Takes effect only with durability on.
-    pub fn seed_disk(mut self, proc: ProcId, fs: mc_proto::CrashFs) -> Self {
-        self.seed_disks.push((proc, fs));
-        self
-    }
-
     /// Selects the lock propagation variant (default: lazy).
     pub fn lock_propagation(mut self, p: LockPropagation) -> Self {
-        self.dsm_cfg.lock_propagation = p;
+        self.cfg.lock_propagation = p;
         self
     }
 
@@ -224,7 +318,7 @@ impl System {
     /// 3.1.2's sub-group barriers). Unrestricted barriers involve every
     /// process.
     pub fn barrier_group(mut self, barrier: BarrierId, group: Vec<ProcId>) -> Self {
-        self.dsm_cfg = self.dsm_cfg.with_barrier_group(barrier, group);
+        self.cfg = self.cfg.with_barrier_group(barrier, group);
         self
     }
 
@@ -232,25 +326,7 @@ impl System {
     /// maps every synchronization object "to a process"; sharding spreads
     /// that traffic across links).
     pub fn manager_shards(mut self, shards: usize) -> Self {
-        self.dsm_cfg = self.dsm_cfg.with_manager_shards(shards);
-        self
-    }
-
-    /// Seeds the schedule and latency jitter.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.sim_cfg.seed = seed;
-        self
-    }
-
-    /// Sets the network latency model.
-    pub fn latency(mut self, latency: LatencyModel) -> Self {
-        self.sim_cfg.latency = latency;
-        self
-    }
-
-    /// Overrides the full simulator configuration.
-    pub fn sim_config(mut self, cfg: SimConfig) -> Self {
-        self.sim_cfg = cfg;
+        self.cfg = self.cfg.with_manager_shards(shards);
         self
     }
 
@@ -262,46 +338,27 @@ impl System {
 
     /// Enables or disables structured tracing (default: off).
     ///
-    /// A traced run collects a [`mc_sim::Tracer`] in
-    /// [`Outcome::trace`]: a span per message (tagged with the vector
-    /// timestamp it carries), a span per syscall and per stall, and
-    /// instants for timers and injected faults — all keyed by virtual
-    /// time, so traces are deterministic per seed. Export with
-    /// [`mc_sim::Tracer::to_jsonl`] or
-    /// [`mc_sim::Tracer::to_chrome_trace`] (loads in Perfetto).
+    /// A traced run collects a [`Tracer`] in [`Outcome::trace`]. In the
+    /// simulator: a span per message (tagged with the vector timestamp
+    /// it carries), a span per syscall and per stall, and instants for
+    /// timers and injected faults — all keyed by virtual time, so traces
+    /// are deterministic per seed. On the wall clock: an instant per
+    /// message sent and per lossy drop. Export with
+    /// [`Tracer::to_jsonl`] or [`Tracer::to_chrome_trace`] (loads in
+    /// Perfetto).
     pub fn trace(mut self, trace: bool) -> Self {
         self.trace = trace;
         self
     }
 
-    /// Replaces the kernel's tie-breaking schedule (used by
-    /// [`crate::explore`]; custom [`mc_sim::Schedule`]s plug in here too).
-    pub fn set_schedule(&mut self, schedule: Box<dyn mc_sim::Schedule>) {
-        self.schedule = Some(schedule);
-    }
-
-    /// Mutable access to the simulator configuration (crate-internal).
-    pub(crate) fn sim_cfg_mut(&mut self) -> &mut SimConfig {
-        &mut self.sim_cfg
-    }
-
-    /// Installs a network fault-injection plan: seeded message drops,
-    /// duplicates, reordering, timed partitions, and node crash/restart
-    /// windows (see [`FaultPlan`]). Combine with [`System::reliable`] to
-    /// run the session layer that masks the faults, or leave it off to
-    /// let the consistency checkers catch the resulting anomalies.
-    pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.sim_cfg.faults = plan;
-        self
-    }
-
     /// Enables the reliable-delivery session layer
     /// ([`mc_proto::session`]): per-link sequence numbers,
-    /// acknowledgements, and retransmission with exponential backoff. It
-    /// restores the FIFO-channel assumption of the paper's Section 6 over
-    /// a faulty network.
+    /// acknowledgements, and retransmission — on virtual timers in the
+    /// simulator, on wall-clock ticks elsewhere. It restores the
+    /// FIFO-channel assumption of the paper's Section 6 over a faulty
+    /// network.
     pub fn reliable(mut self, reliable: bool) -> Self {
-        self.dsm_cfg.reliable = reliable;
+        self.cfg.reliable = reliable;
         self
     }
 
@@ -314,7 +371,7 @@ impl System {
     /// process's links hold no undelivered message, at
     /// [`mc_proto::BUF_CHUNK`] bytes, and when the process exits.
     pub fn batching(mut self, batch: Option<mc_proto::BatchPolicy>) -> Self {
-        self.dsm_cfg.batch = batch;
+        self.cfg.batch = batch;
         self
     }
 
@@ -340,14 +397,14 @@ impl System {
     /// Panics (in the constructor path) if the interest-set count
     /// differs from the system's process count.
     pub fn sharding(mut self, sharding: Option<mc_proto::ShardConfig>) -> Self {
-        self.dsm_cfg = self.dsm_cfg.with_sharding(sharding);
+        self.cfg = self.cfg.with_sharding(sharding);
         self
     }
 
     /// Sets the replica store pre-sizing hint (number of shared
     /// locations the program uses).
     pub fn locations(mut self, locations: usize) -> Self {
-        self.dsm_cfg.locations = locations;
+        self.cfg.locations = locations;
         self
     }
 
@@ -362,7 +419,128 @@ impl System {
     /// Panics if the assignment's process count differs from the
     /// system's, or if it mixes `sc` with replicated points.
     pub fn models(mut self, models: mc_model::ModelAssignment) -> Self {
-        self.dsm_cfg = self.dsm_cfg.with_models(models);
+        self.cfg = self.cfg.with_models(models);
+        self
+    }
+
+    /// Adds the next process (process ids follow spawn order).
+    pub fn spawn<F>(&mut self, f: F) -> ProcId
+    where
+        F: FnOnce(&mut MemCtx<E::Driver<'_>>) + Send + 'static,
+    {
+        let id = ProcId(self.procs.len() as u32);
+        self.procs.push(Box::new(f));
+        id
+    }
+
+    /// Runs the system to completion on its executor.
+    ///
+    /// # Errors
+    ///
+    /// [`RunError::Sim`] for simulated deadlocks, panics and event
+    /// limits; [`RunError::ProcPanicked`] when a process thread panicked
+    /// (blocked-operation timeouts included); [`RunError::Malformed`] if
+    /// the recorded history fails validation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the number of spawned processes differs from `nprocs`.
+    pub fn run(self) -> Result<Outcome, RunError> {
+        // Strict: barriers wait for every configured process, so a
+        // mismatch would deadlock at runtime with a far less helpful
+        // diagnostic than this.
+        assert_eq!(
+            self.procs.len(),
+            self.cfg.nprocs,
+            "spawned {} processes but configured {}",
+            self.procs.len(),
+            self.cfg.nprocs
+        );
+        E::run(self)
+    }
+}
+
+impl<E: WallClock> System<E> {
+    /// Sets the blocked-operation timeout (default 10 s); a process that
+    /// waits longer panics with a diagnostic, surfacing as
+    /// [`RunError::ProcPanicked`]. [`Duration::MAX`] means no deadline.
+    pub fn timeout(mut self, timeout: Duration) -> Self {
+        self.timeout = timeout;
+        self
+    }
+
+    /// Enables durable replicas: each process appends to a write-ahead
+    /// log under `dir/replica-{i}` (own writes fsynced before the write
+    /// returns — the append-before-ack discipline), compacts into a
+    /// snapshot on the policy's cadence, and **recovers from existing
+    /// state at startup**: snapshot plus the valid WAL prefix are
+    /// replayed (a torn tail from a `kill -9` is truncated, a corrupt
+    /// frame mid-log panics with a diagnostic), the incarnation number
+    /// is bumped and persisted, and peers are asked for the missing
+    /// update delta. Pair with [`System::reliable`].
+    pub fn durability(mut self, policy: DurabilityPolicy, dir: impl Into<PathBuf>) -> Self {
+        self.cfg.durability = Some(policy);
+        self.durability_dir = Some(dir.into());
+        self
+    }
+}
+
+/// The deterministic simulator: virtual time, seeded schedules, injected
+/// faults, and the decision points [`crate::explore`] enumerates.
+#[derive(Default)]
+pub struct Sim {
+    pub(crate) cfg: SimConfig,
+    schedule: Option<Box<dyn mc_sim::Schedule>>,
+    seed_disks: Vec<(ProcId, CrashFs)>,
+}
+
+impl System {
+    /// Creates a simulated system of `nprocs` processes running on
+    /// memory `mode`.
+    pub fn new(nprocs: usize, mode: Mode) -> Self {
+        System::on(Sim::default(), nprocs, mode)
+    }
+
+    /// Pre-seeds `proc`'s replica directory before the run — the durable
+    /// files a reborn node recovers from. Lets repro artifacts (and
+    /// corruption tests) start a run from an exact on-disk state.
+    /// Takes effect only with durability on.
+    pub fn seed_disk(mut self, proc: ProcId, fs: CrashFs) -> Self {
+        self.exec.seed_disks.push((proc, fs));
+        self
+    }
+
+    /// Seeds the schedule and latency jitter.
+    pub fn seed(mut self, seed: u64) -> Self {
+        self.exec.cfg.seed = seed;
+        self
+    }
+
+    /// Sets the network latency model.
+    pub fn latency(mut self, latency: LatencyModel) -> Self {
+        self.exec.cfg.latency = latency;
+        self
+    }
+
+    /// Overrides the full simulator configuration.
+    pub fn sim_config(mut self, cfg: SimConfig) -> Self {
+        self.exec.cfg = cfg;
+        self
+    }
+
+    /// Replaces the kernel's tie-breaking schedule (used by
+    /// [`crate::explore`]; custom [`mc_sim::Schedule`]s plug in here too).
+    pub fn set_schedule(&mut self, schedule: Box<dyn mc_sim::Schedule>) {
+        self.exec.schedule = Some(schedule);
+    }
+
+    /// Installs a network fault-injection plan: seeded message drops,
+    /// duplicates, reordering, timed partitions, and node crash/restart
+    /// windows (see [`FaultPlan`]). Combine with [`System::reliable`] to
+    /// run the session layer that masks the faults, or leave it off to
+    /// let the consistency checkers catch the resulting anomalies.
+    pub fn faults(mut self, plan: FaultPlan) -> Self {
+        self.exec.cfg.faults = plan;
         self
     }
 
@@ -375,8 +553,8 @@ impl System {
     /// from disk and fetches only the missing delta from peers. Combine
     /// with [`System::reliable`] so the recovery handshake survives the
     /// same faults it repairs.
-    pub fn durability(mut self, policy: Option<mc_proto::DurabilityPolicy>) -> Self {
-        self.dsm_cfg.durability = policy;
+    pub fn durability(mut self, policy: Option<DurabilityPolicy>) -> Self {
+        self.cfg.durability = policy;
         self
     }
 
@@ -387,58 +565,32 @@ impl System {
     /// decision trace then enumerates fault placements exhaustively
     /// instead of sampling them from a [`FaultPlan`].
     pub fn explore_faults(mut self, budget: mc_sim::FaultBudget) -> Self {
-        self.sim_cfg.explore_faults = Some(budget);
+        self.exec.cfg.explore_faults = Some(budget);
         self
     }
+}
 
-    /// Adds the next process (process ids follow spawn order).
-    pub fn spawn<F>(&mut self, f: F) -> ProcId
-    where
-        F: FnOnce(&mut Ctx<'_>) + Send + 'static,
-    {
-        let id = ProcId(self.procs.len() as u32);
-        self.procs.push(Box::new(f));
-        id
-    }
+impl Executor for Sim {
+    type Driver<'a> = SimDriver<'a>;
 
-    /// Runs the system to completion.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RunError::Sim`] for deadlocks/panics/event limits and
-    /// [`RunError::Malformed`] if the recorded history fails validation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if more processes were spawned than `nprocs`.
-    pub fn run(self) -> Result<Outcome, RunError> {
-        let System { dsm_cfg, sim_cfg, record, trace, procs, schedule, seed_disks } = self;
-        // Strict: barriers wait for every configured process, so a
-        // mismatch would deadlock at runtime with a far less helpful
-        // diagnostic than this.
-        assert_eq!(
-            procs.len(),
-            dsm_cfg.nprocs,
-            "spawned {} processes but configured {}",
-            procs.len(),
-            dsm_cfg.nprocs
-        );
+    fn run(system: System<Sim>) -> Result<Outcome, RunError> {
+        let System { exec, cfg, record, trace, procs, .. } = system;
         let recorder: Option<Arc<Mutex<HistoryBuilder>>> =
-            record.then(|| Arc::new(Mutex::new(HistoryBuilder::new(dsm_cfg.nprocs))));
+            record.then(|| Arc::new(Mutex::new(HistoryBuilder::new(cfg.nprocs))));
 
-        let nnodes = dsm_cfg.nnodes();
-        let mut dsm = Dsm::new(dsm_cfg);
+        let nnodes = cfg.nnodes();
+        let mut dsm = Dsm::new(cfg.clone());
         if record {
             dsm.server_mut().record_write_order();
         }
-        for (p, fs) in seed_disks {
+        for (p, fs) in exec.seed_disks {
             dsm.set_disk(p, fs);
         }
-        let mut kernel = Kernel::new(dsm, nnodes, sim_cfg);
+        let mut kernel = Kernel::new(dsm, nnodes, exec.cfg);
         if trace {
             kernel.enable_tracing();
         }
-        if let Some(s) = schedule {
+        if let Some(s) = exec.schedule {
             kernel.set_schedule(s);
         }
         for (i, f) in procs.into_iter().enumerate() {
@@ -448,21 +600,9 @@ impl System {
                 f(&mut ctx);
             });
         }
-        let mut report = kernel.run()?;
-        let history = match recorder {
-            None => None,
-            Some(rec) => {
-                let mut builder = Arc::try_unwrap(rec)
-                    .expect("all process handles dropped")
-                    .into_inner()
-                    .expect("no poisoned recorder");
-                for (loc, order) in report.protocol.server_mut().take_write_order() {
-                    builder.set_write_order(loc, order);
-                }
-                Some(builder.build().map_err(RunError::Malformed)?)
-            }
-        };
-        Ok(Outcome { metrics: report.metrics, history, trace: report.trace, dsm: report.protocol })
+        let report = kernel.run()?;
+        let (replicas, managers) = report.protocol.into_parts();
+        Outcome::new(recorder, report.metrics, report.trace, Vec::new(), replicas, managers, cfg)
     }
 }
 

@@ -75,7 +75,7 @@ fn a_torn_tail_in_a_seeded_disk_loses_no_later_write() {
     assert_eq!(out.metrics.wal.recoveries, 2);
     let wal = out.metrics.wal;
     assert_eq!(wal.full_syncs, 2, "one full sync per replica, at open: {wal:?}");
-    let writer = out.dsm().replica(ProcId(0));
+    let writer = out.replica(ProcId(0));
     assert_eq!(writer.own_count(), WRITES as u32, "every acked write survives both recoveries");
     assert_eq!(writer.peek(Loc(0)), Value::Int(WRITES));
 }

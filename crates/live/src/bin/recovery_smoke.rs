@@ -31,11 +31,10 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::time::Duration;
 
-use mc_live::LiveSystem;
+use mc_live::{durable_own_writes, Threads};
 use mc_model::{Loc, ProcId};
-use mc_proto::{
-    decode_wal, BatchPolicy, DurabilityPolicy, FileDisk, Mode, Replica, Snapshot, WalTail,
-};
+use mc_proto::{BatchPolicy, DsmConfig, DurabilityPolicy, Mode};
+use mixed_consistency::System;
 
 const NPROCS: usize = 3;
 /// Far more writes than fit before the kill lands: the storm must still
@@ -69,7 +68,7 @@ fn main() {
 /// cluster that has not yet touched disk.
 fn child(dir: &Path, group_commit: bool) {
     let policy = DurabilityPolicy::new(32).with_group_commit(group_commit);
-    let mut sys = LiveSystem::new(NPROCS, Mode::Causal).durability(policy, dir);
+    let mut sys = System::on(Threads::default(), NPROCS, Mode::Causal).durability(policy, dir);
     if group_commit {
         // Group commit's point is amortizing fsyncs over deferred sends,
         // so pair it with the batching it is designed for.
@@ -122,39 +121,9 @@ fn cycle(label: &str, group_commit: bool) {
     // Phase 1+2: every replica directory must hold a decodable snapshot
     // (if any) and a valid-prefix WAL; count the durably acked own
     // writes each replica had at the moment of death.
-    let mut durable_own = [0u32; NPROCS];
-    for (p, durable) in durable_own.iter_mut().enumerate() {
-        let rdir = dir.join(format!("replica-{p}"));
-        let (snap_bytes, wal) = FileDisk::load(&rdir).expect("load replica dir");
-        let mut replica = match &snap_bytes {
-            Some(bytes) => {
-                let snap = Snapshot::decode(bytes).expect("snapshot must decode");
-                Replica::from_snapshot(ProcId(p as u32), NPROCS, &snap)
-            }
-            None => Replica::new(ProcId(p as u32), NPROCS),
-        };
-        let written = snap_bytes.as_ref().map_or(0, Vec::len) + wal.len();
-        let size = std::fs::metadata(rdir.join("wal.log")).map_or(0, |m| m.len());
-        println!("replica-{p}: log ends at byte {written} of {size}");
-        let (records, tail) = decode_wal(&wal);
-        match tail {
-            WalTail::Clean => {}
-            WalTail::Torn { at } => println!("replica-{p}: torn tail at byte {at} (tolerated)"),
-            WalTail::Corrupt { at } => {
-                eprintln!("replica-{p}: corrupt WAL frame at byte {at} — valid-prefix broken");
-                std::process::exit(1);
-            }
-        }
-        let replayed = records.len();
-        for rec in records {
-            replica.replay_record(rec, Mode::Causal);
-        }
-        *durable = replica.applied[ProcId(p as u32)];
-        println!(
-            "replica-{p}: snapshot={} wal-records={replayed} durable-own-writes={durable}",
-            snap_bytes.is_some(),
-        );
-    }
+    let cfg = DsmConfig::new(NPROCS, Mode::Causal);
+    let durable_own: Vec<u32> =
+        (0..NPROCS as u32).map(|p| durable_own_writes(&dir, ProcId(p), &cfg)).collect();
     assert!(
         durable_own.iter().any(|&d| d > 0),
         "the storm never made it to disk — smoke test proves nothing"
@@ -165,7 +134,8 @@ fn cycle(label: &str, group_commit: bool) {
     // recover-then-continue path (RecoverReq rounds included). The
     // reboot always uses per-write fsync: recovery durability does not
     // depend on the policy the victim died under.
-    let mut sys = LiveSystem::new(NPROCS, Mode::Causal).durability(DurabilityPolicy::new(32), &dir);
+    let mut sys = System::on(Threads::default(), NPROCS, Mode::Causal)
+        .durability(DurabilityPolicy::new(32), &dir);
     for p in 0..NPROCS as u32 {
         sys.spawn(move |ctx| {
             ctx.write(Loc(NPROCS as u32 + p), 1);
@@ -178,13 +148,13 @@ fn cycle(label: &str, group_commit: bool) {
     );
     for (p, &durable) in durable_own.iter().enumerate() {
         let proc = ProcId(p as u32);
-        let applied = outcome.applied(proc)[proc];
+        let applied = outcome.replica(proc).applied[proc];
         assert!(
             applied > durable, // strictly >: the post-recovery write above
             "replica-{p}: acked writes lost — {durable} were durable, \
              only {applied} applied after recovery"
         );
-        assert!(outcome.incarnation(proc) >= 1, "replica-{p} must bump its incarnation");
+        assert!(outcome.replica(proc).incarnation >= 1, "replica-{p} must bump its incarnation");
     }
 
     let _ = std::fs::remove_dir_all(&dir);

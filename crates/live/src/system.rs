@@ -1,8 +1,7 @@
 //! The live executor: processes as threads, links as channels, the
 //! `mc-proto` state machines unchanged.
 
-use std::fmt;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
@@ -10,12 +9,13 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 
-use mc_model::{BarrierId, History, HistoryBuilder, Loc, MalformedHistory, ProcId, VClock, Value};
+use mc_model::{HistoryBuilder, ProcId};
 use mc_proto::{
-    BatchPolicy, Driver, DsmConfig, DurabilityPolicy, FileDisk, LockPropagation, Manager,
-    ManagerNode, MemCtx, Mode, Msg, NodeIo, ProcNode, Replica, Req, Resp, ShardConfig, StdFs,
+    decode_wal, Driver, DsmConfig, FileDisk, Manager, ManagerNode, MemCtx, Msg, NodeIo, ProcNode,
+    Replica, Req, Resp, Snapshot, StdFs, WalTail,
 };
-use mc_sim::{DurabilityStats, Poll, SimTime, TraceEvent, Tracer};
+use mc_sim::{DurabilityStats, Metrics, Poll, SimTime, TraceEvent, Tracer};
+use mixed_consistency::{Executor, Outcome, ParkStats, RunError, System, WallClock};
 
 /// What travels on a node's inbox: a protocol message (tagged with the
 /// sending node, which the session layer needs to identify the link) or
@@ -213,20 +213,7 @@ const RETX_TICK: Duration = Duration::from_millis(1);
 /// burns the CPU a co-located thread could use.
 const SPIN_WINDOW: Duration = Duration::from_micros(60);
 
-/// How one process's parked operations were answered: each park is a wait
-/// for one more message, caught inside [`SPIN_WINDOW`] or slept through.
-/// `parks == caught + slept` once the process is done.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ParkStats {
-    /// Waits for a message by a parked operation.
-    pub parks: u64,
-    /// Parks whose message arrived inside the spin window.
-    pub caught: u64,
-    /// Parks that outlasted the window and blocked on the inbox.
-    pub slept: u64,
-}
-
-/// Shared durability counters, aggregated into [`LiveOutcome::wal`] at
+/// Shared durability counters, aggregated into [`Outcome::wal`] at
 /// teardown (the same quantities as the simulator's `Metrics::wal`).
 #[derive(Default)]
 pub struct WalCounters {
@@ -292,9 +279,8 @@ pub struct Net {
 }
 
 impl Net {
-    /// Builds a loss-free, untraced net over `transport` — what an
-    /// external transport (TCP) wants; the in-process executor fills in
-    /// the lossy shim and tracer itself.
+    /// Builds a loss-free, untraced net over `transport`; [`Threads`]
+    /// fills in the lossy shim, [`run_nodes`] the tracer.
     pub fn new(transport: Arc<dyn Transport>) -> Net {
         Net {
             transport,
@@ -319,21 +305,6 @@ impl Net {
     /// Modeled wire bytes sent so far.
     pub fn bytes(&self) -> u64 {
         self.bytes.load(Ordering::Relaxed)
-    }
-
-    /// Sends that hit a closed inbox before shutdown began (a bug).
-    pub fn dropped_sends(&self) -> u64 {
-        self.closed_dropped.load(Ordering::SeqCst)
-    }
-
-    /// Flips the run into shutdown mode (closed-inbox sends stop
-    /// counting as losses) and tells every one of the `nnodes` nodes to
-    /// drain and exit.
-    pub fn begin_shutdown(&self, nnodes: usize) {
-        self.shutting_down.store(true, Ordering::SeqCst);
-        for node in 0..nnodes {
-            self.transport.shutdown(node);
-        }
     }
 
     /// Records an instant event on the shared tracer (no-op when tracing
@@ -398,291 +369,167 @@ fn nid(node: NodeId) -> mc_sim::NodeId {
     mc_sim::NodeId(node as u32)
 }
 
-/// Error from a live run.
-#[derive(Debug)]
-pub enum LiveError {
-    /// A process thread panicked (deadlock timeouts surface this way,
-    /// with a descriptive payload).
-    ProcPanicked {
-        /// The process that panicked.
-        proc: ProcId,
-        /// The panic message, if it was a string.
-        message: String,
-    },
-    /// The recorded history failed validation.
-    Malformed(MalformedHistory),
+/// The executor of `System<Threads>`: processes as threads, links as
+/// in-process channels (see the crate docs).
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Threads {
+    /// Drop probability per message (the lossy-channel shim).
+    loss: f64,
+    seed: u64,
 }
 
-impl fmt::Display for LiveError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            LiveError::ProcPanicked { proc, message } => {
-                write!(f, "live process {proc} panicked: {message}")
-            }
-            LiveError::Malformed(e) => write!(f, "recorded history is malformed: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for LiveError {}
-
-/// Result of a live run.
-#[derive(Debug)]
-pub struct LiveOutcome {
-    /// Recorded history, when enabled.
-    pub history: Option<History>,
-    /// Total protocol messages sent.
-    pub messages: u64,
-    /// Total modeled payload bytes.
-    pub bytes: u64,
-    /// Messages eaten by the lossy-channel shim (zero unless
-    /// [`LiveSystem::lossy`] was configured).
-    pub lost: u64,
-    /// Messages that found their destination inbox already closed before
-    /// shutdown began. Always zero on a successful run (asserted at
-    /// teardown); exposed so the invariant is visible.
-    pub dropped_sends: u64,
-    /// Wall-clock duration of the run.
-    pub wall: Duration,
-    /// Structured event trace when [`LiveSystem::trace`] was enabled,
-    /// keyed by wall-clock time since the run started. Exportable as
-    /// JSONL or a Chrome/Perfetto trace, like the simulator's.
-    pub trace: Option<Tracer>,
-    /// Durability counters when [`LiveSystem::durability`] was enabled
-    /// (all zero otherwise). `lost` stays zero here: live records lost
-    /// to a `kill -9` die with the process and are only observable as
-    /// the torn tail the next incarnation recovers through.
-    pub wal: DurabilityStats,
-    /// How each process's parked operations were answered, indexed by
-    /// process.
-    pub parks: Vec<ParkStats>,
-    replicas: Vec<Replica>,
-    server: Manager,
-    mode: Mode,
-}
-
-impl LiveOutcome {
-    /// The final value of `loc`: from `proc`'s replica in the replicated
-    /// modes (all in-flight updates are drained before shutdown), from
-    /// the server in SC mode.
-    pub fn final_value(&self, proc: ProcId, loc: Loc) -> Value {
-        if self.mode.is_replicated() {
-            self.replicas[proc.index()].peek(loc)
-        } else {
-            self.server.peek(loc)
-        }
-    }
-
-    /// The replica incarnation number `proc` finished on (0 for a node
-    /// that never crash-recovered).
-    pub fn incarnation(&self, proc: ProcId) -> u32 {
-        self.replicas[proc.index()].incarnation
-    }
-
-    /// `proc`'s final applied vector clock.
-    pub fn applied(&self, proc: ProcId) -> &VClock {
-        &self.replicas[proc.index()].applied
-    }
-
-    /// Read access to `proc`'s final replica state (tests, invariant
-    /// checks — e.g. shard subscriptions after a dynamic first touch).
-    pub fn replica(&self, proc: ProcId) -> &Replica {
-        &self.replicas[proc.index()]
-    }
-}
-
-/// One process's program.
-type ProcMain = Box<dyn FnOnce(&mut LiveCtx) + Send + 'static>;
-
-/// What a cluster is before it has a transport: the protocol
-/// configuration and the process programs. [`Cluster::run`] is the one
-/// assembly of node threads every executor shares — [`LiveSystem`] hands
-/// it channels, `mc-net` hands it TCP links.
-pub struct Cluster {
-    /// The shared protocol configuration.
-    pub cfg: DsmConfig,
-    /// Whether to record a history.
-    pub record: bool,
-    /// Blocked-operation timeout.
-    pub timeout: Duration,
-    /// Durability root, when [`DsmConfig::durability`] is on.
-    pub durability_dir: Option<PathBuf>,
-    procs: Vec<ProcMain>,
-}
-
-impl Cluster {
-    /// A cluster of `nprocs` processes on memory `mode`, nothing spawned.
-    pub fn new(nprocs: usize, mode: Mode) -> Cluster {
-        Cluster {
-            cfg: DsmConfig::new(nprocs, mode),
-            record: false,
-            timeout: Duration::from_secs(10),
-            durability_dir: None,
-            procs: Vec::new(),
-        }
-    }
-
-    /// Adds the next process.
-    pub fn spawn(&mut self, f: impl FnOnce(&mut LiveCtx) + Send + 'static) -> ProcId {
-        let id = ProcId(self.procs.len() as u32);
-        self.procs.push(Box::new(f));
-        id
-    }
-
-    /// Runs the nodes over `net` — process `i` on a thread of its own
-    /// reading `inboxes[i]`, manager shard `k` installed in `managers[k]`
-    /// and run by whichever thread delivers to it; waits for every
-    /// program to finish, lets `quiesce` hold the shutdown until the
-    /// transport has nothing in flight, shuts the nodes down and collects
-    /// the outcome. `start` is when the run began for
-    /// [`LiveOutcome::wall`].
-    ///
-    /// # Errors
-    ///
-    /// [`LiveError::ProcPanicked`] if any process panicked (including
-    /// blocked-operation timeouts); [`LiveError::Malformed`] if the
-    /// recorded history fails validation.
+impl Threads {
+    /// Threads behind the lossy-channel shim: every message is
+    /// independently dropped with probability `loss` (rolls are derived
+    /// from `seed`, so the drop pattern over send order is reproducible),
+    /// and the drops count in [`Outcome::metrics`]`.faults.dropped`. Pair
+    /// with [`System::reliable`] — raw protocols over lossy channels
+    /// block forever and surface as per-operation timeouts.
     ///
     /// # Panics
     ///
-    /// Panics if the spawned-process count does not match the
-    /// configuration, or if a send found its inbox closed before shutdown
-    /// began.
-    pub fn run(
-        self,
-        start: Instant,
-        net: Net,
-        inboxes: Vec<Receiver<Wire>>,
-        managers: Vec<ManagerSlot>,
-        quiesce: impl FnOnce(&Net),
-    ) -> Result<LiveOutcome, LiveError> {
-        let Cluster { cfg, record, timeout, durability_dir, procs } = self;
-        assert_eq!(
-            procs.len(),
-            cfg.nprocs,
-            "spawned {} processes but configured {}",
-            procs.len(),
-            cfg.nprocs
-        );
-        let nnodes = cfg.nnodes();
-        assert_eq!(inboxes.len(), cfg.nprocs, "one inbox per process");
-        assert_eq!(managers.len(), nnodes - cfg.nprocs, "one slot per manager shard");
-        let recorder = record.then(|| Arc::new(Mutex::new(HistoryBuilder::new(cfg.nprocs))));
-        let walc = Arc::new(WalCounters::default());
-
-        // Manager shards get no thread; with the session layer on, one
-        // per shard sweeps its retransmissions until `stop` closes.
-        let shared = Arc::new(cfg.clone());
-        let (stop, stopped) = unbounded::<Wire>();
-        let mut sweepers = Vec::new();
-        for (k, slot) in managers.iter().enumerate() {
-            slot.install(net.clone(), shared.clone(), cfg.nprocs + k, record);
-            if cfg.reliable {
-                let (slot, stopped) = (slot.clone(), stopped.clone());
-                sweepers.push(spawn_named(format!("mc-mgr-tick-{k}"), move || {
-                    slot.sweep(&stopped, true)
-                }));
-            }
-        }
-        let (done_tx, done_rx) = unbounded::<u32>();
-        let mut proc_handles = Vec::new();
-        for (i, (f, rx)) in procs.into_iter().zip(inboxes).enumerate() {
-            let opts = NodeConfig {
-                proc: ProcId(i as u32),
-                cfg: cfg.clone(),
-                timeout,
-                durability_dir: durability_dir.clone(),
-            };
-            let net = net.clone();
-            let recorder = recorder.clone();
-            let done_tx = done_tx.clone();
-            let walc = walc.clone();
-            proc_handles.push(spawn_named(format!("mc-proc-{i}"), move || {
-                run_proc_node(opts, rx, net, walc, recorder, f, move || {
-                    let _ = done_tx.send(i as u32);
-                })
-            }));
-        }
-        drop(done_tx);
-
-        // One done signal per process, however long its program runs;
-        // blocked operations are bounded by the per-op timeout (which
-        // panics, which still sends done), so this cannot hang.
-        let mut finished = 0usize;
-        while finished < proc_handles.len() {
-            match done_rx.recv() {
-                Ok(_) => finished += 1,
-                Err(_) => break, // all senders gone: every thread exited
-            }
-        }
-        quiesce(&net);
-        // From here on, sends may legitimately race closing inboxes
-        // (e.g. a retransmission of an already-consumed grant whose ack
-        // was lost), so stop treating them as silent losses.
-        net.begin_shutdown(nnodes);
-
-        let joined: Vec<_> = proc_handles.into_iter().map(JoinHandle::join).collect();
-        drop(stop);
-        for sweeper in sweepers {
-            sweeper.join().expect("a sweep does not panic");
-        }
-        // Taken out even when a process failed: an in-process manager's
-        // I/O holds the transport that holds its slot.
-        let mut managers: Vec<Manager> =
-            managers.iter().map(|slot| slot.take().expect("every shard installed")).collect();
-        let (mut replicas, mut parks) = (Vec::new(), Vec::new());
-        for (i, joined) in joined.into_iter().enumerate() {
-            match joined {
-                Ok((replica, park)) => {
-                    replicas.push(replica);
-                    parks.push(park);
-                }
-                Err(payload) => {
-                    let message = payload
-                        .downcast_ref::<&str>()
-                        .map(|s| s.to_string())
-                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "non-string panic payload".into());
-                    return Err(LiveError::ProcPanicked { proc: ProcId(i as u32), message });
-                }
-            }
-        }
-
-        let mut server = managers.remove(0);
-        let history = match recorder {
-            None => None,
-            Some(rec) => {
-                let mut builder = Arc::try_unwrap(rec)
-                    .expect("all recorder handles dropped")
-                    .into_inner()
-                    .expect("recorder healthy");
-                for (loc, order) in server.take_write_order() {
-                    builder.set_write_order(loc, order);
-                }
-                Some(builder.build().map_err(LiveError::Malformed)?)
-            }
-        };
-        let dropped_sends = net.dropped_sends();
-        assert_eq!(
-            dropped_sends, 0,
-            "messages were silently lost on closed inboxes before shutdown"
-        );
-        let trace = net.tracer.as_ref().map(|tr| tr.lock().expect("tracer healthy").clone());
-        Ok(LiveOutcome {
-            history,
-            wal: walc.stats(),
-            parks,
-            messages: net.messages(),
-            bytes: net.bytes(),
-            lost: net.lost.load(Ordering::Relaxed),
-            dropped_sends,
-            wall: start.elapsed(),
-            trace,
-            replicas,
-            server,
-            mode: cfg.mode,
-        })
+    /// Panics unless `0.0 <= loss < 1.0`.
+    pub fn lossy(loss: f64, seed: u64) -> Threads {
+        assert!((0.0..1.0).contains(&loss), "loss probability must be in [0, 1)");
+        Threads { loss, seed }
     }
+}
+
+impl Executor for Threads {
+    type Driver<'a> = LiveDriver;
+
+    fn run(system: System<Threads>) -> Result<Outcome, RunError> {
+        let cfg = &system.cfg;
+        let (senders, inboxes) = (0..cfg.nprocs).map(|_| unbounded()).unzip();
+        let managers: Vec<ManagerSlot> =
+            (cfg.nprocs..cfg.nnodes()).map(|_| ManagerSlot::default()).collect();
+        let net = Net {
+            loss: system.exec.loss,
+            seed: system.exec.seed,
+            ..Net::new(Arc::new(ChannelTransport::new(senders, managers.clone())))
+        };
+        // In-process channels need no quiesce: the shutdown enqueues
+        // strictly after every message already sent, and a manager has
+        // handled each message before its send returned.
+        run_nodes(system, net, inboxes, managers, |_| {})
+    }
+}
+
+impl WallClock for Threads {}
+
+/// Runs a wall-clock system over `net`, the one node assembly both
+/// wall-clock executors share ([`Threads`] hands it channels, `mc-net`
+/// TCP links): process `i` on a thread of its own reading `inboxes[i]`,
+/// manager shard `k` in `managers[k]`, run by whichever thread delivers
+/// to it. Once every program is done, `quiesce` may hold the shutdown
+/// until the transport has nothing in flight.
+///
+/// # Errors
+///
+/// As [`System::run`].
+///
+/// # Panics
+///
+/// Panics if a send found its inbox closed before shutdown began.
+pub fn run_nodes<E>(
+    system: System<E>,
+    mut net: Net,
+    inboxes: Vec<Receiver<Wire>>,
+    managers: Vec<ManagerSlot>,
+    quiesce: impl FnOnce(&Net),
+) -> Result<Outcome, RunError>
+where
+    E: for<'a> Executor<Driver<'a> = LiveDriver>,
+{
+    let System { cfg, record, trace, timeout, durability_dir, procs, .. } = system;
+    let nnodes = cfg.nnodes();
+    assert_eq!(inboxes.len(), cfg.nprocs, "one inbox per process");
+    assert_eq!(managers.len(), nnodes - cfg.nprocs, "one slot per manager shard");
+    let recorder = record.then(|| Arc::new(Mutex::new(HistoryBuilder::new(cfg.nprocs))));
+    let walc = Arc::new(WalCounters::default());
+    net.tracer = trace.then(|| Arc::new(Mutex::new(Tracer::new())));
+
+    // Manager shards get no thread; with the session layer on, one
+    // per shard sweeps its retransmissions until `stop` closes.
+    let shared = Arc::new(cfg.clone());
+    let (stop, stopped) = unbounded::<Wire>();
+    let mut sweepers = Vec::new();
+    for (k, slot) in managers.iter().enumerate() {
+        slot.install(net.clone(), shared.clone(), cfg.nprocs + k, record);
+        if cfg.reliable {
+            let (slot, stopped) = (slot.clone(), stopped.clone());
+            sweepers
+                .push(spawn_named(format!("mc-mgr-tick-{k}"), move || slot.sweep(&stopped, true)));
+        }
+    }
+    let (done_tx, done_rx) = unbounded::<u32>();
+    let mut proc_handles = Vec::new();
+    for (i, (f, rx)) in procs.into_iter().zip(inboxes).enumerate() {
+        let opts = NodeConfig {
+            proc: ProcId(i as u32),
+            cfg: cfg.clone(),
+            timeout,
+            durability_dir: durability_dir.clone(),
+        };
+        let net = net.clone();
+        let recorder = recorder.clone();
+        let done_tx = done_tx.clone();
+        let walc = walc.clone();
+        proc_handles.push(spawn_named(format!("mc-proc-{i}"), move || {
+            run_proc_node(opts, rx, net, walc, recorder, f, move || {
+                let _ = done_tx.send(i as u32);
+            })
+        }));
+    }
+    drop(done_tx);
+
+    // One done signal per process, however long its program runs;
+    // blocked operations are bounded by the per-op timeout (which
+    // panics, which still sends done), so this cannot hang. An error
+    // means every sender is gone: every thread exited.
+    for _ in 0..proc_handles.len() {
+        if done_rx.recv().is_err() {
+            break;
+        }
+    }
+    quiesce(&net);
+    // From here on, sends may legitimately race closing inboxes
+    // (e.g. a retransmission of an already-consumed grant whose ack
+    // was lost), so stop treating them as silent losses; then tell
+    // every node to drain and exit.
+    net.shutting_down.store(true, Ordering::SeqCst);
+    (0..nnodes).for_each(|node| net.transport.shutdown(node));
+
+    let joined: Vec<_> = proc_handles.into_iter().map(JoinHandle::join).collect();
+    drop(stop);
+    for sweeper in sweepers {
+        sweeper.join().expect("a sweep does not panic");
+    }
+    // Taken out even when a process failed: an in-process manager's
+    // I/O holds the transport that holds its slot.
+    let managers: Vec<Manager> =
+        managers.iter().map(|slot| slot.take().expect("every shard installed")).collect();
+    let ends = joined.into_iter().enumerate().map(|(i, joined)| {
+        joined.map_err(|payload| {
+            let message = payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "non-string panic payload".into());
+            RunError::ProcPanicked { proc: ProcId(i as u32), message }
+        })
+    });
+    let (replicas, parks) = ends.collect::<Result<Vec<_>, _>>()?.into_iter().unzip();
+
+    let dropped = net.closed_dropped.load(Ordering::SeqCst);
+    assert_eq!(dropped, 0, "messages were silently lost on closed inboxes before shutdown");
+    let mut metrics = Metrics::default();
+    metrics.messages = net.messages();
+    metrics.bytes = net.bytes();
+    metrics.wal = walc.stats();
+    metrics.faults.dropped = net.lost.load(Ordering::Relaxed);
+    let trace = net.tracer.as_ref().map(|tr| tr.lock().expect("tracer healthy").clone());
+    Outcome::new(recorder, metrics, trace, parks, replicas, managers, cfg)
 }
 
 /// Starts `f` on a thread called `name`.
@@ -691,189 +538,6 @@ fn spawn_named<T: Send + 'static>(
     f: impl FnOnce() -> T + Send + 'static,
 ) -> JoinHandle<T> {
     std::thread::Builder::new().name(name).spawn(f).expect("spawn a node thread")
-}
-
-/// Builder for a live (threaded) mixed-consistency system. Mirrors the
-/// simulator-backed `mixed_consistency::System` API.
-pub struct LiveSystem {
-    cluster: Cluster,
-    trace: bool,
-    loss: f64,
-    seed: u64,
-}
-
-impl fmt::Debug for LiveSystem {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("LiveSystem")
-            .field("cfg", &self.cluster.cfg)
-            .field("nprocs", &self.cluster.procs.len())
-            .finish()
-    }
-}
-
-impl LiveSystem {
-    /// Creates a live system of `nprocs` processes on memory `mode`.
-    pub fn new(nprocs: usize, mode: Mode) -> Self {
-        LiveSystem { cluster: Cluster::new(nprocs, mode), trace: false, loss: 0.0, seed: 0 }
-    }
-
-    /// Enables durable replicas: each process appends to a write-ahead
-    /// log under `dir/replica-{i}` (own writes fsynced before the write
-    /// returns — the append-before-ack discipline), compacts into a
-    /// snapshot on the policy's cadence, and **recovers from existing
-    /// state at startup**: snapshot plus the valid WAL prefix are
-    /// replayed (a torn tail from a `kill -9` is truncated, a corrupt
-    /// frame mid-log panics with a diagnostic), the incarnation number
-    /// is bumped and persisted, and peers are asked for the missing
-    /// update delta. Pair with [`LiveSystem::reliable`].
-    pub fn durability(mut self, policy: DurabilityPolicy, dir: impl Into<PathBuf>) -> Self {
-        self.cluster.cfg.durability = Some(policy);
-        self.cluster.durability_dir = Some(dir.into());
-        self
-    }
-
-    /// Installs the lossy-channel shim: every message is independently
-    /// dropped with probability `loss` (rolls are derived from `seed`, so
-    /// the drop pattern over send order is reproducible). Pair with
-    /// [`LiveSystem::reliable`] — raw protocols over lossy channels block
-    /// forever and surface as per-operation timeouts.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0.0 <= loss < 1.0`.
-    pub fn lossy(mut self, loss: f64, seed: u64) -> Self {
-        assert!((0.0..1.0).contains(&loss), "loss probability must be in [0, 1)");
-        self.loss = loss;
-        self.seed = seed;
-        self
-    }
-
-    /// Enables the reliable-delivery session layer
-    /// ([`mc_proto::session`]) on every node: per-link sequence numbers,
-    /// cumulative acks, and tick-driven retransmission — the same state
-    /// machines the simulator exercises, glued to wall-clock time.
-    pub fn reliable(mut self, reliable: bool) -> Self {
-        self.cluster.cfg.reliable = reliable;
-        self
-    }
-
-    /// Enables (or disables) batched update propagation: a batch closes
-    /// on link state and sync points, never on a clock ([`BatchPolicy`]).
-    pub fn batching(mut self, batch: Option<BatchPolicy>) -> Self {
-        self.cluster.cfg.batch = batch;
-        self
-    }
-
-    /// Partitions the address space into shards with interest-based
-    /// partial replication (see the simulator's `System::sharding`):
-    /// each process subscribes to the shards in its interest set,
-    /// updates multicast only to subscribers, and a first touch outside
-    /// the set either performs a directory round-trip
-    /// ([`ShardConfig::dynamic`]) or is a program error.
-    ///
-    /// # Panics
-    ///
-    /// [`LiveSystem::run`] panics if the interest table's length does
-    /// not match the process count, or if the program uses locks or
-    /// barriers (unsupported with sharding).
-    pub fn sharding(mut self, sharding: Option<ShardConfig>) -> Self {
-        self.cluster.cfg = self.cluster.cfg.with_sharding(sharding);
-        self
-    }
-
-    /// Presizes every replica's store for `locations` locations.
-    pub fn locations(mut self, locations: usize) -> Self {
-        self.cluster.cfg.locations = locations;
-        self
-    }
-
-    /// Assigns one consistency-lattice point per process. The substrate
-    /// mode is re-derived from the assignment and each process's reads
-    /// follow its own point's policy (see the simulator's
-    /// `System::models`).
-    pub fn models(mut self, models: mc_model::ModelAssignment) -> Self {
-        self.cluster.cfg = self.cluster.cfg.with_models(models);
-        self
-    }
-
-    /// Selects the lock-propagation variant.
-    pub fn lock_propagation(mut self, p: LockPropagation) -> Self {
-        self.cluster.cfg.lock_propagation = p;
-        self
-    }
-
-    /// Enables history recording.
-    pub fn record(mut self, record: bool) -> Self {
-        self.cluster.record = record;
-        self
-    }
-
-    /// Enables structured event tracing: every message send (and lossy
-    /// drop) is recorded on a shared tracer, keyed by wall-clock time
-    /// since the run started, and returned on
-    /// [`LiveOutcome::trace`].
-    pub fn trace(mut self, trace: bool) -> Self {
-        self.trace = trace;
-        self
-    }
-
-    /// Distributes managers over `shards` nodes.
-    pub fn manager_shards(mut self, shards: usize) -> Self {
-        self.cluster.cfg = self.cluster.cfg.with_manager_shards(shards);
-        self
-    }
-
-    /// Restricts a barrier to a process subset.
-    pub fn barrier_group(mut self, barrier: BarrierId, group: Vec<ProcId>) -> Self {
-        self.cluster.cfg = self.cluster.cfg.with_barrier_group(barrier, group);
-        self
-    }
-
-    /// Sets the blocked-operation timeout (default 10 s); a process that
-    /// waits longer panics with a diagnostic, surfacing as
-    /// [`LiveError::ProcPanicked`]. [`Duration::MAX`] means no deadline.
-    pub fn timeout(mut self, timeout: Duration) -> Self {
-        self.cluster.timeout = timeout;
-        self
-    }
-
-    /// Adds the next process.
-    pub fn spawn<F>(&mut self, f: F) -> ProcId
-    where
-        F: FnOnce(&mut LiveCtx) + Send + 'static,
-    {
-        self.cluster.spawn(f)
-    }
-
-    /// Runs all processes to completion on real threads.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LiveError::ProcPanicked`] if any process panicked
-    /// (including blocked-operation timeouts) and
-    /// [`LiveError::Malformed`] if the recorded history fails validation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if more processes were spawned than configured.
-    pub fn run(self) -> Result<LiveOutcome, LiveError> {
-        let start = Instant::now();
-        let cfg = &self.cluster.cfg;
-        let (senders, inboxes) = (0..cfg.nprocs).map(|_| unbounded()).unzip();
-        let managers: Vec<ManagerSlot> =
-            (cfg.nprocs..cfg.nnodes()).map(|_| ManagerSlot::default()).collect();
-        let net = Net {
-            loss: self.loss,
-            seed: self.seed,
-            tracer: self.trace.then(|| Arc::new(Mutex::new(Tracer::new()))),
-            epoch: start,
-            ..Net::new(Arc::new(ChannelTransport::new(senders, managers.clone())))
-        };
-        // In-process channels need no quiesce: the shutdown enqueues
-        // strictly after every message already sent, and a manager has
-        // handled each message before its send returned.
-        self.cluster.run(start, net, inboxes, managers, |_| {})
-    }
 }
 
 /// The live [`NodeIo`]: sends go to the shared [`Net`], the log is a real
@@ -989,6 +653,38 @@ fn next_wire(rx: &Receiver<Wire>, reliable: bool) -> Inbox {
         Err(RecvTimeoutError::Timeout) => Inbox::Tick,
         Err(RecvTimeoutError::Disconnected) => Inbox::Closed,
     }
+}
+
+/// The kill-9 smokes' check: reads `proc`'s replica directory under
+/// `dir` as the kill left it, repairing nothing, prints where its log
+/// ends, and returns how many of `proc`'s own writes were durably acked
+/// — what a restart must keep.
+///
+/// # Panics
+///
+/// Panics if the directory cannot be read, its snapshot does not
+/// decode, or its log holds a corrupt frame (a torn tail is fine).
+pub fn durable_own_writes(dir: &Path, proc: ProcId, cfg: &DsmConfig) -> u32 {
+    let rdir = dir.join(format!("replica-{}", proc.index()));
+    let (snap, wal) = FileDisk::load(&rdir).expect("load replica dir");
+    let mut replica = match &snap {
+        Some(bytes) => {
+            let snap = Snapshot::decode(bytes).expect("snapshot must decode");
+            Replica::from_snapshot(proc, cfg.nprocs, &snap)
+        }
+        None => Replica::new(proc, cfg.nprocs),
+    };
+    let written = snap.as_ref().map_or(0, Vec::len) + wal.len();
+    let size = std::fs::metadata(rdir.join("wal.log")).map_or(0, |m| m.len());
+    let (records, tail) = decode_wal(&wal);
+    assert!(!matches!(tail, WalTail::Corrupt { .. }), "{proc}: valid prefix broken: {tail:?}");
+    let replayed = records.len();
+    records.into_iter().for_each(|rec| replica.replay_record(rec, cfg.mode));
+    let durable = replica.applied[proc];
+    let rdir = rdir.display();
+    println!("{rdir}: log ends at byte {written} of {size}, {replayed} records, {tail:?}");
+    println!("{rdir}: snapshot={} durable-own-writes={durable}", snap.is_some());
+    durable
 }
 
 /// Opens process `proc`'s node and disk and, when prior state exists,

@@ -6,9 +6,10 @@
 
 use std::fs;
 
-use mc_live::LiveSystem;
+use mc_live::Threads;
 use mc_model::{Loc, ProcId, Value};
 use mc_proto::{DsmConfig, DurabilityPolicy, FileDisk, Mode, Replica, UpdatePayload, WalRecord};
+use mixed_consistency::System;
 
 const WRITES: u32 = 10;
 
@@ -42,7 +43,8 @@ fn a_compaction_killed_before_it_retires_the_log_recovers_each_write_once() {
     drop(disk);
     fs::write(rdir.join("wal.log"), &log).expect("log restores");
 
-    let mut sys = LiveSystem::new(1, Mode::Causal).durability(DurabilityPolicy::default(), &dir);
+    let mut sys = System::on(Threads::default(), 1, Mode::Causal)
+        .durability(DurabilityPolicy::default(), &dir);
     sys.spawn(|ctx| {
         assert_eq!(ctx.read_causal(Loc(1)), Value::Int(9), "the last write to loc 1");
     });

@@ -6,9 +6,10 @@
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use mc_live::{ChannelTransport, LiveSystem, Transport};
+use mc_live::{ChannelTransport, Threads, Transport};
 use mc_model::{check, BarrierId, Loc, LockId, ProcId, Value};
 use mc_proto::{LockPropagation, Mode, Msg};
+use mixed_consistency::{RunError, System};
 
 const REPS: usize = 5;
 
@@ -36,7 +37,7 @@ fn a_channel_link_is_busy_from_deliver_until_taken() {
 fn producer_consumer_all_modes() {
     for mode in Mode::ALL {
         for _ in 0..REPS {
-            let mut sys = LiveSystem::new(2, mode).record(true);
+            let mut sys = System::on(Threads::default(), 2, mode).record(true);
             sys.spawn(|ctx| {
                 ctx.write(Loc(0), 42);
                 ctx.write(Loc(1), 1);
@@ -60,7 +61,8 @@ fn producer_consumer_all_modes() {
 fn locked_increments_never_lose_updates() {
     for prop in LockPropagation::ALL {
         for _ in 0..REPS {
-            let mut sys = LiveSystem::new(3, Mode::Mixed).lock_propagation(prop).record(true);
+            let mut sys =
+                System::on(Threads::default(), 3, Mode::Mixed).lock_propagation(prop).record(true);
             for _ in 0..3 {
                 sys.spawn(|ctx| {
                     for _ in 0..4 {
@@ -87,7 +89,7 @@ fn locked_increments_never_lose_updates() {
 #[test]
 fn barrier_phases_on_real_threads() {
     for _ in 0..REPS {
-        let mut sys = LiveSystem::new(3, Mode::Pram).record(true);
+        let mut sys = System::on(Threads::default(), 3, Mode::Pram).record(true);
         for p in 0..3u32 {
             sys.spawn(move |ctx| {
                 for round in 0..3i64 {
@@ -110,7 +112,7 @@ fn barrier_phases_on_real_threads() {
 #[test]
 fn counters_converge_without_locks() {
     for _ in 0..REPS {
-        let mut sys = LiveSystem::new(3, Mode::Causal);
+        let mut sys = System::on(Threads::default(), 3, Mode::Causal);
         for _ in 0..3 {
             sys.spawn(|ctx| {
                 for _ in 0..5 {
@@ -129,7 +131,7 @@ fn counters_converge_without_locks() {
 #[test]
 fn sc_mode_serializes_at_the_server() {
     for _ in 0..REPS {
-        let mut sys = LiveSystem::new(2, Mode::Sc).record(true);
+        let mut sys = System::on(Threads::default(), 2, Mode::Sc).record(true);
         sys.spawn(|ctx| {
             ctx.write(Loc(0), 7);
             ctx.write(Loc(1), 1);
@@ -151,7 +153,7 @@ fn sc_mode_serializes_at_the_server() {
 
 #[test]
 fn subgroup_barriers_live() {
-    let mut sys = LiveSystem::new(4, Mode::Mixed)
+    let mut sys = System::on(Threads::default(), 4, Mode::Mixed)
         .barrier_group(BarrierId(1), vec![ProcId(0), ProcId(1)])
         .barrier_group(BarrierId(2), vec![ProcId(2), ProcId(3)]);
     for p in 0..4u32 {
@@ -168,7 +170,7 @@ fn subgroup_barriers_live() {
 
 #[test]
 fn manager_sharding_live() {
-    let mut sys = LiveSystem::new(3, Mode::Mixed).manager_shards(2);
+    let mut sys = System::on(Threads::default(), 3, Mode::Mixed).manager_shards(2);
     for p in 0..3u32 {
         sys.spawn(move |ctx| {
             for r in 0..3 {
@@ -190,7 +192,9 @@ fn long_running_programs_outlive_the_op_timeout() {
     // Regression: the coordinator must not abort a program whose total
     // runtime exceeds the per-operation timeout — only a single *blocked
     // operation* may time out.
-    let mut sys = LiveSystem::new(2, Mode::Mixed).timeout(Duration::from_millis(150)).record(true);
+    let mut sys = System::on(Threads::default(), 2, Mode::Mixed)
+        .timeout(Duration::from_millis(150))
+        .record(true);
     sys.spawn(|ctx| {
         for i in 0..4i64 {
             std::thread::sleep(Duration::from_millis(100)); // local work
@@ -207,12 +211,13 @@ fn long_running_programs_outlive_the_op_timeout() {
 
 #[test]
 fn deadlock_times_out_with_diagnostics() {
-    let mut sys = LiveSystem::new(1, Mode::Mixed).timeout(Duration::from_millis(200));
+    let mut sys =
+        System::on(Threads::default(), 1, Mode::Mixed).timeout(Duration::from_millis(200));
     sys.spawn(|ctx| {
         ctx.await_eq(Loc(0), Value::Int(99)); // nobody writes it
     });
     match sys.run() {
-        Err(mc_live::LiveError::ProcPanicked { proc, message }) => {
+        Err(RunError::ProcPanicked { proc, message }) => {
             assert_eq!(proc, ProcId(0));
             assert!(message.contains("timed out"), "{message}");
         }
@@ -228,8 +233,8 @@ fn timeout_names_the_gate_the_read_is_parked_on() {
     // drop pattern is a function of the seed and the send order — scan
     // for the first seed that loses exactly that update.
     let run = |seed: u64| {
-        let mut sys =
-            LiveSystem::new(2, Mode::Mixed).lossy(0.25, seed).timeout(Duration::from_millis(100));
+        let mut sys = System::on(Threads::lossy(0.25, seed), 2, Mode::Mixed)
+            .timeout(Duration::from_millis(100));
         let (wrote, written) = std::sync::mpsc::channel();
         sys.spawn(move |ctx| {
             ctx.write(Loc(3), 1);
@@ -246,7 +251,7 @@ fn timeout_names_the_gate_the_read_is_parked_on() {
     let message = (0..64)
         .find_map(|seed| match run(seed) {
             // Anything else: nothing was lost, or the barrier itself starved.
-            Err(mc_live::LiveError::ProcPanicked { proc: ProcId(1), message }) => {
+            Err(RunError::ProcPanicked { proc: ProcId(1), message }) => {
                 Some(message).filter(|m| !m.contains("Barrier"))
             }
             _ => None,
@@ -265,9 +270,8 @@ fn lossy_channels_with_session_layer_still_converge() {
     // satisfy Definition 4.
     for prop in LockPropagation::ALL {
         for rep in 0..3u64 {
-            let mut sys = LiveSystem::new(3, Mode::Mixed)
+            let mut sys = System::on(Threads::lossy(0.25, rep), 3, Mode::Mixed)
                 .lock_propagation(prop)
-                .lossy(0.25, rep)
                 .reliable(true)
                 .record(true);
             for _ in 0..3 {
@@ -283,8 +287,8 @@ fn lossy_channels_with_session_layer_still_converge() {
                 });
             }
             let outcome = sys.run().unwrap_or_else(|e| panic!("{prop} rep {rep}: {e}"));
-            assert!(outcome.lost > 0, "{prop} rep {rep}: the shim dropped nothing");
-            assert_eq!(outcome.dropped_sends, 0, "{prop} rep {rep}");
+            let dropped = outcome.metrics.faults.dropped;
+            assert!(dropped > 0, "{prop} rep {rep}: the shim dropped nothing");
             let h = outcome.history.expect("recorded");
             check::check_mixed(&h).unwrap_or_else(|e| panic!("{prop} rep {rep}: {e}"));
         }
@@ -294,7 +298,7 @@ fn lossy_channels_with_session_layer_still_converge() {
 #[test]
 fn sc_server_survives_lossy_links_with_session() {
     for rep in 0..3u64 {
-        let mut sys = LiveSystem::new(2, Mode::Sc).lossy(0.3, 100 + rep).reliable(true);
+        let mut sys = System::on(Threads::lossy(0.3, 100 + rep), 2, Mode::Sc).reliable(true);
         sys.spawn(|ctx| {
             ctx.write(Loc(0), 7);
             ctx.write(Loc(1), 1);
@@ -305,15 +309,15 @@ fn sc_server_survives_lossy_links_with_session() {
         });
         let outcome = sys.run().unwrap_or_else(|e| panic!("rep {rep}: {e}"));
         assert_eq!(outcome.final_value(ProcId(0), Loc(0)), Value::Int(7));
-        assert!(outcome.lost > 0, "rep {rep}");
+        assert!(outcome.metrics.faults.dropped > 0, "rep {rep}");
     }
 }
 
 #[test]
 fn clean_runs_report_zero_silent_drops() {
-    // The teardown invariant made visible: on a quiet network nothing is
-    // lost on closed inboxes and the lossy counter stays zero.
-    let mut sys = LiveSystem::new(2, Mode::Mixed);
+    // On a quiet network the lossy counter stays zero, and nothing is
+    // lost on closed inboxes: the run would fail at teardown if it were.
+    let mut sys = System::on(Threads::default(), 2, Mode::Mixed);
     sys.spawn(|ctx| {
         ctx.write(Loc(0), 1);
         ctx.write(Loc(1), 1);
@@ -322,8 +326,7 @@ fn clean_runs_report_zero_silent_drops() {
         ctx.await_eq(Loc(1), Value::Int(1));
     });
     let outcome = sys.run().unwrap();
-    assert_eq!(outcome.dropped_sends, 0);
-    assert_eq!(outcome.lost, 0);
+    assert_eq!(outcome.metrics.faults.dropped, 0);
 }
 
 #[test]
@@ -332,7 +335,7 @@ fn histories_from_many_races_all_check() {
     // program many times; every recorded history must satisfy
     // Definition 4.
     for rep in 0..20 {
-        let mut sys = LiveSystem::new(3, Mode::Mixed).record(true);
+        let mut sys = System::on(Threads::default(), 3, Mode::Mixed).record(true);
         for p in 0..3u32 {
             sys.spawn(move |ctx| {
                 ctx.write(Loc(p), p as i64 + 10);
@@ -354,7 +357,7 @@ fn histories_from_many_races_all_check() {
 
 #[test]
 fn live_tracing_records_message_events() {
-    let mut sys = LiveSystem::new(2, Mode::Causal).trace(true).reliable(true);
+    let mut sys = System::on(Threads::default(), 2, Mode::Causal).trace(true).reliable(true);
     sys.spawn(|ctx| {
         ctx.write(Loc(0), 7);
         ctx.write(Loc(1), 1);
@@ -381,7 +384,7 @@ fn live_tracing_records_message_events() {
     assert!(trace.to_chrome_trace().contains("\"traceEvents\""));
 
     // Off by default: no tracer, no trace.
-    let mut quiet = LiveSystem::new(1, Mode::Causal);
+    let mut quiet = System::on(Threads::default(), 1, Mode::Causal);
     quiet.spawn(|ctx| {
         ctx.write(Loc(0), 1);
     });
@@ -395,7 +398,7 @@ fn batched_runs_converge_and_check_on_real_threads() {
     // the recorded histories must still satisfy Definition 4.
     for mode in [Mode::Pram, Mode::Causal, Mode::Mixed] {
         for _ in 0..REPS {
-            let mut sys = LiveSystem::new(3, mode)
+            let mut sys = System::on(Threads::default(), 3, mode)
                 .batching(Some(mc_proto::BatchPolicy::default()))
                 .record(true);
             for p in 0..3u32 {
@@ -424,7 +427,7 @@ fn batched_writes_cut_live_traffic() {
     // batch frames: the batched run must move well under half the
     // messages of the unbatched one.
     let run = |batch: Option<mc_proto::BatchPolicy>| {
-        let mut sys = LiveSystem::new(3, Mode::Causal).batching(batch);
+        let mut sys = System::on(Threads::default(), 3, Mode::Causal).batching(batch);
         for p in 0..3u32 {
             sys.spawn(move |ctx| {
                 for i in 0..30i64 {
@@ -460,8 +463,8 @@ fn durable_cluster_recovers_from_disk_across_restarts() {
     let _ = std::fs::remove_dir_all(&dir);
 
     // First incarnation: a clean run that leaves durable state behind.
-    let mut sys =
-        LiveSystem::new(2, Mode::Causal).durability(mc_proto::DurabilityPolicy::new(4), &dir);
+    let mut sys = System::on(Threads::default(), 2, Mode::Causal)
+        .durability(mc_proto::DurabilityPolicy::new(4), &dir);
     sys.spawn(|ctx| {
         ctx.write(Loc(0), 42);
         ctx.write(Loc(1), 1);
@@ -474,13 +477,13 @@ fn durable_cluster_recovers_from_disk_across_restarts() {
     assert!(first.wal.appends > 0, "durable writes must hit the log");
     assert_eq!(first.wal.appends, first.wal.synced, "shutdown leaves nothing staged");
     assert_eq!(first.wal.recoveries, 0);
-    assert_eq!(first.incarnation(ProcId(0)), 0);
+    assert_eq!(first.replica(ProcId(0)).incarnation, 0);
 
     // Second incarnation from the same directory: both replicas replay
     // snapshot + log, bump their incarnation, and still hold the
     // pre-restart writes even though no process writes them again.
-    let mut sys =
-        LiveSystem::new(2, Mode::Causal).durability(mc_proto::DurabilityPolicy::new(4), &dir);
+    let mut sys = System::on(Threads::default(), 2, Mode::Causal)
+        .durability(mc_proto::DurabilityPolicy::new(4), &dir);
     sys.spawn(|ctx| {
         assert_eq!(ctx.read_causal(Loc(0)), Value::Int(42), "own durable write lost");
         ctx.write(Loc(2), 7);
@@ -495,8 +498,8 @@ fn durable_cluster_recovers_from_disk_across_restarts() {
         second.wal.replayed > 0 || first.wal.snapshots > 0,
         "recovery must come from the log tail or a snapshot"
     );
-    assert_eq!(second.incarnation(ProcId(0)), 1);
-    assert_eq!(second.incarnation(ProcId(1)), 1);
+    assert_eq!(second.replica(ProcId(0)).incarnation, 1);
+    assert_eq!(second.replica(ProcId(1)).incarnation, 1);
     assert_eq!(second.final_value(ProcId(1), Loc(0)), Value::Int(42));
 
     // Third incarnation with replica 1's disk wiped: the reborn node 0
@@ -504,8 +507,8 @@ fn durable_cluster_recovers_from_disk_across_restarts() {
     // its writes and pushes its whole own suffix back, so the peer
     // converges to a durable prefix it never observed in this process.
     let _ = std::fs::remove_dir_all(dir.join("replica-1"));
-    let mut sys =
-        LiveSystem::new(2, Mode::Causal).durability(mc_proto::DurabilityPolicy::new(4), &dir);
+    let mut sys = System::on(Threads::default(), 2, Mode::Causal)
+        .durability(mc_proto::DurabilityPolicy::new(4), &dir);
     sys.spawn(|ctx| {
         ctx.write(Loc(3), 1);
     });
@@ -515,8 +518,8 @@ fn durable_cluster_recovers_from_disk_across_restarts() {
     });
     let third = sys.run().expect("third incarnation");
     assert_eq!(third.wal.recoveries, 1, "only replica 0 had state on disk");
-    assert_eq!(third.incarnation(ProcId(0)), 2);
-    assert_eq!(third.incarnation(ProcId(1)), 0);
+    assert_eq!(third.replica(ProcId(0)).incarnation, 2);
+    assert_eq!(third.replica(ProcId(1)).incarnation, 0);
     assert_eq!(third.final_value(ProcId(1), Loc(0)), Value::Int(42));
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -528,8 +531,7 @@ fn batched_lossy_session_still_converges() {
     // piggybacked acks ride batch frames and retransmission masks every
     // drop.
     for rep in 0..3u64 {
-        let mut sys = LiveSystem::new(3, Mode::Mixed)
-            .lossy(0.2, 900 + rep)
+        let mut sys = System::on(Threads::lossy(0.2, 900 + rep), 3, Mode::Mixed)
             .reliable(true)
             .batching(Some(mc_proto::BatchPolicy::default()))
             .record(true);
@@ -545,7 +547,7 @@ fn batched_lossy_session_still_converges() {
             });
         }
         let outcome = sys.run().unwrap_or_else(|e| panic!("rep {rep}: {e}"));
-        assert!(outcome.lost > 0, "rep {rep}: the shim dropped nothing");
+        assert!(outcome.metrics.faults.dropped > 0, "rep {rep}: the shim dropped nothing");
         let h = outcome.history.expect("recorded");
         check::check_mixed(&h).unwrap_or_else(|e| panic!("rep {rep}: {e}"));
     }
@@ -559,7 +561,7 @@ fn sharded_producer_consumer_live() {
     for mode in [Mode::Pram, Mode::Causal, Mode::Mixed] {
         for _ in 0..REPS {
             let sc = mc_proto::ShardConfig::new(2, vec![vec![0, 1], vec![0, 1], vec![]]);
-            let mut sys = LiveSystem::new(3, mode).sharding(Some(sc));
+            let mut sys = System::on(Threads::default(), 3, mode).sharding(Some(sc));
             let seen = Arc::new(Mutex::new(Value::Int(-1)));
             let seen2 = seen.clone();
             sys.spawn(|ctx| {
@@ -574,7 +576,7 @@ fn sharded_producer_consumer_live() {
             let outcome = sys.run().unwrap_or_else(|e| panic!("{mode}: {e}"));
             assert_eq!(*seen.lock().unwrap(), Value::Int(42), "{mode}");
             // The uninterested third replica saw none of p0's writes.
-            assert_eq!(outcome.applied(ProcId(2))[ProcId(0)], 0, "{mode}");
+            assert_eq!(outcome.replica(ProcId(2)).applied[ProcId(0)], 0, "{mode}");
             assert_eq!(outcome.final_value(ProcId(2), Loc(0)), Value::INITIAL, "{mode}");
         }
     }
@@ -588,7 +590,7 @@ fn sharded_interest_cuts_live_traffic() {
     // count must drop well below the full run's.
     let run = |interest: Vec<Vec<usize>>| {
         let sc = mc_proto::ShardConfig::new(4, interest);
-        let mut sys = LiveSystem::new(4, Mode::Causal).sharding(Some(sc));
+        let mut sys = System::on(Threads::default(), 4, Mode::Causal).sharding(Some(sc));
         for p in 0..4u32 {
             sys.spawn(move |ctx| {
                 for i in 0..10i64 {
@@ -615,7 +617,7 @@ fn sharded_dynamic_first_touch_live() {
     // backfill push delivers p0's earlier write.
     for _ in 0..REPS {
         let sc = mc_proto::ShardConfig::new(2, vec![vec![0, 1], vec![0]]).with_dynamic(true);
-        let mut sys = LiveSystem::new(2, Mode::Causal).sharding(Some(sc));
+        let mut sys = System::on(Threads::default(), 2, Mode::Causal).sharding(Some(sc));
         sys.spawn(|ctx| {
             ctx.write(Loc(1), 9); // shard 1
             ctx.write(Loc(0), 1); // shard 0 flag
@@ -640,7 +642,7 @@ fn sharded_batched_writes_coalesce_live() {
     // triples still deliver causality on real threads.
     for _ in 0..REPS {
         let sc = mc_proto::ShardConfig::full(2, 2);
-        let mut sys = LiveSystem::new(2, Mode::Causal)
+        let mut sys = System::on(Threads::default(), 2, Mode::Causal)
             .sharding(Some(sc))
             .batching(Some(mc_proto::BatchPolicy::default()));
         sys.spawn(|ctx| {
@@ -668,7 +670,7 @@ fn sharded_durable_cluster_recovers_across_restarts() {
     // First incarnation: a clean sharded run leaves durable per-shard
     // chains behind. `snapshot_every = 1` would compact eagerly in the
     // unsharded protocol; sharded replicas must stay log-only.
-    let mut sys = LiveSystem::new(2, Mode::Causal)
+    let mut sys = System::on(Threads::default(), 2, Mode::Causal)
         .sharding(Some(sc()))
         .durability(mc_proto::DurabilityPolicy::new(1), &dir);
     sys.spawn(|ctx| {
@@ -687,7 +689,7 @@ fn sharded_durable_cluster_recovers_across_restarts() {
     // Second incarnation from the same directory: both replicas replay
     // their WALs (own chains re-minted, remote chains re-ingested) and
     // still hold the pre-restart writes.
-    let mut sys = LiveSystem::new(2, Mode::Causal)
+    let mut sys = System::on(Threads::default(), 2, Mode::Causal)
         .sharding(Some(sc()))
         .durability(mc_proto::DurabilityPolicy::new(1), &dir);
     sys.spawn(|ctx| {
@@ -701,15 +703,15 @@ fn sharded_durable_cluster_recovers_across_restarts() {
     let second = sys.run().expect("second incarnation");
     assert_eq!(second.wal.recoveries, 2, "both replicas restart from disk");
     assert!(second.wal.replayed > 0, "sharded recovery replays the log");
-    assert_eq!(second.incarnation(ProcId(0)), 1);
-    assert_eq!(second.incarnation(ProcId(1)), 1);
+    assert_eq!(second.replica(ProcId(0)).incarnation, 1);
+    assert_eq!(second.replica(ProcId(1)).incarnation, 1);
     assert_eq!(second.final_value(ProcId(1), Loc(0)), Value::Int(42));
 
     // Third incarnation with replica 1's disk wiped: the fresh peer
     // re-fetches the shards it subscribes to through the per-shard
     // recovery answers of the reborn node 0.
     let _ = std::fs::remove_dir_all(dir.join("replica-1"));
-    let mut sys = LiveSystem::new(2, Mode::Causal)
+    let mut sys = System::on(Threads::default(), 2, Mode::Causal)
         .sharding(Some(sc()))
         .durability(mc_proto::DurabilityPolicy::new(1), &dir);
     sys.spawn(|ctx| {
@@ -738,7 +740,7 @@ fn group_commit_amortizes_live_fsyncs() {
     let run = |gc: bool| {
         let dir = std::env::temp_dir().join(format!("mc-live-gc-{}-{}", gc, std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let mut sys = LiveSystem::new(2, Mode::Causal)
+        let mut sys = System::on(Threads::default(), 2, Mode::Causal)
             .durability(mc_proto::DurabilityPolicy::new(1024).with_group_commit(gc), &dir)
             .batching(Some(mc_proto::BatchPolicy::default()));
         sys.spawn(|ctx| {
@@ -776,7 +778,7 @@ fn durable_writes_between_compactions_sync_data_only() {
     const OWN: u32 = 16;
     let dir = std::env::temp_dir().join(format!("mc-live-prealloc-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let mut sys = LiveSystem::new(2, Mode::Causal)
+    let mut sys = System::on(Threads::default(), 2, Mode::Causal)
         .reliable(true)
         .durability(mc_proto::DurabilityPolicy::default(), &dir);
     for p in 0..2u32 {

@@ -1,5 +1,5 @@
 //! A parked operation first probes its inbox while awake, then sleeps on
-//! it: `LiveOutcome::parks` counts, per process, the parks, the replies
+//! it: `Outcome::parks` counts, per process, the parks, the replies
 //! caught inside the spin window and the parks that slept. The window
 //! counts toward the operation's timeout, and `Duration::MAX` means no
 //! deadline. The last test drives the vendored channel the inbox is
@@ -10,13 +10,13 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, TryRecvError};
-use mc_live::{LiveCtx, LiveError, LiveOutcome, LiveSystem, ParkStats};
+use mc_live::Threads;
 use mc_model::{Loc, ProcId, Value};
-use mc_net::NetSystem;
-use mc_proto::Mode;
+use mc_net::Tcp;
+use mixed_consistency::{Executor, Mode, Outcome, ParkStats, RunError, System};
 
 /// Every park ended one way or the other.
-fn assert_accounted(outcome: &LiveOutcome) {
+fn assert_accounted(outcome: &Outcome) {
     for (p, s) in outcome.parks.iter().enumerate() {
         assert_eq!(s.parks, s.caught + s.slept, "p{p}: {s:?}");
     }
@@ -27,7 +27,7 @@ fn a_reply_inside_the_window_is_caught_without_sleeping() {
     // One process on SC over channels: the manager runs on the caller's
     // thread as the request is sent, so each reply is in the inbox
     // before the operation parks.
-    let mut sys = LiveSystem::new(1, Mode::Sc);
+    let mut sys = System::on(Threads::default(), 1, Mode::Sc);
     sys.spawn(|ctx| {
         for i in 0..50 {
             ctx.write(Loc(0), i);
@@ -39,33 +39,9 @@ fn a_reply_inside_the_window_is_caught_without_sleeping() {
     assert_eq!(outcome.parks, vec![ParkStats { parks: 100, caught: 100, slept: 0 }]);
 }
 
-/// The threads executor or the TCP one.
-trait Executor {
-    fn spawn(&mut self, f: impl FnOnce(&mut LiveCtx) + Send + 'static);
-    fn run(self) -> Result<LiveOutcome, LiveError>;
-}
-
-impl Executor for LiveSystem {
-    fn spawn(&mut self, f: impl FnOnce(&mut LiveCtx) + Send + 'static) {
-        LiveSystem::spawn(self, f);
-    }
-    fn run(self) -> Result<LiveOutcome, LiveError> {
-        LiveSystem::run(self)
-    }
-}
-
-impl Executor for NetSystem {
-    fn spawn(&mut self, f: impl FnOnce(&mut LiveCtx) + Send + 'static) {
-        NetSystem::spawn(self, f);
-    }
-    fn run(self) -> Result<LiveOutcome, LiveError> {
-        NetSystem::run(self)
-    }
-}
-
 /// Process 1 awaits a write that process 0 makes `delay` after process 1
 /// said it is about to park.
-fn delayed_reply<E: Executor>(delay: Duration) -> impl FnOnce(E) -> LiveOutcome {
+fn delayed_reply<E: Executor>(delay: Duration) -> impl FnOnce(System<E>) -> Outcome {
     move |mut sys| {
         let (parking, parked) = mpsc::channel();
         sys.spawn(move |ctx| {
@@ -83,7 +59,8 @@ fn delayed_reply<E: Executor>(delay: Duration) -> impl FnOnce(E) -> LiveOutcome 
 
 #[test]
 fn a_reply_delayed_past_the_window_sleeps_and_completes() {
-    let outcome = delayed_reply(Duration::from_millis(30))(LiveSystem::new(2, Mode::Mixed));
+    let outcome =
+        delayed_reply(Duration::from_millis(30))(System::on(Threads::default(), 2, Mode::Mixed));
     assert_accounted(&outcome);
     assert_eq!(outcome.parks[0], ParkStats::default(), "a write never parks");
     let awaiting = outcome.parks[1];
@@ -93,11 +70,11 @@ fn a_reply_delayed_past_the_window_sleeps_and_completes() {
 
 #[test]
 fn parks_are_counted_over_tcp_too() {
-    let outcome = delayed_reply(Duration::from_millis(30))(NetSystem::new(2, Mode::Mixed));
+    let outcome = delayed_reply(Duration::from_millis(30))(System::on(Tcp, 2, Mode::Mixed));
     assert_accounted(&outcome);
     assert!(outcome.parks[1].slept >= 1, "{:?}", outcome.parks);
 
-    let mut sys = NetSystem::new(1, Mode::Sc);
+    let mut sys = System::on(Tcp, 1, Mode::Sc);
     sys.spawn(|ctx| {
         for i in 0..20 {
             ctx.write(Loc(0), i);
@@ -111,13 +88,13 @@ fn parks_are_counted_over_tcp_too() {
 #[test]
 fn an_unanswered_await_panics_at_its_timeout_with_the_spin_counted() {
     let timeout = Duration::from_millis(100);
-    let mut sys = LiveSystem::new(1, Mode::Mixed).timeout(timeout);
+    let mut sys = System::on(Threads::default(), 1, Mode::Mixed).timeout(timeout);
     sys.spawn(|ctx| {
         ctx.await_eq(Loc(0), Value::Int(99)); // nobody writes it
     });
     let start = Instant::now();
     match sys.run() {
-        Err(LiveError::ProcPanicked { proc, message }) => {
+        Err(RunError::ProcPanicked { proc, message }) => {
             assert_eq!(proc, ProcId(0));
             assert!(message.contains("timed out after 100ms"), "{message}");
             let spun_then_slept = format!("{:?}", ParkStats { parks: 1, caught: 0, slept: 1 });
@@ -136,15 +113,17 @@ fn a_timeout_of_duration_max_means_no_deadline() {
     // layer (whose sleep is sliced into retransmission ticks).
     for reliable in [false, true] {
         let outcome = delayed_reply(Duration::from_millis(5))(
-            LiveSystem::new(2, Mode::Mixed).reliable(reliable).timeout(Duration::MAX),
+            System::on(Threads::default(), 2, Mode::Mixed)
+                .reliable(reliable)
+                .timeout(Duration::MAX),
         );
         assert_eq!(outcome.final_value(ProcId(1), Loc(0)), Value::Int(1));
         let outcome = delayed_reply(Duration::from_millis(5))(
-            NetSystem::new(2, Mode::Mixed).reliable(reliable).timeout(Duration::MAX),
+            System::on(Tcp, 2, Mode::Mixed).reliable(reliable).timeout(Duration::MAX),
         );
         assert_eq!(outcome.final_value(ProcId(1), Loc(0)), Value::Int(1));
     }
-    let mut sys = LiveSystem::new(1, Mode::Sc).timeout(Duration::MAX);
+    let mut sys = System::on(Threads::default(), 1, Mode::Sc).timeout(Duration::MAX);
     sys.spawn(|ctx| {
         ctx.write(Loc(0), 7);
         assert_eq!(ctx.read_causal(Loc(0)), Value::Int(7));

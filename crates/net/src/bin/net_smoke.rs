@@ -25,12 +25,10 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use mc_live::LiveCtx;
+use mc_live::{durable_own_writes, LiveCtx};
 use mc_model::{Loc, ProcId, Value};
 use mc_net::{run_cluster_node, NodeOpts};
-use mc_proto::{
-    decode_wal, DsmConfig, DurabilityPolicy, FileDisk, Mode, Replica, Snapshot, WalTail,
-};
+use mc_proto::{DsmConfig, DurabilityPolicy, Mode};
 
 const NPROCS: usize = 3;
 /// The victim's storm: long enough (every write fsyncs) that SIGKILL
@@ -175,32 +173,7 @@ fn parent() {
 
     // The valid-prefix invariant at the moment of death, and the count
     // of durably acked own writes the rebirth must preserve.
-    let rdir = dir.join(format!("replica-{VICTIM}"));
-    let (snap_bytes, wal) = FileDisk::load(&rdir).expect("load victim replica dir");
-    let mut replica = match &snap_bytes {
-        Some(bytes) => {
-            let snap = Snapshot::decode(bytes).expect("victim snapshot must decode");
-            Replica::from_snapshot(ProcId(VICTIM as u32), NPROCS, &snap)
-        }
-        None => Replica::new(ProcId(VICTIM as u32), NPROCS),
-    };
-    let written = snap_bytes.as_ref().map_or(0, Vec::len) + wal.len();
-    let size = std::fs::metadata(rdir.join("wal.log")).map_or(0, |m| m.len());
-    println!("victim: log ends at byte {written} of {size}");
-    let (records, tail) = decode_wal(&wal);
-    match tail {
-        WalTail::Clean => {}
-        WalTail::Torn { at } => println!("victim: torn tail at byte {at} (tolerated)"),
-        WalTail::Corrupt { at } => {
-            eprintln!("victim: corrupt WAL frame at byte {at} — valid-prefix broken");
-            std::process::exit(1);
-        }
-    }
-    for rec in records {
-        replica.replay_record(rec, Mode::Causal);
-    }
-    let durable_own = replica.applied[ProcId(VICTIM as u32)];
-    println!("victim durable-own-writes={durable_own}");
+    let durable_own = durable_own_writes(&dir, ProcId(VICTIM as u32), &cluster_cfg());
     assert!(durable_own > 0, "the storm never made it to disk — smoke test proves nothing");
 
     // Rebirth: same node id, same port (SO_REUSEADDR reclaims it), same

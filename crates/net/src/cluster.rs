@@ -1,20 +1,16 @@
 //! Cluster assembly: the same node mains as the threaded executor,
-//! wired over TCP.
+//! wired over TCP, in two shapes.
 //!
-//! Two shapes share all the plumbing:
-//!
-//! - [`NetSystem`] — an *in-process* cluster: every process node is a
-//!   thread of this process and every manager runs on the reader threads
-//!   of its links, but every protocol message crosses a real loopback
-//!   TCP connection (port-0 listeners, full link mesh). This is the
-//!   drop-in TCP twin of `mc_live::LiveSystem` — same builder surface,
-//!   same [`LiveOutcome`] — used by the litmus tests and the saturation
-//!   benchmarks.
-//! - [`run_cluster_node`] — *one node of a multi-process* cluster: used
-//!   by the `mc-cluster` binary, where every node is its own OS process
-//!   listening on `base_port + node`. Node 0 doubles as the
-//!   coordinator: peers report `Done` control frames to it, and it
-//!   broadcasts `Shutdown` once every process has finished.
+//! - [`Tcp`], the executor of `System<Tcp>`: an *in-process* cluster
+//!   whose process nodes are threads of this process and whose managers
+//!   run on the reader threads of their links, but every message crosses
+//!   a real loopback connection (port-0 listeners, full link mesh). It
+//!   shares `mc_live::run_nodes` with `mc_live::Threads`.
+//! - [`run_cluster_node`]: *one node of a multi-process* cluster, for the
+//!   `mc-cluster` binary, where every node is an OS process listening on
+//!   `base_port + node`. Node 0 doubles as the coordinator: peers report
+//!   `Done` control frames to it, and it broadcasts `Shutdown` once
+//!   every process has finished.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -23,12 +19,12 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::unbounded;
 use mc_live::{
-    run_proc_node, Cluster, LiveCtx, LiveError, LiveOutcome, ManagerSlot, Net, NodeConfig,
-    WalCounters, Wire,
+    run_nodes, run_proc_node, LiveCtx, LiveDriver, ManagerSlot, Net, NodeConfig, WalCounters, Wire,
 };
 use mc_model::ProcId;
 use mc_proto::wire::Control;
-use mc_proto::{BatchPolicy, DsmConfig, DurabilityPolicy, Manager, Mode, Replica, ShardConfig};
+use mc_proto::{DsmConfig, Manager, Replica};
+use mixed_consistency::{Executor, Outcome, RunError, System, WallClock};
 use tokio::runtime::{Handle, Runtime};
 
 use crate::placement::Placement;
@@ -42,107 +38,18 @@ const QUIESCE_LIMIT: Duration = Duration::from_secs(10);
 /// by the workloads' awaits before they signal done).
 const SHUTDOWN_GRACE: Duration = Duration::from_millis(50);
 
-/// Builder for an in-process TCP cluster. Mirrors the
-/// `mc_live::LiveSystem` surface; `run` produces the same
-/// [`LiveOutcome`], so everything downstream (history checking, final
-/// values, counters) is interchangeable between the two executors.
-pub struct NetSystem {
-    cluster: Cluster,
-}
+/// Loopback TCP: every process a thread of this process, every message a
+/// frame on a dialled loopback connection, every manager run on the
+/// reader threads of its links.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Tcp;
 
-impl NetSystem {
-    /// A cluster of `nprocs` processes on memory `mode`.
-    pub fn new(nprocs: usize, mode: Mode) -> NetSystem {
-        NetSystem { cluster: Cluster::new(nprocs, mode) }
-    }
+impl Executor for Tcp {
+    type Driver<'a> = LiveDriver;
 
-    /// Enables the reliable-delivery session layer on every node.
-    pub fn reliable(mut self, reliable: bool) -> Self {
-        self.cluster.cfg.reliable = reliable;
-        self
-    }
-
-    /// Enables (or disables) batched update propagation.
-    pub fn batching(mut self, batch: Option<BatchPolicy>) -> Self {
-        self.cluster.cfg.batch = batch;
-        self
-    }
-
-    /// Interest-based sharding, as in `LiveSystem::sharding`.
-    pub fn sharding(mut self, sharding: Option<ShardConfig>) -> Self {
-        self.cluster.cfg = self.cluster.cfg.with_sharding(sharding);
-        self
-    }
-
-    /// Presizes every replica's store.
-    pub fn locations(mut self, locations: usize) -> Self {
-        self.cluster.cfg.locations = locations;
-        self
-    }
-
-    /// Assigns one consistency-lattice point per process.
-    pub fn models(mut self, models: mc_model::ModelAssignment) -> Self {
-        self.cluster.cfg = self.cluster.cfg.with_models(models);
-        self
-    }
-
-    /// Distributes managers over `shards` nodes.
-    pub fn manager_shards(mut self, shards: usize) -> Self {
-        self.cluster.cfg = self.cluster.cfg.with_manager_shards(shards);
-        self
-    }
-
-    /// Enables durable replicas under `dir` (see
-    /// `LiveSystem::durability`).
-    pub fn durability(mut self, policy: DurabilityPolicy, dir: impl Into<PathBuf>) -> Self {
-        self.cluster.cfg.durability = Some(policy);
-        self.cluster.durability_dir = Some(dir.into());
-        self
-    }
-
-    /// Enables history recording.
-    pub fn record(mut self, record: bool) -> Self {
-        self.cluster.record = record;
-        self
-    }
-
-    /// Sets the blocked-operation timeout; [`Duration::MAX`] means no
-    /// deadline.
-    pub fn timeout(mut self, timeout: Duration) -> Self {
-        self.cluster.timeout = timeout;
-        self
-    }
-
-    /// Unused: every link task runs on a thread of its own, so there is
-    /// no pool to size. Kept for callers that still pass a count.
-    pub fn workers(self, _workers: usize) -> Self {
-        self
-    }
-
-    /// Adds the next process.
-    pub fn spawn<F>(&mut self, f: F) -> ProcId
-    where
-        F: FnOnce(&mut LiveCtx) + Send + 'static,
-    {
-        self.cluster.spawn(f)
-    }
-
-    /// Runs all processes to completion, every message over loopback
-    /// TCP.
-    ///
-    /// # Errors
-    ///
-    /// [`LiveError::ProcPanicked`] if any process panicked (including
-    /// blocked-operation timeouts); [`LiveError::Malformed`] if the
-    /// recorded history fails validation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spawned-process count does not match the
-    /// configuration, or if loopback sockets cannot be bound.
-    pub fn run(self) -> Result<LiveOutcome, LiveError> {
-        let start = Instant::now();
-        let (nprocs, nnodes) = (self.cluster.cfg.nprocs, self.cluster.cfg.nnodes());
+    /// Panics if loopback sockets cannot be bound.
+    fn run(system: System<Tcp>) -> Result<Outcome, RunError> {
+        let (nprocs, nnodes) = (system.cfg.nprocs, system.cfg.nnodes());
         let rt = Runtime::with_workers(0);
         let handle = rt.handle();
         // Threads started from here on are link threads and share one
@@ -193,7 +100,7 @@ impl NetSystem {
         // wait for every sent frame to reach its destination inbox
         // first. Acks generated while draining keep both counters
         // moving; they settle together.
-        let outcome = self.cluster.run(start, net, inboxes, managers, |net| {
+        let outcome = run_nodes(system, net, inboxes, managers, |net| {
             let quiesce_deadline = Instant::now() + QUIESCE_LIMIT;
             loop {
                 let sent = net.messages();
@@ -214,6 +121,8 @@ impl NetSystem {
     }
 }
 
+impl WallClock for Tcp {}
+
 /// Everything one node of a multi-process cluster needs to come up.
 pub struct NodeOpts {
     /// This node's id (process nodes first, manager nodes after).
@@ -224,7 +133,7 @@ pub struct NodeOpts {
     pub base_port: u16,
     /// Blocked-operation timeout.
     pub timeout: Duration,
-    /// Durability root, as in `LiveSystem::durability`.
+    /// Durability root, as in `System::durability`.
     pub durability_dir: Option<PathBuf>,
 }
 
@@ -264,7 +173,7 @@ pub fn run_cluster_node(
     // a writer still redialling a dead peer gives up on the stop flag.
     let rt = Runtime::with_workers(2);
     let handle: Handle = rt.handle().clone();
-    // As in `NetSystem::run`: link threads on one CPU, the node off it.
+    // As in `Tcp::run`: link threads on one CPU, the node off it.
     let placement = Placement::begin();
     placement.links();
 
@@ -328,17 +237,9 @@ pub fn run_cluster_node(
             })
         };
         let mut done = vec![false; cfg.nprocs];
-        let mut remaining = cfg.nprocs;
-        while remaining > 0 {
-            match ev_rx.recv().expect("events channel healthy") {
-                Control::Done { proc } => {
-                    let p = proc as usize;
-                    if !done[p] {
-                        done[p] = true;
-                        remaining -= 1;
-                    }
-                }
-                Control::Hello { .. } | Control::Shutdown => {}
+        while done.contains(&false) {
+            if let Control::Done { proc } = ev_rx.recv().expect("events channel healthy") {
+                done[proc as usize] = true;
             }
         }
         std::thread::sleep(SHUTDOWN_GRACE);

@@ -2,8 +2,8 @@
 //!
 //! The third executor of the reproduction, completing the ladder:
 //! deterministic simulation (`mc-sim`), real threads over channels
-//! (`mc-live`), and — here — real processes over TCP, a blocking writer
-//! and a blocking reader thread per directed link.
+//! (`mc-live`), and — here — real processes over TCP ([`Tcp`]), a
+//! blocking writer and a blocking reader thread per directed link.
 //! **The protocol state machines and the node mains are the same
 //! code**: `mc-net` plugs a [`TcpTransport`] into `mc-live`'s
 //! [`Transport`](mc_live::Transport) seam and feeds decoded frames into
@@ -19,11 +19,10 @@
 //! views of per-connection receive buffers (see `transport`).
 //!
 //! ```no_run
-//! use mc_model::{check, Loc, Value};
-//! use mc_net::NetSystem;
-//! use mc_proto::Mode;
+//! use mc_net::Tcp;
+//! use mixed_consistency::{Loc, Mode, System, Value};
 //!
-//! let mut sys = NetSystem::new(2, Mode::Mixed).record(true);
+//! let mut sys = System::on(Tcp, 2, Mode::Mixed).record(true);
 //! sys.spawn(|ctx| {
 //!     ctx.write(Loc(0), 42);
 //!     ctx.write(Loc(1), 1);
@@ -33,16 +32,19 @@
 //!     assert_eq!(ctx.read_pram(Loc(0)), Value::Int(42));
 //! });
 //! let outcome = sys.run().expect("cluster runs");
-//! check::check_mixed(&outcome.history.unwrap()).expect("TCP, still mixed consistent");
+//! outcome.verify().expect("TCP, still mixed consistent");
 //! ```
 
 #![warn(missing_docs)]
 
 pub mod cluster;
+mod legacy;
 mod placement;
 pub mod transport;
 pub mod workload;
 
-pub use cluster::{run_cluster_node, NetSystem, NodeOpts, NodeOutcome};
+pub use cluster::{run_cluster_node, NodeOpts, NodeOutcome, Tcp};
+#[doc(hidden)]
+pub use legacy::*;
 pub use transport::{bind_reusable, spawn_listener, Inbound, TcpTransport, TcpTransportBuilder};
 pub use workload::Workload;

@@ -9,8 +9,9 @@ use std::sync::{Arc, Mutex};
 
 use mc_model::spec::{check_model, ModelAssignment, ModelSpec};
 use mc_model::{check, Loc, ReadLabel, Value};
-use mc_net::NetSystem;
+use mc_net::Tcp;
 use mc_proto::Mode;
+use mixed_consistency::System;
 
 const REPS: usize = 5;
 
@@ -22,7 +23,7 @@ const REPS: usize = 5;
 fn store_buffer_over_tcp() {
     for mode in [Mode::Pram, Mode::Causal] {
         for _ in 0..REPS {
-            let mut sys = NetSystem::new(2, mode).record(true);
+            let mut sys = System::on(Tcp, 2, mode).record(true);
             for p in 0..2u32 {
                 sys.spawn(move |ctx| {
                     ctx.write(Loc(p), 1);
@@ -47,7 +48,7 @@ fn store_buffer_over_tcp() {
 #[test]
 fn iriw_over_tcp_checks_causal() {
     for _ in 0..REPS {
-        let mut sys = NetSystem::new(4, Mode::Causal).record(true);
+        let mut sys = System::on(Tcp, 4, Mode::Causal).record(true);
         sys.spawn(|ctx| {
             ctx.write(Loc(0), 1);
         });
@@ -73,7 +74,7 @@ fn iriw_over_tcp_checks_causal() {
 #[test]
 fn iriw_over_tcp_serializes_under_sc() {
     for _ in 0..REPS {
-        let mut sys = NetSystem::new(4, Mode::Sc).record(true);
+        let mut sys = System::on(Tcp, 4, Mode::Sc).record(true);
         sys.spawn(|ctx| {
             ctx.write(Loc(0), 1);
         });
@@ -105,7 +106,7 @@ fn iriw_over_tcp_serializes_under_sc() {
 #[test]
 fn wrc_transitivity_over_tcp() {
     for _ in 0..REPS {
-        let mut sys = NetSystem::new(3, Mode::Causal).record(true);
+        let mut sys = System::on(Tcp, 3, Mode::Causal).record(true);
         sys.spawn(|ctx| {
             ctx.write(Loc(0), 42);
         });
@@ -136,7 +137,7 @@ fn wrc_transitivity_over_tcp() {
 #[test]
 fn wrc_over_tcp_mixed_model() {
     for _ in 0..REPS {
-        let mut sys = NetSystem::new(3, Mode::Mixed).record(true);
+        let mut sys = System::on(Tcp, 3, Mode::Mixed).record(true);
         sys.spawn(|ctx| {
             ctx.write(Loc(0), 42);
         });

@@ -1,4 +1,4 @@
-//! Teardown is complete: after a `NetSystem` run returns, no link
+//! Teardown is complete: after a `System<Tcp>` run returns, no link
 //! thread, socket or listening port of it is left in the process.
 //!
 //! One test in a binary of its own (CI also passes `--test-threads=1`):
@@ -10,8 +10,9 @@ use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use mc_model::{Loc, Value};
-use mc_net::NetSystem;
+use mc_net::Tcp;
 use mc_proto::Mode;
+use mixed_consistency::System;
 
 const RUNS: usize = 50;
 
@@ -65,7 +66,7 @@ fn fifty_clusters_leave_no_thread_socket_or_port_behind() {
     let sockets = socket_inodes().len();
     for run in 0..RUNS {
         let (ports_tx, ports_rx) = mpsc::channel();
-        let mut sys = NetSystem::new(3, Mode::Causal);
+        let mut sys = System::on(Tcp, 3, Mode::Causal);
         for p in 0..3u32 {
             let ports_tx = ports_tx.clone();
             sys.spawn(move |ctx| {

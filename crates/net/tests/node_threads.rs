@@ -10,10 +10,11 @@
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use mc_live::{LiveCtx, LiveSystem};
+use mc_live::{LiveCtx, Threads};
 use mc_model::{Loc, Value};
-use mc_net::NetSystem;
+use mc_net::Tcp;
 use mc_proto::Mode;
+use mixed_consistency::System;
 
 /// The name of every thread of this process (as the kernel keeps it:
 /// at most 15 bytes).
@@ -64,7 +65,7 @@ fn a_manager_has_no_thread_unless_it_sweeps_retransmissions() {
     };
 
     let seen = Arc::default();
-    let mut sys = LiveSystem::new(2, Mode::Sc);
+    let mut sys = System::on(Threads::default(), 2, Mode::Sc);
     for p in 0..2 {
         sys.spawn(body(&seen, p, None));
     }
@@ -72,7 +73,7 @@ fn a_manager_has_no_thread_unless_it_sweeps_retransmissions() {
     assert_eq!(started(seen), ["mc-proc-0", "mc-proc-1"], "threads, unreliable");
 
     let seen = Arc::default();
-    let mut sys = NetSystem::new(2, Mode::Sc);
+    let mut sys = System::on(Tcp, 2, Mode::Sc);
     for p in 0..2 {
         sys.spawn(body(&seen, p, None));
     }
@@ -82,7 +83,7 @@ fn a_manager_has_no_thread_unless_it_sweeps_retransmissions() {
     assert_eq!(nodes, ["mc-proc-0", "mc-proc-1"], "TCP, unreliable: {names:?}");
 
     let seen = Arc::default();
-    let mut sys = LiveSystem::new(2, Mode::Sc).reliable(true);
+    let mut sys = System::on(Threads::default(), 2, Mode::Sc).reliable(true);
     for p in 0..2 {
         sys.spawn(body(&seen, p, Some("mc-mgr-tick-0")));
     }

@@ -13,7 +13,7 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use mc_model::{Loc, ProcId, Value};
+use mc_model::ProcId;
 use mc_sim::{NetCtx, NodeId, Poll, ProcToken, Protocol, SimTime};
 
 use crate::config::DsmConfig;
@@ -162,11 +162,6 @@ impl Dsm {
         self.nodes[proc.index()].replica()
     }
 
-    /// The SC server's value of `loc` (SC mode result collection).
-    pub fn server_value(&self, loc: Loc) -> Value {
-        self.managers[0].manager().peek(loc)
-    }
-
     /// The SC server (the first manager shard), to record and collect
     /// its write order.
     pub fn server_mut(&mut self) -> &mut Manager {
@@ -181,6 +176,12 @@ impl Dsm {
         if let Some(disk) = self.disks.get_mut(proc.index()) {
             *disk = open(fs);
         }
+    }
+
+    /// Ends the run: the final replicas, then the manager states.
+    pub fn into_parts(self) -> (Vec<Replica>, Vec<Manager>) {
+        let replicas = self.nodes.into_iter().map(ProcNode::into_replica).collect();
+        (replicas, self.managers.into_iter().map(ManagerNode::into_manager).collect())
     }
 }
 
@@ -282,7 +283,7 @@ impl Protocol for Dsm {
 mod tests {
     use super::*;
     use crate::config::{LockPropagation, Mode};
-    use mc_model::{BarrierId, LockId, LockMode, ReadLabel};
+    use mc_model::{BarrierId, Loc, LockId, LockMode, ReadLabel, Value};
     use mc_sim::{Kernel, SimConfig};
     use std::sync::{Arc, Mutex};
 

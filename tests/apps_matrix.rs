@@ -3,7 +3,7 @@
 //! across worker counts and seeds.
 
 use mc_apps::cholesky::{run_cholesky, CholeskyConfig, CholeskyVariant};
-use mc_apps::dense::{diag_dominant_system, diff_inf, jacobi_reference, residual_inf, DenseMatrix};
+use mc_apps::dense::{diag_dominant_system, diff_inf, jacobi_reference, residual_inf};
 use mc_apps::em::{fdtd_reference, run_fdtd, EmConfig};
 use mc_apps::solver::{
     barrier_coordinator, barrier_worker, handshake_coordinator, handshake_worker,
@@ -12,10 +12,9 @@ use mc_apps::solver::{
 use mc_apps::sparse::{
     grid_laplacian, random_sparse_spd, sparse_cholesky_reference, symbolic_factorize,
 };
-use mc_live::{LiveCtx, LiveError, LiveOutcome, LiveSystem};
-use mc_net::NetSystem;
-use mixed_consistency::model::spec::check_model;
-use mixed_consistency::{Mode, ModelAssignment, ModelSpec, ProcId, ReadLabel};
+use mc_live::Threads;
+use mc_net::Tcp;
+use mixed_consistency::{Executor, Mode, ProcId, ReadLabel, System};
 
 #[test]
 fn barrier_solver_matrix() {
@@ -179,78 +178,47 @@ enum Figure {
     Handshake,
 }
 
-type LiveBody = Box<dyn FnOnce(&mut LiveCtx) + Send>;
-
-/// The solver's processes as real-runtime bodies: the same generic
-/// functions the simulator runs, monomorphised for the live driver.
-fn solver_bodies(
-    fig: Figure,
-    cfg: &SolverConfig,
-    lay: Layout,
-    a: DenseMatrix,
-    b: Vec<f64>,
-) -> Vec<LiveBody> {
-    let causal = ReadLabel::Causal;
-    let coordinator = cfg.clone();
-    let mut bodies: Vec<LiveBody> = vec![Box::new(move |ctx| match fig {
-        Figure::Barrier => barrier_coordinator(ctx, &coordinator, &lay, &a, &b),
-        Figure::Handshake => handshake_coordinator(ctx, &coordinator, &lay, &a, &b, causal),
-    })];
-    for w in 0..cfg.workers {
-        let cfg = cfg.clone();
-        bodies.push(Box::new(move |ctx| match fig {
-            Figure::Barrier => barrier_worker(ctx, &cfg, &lay, w),
-            Figure::Handshake => handshake_worker(ctx, &cfg, &lay, w, causal),
-        }));
-    }
-    bodies
-}
-
 /// Section 7 off the simulator: both solvers (n = 8, 2 workers) on
-/// `executor`, each on the weakest memory its theorem allows, must
-/// solve the system *and* leave a history that memory's definition
-/// accepts.
-fn solvers_hold_on(
-    executor: &str,
-    run: impl Fn(Mode, Vec<LiveBody>) -> Result<LiveOutcome, LiveError>,
-) {
-    for (fig, mode, point) in [
-        (Figure::Barrier, Mode::Pram, ModelSpec::PRAM),
-        (Figure::Handshake, Mode::Causal, ModelSpec::CAUSAL),
-    ] {
+/// `exec`, each on the weakest memory its theorem allows, must solve the
+/// system *and* leave a history that memory's definition accepts. The
+/// processes are the same generic functions the simulator runs,
+/// monomorphised for `exec`'s driver.
+fn solvers_hold_on<E: Executor + Copy>(exec: E) {
+    let name = std::any::type_name::<E>();
+    for (fig, mode) in [(Figure::Barrier, Mode::Pram), (Figure::Handshake, Mode::Causal)] {
         let cfg = SolverConfig::new(8, 2, mode);
         let lay = Layout::new(cfg.n, cfg.workers);
         let (a, b) = diag_dominant_system(cfg.n, 21);
-        let out = run(mode, solver_bodies(fig, &cfg, lay, a.clone(), b.clone()))
-            .unwrap_or_else(|e| panic!("{fig:?} on {executor}: {e}"));
+        let mut sys = System::on(exec, cfg.workers + 1, mode).record(true);
+        let (coordinator, causal) = (cfg.clone(), ReadLabel::Causal);
+        let (a2, b2) = (a.clone(), b.clone());
+        sys.spawn(move |ctx| match fig {
+            Figure::Barrier => barrier_coordinator(ctx, &coordinator, &lay, &a2, &b2),
+            Figure::Handshake => handshake_coordinator(ctx, &coordinator, &lay, &a2, &b2, causal),
+        });
+        for w in 0..cfg.workers {
+            let cfg = cfg.clone();
+            sys.spawn(move |ctx| match fig {
+                Figure::Barrier => barrier_worker(ctx, &cfg, &lay, w),
+                Figure::Handshake => handshake_worker(ctx, &cfg, &lay, w, causal),
+            });
+        }
+        let out = sys.run().unwrap_or_else(|e| panic!("{fig:?} on {name}: {e}"));
         let x: Vec<f64> =
             (0..cfg.n).map(|i| out.final_value(ProcId(0), lay.x(i)).expect_f64()).collect();
         let residual = residual_inf(&a, &x, &b);
-        assert!(residual < 1e-6, "{fig:?} on {executor}: residual {residual}");
-        let h = out.history.expect("recording on");
-        check_model(&h, &ModelAssignment::uniform(cfg.workers + 1, point))
-            .unwrap_or_else(|e| panic!("{fig:?} on {executor}: {} ops, {e}", h.len()));
+        assert!(residual < 1e-6, "{fig:?} on {name}: residual {residual}");
+        let ops = out.history.as_ref().map_or(0, |h| h.len());
+        out.verify().unwrap_or_else(|e| panic!("{fig:?} on {name}: {ops} ops, {e}"));
     }
 }
 
 #[test]
 fn solvers_hold_on_threads() {
-    solvers_hold_on("threads", |mode, bodies| {
-        let mut sys = LiveSystem::new(bodies.len(), mode).record(true);
-        for body in bodies {
-            sys.spawn(body);
-        }
-        sys.run()
-    });
+    solvers_hold_on(Threads::default());
 }
 
 #[test]
 fn solvers_hold_on_tcp() {
-    solvers_hold_on("tcp", |mode, bodies| {
-        let mut sys = NetSystem::new(bodies.len(), mode).record(true);
-        for body in bodies {
-            sys.spawn(body);
-        }
-        sys.run()
-    });
+    solvers_hold_on(Tcp);
 }

@@ -1,11 +1,12 @@
 //! The three executors put the same traffic on the wire.
 //!
 //! One program — private writes, a barrier, a write-locked
-//! read-modify-write, an await — runs on the simulator ([`System`]), on
-//! real threads ([`LiveSystem`]) and over loopback TCP ([`NetSystem`]),
-//! unbatched and with no session layer, in every memory mode, and the
-//! total message and byte counts must be equal. All three drive the same
-//! protocol state machines, so whatever a driver sent on its own account
+//! read-modify-write, an await — runs through one generic body on the
+//! simulator ([`Sim`]), on real threads ([`Threads`]) and over loopback
+//! TCP ([`Tcp`]), unbatched and with no session layer, in every memory
+//! mode. Every run's recorded history must pass `Outcome::verify`, and
+//! the total message and byte counts must be equal. All three drive the
+//! same protocol state machines, so whatever a driver sent on its own account
 //! (a stray ack, a second flush, a differently sized grant) would show up
 //! here as a count mismatch — what DPOR explores is what ships over
 //! sockets.
@@ -19,9 +20,9 @@
 //! holder's `Set` of the count may land last and stay; there each lock
 //! section adds one instead, and adds commute.
 
-use mc_live::{LiveOutcome, LiveSystem};
-use mc_net::NetSystem;
-use mixed_consistency::{Driver, Loc, LockId, MemCtx, Mode, System, Value};
+use mc_live::Threads;
+use mc_net::Tcp;
+use mixed_consistency::{Driver, Executor, Loc, LockId, MemCtx, Mode, Sim, System, Value};
 
 const NPROCS: usize = 3;
 const SHARED: Loc = Loc(10);
@@ -46,53 +47,42 @@ fn program<D: Driver>(ctx: &mut MemCtx<D>, mode: Mode, p: u32) {
     ctx.barrier();
 }
 
-fn simulated(mode: Mode) -> (u64, u64) {
-    let mut sys = System::new(NPROCS, mode).batching(None);
+/// Runs the program on `exec`, recorded, checks the history against
+/// `mode`'s definition and returns the (messages, bytes) the run sent.
+fn traffic<E: Executor>(exec: E, mode: Mode) -> (u64, u64) {
+    let name = std::any::type_name::<E>();
+    let mut sys = System::on(exec, NPROCS, mode).batching(None).record(true);
     for p in 0..NPROCS as u32 {
         sys.spawn(move |ctx| program(ctx, mode, p));
     }
-    let outcome = sys.run().unwrap_or_else(|e| panic!("{mode} simulated: {e}"));
-    (outcome.metrics.messages, outcome.metrics.bytes)
-}
-
-fn threads(mode: Mode) -> (u64, u64) {
-    let mut sys = LiveSystem::new(NPROCS, mode).batching(None);
-    for p in 0..NPROCS as u32 {
-        sys.spawn(move |ctx| program(ctx, mode, p));
-    }
-    traffic(sys.run().unwrap_or_else(|e| panic!("{mode} threads: {e}")))
-}
-
-fn tcp(mode: Mode) -> (u64, u64) {
-    let mut sys = NetSystem::new(NPROCS, mode).batching(None);
-    for p in 0..NPROCS as u32 {
-        sys.spawn(move |ctx| program(ctx, mode, p));
-    }
-    traffic(sys.run().unwrap_or_else(|e| panic!("{mode} tcp: {e}")))
-}
-
-fn traffic(outcome: LiveOutcome) -> (u64, u64) {
+    let outcome = sys.run().unwrap_or_else(|e| panic!("{mode} on {name}: {e}"));
+    outcome.verify().unwrap_or_else(|e| panic!("{mode} on {name}: {e}"));
     (outcome.messages, outcome.bytes)
 }
 
-/// `real` sends what the simulator sends, in every mode. Real threads
+/// `exec` sends what the simulator sends, in every mode. Real threads
 /// race differently every time; the counts must not.
-fn assert_matches_simulator(name: &str, real: fn(Mode) -> (u64, u64)) {
+fn assert_matches_simulator<E: Executor + Copy>(exec: E) {
     for mode in Mode::ALL {
-        let sim = simulated(mode);
+        let sim = traffic(Sim::default(), mode);
         assert!(sim.0 > 0, "{mode}: the program communicates");
         for rep in 0..3 {
-            assert_eq!(real(mode), sim, "{mode} rep {rep}: (messages, bytes) {name} vs simulated");
+            let name = std::any::type_name::<E>();
+            assert_eq!(
+                traffic(exec, mode),
+                sim,
+                "{mode} rep {rep}: (messages, bytes) {name} vs Sim"
+            );
         }
     }
 }
 
 #[test]
 fn simulator_and_threads_send_identical_traffic() {
-    assert_matches_simulator("threads", threads);
+    assert_matches_simulator(Threads::default());
 }
 
 #[test]
 fn simulator_and_tcp_send_identical_traffic() {
-    assert_matches_simulator("tcp", tcp);
+    assert_matches_simulator(Tcp);
 }
