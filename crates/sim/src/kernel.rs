@@ -1,17 +1,23 @@
 //! The simulation kernel: deterministic scheduling of process syscalls and
 //! message deliveries.
 //!
-//! Processes are ordinary Rust closures, each on an OS thread of its own,
-//! but **exactly one process thread runs at a time**, from its first
-//! instruction on. The kernel has no thread of its own. Its state (`Core`)
+//! Processes are ordinary Rust closures, each run as a *fiber*: a body
+//! with a stack of its own that suspends and resumes on the thread that
+//! calls [`Kernel::run`]. On x86_64 Linux a switch between fibers is a
+//! function call that swaps stacks and callee-saved registers; on every
+//! other target each fiber is backed by a thread that runs only while its
+//! resumer waits (`fiber.rs`). Either way **exactly one process runs at a
+//! time**, from its first instruction on. The kernel's state (`Core`)
 //! sits behind one lock, and the running process — the one holding the
 //! *baton* — drives it. A syscall stores its request in the core and asks
 //! what runs next (`Core::next`): a queued resumption, else the next
 //! unstarted process, else the outcome of one more scheduling step. If
 //! that is the caller's own resumption, the syscall returns at once.
-//! Otherwise the caller fills the next thread's one-slot mailbox, unparks
-//! it, and parks until its own mailbox is filled: at most one hand-off
-//! per syscall.
+//! Otherwise the caller leaves the hand-off (who runs next, and with
+//! what) in the core and yields to `Kernel::run`, which resumes that
+//! process: at most one hand-off per syscall. When the run ends,
+//! `Kernel::run` resumes every process still inside its body with a
+//! shutdown, which unwinds it.
 //!
 //! The core interleaves syscalls and message deliveries by minimum virtual
 //! time with seeded tie-breaking, so a run is a pure function of
@@ -23,12 +29,12 @@ use std::cmp::Reverse;
 use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
-use std::thread::{self, JoinHandle, Thread};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::fiber::{self, Fiber};
 use crate::metrics::Metrics;
 use crate::net::{Delivery, NetCtx, Network, NodeId, SimConfig};
 use crate::schedule::{ActionId, RandomSchedule, Schedule, Touch};
@@ -69,9 +75,9 @@ pub enum Poll<R> {
 ///
 /// One `Protocol` value owns the state of *all* nodes (replicas and
 /// managers); the kernel tells it which node an event concerns. This keeps
-/// the trait object-free and lets protocols share lookup tables. The
-/// kernel runs on whichever process thread holds the baton, so the value
-/// moves between threads: hence `Send`.
+/// the trait object-free and lets protocols share lookup tables. Where
+/// processes are backed by threads, the kernel runs on whichever of them
+/// holds the baton, so the value moves between threads: hence `Send`.
 pub trait Protocol: Send + 'static {
     /// Network message payload.
     type Msg: Send + 'static;
@@ -151,41 +157,14 @@ pub trait Protocol: Send + 'static {
     }
 }
 
-/// What wakes a parked thread.
+/// What a process is resumed with.
 enum Wake<R> {
     /// Run the process closure from its first instruction.
     Start,
     /// Return from the pending syscall with this response.
     Resume(R),
-    /// The run is over: unwind (or, for the caller of [`Kernel::run`],
-    /// collect the result).
+    /// The run is over: unwind.
     Shutdown,
-}
-
-/// A parked thread's one-slot inbox.
-struct Mailbox<R> {
-    thread: OnceLock<Thread>,
-    wake: Mutex<Option<Wake<R>>>,
-}
-
-impl<R> Mailbox<R> {
-    fn new() -> Self {
-        Mailbox { thread: OnceLock::new(), wake: Mutex::new(None) }
-    }
-
-    fn post(&self, wake: Wake<R>) {
-        *self.wake.lock().expect("mailbox lock") = Some(wake);
-        self.thread.get().expect("registered before the first hand-off").unpark();
-    }
-
-    fn wait(&self) -> Wake<R> {
-        loop {
-            if let Some(wake) = self.wake.lock().expect("mailbox lock").take() {
-                return wake;
-            }
-            thread::park();
-        }
-    }
 }
 
 /// A process body, as handed to [`Kernel::spawn`].
@@ -195,13 +174,10 @@ type Body<P> = Box<dyn FnOnce(&mut ProcCtx<P>) + Send>;
 /// protocol code, which [`Kernel::run`] re-raises.
 type Ending = std::thread::Result<Result<(), SimError>>;
 
-/// What the process threads share: the kernel state behind one lock, and
-/// the mailboxes through which the baton passes.
+/// The kernel state, shared by the caller of [`Kernel::run`] and the
+/// process fibers. Whoever runs holds the baton: it drives the core.
 struct Baton<P: Protocol> {
     core: Mutex<Core<P>>,
-    /// One per process, indexed by token; the last belongs to the caller
-    /// of [`Kernel::run`], which waits there for the run to end.
-    mailboxes: Vec<Mailbox<P::Resp>>,
 }
 
 impl<P: Protocol> Baton<P> {
@@ -225,42 +201,37 @@ impl<P: Protocol> Baton<P> {
         core
     }
 
-    /// Runs the kernel on behalf of mailbox `me` until something is due
-    /// to run, and passes the baton to it. Returns `me`'s own resumption
-    /// when that is next; otherwise wakes the thread that is (every
-    /// thread, if the run is over) and returns `None`.
+    /// Runs the kernel on behalf of process `me` (the caller of
+    /// [`Kernel::run`], if out of range) until something is due to run.
+    /// Returns `me`'s own resumption when that is next; otherwise leaves
+    /// the hand-off to whoever is, or the run's ending, in the core.
     fn pass(&self, mut core: MutexGuard<'_, Core<P>>, me: usize) -> Option<P::Resp> {
         match catch_unwind(AssertUnwindSafe(|| core.next())) {
-            Ok(Next::Run(to, Wake::Resume(resp))) if to == me => Some(resp),
-            Ok(Next::Run(to, wake)) => {
-                drop(core);
-                self.mailboxes[to].post(wake);
-                None
-            }
-            Ok(Next::Over(result)) => {
-                self.end(core, Ok(result));
-                None
-            }
-            Err(payload) => {
-                self.end(core, Err(payload));
-                None
-            }
+            Ok(Next::Run(to, Wake::Resume(resp))) if to == me => return Some(resp),
+            Ok(Next::Run(to, wake)) => core.handoff = Some((to, wake)),
+            Ok(Next::Over(result)) => core.ended = Some(Ok(result)),
+            Err(payload) => core.ended = Some(Err(payload)),
         }
+        None
     }
 
-    /// Records how the run ended and wakes every thread with a shutdown.
-    fn end(&self, mut core: MutexGuard<'_, Core<P>>, ending: Ending) {
-        core.ended = Some(ending);
-        drop(core);
-        for mailbox in &self.mailboxes {
-            mailbox.post(Wake::Shutdown);
-        }
+    /// The process the baton was last passed to, if the run goes on.
+    fn due(&self) -> Option<usize> {
+        self.lock().handoff.as_ref().map(|&(to, _)| to)
     }
 
-    /// The life of process `me`'s thread: wait for its turn to start, run
-    /// `body`, then pass the baton on — or end the run with its panic.
+    /// Takes the wake that process `me` was resumed with.
+    fn take_wake(&self, me: usize) -> Wake<P::Resp> {
+        let (to, wake) = self.lock().handoff.take().expect("resumed by a hand-off");
+        debug_assert_eq!(to, me, "resumed the process the baton went to");
+        wake
+    }
+
+    /// The life of process `me`'s fiber: start (or not) as its first
+    /// wake says, run `body`, then pass the baton on — or end the run
+    /// with its panic.
     fn process(self: Arc<Self>, me: usize, body: Body<P>) {
-        match self.mailboxes[me].wait() {
+        match self.take_wake(me) {
             Wake::Start => {}
             Wake::Shutdown => return,
             Wake::Resume(_) => unreachable!("an unstarted process resumed"),
@@ -271,7 +242,7 @@ impl<P: Protocol> Baton<P> {
         let baton = ctx.baton;
         let mut core = baton.lock();
         if core.ended.is_some() {
-            return; // unwound by the shutdown, or outlived it
+            return; // unwound by the shutdown
         }
         match result {
             Ok(()) => {
@@ -280,7 +251,7 @@ impl<P: Protocol> Baton<P> {
                 baton.pass(core, me);
             }
             Err(payload) => {
-                baton.end(core, Ok(Err(SimError::ProcPanicked { proc: token, payload })));
+                core.ended = Some(Ok(Err(SimError::ProcPanicked { proc: token, payload })));
             }
         }
     }
@@ -308,7 +279,7 @@ impl<P: Protocol> ProcCtx<P> {
 
     /// Issues a syscall and blocks until the kernel responds.
     ///
-    /// The calling thread runs the kernel itself; it parks only while
+    /// The calling process runs the kernel itself; it yields only while
     /// other processes run first.
     ///
     /// # Panics
@@ -322,7 +293,8 @@ impl<P: Protocol> ProcCtx<P> {
         if let Some(resp) = self.baton.pass(core, me) {
             return resp;
         }
-        match self.baton.mailboxes[me].wait() {
+        fiber::yield_now();
+        match self.baton.take_wake(me) {
             Wake::Resume(resp) => resp,
             Wake::Shutdown => panic!("kernel alive"),
             Wake::Start => unreachable!("a running process restarted"),
@@ -480,6 +452,7 @@ impl<P: Protocol> Kernel<P> {
             footprint_open: false,
             candidates: Vec::new(),
             ids: Vec::new(),
+            handoff: None,
             ended: None,
         };
         Kernel { core, bodies: Vec::new() }
@@ -487,11 +460,11 @@ impl<P: Protocol> Kernel<P> {
 
     /// Spawns a process bound to `node` and returns its token.
     ///
-    /// The closure gets a thread of its own when [`Kernel::run`] starts,
-    /// and is scheduled cooperatively: processes start one at a time in
-    /// token order (each once the one before has issued its first syscall
-    /// or finished), and a started process makes progress only when the
-    /// kernel resumes one of its syscalls.
+    /// The closure runs as a fiber of [`Kernel::run`]'s thread (see the
+    /// module docs), scheduled cooperatively: processes start one at a
+    /// time in token order (each once the one before has issued its first
+    /// syscall or finished), and a started process makes progress only
+    /// when the kernel resumes one of its syscalls.
     ///
     /// # Panics
     ///
@@ -542,8 +515,11 @@ impl<P: Protocol> Kernel<P> {
 
     /// Runs the simulation to completion.
     ///
-    /// Spawns one thread per process; all of them are joined before this
-    /// returns.
+    /// Every process runs as a fiber on the calling thread (on targets
+    /// other than x86_64 Linux, backed by a thread of its own; see the
+    /// module docs). Each has finished, or unwound, and its stack is
+    /// freed before this returns. A process body may itself run a
+    /// kernel: its processes are fibers too, and yield to it.
     ///
     /// # Errors
     ///
@@ -557,33 +533,30 @@ impl<P: Protocol> Kernel<P> {
     pub fn run(self) -> Result<RunReport<P>, SimError> {
         let Kernel { core, bodies } = self;
         let caller = bodies.len();
-        let baton = Arc::new(Baton {
-            core: Mutex::new(core),
-            mailboxes: (0..=caller).map(|_| Mailbox::new()).collect(),
-        });
-        let threads: Vec<JoinHandle<()>> = bodies
+        let baton = Arc::new(Baton { core: Mutex::new(core) });
+        let mut fibers: Vec<Fiber> = bodies
             .into_iter()
             .enumerate()
             .map(|(i, body)| {
                 let baton = baton.clone();
-                thread::Builder::new()
-                    .name(format!("sim-proc-{i}"))
-                    .spawn(move || baton.process(i, body))
-                    .expect("thread spawn")
+                Fiber::new(move || baton.process(i, body))
             })
             .collect();
-        let registered = threads.iter().map(|t| t.thread().clone()).chain([thread::current()]);
-        for (mailbox, thread) in baton.mailboxes.iter().zip(registered) {
-            mailbox.thread.set(thread).expect("registered once");
-        }
-        // Hand the baton to the first process and wait for the run's end;
-        // every other thread has then unwound or finished.
+        // Run whichever process the baton passes to, until the run ends...
         baton.pass(baton.lock(), caller);
-        baton.mailboxes[caller].wait();
-        for t in threads {
-            t.join().expect("a process thread catches its panics");
+        while let Some(to) = baton.due() {
+            fibers[to].resume();
         }
-        let baton = Arc::into_inner(baton).expect("every process thread joined");
+        // ...then resume every process still inside its body (or not yet
+        // started) with a shutdown, which unwinds it.
+        for (i, fiber) in fibers.iter_mut().enumerate() {
+            if !fiber.is_done() {
+                baton.lock().handoff = Some((i, Wake::Shutdown));
+                fiber.resume();
+            }
+        }
+        drop(fibers);
+        let baton = Arc::into_inner(baton).expect("every process finished");
         baton.core.into_inner().expect("kernel lock").finish()
     }
 }
@@ -607,14 +580,14 @@ enum Cand {
 
 /// What runs next, as [`Core::next`] decides.
 enum Next<R> {
-    /// Wake mailbox `.0` with `.1`.
+    /// Resume process `.0` with `.1`.
     Run(usize, Wake<R>),
     /// Nothing runs again: the run is over with this result.
     Over(Result<(), SimError>),
 }
 
-/// The kernel's state and scheduling loop, run by whichever thread holds
-/// the baton.
+/// The kernel's state and scheduling loop, run by whichever process
+/// holds the baton.
 struct Core<P: Protocol> {
     protocol: P,
     config: SimConfig,
@@ -645,6 +618,9 @@ struct Core<P: Protocol> {
     /// steps so that stepping allocates nothing.
     candidates: Vec<Cand>,
     ids: Vec<ActionId>,
+    /// The process the baton was passed to, and what it resumes with,
+    /// until that process takes it.
+    handoff: Option<(usize, Wake<P::Resp>)>,
     /// Set once the run is over.
     ended: Option<Ending>,
 }
@@ -1191,6 +1167,64 @@ mod tests {
         }
         k.run().unwrap();
         assert_eq!(*log.lock().unwrap(), vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn a_process_that_captures_a_backtrace_then_panics_is_reported() {
+        let mut k = Kernel::new(counter(1), 1, SimConfig::default());
+        k.spawn(NodeId(0), |ctx| {
+            ctx.request(Req::Incr);
+            let trace = std::backtrace::Backtrace::force_capture();
+            assert!(trace.to_string().contains("kernel"), "the frames above the body are named");
+            panic!("after a backtrace");
+        });
+        match k.run() {
+            Err(SimError::ProcPanicked { proc, payload }) => {
+                assert_eq!(proc, ProcToken(0));
+                assert_eq!(payload.downcast_ref::<&str>(), Some(&"after a backtrace"));
+            }
+            other => panic!("expected a panic report, got {:?}", other.map(|_| ())),
+        }
+    }
+
+    #[test]
+    fn a_process_recurses_through_a_mebibyte_of_stack() {
+        let mut k = Kernel::new(counter(1), 1, SimConfig::default());
+        let depth = Arc::new(Mutex::new(0));
+        let out = depth.clone();
+        k.spawn(NodeId(0), move |ctx| {
+            ctx.request(Req::Incr);
+            *out.lock().unwrap() = crate::fiber::tests::recurse(1 << 20);
+            ctx.request(Req::Get);
+        });
+        k.run().unwrap();
+        assert!(*depth.lock().unwrap() > 0);
+    }
+
+    #[test]
+    fn a_run_inside_a_process_returns_its_own_result_and_the_outer_run_goes_on() {
+        let mut outer = Kernel::new(counter(2), 2, SimConfig::with_seed(1));
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let log = seen.clone();
+        outer.spawn(NodeId(0), move |ctx| {
+            ctx.request(Req::Incr);
+            let mut inner = Kernel::new(counter(3), 3, SimConfig::with_seed(2));
+            for n in 0..3u32 {
+                inner.spawn(NodeId(n), |ctx| {
+                    ctx.request(Req::Incr);
+                    ctx.request(Req::WaitFor(3));
+                });
+            }
+            let report = inner.run().expect("the inner run completes");
+            log.lock().unwrap().push(report.protocol.copies.clone());
+            ctx.request(Req::Incr);
+        });
+        outer.spawn(NodeId(1), |ctx| {
+            ctx.request(Req::WaitFor(2));
+        });
+        let report = outer.run().unwrap();
+        assert_eq!(*seen.lock().unwrap(), vec![vec![3, 3, 3]]);
+        assert_eq!(report.protocol.copies, vec![2, 2]);
     }
 
     #[test]

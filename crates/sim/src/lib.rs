@@ -14,10 +14,12 @@
 //! * **protocol timers** ([`NetCtx::set_timer`] /
 //!   [`Protocol::on_timer`]) so protocols can retransmit and recover;
 //! * a **kernel** ([`Kernel`]) that runs user closures as cooperative
-//!   processes, one thread each and exactly one running at a time: every
-//!   memory/synchronization operation is a syscall, and the process that
-//!   issues it runs the kernel itself, then passes the baton to whichever
-//!   process the schedule resumes — there is no kernel thread. Executions
+//!   processes, each a fiber on the caller's thread (a stack of its own,
+//!   switched to in user space; a thread per fiber off x86_64 Linux), and
+//!   exactly one running at a time: every memory/synchronization
+//!   operation is a syscall, and the process that issues it runs the
+//!   kernel itself, then passes the baton to whichever process the
+//!   schedule resumes. Executions
 //!   are **bit-for-bit reproducible** from a seed while different seeds
 //!   explore different interleavings;
 //! * exact **metrics** ([`Metrics`]): virtual completion time, message and
@@ -30,6 +32,7 @@
 
 #![warn(missing_docs)]
 
+mod fiber;
 mod kernel;
 mod metrics;
 mod net;
@@ -37,6 +40,8 @@ pub mod schedule;
 mod time;
 pub mod trace;
 
+#[doc(hidden)]
+pub use fiber::live_fiber_stacks;
 pub use kernel::{Kernel, Poll, ProcCtx, ProcToken, Protocol, RunReport, SimError};
 pub use metrics::{DurabilityStats, FaultStats, Histogram, KindStats, Metrics, ProcStats};
 pub use net::{Crash, FaultBudget, FaultPlan, LatencyModel, NetCtx, NodeId, Partition, SimConfig};

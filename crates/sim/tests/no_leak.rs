@@ -1,16 +1,21 @@
-//! No process thread outlives `Kernel::run`, however the run ends: a
+//! Nothing of a process outlives `Kernel::run`, however the run ends: a
 //! normal finish, a deadlock, a process panic, the event limit, or a
 //! panic in protocol code — which reaches the caller of `run` with its
-//! original payload.
+//! original payload. After every run no fiber stack is held, every
+//! process's locals (blocked ones' too) have been dropped, and no thread
+//! is left; on x86_64 no thread is even started during a run.
 //!
 //! One test in a binary of its own (CI also passes `--test-threads=1`):
-//! the thread count it compares is process-wide.
+//! the stack and thread counts it compares are process-wide.
 #![cfg(target_os = "linux")]
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use mc_sim::{Kernel, NetCtx, NodeId, Poll, ProcToken, Protocol, SimConfig, SimError};
+use mc_sim::{
+    live_fiber_stacks, Kernel, NetCtx, NodeId, Poll, ProcToken, Protocol, SimConfig, SimError,
+};
 
 const RUNS: usize = 200;
 const PROCS: u32 = 3;
@@ -77,6 +82,20 @@ const ENDINGS: [Ending; 5] = [
     Ending::ProtocolPanic,
 ];
 
+/// Locals of process bodies dropped so far.
+static DROPPED: AtomicUsize = AtomicUsize::new(0);
+/// The most threads a process body has seen running.
+static THREADS_SEEN: AtomicUsize = AtomicUsize::new(0);
+
+/// A process body's local: counts its drop.
+struct Local;
+
+impl Drop for Local {
+    fn drop(&mut self) {
+        DROPPED.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 /// One kernel whose run ends as `ending` says; panics if it ends any
 /// other way.
 fn run_one(ending: Ending, seed: u64) {
@@ -86,7 +105,10 @@ fn run_one(ending: Ending, seed: u64) {
     };
     let mut kernel = Kernel::new(Probe, PROCS as usize, config);
     for p in 0..PROCS {
+        let local = Local;
         kernel.spawn(NodeId(p), move |ctx| {
+            let _local = local;
+            THREADS_SEEN.fetch_max(thread_count(), Ordering::Relaxed);
             for _ in 0..4 {
                 ctx.request(Req::Send { poison: false });
             }
@@ -124,7 +146,7 @@ fn thread_count() -> usize {
     line["Threads:".len()..].trim().parse().expect("a count")
 }
 
-/// Keeps the expected panics (the two above, and parked processes
+/// Keeps the expected panics (the two above, and blocked processes
 /// unwinding a shutdown) off stderr; any other panic is reported.
 fn quiet_expected_panics() {
     let report = std::panic::take_hook();
@@ -141,11 +163,24 @@ fn quiet_expected_panics() {
 }
 
 #[test]
-fn two_hundred_kernels_leave_no_thread_behind() {
+fn two_hundred_kernels_leave_no_stack_local_or_thread_behind() {
     quiet_expected_panics();
     let threads = thread_count();
+    let stacks = live_fiber_stacks();
     for run in 0..RUNS {
-        run_one(ENDINGS[run % ENDINGS.len()], run as u64);
+        let ending = ENDINGS[run % ENDINGS.len()];
+        let dropped = DROPPED.load(Ordering::Relaxed);
+        run_one(ending, run as u64);
+        assert_eq!(live_fiber_stacks(), stacks, "run {run} ({ending:?}) left a fiber stack");
+        assert_eq!(
+            DROPPED.load(Ordering::Relaxed) - dropped,
+            PROCS as usize,
+            "run {run} ({ending:?}) left a process's locals undropped"
+        );
+    }
+    if cfg!(target_arch = "x86_64") {
+        // Every process is a fiber on the caller's thread.
+        assert_eq!(THREADS_SEEN.load(Ordering::Relaxed), threads, "a run started a thread");
     }
     // A joined thread leaves the kernel's count a moment after its
     // joiner is released, so the comparison allows it that moment.
