@@ -22,7 +22,7 @@
 
 use mc_model::History;
 use mixed_consistency::{
-    LockId, Metrics, Mode, ProcId, ReadLabel, RunError, SimTime, System, Value, VarArray,
+    LockId, Metrics, ProcId, ProcModel, ReadLabel, RunError, SimTime, System, Value, VarArray,
     VarMatrix, VarSpace,
 };
 
@@ -53,8 +53,9 @@ impl std::fmt::Display for CholeskyVariant {
 pub struct CholeskyConfig {
     /// Number of worker processes.
     pub workers: usize,
-    /// Memory protocol (the counters variant requires causal or mixed).
-    pub mode: Mode,
+    /// The lattice point every worker runs under (the counters variant
+    /// requires one on the vector substrate, such as causal or mixed).
+    pub model: ProcModel,
     /// Simulation seed.
     pub seed: u64,
     /// Record a checkable history (tiny matrices only).
@@ -66,7 +67,7 @@ pub struct CholeskyConfig {
 impl CholeskyConfig {
     /// A default configuration on mixed memory.
     pub fn new(workers: usize) -> Self {
-        CholeskyConfig { workers, mode: Mode::Mixed, seed: 1, record: false, flop_ns: 2 }
+        CholeskyConfig { workers, model: ProcModel::MIXED, seed: 1, record: false, flop_ns: 2 }
     }
 }
 
@@ -100,19 +101,18 @@ pub fn run_cholesky(
     sym: &Symbolic,
     variant: CholeskyVariant,
 ) -> Result<CholeskyRun, RunError> {
+    let mut sys = System::new(cfg.workers, cfg.model).seed(cfg.seed).record(cfg.record);
     if variant == CholeskyVariant::Counters {
         assert!(
-            matches!(cfg.mode, Mode::Causal | Mode::Mixed),
+            sys.cfg.substrate().carries_vectors(),
             "counter objects require the causal substrate (got {})",
-            cfg.mode
+            cfg.model
         );
     }
     let n = a.n();
     let mut vars = VarSpace::new();
     let l_mat: VarMatrix = vars.matrix(n, n);
     let counts: VarArray = vars.array(n);
-
-    let mut sys = System::new(cfg.workers, cfg.mode).seed(cfg.seed).record(cfg.record);
 
     let workers = cfg.workers;
     let owner = move |j: usize| j % workers;
@@ -286,7 +286,7 @@ mod tests {
     fn counters_on_pram_rejected() {
         let a = grid_laplacian(2);
         let sym = symbolic_factorize(&a);
-        let cfg = CholeskyConfig { mode: Mode::Pram, ..CholeskyConfig::new(2) };
+        let cfg = CholeskyConfig { model: ProcModel::PRAM, ..CholeskyConfig::new(2) };
         let _ = run_cholesky(&cfg, &a, &sym, CholeskyVariant::Counters);
     }
 
@@ -294,7 +294,7 @@ mod tests {
     fn lock_variant_works_on_sc() {
         let a = grid_laplacian(2);
         let sym = symbolic_factorize(&a);
-        let cfg = CholeskyConfig { mode: Mode::Sc, ..CholeskyConfig::new(2) };
+        let cfg = CholeskyConfig { model: ProcModel::SC, ..CholeskyConfig::new(2) };
         let run = run_cholesky(&cfg, &a, &sym, CholeskyVariant::Locks).unwrap();
         assert!(run.residual < 1e-9);
     }

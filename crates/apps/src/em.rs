@@ -15,7 +15,7 @@
 
 use mc_model::History;
 use mixed_consistency::{
-    Metrics, Mode, ProcId, ReadLabel, RunError, SimTime, System, VarArray, VarSpace,
+    Metrics, ProcId, ProcModel, ReadLabel, RunError, SimTime, System, VarArray, VarSpace,
 };
 
 /// FDTD configuration.
@@ -27,8 +27,8 @@ pub struct EmConfig {
     pub steps: usize,
     /// Number of worker processes.
     pub workers: usize,
-    /// Memory protocol.
-    pub mode: Mode,
+    /// The lattice point every worker runs under.
+    pub model: ProcModel,
     /// Simulation seed.
     pub seed: u64,
     /// Record a checkable history (keep sizes tiny).
@@ -41,8 +41,8 @@ pub struct EmConfig {
 
 impl EmConfig {
     /// A small default configuration.
-    pub fn new(cells: usize, steps: usize, workers: usize, mode: Mode) -> Self {
-        EmConfig { cells, steps, workers, mode, seed: 1, record: false, courant: 0.5, flop_ns: 2 }
+    pub fn new(cells: usize, steps: usize, workers: usize, model: ProcModel) -> Self {
+        EmConfig { cells, steps, workers, model, seed: 1, record: false, courant: 0.5, flop_ns: 2 }
     }
 }
 
@@ -116,7 +116,7 @@ pub fn run_fdtd(cfg: &EmConfig) -> Result<EmRun, RunError> {
     let e: VarArray = vars.array(m);
     let h: VarArray = vars.array(m - 1);
 
-    let mut sys = System::new(cfg.workers, cfg.mode).seed(cfg.seed).record(cfg.record);
+    let mut sys = System::new(cfg.workers, cfg.model).seed(cfg.seed).record(cfg.record);
 
     for w in 0..cfg.workers {
         let cfg = cfg.clone();
@@ -199,7 +199,7 @@ mod tests {
 
     #[test]
     fn reference_conserves_rough_energy() {
-        let cfg = EmConfig::new(32, 20, 1, Mode::Pram);
+        let cfg = EmConfig::new(32, 20, 1, ProcModel::PRAM);
         let (e, h) = fdtd_reference(&cfg);
         let energy: f64 =
             e.iter().map(|v| v * v).sum::<f64>() + h.iter().map(|v| v * v).sum::<f64>();
@@ -210,7 +210,7 @@ mod tests {
     #[test]
     fn parallel_matches_reference_bitwise() {
         for workers in [1, 2, 3] {
-            let cfg = EmConfig::new(16, 6, workers, Mode::Pram);
+            let cfg = EmConfig::new(16, 6, workers, ProcModel::PRAM);
             let run = run_fdtd(&cfg).unwrap();
             let (e_ref, h_ref) = fdtd_reference(&cfg);
             assert_eq!(run.e, e_ref, "E field, {workers} workers");
@@ -220,8 +220,8 @@ mod tests {
 
     #[test]
     fn all_modes_agree() {
-        let reference = fdtd_reference(&EmConfig::new(12, 4, 2, Mode::Pram));
-        for mode in [Mode::Pram, Mode::Causal, Mode::Mixed, Mode::Sc] {
+        let reference = fdtd_reference(&EmConfig::new(12, 4, 2, ProcModel::PRAM));
+        for mode in [ProcModel::PRAM, ProcModel::CAUSAL, ProcModel::MIXED, ProcModel::SC] {
             let cfg = EmConfig::new(12, 4, 2, mode);
             let run = run_fdtd(&cfg).unwrap();
             assert_eq!((run.e, run.h), reference.clone(), "{mode}");
@@ -230,7 +230,7 @@ mod tests {
 
     #[test]
     fn recorded_history_is_pram_consistent() {
-        let mut cfg = EmConfig::new(6, 2, 2, Mode::Pram);
+        let mut cfg = EmConfig::new(6, 2, 2, ProcModel::PRAM);
         cfg.record = true;
         let run = run_fdtd(&cfg).unwrap();
         let h = run.history.expect("recorded");
@@ -240,8 +240,8 @@ mod tests {
 
     #[test]
     fn virtual_time_grows_with_steps() {
-        let short = run_fdtd(&EmConfig::new(12, 2, 2, Mode::Pram)).unwrap();
-        let long = run_fdtd(&EmConfig::new(12, 8, 2, Mode::Pram)).unwrap();
+        let short = run_fdtd(&EmConfig::new(12, 2, 2, ProcModel::PRAM)).unwrap();
+        let long = run_fdtd(&EmConfig::new(12, 8, 2, ProcModel::PRAM)).unwrap();
         assert!(long.metrics.finish_time > short.metrics.finish_time);
     }
 }

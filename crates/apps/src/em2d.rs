@@ -20,7 +20,7 @@
 
 use mc_model::History;
 use mixed_consistency::{
-    Metrics, Mode, ProcId, ReadLabel, RunError, SimTime, System, VarMatrix, VarSpace,
+    Metrics, ProcId, ProcModel, ReadLabel, RunError, SimTime, System, VarMatrix, VarSpace,
 };
 
 /// Configuration of the 2-D solver.
@@ -32,8 +32,8 @@ pub struct Em2dConfig {
     pub steps: usize,
     /// Worker processes (block row partitioning).
     pub workers: usize,
-    /// Memory protocol.
-    pub mode: Mode,
+    /// The lattice point every worker runs under.
+    pub model: ProcModel,
     /// Simulation seed.
     pub seed: u64,
     /// Record a checkable history.
@@ -46,8 +46,8 @@ pub struct Em2dConfig {
 
 impl Em2dConfig {
     /// A small default configuration.
-    pub fn new(k: usize, steps: usize, workers: usize, mode: Mode) -> Self {
-        Em2dConfig { k, steps, workers, mode, seed: 1, record: false, courant: 0.4, flop_ns: 2 }
+    pub fn new(k: usize, steps: usize, workers: usize, model: ProcModel) -> Self {
+        Em2dConfig { k, steps, workers, model, seed: 1, record: false, courant: 0.4, flop_ns: 2 }
     }
 }
 
@@ -138,7 +138,7 @@ pub fn run_fdtd2d(cfg: &Em2dConfig) -> Result<Em2dRun, RunError> {
     let hx: VarMatrix = vars.matrix(k, k - 1);
     let hy: VarMatrix = vars.matrix(k - 1, k);
 
-    let mut sys = System::new(cfg.workers, cfg.mode).seed(cfg.seed).record(cfg.record);
+    let mut sys = System::new(cfg.workers, cfg.model).seed(cfg.seed).record(cfg.record);
     for w in 0..cfg.workers {
         let cfg = cfg.clone();
         sys.spawn(move |ctx| {
@@ -248,7 +248,7 @@ mod tests {
 
     #[test]
     fn reference_stays_bounded() {
-        let cfg = Em2dConfig::new(10, 12, 1, Mode::Pram);
+        let cfg = Em2dConfig::new(10, 12, 1, ProcModel::PRAM);
         let (ez, hx, hy) = fdtd2d_reference(&cfg);
         let energy: f64 = ez.iter().chain(&hx).chain(&hy).map(|v| v * v).sum();
         assert!(energy > 0.05 && energy < 50.0, "energy {energy}");
@@ -257,7 +257,7 @@ mod tests {
     #[test]
     fn parallel_matches_reference_bitwise() {
         for workers in [1, 2, 3] {
-            let cfg = Em2dConfig::new(6, 3, workers, Mode::Pram);
+            let cfg = Em2dConfig::new(6, 3, workers, ProcModel::PRAM);
             let run = run_fdtd2d(&cfg).unwrap();
             let (ez, hx, hy) = fdtd2d_reference(&cfg);
             assert_eq!(run.ez, ez, "{workers} workers Ez");
@@ -268,17 +268,17 @@ mod tests {
 
     #[test]
     fn modes_agree() {
-        let base = Em2dConfig::new(5, 2, 2, Mode::Pram);
+        let base = Em2dConfig::new(5, 2, 2, ProcModel::PRAM);
         let reference = fdtd2d_reference(&base);
-        for mode in [Mode::Pram, Mode::Causal, Mode::Mixed] {
-            let run = run_fdtd2d(&Em2dConfig { mode, ..base.clone() }).unwrap();
+        for mode in [ProcModel::PRAM, ProcModel::CAUSAL, ProcModel::MIXED] {
+            let run = run_fdtd2d(&Em2dConfig { model: mode, ..base.clone() }).unwrap();
             assert_eq!((run.ez, run.hx, run.hy), reference.clone(), "{mode}");
         }
     }
 
     #[test]
     fn recorded_history_passes_phase_discipline() {
-        let mut cfg = Em2dConfig::new(4, 1, 2, Mode::Pram);
+        let mut cfg = Em2dConfig::new(4, 1, 2, ProcModel::PRAM);
         cfg.record = true;
         let run = run_fdtd2d(&cfg).unwrap();
         let h = run.history.expect("recorded");

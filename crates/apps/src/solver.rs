@@ -17,7 +17,7 @@
 
 use mc_model::History;
 use mixed_consistency::{
-    Driver, Loc, MemCtx, Metrics, Mode, ProcId, ReadLabel, RunError, SimTime, System, Value,
+    Driver, Loc, MemCtx, Metrics, ProcId, ProcModel, ReadLabel, RunError, SimTime, System, Value,
     VarArray, VarMatrix, VarSpace,
 };
 
@@ -36,8 +36,8 @@ pub struct SolverConfig {
     pub max_iters: usize,
     /// Seed for the system, the schedule and the latency jitter.
     pub seed: u64,
-    /// Memory protocol to run on.
-    pub mode: Mode,
+    /// The lattice point every process runs under.
+    pub model: ProcModel,
     /// Record a checkable history (keep the problem tiny when enabled:
     /// checking costs O(ops²)).
     pub record: bool,
@@ -50,14 +50,14 @@ pub struct SolverConfig {
 
 impl SolverConfig {
     /// A small default configuration.
-    pub fn new(n: usize, workers: usize, mode: Mode) -> Self {
+    pub fn new(n: usize, workers: usize, model: ProcModel) -> Self {
         SolverConfig {
             n,
             workers,
             tol: 1e-8,
             max_iters: 200,
             seed: 1,
-            mode,
+            model,
             record: false,
             flop_ns: 2,
             latency: None,
@@ -418,7 +418,7 @@ pub fn run_async_relaxation(
 fn system(cfg: &SolverConfig, a: &DenseMatrix) -> (System, Layout) {
     assert!(cfg.workers >= 1, "need at least one worker");
     assert_eq!(a.n(), cfg.n, "matrix size must match config");
-    let mut sys = System::new(cfg.workers + 1, cfg.mode).seed(cfg.seed).record(cfg.record);
+    let mut sys = System::new(cfg.workers + 1, cfg.model).seed(cfg.seed).record(cfg.record);
     if let Some(lat) = cfg.latency {
         sys = sys.latency(lat);
     }
@@ -468,7 +468,7 @@ mod tests {
     use crate::dense::{diag_dominant_system, jacobi_reference};
     use mixed_consistency::check;
 
-    fn small_cfg(mode: Mode) -> (SolverConfig, DenseMatrix, Vec<f64>) {
+    fn small_cfg(mode: ProcModel) -> (SolverConfig, DenseMatrix, Vec<f64>) {
         let cfg = SolverConfig { tol: 1e-9, ..SolverConfig::new(8, 2, mode) };
         let (a, b) = diag_dominant_system(cfg.n, 42);
         (cfg, a, b)
@@ -476,7 +476,7 @@ mod tests {
 
     #[test]
     fn barrier_solver_matches_reference() {
-        let (cfg, a, b) = small_cfg(Mode::Pram);
+        let (cfg, a, b) = small_cfg(ProcModel::PRAM);
         let run = run_barrier_solver(&cfg, &a, &b).unwrap();
         assert!(run.converged, "residual {}", run.residual);
         let (x_ref, _) = jacobi_reference(&a, &b, cfg.tol, cfg.max_iters);
@@ -486,7 +486,7 @@ mod tests {
 
     #[test]
     fn barrier_solver_works_on_all_modes() {
-        for mode in [Mode::Pram, Mode::Causal, Mode::Mixed, Mode::Sc] {
+        for mode in [ProcModel::PRAM, ProcModel::CAUSAL, ProcModel::MIXED, ProcModel::SC] {
             let mut cfg = SolverConfig::new(6, 2, mode);
             cfg.tol = 1e-8;
             cfg.max_iters = 120;
@@ -498,7 +498,7 @@ mod tests {
 
     #[test]
     fn handshake_solver_with_causal_reads_converges() {
-        let (cfg, a, b) = small_cfg(Mode::Mixed);
+        let (cfg, a, b) = small_cfg(ProcModel::MIXED);
         let run = run_handshake_solver(&cfg, &a, &b, ReadLabel::Causal).unwrap();
         assert!(run.converged, "residual {}", run.residual);
         let (x_ref, _) = jacobi_reference(&a, &b, cfg.tol, cfg.max_iters);
@@ -510,11 +510,11 @@ mod tests {
         // Section 7's qualitative claim (C1). The faithful comparison runs
         // Fig. 2 on PRAM memory (it is PRAM-consistent) and Fig. 3 on
         // causal memory (its reads "cannot be PRAM").
-        let mut cfg = SolverConfig::new(12, 4, Mode::Pram);
+        let mut cfg = SolverConfig::new(12, 4, ProcModel::PRAM);
         cfg.tol = 1e-8;
         let (a, b) = diag_dominant_system(cfg.n, 42);
         let bar = run_barrier_solver(&cfg, &a, &b).unwrap();
-        cfg.mode = Mode::Causal;
+        cfg.model = ProcModel::CAUSAL;
         let hs = run_handshake_solver(&cfg, &a, &b, ReadLabel::Causal).unwrap();
         assert!(bar.converged && hs.converged);
         assert!(
@@ -533,7 +533,7 @@ mod tests {
 
     #[test]
     fn recorded_barrier_history_is_pram_consistent_program() {
-        let mut cfg = SolverConfig::new(3, 2, Mode::Pram);
+        let mut cfg = SolverConfig::new(3, 2, ProcModel::PRAM);
         cfg.record = true;
         cfg.tol = 1e-3;
         cfg.max_iters = 4;
@@ -546,7 +546,7 @@ mod tests {
 
     #[test]
     fn recorded_handshake_history_is_causal() {
-        let mut cfg = SolverConfig::new(3, 2, Mode::Mixed);
+        let mut cfg = SolverConfig::new(3, 2, ProcModel::MIXED);
         cfg.record = true;
         cfg.tol = 1e-3;
         cfg.max_iters = 3;
@@ -560,7 +560,7 @@ mod tests {
     #[test]
     fn async_relaxation_converges_on_pram() {
         // Section 7's claim (C3).
-        let (cfg, a, b) = small_cfg(Mode::Pram);
+        let (cfg, a, b) = small_cfg(ProcModel::PRAM);
         let run = run_async_relaxation(&cfg, &a, &b, 60).unwrap();
         assert!(run.residual < 1e-6, "residual {}", run.residual);
         assert!(run.converged);

@@ -12,14 +12,14 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use mixed_consistency::{
-    check, FaultPlan, Loc, LockId, LockPropagation, Metrics, Mode, ReadLabel, SimTime, System,
+    check, FaultPlan, Loc, LockId, LockPropagation, Metrics, ProcModel, ReadLabel, SimTime, System,
 };
 
 use crate::{metric_cols, speedup, Row, Table};
 
 /// A uniform random read/write workload with no synchronization:
 /// the raw access-cost microbenchmark.
-fn access_workload(mode: Mode, write_frac: f64, procs: usize, ops: usize, seed: u64) -> Metrics {
+fn access_workload(mode: ProcModel, frac: f64, procs: usize, ops: usize, seed: u64) -> Metrics {
     let mut sys = System::new(procs, mode).seed(seed);
     for p in 0..procs {
         sys.spawn(move |ctx| {
@@ -27,7 +27,7 @@ fn access_workload(mode: Mode, write_frac: f64, procs: usize, ops: usize, seed: 
             let mut val = (p as i64 + 1) * 1_000_000;
             for _ in 0..ops {
                 let loc = Loc(rng.gen_range(0..8u32));
-                if rng.gen_bool(write_frac) {
+                if rng.gen_bool(frac) {
                     val += 1;
                     ctx.write(loc, val);
                 } else {
@@ -48,7 +48,7 @@ fn access_workload(mode: Mode, write_frac: f64, procs: usize, ops: usize, seed: 
 /// message, in both configurations, so the reduction reported is the
 /// per-phase one a synchronized program actually sees.
 fn batched_access_workload(
-    mode: Mode,
+    mode: ProcModel,
     write_frac: f64,
     procs: usize,
     ops: usize,
@@ -85,7 +85,7 @@ fn batched_access_workload(
 pub fn protocols_table(procs: usize, ops: usize) -> Table {
     let mut rows = Vec::new();
     for (wl, frac) in [("read-heavy (10% wr)", 0.1), ("write-heavy (50% wr)", 0.5)] {
-        for mode in Mode::ALL {
+        for mode in [ProcModel::PRAM, ProcModel::CAUSAL, ProcModel::MIXED, ProcModel::SC] {
             let m = access_workload(mode, frac, procs, ops, 7);
             let total_ops = (procs * ops) as f64;
             rows.push(Row::new(
@@ -109,7 +109,7 @@ pub fn protocols_table(procs: usize, ops: usize) -> Table {
 
 /// One E8 datapoint: (msgs/op, bytes/op) with batching off and on, same
 /// workload, same seed. Shared by the table and its acceptance test.
-fn batching_datapoint(mode: Mode, write_frac: f64, procs: usize, ops: usize) -> [f64; 4] {
+fn batching_datapoint(mode: ProcModel, write_frac: f64, procs: usize, ops: usize) -> [f64; 4] {
     let total_ops = (procs * ops) as f64;
     let off = batched_access_workload(mode, write_frac, procs, ops, 7, None);
     let on = batched_access_workload(
@@ -137,7 +137,7 @@ fn batching_datapoint(mode: Mode, write_frac: f64, procs: usize, ops: usize) -> 
 pub fn batching_table(procs: usize, ops: usize) -> Table {
     let mut rows = Vec::new();
     for (wl, frac) in [("read-heavy (10% wr)", 0.1), ("write-heavy (50% wr)", 0.5)] {
-        for mode in [Mode::Pram, Mode::Causal, Mode::Mixed] {
+        for mode in [ProcModel::PRAM, ProcModel::CAUSAL, ProcModel::MIXED] {
             let [msgs_off, msgs_on, bytes_off, bytes_on] =
                 batching_datapoint(mode, frac, procs, ops);
             rows.push(Row::new(
@@ -180,14 +180,14 @@ pub fn solver_table() -> Table {
     let mut rows = Vec::new();
     for (n, workers) in [(8, 2), (16, 4), (24, 6)] {
         let (a, b) = diag_dominant_system(n, 2026);
-        let mut cfg = SolverConfig::new(n, workers, Mode::Pram);
+        let mut cfg = SolverConfig::new(n, workers, ProcModel::PRAM);
         // Fixed iteration count: the performance comparison must not be
         // confounded by slightly different stopping points.
         cfg.tol = 0.0;
         cfg.max_iters = 25;
         cfg.latency = Some(ethernet_1994());
         let bar = run_barrier_solver(&cfg, &a, &b).expect("barrier solver");
-        cfg.mode = Mode::Causal;
+        cfg.model = ProcModel::CAUSAL;
         let hs = run_handshake_solver(&cfg, &a, &b, ReadLabel::Causal).expect("handshake");
         for (variant, run) in [("Fig.2 barrier/PRAM", &bar), ("Fig.3 handshake/causal", &hs)] {
             let mut vals = metric_cols(&run.metrics);
@@ -239,7 +239,7 @@ pub fn cholesky_table() -> Table {
     ];
     for (name, a) in &matrices {
         let sym = symbolic_factorize(a);
-        let cfg = CholeskyConfig { mode: Mode::Mixed, ..CholeskyConfig::new(4) };
+        let cfg = CholeskyConfig { model: ProcModel::MIXED, ..CholeskyConfig::new(4) };
         let locks = run_cholesky(&cfg, a, &sym, CholeskyVariant::Locks).expect("locks");
         let counters = run_cholesky(&cfg, a, &sym, CholeskyVariant::Counters).expect("counters");
         for (variant, run) in [("locks (Fig.5)", &locks), ("counters", &counters)] {
@@ -277,7 +277,7 @@ pub fn relaxation_table() -> Table {
     let mut rows = Vec::new();
     let n = 16;
     let (a, b) = diag_dominant_system(n, 4);
-    let mut cfg = SolverConfig::new(n, 4, Mode::Pram);
+    let mut cfg = SolverConfig::new(n, 4, ProcModel::PRAM);
     cfg.tol = 1e-8;
     cfg.max_iters = 400;
     let bar = run_barrier_solver(&cfg, &a, &b).expect("barrier");
@@ -314,8 +314,10 @@ fn lock_workload(
     rounds: usize,
     data_locs: u32,
 ) -> Metrics {
-    let mut sys =
-        System::new(procs, Mode::Mixed).lock_propagation(prop).seed(11).latency(ethernet_1994());
+    let mut sys = System::new(procs, ProcModel::MIXED)
+        .lock_propagation(prop)
+        .seed(11)
+        .latency(ethernet_1994());
     for p in 0..procs {
         sys.spawn(move |ctx| {
             let mut val = (p as i64 + 1) * 10_000;
@@ -363,7 +365,7 @@ pub fn locks_table(procs: usize, rounds: usize) -> Table {
 pub fn barrier_table(rounds: usize) -> Table {
     let mut rows = Vec::new();
     for procs in [2, 4, 8, 16] {
-        let mut sys = System::new(procs, Mode::Pram).seed(3);
+        let mut sys = System::new(procs, ProcModel::PRAM).seed(3);
         for p in 0..procs as u32 {
             sys.spawn(move |ctx| {
                 for r in 0..rounds {
@@ -400,8 +402,10 @@ pub fn barrier_table(rounds: usize) -> Table {
 /// A many-locks workload for the manager-sharding ablation: every
 /// process cycles through `nlocks` independent locks.
 fn sharded_lock_workload(shards: usize, procs: usize, nlocks: u32, rounds: usize) -> Metrics {
-    let mut sys =
-        System::new(procs, Mode::Mixed).manager_shards(shards).seed(3).latency(ethernet_1994());
+    let mut sys = System::new(procs, ProcModel::MIXED)
+        .manager_shards(shards)
+        .seed(3)
+        .latency(ethernet_1994());
     for p in 0..procs {
         sys.spawn(move |ctx| {
             for r in 0..rounds {
@@ -439,7 +443,7 @@ pub fn sharding_table() -> Table {
 /// either interest-sharded replication (interest = own shard plus the
 /// neighbor's) or classic full replication.
 fn ring_workload(n: usize, writes: u32, sharded: bool) -> Metrics {
-    let mut sys = System::new(n, Mode::Causal).seed(31).latency(ethernet_1994());
+    let mut sys = System::new(n, ProcModel::CAUSAL).seed(31).latency(ethernet_1994());
     if sharded {
         let interest: Vec<Vec<usize>> = (0..n).map(|p| vec![p, (p + 1) % n]).collect();
         sys = sys.sharding(Some(mixed_consistency::ShardConfig::new(n, interest)));
@@ -502,7 +506,7 @@ pub fn interest_sharding_table() -> Table {
 pub fn em_table() -> Table {
     let mut rows = Vec::new();
     for workers in [2, 4] {
-        for mode in Mode::ALL {
+        for mode in [ProcModel::PRAM, ProcModel::CAUSAL, ProcModel::MIXED, ProcModel::SC] {
             let cfg = EmConfig::new(32, 10, workers, mode);
             let run = run_fdtd(&cfg).expect("fdtd");
             rows.push(Row::new(
@@ -515,7 +519,7 @@ pub fn em_table() -> Table {
             ));
         }
     }
-    for mode in [Mode::Pram, Mode::Sc] {
+    for mode in [ProcModel::PRAM, ProcModel::SC] {
         let cfg = Em2dConfig::new(8, 6, 4, mode);
         let run = run_fdtd2d(&cfg).expect("fdtd2d");
         rows.push(Row::new(
@@ -540,7 +544,7 @@ pub fn faults_table() -> Table {
     let mut rows = Vec::new();
     for loss_pct in [0u32, 1, 5, 10, 20] {
         let drop = f64::from(loss_pct) / 100.0;
-        let mut sys = System::new(3, Mode::Mixed)
+        let mut sys = System::new(3, ProcModel::MIXED)
             .seed(17)
             .faults(
                 FaultPlan::new()
@@ -600,27 +604,27 @@ pub fn exploration_table() -> Table {
     let programs: Vec<(&str, ProgSpec)> = vec![
         (
             "store-buffer",
-            ProgSpec::new(Mode::Mixed)
+            ProgSpec::new(ProcModel::MIXED)
                 .proc(vec![w(0, 1), r(1, ReadLabel::Causal)])
                 .proc(vec![w(1, 1), r(0, ReadLabel::Causal)]),
         ),
         (
             "causality-chain",
-            ProgSpec::new(Mode::Mixed)
+            ProgSpec::new(ProcModel::MIXED)
                 .proc(vec![w(0, 1)])
                 .proc(vec![r(0, ReadLabel::Causal), w(1, 2)])
                 .proc(vec![r(1, ReadLabel::Pram), r(0, ReadLabel::Pram)]),
         ),
         (
             "wrc",
-            ProgSpec::new(Mode::Mixed)
+            ProgSpec::new(ProcModel::MIXED)
                 .proc(vec![w(0, 1)])
                 .proc(vec![r(0, ReadLabel::Causal), w(1, 1)])
                 .proc(vec![r(1, ReadLabel::Pram), r(0, ReadLabel::Pram)]),
         ),
         (
             "2+2w",
-            ProgSpec::new(Mode::Mixed)
+            ProgSpec::new(ProcModel::MIXED)
                 .proc(vec![w(0, 1), w(1, 2)])
                 .proc(vec![w(1, 1), w(0, 2)])
                 .proc(vec![r(0, ReadLabel::Causal), r(0, ReadLabel::Causal)]),
@@ -678,7 +682,8 @@ fn recovery_run(
     let flag = Loc(prewrites);
     let ack = Loc(prewrites + 1);
     let base = prewrites + 2;
-    let mut sys = System::new(2, Mode::Causal).seed(23).latency(ethernet_1994()).reliable(true);
+    let mut sys =
+        System::new(2, ProcModel::CAUSAL).seed(23).latency(ethernet_1994()).reliable(true);
     if durable {
         sys = sys.durability(Some(mixed_consistency::DurabilityPolicy::new(16)));
     }
@@ -791,14 +796,14 @@ mod tests {
         // cost bytes, and on the write-heavy causal workload it must cut
         // messages by >=2x and bytes by >=30%.
         for (frac, write_heavy) in [(0.1, false), (0.5, true)] {
-            for mode in [Mode::Pram, Mode::Causal, Mode::Mixed] {
+            for mode in [ProcModel::PRAM, ProcModel::CAUSAL, ProcModel::MIXED] {
                 let [msgs_off, msgs_on, bytes_off, bytes_on] =
                     batching_datapoint(mode, frac, 4, 200);
                 assert!(
                     bytes_on <= bytes_off,
                     "{mode} frac {frac}: batching cost bytes ({bytes_on} > {bytes_off})"
                 );
-                if write_heavy && mode == Mode::Causal {
+                if write_heavy && mode == ProcModel::CAUSAL {
                     assert!(
                         msgs_off >= 2.0 * msgs_on,
                         "write-heavy causal: msgs/op {msgs_off} -> {msgs_on} is under 2x"

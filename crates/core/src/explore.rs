@@ -32,12 +32,12 @@
 //! # Examples
 //!
 //! ```
-//! use mixed_consistency::{check, explore, Loc, Mode, System};
+//! use mixed_consistency::{check, explore, Loc, ProcModel, System};
 //!
 //! let outcome = explore::explore(
 //!     500,
 //!     || {
-//!         let mut sys = System::new(2, Mode::Mixed)
+//!         let mut sys = System::new(2, ProcModel::MIXED)
 //!             .record(true)
 //!             .sim_config(explore::racing_config());
 //!         sys.spawn(|ctx| {
@@ -804,15 +804,10 @@ fn analyze_races(trace: &DecisionTrace, base: usize, frames: &mut [Frame]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{check, sc, Loc, LockId, Mode, ProcId, Value};
-    use mc_proto::Mode as ProtoMode;
-
-    fn _mode_reexport_consistency(m: ProtoMode) -> Mode {
-        m
-    }
+    use crate::{check, sc, Loc, LockId, ProcId, ProcModel, Value};
 
     fn store_buffer_system() -> System {
-        let mut sys = System::new(2, Mode::Mixed).record(true).sim_config(racing_config());
+        let mut sys = System::new(2, ProcModel::MIXED).record(true).sim_config(racing_config());
         sys.spawn(|ctx| {
             ctx.write(Loc(0), 1);
             let _ = ctx.read_causal(Loc(1));
@@ -875,7 +870,8 @@ mod tests {
         let outcome = explore(
             5_000,
             || {
-                let mut sys = System::new(2, Mode::Causal).record(true).sim_config(racing_config());
+                let mut sys =
+                    System::new(2, ProcModel::CAUSAL).record(true).sim_config(racing_config());
                 for _ in 0..2 {
                     sys.spawn(|ctx| {
                         ctx.with_write_lock(LockId(0), |ctx| {
@@ -909,7 +905,7 @@ mod tests {
         let outcome = explore(
             3,
             || {
-                let mut sys = System::new(3, Mode::Pram);
+                let mut sys = System::new(3, ProcModel::PRAM);
                 for p in 0..3u32 {
                     sys.spawn(move |ctx| {
                         ctx.write(Loc(p), 1);
@@ -931,7 +927,7 @@ mod tests {
         let err = explore(
             100,
             || {
-                let mut sys = System::new(1, Mode::Pram);
+                let mut sys = System::new(1, ProcModel::PRAM);
                 sys.spawn(|ctx| {
                     ctx.write(Loc(0), 7);
                 });
@@ -1013,7 +1009,7 @@ mod tests {
         let err = explore_with(
             ExploreOptions::new().allow_deadlock(true).max_runs(50_000),
             || {
-                let mut sys = System::new(2, Mode::Pram)
+                let mut sys = System::new(2, ProcModel::PRAM)
                     .record(true)
                     .sim_config(racing_config())
                     .explore_faults(mc_sim::FaultBudget::new().drops(1));
@@ -1050,7 +1046,7 @@ mod tests {
         let out = explore_with(
             ExploreOptions::new().allow_deadlock(true),
             || {
-                let mut sys = System::new(2, Mode::Pram)
+                let mut sys = System::new(2, ProcModel::PRAM)
                     .record(true)
                     .sim_config(racing_config())
                     .explore_faults(mc_sim::FaultBudget::new().crash_of(mc_sim::NodeId(1)));
@@ -1085,7 +1081,7 @@ mod tests {
         let out = explore_with(
             ExploreOptions::new().allow_deadlock(true).max_runs(50_000),
             || {
-                let mut sys = System::new(2, Mode::Causal)
+                let mut sys = System::new(2, ProcModel::CAUSAL)
                     .record(true)
                     .sim_config(racing_config())
                     .reliable(true)
@@ -1141,7 +1137,7 @@ mod tests {
         let out = explore_with(
             ExploreOptions::new().allow_deadlock(true).max_runs(50_000),
             || {
-                let mut sys = System::new(2, Mode::Causal)
+                let mut sys = System::new(2, ProcModel::CAUSAL)
                     .record(true)
                     .sim_config(racing_config())
                     .reliable(true)
@@ -1178,7 +1174,7 @@ mod tests {
         let out = explore_with(
             ExploreOptions::new().allow_deadlock(true).max_runs(50_000),
             || {
-                let mut sys = System::new(2, Mode::Causal)
+                let mut sys = System::new(2, ProcModel::CAUSAL)
                     .record(true)
                     .sim_config(racing_config())
                     .reliable(true)
@@ -1227,7 +1223,7 @@ mod tests {
         // making the same records durable (none lost, none staged at
         // exit — the conservation law is checked by the kernel).
         fn fsyncs(group_commit: bool) -> (u64, u64) {
-            let mut sys = System::new(2, Mode::Causal)
+            let mut sys = System::new(2, ProcModel::CAUSAL)
                 .record(true)
                 .durability(Some(
                     mc_proto::DurabilityPolicy::new(1024).with_group_commit(group_commit),
@@ -1272,7 +1268,7 @@ mod tests {
             let out = explore_with(
                 ExploreOptions::new().allow_deadlock(true).max_runs(50_000),
                 move || {
-                    let mut sys = System::new(2, Mode::Causal)
+                    let mut sys = System::new(2, ProcModel::CAUSAL)
                         .record(true)
                         .sim_config(racing_config())
                         .reliable(true)

@@ -1,6 +1,8 @@
 //! The old surface `benchmark/` calls; its first change deletes this,
 //! `mc_live::legacy` and `mc_net::legacy`.
 
+pub use mc_proto::Mode;
+
 use crate::system::{System, WallClock};
 
 impl<E: WallClock> System<E> {

@@ -26,11 +26,11 @@
 //! # Quick start
 //!
 //! ```
-//! use mixed_consistency::{check, Loc, Mode, System, Value};
+//! use mixed_consistency::{check, Loc, ProcModel, System, Value};
 //!
 //! // Two processes on mixed-consistency memory: a producer/consumer
 //! // handshake through an await (Section 3.1.3 of the paper).
-//! let mut sys = System::new(2, Mode::Mixed).record(true);
+//! let mut sys = System::new(2, ProcModel::MIXED).record(true);
 //! sys.spawn(|ctx| {
 //!     ctx.write(Loc(0), 42);   // data
 //!     ctx.write(Loc(1), 1);    // flag
@@ -71,6 +71,7 @@ pub mod repro;
 mod system;
 mod vars;
 
+pub use legacy::*;
 pub use progspec::{ProgSpec, SpecOp};
 pub use repro::Repro;
 pub use system::{
@@ -86,8 +87,8 @@ pub use mc_model::{
     ModelAssignment, ModelSpec, OpKind, ProcId, ProcModel, ReadLabel, Value, WriteId,
 };
 pub use mc_proto::{
-    BatchPolicy, CrashFs, Driver, DsmConfig, DurabilityPolicy, LockPropagation, MemCtx, Mode,
-    SessionConfig, ShardConfig,
+    BatchPolicy, CrashFs, Driver, DsmConfig, DurabilityPolicy, IntoModels, LockPropagation, MemCtx,
+    SessionConfig, ShardConfig, Substrate,
 };
 pub use mc_sim::{
     ActionId, Crash, DecisionTrace, DurabilityStats, FaultBudget, FaultPlan, FaultStats, Histogram,

@@ -9,7 +9,8 @@
 
 use std::fmt::Write as _;
 
-use mc_proto::{Driver, LockPropagation, MemCtx, Mode};
+use mc_model::{ModelAssignment, ProcModel};
+use mc_proto::{Driver, IntoModels, LockPropagation, MemCtx};
 
 use crate::explore::racing_config;
 use crate::system::System;
@@ -68,22 +69,20 @@ pub enum SpecOp {
     },
 }
 
-/// A closed, serializable program: memory mode, lock propagation
-/// variant, and one operation list per process.
+/// A closed, serializable program: consistency models, lock
+/// propagation variant, and one operation list per process.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct ProgSpec {
-    /// The memory mode the program runs on.
-    pub mode: Mode,
+    /// The lattice point each process runs and is judged under: one
+    /// point for every process, or one per process (the length must
+    /// then equal the process count once processes are appended).
+    pub models: Vec<ProcModel>,
     /// The lock propagation variant.
     pub lock_propagation: LockPropagation,
     /// Per-replica durability: `Some(n)` enables the WAL with a snapshot
     /// every `n` records (and the session layer, which recovery's epoch
     /// fencing rides on).
     pub durability: Option<u32>,
-    /// Per-process lattice assignment: `Some(ms)` judges (and runs)
-    /// process `i` under `ms[i]` instead of the single [`Mode`]. Length
-    /// must equal the process count once processes are appended.
-    pub models: Option<Vec<mc_model::ProcModel>>,
     /// Sharded partial replication: `Some(n)` partitions the address
     /// space into `n` shards (`loc % n`) and multicasts updates only to
     /// a shard's subscribers. Interest sets default to each process's
@@ -100,14 +99,13 @@ pub struct ProgSpec {
 }
 
 impl ProgSpec {
-    /// Creates an empty spec on `mode` with the default (lazy) lock
-    /// propagation.
-    pub fn new(mode: Mode) -> Self {
+    /// Creates an empty spec with every process under `model` and the
+    /// default (lazy) lock propagation.
+    pub fn new(model: impl Into<ProcModel>) -> Self {
         ProgSpec {
-            mode,
+            models: vec![model.into()],
             lock_propagation: LockPropagation::Lazy,
             durability: None,
-            models: None,
             shards: None,
             interest: Vec::new(),
             procs: Vec::new(),
@@ -121,11 +119,9 @@ impl ProgSpec {
         self
     }
 
-    /// Assigns one lattice point per process. The assignment overrides
-    /// the `mode` substrate (which is re-derived from the models) and
-    /// routes verification through the declarative validator.
-    pub fn models(mut self, models: Vec<mc_model::ProcModel>) -> Self {
-        self.models = Some(models);
+    /// Assigns one lattice point per process, in process order.
+    pub fn models(mut self, models: Vec<ProcModel>) -> Self {
+        self.models = models;
         self
     }
 
@@ -168,19 +164,25 @@ impl ProgSpec {
         self.len() == 0
     }
 
+    /// The per-process assignment [`ProgSpec::models`] names for the
+    /// spec's processes.
+    pub fn assignment(&self) -> ModelAssignment {
+        match self.models[..] {
+            [model] => model.into_models(self.procs.len()),
+            _ => ModelAssignment::per_proc(self.models.clone()),
+        }
+    }
+
     /// Builds the runnable [`System`] for this spec: recording on, racing
     /// (zero-latency, zero-cost) simulator configuration so exploration
     /// reaches every interleaving through tie-breaking.
     pub fn build_system(&self) -> System {
-        let mut sys = System::new(self.procs.len(), self.mode)
+        let mut sys = System::new(self.procs.len(), self.assignment())
             .lock_propagation(self.lock_propagation)
             .record(true)
             .sim_config(racing_config());
         if let Some(every) = self.durability {
             sys = sys.reliable(true).durability(Some(mc_proto::DurabilityPolicy::new(every)));
-        }
-        if let Some(models) = &self.models {
-            sys = sys.models(mc_model::ModelAssignment::per_proc(models.clone()));
         }
         if let Some(nshards) = self.shards {
             // Explicit overrides may under-subscribe on purpose (to
@@ -209,14 +211,12 @@ impl ProgSpec {
     /// [`ProgSpec::parse`].
     pub fn to_text(&self) -> String {
         let mut out = String::new();
-        let _ = writeln!(out, "mode {}", self.mode);
+        let names: Vec<&str> = self.models.iter().map(ProcModel::name).collect();
+        let key = if names.len() == 1 { "mode" } else { "models" };
+        let _ = writeln!(out, "{key} {}", names.join(" "));
         let _ = writeln!(out, "locks {}", prop_name(self.lock_propagation));
         if let Some(every) = self.durability {
             let _ = writeln!(out, "durability {every}");
-        }
-        if let Some(models) = &self.models {
-            let names: Vec<&str> = models.iter().map(mc_model::ProcModel::name).collect();
-            let _ = writeln!(out, "models {}", names.join(" "));
         }
         if let Some(n) = self.shards {
             let _ = writeln!(out, "shards {n}");
@@ -234,7 +234,10 @@ impl ProgSpec {
         out
     }
 
-    /// Parses the text format produced by [`ProgSpec::to_text`].
+    /// Parses the text format produced by [`ProgSpec::to_text`]: a
+    /// `mode <name>` line puts every process under the lattice point
+    /// [`ProcModel::named`] finds, a `models <name>…` line names one
+    /// point per process (and wins over a `mode` line).
     ///
     /// # Errors
     ///
@@ -257,7 +260,7 @@ impl ProgSpec {
             match words[0] {
                 "mode" => {
                     mode = Some(
-                        parse_mode(words.get(1).copied().unwrap_or(""))
+                        ProcModel::named(words.get(1).copied().unwrap_or(""))
                             .ok_or_else(|| err("unknown mode"))?,
                     );
                 }
@@ -280,8 +283,8 @@ impl ProgSpec {
                     if models.is_some() {
                         return Err(err("duplicate `models` line"));
                     }
-                    let parsed: Option<Vec<mc_model::ProcModel>> =
-                        words[1..].iter().map(|w| mc_model::ProcModel::named(w)).collect();
+                    let parsed: Option<Vec<ProcModel>> =
+                        words[1..].iter().map(|w| ProcModel::named(w)).collect();
                     let parsed = parsed.ok_or_else(|| err("unknown model name"))?;
                     if parsed.is_empty() {
                         return Err(err("empty model list"));
@@ -368,10 +371,9 @@ impl ProgSpec {
             }
         }
         Ok(ProgSpec {
-            mode: mode.ok_or("missing `mode` line")?,
+            models: models.or(mode.map(|m| vec![m])).ok_or("missing `mode` line")?,
             lock_propagation: prop,
             durability,
-            models,
             shards,
             interest,
             procs,
@@ -470,10 +472,6 @@ fn parse_op(words: &[&str]) -> Option<SpecOp> {
     })
 }
 
-fn parse_mode(s: &str) -> Option<Mode> {
-    Mode::ALL.into_iter().find(|m| m.to_string() == s)
-}
-
 fn prop_name(p: LockPropagation) -> &'static str {
     match p {
         LockPropagation::Eager => "eager",
@@ -492,7 +490,7 @@ mod tests {
     use crate::check;
 
     fn sample() -> ProgSpec {
-        ProgSpec::new(Mode::Mixed)
+        ProgSpec::new(ProcModel::MIXED)
             .proc(vec![
                 SpecOp::Write { loc: Loc(0), value: 1 },
                 SpecOp::Lock { lock: LockId(0), mode: LockMode::Write },
@@ -518,7 +516,7 @@ mod tests {
 
     #[test]
     fn await_round_trips() {
-        let spec = ProgSpec::new(Mode::Pram)
+        let spec = ProgSpec::new(ProcModel::PRAM)
             .proc(vec![SpecOp::Write { loc: Loc(1), value: 1 }])
             .proc(vec![
                 SpecOp::Await { loc: Loc(1), value: 1 },
@@ -529,7 +527,7 @@ mod tests {
 
     #[test]
     fn durability_round_trips_and_builds() {
-        let spec = ProgSpec::new(Mode::Causal)
+        let spec = ProgSpec::new(ProcModel::CAUSAL)
             .durable(4)
             .proc(vec![SpecOp::Write { loc: Loc(0), value: 1 }]);
         let text = spec.to_text();
@@ -553,7 +551,7 @@ mod tests {
 
     #[test]
     fn models_round_trip_and_build() {
-        let spec = ProgSpec::new(Mode::Mixed)
+        let spec = ProgSpec::new(ProcModel::MIXED)
             .models(vec![
                 mc_model::ProcModel::Fixed(mc_model::ModelSpec::SLOW),
                 mc_model::ProcModel::Fixed(mc_model::ModelSpec::CAUSAL),
@@ -587,7 +585,7 @@ mod tests {
 
     #[test]
     fn shards_round_trip_and_build() {
-        let spec = ProgSpec::new(Mode::Causal)
+        let spec = ProgSpec::new(ProcModel::CAUSAL)
             .sharded(2)
             .proc(vec![
                 SpecOp::Write { loc: Loc(0), value: 1 },
@@ -605,7 +603,7 @@ mod tests {
     fn interest_round_trips_and_enables_first_touch() {
         // Process 1's override omits shard 1; its read of Loc(1) must
         // subscribe on first touch rather than fault.
-        let spec = ProgSpec::new(Mode::Causal)
+        let spec = ProgSpec::new(ProcModel::CAUSAL)
             .sharded(2)
             .interest(1, vec![0])
             .proc(vec![SpecOp::Write { loc: Loc(1), value: 7 }])
@@ -652,7 +650,50 @@ mod tests {
     #[test]
     fn comments_and_blanks_are_ignored() {
         let spec = ProgSpec::parse("# hello\nmode sc\n\nproc 0\n  w 0 3\n").unwrap();
-        assert_eq!(spec.mode, Mode::Sc);
+        assert_eq!(spec.models, vec![ProcModel::SC]);
         assert_eq!(spec.procs, vec![vec![SpecOp::Write { loc: Loc(0), value: 3 }]]);
+    }
+
+    /// The `mode` lines of the tests here and of `mc-cluster`'s
+    /// `SPEC`, each with the text it rendered to before the line named
+    /// a lattice point: every one parses and renders as before.
+    #[test]
+    fn mode_lines_parse_and_render_as_before() {
+        for (text, rendered) in [
+            (
+                "mode causal\nshards 2\nproc 0\n  w 0 1\n",
+                "mode causal\nlocks lazy\nshards 2\nproc 0\n  w 0 1\n",
+            ),
+            ("# hello\nmode sc\n\nproc 0\n  w 0 3\n", "mode sc\nlocks lazy\nproc 0\n  w 0 3\n"),
+            (
+                "mode causal\ndurability 7\nproc 0\n  w 0 1\nproc 1\n  r 0 causal\n",
+                "mode causal\nlocks lazy\ndurability 7\nproc 0\n  w 0 1\nproc 1\n  r 0 causal\n",
+            ),
+            ("mode pram\nproc 0\n  w 0 1\n", "mode pram\nlocks lazy\nproc 0\n  w 0 1\n"),
+            (&sample().to_text(), &sample().to_text()),
+        ] {
+            let spec = ProgSpec::parse(text).unwrap();
+            assert_eq!(spec.to_text(), rendered, "{text:?}");
+            assert_eq!(ProgSpec::parse(rendered).unwrap(), spec, "{text:?}");
+        }
+        for &model in ProcModel::ALL {
+            let text = format!("mode {model}\nlocks lazy\nproc 0\n  w 0 1\n");
+            let spec = ProgSpec::parse(&text).unwrap();
+            assert_eq!(spec.models, vec![model]);
+            assert_eq!(spec.to_text(), text);
+        }
+    }
+
+    #[test]
+    fn a_mode_slow_spec_runs_every_process_slow() {
+        let text =
+            "mode slow\nlocks lazy\nproc 0\n  w 0 1\n  w 1 2\nproc 1\n  r 1 pram\n  r 0 causal\n";
+        let spec = ProgSpec::parse(text).unwrap();
+        assert_eq!(spec.models, vec![ProcModel::Fixed(mc_model::ModelSpec::SLOW)]);
+        assert_eq!(spec.to_text(), text);
+        let sys = spec.build_system();
+        assert_eq!(sys.cfg.substrate(), mc_proto::Substrate::Fifo);
+        assert_eq!(*sys.cfg.models(), ModelAssignment::uniform(2, mc_model::ModelSpec::SLOW));
+        sys.run().unwrap().verify().unwrap();
     }
 }

@@ -422,7 +422,7 @@ impl Repro {
                     disks.push((proc, bytes));
                 }
                 _ => {
-                    // The spec begins at its `mode` line.
+                    // The spec begins at its `mode` or `models` line.
                     in_spec = true;
                     spec_text.push_str(raw);
                     spec_text.push('\n');
@@ -445,13 +445,13 @@ impl Repro {
 mod tests {
     use super::*;
     use crate::{Loc, ReadLabel};
-    use mc_proto::Mode;
+    use mc_model::ProcModel;
 
     /// The acceptance program: a PRAM store chain whose middle update
     /// may be dropped, producing a Definition 3 violation when the
     /// reader observes the flag but not the dropped write.
     fn dropped_update_spec() -> ProgSpec {
-        ProgSpec::new(Mode::Pram)
+        ProgSpec::new(ProcModel::PRAM)
             .proc(vec![
                 SpecOp::Write { loc: Loc(0), value: 1 },
                 SpecOp::Write { loc: Loc(0), value: 2 },
@@ -493,7 +493,7 @@ mod tests {
 
     #[test]
     fn correct_programs_yield_no_repro() {
-        let spec = ProgSpec::new(Mode::Causal)
+        let spec = ProgSpec::new(ProcModel::CAUSAL)
             .proc(vec![SpecOp::Write { loc: Loc(0), value: 1 }])
             .proc(vec![SpecOp::Read { loc: Loc(0), label: ReadLabel::Causal }]);
         assert!(find_and_minimize(&spec, None, &ExploreOptions::new()).is_none());
@@ -528,7 +528,7 @@ mod tests {
             budget: Some(FaultBudget::new().crash_recover_of(NodeId(0))),
             trace: Vec::new(),
             disks: vec![(0, disk.fs().image())],
-            spec: ProgSpec::new(Mode::Pram)
+            spec: ProgSpec::new(ProcModel::PRAM)
                 .durable(2)
                 .proc(vec![SpecOp::Await { loc: Loc(0), value: 1 }]),
         };
@@ -550,7 +550,7 @@ mod tests {
             budget: None,
             trace: Vec::new(),
             disks: vec![(0, vec![0x7f, 0x00])],
-            spec: ProgSpec::new(Mode::Pram)
+            spec: ProgSpec::new(ProcModel::PRAM)
                 .durable(2)
                 .proc(vec![SpecOp::Write { loc: Loc(0), value: 1 }]),
         };

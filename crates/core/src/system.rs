@@ -8,8 +8,8 @@ use std::time::Duration;
 
 use mc_model::{BarrierId, History, HistoryBuilder, Loc, MalformedHistory, ProcId, Value};
 use mc_proto::{
-    CrashFs, Driver, Dsm, DsmConfig, DurabilityPolicy, LockPropagation, Manager, MemCtx, Mode,
-    Replica, Req, Resp,
+    CrashFs, Driver, Dsm, DsmConfig, DurabilityPolicy, IntoModels, LockPropagation, Manager,
+    MemCtx, Replica, Req, Resp,
 };
 use mc_sim::{
     DurabilityStats, FaultPlan, Kernel, LatencyModel, Metrics, NodeId, ProcCtx, SimConfig,
@@ -138,12 +138,12 @@ impl Outcome {
     }
 
     /// The final value of `loc`: read from `proc`'s replica in the
-    /// replicated modes (every executor drains all deliveries before it
+    /// replicated substrates (every executor drains all deliveries before it
     /// finishes, so replicas agree except for concurrent float-counter
     /// deltas — see the Cholesky discussion), or from the central server
-    /// in SC mode.
+    /// of the SC substrate.
     pub fn final_value(&self, proc: ProcId, loc: Loc) -> Value {
-        if self.config.mode.is_replicated() {
+        if self.config.substrate().is_replicated() {
             self.replica(proc).peek(loc)
         } else {
             self.managers[0].peek(loc)
@@ -156,11 +156,10 @@ impl Outcome {
         &self.replicas[proc.index()]
     }
 
-    /// Verifies the recorded history against the consistency definition
-    /// of the protocol the run executed on: Definition 3 for
-    /// [`Mode::Pram`], Definition 2 for [`Mode::Causal`], Definition 4
-    /// for [`Mode::Mixed`], and Definition 1 for [`Mode::Sc`] — decided
-    /// in linear time against the write order the SC server recorded
+    /// Verifies the recorded history against each process's assigned
+    /// lattice point: Definition 3 for PRAM, Definition 2 for causal,
+    /// Definition 4 for mixed, and Definition 1 for SC — decided in
+    /// linear time against the write order the SC server recorded
     /// ([`History::write_order`]), so SC runs of any length check
     /// exactly.
     ///
@@ -172,9 +171,8 @@ impl Outcome {
         let h = self.history.as_ref().ok_or(VerifyError::NotRecorded)?;
         let cfg = &self.config;
         // Every verdict comes from the declarative lattice validator,
-        // against the per-process assignment the run was configured
-        // with (a plain mode is the uniform assignment of its point).
-        let models = &cfg.models;
+        // against the run's per-process assignment.
+        let models = cfg.models();
         // Under interest-based partial replication the protocol promises
         // each consistency guarantee *per shard* (updates flow among a
         // shard's subscribers only), so the recorded history is judged
@@ -182,7 +180,7 @@ impl Outcome {
         // the projection. Cross-shard program order still reaches the
         // checker — the projection keeps per-process order among the
         // shard's own accesses.
-        if let Some(sc) = cfg.sharding.as_ref().filter(|_| cfg.mode.is_replicated()) {
+        if let Some(sc) = cfg.sharding.as_ref().filter(|_| cfg.substrate().is_replicated()) {
             for shard in 0..sc.nshards {
                 let hs = h.project_shard(sc.nshards, shard).map_err(VerifyError::Projection)?;
                 Self::judge(&hs, models)?;
@@ -259,9 +257,9 @@ pub trait WallClock: Executor {}
 /// # Examples
 ///
 /// ```
-/// use mixed_consistency::{Mode, System, Value, Loc};
+/// use mixed_consistency::{ProcModel, System, Value, Loc};
 ///
-/// let mut sys = System::new(2, Mode::Mixed).record(true);
+/// let mut sys = System::new(2, ProcModel::MIXED).record(true);
 /// sys.spawn(|ctx| {
 ///     ctx.write(Loc(0), 41);
 ///     ctx.write(Loc(1), 1); // flag
@@ -294,12 +292,18 @@ pub struct System<E: Executor = Sim> {
 }
 
 impl<E: Executor> System<E> {
-    /// Creates a system of `nprocs` processes on memory `mode`, run on
-    /// `exec`.
-    pub fn on(exec: E, nprocs: usize, mode: Mode) -> Self {
+    /// Creates a system of `nprocs` processes under `models` (see
+    /// [`IntoModels`]), run on `exec`: [`Outcome::verify`] judges each
+    /// process's reads against its own lattice point.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an explicit assignment does not name `nprocs`
+    /// processes, or if it mixes `sc` with replicated points.
+    pub fn on(exec: E, nprocs: usize, models: impl IntoModels) -> Self {
         System {
             exec,
-            cfg: DsmConfig::new(nprocs, mode),
+            cfg: DsmConfig::new(nprocs, models),
             record: false,
             trace: false,
             timeout: Duration::from_secs(10),
@@ -389,8 +393,8 @@ impl<E: Executor> System<E> {
     /// Accesses outside a process's interest set panic unless
     /// [`mc_proto::ShardConfig::with_dynamic`] enables
     /// subscribe-on-first-touch. Locks and barriers are not supported
-    /// while sharding is on. Ignored under [`Mode::Sc`] (there is no
-    /// replication to partition).
+    /// while sharding is on. Ignored on the SC server substrate (there
+    /// is no replication to partition).
     ///
     /// # Panics
     ///
@@ -405,21 +409,6 @@ impl<E: Executor> System<E> {
     /// locations the program uses).
     pub fn locations(mut self, locations: usize) -> Self {
         self.cfg.locations = locations;
-        self
-    }
-
-    /// Assigns a consistency-model lattice point to every process (see
-    /// [`mc_model::spec`]): the protocol substrate is derived from the
-    /// assignment (overriding the constructor's mode), reads are labeled
-    /// per process, and [`Outcome::verify`] judges each process's reads
-    /// against its own point.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the assignment's process count differs from the
-    /// system's, or if it mixes `sc` with replicated points.
-    pub fn models(mut self, models: mc_model::ModelAssignment) -> Self {
-        self.cfg = self.cfg.with_models(models);
         self
     }
 
@@ -495,10 +484,10 @@ pub struct Sim {
 }
 
 impl System {
-    /// Creates a simulated system of `nprocs` processes running on
-    /// memory `mode`.
-    pub fn new(nprocs: usize, mode: Mode) -> Self {
-        System::on(Sim::default(), nprocs, mode)
+    /// Creates a simulated system of `nprocs` processes under the model
+    /// decision `models` (see [`System::on`]).
+    pub fn new(nprocs: usize, models: impl IntoModels) -> Self {
+        System::on(Sim::default(), nprocs, models)
     }
 
     /// Pre-seeds `proc`'s replica directory before the run — the durable
@@ -635,11 +624,11 @@ pub type Ctx<'a> = MemCtx<SimDriver<'a>>;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mc_model::{check, LockId};
+    use mc_model::{check, LockId, ProcModel};
 
     #[test]
     fn quick_producer_consumer_records_history() {
-        let mut sys = System::new(2, Mode::Mixed).record(true).seed(3);
+        let mut sys = System::new(2, ProcModel::MIXED).record(true).seed(3);
         sys.spawn(|ctx| {
             ctx.write(Loc(0), 41);
             ctx.write(Loc(1), 1);
@@ -658,7 +647,7 @@ mod tests {
 
     #[test]
     fn lock_history_has_epochs() {
-        let mut sys = System::new(2, Mode::Mixed).record(true);
+        let mut sys = System::new(2, ProcModel::MIXED).record(true);
         for _ in 0..2 {
             sys.spawn(|ctx| {
                 ctx.with_write_lock(LockId(0), |ctx| {
@@ -676,7 +665,7 @@ mod tests {
 
     #[test]
     fn barrier_history_rounds() {
-        let mut sys = System::new(3, Mode::Pram).record(true);
+        let mut sys = System::new(3, ProcModel::PRAM).record(true);
         for i in 0..3u32 {
             sys.spawn(move |ctx| {
                 ctx.write(Loc(i), i as i64);
@@ -693,7 +682,7 @@ mod tests {
 
     #[test]
     fn counter_history_checks() {
-        let mut sys = System::new(2, Mode::Mixed).record(true);
+        let mut sys = System::new(2, ProcModel::MIXED).record(true);
         sys.spawn(|ctx| {
             ctx.add(Loc(0), -1);
             ctx.add(Loc(0), -1);
@@ -708,7 +697,7 @@ mod tests {
 
     #[test]
     fn spawning_too_many_processes_panics() {
-        let mut sys = System::new(1, Mode::Pram);
+        let mut sys = System::new(1, ProcModel::PRAM);
         sys.spawn(|_| {});
         sys.spawn(|_| {});
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sys.run()));
@@ -717,7 +706,7 @@ mod tests {
 
     #[test]
     fn deadlock_surfaces_as_run_error() {
-        let mut sys = System::new(1, Mode::Mixed);
+        let mut sys = System::new(1, ProcModel::MIXED);
         sys.spawn(|ctx| {
             ctx.await_eq(Loc(0), 99);
         });
@@ -729,7 +718,7 @@ mod tests {
 
     #[test]
     fn compute_advances_virtual_time() {
-        let mut sys = System::new(1, Mode::Pram);
+        let mut sys = System::new(1, ProcModel::PRAM);
         sys.spawn(|ctx| {
             ctx.compute(SimTime::from_millis(3));
             ctx.write(Loc(0), 1);
@@ -742,7 +731,7 @@ mod tests {
     fn subgroup_barriers_synchronize_only_their_group() {
         // Processes 0/1 phase through barrier b1, processes 2/3 through
         // b2 — independently. A final global barrier (b0) joins everyone.
-        let mut sys = System::new(4, Mode::Mixed)
+        let mut sys = System::new(4, ProcModel::MIXED)
             .record(true)
             .barrier_group(BarrierId(1), vec![ProcId(0), ProcId(1)])
             .barrier_group(BarrierId(2), vec![ProcId(2), ProcId(3)]);
@@ -775,7 +764,7 @@ mod tests {
 
     #[test]
     fn outcome_verify_picks_mode_checker() {
-        for mode in [Mode::Pram, Mode::Causal, Mode::Mixed, Mode::Sc] {
+        for mode in [ProcModel::PRAM, ProcModel::CAUSAL, ProcModel::MIXED, ProcModel::SC] {
             let mut sys = System::new(2, mode).record(true);
             sys.spawn(|ctx| {
                 ctx.write(Loc(0), 3);
@@ -795,7 +784,7 @@ mod tests {
 
     #[test]
     fn verify_requires_recording() {
-        let mut sys = System::new(1, Mode::Pram);
+        let mut sys = System::new(1, ProcModel::PRAM);
         sys.spawn(|ctx| {
             ctx.write(Loc(0), 1);
         });
@@ -807,7 +796,8 @@ mod tests {
     #[test]
     fn manager_sharding_preserves_semantics() {
         let run = |shards: usize| {
-            let mut sys = System::new(3, Mode::Mixed).manager_shards(shards).record(true).seed(5);
+            let mut sys =
+                System::new(3, ProcModel::MIXED).manager_shards(shards).record(true).seed(5);
             for p in 0..3u32 {
                 sys.spawn(move |ctx| {
                     for round in 0..3 {
@@ -849,8 +839,11 @@ mod tests {
                     SimTime::from_micros(150),
                     SimTime::from_micros(450),
                 );
-            let mut sys =
-                System::new(3, Mode::Mixed).record(true).seed(seed).faults(plan).reliable(true);
+            let mut sys = System::new(3, ProcModel::MIXED)
+                .record(true)
+                .seed(seed)
+                .faults(plan)
+                .reliable(true);
             for _ in 0..3 {
                 sys.spawn(|ctx| {
                     for _ in 0..4 {
@@ -886,7 +879,7 @@ mod tests {
         // sequence number.
         let plan = || FaultPlan::new().duplicate_rate(0.4).reorder(SimTime::from_micros(60));
         let build = |seed: u64, reliable: bool| {
-            let mut sys = System::new(2, Mode::Pram)
+            let mut sys = System::new(2, ProcModel::PRAM)
                 .record(true)
                 .seed(seed)
                 .faults(plan())
@@ -920,7 +913,7 @@ mod tests {
 
     #[test]
     fn sc_mode_runs_without_recording_replicas() {
-        let mut sys = System::new(2, Mode::Sc).record(true);
+        let mut sys = System::new(2, ProcModel::SC).record(true);
         sys.spawn(|ctx| {
             ctx.write(Loc(0), 5);
             ctx.write(Loc(1), 1);
@@ -940,7 +933,7 @@ mod tests {
 
     #[test]
     fn replicated_runs_record_no_write_order() {
-        let mut sys = System::new(2, Mode::Causal).record(true);
+        let mut sys = System::new(2, ProcModel::CAUSAL).record(true);
         sys.spawn(|ctx| {
             ctx.write(Loc(0), 5);
         });

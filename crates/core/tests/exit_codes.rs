@@ -9,7 +9,7 @@ use std::process::Command;
 
 use mixed_consistency::model::{litmus, trace};
 use mixed_consistency::repro::FailureKind;
-use mixed_consistency::{Loc, Mode, ModelSpec, ProcModel, ProgSpec, ReadLabel, Repro, SpecOp};
+use mixed_consistency::{Loc, ModelSpec, ProcModel, ProgSpec, ReadLabel, Repro, SpecOp};
 
 /// A well-formed replay artifact for a correct program: parses cleanly,
 /// does not reproduce any failure.
@@ -21,7 +21,7 @@ fn passing_artifact() -> String {
         budget: None,
         trace: Vec::new(),
         disks: Vec::new(),
-        spec: ProgSpec::new(Mode::Causal)
+        spec: ProgSpec::new(ProcModel::CAUSAL)
             .proc(vec![SpecOp::Write { loc: Loc(0), value: 1 }])
             .proc(vec![SpecOp::Read { loc: Loc(0), label: ReadLabel::Causal }]),
     }
@@ -41,7 +41,7 @@ fn lattice_artifact() -> String {
         budget: None,
         trace: Vec::new(),
         disks: Vec::new(),
-        spec: ProgSpec::new(Mode::Mixed)
+        spec: ProgSpec::new(ProcModel::MIXED)
             .proc(vec![SpecOp::Write { loc: Loc(0), value: 1 }])
             .proc(vec![SpecOp::Read { loc: Loc(0), label: ReadLabel::Causal }])
             .models(vec![ProcModel::Fixed(ModelSpec::CAUSAL), ProcModel::Fixed(ModelSpec::SLOW)]),
@@ -61,7 +61,7 @@ fn sharded_artifact() -> String {
         budget: None,
         trace: Vec::new(),
         disks: Vec::new(),
-        spec: ProgSpec::new(Mode::Causal)
+        spec: ProgSpec::new(ProcModel::CAUSAL)
             .sharded(2)
             .interest(1, vec![0])
             .proc(vec![SpecOp::Write { loc: Loc(1), value: 1 }])
@@ -88,7 +88,7 @@ fn recovery_artifact() -> String {
         ),
         trace: Vec::new(),
         disks: vec![(0, disk.fs().image())],
-        spec: ProgSpec::new(Mode::Pram)
+        spec: ProgSpec::new(ProcModel::PRAM)
             .durable(2)
             .proc(vec![SpecOp::Await { loc: Loc(0), value: 1 }]),
     }

@@ -9,13 +9,13 @@ use std::process::{Command, Output};
 
 use mixed_consistency::explore::ExploreOptions;
 use mixed_consistency::repro::{find_and_minimize, FailureKind};
-use mixed_consistency::{FaultBudget, Loc, Mode, ProgSpec, ReadLabel, Repro, SpecOp};
+use mixed_consistency::{FaultBudget, Loc, ProcModel, ProgSpec, ReadLabel, Repro, SpecOp};
 
 /// A PRAM store chain whose middle update may be dropped: the reader
 /// observes the flag but misses the dropped write — a Definition 3
 /// violation reachable only through fault nondeterminism.
 fn dropped_update_spec() -> ProgSpec {
-    ProgSpec::new(Mode::Pram)
+    ProgSpec::new(ProcModel::PRAM)
         .proc(vec![
             SpecOp::Write { loc: Loc(0), value: 1 },
             SpecOp::Write { loc: Loc(0), value: 2 },
@@ -79,7 +79,7 @@ fn passing_artifact_exits_zero() {
         budget: None,
         trace: Vec::new(),
         disks: Vec::new(),
-        spec: ProgSpec::new(Mode::Causal)
+        spec: ProgSpec::new(ProcModel::CAUSAL)
             .proc(vec![SpecOp::Write { loc: Loc(0), value: 1 }])
             .proc(vec![SpecOp::Read { loc: Loc(0), label: ReadLabel::Causal }]),
     };

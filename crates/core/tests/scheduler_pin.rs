@@ -6,7 +6,7 @@
 //! change pass: a kernel refactor that moves any of them has changed
 //! which action the scheduler picks somewhere, not only how fast.
 
-use mixed_consistency::{Loc, Mode, ReadLabel, System};
+use mixed_consistency::{Loc, ProcModel, ReadLabel, System};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -30,7 +30,7 @@ fn program(seed: u64, p: usize, ctx: &mut mixed_consistency::Ctx<'_>) {
 
 /// `(events, messages, bytes, finish_time_ns, history signature)`.
 fn run(seed: u64) -> (u64, u64, u64, u64, u64) {
-    let mut sys = System::new(PROCS, Mode::Mixed).seed(seed).record(true);
+    let mut sys = System::new(PROCS, ProcModel::MIXED).seed(seed).record(true);
     for p in 0..PROCS {
         sys.spawn(move |ctx| program(seed, p, ctx));
     }

@@ -6,7 +6,7 @@ use std::path::Path;
 
 use mc_proto::{FileDisk, WalRecord};
 use mixed_consistency::{
-    CrashFs, DurabilityPolicy, FaultPlan, Loc, Mode, NodeId, ProcId, SimTime, System, Value,
+    CrashFs, DurabilityPolicy, FaultPlan, Loc, NodeId, ProcId, ProcModel, SimTime, System, Value,
 };
 
 /// The simulator twin of `mc-live`'s test of the same name: the shape of
@@ -19,8 +19,9 @@ use mixed_consistency::{
 fn durable_writes_between_compactions_sync_data_only() {
     const WRITES: u32 = 2_000;
     const OWN: u32 = 16;
-    let mut sys =
-        System::new(2, Mode::Causal).reliable(true).durability(Some(DurabilityPolicy::default()));
+    let mut sys = System::new(2, ProcModel::CAUSAL)
+        .reliable(true)
+        .durability(Some(DurabilityPolicy::default()));
     for p in 0..2u32 {
         sys.spawn(move |ctx| {
             let q = 1 - p;
@@ -58,7 +59,7 @@ fn a_torn_tail_in_a_seeded_disk_loses_no_later_write() {
         .crash_recover(NodeId(0), SimTime::from_micros(150))
         .crash_recover(NodeId(0), SimTime::from_micros(350));
     // No compaction: the log it would retire keeps the torn bytes.
-    let mut sys = System::new(2, Mode::Causal)
+    let mut sys = System::new(2, ProcModel::CAUSAL)
         .reliable(true)
         .durability(Some(DurabilityPolicy::new(1024)))
         .faults(faults)

@@ -4,11 +4,12 @@
 //! spans — deterministically, byte-for-byte across reruns — while an
 //! untraced run of the same program keeps identical metrics and no trace.
 
-use mixed_consistency::{FaultPlan, Loc, Mode, Outcome, RunError, System, Value};
+use mixed_consistency::{FaultPlan, Loc, Outcome, ProcModel, RunError, System, Value};
 
 fn traced_run(trace: bool) -> Result<Outcome, RunError> {
     let plan = FaultPlan::new().drop_rate(0.2).duplicate_rate(0.1);
-    let mut sys = System::new(3, Mode::Causal).seed(13).trace(trace).faults(plan).reliable(true);
+    let mut sys =
+        System::new(3, ProcModel::CAUSAL).seed(13).trace(trace).faults(plan).reliable(true);
     sys.spawn(|ctx| {
         for v in 1..=8i64 {
             ctx.write(Loc(0), v);

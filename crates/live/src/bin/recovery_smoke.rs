@@ -32,8 +32,8 @@ use std::process::{Command, Stdio};
 use std::time::Duration;
 
 use mc_live::{durable_own_writes, Threads};
-use mc_model::{Loc, ProcId};
-use mc_proto::{BatchPolicy, DsmConfig, DurabilityPolicy, Mode};
+use mc_model::{Loc, ProcId, ProcModel};
+use mc_proto::{BatchPolicy, DsmConfig, DurabilityPolicy};
 use mixed_consistency::System;
 
 const NPROCS: usize = 3;
@@ -68,7 +68,7 @@ fn main() {
 /// cluster that has not yet touched disk.
 fn child(dir: &Path, group_commit: bool) {
     let policy = DurabilityPolicy::new(32).with_group_commit(group_commit);
-    let mut sys = System::on(Threads::default(), NPROCS, Mode::Causal).durability(policy, dir);
+    let mut sys = System::on(Threads::default(), NPROCS, ProcModel::CAUSAL).durability(policy, dir);
     if group_commit {
         // Group commit's point is amortizing fsyncs over deferred sends,
         // so pair it with the batching it is designed for.
@@ -121,7 +121,7 @@ fn cycle(label: &str, group_commit: bool) {
     // Phase 1+2: every replica directory must hold a decodable snapshot
     // (if any) and a valid-prefix WAL; count the durably acked own
     // writes each replica had at the moment of death.
-    let cfg = DsmConfig::new(NPROCS, Mode::Causal);
+    let cfg = DsmConfig::new(NPROCS, ProcModel::CAUSAL);
     let durable_own: Vec<u32> =
         (0..NPROCS as u32).map(|p| durable_own_writes(&dir, ProcId(p), &cfg)).collect();
     assert!(
@@ -134,7 +134,7 @@ fn cycle(label: &str, group_commit: bool) {
     // recover-then-continue path (RecoverReq rounds included). The
     // reboot always uses per-write fsync: recovery durability does not
     // depend on the policy the victim died under.
-    let mut sys = System::on(Threads::default(), NPROCS, Mode::Causal)
+    let mut sys = System::on(Threads::default(), NPROCS, ProcModel::CAUSAL)
         .durability(DurabilityPolicy::new(32), &dir);
     for p in 0..NPROCS as u32 {
         sys.spawn(move |ctx| {

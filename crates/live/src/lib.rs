@@ -27,9 +27,9 @@
 //!
 //! ```
 //! use mc_live::Threads;
-//! use mixed_consistency::{Loc, Mode, System, Value};
+//! use mixed_consistency::{Loc, ProcModel, System, Value};
 //!
-//! let mut sys = System::on(Threads::default(), 2, Mode::Mixed).record(true);
+//! let mut sys = System::on(Threads::default(), 2, ProcModel::MIXED).record(true);
 //! sys.spawn(|ctx| {
 //!     ctx.write(Loc(0), 42);
 //!     ctx.write(Loc(1), 1);

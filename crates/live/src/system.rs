@@ -679,7 +679,7 @@ pub fn durable_own_writes(dir: &Path, proc: ProcId, cfg: &DsmConfig) -> u32 {
     let (records, tail) = decode_wal(&wal);
     assert!(!matches!(tail, WalTail::Corrupt { .. }), "{proc}: valid prefix broken: {tail:?}");
     let replayed = records.len();
-    records.into_iter().for_each(|rec| replica.replay_record(rec, cfg.mode));
+    records.into_iter().for_each(|rec| replica.replay_record(rec, cfg.substrate()));
     let durable = replica.applied[proc];
     let rdir = rdir.display();
     println!("{rdir}: log ends at byte {written} of {size}, {replayed} records, {tail:?}");

@@ -7,8 +7,8 @@
 use std::fs;
 
 use mc_live::Threads;
-use mc_model::{Loc, ProcId, Value};
-use mc_proto::{DsmConfig, DurabilityPolicy, FileDisk, Mode, Replica, UpdatePayload, WalRecord};
+use mc_model::{Loc, ProcId, ProcModel, Value};
+use mc_proto::{DsmConfig, DurabilityPolicy, FileDisk, Replica, UpdatePayload, WalRecord};
 use mixed_consistency::System;
 
 const WRITES: u32 = 10;
@@ -26,7 +26,8 @@ fn a_compaction_killed_before_it_retires_the_log_recovers_each_write_once() {
     let rdir = dir.join("replica-0");
 
     // A durable replica's log: ten acked own writes.
-    let cfg = DsmConfig::new(1, Mode::Causal).with_durability(Some(DurabilityPolicy::default()));
+    let cfg =
+        DsmConfig::new(1, ProcModel::CAUSAL).with_durability(Some(DurabilityPolicy::default()));
     let mut r = Replica::new(ProcId(0), 1);
     let mut disk = FileDisk::open(&rdir).expect("replica dir opens");
     for i in 0..WRITES {
@@ -43,7 +44,7 @@ fn a_compaction_killed_before_it_retires_the_log_recovers_each_write_once() {
     drop(disk);
     fs::write(rdir.join("wal.log"), &log).expect("log restores");
 
-    let mut sys = System::on(Threads::default(), 1, Mode::Causal)
+    let mut sys = System::on(Threads::default(), 1, ProcModel::CAUSAL)
         .durability(DurabilityPolicy::default(), &dir);
     sys.spawn(|ctx| {
         assert_eq!(ctx.read_causal(Loc(1)), Value::Int(9), "the last write to loc 1");

@@ -7,8 +7,8 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use mc_live::{ChannelTransport, Threads, Transport};
-use mc_model::{check, BarrierId, Loc, LockId, ProcId, Value};
-use mc_proto::{LockPropagation, Mode, Msg};
+use mc_model::{check, BarrierId, Loc, LockId, ProcId, ProcModel, Value};
+use mc_proto::{LockPropagation, Msg};
 use mixed_consistency::{RunError, System};
 
 const REPS: usize = 5;
@@ -35,7 +35,7 @@ fn a_channel_link_is_busy_from_deliver_until_taken() {
 
 #[test]
 fn producer_consumer_all_modes() {
-    for mode in Mode::ALL {
+    for mode in [ProcModel::PRAM, ProcModel::CAUSAL, ProcModel::MIXED, ProcModel::SC] {
         for _ in 0..REPS {
             let mut sys = System::on(Threads::default(), 2, mode).record(true);
             sys.spawn(|ctx| {
@@ -61,8 +61,9 @@ fn producer_consumer_all_modes() {
 fn locked_increments_never_lose_updates() {
     for prop in LockPropagation::ALL {
         for _ in 0..REPS {
-            let mut sys =
-                System::on(Threads::default(), 3, Mode::Mixed).lock_propagation(prop).record(true);
+            let mut sys = System::on(Threads::default(), 3, ProcModel::MIXED)
+                .lock_propagation(prop)
+                .record(true);
             for _ in 0..3 {
                 sys.spawn(|ctx| {
                     for _ in 0..4 {
@@ -89,7 +90,7 @@ fn locked_increments_never_lose_updates() {
 #[test]
 fn barrier_phases_on_real_threads() {
     for _ in 0..REPS {
-        let mut sys = System::on(Threads::default(), 3, Mode::Pram).record(true);
+        let mut sys = System::on(Threads::default(), 3, ProcModel::PRAM).record(true);
         for p in 0..3u32 {
             sys.spawn(move |ctx| {
                 for round in 0..3i64 {
@@ -112,7 +113,7 @@ fn barrier_phases_on_real_threads() {
 #[test]
 fn counters_converge_without_locks() {
     for _ in 0..REPS {
-        let mut sys = System::on(Threads::default(), 3, Mode::Causal);
+        let mut sys = System::on(Threads::default(), 3, ProcModel::CAUSAL);
         for _ in 0..3 {
             sys.spawn(|ctx| {
                 for _ in 0..5 {
@@ -131,7 +132,7 @@ fn counters_converge_without_locks() {
 #[test]
 fn sc_mode_serializes_at_the_server() {
     for _ in 0..REPS {
-        let mut sys = System::on(Threads::default(), 2, Mode::Sc).record(true);
+        let mut sys = System::on(Threads::default(), 2, ProcModel::SC).record(true);
         sys.spawn(|ctx| {
             ctx.write(Loc(0), 7);
             ctx.write(Loc(1), 1);
@@ -153,7 +154,7 @@ fn sc_mode_serializes_at_the_server() {
 
 #[test]
 fn subgroup_barriers_live() {
-    let mut sys = System::on(Threads::default(), 4, Mode::Mixed)
+    let mut sys = System::on(Threads::default(), 4, ProcModel::MIXED)
         .barrier_group(BarrierId(1), vec![ProcId(0), ProcId(1)])
         .barrier_group(BarrierId(2), vec![ProcId(2), ProcId(3)]);
     for p in 0..4u32 {
@@ -170,7 +171,7 @@ fn subgroup_barriers_live() {
 
 #[test]
 fn manager_sharding_live() {
-    let mut sys = System::on(Threads::default(), 3, Mode::Mixed).manager_shards(2);
+    let mut sys = System::on(Threads::default(), 3, ProcModel::MIXED).manager_shards(2);
     for p in 0..3u32 {
         sys.spawn(move |ctx| {
             for r in 0..3 {
@@ -192,7 +193,7 @@ fn long_running_programs_outlive_the_op_timeout() {
     // Regression: the coordinator must not abort a program whose total
     // runtime exceeds the per-operation timeout — only a single *blocked
     // operation* may time out.
-    let mut sys = System::on(Threads::default(), 2, Mode::Mixed)
+    let mut sys = System::on(Threads::default(), 2, ProcModel::MIXED)
         .timeout(Duration::from_millis(150))
         .record(true);
     sys.spawn(|ctx| {
@@ -212,7 +213,7 @@ fn long_running_programs_outlive_the_op_timeout() {
 #[test]
 fn deadlock_times_out_with_diagnostics() {
     let mut sys =
-        System::on(Threads::default(), 1, Mode::Mixed).timeout(Duration::from_millis(200));
+        System::on(Threads::default(), 1, ProcModel::MIXED).timeout(Duration::from_millis(200));
     sys.spawn(|ctx| {
         ctx.await_eq(Loc(0), Value::Int(99)); // nobody writes it
     });
@@ -233,7 +234,7 @@ fn timeout_names_the_gate_the_read_is_parked_on() {
     // drop pattern is a function of the seed and the send order — scan
     // for the first seed that loses exactly that update.
     let run = |seed: u64| {
-        let mut sys = System::on(Threads::lossy(0.25, seed), 2, Mode::Mixed)
+        let mut sys = System::on(Threads::lossy(0.25, seed), 2, ProcModel::MIXED)
             .timeout(Duration::from_millis(100));
         let (wrote, written) = std::sync::mpsc::channel();
         sys.spawn(move |ctx| {
@@ -270,7 +271,7 @@ fn lossy_channels_with_session_layer_still_converge() {
     // satisfy Definition 4.
     for prop in LockPropagation::ALL {
         for rep in 0..3u64 {
-            let mut sys = System::on(Threads::lossy(0.25, rep), 3, Mode::Mixed)
+            let mut sys = System::on(Threads::lossy(0.25, rep), 3, ProcModel::MIXED)
                 .lock_propagation(prop)
                 .reliable(true)
                 .record(true);
@@ -298,7 +299,7 @@ fn lossy_channels_with_session_layer_still_converge() {
 #[test]
 fn sc_server_survives_lossy_links_with_session() {
     for rep in 0..3u64 {
-        let mut sys = System::on(Threads::lossy(0.3, 100 + rep), 2, Mode::Sc).reliable(true);
+        let mut sys = System::on(Threads::lossy(0.3, 100 + rep), 2, ProcModel::SC).reliable(true);
         sys.spawn(|ctx| {
             ctx.write(Loc(0), 7);
             ctx.write(Loc(1), 1);
@@ -317,7 +318,7 @@ fn sc_server_survives_lossy_links_with_session() {
 fn clean_runs_report_zero_silent_drops() {
     // On a quiet network the lossy counter stays zero, and nothing is
     // lost on closed inboxes: the run would fail at teardown if it were.
-    let mut sys = System::on(Threads::default(), 2, Mode::Mixed);
+    let mut sys = System::on(Threads::default(), 2, ProcModel::MIXED);
     sys.spawn(|ctx| {
         ctx.write(Loc(0), 1);
         ctx.write(Loc(1), 1);
@@ -335,7 +336,7 @@ fn histories_from_many_races_all_check() {
     // program many times; every recorded history must satisfy
     // Definition 4.
     for rep in 0..20 {
-        let mut sys = System::on(Threads::default(), 3, Mode::Mixed).record(true);
+        let mut sys = System::on(Threads::default(), 3, ProcModel::MIXED).record(true);
         for p in 0..3u32 {
             sys.spawn(move |ctx| {
                 ctx.write(Loc(p), p as i64 + 10);
@@ -357,7 +358,7 @@ fn histories_from_many_races_all_check() {
 
 #[test]
 fn live_tracing_records_message_events() {
-    let mut sys = System::on(Threads::default(), 2, Mode::Causal).trace(true).reliable(true);
+    let mut sys = System::on(Threads::default(), 2, ProcModel::CAUSAL).trace(true).reliable(true);
     sys.spawn(|ctx| {
         ctx.write(Loc(0), 7);
         ctx.write(Loc(1), 1);
@@ -384,7 +385,7 @@ fn live_tracing_records_message_events() {
     assert!(trace.to_chrome_trace().contains("\"traceEvents\""));
 
     // Off by default: no tracer, no trace.
-    let mut quiet = System::on(Threads::default(), 1, Mode::Causal);
+    let mut quiet = System::on(Threads::default(), 1, ProcModel::CAUSAL);
     quiet.spawn(|ctx| {
         ctx.write(Loc(0), 1);
     });
@@ -396,7 +397,7 @@ fn batched_runs_converge_and_check_on_real_threads() {
     // Same programs, batching on: coalesced batches + delta-compressed
     // vectors must produce the same results the unbatched paths do, and
     // the recorded histories must still satisfy Definition 4.
-    for mode in [Mode::Pram, Mode::Causal, Mode::Mixed] {
+    for mode in [ProcModel::PRAM, ProcModel::CAUSAL, ProcModel::MIXED] {
         for _ in 0..REPS {
             let mut sys = System::on(Threads::default(), 3, mode)
                 .batching(Some(mc_proto::BatchPolicy::default()))
@@ -427,7 +428,7 @@ fn batched_writes_cut_live_traffic() {
     // batch frames: the batched run must move well under half the
     // messages of the unbatched one.
     let run = |batch: Option<mc_proto::BatchPolicy>| {
-        let mut sys = System::on(Threads::default(), 3, Mode::Causal).batching(batch);
+        let mut sys = System::on(Threads::default(), 3, ProcModel::CAUSAL).batching(batch);
         for p in 0..3u32 {
             sys.spawn(move |ctx| {
                 for i in 0..30i64 {
@@ -463,7 +464,7 @@ fn durable_cluster_recovers_from_disk_across_restarts() {
     let _ = std::fs::remove_dir_all(&dir);
 
     // First incarnation: a clean run that leaves durable state behind.
-    let mut sys = System::on(Threads::default(), 2, Mode::Causal)
+    let mut sys = System::on(Threads::default(), 2, ProcModel::CAUSAL)
         .durability(mc_proto::DurabilityPolicy::new(4), &dir);
     sys.spawn(|ctx| {
         ctx.write(Loc(0), 42);
@@ -482,7 +483,7 @@ fn durable_cluster_recovers_from_disk_across_restarts() {
     // Second incarnation from the same directory: both replicas replay
     // snapshot + log, bump their incarnation, and still hold the
     // pre-restart writes even though no process writes them again.
-    let mut sys = System::on(Threads::default(), 2, Mode::Causal)
+    let mut sys = System::on(Threads::default(), 2, ProcModel::CAUSAL)
         .durability(mc_proto::DurabilityPolicy::new(4), &dir);
     sys.spawn(|ctx| {
         assert_eq!(ctx.read_causal(Loc(0)), Value::Int(42), "own durable write lost");
@@ -507,7 +508,7 @@ fn durable_cluster_recovers_from_disk_across_restarts() {
     // its writes and pushes its whole own suffix back, so the peer
     // converges to a durable prefix it never observed in this process.
     let _ = std::fs::remove_dir_all(dir.join("replica-1"));
-    let mut sys = System::on(Threads::default(), 2, Mode::Causal)
+    let mut sys = System::on(Threads::default(), 2, ProcModel::CAUSAL)
         .durability(mc_proto::DurabilityPolicy::new(4), &dir);
     sys.spawn(|ctx| {
         ctx.write(Loc(3), 1);
@@ -531,7 +532,7 @@ fn batched_lossy_session_still_converges() {
     // piggybacked acks ride batch frames and retransmission masks every
     // drop.
     for rep in 0..3u64 {
-        let mut sys = System::on(Threads::lossy(0.2, 900 + rep), 3, Mode::Mixed)
+        let mut sys = System::on(Threads::lossy(0.2, 900 + rep), 3, ProcModel::MIXED)
             .reliable(true)
             .batching(Some(mc_proto::BatchPolicy::default()))
             .record(true);
@@ -558,7 +559,7 @@ fn sharded_producer_consumer_live() {
     // The live twin of the simulator's sharded producer/consumer: locs
     // 0 and 1 land in shards 0 and 1, both active procs subscribe to
     // both, the third proc to neither — so it must receive nothing.
-    for mode in [Mode::Pram, Mode::Causal, Mode::Mixed] {
+    for mode in [ProcModel::PRAM, ProcModel::CAUSAL, ProcModel::MIXED] {
         for _ in 0..REPS {
             let sc = mc_proto::ShardConfig::new(2, vec![vec![0, 1], vec![0, 1], vec![]]);
             let mut sys = System::on(Threads::default(), 3, mode).sharding(Some(sc));
@@ -590,7 +591,7 @@ fn sharded_interest_cuts_live_traffic() {
     // count must drop well below the full run's.
     let run = |interest: Vec<Vec<usize>>| {
         let sc = mc_proto::ShardConfig::new(4, interest);
-        let mut sys = System::on(Threads::default(), 4, Mode::Causal).sharding(Some(sc));
+        let mut sys = System::on(Threads::default(), 4, ProcModel::CAUSAL).sharding(Some(sc));
         for p in 0..4u32 {
             sys.spawn(move |ctx| {
                 for i in 0..10i64 {
@@ -617,7 +618,7 @@ fn sharded_dynamic_first_touch_live() {
     // backfill push delivers p0's earlier write.
     for _ in 0..REPS {
         let sc = mc_proto::ShardConfig::new(2, vec![vec![0, 1], vec![0]]).with_dynamic(true);
-        let mut sys = System::on(Threads::default(), 2, Mode::Causal).sharding(Some(sc));
+        let mut sys = System::on(Threads::default(), 2, ProcModel::CAUSAL).sharding(Some(sc));
         sys.spawn(|ctx| {
             ctx.write(Loc(1), 9); // shard 1
             ctx.write(Loc(0), 1); // shard 0 flag
@@ -642,7 +643,7 @@ fn sharded_batched_writes_coalesce_live() {
     // triples still deliver causality on real threads.
     for _ in 0..REPS {
         let sc = mc_proto::ShardConfig::full(2, 2);
-        let mut sys = System::on(Threads::default(), 2, Mode::Causal)
+        let mut sys = System::on(Threads::default(), 2, ProcModel::CAUSAL)
             .sharding(Some(sc))
             .batching(Some(mc_proto::BatchPolicy::default()));
         sys.spawn(|ctx| {
@@ -670,7 +671,7 @@ fn sharded_durable_cluster_recovers_across_restarts() {
     // First incarnation: a clean sharded run leaves durable per-shard
     // chains behind. `snapshot_every = 1` would compact eagerly in the
     // unsharded protocol; sharded replicas must stay log-only.
-    let mut sys = System::on(Threads::default(), 2, Mode::Causal)
+    let mut sys = System::on(Threads::default(), 2, ProcModel::CAUSAL)
         .sharding(Some(sc()))
         .durability(mc_proto::DurabilityPolicy::new(1), &dir);
     sys.spawn(|ctx| {
@@ -689,7 +690,7 @@ fn sharded_durable_cluster_recovers_across_restarts() {
     // Second incarnation from the same directory: both replicas replay
     // their WALs (own chains re-minted, remote chains re-ingested) and
     // still hold the pre-restart writes.
-    let mut sys = System::on(Threads::default(), 2, Mode::Causal)
+    let mut sys = System::on(Threads::default(), 2, ProcModel::CAUSAL)
         .sharding(Some(sc()))
         .durability(mc_proto::DurabilityPolicy::new(1), &dir);
     sys.spawn(|ctx| {
@@ -711,7 +712,7 @@ fn sharded_durable_cluster_recovers_across_restarts() {
     // re-fetches the shards it subscribes to through the per-shard
     // recovery answers of the reborn node 0.
     let _ = std::fs::remove_dir_all(dir.join("replica-1"));
-    let mut sys = System::on(Threads::default(), 2, Mode::Causal)
+    let mut sys = System::on(Threads::default(), 2, ProcModel::CAUSAL)
         .sharding(Some(sc()))
         .durability(mc_proto::DurabilityPolicy::new(1), &dir);
     sys.spawn(|ctx| {
@@ -740,7 +741,7 @@ fn group_commit_amortizes_live_fsyncs() {
     let run = |gc: bool| {
         let dir = std::env::temp_dir().join(format!("mc-live-gc-{}-{}", gc, std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let mut sys = System::on(Threads::default(), 2, Mode::Causal)
+        let mut sys = System::on(Threads::default(), 2, ProcModel::CAUSAL)
             .durability(mc_proto::DurabilityPolicy::new(1024).with_group_commit(gc), &dir)
             .batching(Some(mc_proto::BatchPolicy::default()));
         sys.spawn(|ctx| {
@@ -778,7 +779,7 @@ fn durable_writes_between_compactions_sync_data_only() {
     const OWN: u32 = 16;
     let dir = std::env::temp_dir().join(format!("mc-live-prealloc-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let mut sys = System::on(Threads::default(), 2, Mode::Causal)
+    let mut sys = System::on(Threads::default(), 2, ProcModel::CAUSAL)
         .reliable(true)
         .durability(mc_proto::DurabilityPolicy::default(), &dir);
     for p in 0..2u32 {

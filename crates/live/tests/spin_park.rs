@@ -13,7 +13,7 @@ use crossbeam::channel::{unbounded, TryRecvError};
 use mc_live::Threads;
 use mc_model::{Loc, ProcId, Value};
 use mc_net::Tcp;
-use mixed_consistency::{Executor, Mode, Outcome, ParkStats, RunError, System};
+use mixed_consistency::{Executor, Outcome, ParkStats, ProcModel, RunError, System};
 
 /// Every park ended one way or the other.
 fn assert_accounted(outcome: &Outcome) {
@@ -27,7 +27,7 @@ fn a_reply_inside_the_window_is_caught_without_sleeping() {
     // One process on SC over channels: the manager runs on the caller's
     // thread as the request is sent, so each reply is in the inbox
     // before the operation parks.
-    let mut sys = System::on(Threads::default(), 1, Mode::Sc);
+    let mut sys = System::on(Threads::default(), 1, ProcModel::SC);
     sys.spawn(|ctx| {
         for i in 0..50 {
             ctx.write(Loc(0), i);
@@ -59,8 +59,11 @@ fn delayed_reply<E: Executor>(delay: Duration) -> impl FnOnce(System<E>) -> Outc
 
 #[test]
 fn a_reply_delayed_past_the_window_sleeps_and_completes() {
-    let outcome =
-        delayed_reply(Duration::from_millis(30))(System::on(Threads::default(), 2, Mode::Mixed));
+    let outcome = delayed_reply(Duration::from_millis(30))(System::on(
+        Threads::default(),
+        2,
+        ProcModel::MIXED,
+    ));
     assert_accounted(&outcome);
     assert_eq!(outcome.parks[0], ParkStats::default(), "a write never parks");
     let awaiting = outcome.parks[1];
@@ -70,11 +73,11 @@ fn a_reply_delayed_past_the_window_sleeps_and_completes() {
 
 #[test]
 fn parks_are_counted_over_tcp_too() {
-    let outcome = delayed_reply(Duration::from_millis(30))(System::on(Tcp, 2, Mode::Mixed));
+    let outcome = delayed_reply(Duration::from_millis(30))(System::on(Tcp, 2, ProcModel::MIXED));
     assert_accounted(&outcome);
     assert!(outcome.parks[1].slept >= 1, "{:?}", outcome.parks);
 
-    let mut sys = System::on(Tcp, 1, Mode::Sc);
+    let mut sys = System::on(Tcp, 1, ProcModel::SC);
     sys.spawn(|ctx| {
         for i in 0..20 {
             ctx.write(Loc(0), i);
@@ -88,7 +91,7 @@ fn parks_are_counted_over_tcp_too() {
 #[test]
 fn an_unanswered_await_panics_at_its_timeout_with_the_spin_counted() {
     let timeout = Duration::from_millis(100);
-    let mut sys = System::on(Threads::default(), 1, Mode::Mixed).timeout(timeout);
+    let mut sys = System::on(Threads::default(), 1, ProcModel::MIXED).timeout(timeout);
     sys.spawn(|ctx| {
         ctx.await_eq(Loc(0), Value::Int(99)); // nobody writes it
     });
@@ -113,17 +116,17 @@ fn a_timeout_of_duration_max_means_no_deadline() {
     // layer (whose sleep is sliced into retransmission ticks).
     for reliable in [false, true] {
         let outcome = delayed_reply(Duration::from_millis(5))(
-            System::on(Threads::default(), 2, Mode::Mixed)
+            System::on(Threads::default(), 2, ProcModel::MIXED)
                 .reliable(reliable)
                 .timeout(Duration::MAX),
         );
         assert_eq!(outcome.final_value(ProcId(1), Loc(0)), Value::Int(1));
         let outcome = delayed_reply(Duration::from_millis(5))(
-            System::on(Tcp, 2, Mode::Mixed).reliable(reliable).timeout(Duration::MAX),
+            System::on(Tcp, 2, ProcModel::MIXED).reliable(reliable).timeout(Duration::MAX),
         );
         assert_eq!(outcome.final_value(ProcId(1), Loc(0)), Value::Int(1));
     }
-    let mut sys = System::on(Threads::default(), 1, Mode::Sc).timeout(Duration::MAX);
+    let mut sys = System::on(Threads::default(), 1, ProcModel::SC).timeout(Duration::MAX);
     sys.spawn(|ctx| {
         ctx.write(Loc(0), 7);
         assert_eq!(ctx.read_causal(Loc(0)), Value::Int(7));

@@ -179,6 +179,15 @@ pub enum ProcModel {
 }
 
 impl ProcModel {
+    /// Definition 3: [`ModelSpec::PRAM`].
+    pub const PRAM: ProcModel = ProcModel::Fixed(ModelSpec::PRAM);
+    /// Definition 2: [`ModelSpec::CAUSAL`].
+    pub const CAUSAL: ProcModel = ProcModel::Fixed(ModelSpec::CAUSAL);
+    /// Definition 4: [`ProcModel::ByLabel`].
+    pub const MIXED: ProcModel = ProcModel::ByLabel;
+    /// Definition 1: [`ModelSpec::SC`].
+    pub const SC: ProcModel = ProcModel::Fixed(ModelSpec::SC);
+
     /// Every named lattice point, strongest first, mixed last.
     pub const ALL: &'static [ProcModel] = &[
         ProcModel::Fixed(ModelSpec::SC),
@@ -239,10 +248,9 @@ impl fmt::Display for ProcModel {
 
 /// A per-process model assignment: one [`ProcModel`] per process.
 ///
-/// This subsumes the hand-coded mode enum: a uniform assignment of a
-/// legacy constant reproduces that mode, [`ModelAssignment::mixed`]
-/// reproduces Definition 4, and heterogeneous assignments are
-/// partition-consistency-style mixes of lattice points in one run.
+/// A uniform assignment reproduces one of the paper's memories,
+/// [`ModelAssignment::mixed`] reproduces Definition 4, and heterogeneous
+/// assignments mix lattice points in one run (partition consistency).
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct ModelAssignment {
     procs: Vec<ProcModel>,

@@ -23,8 +23,9 @@ use std::path::PathBuf;
 use std::process::{Command, Stdio};
 use std::time::Duration;
 
+use mc_model::ProcModel;
 use mc_net::{run_cluster_node, NodeOpts, Workload};
-use mc_proto::{DsmConfig, DurabilityPolicy, Mode};
+use mc_proto::{DsmConfig, DurabilityPolicy};
 use mixed_consistency::progspec::run_ops;
 use mixed_consistency::ProgSpec;
 
@@ -33,7 +34,7 @@ use mixed_consistency::ProgSpec;
 struct Opts {
     node: Option<usize>,
     procs: usize,
-    mode: Mode,
+    model: ProcModel,
     workload: Option<Workload>,
     spec: Option<PathBuf>,
     port: u16,
@@ -43,10 +44,13 @@ struct Opts {
 }
 
 fn usage() -> ! {
+    let names: Vec<&str> = ProcModel::ALL.iter().map(ProcModel::name).collect();
     eprintln!(
-        "usage: mc-cluster --procs N [--mode pram|causal|mixed|sc] \
+        "usage: mc-cluster --procs N [--mode {}] \
          (--workload ring:K|storm:K | --spec FILE) [--port BASE] \
-         [--raw] [--durable DIR] [--timeout SECS] [--node I]"
+         [--raw] [--durable DIR] [--timeout SECS] [--node I]\n\
+         --mode puts every process under one lattice point (default causal)",
+        names.join("|")
     );
     std::process::exit(2);
 }
@@ -55,7 +59,7 @@ fn parse(args: &[String]) -> Opts {
     let mut o = Opts {
         node: None,
         procs: 0,
-        mode: Mode::Causal,
+        model: ProcModel::CAUSAL,
         workload: None,
         spec: None,
         port: 0,
@@ -69,15 +73,7 @@ fn parse(args: &[String]) -> Opts {
         match a.as_str() {
             "--node" => o.node = Some(val().parse().unwrap_or_else(|_| usage())),
             "--procs" => o.procs = val().parse().unwrap_or_else(|_| usage()),
-            "--mode" => {
-                o.mode = match val().as_str() {
-                    "pram" => Mode::Pram,
-                    "causal" => Mode::Causal,
-                    "mixed" => Mode::Mixed,
-                    "sc" => Mode::Sc,
-                    _ => usage(),
-                }
-            }
+            "--mode" => o.model = ProcModel::named(&val()).unwrap_or_else(|| usage()),
             "--workload" => match Workload::parse(&val()) {
                 Ok(w) => o.workload = Some(w),
                 Err(e) => {
@@ -103,13 +99,13 @@ fn parse(args: &[String]) -> Opts {
 /// `--durable`; without the flag there is no directory to keep the log
 /// in, and the spec is refused.
 fn config(o: &Opts, spec: Option<&ProgSpec>) -> Result<DsmConfig, String> {
-    let mut cfg = DsmConfig::new(o.procs, spec.map_or(o.mode, |spec| spec.mode));
+    let mut cfg = match spec {
+        Some(spec) => DsmConfig::new(o.procs, spec.assignment()),
+        None => DsmConfig::new(o.procs, o.model),
+    };
     cfg.reliable = o.reliable;
     if let Some(spec) = spec {
         cfg.lock_propagation = spec.lock_propagation;
-        if let Some(models) = &spec.models {
-            cfg = cfg.with_models(mc_model::ModelAssignment::per_proc(models.clone()));
-        }
         assert!(spec.shards.is_none(), "mc-cluster does not support sharded specs yet");
     }
     let every = spec.and_then(|spec| spec.durability);
@@ -231,12 +227,21 @@ fn main() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mc_proto::IntoModels;
 
     fn opts(args: &[&str]) -> Opts {
         parse(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
     }
 
     const SPEC: &str = "mode causal\ndurability 7\nproc 0\n  w 0 1\nproc 1\n  r 0 causal\n";
+
+    #[test]
+    fn mode_names_any_lattice_point() {
+        for &model in ProcModel::ALL {
+            let o = opts(&["--procs", "2", "--mode", model.name()]);
+            assert_eq!(*config(&o, None).unwrap().models(), model.into_models(2));
+        }
+    }
 
     #[test]
     fn a_durable_spec_sets_the_snapshot_cadence() {

@@ -26,9 +26,9 @@ use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use mc_live::{durable_own_writes, LiveCtx};
-use mc_model::{Loc, ProcId, Value};
+use mc_model::{Loc, ProcId, ProcModel, Value};
 use mc_net::{run_cluster_node, NodeOpts};
-use mc_proto::{DsmConfig, DurabilityPolicy, Mode};
+use mc_proto::{DsmConfig, DurabilityPolicy};
 
 const NPROCS: usize = 3;
 /// The victim's storm: long enough (every write fsyncs) that SIGKILL
@@ -42,7 +42,7 @@ const VICTIM: usize = 1;
 const DEADLINE: Duration = Duration::from_secs(120);
 
 fn cluster_cfg() -> DsmConfig {
-    let mut cfg = DsmConfig::new(NPROCS, Mode::Causal);
+    let mut cfg = DsmConfig::new(NPROCS, ProcModel::CAUSAL);
     cfg.reliable = true;
     cfg.durability = Some(DurabilityPolicy::new(64));
     cfg

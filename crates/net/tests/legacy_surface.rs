@@ -1,18 +1,23 @@
 //! The old builder surface `benchmark/` compiles against, run in the
 //! shapes it uses: the `run_on!` chain of `benchmark/src/live.rs`
 //! (`run_segment`) on `LiveSystem` and `NetSystem`, the `LiveOutcome`
-//! it reads, and the simulated system of `benchmark/src/simcheck.rs`.
+//! it reads, the simulated system of `benchmark/src/simcheck.rs`, and
+//! every call of `benchmark/src/layers.rs` that takes a `Mode`.
 //! `benchmark/` is a workspace of its own, so without this a break in
 //! the `legacy` shims would show only when the benchmark is built.
 
 use std::path::Path;
+use std::sync::Arc;
 use std::time::Duration;
 
 use mc_live::{LiveCtx, LiveError, LiveOutcome, LiveSystem};
-use mc_model::{History, Loc, ProcId, Value};
+use mc_model::{History, Loc, ModelAssignment, ProcId, ProcModel, ReadLabel, Value, WriteId};
 use mc_net::NetSystem;
-use mc_proto::{BatchPolicy, DurabilityPolicy, Mode};
-use mixed_consistency::{Ctx, DurabilityStats, Metrics, System};
+use mc_proto::{
+    BatchEntry, BatchPolicy, DsmConfig, DurabilityPolicy, Mode, Replica, Substrate, UpdatePayload,
+    WalRecord,
+};
+use mixed_consistency::{Ctx, DurabilityStats, Metrics, ProgSpec, SpecOp, System};
 
 /// One `run_segment`-shaped run: two processes each write their own
 /// location and await the other's.
@@ -86,4 +91,61 @@ fn the_simulated_system_runs_the_benchmark_shape() {
     let (metrics, history): (Metrics, Option<History>) = (out.metrics, out.history);
     assert!(metrics.messages > 0);
     assert_eq!(history.expect("recorded").len(), 4);
+}
+
+/// `benchmark/src/layers.rs`'s replica kernels: a configuration from
+/// `Mode::Causal`, then `ingest`, `ingest_batch` and `replay_record`
+/// passed `Mode::Causal`, which must run on the vector substrate.
+#[test]
+fn the_replica_kernels_take_a_mode() {
+    let cfg = DsmConfig::new(2, Mode::Causal);
+    assert_eq!(*cfg.models(), ModelAssignment::uniform(2, mc_model::ModelSpec::CAUSAL));
+    assert_eq!(cfg.substrate(), Substrate::Vectors);
+    let mut writer = Replica::new(ProcId(0), 2);
+    let set = |v| UpdatePayload::Set(Value::Int(v));
+    let (w1, d1) = writer.local_write(Loc(0), set(1), &cfg);
+    let (w2, d2) = writer.local_write(Loc(1), set(2), &cfg);
+
+    // Out of order: the second write waits for the first.
+    let mut r = Replica::new(ProcId(1), 2);
+    assert!(!r.ingest(w2, Loc(1), set(2), d2, Mode::Causal));
+    assert_eq!(r.pending_len(), 1);
+    assert!(r.ingest(w1, Loc(0), set(1), d1.clone(), Mode::Causal));
+    assert_eq!(
+        (r.peek(Loc(0)), r.peek(Loc(1)), r.pending_len()),
+        (Value::Int(1), Value::Int(2), 0)
+    );
+
+    // A batch of the writer's third and fourth writes.
+    writer.local_write(Loc(3), set(3), &cfg);
+    let (_, deps) = writer.local_write(Loc(4), set(4), &cfg);
+    let entries: Arc<[BatchEntry]> = (3..=4)
+        .map(|seq| BatchEntry {
+            loc: Loc(seq),
+            payload: set(i64::from(seq)),
+            writer: WriteId::new(ProcId(0), seq),
+            adds: Vec::new(),
+        })
+        .collect();
+    assert!(r.ingest_batch(ProcId(0), 3, 4, entries, deps, Mode::Causal));
+    assert_eq!(r.peek(Loc(4)), Value::Int(4));
+
+    let mut replayed = Replica::new(ProcId(0), 2);
+    replayed.replay_record(
+        WalRecord::OwnWrite { loc: Loc(0), payload: set(1), deps: d1 },
+        Mode::Causal,
+    );
+    assert_eq!((replayed.own_count(), replayed.peek(Loc(0))), (1, Value::Int(1)));
+}
+
+/// `benchmark/src/layers.rs`'s DPOR kernel builds its IRIW program with
+/// `ProgSpec::new(Mode::Mixed)`: every process judged by its labels.
+#[test]
+fn a_spec_takes_a_mode() {
+    let spec = ProgSpec::new(Mode::Mixed)
+        .proc(vec![SpecOp::Write { loc: Loc(0), value: 1 }])
+        .proc(vec![SpecOp::Read { loc: Loc(0), label: ReadLabel::Causal }]);
+    assert_eq!(spec.models, vec![ProcModel::MIXED]);
+    assert!(spec.to_text().starts_with("mode mixed\n"));
+    spec.build_system().run().expect("the spec runs").verify().expect("mixed consistent");
 }

@@ -8,9 +8,8 @@
 use std::sync::{Arc, Mutex};
 
 use mc_model::spec::{check_model, ModelAssignment, ModelSpec};
-use mc_model::{check, Loc, ReadLabel, Value};
+use mc_model::{check, Loc, ProcModel, ReadLabel, Value};
 use mc_net::Tcp;
-use mc_proto::Mode;
 use mixed_consistency::System;
 
 const REPS: usize = 5;
@@ -21,7 +20,7 @@ const REPS: usize = 5;
 /// still check.
 #[test]
 fn store_buffer_over_tcp() {
-    for mode in [Mode::Pram, Mode::Causal] {
+    for mode in [ProcModel::PRAM, ProcModel::CAUSAL] {
         for _ in 0..REPS {
             let mut sys = System::on(Tcp, 2, mode).record(true);
             for p in 0..2u32 {
@@ -33,7 +32,7 @@ fn store_buffer_over_tcp() {
             let outcome = sys.run().unwrap_or_else(|e| panic!("{mode}: {e}"));
             let h = outcome.history.expect("recorded");
             check::check_pram(&h).unwrap_or_else(|e| panic!("{mode}: {e}"));
-            if mode == Mode::Causal {
+            if mode == ProcModel::CAUSAL {
                 check::check_causal(&h).unwrap_or_else(|e| panic!("{mode}: {e}"));
             }
         }
@@ -48,7 +47,7 @@ fn store_buffer_over_tcp() {
 #[test]
 fn iriw_over_tcp_checks_causal() {
     for _ in 0..REPS {
-        let mut sys = System::on(Tcp, 4, Mode::Causal).record(true);
+        let mut sys = System::on(Tcp, 4, ProcModel::CAUSAL).record(true);
         sys.spawn(|ctx| {
             ctx.write(Loc(0), 1);
         });
@@ -74,7 +73,7 @@ fn iriw_over_tcp_checks_causal() {
 #[test]
 fn iriw_over_tcp_serializes_under_sc() {
     for _ in 0..REPS {
-        let mut sys = System::on(Tcp, 4, Mode::Sc).record(true);
+        let mut sys = System::on(Tcp, 4, ProcModel::SC).record(true);
         sys.spawn(|ctx| {
             ctx.write(Loc(0), 1);
         });
@@ -106,7 +105,7 @@ fn iriw_over_tcp_serializes_under_sc() {
 #[test]
 fn wrc_transitivity_over_tcp() {
     for _ in 0..REPS {
-        let mut sys = System::on(Tcp, 3, Mode::Causal).record(true);
+        let mut sys = System::on(Tcp, 3, ProcModel::CAUSAL).record(true);
         sys.spawn(|ctx| {
             ctx.write(Loc(0), 42);
         });
@@ -137,7 +136,7 @@ fn wrc_transitivity_over_tcp() {
 #[test]
 fn wrc_over_tcp_mixed_model() {
     for _ in 0..REPS {
-        let mut sys = System::on(Tcp, 3, Mode::Mixed).record(true);
+        let mut sys = System::on(Tcp, 3, ProcModel::MIXED).record(true);
         sys.spawn(|ctx| {
             ctx.write(Loc(0), 42);
         });

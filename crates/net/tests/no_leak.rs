@@ -9,9 +9,8 @@ use std::collections::HashSet;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-use mc_model::{Loc, Value};
+use mc_model::{Loc, ProcModel, Value};
 use mc_net::Tcp;
-use mc_proto::Mode;
 use mixed_consistency::System;
 
 const RUNS: usize = 50;
@@ -66,7 +65,7 @@ fn fifty_clusters_leave_no_thread_socket_or_port_behind() {
     let sockets = socket_inodes().len();
     for run in 0..RUNS {
         let (ports_tx, ports_rx) = mpsc::channel();
-        let mut sys = System::on(Tcp, 3, Mode::Causal);
+        let mut sys = System::on(Tcp, 3, ProcModel::CAUSAL);
         for p in 0..3u32 {
             let ports_tx = ports_tx.clone();
             sys.spawn(move |ctx| {

@@ -11,9 +11,8 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use mc_live::{LiveCtx, Threads};
-use mc_model::{Loc, Value};
+use mc_model::{Loc, ProcModel, Value};
 use mc_net::Tcp;
-use mc_proto::Mode;
 use mixed_consistency::System;
 
 /// The name of every thread of this process (as the kernel keeps it:
@@ -65,7 +64,7 @@ fn a_manager_has_no_thread_unless_it_sweeps_retransmissions() {
     };
 
     let seen = Arc::default();
-    let mut sys = System::on(Threads::default(), 2, Mode::Sc);
+    let mut sys = System::on(Threads::default(), 2, ProcModel::SC);
     for p in 0..2 {
         sys.spawn(body(&seen, p, None));
     }
@@ -73,7 +72,7 @@ fn a_manager_has_no_thread_unless_it_sweeps_retransmissions() {
     assert_eq!(started(seen), ["mc-proc-0", "mc-proc-1"], "threads, unreliable");
 
     let seen = Arc::default();
-    let mut sys = System::on(Tcp, 2, Mode::Sc);
+    let mut sys = System::on(Tcp, 2, ProcModel::SC);
     for p in 0..2 {
         sys.spawn(body(&seen, p, None));
     }
@@ -83,7 +82,7 @@ fn a_manager_has_no_thread_unless_it_sweeps_retransmissions() {
     assert_eq!(nodes, ["mc-proc-0", "mc-proc-1"], "TCP, unreliable: {names:?}");
 
     let seen = Arc::default();
-    let mut sys = System::on(Threads::default(), 2, Mode::Sc).reliable(true);
+    let mut sys = System::on(Threads::default(), 2, ProcModel::SC).reliable(true);
     for p in 0..2 {
         sys.spawn(body(&seen, p, Some("mc-mgr-tick-0")));
     }

@@ -9,9 +9,8 @@
 
 use std::sync::{Arc, Mutex};
 
-use mc_model::{Loc, Value};
+use mc_model::{Loc, ProcModel, Value};
 use mc_net::Tcp;
-use mc_proto::Mode;
 use mixed_consistency::System;
 
 /// `Cpus_allowed_list` of thread `tid` of this process ("self": the caller).
@@ -54,7 +53,7 @@ fn link_threads_share_one_cpu_and_node_threads_keep_off_it() {
         return; // one CPU allowed: nothing to place
     }
     let seen = Arc::new(Mutex::new(Vec::new()));
-    let mut sys = System::on(Tcp, 2, Mode::Sc);
+    let mut sys = System::on(Tcp, 2, ProcModel::SC);
     for p in 0..2u32 {
         let seen = seen.clone();
         sys.spawn(move |ctx| {

@@ -2,15 +2,15 @@
 //! propagation variant, a barrier subgroup and tracing. Every run is
 //! recorded and judged by `Outcome::verify`.
 
-use mc_model::{BarrierId, Loc, LockId, ProcId, Value};
+use mc_model::{BarrierId, Loc, LockId, ProcId, ProcModel, Value};
 use mc_net::Tcp;
-use mc_proto::{LockPropagation, Mode};
+use mc_proto::LockPropagation;
 use mixed_consistency::System;
 
 #[test]
 fn every_lock_propagation_holds_over_tcp() {
     for prop in LockPropagation::ALL {
-        let mut sys = System::on(Tcp, 3, Mode::Mixed).lock_propagation(prop).record(true);
+        let mut sys = System::on(Tcp, 3, ProcModel::MIXED).lock_propagation(prop).record(true);
         for _ in 0..3 {
             sys.spawn(|ctx| {
                 for _ in 0..4 {
@@ -31,7 +31,7 @@ fn every_lock_propagation_holds_over_tcp() {
 
 #[test]
 fn a_barrier_subgroup_synchronizes_only_its_group_over_tcp() {
-    let mut sys = System::on(Tcp, 4, Mode::Mixed)
+    let mut sys = System::on(Tcp, 4, ProcModel::MIXED)
         .record(true)
         .barrier_group(BarrierId(1), vec![ProcId(0), ProcId(1)])
         .barrier_group(BarrierId(2), vec![ProcId(2), ProcId(3)]);
@@ -58,7 +58,7 @@ fn a_barrier_subgroup_synchronizes_only_its_group_over_tcp() {
 
 #[test]
 fn a_tcp_trace_holds_one_event_per_message_sent() {
-    let mut sys = System::on(Tcp, 2, Mode::Mixed).trace(true).record(true);
+    let mut sys = System::on(Tcp, 2, ProcModel::MIXED).trace(true).record(true);
     sys.spawn(|ctx| {
         ctx.with_write_lock(LockId(0), |ctx| ctx.write(Loc(0), 7));
         ctx.write(Loc(1), 1);

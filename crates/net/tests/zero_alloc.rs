@@ -28,10 +28,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use bytes::{pool_stats, BytesMut};
-use mc_model::{Loc, ProcId, Value, WriteId};
+use mc_model::{Loc, ProcId, ProcModel, Value, WriteId};
 use mc_net::Tcp;
 use mc_proto::wire::{decode_frame, encode_frame, Frame, FRAME_HEADER};
-use mc_proto::{BatchPolicy, Mode, Msg, UpdatePayload};
+use mc_proto::{BatchPolicy, Msg, UpdatePayload};
 
 /// Counts the measuring thread's allocations without changing them.
 struct CountingAlloc;
@@ -129,7 +129,7 @@ fn steady_state_wire_cycle_allocates_nothing() {
 fn tcp_storm(batch: Option<BatchPolicy>) -> (u64, u64) {
     let _guard = SERIAL.lock().unwrap();
     let (allocs0, reuses0) = pool_stats();
-    let mut sys = mixed_consistency::System::on(Tcp, 2, Mode::Causal).batching(batch);
+    let mut sys = mixed_consistency::System::on(Tcp, 2, ProcModel::CAUSAL).batching(batch);
     sys.spawn(|ctx| {
         for i in 1..=10_000 {
             ctx.write(Loc(0), i);

@@ -1,50 +1,94 @@
-//! Protocol configuration: memory mode and lock-propagation variants.
+//! Protocol configuration: the per-process consistency-model
+//! assignment, the protocol substrate derived from it, and the
+//! lock-propagation variants.
 
 use std::fmt;
 
-/// Which memory consistency protocol the DSM runs.
+use mc_model::{ModelAssignment, ModelSpec, ProcModel, SyncScope};
+
+/// The protocol machinery an assignment runs on: derived from it by
+/// [`Substrate::of`], since each ordering property names the metadata it
+/// needs, and never chosen by hand.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum Mode {
-    /// Pipelined RAM (Lipton–Sandberg): full replication, FIFO update
-    /// broadcast, apply-on-receipt, local reads. No vector timestamps on
-    /// the wire (Section 6: the overhead "can be avoided" for PRAM).
-    Pram,
-    /// Causal memory (Ahamad et al.): updates carry vector timestamps and
-    /// are applied in causal order; every read is causal.
-    Causal,
-    /// Mixed consistency: the causal substrate with per-read labels —
-    /// causal reads wait for the reader's causal cut, PRAM reads return
-    /// the most recent local value immediately (Section 6).
-    Mixed,
-    /// Sequentially consistent baseline: a central memory server; every
-    /// read and write is a blocking RPC. This is the high-latency
-    /// comparison point of the paper's introduction.
-    Sc,
+pub enum Substrate {
+    /// A central memory server; every access is a blocking RPC.
+    Server,
+    /// FIFO update broadcast applied on receipt, with no vector
+    /// timestamps on the wire (Section 6).
+    Fifo,
+    /// Vector-timestamped updates applied in causal order (Section 6).
+    Vectors,
 }
 
-impl Mode {
-    /// All modes, for sweeps.
-    pub const ALL: [Mode; 4] = [Mode::Pram, Mode::Causal, Mode::Mixed, Mode::Sc];
+impl Substrate {
+    /// The substrate that implements `models`: the central server for
+    /// `sc` (total store order), which must then be uniform; vectors if
+    /// any point needs causal knowledge (writes-follow-reads, full
+    /// synchronization visibility, coherence tags or per-read labels);
+    /// FIFO broadcast otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the assignment mixes `sc` with non-`sc` points.
+    pub fn of(models: &ModelAssignment) -> Substrate {
+        if models.any_tso() {
+            assert!(
+                models.all_tso(),
+                "a total-store-order point cannot mix with replicated lattice points"
+            );
+            return Substrate::Server;
+        }
+        let needs_vectors = models.iter().any(|m| match m {
+            ProcModel::ByLabel => true,
+            ProcModel::Fixed(s) => {
+                s.writes_follow_reads || s.coherence || s.sync == SyncScope::Full
+            }
+        });
+        if needs_vectors {
+            Substrate::Vectors
+        } else {
+            Substrate::Fifo
+        }
+    }
 
-    /// Returns `true` for the fully replicated (non-server) modes.
+    /// Returns `true` for the fully replicated (non-server) substrates.
     pub fn is_replicated(self) -> bool {
-        !matches!(self, Mode::Sc)
+        self != Substrate::Server
     }
 
     /// Returns `true` if update messages carry vector timestamps.
     pub fn carries_vectors(self) -> bool {
-        matches!(self, Mode::Causal | Mode::Mixed)
+        self == Substrate::Vectors
     }
 }
 
-impl fmt::Display for Mode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+/// A model decision: one lattice point for every process
+/// ([`ProcModel`], [`ModelSpec`]) or one per process
+/// ([`ModelAssignment`], which panics unless it names `nprocs`).
+pub trait IntoModels {
+    /// The per-process assignment for `nprocs` processes.
+    fn into_models(self, nprocs: usize) -> ModelAssignment;
+}
+
+impl IntoModels for ProcModel {
+    fn into_models(self, nprocs: usize) -> ModelAssignment {
         match self {
-            Mode::Pram => write!(f, "pram"),
-            Mode::Causal => write!(f, "causal"),
-            Mode::Mixed => write!(f, "mixed"),
-            Mode::Sc => write!(f, "sc"),
+            ProcModel::Fixed(spec) => ModelAssignment::uniform(nprocs, spec),
+            ProcModel::ByLabel => ModelAssignment::mixed(nprocs),
         }
+    }
+}
+
+impl IntoModels for ModelSpec {
+    fn into_models(self, nprocs: usize) -> ModelAssignment {
+        ModelAssignment::uniform(nprocs, self)
+    }
+}
+
+impl IntoModels for ModelAssignment {
+    fn into_models(self, nprocs: usize) -> ModelAssignment {
+        assert_eq!(self.len(), nprocs, "one model per process");
+        self
     }
 }
 
@@ -175,8 +219,8 @@ pub struct DsmConfig {
     /// Number of application processes (replica `i` hosts process `i`;
     /// node `nprocs` is the manager/server).
     pub nprocs: usize,
-    /// The memory protocol.
-    pub mode: Mode,
+    models: ModelAssignment,
+    substrate: Substrate,
     /// The lock-propagation variant.
     pub lock_propagation: LockPropagation,
     /// Barrier participant subsets (Section 3.1.2's parenthetical:
@@ -213,37 +257,25 @@ pub struct DsmConfig {
     /// crash-recover fault rebuilds the replica from disk and fetches
     /// only the missing delta from peers.
     pub durability: Option<crate::durability::DurabilityPolicy>,
-    /// Per-process consistency-model assignment (the ordering-property
-    /// lattice; see [`mc_model::spec`]): each process's reads follow its
-    /// assigned point. [`DsmConfig::new`] assigns every process the
-    /// point its mode implements; [`DsmConfig::with_models`] sets an
-    /// explicit assignment and derives `mode` as its *substrate*.
-    pub models: mc_model::ModelAssignment,
     /// Sharded interest-based partial replication. `None` (the default)
     /// keeps full replication: every write broadcast to every peer.
     /// `Some` routes each update only to the subscribers of its shard
     /// and switches dependency tracking to sparse per-shard clocks.
-    /// Only meaningful on the replicated modes (the SC substrate's
-    /// central server is untouched); locks and barriers are not yet
+    /// Only meaningful on the replicated substrates (the SC server is
+    /// untouched); locks and barriers are not yet
     /// supported together with sharding.
     pub sharding: Option<ShardConfig>,
 }
 
 impl DsmConfig {
-    /// A configuration with the given process count and mode, lazy locks.
-    /// Every process is assigned the lattice point `mode` implements:
-    /// PRAM, causal, per-read labels (Definition 4) or SC.
-    pub fn new(nprocs: usize, mode: Mode) -> Self {
-        use mc_model::{ModelAssignment, ModelSpec};
-        let models = match mode {
-            Mode::Pram => ModelAssignment::uniform(nprocs, ModelSpec::PRAM),
-            Mode::Causal => ModelAssignment::uniform(nprocs, ModelSpec::CAUSAL),
-            Mode::Mixed => ModelAssignment::mixed(nprocs),
-            Mode::Sc => ModelAssignment::uniform(nprocs, ModelSpec::SC),
-        };
+    /// A configuration of `nprocs` processes under `models`, with lazy
+    /// locks; the substrate is derived here, once ([`Substrate::of`]).
+    pub fn new(nprocs: usize, models: impl IntoModels) -> Self {
+        let models = models.into_models(nprocs);
         DsmConfig {
             nprocs,
-            mode,
+            substrate: Substrate::of(&models),
+            models,
             lock_propagation: LockPropagation::Lazy,
             barrier_groups: std::collections::HashMap::new(),
             manager_shards: 1,
@@ -251,9 +283,18 @@ impl DsmConfig {
             batch: None,
             locations: 64,
             durability: None,
-            models,
             sharding: None,
         }
+    }
+
+    /// The per-process lattice points (see [`mc_model::spec`]).
+    pub fn models(&self) -> &ModelAssignment {
+        &self.models
+    }
+
+    /// The protocol substrate the assignment runs on.
+    pub fn substrate(&self) -> Substrate {
+        self.substrate
     }
 
     /// Enables (`Some`) or disables (`None`) sharded interest-based
@@ -269,61 +310,6 @@ impl DsmConfig {
         }
         self.sharding = sharding;
         self
-    }
-
-    /// Assigns a consistency-model lattice point to every process and
-    /// derives the protocol substrate that implements the assignment:
-    ///
-    /// * any total-store-order point (`sc`) requires the central-server
-    ///   substrate and must be uniform — replicated points cannot share
-    ///   a run with a serialization guarantee;
-    /// * any point needing causal knowledge (writes-follow-reads, full
-    ///   synchronization visibility, or coherence tags) selects the
-    ///   vector-carrying [`Mode::Mixed`] substrate;
-    /// * otherwise the plain FIFO [`Mode::Pram`] substrate suffices.
-    ///
-    /// Reads are then labeled per process by
-    /// [`DsmConfig::read_policy`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the assignment's process count differs from `nprocs`,
-    /// or if it mixes `sc` with non-`sc` points.
-    pub fn with_models(mut self, models: mc_model::ModelAssignment) -> Self {
-        assert_eq!(models.len(), self.nprocs, "one model per process");
-        self.mode = if models.any_tso() {
-            assert!(
-                models.all_tso(),
-                "a total-store-order point cannot mix with replicated lattice points"
-            );
-            Mode::Sc
-        } else {
-            let needs_vectors = models.iter().any(|m| match m {
-                mc_model::ProcModel::ByLabel => true,
-                mc_model::ProcModel::Fixed(s) => {
-                    s.writes_follow_reads || s.coherence || s.sync == mc_model::SyncScope::Full
-                }
-            });
-            if needs_vectors {
-                Mode::Mixed
-            } else {
-                Mode::Pram
-            }
-        };
-        self.models = models;
-        self
-    }
-
-    /// The effective label of a read issued by `proc` with program label
-    /// `label`: `ByLabel` processes keep their program labels and
-    /// `Fixed` processes read causally exactly when their point includes
-    /// writes-follow-reads.
-    pub fn read_policy(
-        &self,
-        proc: mc_model::ProcId,
-        label: mc_model::ReadLabel,
-    ) -> mc_model::ReadLabel {
-        self.models.judged_as(proc, label)
     }
 
     /// Enables or disables the reliable-delivery session layer.
@@ -420,21 +406,59 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mode_properties() {
-        assert!(Mode::Pram.is_replicated());
-        assert!(!Mode::Sc.is_replicated());
-        assert!(Mode::Mixed.carries_vectors());
-        assert!(Mode::Causal.carries_vectors());
-        assert!(!Mode::Pram.carries_vectors());
-        assert_eq!(Mode::ALL.len(), 4);
-        assert_eq!(Mode::Mixed.to_string(), "mixed");
+    fn substrate_properties() {
+        assert!(Substrate::Fifo.is_replicated());
+        assert!(!Substrate::Server.is_replicated());
+        assert!(Substrate::Vectors.carries_vectors());
+        assert!(!Substrate::Fifo.carries_vectors());
+        assert!(!Substrate::Server.carries_vectors());
         assert_eq!(LockPropagation::Eager.to_string(), "eager");
         assert_eq!(LockPropagation::ALL.len(), 3);
     }
 
+    /// The one derivation: every lattice point, uniform, and the
+    /// heterogeneous cases.
+    #[test]
+    fn the_assignment_derives_the_substrate() {
+        let expected = |m: ProcModel| match m.name() {
+            "sc" => Substrate::Server,
+            "causal" | "processor" | "weak" | "mixed" => Substrate::Vectors,
+            "pram" | "slow" => Substrate::Fifo,
+            other => panic!("no expectation for {other}"),
+        };
+        for &m in ProcModel::ALL {
+            let cfg = DsmConfig::new(3, m);
+            assert_eq!(cfg.substrate(), expected(m), "{m}");
+            assert_eq!(*cfg.models(), ModelAssignment::per_proc(vec![m; 3]), "{m}");
+        }
+        let slow_causal = ModelAssignment::per_proc(vec![
+            ProcModel::Fixed(ModelSpec::SLOW),
+            ProcModel::Fixed(ModelSpec::CAUSAL),
+        ]);
+        assert_eq!(DsmConfig::new(2, slow_causal).substrate(), Substrate::Vectors);
+        assert_eq!(DsmConfig::new(2, ModelSpec::SLOW).substrate(), Substrate::Fifo);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot mix with replicated lattice points")]
+    fn sc_does_not_mix_with_a_replicated_point() {
+        let models = ModelAssignment::per_proc(vec![
+            ProcModel::Fixed(ModelSpec::SC),
+            ProcModel::Fixed(ModelSpec::PRAM),
+        ]);
+        let _ = DsmConfig::new(2, models);
+    }
+
+    #[test]
+    #[should_panic(expected = "one model per process")]
+    fn an_explicit_assignment_names_every_process() {
+        let _ = DsmConfig::new(3, ModelAssignment::mixed(2));
+    }
+
     #[test]
     fn config_layout() {
-        let c = DsmConfig::new(4, Mode::Mixed).with_lock_propagation(LockPropagation::DemandDriven);
+        let c = DsmConfig::new(4, ProcModel::ByLabel)
+            .with_lock_propagation(LockPropagation::DemandDriven);
         assert_eq!(c.nnodes(), 5);
         assert_eq!(c.manager_node(), mc_sim::NodeId(4));
         assert_eq!(c.lock_propagation, LockPropagation::DemandDriven);
@@ -451,19 +475,19 @@ mod tests {
         assert!((0..3).all(|s| full.subscribed(mc_model::ProcId(1), s)));
         assert!(!sc.dynamic);
         assert!(sc.with_dynamic(true).dynamic);
-        let cfg = DsmConfig::new(2, Mode::Causal).with_sharding(Some(ShardConfig::full(3, 2)));
+        let cfg = DsmConfig::new(2, ModelSpec::CAUSAL).with_sharding(Some(ShardConfig::full(3, 2)));
         assert_eq!(cfg.sharding.as_ref().unwrap().nshards, 3);
     }
 
     #[test]
     #[should_panic(expected = "one interest set per process")]
     fn sharding_interest_must_cover_every_process() {
-        let _ = DsmConfig::new(3, Mode::Causal).with_sharding(Some(ShardConfig::full(2, 2)));
+        let _ = DsmConfig::new(3, ModelSpec::CAUSAL).with_sharding(Some(ShardConfig::full(2, 2)));
     }
 
     #[test]
     fn batch_policy_defaults() {
-        let c = DsmConfig::new(2, Mode::Causal);
+        let c = DsmConfig::new(2, ModelSpec::CAUSAL);
         assert_eq!(c.batch, None, "batching is opt-in");
         let c = c.with_batching(Some(BatchPolicy::default()));
         assert_eq!(c.batch, Some(BatchPolicy {}));

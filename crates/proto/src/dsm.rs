@@ -282,12 +282,13 @@ impl Protocol for Dsm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{LockPropagation, Mode};
+    use crate::config::LockPropagation;
+    use mc_model::ProcModel;
     use mc_model::{BarrierId, Loc, LockId, LockMode, ReadLabel, Value};
     use mc_sim::{Kernel, SimConfig};
     use std::sync::{Arc, Mutex};
 
-    fn kernel(mode: Mode, nprocs: usize) -> Kernel<Dsm> {
+    fn kernel(mode: ProcModel, nprocs: usize) -> Kernel<Dsm> {
         kernel_cfg(DsmConfig::new(nprocs, mode), 1)
     }
 
@@ -317,7 +318,7 @@ mod tests {
     #[test]
     fn sharded_producer_consumer_await() {
         use crate::config::ShardConfig;
-        for mode in [Mode::Pram, Mode::Causal, Mode::Mixed] {
+        for mode in [ProcModel::PRAM, ProcModel::CAUSAL, ProcModel::MIXED] {
             // Locs 0 and 1 land in shards 0 and 1; both procs subscribe
             // to both, the third proc to neither.
             let sc = ShardConfig::new(2, vec![vec![0, 1], vec![0, 1], vec![]]);
@@ -343,7 +344,7 @@ mod tests {
     #[test]
     fn sharded_updates_reach_only_subscribers() {
         let sc = crate::config::ShardConfig::new(2, vec![vec![0], vec![0], vec![1]]);
-        let cfg = DsmConfig::new(3, Mode::Causal).with_sharding(Some(sc));
+        let cfg = DsmConfig::new(3, ProcModel::CAUSAL).with_sharding(Some(sc));
         let mut k = kernel_cfg(cfg, 3);
         k.spawn(NodeId(0), |ctx| {
             write(ctx, 0, 7); // shard 0: subscriber set {p0, p1}
@@ -364,7 +365,7 @@ mod tests {
     fn dynamic_subscribe_on_first_touch() {
         let sc = crate::config::ShardConfig::new(2, vec![vec![0, 1], vec![0, 1], vec![0]])
             .with_dynamic(true);
-        let cfg = DsmConfig::new(3, Mode::Causal).with_sharding(Some(sc));
+        let cfg = DsmConfig::new(3, ProcModel::CAUSAL).with_sharding(Some(sc));
         let mut k = kernel_cfg(cfg, 5);
         let got = Arc::new(Mutex::new(Value::Int(-1)));
         let got2 = got.clone();
@@ -389,7 +390,7 @@ mod tests {
     #[test]
     fn sharded_batching_coalesces_per_shard() {
         let sc = crate::config::ShardConfig::full(2, 2);
-        let cfg = DsmConfig::new(2, Mode::Causal)
+        let cfg = DsmConfig::new(2, ProcModel::CAUSAL)
             .with_sharding(Some(sc))
             .with_batching(Some(crate::config::BatchPolicy::default()));
         let mut k = kernel_cfg(cfg, 9);
@@ -410,7 +411,7 @@ mod tests {
 
     #[test]
     fn producer_consumer_await_all_modes() {
-        for mode in Mode::ALL {
+        for mode in [ProcModel::PRAM, ProcModel::CAUSAL, ProcModel::MIXED, ProcModel::SC] {
             let mut k = kernel(mode, 2);
             let seen = Arc::new(Mutex::new(Value::Int(-1)));
             let seen2 = seen.clone();
@@ -430,7 +431,7 @@ mod tests {
 
     #[test]
     fn barrier_phases_visible_all_modes() {
-        for mode in Mode::ALL {
+        for mode in [ProcModel::PRAM, ProcModel::CAUSAL, ProcModel::MIXED, ProcModel::SC] {
             let mut k = kernel(mode, 3);
             let sums = Arc::new(Mutex::new(vec![0i64; 3]));
             for i in 0..3u32 {
@@ -452,7 +453,7 @@ mod tests {
 
     #[test]
     fn lock_mutual_exclusion_and_data_transfer() {
-        for mode in Mode::ALL {
+        for mode in [ProcModel::PRAM, ProcModel::CAUSAL, ProcModel::MIXED, ProcModel::SC] {
             for prop in LockPropagation::ALL {
                 let cfg = DsmConfig::new(3, mode).with_lock_propagation(prop);
                 let mut k = kernel_cfg(cfg, 7);
@@ -474,7 +475,7 @@ mod tests {
                 let report = k.run().unwrap_or_else(|e| panic!("{mode}/{prop}: {e}"));
                 // The run ends only after all deliveries drain, so every
                 // replica has converged: 3 processes x 5 increments = 15.
-                if mode.is_replicated() {
+                if mode != ProcModel::SC {
                     let dsm = &report.protocol;
                     for i in 0..3 {
                         assert_eq!(
@@ -491,7 +492,7 @@ mod tests {
 
     #[test]
     fn counter_increments_converge() {
-        for mode in [Mode::Pram, Mode::Causal, Mode::Mixed] {
+        for mode in [ProcModel::PRAM, ProcModel::CAUSAL, ProcModel::MIXED] {
             let mut k = kernel(mode, 3);
             let finals = Arc::new(Mutex::new(vec![0i64; 3]));
             for i in 0..3u32 {
@@ -511,7 +512,7 @@ mod tests {
 
     #[test]
     fn sc_reads_are_serialized_at_server() {
-        let mut k = kernel(Mode::Sc, 2);
+        let mut k = kernel(ProcModel::SC, 2);
         let ok = Arc::new(Mutex::new(false));
         let ok2 = ok.clone();
         k.spawn(NodeId(0), |ctx| {
@@ -539,7 +540,7 @@ mod tests {
         // update arrives, while a causal read would have to wait. We
         // verify via message counts that no deadlock occurs and both
         // reads complete.
-        let mut k = kernel(Mode::Mixed, 2);
+        let mut k = kernel(ProcModel::MIXED, 2);
         k.spawn(NodeId(0), |ctx| {
             ctx.request(Req::Lock { lock: LockId(0), mode: LockMode::Write });
             write(ctx, 0, 5);
@@ -558,7 +559,7 @@ mod tests {
 
     #[test]
     fn eager_unlock_flushes_before_release() {
-        let cfg = DsmConfig::new(3, Mode::Mixed).with_lock_propagation(LockPropagation::Eager);
+        let cfg = DsmConfig::new(3, ProcModel::MIXED).with_lock_propagation(LockPropagation::Eager);
         let mut k = kernel_cfg(cfg, 1);
         k.spawn(NodeId(0), |ctx| {
             ctx.request(Req::Lock { lock: LockId(0), mode: LockMode::Write });
@@ -580,7 +581,7 @@ mod tests {
     #[test]
     fn lazy_vs_eager_message_counts() {
         let run = |prop: LockPropagation| {
-            let cfg = DsmConfig::new(4, Mode::Mixed).with_lock_propagation(prop);
+            let cfg = DsmConfig::new(4, ProcModel::MIXED).with_lock_propagation(prop);
             let mut k = kernel_cfg(cfg, 3);
             for i in 0..4u32 {
                 k.spawn(NodeId(i), move |ctx| {
@@ -605,8 +606,8 @@ mod tests {
 
     #[test]
     fn demand_driven_blocks_only_touched_locations() {
-        let cfg =
-            DsmConfig::new(2, Mode::Mixed).with_lock_propagation(LockPropagation::DemandDriven);
+        let cfg = DsmConfig::new(2, ProcModel::MIXED)
+            .with_lock_propagation(LockPropagation::DemandDriven);
         let mut k = kernel_cfg(cfg, 1);
         let vals = Arc::new(Mutex::new((0i64, 0i64)));
         let vals2 = vals.clone();
@@ -639,7 +640,7 @@ mod tests {
         use mc_sim::{FaultPlan, SimTime};
         let faults =
             FaultPlan::new().drop_rate(0.1).duplicate_rate(0.1).reorder(SimTime::from_micros(40));
-        for mode in [Mode::Pram, Mode::Causal, Mode::Mixed] {
+        for mode in [ProcModel::PRAM, ProcModel::CAUSAL, ProcModel::MIXED] {
             let cfg = DsmConfig::new(3, mode).with_reliable(true);
             let nnodes = cfg.nnodes();
             let mut k = Kernel::new(Dsm::new(cfg), nnodes, faulty_sim(9, faults.clone()));
@@ -671,7 +672,7 @@ mod tests {
                 // The vector modes additionally order the lock-carried
                 // writes causally, so every replica converges to the last
                 // one; PRAM only promises per-sender order.
-                if mode.carries_vectors() {
+                if mode != ProcModel::PRAM {
                     assert_eq!(
                         r.peek(Loc(0)),
                         Value::Int(15),
@@ -685,7 +686,7 @@ mod tests {
     #[test]
     fn loss_without_session_deadlocks() {
         use mc_sim::{FaultPlan, SimError};
-        let cfg = DsmConfig::new(2, Mode::Pram);
+        let cfg = DsmConfig::new(2, ProcModel::PRAM);
         let nnodes = cfg.nnodes();
         let mut k =
             Kernel::new(Dsm::new(cfg), nnodes, faulty_sim(1, FaultPlan::new().drop_rate(1.0)));
@@ -716,7 +717,7 @@ mod tests {
             SimTime::ZERO,
             SimTime::from_micros(300),
         );
-        let cfg = DsmConfig::new(2, Mode::Mixed).with_reliable(true);
+        let cfg = DsmConfig::new(2, ProcModel::MIXED).with_reliable(true);
         let nnodes = cfg.nnodes();
         let mut k = Kernel::new(Dsm::new(cfg), nnodes, faulty_sim(4, faults));
         k.spawn(NodeId(0), |ctx| {
@@ -744,7 +745,7 @@ mod tests {
                 .drop_rate(0.15)
                 .duplicate_rate(0.1)
                 .reorder(SimTime::from_micros(30));
-            let cfg = DsmConfig::new(3, Mode::Mixed).with_reliable(true);
+            let cfg = DsmConfig::new(3, ProcModel::MIXED).with_reliable(true);
             let nnodes = cfg.nnodes();
             let mut k = Kernel::new(Dsm::new(cfg), nnodes, faulty_sim(seed, faults));
             for i in 0..3u32 {
@@ -764,7 +765,7 @@ mod tests {
     #[test]
     fn determinism_across_identical_runs() {
         let run = |seed| {
-            let mut k = kernel_cfg(DsmConfig::new(3, Mode::Mixed), seed);
+            let mut k = kernel_cfg(DsmConfig::new(3, ProcModel::MIXED), seed);
             for i in 0..3u32 {
                 k.spawn(NodeId(i), move |ctx| {
                     write(ctx, i, 1);
@@ -781,7 +782,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "re-acquires")]
     fn double_lock_is_a_programming_error() {
-        let mut k = kernel(Mode::Mixed, 1);
+        let mut k = kernel(ProcModel::MIXED, 1);
         k.spawn(NodeId(0), |ctx| {
             ctx.request(Req::Lock { lock: LockId(0), mode: LockMode::Write });
             ctx.request(Req::Lock { lock: LockId(0), mode: LockMode::Write });
@@ -794,7 +795,7 @@ mod tests {
     fn batched_writes_converge_and_reduce_traffic() {
         use crate::config::BatchPolicy;
         let run = |batch: Option<BatchPolicy>| {
-            let cfg = DsmConfig::new(3, Mode::Causal).with_batching(batch);
+            let cfg = DsmConfig::new(3, ProcModel::CAUSAL).with_batching(batch);
             let mut k = kernel_cfg(cfg, 5);
             for i in 0..3u32 {
                 k.spawn(NodeId(i), move |ctx| {
@@ -837,7 +838,7 @@ mod tests {
     #[test]
     fn exit_flush_delivers_without_synchronization() {
         use crate::config::BatchPolicy;
-        for mode in [Mode::Pram, Mode::Causal, Mode::Mixed] {
+        for mode in [ProcModel::PRAM, ProcModel::CAUSAL, ProcModel::MIXED] {
             let cfg = DsmConfig::new(2, mode).with_batching(Some(BatchPolicy::default()));
             let mut k = kernel_cfg(cfg, 1);
             let seen = Arc::new(Mutex::new(Value::Int(-1)));
@@ -863,7 +864,7 @@ mod tests {
         use crate::wire::BUF_CHUNK;
         use mc_sim::{LatencyModel, SimTime};
         const WRITES: u32 = 10_000;
-        let cfg = DsmConfig::new(2, Mode::Pram).with_batching(Some(BatchPolicy::default()));
+        let cfg = DsmConfig::new(2, ProcModel::PRAM).with_batching(Some(BatchPolicy::default()));
         let mut sim = SimConfig::with_seed(2);
         sim.latency =
             LatencyModel { base: SimTime::from_micros(1_000_000), ..LatencyModel::INSTANT };
@@ -898,7 +899,7 @@ mod tests {
     #[test]
     fn batched_counters_converge_on_await() {
         use crate::config::BatchPolicy;
-        for mode in [Mode::Pram, Mode::Causal, Mode::Mixed] {
+        for mode in [ProcModel::PRAM, ProcModel::CAUSAL, ProcModel::MIXED] {
             let cfg = DsmConfig::new(3, mode).with_batching(Some(BatchPolicy::default()));
             let mut k = kernel_cfg(cfg, 3);
             for i in 0..3u32 {
@@ -924,7 +925,7 @@ mod tests {
         use mc_sim::{FaultPlan, SimTime};
         let faults =
             FaultPlan::new().drop_rate(0.1).duplicate_rate(0.1).reorder(SimTime::from_micros(40));
-        for mode in [Mode::Pram, Mode::Causal, Mode::Mixed] {
+        for mode in [ProcModel::PRAM, ProcModel::CAUSAL, ProcModel::MIXED] {
             let cfg = DsmConfig::new(3, mode)
                 .with_reliable(true)
                 .with_batching(Some(BatchPolicy::default()));
@@ -949,7 +950,7 @@ mod tests {
                 for j in 0..3 {
                     assert_eq!(r.applied[ProcId(j)], 5, "{mode} replica {i} applied all of p{j}");
                 }
-                if mode.carries_vectors() {
+                if mode != ProcModel::PRAM {
                     assert_eq!(r.peek(Loc(0)), Value::Int(15), "{mode} replica {i} converged");
                 }
             }
@@ -963,7 +964,7 @@ mod tests {
         // p0 produces, p1 crash-recovers mid-stream, p2 is a bystander.
         // The reborn replica must re-earn everything it lost from disk
         // plus the peers' recovery deltas, and still converge.
-        for mode in [Mode::Pram, Mode::Causal, Mode::Mixed] {
+        for mode in [ProcModel::PRAM, ProcModel::CAUSAL, ProcModel::MIXED] {
             let cfg = DsmConfig::new(3, mode)
                 .with_reliable(true)
                 .with_durability(Some(DurabilityPolicy::new(4)));
@@ -1003,7 +1004,7 @@ mod tests {
         // The *writer* crashes after its writes were acknowledged to the
         // program. Append-before-ack means they are on disk; recovery
         // replays them and pushes the suffix to peers that missed it.
-        for mode in [Mode::Pram, Mode::Causal, Mode::Mixed] {
+        for mode in [ProcModel::PRAM, ProcModel::CAUSAL, ProcModel::MIXED] {
             let cfg = DsmConfig::new(2, mode)
                 .with_reliable(true)
                 .with_durability(Some(DurabilityPolicy::default()));
@@ -1038,7 +1039,7 @@ mod tests {
         // reordering race pre-crash ghosts against the fresh epoch. The
         // epoch tags and recovery dup guards must keep counters exact
         // (commutative Adds double-applied would show up immediately).
-        for mode in [Mode::Pram, Mode::Causal, Mode::Mixed] {
+        for mode in [ProcModel::PRAM, ProcModel::CAUSAL, ProcModel::MIXED] {
             let cfg = DsmConfig::new(2, mode)
                 .with_reliable(true)
                 .with_durability(Some(DurabilityPolicy::new(8)));
@@ -1088,8 +1089,8 @@ mod tests {
             }
             k.run().unwrap().metrics
         };
-        let pram = run(Mode::Pram);
-        let causal = run(Mode::Causal);
+        let pram = run(ProcModel::PRAM);
+        let causal = run(ProcModel::CAUSAL);
         assert_eq!(pram.kind("update").count, causal.kind("update").count);
         assert!(causal.kind("update").bytes > pram.kind("update").bytes);
     }

@@ -373,10 +373,10 @@ impl Manager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Mode;
+    use mc_model::ProcModel;
 
     fn cfg() -> DsmConfig {
-        DsmConfig::new(3, Mode::Mixed)
+        DsmConfig::new(3, ProcModel::MIXED)
     }
 
     fn p(i: u32) -> ProcId {
@@ -451,7 +451,8 @@ mod tests {
     #[test]
     fn demand_map_accumulates_latest() {
         let mut m = Manager::new(2);
-        let c = DsmConfig::new(2, Mode::Pram).with_lock_propagation(LockPropagation::DemandDriven);
+        let c =
+            DsmConfig::new(2, ProcModel::PRAM).with_lock_propagation(LockPropagation::DemandDriven);
         m.lock_request(p(0), LockId(0), LockMode::Write, &c);
         m.lock_release(p(0), LockId(0), VClock::new(0), 2, vec![(Loc(0), 2)], &c);
         m.lock_request(p(1), LockId(0), LockMode::Write, &c.clone());
@@ -491,7 +492,7 @@ mod tests {
     #[test]
     fn barrier_rounds_are_independent() {
         let mut m = Manager::new(2);
-        let c = DsmConfig::new(2, Mode::Mixed);
+        let c = DsmConfig::new(2, ProcModel::MIXED);
         assert!(m.barrier_arrive(p(0), BarrierId(0), 0, k(&[0, 0]), &c).is_empty());
         assert!(m.barrier_arrive(p(0), BarrierId(0), 1, k(&[0, 0]), &c).is_empty());
         assert_eq!(m.barrier_arrive(p(1), BarrierId(0), 0, k(&[0, 0]), &c).len(), 2);
@@ -502,7 +503,7 @@ mod tests {
     #[should_panic(expected = "arrived twice")]
     fn double_arrival_panics() {
         let mut m = Manager::new(2);
-        let c = DsmConfig::new(2, Mode::Mixed);
+        let c = DsmConfig::new(2, ProcModel::MIXED);
         m.barrier_arrive(p(0), BarrierId(0), 0, VClock::new(0), &c);
         m.barrier_arrive(p(0), BarrierId(0), 0, VClock::new(0), &c);
     }
@@ -510,7 +511,8 @@ mod tests {
     #[test]
     fn subgroup_barrier_releases_only_the_group() {
         let mut m = Manager::new(3);
-        let c = DsmConfig::new(3, Mode::Mixed).with_barrier_group(BarrierId(1), vec![p(0), p(2)]);
+        let c =
+            DsmConfig::new(3, ProcModel::MIXED).with_barrier_group(BarrierId(1), vec![p(0), p(2)]);
         assert!(m.barrier_arrive(p(0), BarrierId(1), 0, k(&[1, 0, 0]), &c).is_empty());
         let out = m.barrier_arrive(p(2), BarrierId(1), 0, k(&[0, 0, 2]), &c);
         assert_eq!(out.len(), 2, "only the two group members are released");
@@ -522,7 +524,8 @@ mod tests {
     #[should_panic(expected = "not a participant")]
     fn outsider_arrival_panics() {
         let mut m = Manager::new(3);
-        let c = DsmConfig::new(3, Mode::Mixed).with_barrier_group(BarrierId(1), vec![p(0), p(2)]);
+        let c =
+            DsmConfig::new(3, ProcModel::MIXED).with_barrier_group(BarrierId(1), vec![p(0), p(2)]);
         m.barrier_arrive(p(1), BarrierId(1), 0, VClock::new(0), &c);
     }
 

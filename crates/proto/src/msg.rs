@@ -151,7 +151,7 @@ pub enum Msg {
         proc: ProcId,
         /// Lock object.
         lock: LockId,
-        /// Mode released.
+        /// Lock mode released.
         mode: LockMode,
         /// Releaser's knowledge vector (empty in PRAM mode).
         knowledge: VClock,

@@ -24,7 +24,7 @@ use std::sync::Arc;
 use mc_model::{BarrierId, Loc, LockId, LockMode, ProcId, ReadLabel, VClock, Value, WriteId};
 use mc_sim::{NodeId, Poll, SimTime};
 
-use crate::config::{DsmConfig, LockPropagation, Mode};
+use crate::config::{DsmConfig, LockPropagation, Substrate};
 use crate::durability::{self, Recovery, Snapshot, WalRecord};
 use crate::manager::Manager;
 use crate::msg::{BatchEntry, GrantInfo, Msg, UpdatePayload};
@@ -88,12 +88,12 @@ pub trait NodeIo {
 /// A memory or synchronization operation submitted by a process.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Req {
-    /// Labeled read (labels are ignored in the pure modes: PRAM memory
-    /// reads PRAM, causal memory reads causal, SC reads at the server).
+    /// Labeled read (a process with a fixed lattice point reads by its
+    /// point instead: PRAM, causal, or at the SC server).
     Read {
         /// Location.
         loc: Loc,
-        /// Consistency label (honored in [`Mode::Mixed`]).
+        /// Consistency label (honored under [`mc_model::ProcModel::ByLabel`]).
         label: ReadLabel,
     },
     /// Write.
@@ -635,7 +635,7 @@ impl ProcNode {
     }
 
     fn fresh_replica(proc: ProcId, cfg: &DsmConfig, snapshot: Option<&Snapshot>) -> Replica {
-        let coherent = cfg.models.is_coherent(proc);
+        let coherent = cfg.models().is_coherent(proc);
         assert!(
             !coherent || cfg.durability.is_none(),
             "coherent lattice points cannot run with durability: \
@@ -651,14 +651,14 @@ impl ProcNode {
         // so a shard map is accepted but inert there. Sharded replicas
         // start from the static interest set (snapshots do not capture
         // shard state; WAL replay restores dynamic subscriptions).
-        match cfg.sharding.as_ref().filter(|_| cfg.mode.is_replicated()) {
+        match cfg.sharding.as_ref().filter(|_| cfg.substrate().is_replicated()) {
             Some(sc) => r.with_sharding(sc.nshards, sc.interest[proc.index()].clone()),
             None => r,
         }
     }
 
     fn with_replica(proc: ProcId, cfg: Arc<DsmConfig>, replica: Replica) -> Self {
-        let shard_routes = match cfg.sharding.as_ref().filter(|_| cfg.mode.is_replicated()) {
+        let shard_routes = match cfg.sharding.as_ref().filter(|_| cfg.substrate().is_replicated()) {
             None => Vec::new(),
             Some(sc) => (0..sc.nshards)
                 .map(|s| {
@@ -731,7 +731,7 @@ impl ProcNode {
         let (own, len) = durability::decode_history(&history, covered);
         // Under SC the server keeps the writes: no history to restore.
         assert!(
-            own.len() == covered as usize || !self.cfg.mode.is_replicated(),
+            own.len() == covered as usize || !self.cfg.substrate().is_replicated(),
             "{proc}: the history holds {} of the {covered} own writes the snapshot covers",
             own.len()
         );
@@ -742,7 +742,7 @@ impl ProcNode {
         replica.restore_history(own);
         let replayed = records.len() as u32;
         for rec in records {
-            replica.replay_record(rec, self.cfg.mode);
+            replica.replay_record(rec, self.cfg.substrate());
         }
         let old = std::mem::replace(self, Self::with_replica(proc, self.cfg.clone(), replica));
         self.history_len = history_len;
@@ -1167,18 +1167,18 @@ impl ProcNode {
             Vec::new()
         };
         let knowledge =
-            if self.cfg.mode.carries_vectors() { r.knowledge() } else { VClock::new(0) };
+            if self.cfg.substrate().carries_vectors() { r.knowledge() } else { VClock::new(0) };
         let msg = Msg::LockRel { proc, lock, mode, knowledge, own_count: r.own_count(), dirty };
         self.send(self.cfg.lock_manager_node(lock), msg, io);
     }
 
     /// The knowledge vector attached to barrier arrivals.
     fn sync_knowledge(&self) -> VClock {
-        match self.cfg.mode {
-            Mode::Causal | Mode::Mixed => self.replica.knowledge(),
+        match self.cfg.substrate() {
+            Substrate::Vectors => self.replica.knowledge(),
             // PRAM barriers carry the per-sender update counts (Section 6).
-            Mode::Pram => self.replica.applied.clone(),
-            Mode::Sc => VClock::new(0),
+            Substrate::Fifo => self.replica.applied.clone(),
+            Substrate::Server => VClock::new(0),
         }
     }
 
@@ -1212,7 +1212,7 @@ impl ProcNode {
         let p = self.proc;
         match req {
             Req::Read { loc, label } => {
-                if self.cfg.mode == Mode::Sc {
+                if self.cfg.substrate() == Substrate::Server {
                     self.send(self.cfg.manager_node(), Msg::ScRead { proc: p, loc }, io);
                     self.blocked = Some(Blocked::Sc);
                     return Poll::Pending;
@@ -1220,7 +1220,7 @@ impl ProcNode {
                 if !self.shard_gate(loc, &req, io) {
                     return Poll::Pending;
                 }
-                let label = self.cfg.read_policy(p, label);
+                let label = self.cfg.models().judged_as(p, label);
                 let resp = self.read_ready(loc, label, io);
                 self.ready_or_park(resp, Blocked::Read { loc, label })
             }
@@ -1238,7 +1238,7 @@ impl ProcNode {
                 let held = self.held.get(&lock).copied();
                 assert_eq!(held, Some(mode), "{p} unlocks {lock} with wrong mode");
                 let eager_flush = self.cfg.lock_propagation == LockPropagation::Eager
-                    && self.cfg.mode.is_replicated()
+                    && self.cfg.substrate().is_replicated()
                     && self.cfg.nprocs > 1;
                 if eager_flush {
                     // Buffered updates must precede the flush probes on
@@ -1270,7 +1270,7 @@ impl ProcNode {
                 Poll::Pending
             }
             Req::Await { loc, value } => {
-                if self.cfg.mode == Mode::Sc {
+                if self.cfg.substrate() == Substrate::Server {
                     self.send(self.cfg.manager_node(), Msg::ScAwait { proc: p, loc, value }, io);
                     self.blocked = Some(Blocked::Sc);
                     return Poll::Pending;
@@ -1300,7 +1300,7 @@ impl ProcNode {
         io: &mut impl NodeIo,
     ) -> Poll<Resp> {
         let p = self.proc;
-        if self.cfg.mode == Mode::Sc {
+        if self.cfg.substrate() == Substrate::Server {
             let r = &mut self.replica;
             r.applied.tick(p);
             let id = WriteId::new(p, r.applied[p]);
@@ -1386,7 +1386,7 @@ impl ProcNode {
                     None => false,
                     // In SC mode the data lives at the server; grants
                     // never gate on replica state.
-                    Some(_) if !self.cfg.mode.is_replicated() => true,
+                    Some(_) if !self.cfg.substrate().is_replicated() => true,
                     Some(g) => match self.cfg.lock_propagation {
                         LockPropagation::Eager | LockPropagation::DemandDriven => true,
                         LockPropagation::Lazy => {
@@ -1422,7 +1422,7 @@ impl ProcNode {
             Blocked::Barrier { barrier, round } => {
                 let k = self.barrier_released.remove(&(barrier, round))?;
                 if !k.is_empty() {
-                    if self.cfg.mode.carries_vectors() {
+                    if self.cfg.substrate().carries_vectors() {
                         self.replica.must_see.merge(&k);
                     }
                     self.replica.pram_wait.merge(&k);
@@ -1470,7 +1470,7 @@ impl ProcNode {
             self.wal_append(|b| wire::encode_body(b, &msg), io);
             self.maybe_snapshot(io);
         }
-        if self.replica.ingest_msg(msg, self.cfg.mode) {
+        if self.replica.ingest_msg(msg, self.cfg.substrate()) {
             self.drain_flush_waiters(io);
         }
     }
@@ -1569,7 +1569,8 @@ impl ProcNode {
                     self.wal_append(put, io);
                     self.maybe_snapshot(io);
                 }
-                if self.replica.ingest_batch(proc, first_seq, upto, entries, deps, self.cfg.mode) {
+                let substrate = self.cfg.substrate();
+                if self.replica.ingest_batch(proc, first_seq, upto, entries, deps, substrate) {
                     self.drain_flush_waiters(io);
                 }
             }
@@ -1723,6 +1724,7 @@ mod tests {
     use super::*;
     use crate::config::{BatchPolicy, ShardConfig};
     use crate::durability::DurabilityPolicy;
+    use mc_model::ModelSpec;
 
     #[derive(Clone, Copy, Debug, PartialEq)]
     enum Effect {
@@ -1801,7 +1803,7 @@ mod tests {
 
     #[test]
     fn per_write_fsync_makes_the_record_durable_before_the_first_send() {
-        let cfg = durable(DsmConfig::new(3, Mode::Causal), false);
+        let cfg = durable(DsmConfig::new(3, ModelSpec::CAUSAL), false);
         let (mut node, mut io) = (ProcNode::new(ProcId(0), cfg), Recorder::default());
         write(&mut node, &mut io, X, 1);
         assert_eq!(io.log, [WalAppend, WalSync, Send("update"), Send("update")]);
@@ -1809,7 +1811,7 @@ mod tests {
 
     #[test]
     fn group_commit_stages_the_record_and_syncs_at_the_first_externalization() {
-        let cfg = DsmConfig::new(2, Mode::Causal).with_batching(Some(BatchPolicy::default()));
+        let cfg = DsmConfig::new(2, ModelSpec::CAUSAL).with_batching(Some(BatchPolicy::default()));
         let cfg = durable(cfg, true);
         let (mut node, mut io) = (ProcNode::new(ProcId(0), cfg.clone()), Recorder::default());
         write(&mut node, &mut io, X, 1);
@@ -1838,7 +1840,7 @@ mod tests {
     fn remote_updates_are_logged_before_they_are_applied() {
         let sharded = |cfg: DsmConfig| cfg.with_sharding(Some(ShardConfig::full(2, 2)));
         let batched = |cfg: DsmConfig| cfg.with_batching(Some(BatchPolicy::default()));
-        let base = || DsmConfig::new(2, Mode::Causal);
+        let base = || DsmConfig::new(2, ModelSpec::CAUSAL);
         for (cfg, kind) in [
             (base(), "update"),
             (batched(base()), "update_batch"),
@@ -1869,7 +1871,7 @@ mod tests {
 
     #[test]
     fn ghost_batch_advances_the_shadow_clock_without_logging() {
-        let cfg = DsmConfig::new(2, Mode::Causal).with_batching(Some(BatchPolicy::default()));
+        let cfg = DsmConfig::new(2, ModelSpec::CAUSAL).with_batching(Some(BatchPolicy::default()));
         let cfg = durable(cfg, false);
         let mut writer = ProcNode::new(ProcId(0), cfg.clone());
         let first = written_by(&mut writer).remove(0);
@@ -1912,7 +1914,7 @@ mod tests {
     /// writes waits on a write still to come — and all of them drain.
     #[test]
     fn a_reborn_node_drains_two_cross_dependent_recovery_answers() {
-        let cfg = durable(DsmConfig::new(3, Mode::Causal), false);
+        let cfg = durable(DsmConfig::new(3, ModelSpec::CAUSAL), false);
         let (mut a, mut b) =
             (ProcNode::new(ProcId(0), cfg.clone()), ProcNode::new(ProcId(2), cfg.clone()));
         let (n0, n1, n2) = (NodeId(0), NodeId(1), NodeId(2));
@@ -2014,7 +2016,7 @@ mod tests {
 
     #[test]
     fn coalesced_takes_locations_beyond_the_configured_count() {
-        let far = DsmConfig::new(2, Mode::Causal).locations as u32 * 1000;
+        let far = DsmConfig::new(2, ModelSpec::CAUSAL).locations as u32 * 1000;
         let mut c = Coalesced::default();
         c.push(Loc(far), set(1), w(1));
         c.push(Loc(3), set(2), w(2));
@@ -2039,7 +2041,7 @@ mod tests {
     #[test]
     fn coalesced_a_burst_behind_a_busy_link_leaves_in_chunk_sized_batches() {
         const N: u32 = 10_000;
-        let cfg = DsmConfig::new(2, Mode::Causal).with_batching(Some(BatchPolicy::default()));
+        let cfg = DsmConfig::new(2, ModelSpec::CAUSAL).with_batching(Some(BatchPolicy::default()));
         let mut node = ProcNode::new(ProcId(0), Arc::new(cfg));
         let mut io = Recorder { busy: true, ..Recorder::default() };
         for loc in 0..N {
@@ -2064,7 +2066,7 @@ mod tests {
     /// the batch closes after as many writes as distinct locations take.
     #[test]
     fn coalesced_writes_to_one_location_close_at_the_byte_bound() {
-        let cfg = DsmConfig::new(2, Mode::Causal).with_batching(Some(BatchPolicy::default()));
+        let cfg = DsmConfig::new(2, ModelSpec::CAUSAL).with_batching(Some(BatchPolicy::default()));
         let mut node = ProcNode::new(ProcId(0), Arc::new(cfg));
         let mut io = Recorder { busy: true, ..Recorder::default() };
         let full = ((wire::BUF_CHUNK as u64 - 24) / 20 + 1) as u32;
@@ -2083,8 +2085,9 @@ mod tests {
     /// the link state.
     #[test]
     fn a_batch_closes_when_its_link_is_idle_or_its_operation_parks() {
-        let cfg =
-            Arc::new(DsmConfig::new(2, Mode::Causal).with_batching(Some(BatchPolicy::default())));
+        let cfg = Arc::new(
+            DsmConfig::new(2, ModelSpec::CAUSAL).with_batching(Some(BatchPolicy::default())),
+        );
         let op = |node: &mut ProcNode, io: &mut Recorder, req: Req| {
             node.enter(io);
             node.start(req, io)

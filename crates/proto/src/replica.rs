@@ -30,7 +30,7 @@ use std::sync::Arc;
 
 use mc_model::{Loc, LockId, ProcId, VClock, Value, WriteId};
 
-use crate::config::{DsmConfig, Mode};
+use crate::config::{DsmConfig, Substrate};
 use crate::durability::{OwnUpdate, SnapBatch, Snapshot, WalRecord};
 use crate::msg::{BatchEntry, Msg, UpdatePayload};
 
@@ -384,7 +384,7 @@ impl Replica {
         cfg: &DsmConfig,
         deps: &mut Option<VClock>,
     ) -> WriteId {
-        if cfg.mode.carries_vectors() {
+        if cfg.substrate().carries_vectors() {
             // The knowledge vector, ticked: over the caller's clock in
             // place when it has one.
             let k = match deps {
@@ -488,8 +488,8 @@ impl Replica {
         }
     }
 
-    /// Ingests a remote update. In PRAM mode it applies immediately; in
-    /// causal/mixed mode it is a run of one: applied on arrival when
+    /// Ingests a remote update. On the FIFO substrate it applies
+    /// immediately; on the vector substrate it is a run of one: applied on arrival when
     /// causally ready, buffered otherwise (and the buffer drained to a
     /// fixpoint). Returns `true` if at least one update was applied.
     pub fn ingest(
@@ -498,10 +498,10 @@ impl Replica {
         loc: Loc,
         payload: UpdatePayload,
         deps: Option<VClock>,
-        mode: Mode,
+        substrate: impl Into<Substrate>,
     ) -> bool {
         let (proc, seq) = (writer.proc, writer.seq);
-        if !mode.carries_vectors() {
+        if !substrate.into().carries_vectors() {
             // PRAM: apply on receipt. FIFO links deliver per-sender
             // in-order; with fault injection they may not, and the
             // resulting store regressions are exactly what the checkers
@@ -524,10 +524,10 @@ impl Replica {
     }
 
     /// Ingests a remote update batch covering the sender's own writes
-    /// `first_seq..=upto`. In PRAM mode the batch applies on receipt; in
-    /// causal/mixed mode it applies atomically once the sender sequence
-    /// is contiguous and the last member's cross-process dependencies
-    /// are met, buffering otherwise. Atomic application over a FIFO
+    /// `first_seq..=upto`. On the FIFO substrate the batch applies on
+    /// receipt; on the vector substrate it applies atomically once the
+    /// sender sequence is contiguous and the last member's
+    /// cross-process dependencies are met, buffering otherwise. Atomic application over a FIFO
     /// link is indistinguishable from the member updates delivered back
     /// to back, which is why batching preserves Definitions 2–4.
     /// Returns `true` if anything was applied.
@@ -538,9 +538,9 @@ impl Replica {
         upto: u32,
         entries: Arc<[BatchEntry]>,
         deps: Option<VClock>,
-        mode: Mode,
+        substrate: impl Into<Substrate>,
     ) -> bool {
-        if !mode.carries_vectors() {
+        if !substrate.into().carries_vectors() {
             let (seen, sum) = (self.applied.get(proc).max(upto), self.vector_sum(None));
             for (writer, loc, payload, adds) in members(&entries) {
                 self.apply(writer, loc, payload, sum, adds);
@@ -716,7 +716,7 @@ impl Replica {
         let s = st.shard_of(loc);
         let prev = st.own_prev[s];
         let mut deps = Vec::new();
-        if cfg.mode.carries_vectors() {
+        if cfg.substrate().carries_vectors() {
             for (ds, clock) in st.applied.iter().enumerate() {
                 for (q, c) in clock.iter() {
                     if c > 0 && !(ds == s && q == me) {
@@ -753,12 +753,12 @@ impl Replica {
         payload: UpdatePayload,
         prev: u32,
         deps: Vec<(u32, ProcId, u32)>,
-        mode: Mode,
+        substrate: Substrate,
     ) -> bool {
         let (proc, seq) = (writer.proc, writer.seq);
         let st = self.shards.as_ref().expect("sharding enabled");
         let shard = st.shard_of(loc);
-        let vectors = mode.carries_vectors();
+        let vectors = substrate.carries_vectors();
         if vectors && st.applied[shard].get(proc) >= seq {
             return false;
         }
@@ -789,7 +789,7 @@ impl Replica {
         upto: u32,
         entries: Arc<[BatchEntry]>,
         deps: Vec<(u32, ProcId, u32)>,
-        mode: Mode,
+        substrate: Substrate,
         trim: bool,
     ) -> bool {
         let st = self.shards.as_mut().expect("sharding enabled");
@@ -808,7 +808,7 @@ impl Replica {
                 skip += 1;
             }
         }
-        if !mode.carries_vectors() {
+        if !substrate.carries_vectors() {
             self.apply_chain(proc, shard as usize, upto, None, members(&entries[skip..]));
             return true;
         }
@@ -976,7 +976,7 @@ impl Replica {
     /// identities because replay preserves order; remote records re-run
     /// ingest, so causally premature updates land back in the pending
     /// buffers exactly as they were.
-    pub fn replay_record(&mut self, rec: WalRecord, mode: Mode) {
+    pub fn replay_record(&mut self, rec: WalRecord, substrate: impl Into<Substrate>) {
         match rec {
             WalRecord::OwnWrite { loc, payload, deps } => {
                 let id = self.mint(loc, &payload, deps.as_ref());
@@ -993,7 +993,7 @@ impl Replica {
                 self.shard_subscribe(shard as usize);
             }
             WalRecord::Ingest(msg) => {
-                self.ingest_msg(msg, mode);
+                self.ingest_msg(msg, substrate);
             }
         }
     }
@@ -1007,23 +1007,23 @@ impl Replica {
     /// # Panics
     ///
     /// Panics on any other message kind.
-    pub fn ingest_msg(&mut self, msg: Msg, mode: Mode) -> bool {
+    pub fn ingest_msg(&mut self, msg: Msg, substrate: impl Into<Substrate>) -> bool {
+        let substrate = substrate.into();
         match msg {
             Msg::Update { writer, loc, payload, deps } => {
-                self.ingest(writer, loc, payload, deps, mode)
+                self.ingest(writer, loc, payload, deps, substrate)
             }
             Msg::RecoverResp { proc, first_seq, upto, entries, deps, .. } => {
-                self.ingest_batch(proc, first_seq, upto, entries.into(), deps, mode)
+                self.ingest_batch(proc, first_seq, upto, entries.into(), deps, substrate)
             }
             Msg::ShardUpdate { writer, loc, payload, prev, deps } => {
-                self.ingest_shard_update(writer, loc, payload, prev, deps, mode)
+                self.ingest_shard_update(writer, loc, payload, prev, deps, substrate)
             }
             Msg::ShardUpdateBatch { proc, shard, prev, upto, entries, deps } => {
-                self.ingest_shard_chain(proc, shard, prev, upto, entries, deps, mode, false)
+                self.ingest_shard_chain(proc, shard, prev, upto, entries, deps, substrate, false)
             }
-            Msg::ShardRecoverResp { proc, shard, prev, upto, entries, deps, .. } => {
-                self.ingest_shard_chain(proc, shard, prev, upto, entries.into(), deps, mode, true)
-            }
+            Msg::ShardRecoverResp { proc, shard, prev, upto, entries, deps, .. } => self
+                .ingest_shard_chain(proc, shard, prev, upto, entries.into(), deps, substrate, true),
             other => panic!("{} is not an update", other.kind()),
         }
     }
@@ -1049,11 +1049,11 @@ impl Replica {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::LockPropagation;
     use mc_model::LockId;
+    use mc_model::ProcModel;
 
-    fn cfg(mode: Mode) -> DsmConfig {
-        DsmConfig { lock_propagation: LockPropagation::Lazy, ..DsmConfig::new(3, mode) }
+    fn cfg(model: ProcModel) -> DsmConfig {
+        DsmConfig::new(3, model)
     }
 
     fn p(i: u32) -> ProcId {
@@ -1064,7 +1064,7 @@ mod tests {
     fn local_write_and_read() {
         let mut r = Replica::new(p(0), 3);
         let (id, deps) =
-            r.local_write(Loc(5), UpdatePayload::Set(Value::Int(9)), &cfg(Mode::Mixed));
+            r.local_write(Loc(5), UpdatePayload::Set(Value::Int(9)), &cfg(ProcModel::MIXED));
         assert_eq!(id, WriteId::new(p(0), 1));
         assert_eq!(deps.as_ref().unwrap()[p(0)], 1);
         assert_eq!(r.value(Loc(5)), Value::Int(9));
@@ -1077,7 +1077,8 @@ mod tests {
     #[test]
     fn pram_mode_attaches_no_deps() {
         let mut r = Replica::new(p(0), 3);
-        let (_, deps) = r.local_write(Loc(0), UpdatePayload::Set(Value::Int(1)), &cfg(Mode::Pram));
+        let (_, deps) =
+            r.local_write(Loc(0), UpdatePayload::Set(Value::Int(1)), &cfg(ProcModel::PRAM));
         assert!(deps.is_none());
     }
 
@@ -1089,7 +1090,7 @@ mod tests {
             Loc(0),
             UpdatePayload::Set(Value::Int(7)),
             None,
-            Mode::Pram,
+            Substrate::Fifo,
         );
         assert!(applied);
         assert_eq!(r.value(Loc(0)), Value::Int(7));
@@ -1107,7 +1108,7 @@ mod tests {
             Loc(0),
             UpdatePayload::Set(Value::Int(2)),
             Some(deps2),
-            Mode::Causal,
+            Substrate::Vectors,
         );
         assert!(!applied);
         assert_eq!(r.pending_len(), 1);
@@ -1121,7 +1122,7 @@ mod tests {
             Loc(0),
             UpdatePayload::Set(Value::Int(1)),
             Some(deps1),
-            Mode::Causal,
+            Substrate::Vectors,
         );
         assert!(applied);
         assert_eq!(r.pending_len(), 0);
@@ -1141,7 +1142,7 @@ mod tests {
             Loc(1),
             UpdatePayload::Set(Value::Int(5)),
             Some(deps),
-            Mode::Mixed,
+            Substrate::Vectors,
         ));
         // p0's write arrives; both apply.
         let mut deps0 = VClock::new(3);
@@ -1151,7 +1152,7 @@ mod tests {
             Loc(0),
             UpdatePayload::Set(Value::Int(4)),
             Some(deps0),
-            Mode::Mixed,
+            Substrate::Vectors,
         ));
         assert_eq!(r.value(Loc(1)), Value::Int(5));
     }
@@ -1164,9 +1165,10 @@ mod tests {
             Loc(0),
             UpdatePayload::Add(Value::Int(-1)),
             None,
-            Mode::Pram,
+            Substrate::Fifo,
         );
-        let (id, _) = r.local_write(Loc(0), UpdatePayload::Add(Value::Int(-1)), &cfg(Mode::Pram));
+        let (id, _) =
+            r.local_write(Loc(0), UpdatePayload::Add(Value::Int(-1)), &cfg(ProcModel::PRAM));
         assert_eq!(r.value(Loc(0)), Value::Int(-2));
         let writers = r.await_writers(Loc(0));
         assert_eq!(writers.len(), 2);
@@ -1177,15 +1179,15 @@ mod tests {
     #[should_panic(expected = "delta kind mismatch")]
     fn update_kind_mismatch_panics() {
         let mut r = Replica::new(p(0), 1);
-        r.local_write(Loc(0), UpdatePayload::Set(Value::F64(1.0)), &cfg(Mode::Pram));
-        r.local_write(Loc(0), UpdatePayload::Add(Value::Int(1)), &cfg(Mode::Pram));
+        r.local_write(Loc(0), UpdatePayload::Set(Value::F64(1.0)), &cfg(ProcModel::PRAM));
+        r.local_write(Loc(0), UpdatePayload::Add(Value::Int(1)), &cfg(ProcModel::PRAM));
     }
 
     #[test]
     fn float_counters_accumulate() {
         let mut r = Replica::new(p(0), 1);
-        r.local_write(Loc(0), UpdatePayload::Set(Value::F64(1.0)), &cfg(Mode::Pram));
-        r.local_write(Loc(0), UpdatePayload::Add(Value::F64(-0.25)), &cfg(Mode::Pram));
+        r.local_write(Loc(0), UpdatePayload::Set(Value::F64(1.0)), &cfg(ProcModel::PRAM));
+        r.local_write(Loc(0), UpdatePayload::Add(Value::F64(-0.25)), &cfg(ProcModel::PRAM));
         assert_eq!(r.peek(Loc(0)), Value::F64(0.75));
     }
 
@@ -1207,7 +1209,7 @@ mod tests {
             Loc(0),
             UpdatePayload::Set(Value::Int(1)),
             Some(k.clone()),
-            Mode::Mixed,
+            Substrate::Vectors,
         );
         assert!(r.causal_ready(Loc(0)));
         assert!(r.pram_ready(Loc(0)));
@@ -1226,7 +1228,7 @@ mod tests {
                 Loc(3),
                 UpdatePayload::Set(Value::Int(s as i64)),
                 None,
-                Mode::Pram,
+                Substrate::Fifo,
             );
         }
         assert!(r.pram_ready(Loc(3)));
@@ -1236,7 +1238,7 @@ mod tests {
     fn dirty_set_is_per_lock_delta() {
         let l = LockId(0);
         let mut r = Replica::new(p(0), 1);
-        let c = cfg(Mode::Pram);
+        let c = cfg(ProcModel::PRAM);
         r.local_write(Loc(0), UpdatePayload::Set(Value::Int(1)), &c);
         r.local_write(Loc(1), UpdatePayload::Set(Value::Int(2)), &c);
         r.local_write(Loc(0), UpdatePayload::Set(Value::Int(3)), &c);
@@ -1258,7 +1260,7 @@ mod tests {
         // Beyond the hint still answers (initial), and writing there grows.
         assert_eq!(r.value(Loc(40)), Value::INITIAL);
         let mut r = r;
-        r.local_write(Loc(40), UpdatePayload::Set(Value::Int(1)), &cfg(Mode::Pram));
+        r.local_write(Loc(40), UpdatePayload::Set(Value::Int(1)), &cfg(ProcModel::PRAM));
         assert_eq!(r.value(Loc(40)), Value::Int(1));
     }
 
@@ -1271,7 +1273,14 @@ mod tests {
             writer: WriteId::new(p(0), seq),
             adds: vec![],
         };
-        assert!(r.ingest_batch(p(0), 1, 3, vec![e(0, 7, 2), e(1, 9, 3)].into(), None, Mode::Pram));
+        assert!(r.ingest_batch(
+            p(0),
+            1,
+            3,
+            vec![e(0, 7, 2), e(1, 9, 3)].into(),
+            None,
+            Substrate::Fifo
+        ));
         assert_eq!(r.value(Loc(0)), Value::Int(7));
         assert_eq!(r.value(Loc(1)), Value::Int(9));
         assert_eq!(r.applied[p(0)], 3);
@@ -1290,7 +1299,7 @@ mod tests {
             writer: WriteId::new(p(0), 3),
             adds: vec![],
         };
-        assert!(!r.ingest_batch(p(0), 2, 3, vec![e].into(), Some(deps), Mode::Causal));
+        assert!(!r.ingest_batch(p(0), 2, 3, vec![e].into(), Some(deps), Substrate::Vectors));
         assert_eq!(r.pending_len(), 1);
         // Write 1 (as a singleton) unblocks the batch atomically.
         let mut d1 = VClock::new(3);
@@ -1300,7 +1309,7 @@ mod tests {
             Loc(0),
             UpdatePayload::Set(Value::Int(1)),
             Some(d1),
-            Mode::Causal,
+            Substrate::Vectors,
         ));
         assert_eq!(r.pending_len(), 0);
         assert_eq!(r.applied[p(0)], 3);
@@ -1320,7 +1329,7 @@ mod tests {
             writer: WriteId::new(p(1), 1),
             adds: vec![],
         };
-        assert!(!r.ingest_batch(p(1), 1, 1, vec![e].into(), Some(deps), Mode::Mixed));
+        assert!(!r.ingest_batch(p(1), 1, 1, vec![e].into(), Some(deps), Substrate::Vectors));
         let mut d0 = VClock::new(3);
         d0.set(p(0), 1);
         assert!(r.ingest(
@@ -1328,7 +1337,7 @@ mod tests {
             Loc(0),
             UpdatePayload::Set(Value::Int(4)),
             Some(d0),
-            Mode::Mixed,
+            Substrate::Vectors,
         ));
         assert_eq!(r.value(Loc(1)), Value::Int(5));
     }
@@ -1343,20 +1352,20 @@ mod tests {
             writer: WriteId::new(p(0), 3),
             adds: vec![1, 2, 3],
         };
-        assert!(r.ingest_batch(p(0), 1, 3, vec![e].into(), None, Mode::Pram));
+        assert!(r.ingest_batch(p(0), 1, 3, vec![e].into(), None, Substrate::Fifo));
         assert_eq!(r.value(Loc(0)), Value::Int(3));
         let writers = r.await_writers(Loc(0));
         assert_eq!(writers.len(), 3);
         assert!(writers.contains(&WriteId::new(p(0), 2)));
     }
 
-    fn durable_cfg(mode: Mode) -> DsmConfig {
-        DsmConfig { durability: Some(crate::durability::DurabilityPolicy::default()), ..cfg(mode) }
+    fn durable_cfg(model: ProcModel) -> DsmConfig {
+        cfg(model).with_durability(Some(crate::durability::DurabilityPolicy::default()))
     }
 
     #[test]
     fn snapshot_roundtrip_reconstructs_replica() {
-        let c = durable_cfg(Mode::Mixed);
+        let c = durable_cfg(ProcModel::MIXED);
         let mut r = Replica::new(p(0), 3);
         r.local_write(Loc(0), UpdatePayload::Set(Value::Int(5)), &c);
         r.local_write(Loc(1), UpdatePayload::Add(Value::Int(2)), &c);
@@ -1368,7 +1377,7 @@ mod tests {
             Loc(2),
             UpdatePayload::Set(Value::Int(9)),
             Some(deps),
-            Mode::Mixed,
+            Substrate::Vectors,
         );
         assert_eq!(r.pending_len(), 1);
         r.incarnation = 3;
@@ -1393,14 +1402,14 @@ mod tests {
             Loc(2),
             UpdatePayload::Set(Value::Int(8)),
             Some(d1),
-            Mode::Mixed,
+            Substrate::Vectors,
         ));
         assert_eq!(back.value(Loc(2)), Value::Int(9));
     }
 
     #[test]
     fn replay_reminits_own_write_identities() {
-        let c = durable_cfg(Mode::Mixed);
+        let c = durable_cfg(ProcModel::MIXED);
         let mut live = Replica::new(p(0), 2);
         let (id1, deps1) = live.local_write(Loc(0), UpdatePayload::Set(Value::Int(1)), &c);
         let (id2, deps2) = live.local_write(Loc(1), UpdatePayload::Add(Value::Int(4)), &c);
@@ -1412,7 +1421,7 @@ mod tests {
                 payload: UpdatePayload::Set(Value::Int(1)),
                 deps: deps1,
             },
-            Mode::Mixed,
+            Substrate::Vectors,
         );
         reborn.replay_record(
             WalRecord::OwnWrite {
@@ -1420,9 +1429,9 @@ mod tests {
                 payload: UpdatePayload::Add(Value::Int(4)),
                 deps: deps2,
             },
-            Mode::Mixed,
+            Substrate::Vectors,
         );
-        reborn.replay_record(WalRecord::Incarnation { incarnation: 2 }, Mode::Mixed);
+        reborn.replay_record(WalRecord::Incarnation { incarnation: 2 }, Substrate::Vectors);
         assert_eq!(reborn.own_count(), 2);
         assert_eq!(reborn.writer_of(Loc(0)), Some(id1));
         assert_eq!(reborn.writer_of(Loc(1)), Some(id2));
@@ -1445,7 +1454,7 @@ mod tests {
                 payload: UpdatePayload::Set(Value::Int(2)),
                 deps: Some(deps),
             }),
-            Mode::Causal,
+            Substrate::Vectors,
         );
         assert_eq!(r.pending_len(), 1);
         assert_eq!(r.value(Loc(0)), Value::INITIAL);
@@ -1453,7 +1462,7 @@ mod tests {
 
     #[test]
     fn writes_after_cover_exactly_the_missing_suffix() {
-        let c = durable_cfg(Mode::Pram);
+        let c = durable_cfg(ProcModel::PRAM);
         let mut r = Replica::new(p(0), 2);
         r.local_write(Loc(0), UpdatePayload::Set(Value::Int(1)), &c);
         r.local_write(Loc(1), UpdatePayload::Add(Value::Int(2)), &c);
@@ -1478,10 +1487,10 @@ mod tests {
             Loc(0),
             UpdatePayload::Set(Value::Int(1)),
             None,
-            Mode::Pram,
+            Substrate::Fifo,
         );
         for m in suffix {
-            peer.ingest_msg(m, Mode::Pram);
+            peer.ingest_msg(m, Substrate::Fifo);
         }
         assert_eq!(peer.value(Loc(0)), Value::Int(3));
         assert_eq!(peer.value(Loc(1)), Value::Int(2));
@@ -1533,20 +1542,20 @@ mod tests {
     fn per_write_reships_drain_where_whole_suffix_batches_park() {
         // Full replication: two survivors whose suffixes reference each
         // other — each one's second write read the other's first.
-        let c = durable_cfg(Mode::Causal);
+        let c = durable_cfg(ProcModel::CAUSAL);
         let (mut a, mut b) = (Replica::new(p(0), 3), Replica::new(p(2), 3));
         let (id, deps) = a.local_write(Loc(0), UpdatePayload::Set(Value::Int(1)), &c);
-        b.ingest(id, Loc(0), UpdatePayload::Set(Value::Int(1)), deps, Mode::Causal);
+        b.ingest(id, Loc(0), UpdatePayload::Set(Value::Int(1)), deps, Substrate::Vectors);
         let (id, deps) = b.local_write(Loc(2), UpdatePayload::Set(Value::Int(1)), &c);
-        a.ingest(id, Loc(2), UpdatePayload::Set(Value::Int(1)), deps, Mode::Causal);
+        a.ingest(id, Loc(2), UpdatePayload::Set(Value::Int(1)), deps, Substrate::Vectors);
         let (id, deps) = a.local_write(Loc(0), UpdatePayload::Set(Value::Int(2)), &c);
-        b.ingest(id, Loc(0), UpdatePayload::Set(Value::Int(2)), deps, Mode::Causal);
+        b.ingest(id, Loc(0), UpdatePayload::Set(Value::Int(2)), deps, Substrate::Vectors);
         b.local_write(Loc(2), UpdatePayload::Set(Value::Int(2)), &c);
 
         // a's batch waits on {p2:1}, b's on {p0:2}: neither goes first.
         let mut fresh = Replica::new(p(1), 3);
         for r in [&a, &b] {
-            fresh.ingest_msg(batch_of(r.writes_after(&[(0, 0)])), Mode::Causal);
+            fresh.ingest_msg(batch_of(r.writes_after(&[(0, 0)])), Substrate::Vectors);
         }
         assert_eq!(fresh.pending_len(), 2, "whole-suffix batches park on each other");
         assert_eq!((fresh.applied[p(0)], fresh.applied[p(2)]), (0, 0));
@@ -1556,7 +1565,7 @@ mod tests {
         let mut fresh = Replica::new(p(1), 3);
         for r in [&b, &a] {
             for m in r.writes_after(&[(0, 0)]) {
-                fresh.ingest_msg(m, Mode::Causal);
+                fresh.ingest_msg(m, Substrate::Vectors);
             }
         }
         assert_eq!(fresh.pending_len(), 0);
@@ -1566,21 +1575,21 @@ mod tests {
         // Sharding: one writer alternating shards mints chains with
         // mutual cross-shard triples — shard 0's suffix {1,3} needs
         // (1,p0,2), shard 1's {2} needs (0,p0,1).
-        let c = cfg(Mode::Causal);
+        let c = cfg(ProcModel::CAUSAL);
         let mut w = Replica::new(p(0), 2).with_sharding(2, vec![0, 1]);
         w.sharded_write(Loc(0), UpdatePayload::Set(Value::Int(42)), &c);
         w.sharded_write(Loc(1), UpdatePayload::Set(Value::Int(1)), &c);
         w.sharded_write(Loc(2), UpdatePayload::Set(Value::Int(7)), &c);
         let mut fresh = Replica::new(p(1), 2).with_sharding(2, vec![0, 1]);
         for shard in [0, 1] {
-            fresh.ingest_msg(chain_of(shard, w.writes_after(&[(shard, 0)])), Mode::Causal);
+            fresh.ingest_msg(chain_of(shard, w.writes_after(&[(shard, 0)])), Substrate::Vectors);
         }
         assert_eq!(fresh.shards().unwrap().pending_len(), 2, "whole-suffix chains park");
         assert_eq!(fresh.value(Loc(0)), Value::INITIAL);
 
         let mut fresh = Replica::new(p(1), 2).with_sharding(2, vec![0, 1]);
         for m in w.writes_after(&[(0, 0), (1, 0)]) {
-            fresh.ingest_msg(m, Mode::Causal);
+            fresh.ingest_msg(m, Substrate::Vectors);
         }
         assert_eq!(fresh.shards().unwrap().pending_len(), 0);
         assert_eq!(fresh.value(Loc(0)), Value::Int(42));
@@ -1590,17 +1599,17 @@ mod tests {
     #[test]
     fn own_history_is_kept_only_under_durability() {
         let mut r = Replica::new(p(0), 2);
-        r.local_write(Loc(0), UpdatePayload::Set(Value::Int(1)), &cfg(Mode::Pram));
+        r.local_write(Loc(0), UpdatePayload::Set(Value::Int(1)), &cfg(ProcModel::PRAM));
         assert_eq!(r.own_updates().len(), 0, "no durability, no history");
         let mut r = Replica::new(p(0), 2);
-        r.local_write(Loc(0), UpdatePayload::Set(Value::Int(1)), &durable_cfg(Mode::Pram));
+        r.local_write(Loc(0), UpdatePayload::Set(Value::Int(1)), &durable_cfg(ProcModel::PRAM));
         assert_eq!(r.own_updates().len(), 1);
     }
 
     #[test]
     fn knowledge_merges_must_see() {
         let mut r = Replica::new(p(0), 2);
-        r.local_write(Loc(0), UpdatePayload::Set(Value::Int(1)), &cfg(Mode::Mixed));
+        r.local_write(Loc(0), UpdatePayload::Set(Value::Int(1)), &cfg(ProcModel::MIXED));
         let mut k = VClock::new(2);
         k.set(p(1), 5);
         r.absorb_sync(&k, &[]);
@@ -1613,7 +1622,7 @@ mod tests {
     /// keep each write's chain link, re-anchored past a held prefix.
     #[test]
     fn per_write_recovery_pushes_avoid_cross_shard_chain_cycle() {
-        let c = cfg(Mode::Causal);
+        let c = cfg(ProcModel::CAUSAL);
         let mut w = Replica::new(p(0), 2).with_sharding(2, vec![0, 1]);
         w.sharded_write(Loc(0), UpdatePayload::Set(Value::Int(42)), &c); // shard 0, seq 1
         w.sharded_write(Loc(1), UpdatePayload::Set(Value::Int(1)), &c); // shard 1, seq 2
@@ -1627,7 +1636,7 @@ mod tests {
         assert_eq!(pushes.iter().map(link).collect::<Vec<_>>(), [(1, 0), (2, 0), (3, 1)]);
         let mut fresh = Replica::new(p(1), 2).with_sharding(2, vec![0, 1]);
         for m in pushes {
-            fresh.ingest_msg(m, Mode::Causal);
+            fresh.ingest_msg(m, Substrate::Vectors);
         }
         assert_eq!(fresh.shards().unwrap().pending_len(), 0);
         assert_eq!(fresh.value(Loc(1)), Value::Int(1));

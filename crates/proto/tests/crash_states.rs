@@ -16,11 +16,11 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use mc_model::{Loc, ProcId, Value};
+use mc_model::{Loc, ModelSpec, ProcId, Value};
 use mc_proto::durability::WAL_CHUNK;
 use mc_proto::{
-    CrashFs, DsmConfig, DurabilityPolicy, FileDisk, Fs as _, Mode, Msg, NodeIo, ProcNode, Req,
-    Resp, WalRecord,
+    CrashFs, DsmConfig, DurabilityPolicy, FileDisk, Fs as _, Msg, NodeIo, ProcNode, Req, Resp,
+    WalRecord,
 };
 use mc_sim::{NodeId, Poll, SimTime};
 
@@ -34,7 +34,7 @@ const WRITES: u32 = EVERY + 4;
 
 fn config() -> Arc<DsmConfig> {
     let policy = DurabilityPolicy::new(EVERY);
-    Arc::new(DsmConfig::new(NPROCS, Mode::Causal).with_durability(Some(policy)))
+    Arc::new(DsmConfig::new(NPROCS, ModelSpec::CAUSAL).with_durability(Some(policy)))
 }
 
 /// A replica's I/O over a `CrashFs` disk whose power may go out; messages

@@ -33,11 +33,11 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use bytes::BytesMut;
-use mc_model::{BarrierId, Loc, LockId, LockMode, ProcId, VClock, Value, WriteId};
+use mc_model::{BarrierId, Loc, LockId, LockMode, ModelSpec, ProcId, VClock, Value, WriteId};
 use mc_proto::durability::{decode_history, put_history, OwnUpdate, SnapBatch};
 use mc_proto::wire::{decode_frame, encode_frame, FRAME_HEADER};
 use mc_proto::{
-    crc32, decode_wal, BatchEntry, BatchPolicy, DsmConfig, DurabilityPolicy, GrantInfo, Mode, Msg,
+    crc32, decode_wal, BatchEntry, BatchPolicy, DsmConfig, DurabilityPolicy, GrantInfo, Msg,
     NodeIo, ProcNode, Replica, Req, Resp, ShardConfig, Snapshot, UpdatePayload, WalRecord,
 };
 use mc_sim::{NodeId, Poll, SimTime};
@@ -384,7 +384,7 @@ fn assert_no_allocs(kind: &str, allocs: &[u64]) {
 #[test]
 fn logging_an_arriving_update_allocates_nothing() {
     let durable = Some(DurabilityPolicy::new(u32::MAX));
-    let cfg = DsmConfig::new(3, Mode::Causal).with_durability(durable);
+    let cfg = DsmConfig::new(3, ModelSpec::CAUSAL).with_durability(durable);
     let mut node = ProcNode::new(ProcId(0), Arc::new(cfg));
 
     let updates = (1..=RECORDS).map(|seq| {
@@ -408,7 +408,7 @@ fn logging_an_arriving_update_allocates_nothing() {
     assert_no_allocs("recover_resp", &allocs_before_append(&mut node, batches.collect()));
 
     let sharding = Some(ShardConfig::full(1, 3));
-    let cfg = DsmConfig::new(3, Mode::Causal).with_durability(durable).with_sharding(sharding);
+    let cfg = DsmConfig::new(3, ModelSpec::CAUSAL).with_durability(durable).with_sharding(sharding);
     let mut node = ProcNode::new(ProcId(0), Arc::new(cfg));
     let shard_updates = (1..=RECORDS).map(|seq| {
         let payload = UpdatePayload::Add(Value::Int(1));
@@ -423,7 +423,7 @@ fn logging_an_arriving_update_allocates_nothing() {
 #[test]
 fn a_volatile_replicas_heap_does_not_grow_with_its_writes() {
     const WRITES: u32 = 1_000_000;
-    let cfg = DsmConfig::new(2, Mode::Causal);
+    let cfg = DsmConfig::new(2, ModelSpec::CAUSAL);
     let mut replica = Replica::new(ProcId(0), 2);
     start_measuring();
     for i in 0..WRITES {
@@ -469,7 +469,7 @@ const ALLOCS_PER_FLUSH: u64 = 2;
 #[test]
 fn a_batched_write_allocates_only_when_it_flushes() {
     const WRITES: u32 = 10_000;
-    let cfg = DsmConfig::new(2, Mode::Causal).with_batching(Some(BatchPolicy::default()));
+    let cfg = DsmConfig::new(2, ModelSpec::CAUSAL).with_batching(Some(BatchPolicy::default()));
     let mut node = ProcNode::new(ProcId(0), Arc::new(cfg));
     let mut io = CountSends::default();
     let write = |node: &mut ProcNode, io: &mut CountSends, i: u32| {

@@ -15,17 +15,18 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use mc_model::{Loc, ProcId, Value, WriteId};
+use mc_model::{Loc, ModelSpec, ProcId, Value, WriteId};
 use mc_proto::durability::{decode_history, put_history};
 use mc_proto::{
-    CrashFs, DsmConfig, DurabilityPolicy, FileDisk, Fs, Mode, Msg, NodeIo, ProcNode, Recovery,
-    Replica, Req, Resp, StdFs, UpdatePayload, WalRecord,
+    CrashFs, DsmConfig, DurabilityPolicy, FileDisk, Fs, Msg, NodeIo, ProcNode, Recovery, Replica,
+    Req, Resp, StdFs, UpdatePayload, WalRecord,
 };
 use mc_sim::{NodeId, Poll, SimTime};
 
 #[test]
 fn a_snapshot_does_not_grow_with_the_own_write_count() {
-    let cfg = DsmConfig::new(2, Mode::Causal).with_durability(Some(DurabilityPolicy::default()));
+    let cfg =
+        DsmConfig::new(2, ModelSpec::CAUSAL).with_durability(Some(DurabilityPolicy::default()));
     let mut r = Replica::new(ProcId(0), 2);
     let mut sizes = Vec::new();
     for i in 0..100_000u32 {
@@ -111,7 +112,7 @@ impl<F: Fs> NodeIo for OnDisk<F> {
 }
 
 fn config() -> Arc<DsmConfig> {
-    let cfg = DsmConfig::new(2, Mode::Causal).with_durability(Some(DurabilityPolicy::new(8)));
+    let cfg = DsmConfig::new(2, ModelSpec::CAUSAL).with_durability(Some(DurabilityPolicy::new(8)));
     Arc::new(cfg)
 }
 

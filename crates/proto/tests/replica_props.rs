@@ -7,8 +7,8 @@ use std::collections::{BTreeMap, HashMap};
 
 use proptest::prelude::*;
 
-use mc_model::{Loc, LockId, ProcId, VClock, Value, WriteId};
-use mc_proto::{DsmConfig, Mode, Replica, UpdatePayload};
+use mc_model::{Loc, LockId, ModelSpec, ProcId, VClock, Value, WriteId};
+use mc_proto::{DsmConfig, Replica, Substrate, UpdatePayload};
 
 /// A generated write: `(writer, loc, value-id)`. Sequence numbers are
 /// assigned per writer in order; dependency vectors make each writer's
@@ -66,7 +66,7 @@ proptest! {
         // Reference replica: in-order delivery.
         let mut reference = Replica::new(ProcId(3), nprocs);
         for (id, loc, payload, deps) in &tagged {
-            reference.ingest(*id, *loc, payload.clone(), Some(deps.clone()), Mode::Causal);
+            reference.ingest(*id, *loc, payload.clone(), Some(deps.clone()), Substrate::Vectors);
         }
         prop_assert_eq!(reference.pending_len(), 0);
 
@@ -77,7 +77,7 @@ proptest! {
         shuffled.shuffle(&mut rand::rngs::StdRng::seed_from_u64(perm_seed));
         let mut observer = Replica::new(ProcId(3), nprocs);
         for (id, loc, payload, deps) in &shuffled {
-            observer.ingest(*id, *loc, payload.clone(), Some(deps.clone()), Mode::Causal);
+            observer.ingest(*id, *loc, payload.clone(), Some(deps.clone()), Substrate::Vectors);
         }
 
         prop_assert_eq!(observer.pending_len(), 0, "everything eventually applies");
@@ -108,7 +108,7 @@ proptest! {
         shuffled.shuffle(&mut rand::rngs::StdRng::seed_from_u64(perm_seed));
         let mut r = Replica::new(ProcId(3), nprocs);
         for (id, loc, payload, deps) in &shuffled {
-            r.ingest(*id, *loc, payload.clone(), Some(deps.clone()), Mode::Causal);
+            r.ingest(*id, *loc, payload.clone(), Some(deps.clone()), Substrate::Vectors);
         }
         for l in 0..4u32 {
             let expect = writes.iter().rev().find(|w| w.loc == l).map(|w| w.value);
@@ -136,7 +136,7 @@ proptest! {
                 Loc(w.loc),
                 UpdatePayload::Set(Value::Int(w.value)),
                 None,
-                Mode::Pram,
+                Substrate::Fifo,
             );
         }
         for l in 0..4u32 {
@@ -178,7 +178,7 @@ proptest! {
                 Loc(0),
                 UpdatePayload::Add(Value::Int(*d)),
                 Some(deps.clone()),
-                Mode::Causal,
+                Substrate::Vectors,
             );
         }
         let sum: i64 = deltas.iter().sum();
@@ -205,7 +205,7 @@ proptest! {
     fn take_dirty_equals_the_write_log_definition(
         ops in proptest::collection::vec((any::<bool>(), 0..16u32, any::<bool>()), 0..200),
     ) {
-        let cfg = DsmConfig::new(2, Mode::Causal);
+        let cfg = DsmConfig::new(2, ModelSpec::CAUSAL);
         let mut r = Replica::new(ProcId(0), 2);
         let mut log = Vec::new();
         let mut shipped: HashMap<LockId, usize> = HashMap::new();
@@ -240,11 +240,11 @@ fn partial_delivery_blocks_only_the_gap() {
     let (w1, d1) = mk(1);
     let (w2, d2) = mk(2);
     let (w3, d3) = mk(3);
-    r.ingest(w1, Loc(0), UpdatePayload::Set(Value::Int(1)), Some(d1), Mode::Causal);
-    r.ingest(w3, Loc(0), UpdatePayload::Set(Value::Int(3)), Some(d3), Mode::Causal);
+    r.ingest(w1, Loc(0), UpdatePayload::Set(Value::Int(1)), Some(d1), Substrate::Vectors);
+    r.ingest(w3, Loc(0), UpdatePayload::Set(Value::Int(3)), Some(d3), Substrate::Vectors);
     assert_eq!(r.peek(Loc(0)), Value::Int(1), "w3 gated behind the missing w2");
     assert_eq!(r.pending_len(), 1);
-    r.ingest(w2, Loc(0), UpdatePayload::Set(Value::Int(2)), Some(d2), Mode::Causal);
+    r.ingest(w2, Loc(0), UpdatePayload::Set(Value::Int(2)), Some(d2), Substrate::Vectors);
     assert_eq!(r.peek(Loc(0)), Value::Int(3));
     assert_eq!(r.pending_len(), 0);
 }

@@ -9,7 +9,7 @@
 
 use mc_apps::cholesky::{run_cholesky, CholeskyConfig, CholeskyVariant};
 use mc_apps::sparse::{grid_laplacian, sparse_cholesky_reference, symbolic_factorize};
-use mixed_consistency::Mode;
+use mixed_consistency::ProcModel;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let k = 4; // 4x4 grid => 16x16 SPD matrix
@@ -30,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "\n{:<22} {:>14} {:>10} {:>10} {:>12} {:>10}",
         "variant", "virtual time", "messages", "lock msgs", "residual", "max|ΔL|"
     );
-    let cfg = CholeskyConfig { mode: Mode::Mixed, ..CholeskyConfig::new(4) };
+    let cfg = CholeskyConfig { model: ProcModel::MIXED, ..CholeskyConfig::new(4) };
 
     let mut times = Vec::new();
     for variant in [CholeskyVariant::Locks, CholeskyVariant::Counters] {

@@ -9,10 +9,10 @@
 //! Run with: `cargo run --example em_fields`
 
 use mc_apps::em::{fdtd_reference, run_fdtd, EmConfig};
-use mixed_consistency::Mode;
+use mixed_consistency::ProcModel;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let cfg = EmConfig::new(48, 30, 4, Mode::Pram);
+    let cfg = EmConfig::new(48, 30, 4, ProcModel::PRAM);
     let (e_ref, _) = fdtd_reference(&cfg);
 
     println!("1-D FDTD, {} E-nodes, {} steps, {} workers\n", cfg.cells, cfg.steps, cfg.workers);
@@ -21,8 +21,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "mode", "virtual time", "messages", "kbytes", "bit-exact"
     );
 
-    for mode in [Mode::Pram, Mode::Causal, Mode::Mixed, Mode::Sc] {
-        let run = run_fdtd(&EmConfig { mode, ..cfg.clone() })?;
+    for mode in [ProcModel::PRAM, ProcModel::CAUSAL, ProcModel::MIXED, ProcModel::SC] {
+        let run = run_fdtd(&EmConfig { model: mode, ..cfg.clone() })?;
         let exact = run.e == e_ref;
         println!(
             "{:<10} {:>14} {:>10} {:>10.1} {:>10}",

@@ -15,7 +15,7 @@
 use mixed_consistency::explore::ExploreOptions;
 use mixed_consistency::repro::find_and_minimize;
 use mixed_consistency::{
-    check, explore, sc, FaultBudget, Loc, Mode, ProgSpec, ReadLabel, SpecOp, System, Value,
+    check, explore, sc, FaultBudget, Loc, ProcModel, ProgSpec, ReadLabel, SpecOp, System, Value,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -27,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         20_000,
         || {
             let mut sys =
-                System::new(2, Mode::Mixed).record(true).sim_config(explore::racing_config());
+                System::new(2, ProcModel::MIXED).record(true).sim_config(explore::racing_config());
             sys.spawn(|ctx| {
                 ctx.write(Loc(0), 1);
                 let _ = ctx.read_causal(Loc(1));
@@ -76,7 +76,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The same program under DPOR: identical outcome coverage, a
     // fraction of the schedules (see tests/explore_litmus.rs for the
     // conformance proof obligations).
-    let spec = ProgSpec::new(Mode::Mixed)
+    let spec = ProgSpec::new(ProcModel::MIXED)
         .proc(vec![
             SpecOp::Write { loc: Loc(0), value: 1 },
             SpecOp::Read { loc: Loc(1), label: ReadLabel::Causal },
@@ -105,7 +105,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Give the explorer one message drop to spend on a PRAM store chain:
     // it finds the consistency violation, shrinks program and decision
     // trace, and emits an artifact `mc-check --replay` re-executes.
-    let fragile = ProgSpec::new(Mode::Pram)
+    let fragile = ProgSpec::new(ProcModel::PRAM)
         .proc(vec![
             SpecOp::Write { loc: Loc(0), value: 1 },
             SpecOp::Write { loc: Loc(0), value: 2 },
@@ -138,7 +138,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         20_000,
         || {
             let mut sys =
-                System::new(2, Mode::Mixed).record(true).sim_config(explore::racing_config());
+                System::new(2, ProcModel::MIXED).record(true).sim_config(explore::racing_config());
             sys.spawn(|ctx| {
                 ctx.write(Loc(0), 42);
                 ctx.write(Loc(1), 1);

@@ -24,7 +24,7 @@
 //! Run with: `cargo run --example fault_injection`
 
 use mixed_consistency::{
-    check, FaultPlan, Loc, Mode, NodeId, ProcId, RunError, SimError, SimTime, System, Value,
+    check, FaultPlan, Loc, NodeId, ProcId, ProcModel, RunError, SimError, SimTime, System, Value,
 };
 
 /// Duplication plus heavy reordering — FIFO-hostile, but lossless, so
@@ -35,7 +35,12 @@ fn noisy_plan() -> FaultPlan {
 
 /// A workload extremely sensitive to per-writer ordering: one writer
 /// counts up a location, two readers poll it and record histories.
-fn run_counter(mode: Mode, plan: FaultPlan, reliable: bool, seed: u64) -> Result<bool, RunError> {
+fn run_counter(
+    mode: ProcModel,
+    plan: FaultPlan,
+    reliable: bool,
+    seed: u64,
+) -> Result<bool, RunError> {
     let mut sys = System::new(3, mode).seed(seed).record(true).faults(plan).reliable(reliable);
     sys.spawn(|ctx| {
         for v in 1..=20i64 {
@@ -62,7 +67,7 @@ fn run_counter(mode: Mode, plan: FaultPlan, reliable: bool, seed: u64) -> Result
 /// Scans seeds until one produces a checker-detected violation (or none
 /// does). Fault injection is probabilistic per seed but each seed is
 /// fully deterministic.
-fn scan(mode: Mode, plan: &FaultPlan, reliable: bool) -> Result<Option<u64>, RunError> {
+fn scan(mode: ProcModel, plan: &FaultPlan, reliable: bool) -> Result<Option<u64>, RunError> {
     for seed in 0..20 {
         if !run_counter(mode, plan.clone(), reliable, seed)? {
             return Ok(Some(seed));
@@ -81,7 +86,7 @@ fn crash_run(reliable: bool) -> Result<Value, RunError> {
         SimTime::from_micros(40),
         Some(SimTime::from_micros(600)),
     );
-    let mut sys = System::new(3, Mode::Causal).seed(11).faults(plan).reliable(reliable);
+    let mut sys = System::new(3, ProcModel::CAUSAL).seed(11).faults(plan).reliable(reliable);
     sys.spawn(|ctx| {
         for v in 1..=10i64 {
             ctx.write(Loc(0), v);
@@ -103,9 +108,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("== 1. duplication + reordering, session layer OFF ==");
     println!("{:<10} {:<36} note", "mode", "verdict");
     let cases = [
-        (Mode::Pram, true, "apply-on-receipt trusts FIFO"),
-        (Mode::Causal, false, "vector timestamps resequence"),
-        (Mode::Mixed, false, "vector timestamps resequence"),
+        (ProcModel::PRAM, true, "apply-on-receipt trusts FIFO"),
+        (ProcModel::CAUSAL, false, "vector timestamps resequence"),
+        (ProcModel::MIXED, false, "vector timestamps resequence"),
     ];
     for (mode, expect_violation, note) in cases {
         let broke_at = scan(mode, &noisy_plan(), false)?;
@@ -119,7 +124,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("\n== 2. duplication + reordering + 10% loss, session layer ON ==");
     let lossy = noisy_plan().drop_rate(0.1);
-    for mode in [Mode::Pram, Mode::Causal, Mode::Mixed] {
+    for mode in [ProcModel::PRAM, ProcModel::CAUSAL, ProcModel::MIXED] {
         let broke_at = scan(mode, &lossy, true)?;
         assert!(broke_at.is_none(), "{mode}: the session layer must mask every fault");
         println!("{:<10} consistent on every seed", mode.to_string());
@@ -129,7 +134,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // panic hook hides the kernel's noisy-but-expected deadlock unwind.)
     let default_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
-    let mut sys = System::new(2, Mode::Pram).faults(FaultPlan::new().drop_rate(1.0));
+    let mut sys = System::new(2, ProcModel::PRAM).faults(FaultPlan::new().drop_rate(1.0));
     sys.spawn(|ctx| {
         ctx.write(Loc(0), 1);
     });

@@ -12,7 +12,7 @@ use mc_apps::dense::{diag_dominant_system, jacobi_reference, residual_inf};
 use mc_apps::solver::{
     run_async_relaxation, run_barrier_solver, run_handshake_solver, SolverConfig,
 };
-use mixed_consistency::{Mode, ReadLabel};
+use mixed_consistency::{ProcModel, ReadLabel};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n = 16;
@@ -32,26 +32,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Figure 2: barriers + PRAM reads (PRAM-consistent program,
     // Corollary 2 ⇒ sequentially consistent behaviour).
-    let mut cfg = SolverConfig::new(n, workers, Mode::Pram);
+    let mut cfg = SolverConfig::new(n, workers, ProcModel::PRAM);
     cfg.tol = 1e-9;
     cfg.max_iters = 500;
     let bar = run_barrier_solver(&cfg, &a, &b)?;
     print_row("Fig.2 barriers (PRAM memory)", &bar);
 
     // Figure 3: handshakes + causal reads on causal memory.
-    cfg.mode = Mode::Causal;
+    cfg.model = ProcModel::CAUSAL;
     let hs = run_handshake_solver(&cfg, &a, &b, ReadLabel::Causal)?;
     print_row("Fig.3 handshake (causal memory)", &hs);
 
     // Figure 3 with PRAM reads — the paper: "the reads of the input matrix
     // in this solution cannot be PRAM". On the mixed protocol the labels
     // are per-read, so we can run the experiment the paper only argues:
-    cfg.mode = Mode::Mixed;
+    cfg.model = ProcModel::MIXED;
     let hs_pram = run_handshake_solver(&cfg, &a, &b, ReadLabel::Pram)?;
     print_row("Fig.3 handshake (PRAM reads!)", &hs_pram);
 
     // Section 7: asynchronous relaxation converges even with PRAM.
-    cfg.mode = Mode::Pram;
+    cfg.model = ProcModel::PRAM;
     let gs = run_async_relaxation(&cfg, &a, &b, 40)?;
     print_row("async relaxation (PRAM, §7)", &gs);
 

@@ -9,13 +9,13 @@
 
 use mc_live::Threads;
 use mc_net::Tcp;
-use mixed_consistency::{Executor, Loc, LockId, Mode, ProcId, System, Value};
+use mixed_consistency::{Executor, Loc, LockId, ProcId, ProcModel, System, Value};
 
 /// Three real threads hammer a lock-protected counter on the mixed
 /// protocol; a fourth phase-steps through barriers. Returns the messages
 /// the run sent.
 fn racy_counter<E: Executor>(exec: E) -> Result<u64, Box<dyn std::error::Error>> {
-    let mut sys = System::on(exec, 4, Mode::Mixed).record(true);
+    let mut sys = System::on(exec, 4, ProcModel::MIXED).record(true);
     for _ in 0..3 {
         sys.spawn(|ctx| {
             for _ in 0..5 {

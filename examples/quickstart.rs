@@ -7,14 +7,14 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use mixed_consistency::{check, Loc, Mode, ProcId, ReadLabel, System, Value};
+use mixed_consistency::{check, Loc, ProcId, ProcModel, ReadLabel, System, Value};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Shared locations: x0 carries data, x1 is the ready flag.
     let data = Loc(0);
     let flag = Loc(1);
 
-    let mut sys = System::new(2, Mode::Mixed).seed(7).record(true);
+    let mut sys = System::new(2, ProcModel::MIXED).seed(7).record(true);
 
     // The producer writes the payload, then raises the flag. Writes are
     // non-blocking: they update the local replica and broadcast.

@@ -18,15 +18,19 @@
 
 use std::collections::BTreeMap;
 
-use mixed_consistency::{FaultPlan, Loc, Mode, RunError, System, Value};
+use mixed_consistency::{FaultPlan, Loc, ProcModel, RunError, System, Value};
 
 /// One writer counts a location up and raises a flag; two consumers wait
 /// on the flag and read the counter causally. Drops and duplicates force
 /// the session layer to retransmit — all of it lands in the trace.
 fn workload(trace: bool) -> System {
     let plan = FaultPlan::new().drop_rate(0.15).duplicate_rate(0.1);
-    let mut sys =
-        System::new(3, Mode::Causal).seed(7).record(true).trace(trace).faults(plan).reliable(true);
+    let mut sys = System::new(3, ProcModel::CAUSAL)
+        .seed(7)
+        .record(true)
+        .trace(trace)
+        .faults(plan)
+        .reliable(true);
     sys.spawn(|ctx| {
         for v in 1..=20i64 {
             ctx.write(Loc(0), v);

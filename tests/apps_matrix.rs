@@ -14,13 +14,13 @@ use mc_apps::sparse::{
 };
 use mc_live::Threads;
 use mc_net::Tcp;
-use mixed_consistency::{Executor, Mode, ProcId, ReadLabel, System};
+use mixed_consistency::{Executor, ProcId, ProcModel, ReadLabel, System};
 
 #[test]
 fn barrier_solver_matrix() {
     let (a, b) = diag_dominant_system(10, 3);
     let (x_ref, _) = jacobi_reference(&a, &b, 1e-9, 300);
-    for mode in [Mode::Pram, Mode::Causal, Mode::Mixed, Mode::Sc] {
+    for mode in [ProcModel::PRAM, ProcModel::CAUSAL, ProcModel::MIXED, ProcModel::SC] {
         for workers in [1, 2, 5] {
             let mut cfg = SolverConfig::new(10, workers, mode);
             cfg.tol = 1e-9;
@@ -37,7 +37,7 @@ fn barrier_solver_matrix() {
 fn handshake_solver_matrix() {
     let (a, b) = diag_dominant_system(9, 8);
     let (x_ref, _) = jacobi_reference(&a, &b, 1e-9, 300);
-    for mode in [Mode::Causal, Mode::Mixed] {
+    for mode in [ProcModel::CAUSAL, ProcModel::MIXED] {
         for workers in [1, 3] {
             let mut cfg = SolverConfig::new(9, workers, mode);
             cfg.tol = 1e-9;
@@ -56,7 +56,7 @@ fn handshake_solver_seed_sweep() {
     let (a, b) = diag_dominant_system(8, 21);
     let mut first: Option<Vec<f64>> = None;
     for seed in 0..5 {
-        let mut cfg = SolverConfig::new(8, 2, Mode::Mixed);
+        let mut cfg = SolverConfig::new(8, 2, ProcModel::MIXED);
         cfg.seed = seed;
         cfg.tol = 1e-10;
         let run = run_handshake_solver(&cfg, &a, &b, ReadLabel::Causal).unwrap();
@@ -70,7 +70,7 @@ fn handshake_solver_seed_sweep() {
 #[test]
 fn fdtd_matrix_bit_exact() {
     for workers in [1, 2, 4] {
-        for mode in [Mode::Pram, Mode::Causal, Mode::Mixed, Mode::Sc] {
+        for mode in [ProcModel::PRAM, ProcModel::CAUSAL, ProcModel::MIXED, ProcModel::SC] {
             let cfg = EmConfig::new(20, 8, workers, mode);
             let run = run_fdtd(&cfg).unwrap();
             let (e_ref, h_ref) = fdtd_reference(&cfg);
@@ -82,7 +82,7 @@ fn fdtd_matrix_bit_exact() {
 
 #[test]
 fn fdtd_seed_sweep_stays_exact() {
-    let base = EmConfig::new(14, 5, 3, Mode::Pram);
+    let base = EmConfig::new(14, 5, 3, ProcModel::PRAM);
     let (e_ref, _) = fdtd_reference(&base);
     for seed in 0..6 {
         let run = run_fdtd(&EmConfig { seed, ..base.clone() }).unwrap();
@@ -98,13 +98,13 @@ fn cholesky_matrix() {
         let l_ref = sparse_cholesky_reference(a, &sym);
         for workers in [1, 2, 4] {
             for (mode, variant) in [
-                (Mode::Mixed, CholeskyVariant::Locks),
-                (Mode::Causal, CholeskyVariant::Locks),
-                (Mode::Sc, CholeskyVariant::Locks),
-                (Mode::Mixed, CholeskyVariant::Counters),
-                (Mode::Causal, CholeskyVariant::Counters),
+                (ProcModel::MIXED, CholeskyVariant::Locks),
+                (ProcModel::CAUSAL, CholeskyVariant::Locks),
+                (ProcModel::SC, CholeskyVariant::Locks),
+                (ProcModel::MIXED, CholeskyVariant::Counters),
+                (ProcModel::CAUSAL, CholeskyVariant::Counters),
             ] {
-                let cfg = CholeskyConfig { mode, seed: 5, ..CholeskyConfig::new(workers) };
+                let cfg = CholeskyConfig { model: mode, seed: 5, ..CholeskyConfig::new(workers) };
                 let run = run_cholesky(&cfg, a, &sym, variant).unwrap();
                 assert!(
                     run.residual < 1e-8,
@@ -147,7 +147,7 @@ fn pram_reads_on_handshake_violate_causality_on_pram_memory() {
     let (a, b) = diag_dominant_system(4, 2);
     let mut violation_found = false;
     for seed in 0..30 {
-        let mut cfg = SolverConfig::new(4, 2, Mode::Pram);
+        let mut cfg = SolverConfig::new(4, 2, ProcModel::PRAM);
         cfg.seed = seed;
         cfg.record = true;
         cfg.tol = 1e-7;
@@ -185,7 +185,8 @@ enum Figure {
 /// monomorphised for `exec`'s driver.
 fn solvers_hold_on<E: Executor + Copy>(exec: E) {
     let name = std::any::type_name::<E>();
-    for (fig, mode) in [(Figure::Barrier, Mode::Pram), (Figure::Handshake, Mode::Causal)] {
+    for (fig, mode) in [(Figure::Barrier, ProcModel::PRAM), (Figure::Handshake, ProcModel::CAUSAL)]
+    {
         let cfg = SolverConfig::new(8, 2, mode);
         let lay = Layout::new(cfg.n, cfg.workers);
         let (a, b) = diag_dominant_system(cfg.n, 21);

@@ -15,7 +15,8 @@ use rand::{Rng, SeedableRng};
 
 use mc_model::OpKind;
 use mixed_consistency::{
-    BatchPolicy, FaultPlan, History, Loc, LockId, Mode, ProcId, ReadLabel, SimTime, System, Value,
+    BatchPolicy, FaultPlan, History, Loc, LockId, ProcId, ProcModel, ReadLabel, SimTime, System,
+    Value,
 };
 
 const NPROCS: usize = 3;
@@ -116,7 +117,7 @@ fn read_values(h: &History) -> Vec<Vec<(Loc, Value)>> {
 }
 
 fn observe(
-    mode: Mode,
+    mode: ProcModel,
     progs: &[Vec<Instr>],
     seed: u64,
     nlocs: u32,
@@ -156,7 +157,7 @@ fn batched_equals_unbatched_in_every_mode() {
         let phases = 2 + (seed as usize % 2);
         let progs = generate(phases, seed);
         let nlocs = (phases * NPROCS) as u32;
-        for mode in Mode::ALL {
+        for mode in [ProcModel::PRAM, ProcModel::CAUSAL, ProcModel::MIXED, ProcModel::SC] {
             let unbatched = observe(mode, &progs, seed, nlocs, None, None);
             let batched = observe(mode, &progs, seed, nlocs, Some(BatchPolicy::default()), None);
             assert_eq!(batched, unbatched, "{mode} seed {seed}: batched run diverged");
@@ -178,7 +179,7 @@ fn batched_equals_unbatched_under_random_faults() {
         let phases = 2;
         let progs = generate(phases, seed);
         let nlocs = (phases * NPROCS) as u32;
-        for mode in [Mode::Pram, Mode::Causal, Mode::Mixed] {
+        for mode in [ProcModel::PRAM, ProcModel::CAUSAL, ProcModel::MIXED] {
             let unbatched = observe(mode, &progs, seed, nlocs, None, Some(plan.clone()));
             let batched = observe(
                 mode,
@@ -199,7 +200,7 @@ fn batched_locked_increments_preserve_final_stores() {
     // schedule-dependent, but the final store is not — it must be the
     // total increment count, batched or not, and both histories must
     // satisfy the mode's consistency definition.
-    for mode in [Mode::Causal, Mode::Mixed] {
+    for mode in [ProcModel::CAUSAL, ProcModel::MIXED] {
         for seed in 0..4u64 {
             let run = |batch: Option<BatchPolicy>| {
                 let mut sys = System::new(NPROCS, mode).seed(seed).record(true).batching(batch);

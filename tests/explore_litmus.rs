@@ -12,7 +12,7 @@ use std::collections::BTreeSet;
 use std::sync::Mutex;
 
 use mixed_consistency::explore::{explore_with, ExploreOptions, ExploreOutcome};
-use mixed_consistency::{check, Mode, OpKind, ProgSpec, ReadLabel, SpecOp, Value};
+use mixed_consistency::{check, OpKind, ProcModel, ProgSpec, ReadLabel, SpecOp, Value};
 
 fn w(loc: u32, value: i64) -> SpecOp {
     SpecOp::Write { loc: mixed_consistency::Loc(loc), value }
@@ -24,7 +24,7 @@ fn r(loc: u32, label: ReadLabel) -> SpecOp {
 
 /// Dekker's store buffer: both reads may see 0.
 fn store_buffer() -> ProgSpec {
-    ProgSpec::new(Mode::Mixed)
+    ProgSpec::new(ProcModel::MIXED)
         .proc(vec![w(0, 1), r(1, ReadLabel::Causal)])
         .proc(vec![w(1, 1), r(0, ReadLabel::Causal)])
 }
@@ -32,7 +32,7 @@ fn store_buffer() -> ProgSpec {
 /// The causality chain of Section 2 with PRAM reads at the tail
 /// process (stale reads allowed under Definition 3/4).
 fn causality_chain() -> ProgSpec {
-    ProgSpec::new(Mode::Mixed)
+    ProgSpec::new(ProcModel::MIXED)
         .proc(vec![w(0, 1)])
         .proc(vec![r(0, ReadLabel::Causal), w(1, 2)])
         .proc(vec![r(1, ReadLabel::Pram), r(0, ReadLabel::Pram)])
@@ -40,7 +40,7 @@ fn causality_chain() -> ProgSpec {
 
 /// Independent reads of independent writes.
 fn iriw() -> ProgSpec {
-    ProgSpec::new(Mode::Mixed)
+    ProgSpec::new(ProcModel::MIXED)
         .proc(vec![w(0, 1)])
         .proc(vec![w(1, 1)])
         .proc(vec![r(0, ReadLabel::Causal), r(1, ReadLabel::Causal)])
@@ -49,7 +49,7 @@ fn iriw() -> ProgSpec {
 
 /// Write-to-read causality with PRAM tail reads.
 fn wrc() -> ProgSpec {
-    ProgSpec::new(Mode::Mixed)
+    ProgSpec::new(ProcModel::MIXED)
         .proc(vec![w(0, 1)])
         .proc(vec![r(0, ReadLabel::Causal), w(1, 1)])
         .proc(vec![r(1, ReadLabel::Pram), r(0, ReadLabel::Pram)])
@@ -57,7 +57,7 @@ fn wrc() -> ProgSpec {
 
 /// Two writers with opposite program orders, two observers.
 fn two_plus_two_w() -> ProgSpec {
-    ProgSpec::new(Mode::Mixed)
+    ProgSpec::new(ProcModel::MIXED)
         .proc(vec![w(0, 1), w(1, 2)])
         .proc(vec![w(1, 1), w(0, 2)])
         .proc(vec![r(0, ReadLabel::Causal), r(0, ReadLabel::Causal)])

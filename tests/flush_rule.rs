@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 
 use mc_live::Threads;
 use mc_net::Tcp;
-use mixed_consistency::{BatchPolicy, Driver, Executor, Loc, MemCtx, Mode, System, Value};
+use mixed_consistency::{BatchPolicy, Driver, Executor, Loc, MemCtx, ProcModel, System, Value};
 
 const DEADLINE: Duration = Duration::from_secs(20);
 const X: Loc = Loc(0);
@@ -23,7 +23,7 @@ const Y: Loc = Loc(1);
 
 /// `nprocs` processes on `exec`, batched, in mixed mode.
 fn batched<E: Executor>(exec: E, nprocs: usize) -> System<E> {
-    System::on(exec, nprocs, Mode::Mixed).batching(Some(BatchPolicy::default()))
+    System::on(exec, nprocs, ProcModel::MIXED).batching(Some(BatchPolicy::default()))
 }
 
 /// Polls `loc` with non-blocking reads until it holds `value` or more.

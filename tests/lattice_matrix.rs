@@ -25,7 +25,7 @@ use std::sync::Mutex;
 
 use mc_model::{spec::check_model, History, ModelAssignment, ModelSpec, ProcModel};
 use mixed_consistency::explore::{explore_with, ExploreOptions};
-use mixed_consistency::{Mode, ProgSpec, ReadLabel, SpecOp};
+use mixed_consistency::{ProgSpec, ReadLabel, SpecOp};
 
 fn w(loc: u32, value: i64) -> SpecOp {
     SpecOp::Write { loc: mixed_consistency::Loc(loc), value }
@@ -50,22 +50,22 @@ fn corpus() -> Vec<(&'static str, ProgSpec)> {
     vec![
         (
             "store_buffer",
-            ProgSpec::new(Mode::Mixed).proc(vec![w(0, 1), rc(1)]).proc(vec![w(1, 1), rc(0)]),
+            ProgSpec::new(ProcModel::MIXED).proc(vec![w(0, 1), rc(1)]).proc(vec![w(1, 1), rc(0)]),
         ),
         (
             "store_buffer_pram",
-            ProgSpec::new(Mode::Mixed).proc(vec![w(0, 1), rp(1)]).proc(vec![w(1, 1), rp(0)]),
+            ProgSpec::new(ProcModel::MIXED).proc(vec![w(0, 1), rp(1)]).proc(vec![w(1, 1), rp(0)]),
         ),
         (
             "causality_chain",
-            ProgSpec::new(Mode::Mixed)
+            ProgSpec::new(ProcModel::MIXED)
                 .proc(vec![w(0, 1)])
                 .proc(vec![rc(0), w(1, 2)])
                 .proc(vec![rp(1), rp(0)]),
         ),
         (
             "iriw",
-            ProgSpec::new(Mode::Mixed)
+            ProgSpec::new(ProcModel::MIXED)
                 .proc(vec![w(0, 1)])
                 .proc(vec![w(1, 1)])
                 .proc(vec![rc(0), rc(1)])
@@ -73,14 +73,14 @@ fn corpus() -> Vec<(&'static str, ProgSpec)> {
         ),
         (
             "wrc",
-            ProgSpec::new(Mode::Mixed)
+            ProgSpec::new(ProcModel::MIXED)
                 .proc(vec![w(0, 1)])
                 .proc(vec![rc(0), w(1, 1)])
                 .proc(vec![rp(1), rp(0)]),
         ),
         (
             "two_plus_two_w",
-            ProgSpec::new(Mode::Mixed)
+            ProgSpec::new(ProcModel::MIXED)
                 .proc(vec![w(0, 1), w(1, 2)])
                 .proc(vec![w(1, 1), w(0, 2)])
                 .proc(vec![rc(0), rc(0)]),
@@ -369,12 +369,36 @@ fn protocol_conforms_to_legacy_points() {
     }
 }
 
+/// The explored runs above deliver every message after the same zero
+/// latency, so a write never overtakes one it causally follows and FIFO
+/// broadcast alone looks causal there. With jittered latency it can:
+/// process 2's await reads `y` before `x` has reached it, and only the
+/// vector substrate's causal gate holds `y` back. A causal process must
+/// still never read the stale `x`.
+#[test]
+fn causal_points_hold_when_a_write_overtakes_its_cause() {
+    let jitter = mixed_consistency::LatencyModel {
+        base: mixed_consistency::SimTime::from_micros(10),
+        per_byte_ns: 0,
+        jitter: mixed_consistency::SimTime::from_micros(200),
+    };
+    let wait = |loc, value| SpecOp::Await { loc: mixed_consistency::Loc(loc), value };
+    let spec = ProgSpec::new(ProcModel::CAUSAL)
+        .proc(vec![w(0, 1)])
+        .proc(vec![wait(0, 1), w(1, 1)])
+        .proc(vec![wait(1, 1), rp(0)]);
+    for seed in 0..64 {
+        let out = spec.build_system().seed(seed).latency(jitter).run().unwrap();
+        out.verify().unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+    }
+}
+
 /// One run may mix lattice points: the observer processes run (and are
 /// judged) under different points than the writers, subsuming the
 /// paper's mixed mode as just another assignment.
 #[test]
 fn heterogeneous_assignment_explores_and_verifies() {
-    let spec = ProgSpec::new(Mode::Mixed)
+    let spec = ProgSpec::new(ProcModel::MIXED)
         .models(vec![
             ProcModel::Fixed(ModelSpec::CAUSAL),
             ProcModel::Fixed(ModelSpec::CAUSAL),

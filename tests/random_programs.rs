@@ -10,8 +10,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use mixed_consistency::{
-    check, sc, FaultPlan, Loc, LockId, LockPropagation, Mode, NodeId, ReadLabel, SimTime, System,
-    Value,
+    check, sc, FaultPlan, Loc, LockId, LockPropagation, NodeId, ProcModel, ReadLabel, SimTime,
+    System, Value,
 };
 
 /// One generated instruction.
@@ -98,7 +98,7 @@ fn execute(ctx: &mut mixed_consistency::Ctx<'_>, prog: &[Instr]) {
 }
 
 fn run_and_record(
-    mode: Mode,
+    mode: ProcModel,
     prop: LockPropagation,
     progs: &[Vec<Instr>],
     seed: u64,
@@ -119,7 +119,7 @@ fn pram_protocol_satisfies_pram_reads() {
     for seed in 0..12 {
         let progs = generate(3, 10, seed);
         for prop in LockPropagation::ALL {
-            let h = run_and_record(Mode::Pram, prop, &progs, seed);
+            let h = run_and_record(ProcModel::PRAM, prop, &progs, seed);
             if let Err(e) = check::check_pram(&h) {
                 panic!("seed {seed} {prop}: {e}\n{}", h.to_pretty_string());
             }
@@ -132,7 +132,7 @@ fn causal_protocol_satisfies_causal_reads() {
     for seed in 0..12 {
         let progs = generate(3, 10, seed);
         for prop in [LockPropagation::Eager, LockPropagation::Lazy] {
-            let h = run_and_record(Mode::Causal, prop, &progs, seed);
+            let h = run_and_record(ProcModel::CAUSAL, prop, &progs, seed);
             if let Err(e) = check::check_causal(&h) {
                 panic!("seed {seed} {prop}: {e}\n{}", h.to_pretty_string());
             }
@@ -145,7 +145,7 @@ fn mixed_protocol_satisfies_definition_4() {
     for seed in 0..12 {
         let progs = generate(4, 10, seed);
         for prop in [LockPropagation::Eager, LockPropagation::Lazy] {
-            let h = run_and_record(Mode::Mixed, prop, &progs, seed);
+            let h = run_and_record(ProcModel::MIXED, prop, &progs, seed);
             if let Err(e) = check::check_mixed(&h) {
                 panic!("seed {seed} {prop}: {e}\n{}", h.to_pretty_string());
             }
@@ -160,7 +160,7 @@ fn mixed_demand_driven_satisfies_pram_labels() {
     // judge all reads as PRAM reads here (Definition 3 must still hold).
     for seed in 0..12 {
         let progs = generate(3, 10, seed);
-        let h = run_and_record(Mode::Mixed, LockPropagation::DemandDriven, &progs, seed);
+        let h = run_and_record(ProcModel::MIXED, LockPropagation::DemandDriven, &progs, seed);
         if let Err(e) = check::check_pram(&h) {
             panic!("seed {seed}: {e}\n{}", h.to_pretty_string());
         }
@@ -173,7 +173,7 @@ fn causal_histories_are_also_pram() {
     // consistent — checked on real executions.
     for seed in 0..8 {
         let progs = generate(3, 8, seed);
-        let h = run_and_record(Mode::Causal, LockPropagation::Lazy, &progs, seed);
+        let h = run_and_record(ProcModel::CAUSAL, LockPropagation::Lazy, &progs, seed);
         check::check_causal(&h).expect("causal protocol is causal");
         check::check_pram(&h).expect("causal implies PRAM");
     }
@@ -184,7 +184,7 @@ fn sc_protocol_is_sequentially_consistent_on_small_runs() {
     for seed in 0..8 {
         // Tiny programs: the exact SC search is exponential.
         let progs = generate(2, 4, seed);
-        let h = run_and_record(Mode::Sc, LockPropagation::Lazy, &progs, seed);
+        let h = run_and_record(ProcModel::SC, LockPropagation::Lazy, &progs, seed);
         match sc::check_sequential_with_budget(&h, 4_000_000).expect("acyclic") {
             sc::ScVerdict::SequentiallyConsistent(order) => {
                 // Double-check the witness replays.
@@ -210,7 +210,7 @@ fn injected_reordering_is_caught_on_pram() {
     // must mask every one of them.
     let mut caught = false;
     for seed in 0..15 {
-        let mut sys = System::new(2, Mode::Pram)
+        let mut sys = System::new(2, ProcModel::PRAM)
             .seed(seed)
             .record(true)
             .latency(mixed_consistency::LatencyModel {
@@ -353,21 +353,22 @@ fn corpus_dir() -> std::path::PathBuf {
 /// models; an entry without one replays the legacy mixed-mode judgment.
 fn fault_case(entry: &CorpusEntry) -> Result<(), String> {
     let progs = generate(3, 8, entry.seed);
-    let mut sys = System::new(progs.len(), Mode::Mixed)
-        .seed(entry.seed)
-        .record(true)
-        .faults(entry.plan())
-        .reliable(true);
-    if let Some(models) = &entry.models {
-        if models.len() != progs.len() {
+    let models = match &entry.models {
+        Some(models) if models.len() != progs.len() => {
             return Err(format!(
                 "models names {} processes but the program has {}",
                 models.len(),
                 progs.len()
             ));
         }
-        sys = sys.models(mc_model::ModelAssignment::per_proc(models.clone()));
-    }
+        Some(models) => mc_model::ModelAssignment::per_proc(models.clone()),
+        None => mc_model::ModelAssignment::mixed(progs.len()),
+    };
+    let mut sys = System::new(progs.len(), models)
+        .seed(entry.seed)
+        .record(true)
+        .faults(entry.plan())
+        .reliable(true);
     for prog in &progs {
         let prog = prog.clone();
         sys.spawn(move |ctx| execute(ctx, &prog));
@@ -511,7 +512,7 @@ fn corpus_entries_round_trip() {
 #[test]
 fn deterministic_replay_across_identical_seeds() {
     let progs = generate(3, 12, 99);
-    for mode in [Mode::Pram, Mode::Causal, Mode::Mixed, Mode::Sc] {
+    for mode in [ProcModel::PRAM, ProcModel::CAUSAL, ProcModel::MIXED, ProcModel::SC] {
         let run = |seed| {
             let mut sys = System::new(3, mode).seed(seed);
             for prog in &progs {

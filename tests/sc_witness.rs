@@ -15,7 +15,7 @@ use mc_model::sc::{check_sequential, ScVerdict};
 use mc_model::spec::check_model;
 use mc_model::{History, HistoryBuilder, ModelAssignment, ModelSpec, ProcId, ProcModel, Value};
 use mixed_consistency::explore::{explore_with, ExploreOptions};
-use mixed_consistency::{BarrierId, Loc, LockId, LockMode, Mode, ProgSpec, ReadLabel, SpecOp};
+use mixed_consistency::{BarrierId, Loc, LockId, LockMode, ProgSpec, ReadLabel, SpecOp};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -117,7 +117,7 @@ fn program(seed: u64) -> ProgSpec {
             }
         }
     }
-    procs.into_iter().fold(ProgSpec::new(Mode::Sc), ProgSpec::proc)
+    procs.into_iter().fold(ProgSpec::new(ProcModel::SC), ProgSpec::proc)
 }
 
 #[test]
@@ -149,7 +149,7 @@ fn r(loc: u32) -> SpecOp {
 fn litmus() -> Vec<(&'static str, ProgSpec)> {
     let spec = |procs: Vec<Vec<SpecOp>>| {
         let n = procs.len();
-        procs.into_iter().fold(ProgSpec::new(Mode::Mixed), ProgSpec::proc).models(vec![SC; n])
+        procs.into_iter().fold(ProgSpec::new(ProcModel::MIXED), ProgSpec::proc).models(vec![SC; n])
     };
     vec![
         ("store_buffer", spec(vec![vec![w(0, 1), r(1)], vec![w(1, 1), r(0)]])),

@@ -16,7 +16,7 @@ use std::sync::Mutex;
 use mc_model::{ModelSpec, ProcModel};
 use mixed_consistency::explore::{explore_with, ExploreOptions, ExploreOutcome};
 use mixed_consistency::{
-    FaultPlan, Mode, NodeId, OpKind, ProgSpec, ReadLabel, ShardConfig, SimConfig, SimTime, SpecOp,
+    FaultPlan, NodeId, OpKind, ProgSpec, ReadLabel, ShardConfig, SimConfig, SimTime, SpecOp,
     System, Value,
 };
 
@@ -36,13 +36,13 @@ fn rp(loc: u32) -> SpecOp {
 
 /// Dekker's store buffer on shards 2 and 3.
 fn store_buffer() -> ProgSpec {
-    ProgSpec::new(Mode::Mixed).proc(vec![w(2, 1), rc(3)]).proc(vec![w(3, 1), rc(2)])
+    ProgSpec::new(ProcModel::MIXED).proc(vec![w(2, 1), rc(3)]).proc(vec![w(3, 1), rc(2)])
 }
 
 /// Independent reads of independent writes, the writes on shards 0
 /// and 2.
 fn iriw() -> ProgSpec {
-    ProgSpec::new(Mode::Mixed)
+    ProgSpec::new(ProcModel::MIXED)
         .proc(vec![w(0, 1)])
         .proc(vec![w(2, 1)])
         .proc(vec![rc(0), rc(2)])
@@ -51,7 +51,7 @@ fn iriw() -> ProgSpec {
 
 /// Write-to-read causality across shards 1 and 3, PRAM tail reads.
 fn wrc() -> ProgSpec {
-    ProgSpec::new(Mode::Mixed)
+    ProgSpec::new(ProcModel::MIXED)
         .proc(vec![w(1, 1)])
         .proc(vec![rc(1), w(3, 1)])
         .proc(vec![rp(3), rp(1)])
@@ -59,7 +59,7 @@ fn wrc() -> ProgSpec {
 
 /// Two writers with opposite program orders on shards 0 and 1.
 fn two_plus_two_w() -> ProgSpec {
-    ProgSpec::new(Mode::Mixed)
+    ProgSpec::new(ProcModel::MIXED)
         .proc(vec![w(0, 1), w(1, 2)])
         .proc(vec![w(1, 1), w(0, 2)])
         .proc(vec![rc(0), rc(0)])
@@ -201,7 +201,7 @@ fn dynamic_first_touch_never_invents_outcomes() {
 /// (see `replica::tests::per_write_recovery_pushes_avoid_cross_shard_chain_cycle`).
 #[test]
 fn dynamic_backfill_resolves_cross_shard_chains() {
-    let spec = ProgSpec::new(Mode::Mixed)
+    let spec = ProgSpec::new(ProcModel::MIXED)
         .proc(vec![w(0, 42), w(1, 1), w(0, 7)])
         .proc(vec![
             SpecOp::Await { loc: mixed_consistency::Loc(1), value: 1 },

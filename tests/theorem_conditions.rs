@@ -8,13 +8,15 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use mixed_consistency::model::programs;
-use mixed_consistency::{check, commute, sc, Loc, LockId, Mode, ProcId, ReadLabel, System, Value};
+use mixed_consistency::{
+    check, commute, sc, Loc, LockId, ProcId, ProcModel, ReadLabel, System, Value,
+};
 
 /// An entry-consistent random program: every location is guarded by a
 /// dedicated lock; reads take read or write locks, writes take write
 /// locks. By Corollary 1, causal reads make executions SC.
 fn entry_consistent_system(seed: u64, nprocs: usize, ops: usize) -> System {
-    let mut sys = System::new(nprocs, Mode::Causal).seed(seed).record(true);
+    let mut sys = System::new(nprocs, ProcModel::CAUSAL).seed(seed).record(true);
     for p in 0..nprocs {
         sys.spawn(move |ctx| {
             let mut rng = StdRng::seed_from_u64(seed * 31 + p as u64);
@@ -79,7 +81,7 @@ fn corollary_2_phase_programs_are_sc() {
     // A barrier phase program on PRAM memory: write-own / read-others per
     // phase.
     for seed in 0..6 {
-        let mut sys = System::new(3, Mode::Pram).seed(seed).record(true);
+        let mut sys = System::new(3, ProcModel::PRAM).seed(seed).record(true);
         for p in 0..3u32 {
             sys.spawn(move |ctx| {
                 for round in 0..3i64 {
@@ -110,7 +112,7 @@ fn corollary_2_phase_programs_are_sc() {
 fn undisciplined_program_fails_the_condition_checkers() {
     // Racy writes without locks or barriers: the discipline checkers must
     // reject (soundness of the negative direction).
-    let mut sys = System::new(2, Mode::Causal).seed(1).record(true);
+    let mut sys = System::new(2, ProcModel::CAUSAL).seed(1).record(true);
     for p in 0..2u32 {
         sys.spawn(move |ctx| {
             ctx.write(Loc(0), p as i64 + 1);
@@ -160,7 +162,7 @@ fn mixed_labels_in_one_program_judged_per_label() {
     // depending on schedule, but the mixed judgment must always pass on
     // the mixed protocol.
     for seed in 0..6 {
-        let mut sys = System::new(3, Mode::Mixed).seed(seed).record(true);
+        let mut sys = System::new(3, ProcModel::MIXED).seed(seed).record(true);
         for p in 0..3u32 {
             sys.spawn(move |ctx| {
                 ctx.write(Loc(p), p as i64 + 10);
