@@ -220,7 +220,9 @@ impl System {
 /// latency and zero per-operation cost, so deliveries and process steps
 /// *tie* in virtual time and every interleaving is reachable through
 /// tie-breaking. Use with [`explore`] via
-/// [`System::sim_config`](crate::System::sim_config).
+/// [`System::sim_config`](crate::System::sim_config). A write never
+/// overtakes one it causally follows here, so these runs cannot tell
+/// FIFO broadcast from causal delivery: test a causal gate with jitter.
 pub fn racing_config() -> mc_sim::SimConfig {
     mc_sim::SimConfig {
         seed: 0,

@@ -440,10 +440,10 @@ impl<E: Executor> System<E> {
         // diagnostic than this.
         assert_eq!(
             self.procs.len(),
-            self.cfg.nprocs,
+            self.cfg.nprocs(),
             "spawned {} processes but configured {}",
             self.procs.len(),
-            self.cfg.nprocs
+            self.cfg.nprocs()
         );
         E::run(self)
     }
@@ -565,7 +565,7 @@ impl Executor for Sim {
     fn run(system: System<Sim>) -> Result<Outcome, RunError> {
         let System { exec, cfg, record, trace, procs, .. } = system;
         let recorder: Option<Arc<Mutex<HistoryBuilder>>> =
-            record.then(|| Arc::new(Mutex::new(HistoryBuilder::new(cfg.nprocs))));
+            record.then(|| Arc::new(Mutex::new(HistoryBuilder::new(cfg.nprocs()))));
 
         let nnodes = cfg.nnodes();
         let mut dsm = Dsm::new(cfg.clone());

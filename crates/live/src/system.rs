@@ -400,9 +400,9 @@ impl Executor for Threads {
 
     fn run(system: System<Threads>) -> Result<Outcome, RunError> {
         let cfg = &system.cfg;
-        let (senders, inboxes) = (0..cfg.nprocs).map(|_| unbounded()).unzip();
+        let (senders, inboxes) = (0..cfg.nprocs()).map(|_| unbounded()).unzip();
         let managers: Vec<ManagerSlot> =
-            (cfg.nprocs..cfg.nnodes()).map(|_| ManagerSlot::default()).collect();
+            (cfg.nprocs()..cfg.nnodes()).map(|_| ManagerSlot::default()).collect();
         let net = Net {
             loss: system.exec.loss,
             seed: system.exec.seed,
@@ -443,9 +443,9 @@ where
 {
     let System { cfg, record, trace, timeout, durability_dir, procs, .. } = system;
     let nnodes = cfg.nnodes();
-    assert_eq!(inboxes.len(), cfg.nprocs, "one inbox per process");
-    assert_eq!(managers.len(), nnodes - cfg.nprocs, "one slot per manager shard");
-    let recorder = record.then(|| Arc::new(Mutex::new(HistoryBuilder::new(cfg.nprocs))));
+    assert_eq!(inboxes.len(), cfg.nprocs(), "one inbox per process");
+    assert_eq!(managers.len(), nnodes - cfg.nprocs(), "one slot per manager shard");
+    let recorder = record.then(|| Arc::new(Mutex::new(HistoryBuilder::new(cfg.nprocs()))));
     let walc = Arc::new(WalCounters::default());
     net.tracer = trace.then(|| Arc::new(Mutex::new(Tracer::new())));
 
@@ -455,7 +455,7 @@ where
     let (stop, stopped) = unbounded::<Wire>();
     let mut sweepers = Vec::new();
     for (k, slot) in managers.iter().enumerate() {
-        slot.install(net.clone(), shared.clone(), cfg.nprocs + k, record);
+        slot.install(net.clone(), shared.clone(), cfg.nprocs() + k, record);
         if cfg.reliable {
             let (slot, stopped) = (slot.clone(), stopped.clone());
             sweepers
@@ -670,9 +670,9 @@ pub fn durable_own_writes(dir: &Path, proc: ProcId, cfg: &DsmConfig) -> u32 {
     let mut replica = match &snap {
         Some(bytes) => {
             let snap = Snapshot::decode(bytes).expect("snapshot must decode");
-            Replica::from_snapshot(proc, cfg.nprocs, &snap)
+            Replica::from_snapshot(proc, cfg.nprocs(), &snap)
         }
-        None => Replica::new(proc, cfg.nprocs),
+        None => Replica::new(proc, cfg.nprocs()),
     };
     let written = snap.as_ref().map_or(0, Vec::len) + wal.len();
     let size = std::fs::metadata(rdir.join("wal.log")).map_or(0, |m| m.len());

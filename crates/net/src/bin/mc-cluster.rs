@@ -142,7 +142,7 @@ fn child(o: &Opts) -> ! {
     let node = o.node.expect("child needs --node");
     let spec = load_spec(o);
     let cfg = config_or_exit(o, spec.as_ref());
-    let nprocs = cfg.nprocs;
+    let nprocs = cfg.nprocs();
     let opts = NodeOpts {
         node,
         cfg,

@@ -49,7 +49,7 @@ impl Executor for Tcp {
 
     /// Panics if loopback sockets cannot be bound.
     fn run(system: System<Tcp>) -> Result<Outcome, RunError> {
-        let (nprocs, nnodes) = (system.cfg.nprocs, system.cfg.nnodes());
+        let (nprocs, nnodes) = (system.cfg.nprocs(), system.cfg.nnodes());
         let rt = Runtime::with_workers(0);
         let handle = rt.handle();
         // Threads started from here on are link threads and share one
@@ -191,7 +191,7 @@ pub fn run_cluster_node(
     let net = Net::new(transport.clone());
     // A manager shard is installed before its port opens: its frames run
     // it on their readers from the first one on.
-    let manager = (node >= cfg.nprocs).then(|| {
+    let manager = (node >= cfg.nprocs()).then(|| {
         let slot = ManagerSlot::default();
         slot.install(net.clone(), Arc::new(cfg.clone()), node, false);
         slot
@@ -236,7 +236,7 @@ pub fn run_cluster_node(
                 })
             })
         };
-        let mut done = vec![false; cfg.nprocs];
+        let mut done = vec![false; cfg.nprocs()];
         while done.contains(&false) {
             if let Control::Done { proc } = ev_rx.recv().expect("events channel healthy") {
                 done[proc as usize] = true;

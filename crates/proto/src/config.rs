@@ -216,9 +216,6 @@ impl ShardConfig {
 /// Configuration of a [`Dsm`](crate::Dsm) instance.
 #[derive(Clone, Debug)]
 pub struct DsmConfig {
-    /// Number of application processes (replica `i` hosts process `i`;
-    /// node `nprocs` is the manager/server).
-    pub nprocs: usize,
     models: ModelAssignment,
     substrate: Substrate,
     /// The lock-propagation variant.
@@ -273,7 +270,6 @@ impl DsmConfig {
     pub fn new(nprocs: usize, models: impl IntoModels) -> Self {
         let models = models.into_models(nprocs);
         DsmConfig {
-            nprocs,
             substrate: Substrate::of(&models),
             models,
             lock_propagation: LockPropagation::Lazy,
@@ -285,6 +281,12 @@ impl DsmConfig {
             durability: None,
             sharding: None,
         }
+    }
+
+    /// Number of application processes, one per model of the assignment
+    /// (replica `i` hosts process `i`; node `nprocs` is the first manager).
+    pub fn nprocs(&self) -> usize {
+        self.models.len()
     }
 
     /// The per-process lattice points (see [`mc_model::spec`]).
@@ -306,7 +308,7 @@ impl DsmConfig {
     /// `nprocs`.
     pub fn with_sharding(mut self, sharding: Option<ShardConfig>) -> Self {
         if let Some(sc) = &sharding {
-            assert_eq!(sc.interest.len(), self.nprocs, "one interest set per process");
+            assert_eq!(sc.interest.len(), self.nprocs(), "one interest set per process");
         }
         self.sharding = sharding;
         self
@@ -359,7 +361,7 @@ impl DsmConfig {
     ) -> Self {
         assert!(!group.is_empty(), "barrier group must be non-empty");
         assert!(
-            group.iter().all(|p| p.index() < self.nprocs),
+            group.iter().all(|p| p.index() < self.nprocs()),
             "barrier group mentions an unknown process"
         );
         self.barrier_groups.insert(barrier, group);
@@ -371,33 +373,33 @@ impl DsmConfig {
         self.barrier_groups
             .get(&barrier)
             .cloned()
-            .unwrap_or_else(|| (0..self.nprocs as u32).map(mc_model::ProcId).collect())
+            .unwrap_or_else(|| (0..self.nprocs() as u32).map(mc_model::ProcId).collect())
     }
 
     /// Total network nodes: one replica per process plus the manager
     /// shards.
     pub fn nnodes(&self) -> usize {
-        self.nprocs + self.manager_shards
+        self.nprocs() + self.manager_shards
     }
 
     /// The first manager node (shard 0; also the SC server).
     pub fn manager_node(&self) -> mc_sim::NodeId {
-        mc_sim::NodeId(self.nprocs as u32)
+        mc_sim::NodeId(self.nprocs() as u32)
     }
 
     /// The manager node owning lock `lock`.
     pub fn lock_manager_node(&self, lock: mc_model::LockId) -> mc_sim::NodeId {
-        mc_sim::NodeId((self.nprocs + lock.index() % self.manager_shards) as u32)
+        mc_sim::NodeId((self.nprocs() + lock.index() % self.manager_shards) as u32)
     }
 
     /// The manager node owning barrier object `barrier`.
     pub fn barrier_manager_node(&self, barrier: mc_model::BarrierId) -> mc_sim::NodeId {
-        mc_sim::NodeId((self.nprocs + barrier.index() % self.manager_shards) as u32)
+        mc_sim::NodeId((self.nprocs() + barrier.index() % self.manager_shards) as u32)
     }
 
     /// Returns `true` if `node` is a manager shard.
     pub fn is_manager_node(&self, node: mc_sim::NodeId) -> bool {
-        node.index() >= self.nprocs && node.index() < self.nnodes()
+        node.index() >= self.nprocs() && node.index() < self.nnodes()
     }
 }
 

@@ -133,7 +133,7 @@ impl Dsm {
     /// Creates the protocol for a configuration.
     pub fn new(cfg: DsmConfig) -> Self {
         let cfg = Arc::new(cfg);
-        let n = cfg.nprocs;
+        let n = cfg.nprocs();
         Dsm {
             nodes: (0..n as u32).map(|i| ProcNode::new(ProcId(i), cfg.clone())).collect(),
             managers: (n..cfg.nnodes())
@@ -221,7 +221,7 @@ impl Protocol for Dsm {
     fn on_message(&mut self, to: NodeId, from: NodeId, msg: Msg, net: &mut NetCtx<'_, Msg>) {
         let i = to.index();
         let io = &mut SimIo::new(to, net, &mut self.disks);
-        match i.checked_sub(self.cfg.nprocs) {
+        match i.checked_sub(self.cfg.nprocs()) {
             None => self.nodes[i].on_message(from, msg, io),
             Some(shard) => self.managers[shard].on_message(from, msg, io),
         }
@@ -239,7 +239,7 @@ impl Protocol for Dsm {
     fn on_timer(&mut self, node: NodeId, token: u64, net: &mut NetCtx<'_, Msg>) {
         let i = node.index();
         let io = &mut SimIo::new(node, net, &mut self.disks);
-        match i.checked_sub(self.cfg.nprocs) {
+        match i.checked_sub(self.cfg.nprocs()) {
             None => self.nodes[i].on_timer(token, io),
             Some(shard) => self.managers[shard].on_timer(token, io),
         }

@@ -525,7 +525,7 @@ impl ManagerNode {
     /// The manager shard running on `node`.
     pub fn new(node: NodeId, cfg: Arc<DsmConfig>) -> Self {
         ManagerNode {
-            manager: Manager::new(cfg.nprocs),
+            manager: Manager::new(cfg.nprocs()),
             links: Links::new(node, cfg.reliable),
             cfg,
         }
@@ -642,8 +642,8 @@ impl ProcNode {
              snapshots do not persist last-writer-wins tags"
         );
         let r = match snapshot {
-            Some(snap) => Replica::from_snapshot(proc, cfg.nprocs, snap),
-            None => Replica::new(proc, cfg.nprocs),
+            Some(snap) => Replica::from_snapshot(proc, cfg.nprocs(), snap),
+            None => Replica::new(proc, cfg.nprocs()),
         };
         let r = r.with_store_capacity(cfg.locations).with_coherent(coherent);
         // Sharding binds to the replicated modes only: the SC
@@ -662,7 +662,7 @@ impl ProcNode {
             None => Vec::new(),
             Some(sc) => (0..sc.nshards)
                 .map(|s| {
-                    (0..cfg.nprocs as u32)
+                    (0..cfg.nprocs() as u32)
                         .map(ProcId)
                         .filter(|&q| q != proc && sc.subscribed(q, s))
                         .collect()
@@ -836,7 +836,7 @@ impl ProcNode {
 
     /// Every other replica node, in id order.
     fn peers(&self) -> impl Iterator<Item = NodeId> {
-        let (n, me) = (self.cfg.nprocs as u32, self.proc.0);
+        let (n, me) = (self.cfg.nprocs() as u32, self.proc.0);
         (0..n).filter(move |&j| j != me).map(NodeId)
     }
 
@@ -925,7 +925,7 @@ impl ProcNode {
     /// the wire, as absolute values. FIFO delivery (native or restored
     /// by the session layer) keeps both shadow clocks in lockstep.
     fn batch_delta(&mut self, to: NodeId, deps: &VClock) -> Vec<(ProcId, u32)> {
-        let nprocs = self.cfg.nprocs;
+        let nprocs = self.cfg.nprocs();
         let prev = self.link_clock_out.entry(to).or_insert_with(|| VClock::new(nprocs));
         let changed: Vec<(ProcId, u32)> = (0..nprocs as u32)
             .map(ProcId)
@@ -1239,7 +1239,7 @@ impl ProcNode {
                 assert_eq!(held, Some(mode), "{p} unlocks {lock} with wrong mode");
                 let eager_flush = self.cfg.lock_propagation == LockPropagation::Eager
                     && self.cfg.substrate().is_replicated()
-                    && self.cfg.nprocs > 1;
+                    && self.cfg.nprocs() > 1;
                 if eager_flush {
                     // Buffered updates must precede the flush probes on
                     // every link, or peers could never reach `upto`.
@@ -1412,7 +1412,7 @@ impl ProcNode {
                 Some(Resp::Done)
             }
             Blocked::UnlockFlush { lock } => {
-                if self.flush_acks != self.cfg.nprocs - 1 {
+                if self.flush_acks != self.cfg.nprocs() - 1 {
                     return None;
                 }
                 self.flush_acks = 0;
@@ -1543,7 +1543,7 @@ impl ProcNode {
                 // receiver, pre-crash in-flight dies with the crash), so
                 // even a ghost's delta must advance the shadow to keep
                 // it in lock-step with the sender's.
-                let nprocs = self.cfg.nprocs;
+                let nprocs = self.cfg.nprocs();
                 let deps = delta.map(|dv| {
                     let prev =
                         self.link_clock_in.entry(from).or_insert_with(|| VClock::new(nprocs));

@@ -1,11 +1,11 @@
 //! Fibers: bodies that suspend and resume on the thread that drives them.
 //!
-//! A [`Fiber`] runs a body on a stack of its own. [`Fiber::resume`] runs
-//! it until the body calls [`yield_now`] or returns, and `yield_now`
-//! hands control back to whoever resumed it. A body may itself resume
-//! other fibers (a simulation run inside a process body): each yield
-//! returns to its own resumer, and the resumer's context is restored
-//! after it.
+//! A [`Fiber`] runs a body on a stack of its own. [`Fiber::resume`] hands
+//! it a value and runs it until the body suspends through the [`Yielder`]
+//! it was given, or returns; either way `resume` returns what the body
+//! handed back. A body may itself resume other fibers (a simulation run
+//! inside a process body): each suspends to its own resumer, and the
+//! resumer's context is restored after it.
 //!
 //! Two backends offer the same interface, chosen by target:
 //!
@@ -14,10 +14,12 @@
 //!   the thread keeps for its next fiber once this one is done. A
 //!   switch is a function call that saves one side's callee-saved
 //!   registers, MXCSR and x87 control word on its stack and restores the
-//!   other side's: no system call, no thread.
+//!   other side's: no system call, no thread. The values cross in the
+//!   fiber's own slots.
 //! * **every other target** (`thread`): the body runs on a thread of its
-//!   own with a 2 MiB stack, and the resumer and the fiber hand the turn
-//!   back and forth under a mutex, so exactly one of them runs at a time.
+//!   own with a 2 MiB stack, and the resumer and the fiber hand the turn,
+//!   and the value with it, back and forth under a mutex, so exactly one
+//!   of them runs at a time.
 //!
 //! A body that overflows its stack hits the guard page and the process
 //! dies of `SIGSEGV` (std names the thread only for a thread's own stack).
@@ -29,9 +31,9 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
-pub(crate) use stack::{yield_now, Fiber};
+pub(crate) use stack::{Fiber, Yielder};
 #[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
-pub(crate) use thread::{yield_now, Fiber};
+pub(crate) use thread::{Fiber, Yielder};
 
 /// The usable size of a fiber's stack: the default of a spawned thread.
 const STACK_SIZE: usize = 2 << 20;
@@ -49,15 +51,19 @@ pub fn live_fiber_stacks() -> usize {
 
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 mod stack {
-    use std::any::Any;
-    use std::cell::{Cell, RefCell};
+    use std::cell::RefCell;
     use std::ffi::{c_int, c_void};
     use std::io;
     use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
     use std::ptr;
     use std::sync::atomic::Ordering;
+    use std::thread;
 
     use super::{LIVE_STACKS, STACK_SIZE};
+
+    /// A body: run with the value of the first resume and its fiber's
+    /// [`Yielder`], it returns what the last resume returns.
+    type Body<I, O> = Box<dyn FnOnce(I, Yielder<I, O>) -> O + Send>;
 
     const PAGE: usize = 4096;
     /// Spare stacks a thread keeps: enough for the processes of a run and
@@ -95,9 +101,10 @@ mod stack {
     // and returns into it.
     //
     // `mc_sim_fiber_start` is where a new fiber's first switch returns:
-    // it calls `fiber_main` with the fiber's `Inner`, which `new` left in
-    // r12. Its CFI marks the return address undefined, so an unwinder or
-    // a backtrace stops there: the fiber's stack ends at its first frame.
+    // it calls the fiber's `fiber_main`, which `new` left in r13, with
+    // its `Inner`, left in r12. Its CFI marks the return address
+    // undefined, so an unwinder or a backtrace stops there: the fiber's
+    // stack ends at its first frame.
     std::arch::global_asm!(
         ".pushsection .text.mc_sim_fiber,\"ax\",@progbits",
         ".p2align 4",
@@ -135,12 +142,11 @@ mod stack {
         ".cfi_startproc",
         ".cfi_undefined rip",
         "mov rdi, r12",
-        "call {main}",
+        "call r13",
         "ud2",
         ".cfi_endproc",
         ".size mc_sim_fiber_start, . - mc_sim_fiber_start",
         ".popsection",
-        main = sym fiber_main,
     );
 
     extern "C" {
@@ -149,22 +155,23 @@ mod stack {
     }
 
     thread_local! {
-        /// The fiber running on this thread; null on the thread's own stack.
-        static CURRENT: Cell<*mut Inner> = const { Cell::new(ptr::null_mut()) };
         /// Stacks of this thread's finished fibers, for its next ones.
         static SPARE_STACKS: RefCell<Vec<Stack>> = const { RefCell::new(Vec::new()) };
     }
 
     /// What a fiber's resumer and its own stack share.
-    struct Inner {
+    struct Inner<I, O> {
         /// The fiber's stack pointer while it is suspended.
         sp: *mut u8,
         /// The resumer's stack pointer while the fiber runs.
         back: *mut u8,
         /// The body, until the fiber starts.
-        body: Option<Box<dyn FnOnce() + Send>>,
-        /// The body's panic, until `resume` re-raises it.
-        panic: Option<Box<dyn Any + Send>>,
+        body: Option<Body<I, O>>,
+        /// What the fiber is resumed with, until it takes it.
+        input: Option<I>,
+        /// What the body yielded or returned, or its panic, until
+        /// `resume` takes it.
+        output: Option<thread::Result<O>>,
         done: bool,
     }
 
@@ -224,36 +231,39 @@ mod stack {
         }
     }
 
-    /// A body with a stack of its own, run on the resumer's thread.
-    pub(crate) struct Fiber {
+    /// A body with a stack of its own, run on the resumer's thread: it
+    /// is resumed with `I`s and hands back `O`s.
+    pub(crate) struct Fiber<I, O> {
         /// Owned: freed by `Drop`, unless the fiber is suspended inside its
         /// body, whose frames point at it.
-        inner: *mut Inner,
+        inner: *mut Inner<I, O>,
         stack: Option<Stack>,
     }
 
-    impl Fiber {
+    impl<I: Send + 'static, O: Send + 'static> Fiber<I, O> {
         /// A fiber that will run `body` when first resumed.
-        pub(crate) fn new(body: impl FnOnce() + Send + 'static) -> Fiber {
+        pub(crate) fn new(body: impl FnOnce(I, Yielder<I, O>) -> O + Send + 'static) -> Self {
             let stack = Stack::take();
             let inner = Box::into_raw(Box::new(Inner {
                 sp: ptr::null_mut(),
                 back: ptr::null_mut(),
-                body: Some(Box::new(body)),
-                panic: None,
+                body: Some(Box::new(body) as Body<I, O>),
+                input: None,
+                output: None,
                 done: false,
             }));
+            let main: extern "C" fn(*mut Inner<I, O>) -> ! = fiber_main::<I, O>;
             // The frame `mc_sim_fiber_switch` pops: control words, r15, r14,
-            // r13, r12 (the fiber's `Inner`), rbx, rbp (zero: the end of
-            // the frame-pointer chain), and the return address. It sits so
-            // that `mc_sim_fiber_start` runs with a 16-byte aligned stack,
-            // whose `call` then gives `fiber_main` the alignment of any
-            // function entry.
+            // r13 (`fiber_main`), r12 (the fiber's `Inner`), rbx, rbp (zero:
+            // the end of the frame-pointer chain), and the return address.
+            // It sits so that `mc_sim_fiber_start` runs with a 16-byte
+            // aligned stack, whose `call` then gives `fiber_main` the
+            // alignment of any function entry.
             let frame: [u64; 8] = [
                 MXCSR | FPU_CW << 32,
                 0,
                 0,
-                0,
+                main as usize as u64,
                 inner as u64,
                 0,
                 0,
@@ -270,27 +280,28 @@ mod stack {
             Fiber { inner, stack: Some(stack) }
         }
 
-        /// Runs the fiber until its body yields or returns.
+        /// Runs the fiber with `input` until its body suspends or
+        /// returns, and returns what it handed back.
         ///
         /// # Panics
         ///
         /// Re-raises a panic of the body; panics if the fiber is done.
-        pub(crate) fn resume(&mut self) {
+        pub(crate) fn resume(&mut self, input: I) -> O {
             let inner = self.inner;
             // SAFETY: `inner` lives as long as `self`, and the fiber is
-            // suspended, so nothing else reads or writes it.
-            assert!(unsafe { !(*inner).done }, "resumed a finished fiber");
-            let outer = CURRENT.replace(inner);
-            // SAFETY: `sp` is the fiber's suspended context: the frame
-            // `new` built, or the one its last `yield_now` saved. The
-            // resumer's context is saved in `back`, which is where the
-            // fiber's next switch returns, so this call returns normally.
-            unsafe { mc_sim_fiber_switch(&raw mut (*inner).back, (*inner).sp) };
-            CURRENT.set(outer);
-            // SAFETY: the fiber is suspended or done again.
-            if let Some(payload) = unsafe { (*inner).panic.take() } {
-                resume_unwind(payload);
-            }
+            // suspended, so nothing else reads or writes it. `sp` is its
+            // suspended context: the frame `new` built, or the one its
+            // last `suspend` saved. The resumer's context is saved in
+            // `back`, which is where the fiber's next switch returns, so
+            // the call returns normally, with the fiber suspended or done
+            // again and its output stored.
+            let output = unsafe {
+                assert!(!(*inner).done, "resumed a finished fiber");
+                (*inner).input = Some(input);
+                mc_sim_fiber_switch(&raw mut (*inner).back, (*inner).sp);
+                (*inner).output.take()
+            };
+            output.expect("a fiber hands back a value").unwrap_or_else(|p| resume_unwind(p))
         }
 
         /// Whether the body has returned (or panicked).
@@ -301,12 +312,12 @@ mod stack {
         }
     }
 
-    impl Drop for Fiber {
+    impl<I, O> Drop for Fiber<I, O> {
         fn drop(&mut self) {
             // SAFETY: the fiber is not running, as above.
-            let started = unsafe { (*self.inner).body.is_none() };
+            let (started, done) = unsafe { ((*self.inner).body.is_none(), (*self.inner).done) };
             let stack = self.stack.take().expect("held until the fiber drops");
-            if started && !self.is_done() {
+            if started && !done {
                 // Frames on the stack point at `inner` and at whatever the
                 // body holds: keep both for ever rather than free them.
                 std::mem::forget(stack);
@@ -319,33 +330,45 @@ mod stack {
         }
     }
 
-    /// Suspends the running fiber and returns to its resumer; returns when
-    /// the fiber is resumed again.
-    ///
-    /// # Panics
-    ///
-    /// Panics outside a fiber.
-    pub(crate) fn yield_now() {
-        let inner = CURRENT.get();
-        assert!(!inner.is_null(), "yield_now outside a fiber");
-        // SAFETY: `inner` belongs to the fiber running now, whose resumer
-        // saved its context in `back`; the fiber's own is saved in `sp`,
-        // where its next `resume` returns, so this call returns normally.
-        unsafe { mc_sim_fiber_switch(&raw mut (*inner).sp, (*inner).back) };
+    /// A running body's way back to its resumer. Only `fiber_main` makes
+    /// one, for the body it starts; it is neither `Send` nor `Clone`, and
+    /// the body must keep it to itself, so that `suspend` is only ever
+    /// called while that body runs. (The kernel moves it into the
+    /// `ProcCtx` it lends the process body and never hands it out.)
+    pub(crate) struct Yielder<I, O> {
+        inner: *mut Inner<I, O>,
     }
 
-    /// A fiber's first frame: runs the body, records how it ended, and
+    impl<I, O> Yielder<I, O> {
+        /// Suspends the fiber, handing `output` to its resumer; returns
+        /// what the fiber is next resumed with.
+        pub(crate) fn suspend(&mut self, output: O) -> I {
+            let inner = self.inner;
+            // SAFETY: `inner` belongs to the fiber running now (only its
+            // body holds this `Yielder`: see above), whose resumer saved
+            // its context in `back`; the fiber's own is saved in `sp`,
+            // where its next `resume` returns, after storing its input.
+            unsafe {
+                (*inner).output = Some(Ok(output));
+                mc_sim_fiber_switch(&raw mut (*inner).sp, (*inner).back);
+                (*inner).input.take().expect("a fiber is resumed with a value")
+            }
+        }
+    }
+
+    /// A fiber's first frame: runs the body, stores how it ended, and
     /// switches back for good.
-    extern "C" fn fiber_main(inner: *mut Inner) -> ! {
+    extern "C" fn fiber_main<I, O>(inner: *mut Inner<I, O>) -> ! {
         // SAFETY: `mc_sim_fiber_start` passes the `Inner` that `new`
-        // stored in the frame, alive while the fiber runs. Every local
-        // is moved or dropped before the last switch, so freeing the
-        // stack afterwards drops nothing.
+        // stored in the frame, alive while the fiber runs, and `resume`
+        // stored the first input in it. Every local is moved or dropped
+        // before the last switch, so freeing the stack afterwards drops
+        // nothing.
         unsafe {
             let body = (*inner).body.take().expect("a fiber starts once");
-            if let Err(payload) = catch_unwind(AssertUnwindSafe(body)) {
-                (*inner).panic = Some(payload);
-            }
+            let input = (*inner).input.take().expect("a fiber is resumed with a value");
+            let yielder = Yielder { inner };
+            (*inner).output = Some(catch_unwind(AssertUnwindSafe(|| body(input, yielder))));
             (*inner).done = true;
             let mut finished = ptr::null_mut();
             mc_sim_fiber_switch(&mut finished, (*inner).back);
@@ -357,104 +380,115 @@ mod stack {
 
 #[cfg(any(test, not(all(target_arch = "x86_64", target_os = "linux"))))]
 mod thread {
-    use std::any::Any;
-    use std::cell::RefCell;
+    use std::marker::PhantomData;
     use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
     use std::sync::atomic::Ordering;
-    use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+    use std::sync::{Arc, Condvar, Mutex};
     use std::thread::{self, JoinHandle};
 
     use super::{LIVE_STACKS, STACK_SIZE};
 
-    /// Whose turn it is to run.
-    enum Turn {
-        Resumer,
-        Fiber,
-        /// The body has ended, with its panic if it panicked.
-        Done(Option<Box<dyn Any + Send>>),
+    /// A body, as on the stack backend.
+    type Body<I, O> = Box<dyn FnOnce(I, Yielder<I, O>) -> O + Send>;
+
+    /// Whose turn it is to run, and what it was handed.
+    enum Turn<I, O> {
+        /// Whoever runs has taken what it was handed.
+        Taken,
+        /// The fiber's turn: it is resumed with this.
+        Fiber(I),
+        /// The resumer's turn: what the body handed back (or its panic),
+        /// and whether it has ended.
+        Resumer(thread::Result<O>, bool),
     }
 
     /// The turn a fiber and its resumer pass between them.
-    struct Baton {
-        turn: Mutex<Turn>,
+    struct Shared<I, O> {
+        turn: Mutex<Turn<I, O>>,
         changed: Condvar,
     }
 
-    impl Baton {
+    impl<I, O> Shared<I, O> {
         /// Gives the turn to the other side.
-        fn hand_over(&self, to: Turn) {
+        fn hand_over(&self, to: Turn<I, O>) {
             *self.turn.lock().expect("fiber turn lock") = to;
             self.changed.notify_all();
         }
 
-        /// Waits until it is the fiber's turn (`fiber`) or not.
-        fn wait_for(&self, fiber: bool) -> MutexGuard<'_, Turn> {
+        /// Waits for the fiber's turn (`fiber`) or the resumer's, and
+        /// takes what came with it.
+        fn take(&self, fiber: bool) -> Turn<I, O> {
             let turn = self.turn.lock().expect("fiber turn lock");
-            self.changed
-                .wait_while(turn, |t| matches!(t, Turn::Fiber) != fiber)
-                .expect("fiber turn lock")
+            let mut turn = self
+                .changed
+                .wait_while(turn, |t| match t {
+                    Turn::Taken => true,
+                    Turn::Fiber(_) => !fiber,
+                    Turn::Resumer(..) => fiber,
+                })
+                .expect("fiber turn lock");
+            std::mem::replace(&mut *turn, Turn::Taken)
+        }
+
+        /// The fiber's side of [`Shared::take`].
+        fn take_input(&self) -> I {
+            match self.take(true) {
+                Turn::Fiber(input) => input,
+                _ => unreachable!("the fiber's turn comes with an input"),
+            }
         }
     }
 
-    thread_local! {
-        /// The baton of the fiber whose thread this is.
-        static CURRENT: RefCell<Option<Arc<Baton>>> = const { RefCell::new(None) };
-    }
-
     /// A body on a thread of its own, which runs only while its resumer
-    /// waits.
-    pub(crate) struct Fiber {
-        baton: Arc<Baton>,
-        body: Option<Box<dyn FnOnce() + Send>>,
+    /// waits: it is resumed with `I`s and hands back `O`s.
+    pub(crate) struct Fiber<I, O> {
+        shared: Arc<Shared<I, O>>,
+        body: Option<Body<I, O>>,
         thread: Option<JoinHandle<()>>,
         done: bool,
     }
 
-    impl Fiber {
+    impl<I: Send + 'static, O: Send + 'static> Fiber<I, O> {
         /// A fiber that will run `body` when first resumed.
-        pub(crate) fn new(body: impl FnOnce() + Send + 'static) -> Fiber {
-            let baton =
-                Arc::new(Baton { turn: Mutex::new(Turn::Resumer), changed: Condvar::new() });
-            Fiber { baton, body: Some(Box::new(body)), thread: None, done: false }
+        pub(crate) fn new(body: impl FnOnce(I, Yielder<I, O>) -> O + Send + 'static) -> Self {
+            let shared =
+                Arc::new(Shared { turn: Mutex::new(Turn::Taken), changed: Condvar::new() });
+            Fiber { shared, body: Some(Box::new(body)), thread: None, done: false }
         }
 
-        /// Runs the fiber until its body yields or returns.
+        /// Runs the fiber with `input` until its body suspends or
+        /// returns, and returns what it handed back.
         ///
         /// # Panics
         ///
         /// Re-raises a panic of the body; panics if the fiber is done.
-        pub(crate) fn resume(&mut self) {
+        pub(crate) fn resume(&mut self, input: I) -> O {
             assert!(!self.done, "resumed a finished fiber");
             if let Some(body) = self.body.take() {
-                let baton = self.baton.clone();
+                let shared = self.shared.clone();
                 let thread = thread::Builder::new()
                     .stack_size(STACK_SIZE)
                     .spawn(move || {
-                        drop(baton.wait_for(true));
-                        CURRENT.with(|c| *c.borrow_mut() = Some(baton.clone()));
-                        let panic = catch_unwind(AssertUnwindSafe(body)).err();
-                        baton.hand_over(Turn::Done(panic));
+                        let input = shared.take_input();
+                        let yielder = Yielder { shared: shared.clone(), not_send: PhantomData };
+                        let result = catch_unwind(AssertUnwindSafe(|| body(input, yielder)));
+                        shared.hand_over(Turn::Resumer(result, true));
                     })
                     .expect("fiber thread spawn");
                 LIVE_STACKS.fetch_add(1, Ordering::Relaxed);
                 self.thread = Some(thread);
             }
-            self.baton.hand_over(Turn::Fiber);
-            let mut turn = self.baton.wait_for(false);
-            let Turn::Done(panic) = std::mem::replace(&mut *turn, Turn::Resumer) else {
-                return;
+            self.shared.hand_over(Turn::Fiber(input));
+            let Turn::Resumer(output, done) = self.shared.take(false) else {
+                unreachable!("the resumer's turn comes with an output")
             };
-            drop(turn);
-            self.done = true;
-            self.thread
-                .take()
-                .expect("a started fiber")
-                .join()
-                .expect("the body's panic is caught");
-            LIVE_STACKS.fetch_sub(1, Ordering::Relaxed);
-            if let Some(payload) = panic {
-                resume_unwind(payload);
+            if done {
+                self.done = true;
+                let thread = self.thread.take().expect("a started fiber");
+                thread.join().expect("the body's panic is caught");
+                LIVE_STACKS.fetch_sub(1, Ordering::Relaxed);
             }
+            output.unwrap_or_else(|payload| resume_unwind(payload))
         }
 
         /// Whether the body has returned (or panicked).
@@ -463,16 +497,21 @@ mod thread {
         }
     }
 
-    /// Suspends the running fiber and returns to its resumer; returns when
-    /// the fiber is resumed again.
-    ///
-    /// # Panics
-    ///
-    /// Panics outside a fiber.
-    pub(crate) fn yield_now() {
-        let baton = CURRENT.with(|c| c.borrow().clone()).expect("yield_now outside a fiber");
-        baton.hand_over(Turn::Resumer);
-        drop(baton.wait_for(true));
+    /// A running body's way back to its resumer, kept to itself by the
+    /// body it was made for, as on the stack backend.
+    pub(crate) struct Yielder<I, O> {
+        shared: Arc<Shared<I, O>>,
+        /// As on the stack backend.
+        not_send: PhantomData<*const ()>,
+    }
+
+    impl<I, O> Yielder<I, O> {
+        /// Suspends the fiber, handing `output` to its resumer; returns
+        /// what the fiber is next resumed with.
+        pub(crate) fn suspend(&mut self, output: O) -> I {
+            self.shared.hand_over(Turn::Resumer(Ok(output), false));
+            self.shared.take_input()
+        }
     }
 }
 
@@ -504,7 +543,7 @@ pub(crate) mod tests {
                 use std::panic::{catch_unwind, AssertUnwindSafe};
                 use std::sync::{Arc, Mutex};
 
-                use crate::fiber::$backend::{yield_now, Fiber};
+                use crate::fiber::$backend::{Fiber, Yielder};
 
                 fn log() -> (Arc<Mutex<Vec<&'static str>>>, Arc<Mutex<Vec<&'static str>>>) {
                     let log = Arc::new(Mutex::new(Vec::new()));
@@ -514,11 +553,11 @@ pub(crate) mod tests {
                 #[test]
                 fn resume_runs_to_each_yield_then_to_the_end() {
                     let (log, seen) = log();
-                    let mut fiber = Fiber::new(move || {
+                    let mut fiber = Fiber::new(move |(), mut y: Yielder<(), ()>| {
                         log.lock().unwrap().push("a");
-                        yield_now();
+                        y.suspend(());
                         log.lock().unwrap().push("b");
-                        yield_now();
+                        y.suspend(());
                         log.lock().unwrap().push("c");
                     });
                     assert!(
@@ -529,20 +568,34 @@ pub(crate) mod tests {
                         [["a"].as_slice(), &["a", "b"], &["a", "b", "c"]].into_iter().enumerate()
                     {
                         assert!(!fiber.is_done(), "step {step}");
-                        fiber.resume();
+                        fiber.resume(());
                         assert_eq!(*seen.lock().unwrap(), expected, "step {step}");
                     }
                     assert!(fiber.is_done());
                 }
 
                 #[test]
+                fn values_cross_each_switch_both_ways() {
+                    let mut fiber = Fiber::new(|first: u32, mut y: Yielder<u32, String>| {
+                        let second = y.suspend(format!("got {first}"));
+                        let third = y.suspend(format!("got {second}"));
+                        format!("sum {}", first + second + third)
+                    });
+                    assert_eq!(fiber.resume(1), "got 1");
+                    assert_eq!(fiber.resume(20), "got 20");
+                    assert!(!fiber.is_done());
+                    assert_eq!(fiber.resume(300), "sum 321");
+                    assert!(fiber.is_done());
+                }
+
+                #[test]
                 fn a_panic_in_the_body_reaches_the_resumer() {
-                    let mut fiber = Fiber::new(|| {
-                        yield_now();
+                    let mut fiber = Fiber::new(|(), mut y: Yielder<(), ()>| {
+                        y.suspend(());
                         std::panic::panic_any(7u32);
                     });
-                    fiber.resume();
-                    let payload = catch_unwind(AssertUnwindSafe(|| fiber.resume())).unwrap_err();
+                    fiber.resume(());
+                    let payload = catch_unwind(AssertUnwindSafe(|| fiber.resume(()))).unwrap_err();
                     assert_eq!(payload.downcast_ref::<u32>(), Some(&7));
                     assert!(fiber.is_done());
                 }
@@ -550,23 +603,23 @@ pub(crate) mod tests {
                 #[test]
                 fn a_fiber_resumes_fibers_of_its_own() {
                     let (log, seen) = log();
-                    let mut outer = Fiber::new(move || {
+                    let mut outer = Fiber::new(move |(), mut y: Yielder<(), ()>| {
                         let inner_log = log.clone();
-                        let mut inner = Fiber::new(move || {
+                        let mut inner = Fiber::new(move |(), mut y: Yielder<(), ()>| {
                             inner_log.lock().unwrap().push("inner 1");
-                            yield_now();
+                            y.suspend(());
                             inner_log.lock().unwrap().push("inner 2");
                         });
-                        inner.resume();
+                        inner.resume(());
                         log.lock().unwrap().push("outer between");
-                        yield_now();
-                        inner.resume();
+                        y.suspend(());
+                        inner.resume(());
                         assert!(inner.is_done());
                         log.lock().unwrap().push("outer end");
                     });
-                    outer.resume();
+                    outer.resume(());
                     assert_eq!(*seen.lock().unwrap(), ["inner 1", "outer between"]);
-                    outer.resume();
+                    outer.resume(());
                     assert_eq!(
                         *seen.lock().unwrap(),
                         ["inner 1", "outer between", "inner 2", "outer end"]
@@ -576,23 +629,19 @@ pub(crate) mod tests {
 
                 #[test]
                 fn a_body_recurses_through_a_mebibyte() {
-                    let depth = Arc::new(Mutex::new(0));
-                    let out = depth.clone();
-                    let mut fiber =
-                        Fiber::new(move || *out.lock().unwrap() = super::recurse(1 << 20));
-                    fiber.resume();
+                    let mut fiber = Fiber::new(|(), _: Yielder<(), usize>| super::recurse(1 << 20));
+                    assert!(fiber.resume(()) > 0);
                     assert!(fiber.is_done());
-                    assert!(*depth.lock().unwrap() > 0);
                 }
 
                 #[test]
                 fn a_backtrace_inside_a_fiber_ends_cleanly() {
-                    let mut fiber = Fiber::new(|| {
+                    let mut fiber = Fiber::new(|(), _: Yielder<(), ()>| {
                         let trace = std::backtrace::Backtrace::force_capture();
                         assert!(!trace.to_string().is_empty());
                         panic!("after the backtrace");
                     });
-                    let payload = catch_unwind(AssertUnwindSafe(|| fiber.resume())).unwrap_err();
+                    let payload = catch_unwind(AssertUnwindSafe(|| fiber.resume(()))).unwrap_err();
                     assert_eq!(payload.downcast_ref::<&str>(), Some(&"after the backtrace"));
                 }
 
@@ -606,14 +655,16 @@ pub(crate) mod tests {
                     }
                     let dropped = Arc::new(Mutex::new(false));
                     let flag = Flag(dropped.clone());
-                    let fiber = Fiber::new(move || drop(flag));
+                    let fiber = Fiber::new(move |(), _: Yielder<(), ()>| drop(flag));
                     drop(fiber);
                     assert!(*dropped.lock().unwrap());
                 }
 
                 #[test]
-                fn yield_now_outside_a_fiber_panics() {
-                    assert!(catch_unwind(yield_now).is_err());
+                fn resuming_a_finished_fiber_panics() {
+                    let mut fiber = Fiber::new(|(), _: Yielder<(), ()>| {});
+                    fiber.resume(());
+                    assert!(catch_unwind(AssertUnwindSafe(|| fiber.resume(()))).is_err());
                 }
             }
         };

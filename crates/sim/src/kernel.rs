@@ -3,21 +3,15 @@
 //!
 //! Processes are ordinary Rust closures, each run as a *fiber*: a body
 //! with a stack of its own that suspends and resumes on the thread that
-//! calls [`Kernel::run`]. On x86_64 Linux a switch between fibers is a
-//! function call that swaps stacks and callee-saved registers; on every
-//! other target each fiber is backed by a thread that runs only while its
-//! resumer waits (`fiber.rs`). Either way **exactly one process runs at a
-//! time**, from its first instruction on. The kernel's state (`Core`)
-//! sits behind one lock, and the running process — the one holding the
-//! *baton* — drives it. A syscall stores its request in the core and asks
-//! what runs next (`Core::next`): a queued resumption, else the next
-//! unstarted process, else the outcome of one more scheduling step. If
-//! that is the caller's own resumption, the syscall returns at once.
-//! Otherwise the caller leaves the hand-off (who runs next, and with
-//! what) in the core and yields to `Kernel::run`, which resumes that
-//! process: at most one hand-off per syscall. When the run ends,
-//! `Kernel::run` resumes every process still inside its body with a
-//! shutdown, which unwinds it.
+//! calls [`Kernel::run`] (`fiber.rs`; off x86_64 Linux each fiber is
+//! backed by a thread that runs only while its resumer waits), so
+//! **exactly one process runs at a time**, from its first instruction on.
+//! `Kernel::run` owns the kernel's state (`Core`) and runs one loop: it
+//! resumes the process that `Core::next` names — a queued resumption,
+//! else the next unstarted process, else whoever one more scheduling step
+//! resumes — and hands the core what that process yields: a syscall, its
+//! exit or its panic. When the run ends, it resumes every process still
+//! inside its body with a shutdown, which unwinds it.
 //!
 //! The core interleaves syscalls and message deliveries by minimum virtual
 //! time with seeded tie-breaking, so a run is a pure function of
@@ -29,12 +23,11 @@ use std::cmp::Reverse;
 use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex, MutexGuard};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::fiber::{self, Fiber};
+use crate::fiber::{Fiber, Yielder};
 use crate::metrics::Metrics;
 use crate::net::{Delivery, NetCtx, Network, NodeId, SimConfig};
 use crate::schedule::{ActionId, RandomSchedule, Schedule, Touch};
@@ -75,12 +68,12 @@ pub enum Poll<R> {
 ///
 /// One `Protocol` value owns the state of *all* nodes (replicas and
 /// managers); the kernel tells it which node an event concerns. This keeps
-/// the trait object-free and lets protocols share lookup tables. Where
-/// processes are backed by threads, the kernel runs on whichever of them
-/// holds the baton, so the value moves between threads: hence `Send`.
-pub trait Protocol: Send + 'static {
+/// the trait object-free and lets protocols share lookup tables. Requests
+/// and responses pass between a process and the kernel, which may be two
+/// threads (`fiber.rs`): hence their `Send`.
+pub trait Protocol: 'static {
     /// Network message payload.
-    type Msg: Send + 'static;
+    type Msg: 'static;
     /// Syscall request issued by processes.
     type Req: Send + 'static;
     /// Syscall response returned to processes.
@@ -170,91 +163,25 @@ enum Wake<R> {
 /// A process body, as handed to [`Kernel::spawn`].
 type Body<P> = Box<dyn FnOnce(&mut ProcCtx<P>) + Send>;
 
-/// How a run ended: its result, or (`Err`) the payload of a panic in
-/// protocol code, which [`Kernel::run`] re-raises.
-type Ending = std::thread::Result<Result<(), SimError>>;
-
-/// The kernel state, shared by the caller of [`Kernel::run`] and the
-/// process fibers. Whoever runs holds the baton: it drives the core.
-struct Baton<P: Protocol> {
-    core: Mutex<Core<P>>,
+/// What a process hands the kernel each time it stops running.
+struct Stop<Req> {
+    /// Its next syscall, or `None` once its body has returned.
+    req: Option<Req>,
+    /// The compute time it charged since it last stopped.
+    cost: SimTime,
 }
 
-impl<P: Protocol> Baton<P> {
-    fn lock(&self) -> MutexGuard<'_, Core<P>> {
-        // A protocol panic is caught before the guard drops, and nothing
-        // else panics under it, so the lock is never poisoned.
-        self.core.lock().expect("kernel lock")
-    }
-
-    /// Locks the core of a run that has not ended.
-    ///
-    /// # Panics
-    ///
-    /// Panics if it has: the caller is a process unwinding a shutdown.
-    fn lock_live(&self) -> MutexGuard<'_, Core<P>> {
-        let core = self.lock();
-        if core.ended.is_some() {
-            drop(core);
-            panic!("kernel alive");
-        }
-        core
-    }
-
-    /// Runs the kernel on behalf of process `me` (the caller of
-    /// [`Kernel::run`], if out of range) until something is due to run.
-    /// Returns `me`'s own resumption when that is next; otherwise leaves
-    /// the hand-off to whoever is, or the run's ending, in the core.
-    fn pass(&self, mut core: MutexGuard<'_, Core<P>>, me: usize) -> Option<P::Resp> {
-        match catch_unwind(AssertUnwindSafe(|| core.next())) {
-            Ok(Next::Run(to, Wake::Resume(resp))) if to == me => return Some(resp),
-            Ok(Next::Run(to, wake)) => core.handoff = Some((to, wake)),
-            Ok(Next::Over(result)) => core.ended = Some(Ok(result)),
-            Err(payload) => core.ended = Some(Err(payload)),
-        }
-        None
-    }
-
-    /// The process the baton was last passed to, if the run goes on.
-    fn due(&self) -> Option<usize> {
-        self.lock().handoff.as_ref().map(|&(to, _)| to)
-    }
-
-    /// Takes the wake that process `me` was resumed with.
-    fn take_wake(&self, me: usize) -> Wake<P::Resp> {
-        let (to, wake) = self.lock().handoff.take().expect("resumed by a hand-off");
-        debug_assert_eq!(to, me, "resumed the process the baton went to");
-        wake
-    }
-
-    /// The life of process `me`'s fiber: start (or not) as its first
-    /// wake says, run `body`, then pass the baton on — or end the run
-    /// with its panic.
-    fn process(self: Arc<Self>, me: usize, body: Body<P>) {
-        match self.take_wake(me) {
-            Wake::Start => {}
-            Wake::Shutdown => return,
-            Wake::Resume(_) => unreachable!("an unstarted process resumed"),
-        }
-        let token = ProcToken(me as u32);
-        let mut ctx = ProcCtx { token, baton: self };
-        let result = catch_unwind(AssertUnwindSafe(|| body(&mut ctx)));
-        let baton = ctx.baton;
-        let mut core = baton.lock();
-        if core.ended.is_some() {
-            return; // unwound by the shutdown
-        }
-        match result {
-            Ok(()) => {
-                core.procs[me].state = ProcState::Done;
-                core.hook = Some(me);
-                baton.pass(core, me);
-            }
-            Err(payload) => {
-                core.ended = Some(Ok(Err(SimError::ProcPanicked { proc: token, payload })));
-            }
-        }
-    }
+/// The life of process `me`'s fiber: runs `body`, then hands back the
+/// exit. Never inlined, so a backtrace taken in a process names it.
+#[inline(never)]
+fn process<P: Protocol>(
+    me: usize,
+    body: Body<P>,
+    yielder: Yielder<Wake<P::Resp>, Stop<P::Req>>,
+) -> Stop<P::Req> {
+    let mut ctx = ProcCtx { token: ProcToken(me as u32), yielder, cost: SimTime::ZERO };
+    body(&mut ctx);
+    Stop { req: None, cost: ctx.cost }
 }
 
 /// The process-side handle for issuing syscalls.
@@ -262,7 +189,9 @@ impl<P: Protocol> Baton<P> {
 /// Handed to each process closure by [`Kernel::spawn`].
 pub struct ProcCtx<P: Protocol> {
     token: ProcToken,
-    baton: Arc<Baton<P>>,
+    yielder: Yielder<Wake<P::Resp>, Stop<P::Req>>,
+    /// Compute time charged since the process last stopped.
+    cost: SimTime,
 }
 
 impl<P: Protocol> fmt::Debug for ProcCtx<P> {
@@ -279,22 +208,16 @@ impl<P: Protocol> ProcCtx<P> {
 
     /// Issues a syscall and blocks until the kernel responds.
     ///
-    /// The calling process runs the kernel itself; it yields only while
-    /// other processes run first.
+    /// The process yields the request to [`Kernel::run`], which resumes
+    /// it with the response once a step has served it.
     ///
     /// # Panics
     ///
     /// Panics if the run has ended (a deadlock, panic or event limit
     /// elsewhere).
     pub fn request(&mut self, req: P::Req) -> P::Resp {
-        let me = self.token.index();
-        let mut core = self.baton.lock_live();
-        core.submit(me, req);
-        if let Some(resp) = self.baton.pass(core, me) {
-            return resp;
-        }
-        fiber::yield_now();
-        match self.baton.take_wake(me) {
+        let stop = Stop { req: Some(req), cost: std::mem::take(&mut self.cost) };
+        match self.yielder.suspend(stop) {
             Wake::Resume(resp) => resp,
             Wake::Shutdown => panic!("kernel alive"),
             Wake::Start => unreachable!("a running process restarted"),
@@ -303,13 +226,11 @@ impl<P: Protocol> ProcCtx<P> {
 
     /// Charges `cost` of virtual compute time to this process.
     ///
-    /// Use to model local computation between memory operations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the run has ended.
+    /// Use to model local computation between memory operations. The
+    /// process's clock moves on when it next stops: at its next syscall,
+    /// or as its body returns.
     pub fn advance(&mut self, cost: SimTime) {
-        self.baton.lock_live().procs[self.token.index()].clock += cost;
+        self.cost += cost;
     }
 }
 
@@ -415,6 +336,7 @@ pub struct RunReport<P> {
 /// # Ok::<(), mc_sim::SimError>(())
 /// ```
 pub struct Kernel<P: Protocol> {
+    protocol: P,
     core: Core<P>,
     bodies: Vec<Body<P>>,
 }
@@ -436,7 +358,6 @@ impl<P: Protocol> Kernel<P> {
             config.faults.crash_recovers.iter().map(|&(n, t)| (t, n)).collect();
         plan_recovers.sort();
         let core = Core {
-            protocol,
             rng: StdRng::seed_from_u64(config.seed),
             schedule: Box::new(RandomSchedule::new(config.seed ^ 0x5eed_0fda)),
             config,
@@ -448,14 +369,11 @@ impl<P: Protocol> Kernel<P> {
             next_plan_recover: 0,
             resumed: VecDeque::new(),
             started: 0,
-            hook: None,
             footprint_open: false,
             candidates: Vec::new(),
             ids: Vec::new(),
-            handoff: None,
-            ended: None,
         };
-        Kernel { core, bodies: Vec::new() }
+        Kernel { protocol, core, bodies: Vec::new() }
     }
 
     /// Spawns a process bound to `node` and returns its token.
@@ -531,33 +449,39 @@ impl<P: Protocol> Kernel<P> {
     ///
     /// Re-raises a panic in protocol code, with its original payload.
     pub fn run(self) -> Result<RunReport<P>, SimError> {
-        let Kernel { core, bodies } = self;
-        let caller = bodies.len();
-        let baton = Arc::new(Baton { core: Mutex::new(core) });
-        let mut fibers: Vec<Fiber> = bodies
+        let Kernel { mut protocol, mut core, bodies } = self;
+        let mut fibers: Vec<_> = bodies
             .into_iter()
             .enumerate()
-            .map(|(i, body)| {
-                let baton = baton.clone();
-                Fiber::new(move || baton.process(i, body))
-            })
+            .map(|(i, body)| Fiber::new(move |_start, yielder| process(i, body, yielder)))
             .collect();
-        // Run whichever process the baton passes to, until the run ends...
-        baton.pass(baton.lock(), caller);
-        while let Some(to) = baton.due() {
-            fibers[to].resume();
-        }
-        // ...then resume every process still inside its body (or not yet
-        // started) with a shutdown, which unwinds it.
-        for (i, fiber) in fibers.iter_mut().enumerate() {
-            if !fiber.is_done() {
-                baton.lock().handoff = Some((i, Wake::Shutdown));
-                fiber.resume();
+        // Resume whichever process the core names and hand the core what
+        // it yields, until the run is over...
+        let mut stopped = None;
+        let ended = loop {
+            match catch_unwind(AssertUnwindSafe(|| core.next(&mut protocol, stopped.take()))) {
+                Ok(Next::Run(idx, wake)) => {
+                    match catch_unwind(AssertUnwindSafe(|| fibers[idx].resume(wake))) {
+                        Ok(stop) => stopped = Some((idx, stop)),
+                        Err(payload) => {
+                            let proc = ProcToken(idx as u32);
+                            break Ok(Err(SimError::ProcPanicked { proc, payload }));
+                        }
+                    }
+                }
+                Ok(Next::Over(result)) => break Ok(result),
+                Err(payload) => break Err(payload),
+            }
+        };
+        // ...then resume every started process still inside its body with
+        // a shutdown, which unwinds it. (Unstarted ones drop their body.)
+        for fiber in &mut fibers[..core.started] {
+            while !fiber.is_done() {
+                let _ = catch_unwind(AssertUnwindSafe(|| fiber.resume(Wake::Shutdown)));
             }
         }
         drop(fibers);
-        let baton = Arc::into_inner(baton).expect("every process finished");
-        baton.core.into_inner().expect("kernel lock").finish()
+        core.finish(protocol, ended.unwrap_or_else(|payload| resume_unwind(payload)))
     }
 }
 
@@ -586,10 +510,8 @@ enum Next<R> {
     Over(Result<(), SimError>),
 }
 
-/// The kernel's state and scheduling loop, run by whichever process
-/// holds the baton.
+/// The kernel's state and scheduling, owned by [`Kernel::run`].
 struct Core<P: Protocol> {
-    protocol: P,
     config: SimConfig,
     network: Network<P::Msg>,
     rng: StdRng,
@@ -606,10 +528,6 @@ struct Core<P: Protocol> {
     resumed: VecDeque<(usize, P::Resp)>,
     /// How many processes have been started (they start in token order).
     started: usize,
-    /// The process that has just submitted a syscall or exited:
-    /// [`Core::next`] first runs its [`Protocol::on_submit`] or
-    /// [`Protocol::on_exit`].
-    hook: Option<usize>,
     /// Whether the last step's footprint is still open: the processes it
     /// resumed run on, up to their next syscall or exit, before the next
     /// step closes it.
@@ -618,23 +536,19 @@ struct Core<P: Protocol> {
     /// steps so that stepping allocates nothing.
     candidates: Vec<Cand>,
     ids: Vec<ActionId>,
-    /// The process the baton was passed to, and what it resumes with,
-    /// until that process takes it.
-    handoff: Option<(usize, Wake<P::Resp>)>,
-    /// Set once the run is over.
-    ended: Option<Ending>,
 }
 
 impl<P: Protocol> Core<P> {
-    fn net_ctx<'a>(
-        now: SimTime,
-        network: &'a mut Network<P::Msg>,
-        rng: &'a mut StdRng,
-        metrics: &'a mut Metrics,
-        config: &'a SimConfig,
-        sched: Option<&'a mut dyn Schedule>,
-    ) -> NetCtx<'a, P::Msg> {
-        NetCtx { now, net: network, rng, metrics, config, sched }
+    /// The protocol's view of the network at virtual time `now`.
+    fn net_ctx(&mut self, now: SimTime) -> NetCtx<'_, P::Msg> {
+        NetCtx {
+            now,
+            net: &mut self.network,
+            rng: &mut self.rng,
+            metrics: &mut self.metrics,
+            config: &self.config,
+            sched: Some(&mut *self.schedule),
+        }
     }
 
     /// Records process `idx`'s syscall: it becomes a candidate once its
@@ -645,27 +559,6 @@ impl<P: Protocol> Core<P> {
         slot.ready_at = slot.clock + self.config.local_cost;
         slot.state = ProcState::Ready;
         self.metrics.record_proc_syscall(idx);
-        self.hook = Some(idx);
-    }
-
-    /// Runs the hook of process `idx`, which has just submitted a
-    /// syscall or exited, at the process's own clock.
-    fn run_hook(&mut self, idx: usize) {
-        let slot = &self.procs[idx];
-        let (token, node, exit) = (ProcToken(idx as u32), slot.node, slot.state == ProcState::Done);
-        let mut ctx = Self::net_ctx(
-            self.now.max(slot.clock),
-            &mut self.network,
-            &mut self.rng,
-            &mut self.metrics,
-            &self.config,
-            Some(&mut *self.schedule),
-        );
-        if exit {
-            self.protocol.on_exit(token, node, &mut ctx);
-        } else {
-            self.protocol.on_submit(token, node, &mut ctx);
-        }
     }
 
     /// Queues process `idx` to return `resp` from its syscall.
@@ -681,11 +574,25 @@ impl<P: Protocol> Core<P> {
         self.resumed.push_back((idx, resp));
     }
 
-    /// Decides what runs next: the oldest queued resumption, else the
-    /// next unstarted process, else whatever one more step brings.
-    fn next(&mut self) -> Next<P::Resp> {
-        if let Some(idx) = self.hook.take() {
-            self.run_hook(idx);
+    /// Takes what process `stopped` yielded, if one did — its syscall or
+    /// its exit, after the compute time it charged — and runs its hook
+    /// ([`Protocol::on_submit`] or [`Protocol::on_exit`]) at its clock.
+    /// Then decides what runs next: the oldest queued resumption, else
+    /// the next unstarted process, else whatever one more step brings.
+    fn next(&mut self, protocol: &mut P, stopped: Option<(usize, Stop<P::Req>)>) -> Next<P::Resp> {
+        if let Some((idx, Stop { req, cost })) = stopped {
+            self.procs[idx].clock += cost;
+            let (token, node, exit) = (ProcToken(idx as u32), self.procs[idx].node, req.is_none());
+            match req {
+                Some(req) => self.submit(idx, req),
+                None => self.procs[idx].state = ProcState::Done,
+            }
+            let mut ctx = self.net_ctx(self.now.max(self.procs[idx].clock));
+            if exit {
+                protocol.on_exit(token, node, &mut ctx);
+            } else {
+                protocol.on_submit(token, node, &mut ctx);
+            }
         }
         loop {
             if let Some((idx, resp)) = self.resumed.pop_front() {
@@ -695,14 +602,14 @@ impl<P: Protocol> Core<P> {
                 self.started += 1;
                 return Next::Run(self.started - 1, Wake::Start);
             }
-            if let Some(result) = self.step() {
+            if let Some(result) = self.step(protocol) {
                 return Next::Over(result);
             }
         }
     }
 
     /// Polls every blocked process (in token order) until a fixpoint.
-    fn poll_blocked_procs(&mut self) {
+    fn poll_blocked_procs(&mut self, protocol: &mut P) {
         loop {
             let mut progressed = false;
             for idx in 0..self.procs.len() {
@@ -710,17 +617,8 @@ impl<P: Protocol> Core<P> {
                     continue;
                 }
                 let node = self.procs[idx].node;
-                let mut ctx = Self::net_ctx(
-                    self.now,
-                    &mut self.network,
-                    &mut self.rng,
-                    &mut self.metrics,
-                    &self.config,
-                    Some(&mut *self.schedule),
-                );
-                if let Some(resp) =
-                    self.protocol.poll_blocked(ProcToken(idx as u32), node, &mut ctx)
-                {
+                let mut ctx = self.net_ctx(self.now);
+                if let Some(resp) = protocol.poll_blocked(ProcToken(idx as u32), node, &mut ctx) {
                     let stall = self.now.saturating_sub(self.procs[idx].blocked_since);
                     self.metrics.record_stall(stall);
                     self.metrics.record_proc_stall(idx, stall);
@@ -747,27 +645,26 @@ impl<P: Protocol> Core<P> {
         }
     }
 
-    /// Completes a run that is over.
-    fn finish(mut self) -> Result<RunReport<P>, SimError> {
-        match self.ended.take().expect("the run is over") {
-            Err(payload) => resume_unwind(payload),
-            Ok(Err(e)) => Err(e),
-            Ok(Ok(())) => {
+    /// Completes a run that is over with `result`.
+    fn finish(
+        mut self,
+        protocol: P,
+        result: Result<(), SimError>,
+    ) -> Result<RunReport<P>, SimError> {
+        match result {
+            Err(e) => Err(e),
+            Ok(()) => {
                 self.metrics.finish_time = self.now;
                 // On normal completion nothing is left in flight (queued
                 // deliveries and armed timers are always runnable events),
                 // so the conservation laws must balance exactly.
                 self.metrics.timers_pending = self.network.timers.len() as u64;
-                self.metrics.wal_staged = self.protocol.durable_staged();
+                self.metrics.wal_staged = protocol.durable_staged();
                 let queued = self.network.queue.len() as u64;
                 if let Err(e) = self.metrics.check_conservation(queued) {
                     panic!("metrics accounting bug: {e}");
                 }
-                Ok(RunReport {
-                    protocol: self.protocol,
-                    metrics: self.metrics,
-                    trace: self.network.tracer.take(),
-                })
+                Ok(RunReport { protocol, metrics: self.metrics, trace: self.network.tracer.take() })
             }
         }
     }
@@ -775,7 +672,7 @@ impl<P: Protocol> Core<P> {
     /// Takes one scheduling step: chooses a candidate, executes it and
     /// polls the blocked processes. Returns the run's result instead when
     /// nothing is left to step.
-    fn step(&mut self) -> Option<Result<(), SimError>> {
+    fn step(&mut self, protocol: &mut P) -> Option<Result<(), SimError>> {
         if std::mem::take(&mut self.footprint_open) {
             self.schedule.record_footprint(&self.network.touched);
         }
@@ -864,15 +761,8 @@ impl<P: Protocol> Core<P> {
                 // Delivery dequeues at `to` *and* mutates its replica.
                 self.network.touched.push(Touch::Queue(to));
                 self.network.touched.push(Touch::State(to));
-                let mut ctx = Self::net_ctx(
-                    self.now,
-                    &mut self.network,
-                    &mut self.rng,
-                    &mut self.metrics,
-                    &self.config,
-                    Some(&mut *self.schedule),
-                );
-                self.protocol.on_message(to, from, msg, &mut ctx);
+                let mut ctx = self.net_ctx(self.now);
+                protocol.on_message(to, from, msg, &mut ctx);
             }
             Cand::Timer => {
                 let Reverse(t) = self.network.timers.pop().expect("peeked");
@@ -889,15 +779,8 @@ impl<P: Protocol> Core<P> {
                 }
                 self.network.touched.push(Touch::Queue(t.node));
                 self.network.touched.push(Touch::State(t.node));
-                let mut ctx = Self::net_ctx(
-                    self.now,
-                    &mut self.network,
-                    &mut self.rng,
-                    &mut self.metrics,
-                    &self.config,
-                    Some(&mut *self.schedule),
-                );
-                self.protocol.on_timer(t.node, t.token, &mut ctx);
+                let mut ctx = self.net_ctx(self.now);
+                protocol.on_timer(t.node, t.token, &mut ctx);
             }
             Cand::Syscall(idx) => {
                 let req = self.procs[idx].pending.take().expect("ready has request");
@@ -918,15 +801,8 @@ impl<P: Protocol> Core<P> {
                 // A syscall reads and writes its own node's replica;
                 // any sends it issues add queue touches elsewhere.
                 self.network.touched.push(Touch::State(node));
-                let mut ctx = Self::net_ctx(
-                    self.now,
-                    &mut self.network,
-                    &mut self.rng,
-                    &mut self.metrics,
-                    &self.config,
-                    Some(&mut *self.schedule),
-                );
-                match self.protocol.on_request(token, node, req, &mut ctx) {
+                let mut ctx = self.net_ctx(self.now);
+                match protocol.on_request(token, node, req, &mut ctx) {
                     Poll::Ready(resp) => self.resume(idx, resp),
                     Poll::Pending => {
                         self.procs[idx].state = ProcState::Blocked;
@@ -934,10 +810,18 @@ impl<P: Protocol> Core<P> {
                     }
                 }
             }
-            Cand::Crash(node) => {
+            Cand::Crash(node) | Cand::CrashRecover { node, .. } => {
                 // A crash silences the node and purges its queue. The
                 // wiped in-flight deliveries and cancelled timers join
-                // the fault/timer accounting so conservation holds.
+                // the fault/timer accounting so conservation holds. A
+                // crash-recover (`plan` or budgeted) is a crash followed
+                // at once by a rebirth from durable storage: the protocol
+                // replays its WAL and snapshot in `on_crash_recover` and
+                // re-fetches the rest from peers.
+                let recover = match choice {
+                    Cand::CrashRecover { plan, .. } => Some(plan),
+                    _ => None,
+                };
                 self.network.touched.push(Touch::State(node));
                 self.network.touched.push(Touch::Queue(node));
                 let (wiped, cancelled) = self.network.crash_node(node);
@@ -948,7 +832,7 @@ impl<P: Protocol> Core<P> {
                         t: self.now,
                         dur: None,
                         cat: "fault",
-                        name: "crash".to_string(),
+                        name: if recover.is_some() { "crash_recover" } else { "crash" }.to_string(),
                         track: node.0,
                         args: vec![
                             ("wiped_deliveries", wiped.to_string()),
@@ -956,51 +840,20 @@ impl<P: Protocol> Core<P> {
                         ],
                     });
                 }
-            }
-            Cand::CrashRecover { node, plan } => {
-                // A crash-recover is a crash (wiping the node's
-                // in-flight deliveries, timers, and volatile protocol
-                // state) immediately followed by a rebirth from
-                // durable storage: the protocol replays its WAL and
-                // snapshot in `on_crash_recover` and re-fetches the
-                // rest from peers.
-                self.network.touched.push(Touch::State(node));
-                self.network.touched.push(Touch::Queue(node));
-                let (wiped, cancelled) = self.network.crash_node(node);
-                self.network.revive(node);
-                if plan {
-                    self.next_plan_recover += 1;
-                } else {
-                    self.network.recovers_used.push(node);
+                if let Some(plan) = recover {
+                    self.network.revive(node);
+                    if plan {
+                        self.next_plan_recover += 1;
+                    } else {
+                        self.network.recovers_used.push(node);
+                    }
+                    self.metrics.wal.recoveries += 1;
+                    let mut ctx = self.net_ctx(self.now);
+                    protocol.on_crash_recover(node, &mut ctx);
                 }
-                self.metrics.faults.crash_dropped += wiped;
-                self.metrics.timers_cancelled += cancelled;
-                self.metrics.wal.recoveries += 1;
-                if let Some(tr) = self.network.tracer.as_mut() {
-                    tr.record(TraceEvent {
-                        t: self.now,
-                        dur: None,
-                        cat: "fault",
-                        name: "crash_recover".to_string(),
-                        track: node.0,
-                        args: vec![
-                            ("wiped_deliveries", wiped.to_string()),
-                            ("cancelled_timers", cancelled.to_string()),
-                        ],
-                    });
-                }
-                let mut ctx = Self::net_ctx(
-                    self.now,
-                    &mut self.network,
-                    &mut self.rng,
-                    &mut self.metrics,
-                    &self.config,
-                    Some(&mut *self.schedule),
-                );
-                self.protocol.on_crash_recover(node, &mut ctx);
             }
         }
-        self.poll_blocked_procs();
+        self.poll_blocked_procs(protocol);
         self.footprint_open = true;
         None
     }
@@ -1170,6 +1023,26 @@ mod tests {
     }
 
     #[test]
+    fn processes_one_step_resumes_run_in_the_order_it_resumed_them() {
+        let mut k = Kernel::new(counter(2), 2, SimConfig::default());
+        let woke = Arc::new(Mutex::new(Vec::new()));
+        for _ in 0..2 {
+            let woke = woke.clone();
+            k.spawn(NodeId(1), move |ctx| {
+                ctx.request(Req::WaitFor(1));
+                woke.lock().unwrap().push(ctx.token());
+            });
+        }
+        k.spawn(NodeId(0), |ctx| {
+            ctx.request(Req::Incr);
+        });
+        k.run().unwrap();
+        // The bump's delivery to n1 unblocks both waiters in one step,
+        // polled in token order.
+        assert_eq!(*woke.lock().unwrap(), [ProcToken(0), ProcToken(1)]);
+    }
+
+    #[test]
     fn a_process_that_captures_a_backtrace_then_panics_is_reported() {
         let mut k = Kernel::new(counter(1), 1, SimConfig::default());
         k.spawn(NodeId(0), |ctx| {
@@ -1319,6 +1192,59 @@ mod tests {
         });
         let report = k.run().unwrap();
         assert!(report.metrics.finish_time >= SimTime::from_millis(5));
+    }
+
+    #[test]
+    fn advance_moves_the_clock_the_next_hook_runs_at() {
+        /// Records the virtual time each hook runs at.
+        #[derive(Default)]
+        struct Clocks {
+            submits: Vec<SimTime>,
+            exits: Vec<SimTime>,
+        }
+        impl Protocol for Clocks {
+            type Msg = ();
+            type Req = ();
+            type Resp = ();
+            fn on_request(
+                &mut self,
+                _: ProcToken,
+                _: NodeId,
+                _: (),
+                _: &mut NetCtx<'_, ()>,
+            ) -> Poll<()> {
+                Poll::Ready(())
+            }
+            fn on_message(&mut self, _: NodeId, _: NodeId, _: (), _: &mut NetCtx<'_, ()>) {}
+            fn on_submit(&mut self, _: ProcToken, _: NodeId, net: &mut NetCtx<'_, ()>) {
+                self.submits.push(net.now());
+            }
+            fn on_exit(&mut self, _: ProcToken, _: NodeId, net: &mut NetCtx<'_, ()>) {
+                self.exits.push(net.now());
+            }
+            fn poll_blocked(
+                &mut self,
+                _: ProcToken,
+                _: NodeId,
+                _: &mut NetCtx<'_, ()>,
+            ) -> Option<()> {
+                None
+            }
+        }
+        let config = SimConfig::default();
+        let local = config.local_cost;
+        let mut k = Kernel::new(Clocks::default(), 1, config);
+        k.spawn(NodeId(0), |ctx| {
+            ctx.advance(SimTime::from_millis(1));
+            ctx.request(());
+            ctx.advance(SimTime::from_millis(2));
+        });
+        let clocks = k.run().unwrap().protocol;
+        let ms = SimTime::from_millis;
+        assert_eq!(clocks.submits, vec![ms(1)], "a syscall's hook runs at the advanced clock");
+        // The syscall is served `local` after it was issued, and the
+        // process resumes at that time.
+        assert_eq!(clocks.exits, vec![ms(1) + local + ms(2)], "so does the exit's");
     }
 
     #[test]

@@ -17,11 +17,10 @@
 //!   processes, each a fiber on the caller's thread (a stack of its own,
 //!   switched to in user space; a thread per fiber off x86_64 Linux), and
 //!   exactly one running at a time: every memory/synchronization
-//!   operation is a syscall, and the process that issues it runs the
-//!   kernel itself, then passes the baton to whichever process the
-//!   schedule resumes. Executions
-//!   are **bit-for-bit reproducible** from a seed while different seeds
-//!   explore different interleavings;
+//!   operation is a syscall that the process yields to the kernel's
+//!   loop, which steps the schedule and resumes whichever process it
+//!   names. Executions are **bit-for-bit reproducible** from a seed
+//!   while different seeds explore different interleavings;
 //! * exact **metrics** ([`Metrics`]): virtual completion time, message and
 //!   byte counts per message kind, blocking stalls — the quantities that
 //!   differentiate PRAM, causal, and sequentially consistent memory.

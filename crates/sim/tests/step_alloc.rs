@@ -1,11 +1,12 @@
 //! A kernel step allocates nothing on the untraced path: a run of an
 //! echo protocol costs the same allocations at 10 000 syscalls as at
 //! 1 000 — each process's fiber and first-use buffer growth, none per
-//! step or per hand-off.
+//! step or per resume.
 //!
 //! The counting allocator is process-global, and so are the counts:
-//! where fibers are backed by threads, those threads do the stepping. One test in a binary of its own, so
-//! nothing else allocates while it measures.
+//! where fibers are backed by threads, the process bodies run on those
+//! threads and the kernel loop on the caller's. One test in a binary of
+//! its own, so nothing else allocates while it measures.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
