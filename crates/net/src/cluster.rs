@@ -25,8 +25,8 @@ use mc_model::ProcId;
 use mc_proto::wire::Control;
 use mc_proto::{DsmConfig, Manager, Replica};
 use mixed_consistency::{Executor, Outcome, RunError, System, WallClock};
-use tokio::runtime::{Handle, Runtime};
 
+use crate::links::Links;
 use crate::placement::Placement;
 use crate::transport::{listen, Inbound, TcpTransportBuilder};
 
@@ -50,8 +50,7 @@ impl Executor for Tcp {
     /// Panics if loopback sockets cannot be bound.
     fn run(system: System<Tcp>) -> Result<Outcome, RunError> {
         let (nprocs, nnodes) = (system.cfg.nprocs(), system.cfg.nnodes());
-        let rt = Runtime::with_workers(0);
-        let handle = rt.handle();
+        let links = Links::new();
         // Threads started from here on are link threads and share one
         // CPU — the managers run on their readers; from `nodes()` on they
         // are process threads and keep off it, so that a hop costs the
@@ -77,7 +76,7 @@ impl Executor for Tcp {
             let inbound =
                 Inbound { inbox: tx.clone(), events: ev_tx.clone(), delivered: delivered.clone() };
             let manager = node.checked_sub(nprocs).map(|k| managers[k].clone());
-            listen(listener, inbound, manager, handle);
+            listen(listener, inbound, manager, &links);
             b.local(node, tx);
             inboxes.push(rx);
         }
@@ -87,7 +86,7 @@ impl Executor for Tcp {
         for from in 0..nnodes {
             for (to, addr) in addrs.iter().enumerate() {
                 if from != to {
-                    b.link(from, to, *addr, handle);
+                    b.dial(from, to, *addr, &links);
                 }
             }
         }
@@ -114,9 +113,10 @@ impl Executor for Tcp {
             }
         });
         // `net` — every sender into the link queues — went with the node
-        // threads and the managers; the runtime's drop joins the link
-        // threads.
-        drop(rt);
+        // threads and the managers, so each writer drains its queue and
+        // ends; dropping the owner wakes the other link threads and joins
+        // them all.
+        drop(links);
         outcome
     }
 }
@@ -168,11 +168,10 @@ pub fn run_cluster_node(
     assert!(node < nnodes, "node {node} out of range for {nnodes} nodes");
     // Declared first, so dropped last: by then the transport — every
     // sender into a link queue — is gone, each writer drains its queue to
-    // its socket and exits, and the runtime's drop joins them. No frame
+    // its socket and exits, and the owner's drop joins them. No frame
     // (the coordinator's `Shutdown` broadcast above all) is left behind;
-    // a writer still redialling a dead peer gives up on the stop flag.
-    let rt = Runtime::with_workers(2);
-    let handle: Handle = rt.handle().clone();
+    // a writer still redialling a dead peer gives up at its next attempt.
+    let links = Links::new();
     // As in `Tcp::run`: link threads on one CPU, the node off it.
     let placement = Placement::begin();
     placement.links();
@@ -183,7 +182,7 @@ pub fn run_cluster_node(
     for to in 0..nnodes {
         if to != node {
             let addr = std::net::SocketAddr::from(([127, 0, 0, 1], base_port + to as u16));
-            b.link(node, to, addr, &handle);
+            b.dial(node, to, addr, &links);
         }
     }
     b.local(node, inbox_tx.clone());
@@ -196,15 +195,18 @@ pub fn run_cluster_node(
         slot.install(net.clone(), Arc::new(cfg.clone()), node, false);
         slot
     });
-    let listener = crate::transport::bind_reusable(base_port + node as u16).unwrap_or_else(|e| {
-        panic!("node {node}: cannot bind port {}: {e}", base_port + node as u16)
-    });
+    // std binds a listener with `SO_REUSEADDR` (on every platform but
+    // Windows), so a node reborn after `kill -9` reclaims its port while
+    // the dead incarnation's connections linger in `TIME_WAIT`.
+    let port = base_port + node as u16;
+    let listener = std::net::TcpListener::bind(("127.0.0.1", port))
+        .unwrap_or_else(|e| panic!("node {node}: cannot bind port {port}: {e}"));
     let delivered = Arc::new(AtomicU64::new(0));
     listen(
         listener,
         Inbound { inbox: inbox_tx.clone(), events: ev_tx.clone(), delivered },
         manager.clone(),
-        &handle,
+        &links,
     );
     placement.nodes();
     let walc = Arc::new(WalCounters::default());

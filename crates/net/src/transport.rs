@@ -1,7 +1,7 @@
 //! The TCP transport: a writer and a reader thread per directed link
-//! beneath the transport-agnostic nodes of `mc-live` (written as
-//! `async fn`s over the `compat/tokio` shim, which runs each on a thread
-//! of its own with blocking socket calls).
+//! beneath the transport-agnostic nodes of `mc-live`, each a plain
+//! function parked in a blocking `std::net` call, started and torn down
+//! by a [`Links`] owner.
 //!
 //! # Topology
 //!
@@ -79,9 +79,10 @@
 //! from the replica incarnation — the same machinery the lossy
 //! in-process executor exercises.
 
-use std::io::Write;
-use std::net::SocketAddr;
+use std::io::{ErrorKind, Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -93,9 +94,8 @@ use mc_proto::wire::{
     BUF_CHUNK,
 };
 use mc_proto::Msg;
-use tokio::net::{TcpListener, TcpStream};
-use tokio::runtime::Handle;
-use tokio::sync::mpsc;
+
+use crate::links::{Links, Parked, Spawner};
 
 /// Outstanding frames per directed link before `deliver` blocks the
 /// sending protocol thread — the backpressure point.
@@ -106,10 +106,10 @@ const BACKOFF_MIN: Duration = Duration::from_millis(1);
 const BACKOFF_MAX: Duration = Duration::from_millis(50);
 
 /// One directed link: the shared encode arena, the queue to the writer
-/// task, and what the writer shares with callers that write directly.
+/// thread, and what the writer shares with callers that write directly.
 struct Link {
     arena: Mutex<BytesMut>,
-    tx: mpsc::Sender<Bytes>,
+    tx: SyncSender<Bytes>,
     wire: Arc<LinkWire>,
 }
 
@@ -134,14 +134,14 @@ impl Link {
 
     /// Queues one frame for the writer, blocking when it is
     /// `SEND_QUEUE` frames behind. Returns `false` only if the writer
-    /// task is gone (transport torn down).
+    /// thread is gone (transport torn down).
     fn push(&self, encode: impl FnOnce(&mut BytesMut)) -> bool {
         self.enqueue(self.encode(encode))
     }
 
     fn enqueue(&self, frame: Bytes) -> bool {
         self.wire.inflight.fetch_add(1, Ordering::AcqRel);
-        let sent = self.tx.blocking_send(frame).is_ok();
+        let sent = self.tx.send(frame).is_ok();
         if !sent {
             self.wire.inflight.fetch_sub(1, Ordering::AcqRel);
         }
@@ -170,7 +170,7 @@ impl Link {
 }
 
 /// Builder for a [`TcpTransport`]: declare every outgoing link (a
-/// writer task is spawned per link) and every locally-hosted node's
+/// writer thread is started per link) and every locally-hosted node's
 /// inbox, then freeze.
 pub struct TcpTransportBuilder {
     nnodes: usize,
@@ -189,12 +189,15 @@ impl TcpTransportBuilder {
     }
 
     /// Adds the directed link `from -> to`, dialled to `addr` by a
-    /// writer task on `handle`'s runtime.
-    pub fn link(&mut self, from: NodeId, to: NodeId, addr: SocketAddr, handle: &Handle) {
+    /// writer thread that `links` owns.
+    pub fn dial(&mut self, from: NodeId, to: NodeId, addr: SocketAddr, links: &Links) {
         assert_ne!(from, to, "nodes do not dial themselves");
-        let (tx, rx) = mpsc::channel(SEND_QUEUE);
+        let (tx, rx) = sync_channel(SEND_QUEUE);
         let wire = Arc::new(LinkWire::default());
-        handle.spawn(write_link(from as u32, addr, rx, wire.clone()));
+        let (writer, spawner) = (wire.clone(), links.0.clone());
+        links.0.spawn("mc-link-write", Parked::Write, move || {
+            write_link(from as u32, addr, rx, writer, spawner);
+        });
         self.links[from * self.nnodes + to] =
             Some(Link { arena: Mutex::new(BytesMut::with_capacity(BUF_CHUNK)), tx, wire });
     }
@@ -283,10 +286,11 @@ impl Transport for TcpTransport {
     }
 }
 
-/// The writer task of one directed link: dial (with backoff), announce
+/// The writer thread of one directed link: dial (with backoff), announce
 /// `Hello`, publish the connection, then drain the frame queue into the
 /// socket, redialling on any error with the frames it interrupted
-/// carried over.
+/// carried over. It ends once the queue is closed and drained, or, while
+/// it redials, once `links` is stopping.
 ///
 /// Each wake-up writes the frame it woke for together with every frame
 /// already queued behind it, up to [`BUF_CHUNK`] bytes, copied back to
@@ -295,7 +299,7 @@ impl Transport for TcpTransport {
 /// split off and dropped, so the next frames reclaim it in place. It
 /// starts empty and grows only to the largest burst the link carries,
 /// so a quiet link keeps no 64 KiB region.
-async fn write_link(me: u32, addr: SocketAddr, mut rx: mpsc::Receiver<Bytes>, wire: Arc<LinkWire>) {
+fn write_link(me: u32, addr: SocketAddr, rx: Receiver<Bytes>, wire: Arc<LinkWire>, links: Spawner) {
     // The frames taken off the queue and not yet written whole, back to
     // back, and the length of each.
     let mut gather = BytesMut::with_capacity(0);
@@ -303,16 +307,18 @@ async fn write_link(me: u32, addr: SocketAddr, mut rx: mpsc::Receiver<Bytes>, wi
     let mut hello = BytesMut::with_capacity(64);
     loop {
         let mut backoff = BACKOFF_MIN;
-        let stream = loop {
-            match TcpStream::connect(addr).await {
+        let mut stream = loop {
+            if links.stopping() {
+                return;
+            }
+            match TcpStream::connect(addr) {
                 Ok(s) => break s,
                 Err(_) => {
-                    tokio::time::sleep(backoff).await;
+                    std::thread::sleep(backoff);
                     backoff = (backoff * 2).min(BACKOFF_MAX);
                 }
             }
         };
-        let Ok(mut stream) = stream.into_std() else { continue };
         let _ = stream.set_nodelay(true);
         encode_control(&mut hello, &Control::Hello { node: me });
         let greeting = {
@@ -325,7 +331,7 @@ async fn write_link(me: u32, addr: SocketAddr, mut rx: mpsc::Receiver<Bytes>, wi
         *wire.conn.lock().expect("connection healthy") = Some(stream);
         loop {
             if gather.is_empty() {
-                let Some(frame) = rx.recv().await else {
+                let Ok(frame) = rx.recv() else {
                     wire.conn.lock().expect("connection healthy").take();
                     return;
                 };
@@ -368,7 +374,7 @@ fn write_counted(stream: &mut impl Write, buf: &[u8]) -> Result<(), usize> {
         match stream.write(&buf[took..]) {
             Ok(0) => return Err(took),
             Ok(n) => took += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(_) => return Err(took),
         }
     }
@@ -405,45 +411,49 @@ pub struct Inbound {
     pub delivered: Arc<AtomicU64>,
 }
 
-/// Spawns the accept loop for one node's listening socket on `handle`'s
-/// runtime; each accepted connection gets its own reader task.
-pub fn spawn_listener(listener: std::net::TcpListener, inbound: Inbound, handle: &Handle) {
-    listen(listener, inbound, None, handle);
-}
-
-/// [`spawn_listener`] for a node that is a manager hosted in `manager`:
-/// its readers run it on every protocol frame instead of using the
-/// inbox, which then carries only `Shutdown`.
-pub(crate) fn listen(
-    listener: std::net::TcpListener,
+/// Starts the accept loop for one node's listening socket on a thread
+/// that `links` owns; each accepted connection gets its own reader
+/// thread. With a `manager`, the node is a manager hosted there: its
+/// readers run it on every protocol frame instead of using the inbox,
+/// which then carries only `Shutdown`.
+pub fn listen(
+    listener: TcpListener,
     inbound: Inbound,
     manager: Option<ManagerSlot>,
-    handle: &Handle,
+    links: &Links,
 ) {
-    let handle2 = handle.clone();
-    handle.spawn(async move {
-        let Ok(listener) = TcpListener::from_std(listener) else { return };
-        loop {
-            match listener.accept().await {
-                Ok((stream, _)) => {
-                    handle2.spawn(read_link(stream, inbound.clone(), manager.clone()));
-                }
-                Err(_) => return,
+    let addr = listener.local_addr().expect("a bound listener has an address");
+    let spawner = links.0.clone();
+    links.0.spawn("mc-link-accept", Parked::Accept(addr), move || {
+        for stream in listener.incoming() {
+            let Ok(stream) = stream else { return };
+            let Ok(wake) = stream.try_clone() else { continue };
+            let (inbound, manager) = (inbound.clone(), manager.clone());
+            let read = move || read_link(stream, inbound, manager);
+            // Refused once the owner is stopping: the connection is its
+            // wake-up dial, and the listener closes with this loop.
+            if !spawner.spawn("mc-link-read", Parked::Read(wake), read) {
+                return;
             }
         }
     });
 }
 
-/// The reader task of one accepted connection: socket reads land in the
-/// spare capacity of a single receive buffer, and [`ingest`] takes every
-/// complete frame off its front.
-async fn read_link(mut stream: TcpStream, inbound: Inbound, manager: Option<ManagerSlot>) {
+/// The reader thread of one accepted connection: socket reads land in
+/// the spare capacity of a single receive buffer, and [`ingest`] takes
+/// every complete frame off its front. It ends at EOF, which is also how
+/// teardown ends it.
+fn read_link(mut stream: TcpStream, inbound: Inbound, manager: Option<ManagerSlot>) {
     let _ = stream.set_nodelay(true);
     let mut buf = BytesMut::with_capacity(BUF_CHUNK);
     let mut from: Option<NodeId> = None;
     loop {
         buf.reserve(BUF_CHUNK);
-        let n = match stream.read(buf.spare_mut()).await {
+        let read = stream.read(buf.spare_mut());
+        #[cfg(test)]
+        crate::tests::READS.fetch_add(1, Ordering::Relaxed);
+        let n = match read {
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
             Ok(0) | Err(_) => return,
             Ok(n) => n,
         };
@@ -508,72 +518,6 @@ fn ingest(
         return Err(Dropped::Broken("on a frame header over MAX_FRAME"));
     }
     Ok(())
-}
-
-/// Binds a loopback listener on `port` with `SO_REUSEADDR`, so a node
-/// reborn after `kill -9` can reclaim its address while the dead
-/// incarnation's connections linger in `TIME_WAIT`. (`std` exposes no
-/// socket options pre-bind, hence the raw calls.)
-///
-/// # Errors
-///
-/// Any failing socket call, as an `io::Error`.
-#[cfg(unix)]
-pub fn bind_reusable(port: u16) -> std::io::Result<std::net::TcpListener> {
-    use std::os::fd::{FromRawFd, RawFd};
-
-    // Minimal FFI: libc is not a workspace dependency.
-    #[repr(C)]
-    struct SockaddrIn {
-        sin_family: u16,
-        sin_port: u16,
-        sin_addr: u32,
-        sin_zero: [u8; 8],
-    }
-    extern "C" {
-        fn socket(domain: i32, ty: i32, protocol: i32) -> i32;
-        fn setsockopt(fd: i32, level: i32, name: i32, value: *const u32, len: u32) -> i32;
-        fn bind(fd: i32, addr: *const SockaddrIn, len: u32) -> i32;
-        fn listen(fd: i32, backlog: i32) -> i32;
-        fn close(fd: i32) -> i32;
-    }
-    const AF_INET: i32 = 2;
-    const SOCK_STREAM: i32 = 1;
-    const SOL_SOCKET: i32 = 1;
-    const SO_REUSEADDR: i32 = 2;
-
-    unsafe {
-        let fd: RawFd = socket(AF_INET, SOCK_STREAM, 0);
-        if fd < 0 {
-            return Err(std::io::Error::last_os_error());
-        }
-        let guard = |fd: RawFd, r: i32| {
-            if r < 0 {
-                let e = std::io::Error::last_os_error();
-                close(fd);
-                Err(e)
-            } else {
-                Ok(())
-            }
-        };
-        let one: u32 = 1;
-        guard(fd, setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, 4))?;
-        let addr = SockaddrIn {
-            sin_family: AF_INET as u16,
-            sin_port: port.to_be(),
-            sin_addr: u32::from_be_bytes([127, 0, 0, 1]).to_be(),
-            sin_zero: [0; 8],
-        };
-        guard(fd, bind(fd, &addr, std::mem::size_of::<SockaddrIn>() as u32))?;
-        guard(fd, listen(fd, 128))?;
-        Ok(std::net::TcpListener::from_raw_fd(fd))
-    }
-}
-
-/// Fallback without the `SO_REUSEADDR` fast-rebind (non-unix).
-#[cfg(not(unix))]
-pub fn bind_reusable(port: u16) -> std::io::Result<std::net::TcpListener> {
-    std::net::TcpListener::bind(("127.0.0.1", port))
 }
 
 #[cfg(test)]

@@ -1,23 +1,26 @@
 //! The old builder surface `benchmark/` compiles against, run in the
 //! shapes it uses: the `run_on!` chain of `benchmark/src/live.rs`
 //! (`run_segment`) on `LiveSystem` and `NetSystem`, the `LiveOutcome`
-//! it reads, the simulated system of `benchmark/src/simcheck.rs`, and
-//! every call of `benchmark/src/layers.rs` that takes a `Mode`.
+//! it reads, the simulated system of `benchmark/src/simcheck.rs`, every
+//! call of `benchmark/src/layers.rs` that takes a `Mode`, and its `Mesh`,
+//! built with a tokio runtime's handle.
 //! `benchmark/` is a workspace of its own, so without this a break in
 //! the `legacy` shims would show only when the benchmark is built.
 
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
-use mc_live::{LiveCtx, LiveError, LiveOutcome, LiveSystem};
+use crossbeam::channel::{unbounded, Receiver};
+use mc_live::{LiveCtx, LiveError, LiveOutcome, LiveSystem, Transport, Wire};
 use mc_model::{History, Loc, ModelAssignment, ProcId, ProcModel, ReadLabel, Value, WriteId};
-use mc_net::NetSystem;
+use mc_net::{spawn_listener, Inbound, NetSystem, TcpTransport, TcpTransportBuilder};
 use mc_proto::{
-    BatchEntry, BatchPolicy, DsmConfig, DurabilityPolicy, Mode, Replica, Substrate, UpdatePayload,
-    WalRecord,
+    BatchEntry, BatchPolicy, DsmConfig, DurabilityPolicy, Mode, Msg, Replica, Substrate,
+    UpdatePayload, WalRecord,
 };
 use mixed_consistency::{Ctx, DurabilityStats, Metrics, ProgSpec, SpecOp, System};
+use tokio::runtime::Runtime;
 
 /// One `run_segment`-shaped run: two processes each write their own
 /// location and await the other's.
@@ -148,4 +151,62 @@ fn a_spec_takes_a_mode() {
     assert_eq!(spec.models, vec![ProcModel::MIXED]);
     assert!(spec.to_text().starts_with("mode mixed\n"));
     spec.build_system().run().expect("the spec runs").verify().expect("mixed consistent");
+}
+
+/// `benchmark/src/layers.rs`'s `Mesh`: the runtime is declared first, so
+/// it drops before the transport.
+struct Mesh {
+    _rt: Runtime,
+    transport: TcpTransport,
+    inboxes: Vec<Receiver<Wire>>,
+}
+
+/// `benchmark/src/layers.rs`'s `mesh`, line for line.
+fn mesh(n: usize) -> Mesh {
+    let rt = Runtime::with_workers(2);
+    let handle = rt.handle().clone();
+    let (events, _) = unbounded();
+    let delivered = Arc::new(std::sync::atomic::AtomicU64::new(0));
+    let mut builder = TcpTransportBuilder::new(n);
+    let mut addrs = Vec::new();
+    let mut inboxes = Vec::new();
+    for _ in 0..n {
+        let listener = std::net::TcpListener::bind(("127.0.0.1", 0)).expect("loopback binds");
+        addrs.push(listener.local_addr().expect("a bound listener has an address"));
+        let (tx, rx) = unbounded();
+        let inbound = Inbound { inbox: tx, events: events.clone(), delivered: delivered.clone() };
+        spawn_listener(listener, inbound, &handle);
+        inboxes.push(rx);
+    }
+    for from in 0..n {
+        for (to, addr) in addrs.iter().enumerate() {
+            if from != to {
+                builder.link(from, to, *addr, &handle);
+            }
+        }
+    }
+    Mesh { _rt: rt, transport: builder.build(), inboxes }
+}
+
+/// A frame goes each way on a 2-node mesh, and dropping the mesh —
+/// runtime first, then the transport — returns.
+#[test]
+fn the_benchmark_mesh_carries_a_frame_each_way_and_drops() {
+    let (done_tx, done) = mpsc::channel();
+    std::thread::spawn(move || {
+        let m = mesh(2);
+        let ping = |loc| Msg::ScRead { proc: ProcId(0), loc: Loc(loc) };
+        for (from, to) in [(0, 1), (1, 0)] {
+            assert!(m.transport.deliver(from, to, ping(from as u32)));
+            match m.inboxes[to].recv_timeout(Duration::from_secs(5)) {
+                Ok(Wire::Proto { from: f, msg: Msg::ScRead { loc, .. } }) => {
+                    assert_eq!((f, loc), (from, Loc(from as u32)));
+                }
+                _ => panic!("the frame {from} -> {to} arrives"),
+            }
+        }
+        drop(m);
+        let _ = done_tx.send(());
+    });
+    done.recv_timeout(Duration::from_secs(10)).expect("the mesh runs and drops within 10 s");
 }

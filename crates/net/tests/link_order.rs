@@ -17,12 +17,11 @@ use bytes::BytesMut;
 use crossbeam::channel::unbounded;
 use mc_live::{Transport, Wire};
 use mc_model::{Loc, ProcId};
-use mc_net::{spawn_listener, Inbound, TcpTransport, TcpTransportBuilder};
+use mc_net::{listen, Inbound, Links, TcpTransport, TcpTransportBuilder};
 use mc_proto::wire::{decode_frame, next_frame, Control, Frame};
 use mc_proto::Msg;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tokio::runtime::Runtime;
 
 const FRAMES: u32 = 10_000;
 
@@ -39,9 +38,9 @@ fn seq_of(msg: &Msg) -> u32 {
 }
 
 /// The `0 -> 1` link of a two-node transport dialling `addr`.
-fn link_to(addr: SocketAddr, rt: &Runtime) -> TcpTransport {
+fn link_to(addr: SocketAddr, links: &Links) -> TcpTransport {
     let mut b = TcpTransportBuilder::new(2);
-    b.link(0, 1, addr, rt.handle());
+    b.dial(0, 1, addr, links);
     b.build()
 }
 
@@ -75,14 +74,14 @@ fn send_mix(t: &TcpTransport, rng: &mut StdRng, from: u32, to: u32, received: &A
 
 #[test]
 fn queued_and_caller_written_frames_arrive_in_send_order() {
-    let rt = Runtime::with_workers(2);
+    let links = Links::new();
     let listener = TcpListener::bind(("127.0.0.1", 0)).expect("loopback binds");
     let addr = listener.local_addr().expect("a bound listener has an address");
     let (inbox, rx) = unbounded();
     let (events, _) = unbounded();
     let inbound = Inbound { inbox, events, delivered: Arc::default() };
-    spawn_listener(listener, inbound.clone(), rt.handle());
-    let t = link_to(addr, &rt);
+    listen(listener, inbound.clone(), None, &links);
+    let t = link_to(addr, &links);
 
     let received = AtomicUsize::new(0);
     std::thread::scope(|s| {
@@ -167,10 +166,10 @@ fn frames_on(sock: &mut TcpStream, stop_after: Option<usize>, seen: &AtomicUsize
 #[test]
 fn a_reset_mid_stream_redials_and_keeps_the_order() {
     const BREAK: u32 = FRAMES / 2;
-    let rt = Runtime::with_workers(2);
+    let links = Links::new();
     let listener = TcpListener::bind(("127.0.0.1", 0)).expect("loopback binds");
     let addr = listener.local_addr().expect("a bound listener has an address");
-    let t = link_to(addr, &rt);
+    let t = link_to(addr, &links);
 
     let received = AtomicUsize::new(0);
     let (broke_tx, broke) = mpsc::channel();

@@ -78,7 +78,7 @@ fn a_manager_has_no_thread_unless_it_sweeps_retransmissions() {
     }
     sys.run().expect("TCP runs");
     let names = started(seen);
-    let nodes: Vec<_> = names.iter().filter(|n| !n.starts_with("tokio-compat")).collect();
+    let nodes: Vec<_> = names.iter().filter(|n| !n.starts_with("mc-link")).collect();
     assert_eq!(nodes, ["mc-proc-0", "mc-proc-1"], "TCP, unreliable: {names:?}");
 
     let seen = Arc::default();

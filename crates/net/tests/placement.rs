@@ -33,14 +33,14 @@ fn cpus(list: &str) -> Vec<usize> {
         .collect()
 }
 
-/// The affinity of every link thread alive now (the shim names them).
+/// The affinity of every link thread alive now (mc-net names them).
 fn link_threads() -> Vec<String> {
     let tasks = std::fs::read_dir("/proc/self/task").expect("procfs");
     tasks
         .filter_map(|t| t.ok()?.file_name().into_string().ok())
         .filter(|tid| {
             std::fs::read_to_string(format!("/proc/self/task/{tid}/comm"))
-                .is_ok_and(|comm| comm.starts_with("tokio-compat"))
+                .is_ok_and(|comm| comm.starts_with("mc-link"))
         })
         .map(|tid| allowed(&tid))
         .collect()
